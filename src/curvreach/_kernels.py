@@ -6,11 +6,13 @@ thousands to millions of nodes, so they are the runtime hot spots:
 * elementwise slope/curvature ranges of activations over preactivation
   intervals,
 * fused interval propagation through an affine layer,
-* power iteration for spectral norms of small matrices.
+* the inf-norm (maximum absolute row sum) of small matrices.
+
+Spectral norms are not here: ``lipschitz.operator_norm`` takes them from
+LAPACK's SVD with an explicit rounding margin.
 
 Set ``CURVREACH_NO_NUMBA=1`` to force the numpy fallback (also used
-automatically when numba is not importable).  ``benchmarks/bench_kernels.py``
-compares the two paths.
+automatically when numba is not importable).
 """
 
 import math
@@ -128,24 +130,6 @@ def _interval_affine_np(W, b, c, r):
 
 def _op_norm_inf_np(A):
     return float(np.abs(A).sum(axis=1).max(initial=0.0))
-
-
-def _power_iter_sigma_np(A, v0, tol, maxiter):
-    """Top singular value of A by power iteration on A^T A, from below."""
-    v = v0 / np.linalg.norm(v0)
-    sigma = 0.0
-    for _ in range(maxiter):
-        u = A.T @ (A @ v)
-        nu = np.linalg.norm(u)
-        if nu == 0.0:
-            return 0.0
-        v = u / nu
-        new = math.sqrt(nu)
-        if abs(new - sigma) <= tol * max(new, 1e-300):
-            sigma = new
-            break
-        sigma = new
-    return sigma
 
 
 # ---------------------------------------------------------------------------
@@ -297,23 +281,6 @@ if NUMBA_ENABLED:
                 best = s
         return best
 
-    @njit(cache=True)
-    def _power_iter_sigma_nb(A, v0, tol, maxiter):
-        v = v0 / np.linalg.norm(v0)
-        sigma = 0.0
-        for _ in range(maxiter):
-            u = A.T @ (A @ v)
-            nu = np.linalg.norm(u)
-            if nu == 0.0:
-                return 0.0
-            v = u / nu
-            new = math.sqrt(nu)
-            if abs(new - sigma) <= tol * max(new, 1e-300):
-                sigma = new
-                break
-            sigma = new
-        return sigma
-
     slope_range_tanh = _slope_range_tanh_nb
     slope_range_sigmoid = _slope_range_sigmoid_nb
     slope_range_softplus = _slope_range_softplus_nb
@@ -322,7 +289,6 @@ if NUMBA_ENABLED:
     curv_range_softplus = _curv_range_softplus_nb
     interval_affine = _interval_affine_nb
     op_norm_inf = _op_norm_inf_nb
-    power_iter_sigma = _power_iter_sigma_nb
 else:
     slope_range_tanh = _slope_range_tanh_np
     slope_range_sigmoid = _slope_range_sigmoid_np
@@ -332,7 +298,6 @@ else:
     curv_range_softplus = _curv_range_softplus_np
     interval_affine = _interval_affine_np
     op_norm_inf = _op_norm_inf_np
-    power_iter_sigma = _power_iter_sigma_np
 
 
 def warmup():
@@ -345,4 +310,3 @@ def warmup():
     W = np.array([[1.0, -2.0], [0.5, 3.0]])
     interval_affine(W, np.zeros(2), np.zeros(2), np.ones(2))
     op_norm_inf(W)
-    power_iter_sigma(W, np.ones(2), 1e-9, 100)

@@ -113,6 +113,9 @@ class _Bounder:
                           and cfg.use_first_order)
         self.weights = [lay.weight for lay in self.net.layers]
         self.abs_weights = [np.abs(w) for w in self.weights]
+        # the ell_2 subnetwork stages open with these box-independent norms
+        self.heads2 = (lip._head_norms(self.weights, 2)
+                       if cfg.use_first_order and not self.two_layer else None)
         self.root_consts = None
 
     def _constants(self, lo, hi):
@@ -129,7 +132,7 @@ class _Bounder:
             return l_inf, None
         if self.two_layer:
             return l_inf, hs.two_layer_matrix_bounds(self.net, local)
-        _, subnet2 = lip._report_raw(self.weights, slope_hi, ds, 2)
+        subnet2 = lip._report_raw(self.weights, slope_hi, ds, 2, self.heads2)
         jac = {}
         s = self.abs_weights[-1][0]
         jac[self.net.depth - 1] = s

@@ -11,6 +11,9 @@ the per-layer constants gives the recursion
 with ``D'_l = diag(b_l - d_l)`` for internal stages and the identity for the
 final stage.  ``d = 0`` collapses it to the naive product of layer norms, and
 ``d = b/2`` provably tightens the naive bound.
+
+Spectral norms are LAPACK singular values inflated by an explicit rounding
+margin (see ``operator_norm``), never estimates from below.
 """
 
 from dataclasses import dataclass
@@ -19,43 +22,37 @@ import numpy as np
 
 from . import _kernels as K
 
-_POWER_TOL = 1e-9
-_POWER_MAXITER = 10_000
-_POWER_MARGIN = 1.0 + 1e-9
-
-
-_V0_CACHE = {}
-
-
-def _start_vector(m, n):
-    # deterministic per shape, so reported constants reproduce run-to-run
-    v0 = _V0_CACHE.get((m, n))
-    if v0 is None:
-        seed = (m * 1_000_003 + n) & 0xFFFFFFFF
-        v0 = np.random.default_rng(seed).standard_normal(n)
-        _V0_CACHE[(m, n)] = v0
-    return v0
+# Rounding margin of the spectral norm, relative to max(m, n) * eps.  LAPACK
+# computes singular values by a backward-stable reduction, so the computed
+# sigma_1 is within p(m, n) * eps * sigma_1 of the true one, where p(m, n) is a
+# modestly growing function of the shape (LAPACK Users' Guide, section 4.9).
+# The guide's own error-bound code takes p(m, n) = 1; worst-case analyses of
+# Householder bidiagonalization grow linearly in the dimension.  Taking
+# p(m, n) = 8 max(m, n) exceeds the guide's estimate at least 16-fold, covers
+# the final rounding of the product, and costs about 6e-14 relative on 32x32.
+_SVD_MARGIN_C = 8.0
+_EPS = float(np.finfo(float).eps)
 
 
 def operator_norm(A, p):
-    """Operator p->p norm; p in {2, inf}.
+    """Certified upper bound on the operator p->p norm; p in {2, inf}.
 
-    The spectral norm runs power iteration on A^T A with a deterministic
-    start vector per matrix shape, and inflates the estimate by 1e-9 as a
-    validity margin.
+    The inf-norm is the maximum absolute row sum.  The spectral norm is
+    the largest singular value from LAPACK's SVD, inflated by the rounding
+    margin ``1 + 8 max(m, n) eps``, so it never falls below the true norm.
+    Raises ValueError on an empty, non-2-D or non-finite matrix.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.size == 0:
         raise ValueError("operator_norm needs a nonempty 2-D matrix")
+    if not np.isfinite(A).all():
+        raise ValueError("operator_norm got a matrix with non-finite entries "
+                         "(NaN or inf)")
     if np.isinf(p):
         return K.op_norm_inf(A)
     if p == 2:
-        m, n = A.shape
-        if m == 1 or n == 1:
-            return float(np.linalg.norm(A))
-        sigma = K.power_iter_sigma(A, _start_vector(m, n), _POWER_TOL,
-                                   _POWER_MAXITER)
-        return float(sigma) * _POWER_MARGIN
+        sigma = float(np.linalg.svd(A, compute_uv=False)[0])
+        return sigma * (1.0 + _SVD_MARGIN_C * max(A.shape) * _EPS)
     raise ValueError(f"unsupported norm {p}")
 
 
@@ -100,14 +97,18 @@ def _check_transform(net, local, lt):
                 f"loop transform at layer {l} violates 0 <= d <= (slope_lo+slope_hi)/2")
 
 
-def _stage(P0, top, memo, weights, ds, p):
-    """One recursion stage: norm of the x-chain plus the memoized tail terms."""
+def _stage(P0, top, memo, weights, ds, p, head=None):
+    """One recursion stage: norm of the x-chain plus the memoized tail terms.
+
+    ``head``, when given, is the already known norm of ``P0``."""
+    norm = _norm(P0, p) if head is None else head
     total = 0.0
     P = P0
     for j in range(top, 0, -1):
-        total += _norm(P, p) * memo[j]
+        total += norm * memo[j]
         P = (P * ds[j - 1]) @ weights[j - 1]
-    return total + _norm(P, p)
+        norm = _norm(P, p)
+    return total + norm
 
 
 def _memo_raw(weights, slope_his, ds, p):
@@ -126,15 +127,22 @@ def _total_raw(weights, slope_his, ds, p, memo=None):
     return float(_stage(weights[-1], len(weights) - 1, memo, weights, ds, p))
 
 
-def _report_raw(weights, slope_his, ds, p):
-    """(total, subnet constants) sharing one memo pass."""
-    memo = _memo_raw(weights, slope_his, ds, p)
-    total = _stage(weights[-1], len(weights) - 1, memo, weights, ds, p)
-    subnet = tuple(
-        float(_stage(weights[l - 1], l - 1, memo, weights, ds, p))
+def _report_raw(weights, slope_his, ds, p, heads, memo=None):
+    """Subnetwork constants; entry l-1 bounds x -> z^(l).
+
+    Stage l opens with the norm of the unscaled weight W_l, which does not
+    depend on the box, so callers pass these in as ``heads[l-1]``."""
+    if memo is None:
+        memo = _memo_raw(weights, slope_his, ds, p)
+    return tuple(
+        float(_stage(weights[l - 1], l - 1, memo, weights, ds, p, heads[l - 1]))
         for l in range(1, len(weights))
     )
-    return float(total), subnet
+
+
+def _head_norms(weights, p):
+    """The ``heads`` of ``_report_raw``: norms of W_1 .. W_{L-1}."""
+    return [_norm(W, p) for W in weights[:-1]]
 
 
 def _internal_memo(net, local, lt, p):
@@ -183,7 +191,11 @@ def lipschitz_report(net, local, lt, p):
     """Total and all subnetwork constants in one memoized pass."""
     _check_transform(net, local, lt)
     weights = [lay.weight for lay in net.layers]
-    total, subnet = _report_raw(weights, local.slope_hi, list(lt.d), p)
+    ds = list(lt.d)
+    memo = _memo_raw(weights, local.slope_hi, ds, p)
+    total = _total_raw(weights, local.slope_hi, ds, p, memo)
+    subnet = _report_raw(weights, local.slope_hi, ds, p,
+                         _head_norms(weights, p), memo)
     return LipschitzReport(total, subnet, p)
 
 

@@ -47,16 +47,6 @@ def test_op_norm_inf_paths_agree():
     assert K.op_norm_inf(A) == pytest.approx(K._op_norm_inf_np(A), abs=1e-12)
 
 
-def test_power_iteration_paths_agree():
-    rng = np.random.default_rng(3)
-    A = rng.standard_normal((8, 5))
-    v0 = rng.standard_normal(5)
-    s1 = K.power_iter_sigma(A, v0, 1e-9, 10_000)
-    s2 = K._power_iter_sigma_np(A, v0, 1e-9, 10_000)
-    assert s1 == pytest.approx(s2, rel=1e-9)
-    assert s1 == pytest.approx(np.linalg.svd(A, compute_uv=False)[0], rel=1e-6)
-
-
 def test_env_flag_forces_numpy_fallback():
     code = (
         "from curvreach import _kernels as K;"

@@ -1,5 +1,8 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from curvreach import oracle
 from curvreach.lipschitz import (LoopTransform, default_loop_transform,
@@ -35,9 +38,9 @@ class TestOperatorNorm:
     def test_rank_one_closed_form(self):
         A = np.array([[1.0, 2.0], [1.0, 2.0]])
         est = operator_norm(A, 2)
-        # estimate carries a 1e-9 upward validity margin
-        assert est == pytest.approx(np.sqrt(10.0), rel=1e-7)
-        assert est >= np.sqrt(10.0) * (1 - 1e-9)
+        # the SVD value carries an upward rounding margin of order 1e-14
+        assert est == pytest.approx(np.sqrt(10.0), rel=1e-12)
+        assert est >= np.sqrt(10.0)
 
     def test_inf_norm_row_sums(self):
         A = np.array([[1.0, -2.0], [3.0, 0.5]])
@@ -53,9 +56,41 @@ class TestOperatorNorm:
             A = rng.standard_normal((rng.integers(2, 9), rng.integers(2, 9)))
             exact = np.linalg.svd(A, compute_uv=False)[0]
             est = operator_norm(A, 2)
-            assert est == pytest.approx(exact, rel=1e-6)
-            # downstream soundness checks carry 1e-7 slack for this margin
-            assert est >= exact * (1 - 1e-7)
+            assert est == pytest.approx(exact, rel=1e-12)
+            assert est >= exact
+
+    def test_near_degenerate_top_pair_not_underestimated(self):
+        # sigma_1 - sigma_2 = 1e-6: an iterative estimate approaches from below
+        rng = np.random.default_rng(4)
+        U, _ = np.linalg.qr(rng.standard_normal((32, 32)))
+        V, _ = np.linalg.qr(rng.standard_normal((32, 32)))
+        s = np.linspace(0.1, 1.0 - 1e-6, 32)
+        s[-1] = 1.0
+        A = (U * s) @ V.T
+        assert operator_norm(A, 2) >= np.linalg.norm(A, 2)
+
+    def test_tiny_vector_not_underflowed(self):
+        # squared entries underflow to zero; the norm must not
+        A = np.full((1, 4), 1e-170)
+        assert operator_norm(A, 2) >= 2.0 * A[0, 0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("p", [2, np.inf])
+    def test_non_finite_rejected(self, bad, p):
+        A = np.eye(3)
+        A[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            operator_norm(A, p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 32), st.integers(1, 32), st.data())
+    def test_upper_bounds_50_digit_sigma(self, m, n, data):
+        A = data.draw(hnp.arrays(float, (m, n), elements=st.floats(
+            -1e3, 1e3, allow_nan=False, allow_infinity=False)))
+        with mpmath.workdps(50):
+            sigma = max(mpmath.svd_r(mpmath.matrix(A.tolist()),
+                                     compute_uv=False))
+            assert mpmath.mpf(operator_norm(A, 2)) >= sigma
 
 
 class TestGoldenValues:
