@@ -6,7 +6,6 @@ first-order model inside branch and bound, and assemble the resulting
 half-spaces into a sound over-approximation of the image set.
 """
 
-from ._kernels import NUMBA_ENABLED
 from .bnb import BnBConfig, BnBResult, solve, solve_zonotope
 from .hessian import (MatrixHessianBound, ScalarHessianBound,
                       hessian_norm_bound, two_layer_matrix_bounds)

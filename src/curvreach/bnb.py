@@ -3,14 +3,15 @@
 Each node views its sub-rectangle as an ell_inf ball of radius half the
 longest edge around the midpoint, computes localized Lipschitz and Hessian
 certificates for it, and takes the better of the zeroth- and first-order
-bounds on each side.  Nodes are expanded in order of largest upper bound;
-children never report a looser upper bound than their parent.
+bounds on each side.  Nodes are expanded in order of largest upper bound,
+one at a time: each step pops one node, bounds its two children, updates the
+best lower bound over both and pushes them.  Children never report a looser
+upper bound than their parent.
 """
 
 import heapq
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .model import Network, ScalarObjective, prepend_affine
 
 _PRUNE_SLACK = 1e-12
 _DEGENERATE = 1e-13
+_VERTEX_CAP = 12                       # vertex enumeration up to this dimension
 
 
 @dataclass
@@ -31,15 +33,9 @@ class BnBConfig:
     max_branches: int = 1_000_000
     max_active: int = 1_000_000
     time_limit: float | None = None
-    workers: int = 1
-    seed: int = 0
     lipschitz_method: str = "liplt"    # naive | liplt
     recompute_local: bool = True       # fresh certificates per node vs root reuse
     use_first_order: bool = True
-    use_matrix_two_layer: bool = True
-    use_shifted_center: bool = False
-    use_suffix_estimate: bool = True
-    vertex_cap: int = 12
     collect_stats: bool = False
 
 
@@ -109,8 +105,7 @@ class _Bounder:
         self.net = obj.net
         self.cfg = cfg
         self.lin_inf = obj.linear_dual_norm(np.inf)
-        self.two_layer = (self.net.depth == 2 and cfg.use_matrix_two_layer
-                          and cfg.use_first_order)
+        self.two_layer = self.net.depth == 2 and cfg.use_first_order
         self.weights = [lay.weight for lay in self.net.layers]
         self.abs_weights = [np.abs(w) for w in self.weights]
         # the ell_2 subnetwork stages open with these box-independent norms
@@ -140,9 +135,7 @@ class _Bounder:
             s = (s * slope_hi[k - 1]) @ self.abs_weights[k - 1]
             jac[k - 1] = s
         report = lip.LipschitzReport(0.0, subnet2, 2)
-        bound = hs.hessian_norm_bound(self.net, local, report, jac,
-                                      use_suffix_estimate=cfg.use_suffix_estimate)
-        return l_inf, bound
+        return l_inf, hs.hessian_norm_bound(self.net, local, report, jac)
 
     def bound(self, lo, hi, depth, index, parent_ub=np.inf):
         cfg = self.cfg
@@ -187,7 +180,7 @@ class _Bounder:
                     ub1 = min(ub1, value_c + q)
                 except taylor.DualBisectionError:
                     flagged = True
-                if float(eig[0]) >= -1e-9 and n <= cfg.vertex_cap:
+                if float(eig[0]) >= -1e-9 and n <= _VERTEX_CAP:
                     v, vert = taylor.vertex_upper(grad_c, hess.M, lo, hi,
                                                   center, return_witness=True)
                     ub1 = min(ub1, value_c + v)
@@ -196,9 +189,6 @@ class _Bounder:
                 lam = hess.lam
                 ub1 = taylor.first_upper_from(value_c, grad_c, region, lam,
                                               center)
-                if cfg.use_shifted_center and lam > 0.0:
-                    y = taylor.shifted_center(center, eps, grad_c, lam)
-                    ub1 = min(ub1, taylor.first_upper(self.obj, region, lam, y))
                 candidates.append(taylor.optimal_perturbation(
                     center, eps, np.inf, grad_c, lam, center))
             first_won = ub1 < ub0
@@ -220,23 +210,26 @@ class _Bounder:
 
 
 def _choose_axis(node, bounder, cfg, next_index):
-    """Split axis plus pre-bounded children when the heuristic computes them."""
-    extent = node.hi - node.lo
+    """Split axis and its two bounded children, as (axis, (c1, c2)).
+
+    maxlen tries the longest edge only; bestub tries every non-flat axis and
+    keeps the one whose worse child has the smallest upper bound, the first
+    such axis on ties."""
     if cfg.heuristic == "maxlen":
-        return maxlen_axis(node.lo, node.hi), None
-    if cfg.heuristic != "bestub":
+        axes = [maxlen_axis(node.lo, node.hi)]
+    elif cfg.heuristic == "bestub":
+        axes = np.flatnonzero(node.hi - node.lo > 0.0)
+    else:
         raise ValueError(f"unknown branching heuristic {cfg.heuristic!r}")
     best = None
-    for j in range(node.lo.shape[0]):
-        if extent[j] <= 0.0:
-            continue
+    for j in axes:
         (lo1, hi1), (lo2, hi2) = split_box(node.lo, node.hi, j)
         c1 = bounder.bound(lo1, hi1, node.depth + 1, next_index, node.ub)
         c2 = bounder.bound(lo2, hi2, node.depth + 1, next_index + 1, node.ub)
         key = max(c1.ub, c2.ub)
         if best is None or key < best[0]:
-            best = (key, j, c1, c2)
-    return best[1], (best[2], best[3])
+            best = (key, int(j), (c1, c2))
+    return best[1], best[2]
 
 
 def solve(obj_or_net, lo, hi, eps_t=None, cfg=None):
@@ -244,7 +237,7 @@ def solve(obj_or_net, lo, hi, eps_t=None, cfg=None):
     obj = as_objective(obj_or_net)
     cfg = cfg or BnBConfig()
     if eps_t is not None:
-        cfg = BnBConfig(**{**cfg.__dict__, "eps_t": eps_t})
+        cfg = replace(cfg, eps_t=eps_t)
     if not cfg.eps_t > 0.0:
         raise ValueError("termination gap must be positive")
     lo = np.asarray(lo, dtype=float)
@@ -268,75 +261,44 @@ def solve(obj_or_net, lo, hi, eps_t=None, cfg=None):
     stats = [(float(np.max(root.hi - root.lo)), root.first_won)] \
         if cfg.collect_stats else []
     status = None
-    pool = ThreadPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
 
-    try:
-        while True:
-            cur_ub = max(heap[0][2].ub if heap else -np.inf, finalized_ub, best_lb)
-            if cur_ub - best_lb <= cfg.eps_t:
-                status = "Converged"
-                break
-            if branches >= cfg.max_branches or len(heap) >= cfg.max_active:
-                status = "BranchLimit"
-                break
-            if cfg.time_limit is not None and \
-                    time.perf_counter() - start > cfg.time_limit:
-                status = "TimeLimit"
-                break
-            if not heap:
-                status = "BranchLimit"
-                break
+    while True:
+        cur_ub = max(heap[0][2].ub if heap else -np.inf, finalized_ub, best_lb)
+        if cur_ub - best_lb <= cfg.eps_t:
+            status = "Converged"
+            break
+        if branches >= cfg.max_branches or len(heap) >= cfg.max_active:
+            status = "BranchLimit"
+            break
+        if cfg.time_limit is not None and \
+                time.perf_counter() - start > cfg.time_limit:
+            status = "TimeLimit"
+            break
+        if not heap:
+            status = "BranchLimit"
+            break
 
-            take = min(cfg.workers, len(heap)) if pool is not None else 1
-            nodes = [heapq.heappop(heap)[2] for _ in range(take)]
-            jobs = []
-            for node in nodes:
-                scale = max(1.0, float(np.max(np.abs(node.center))))
-                if float(np.max(node.hi - node.lo)) <= _DEGENERATE * scale:
-                    finalized_ub = max(finalized_ub, node.ub)
-                    continue
-                axis, pre = _choose_axis(node, bounder, cfg, next_index)
-                if pre is not None:
-                    c1, c2 = pre
-                    c1.index, c2.index = next_index, next_index + 1
-                    jobs.append((None, None, c1, c2))
-                else:
-                    (lo1, hi1), (lo2, hi2) = split_box(node.lo, node.hi, axis)
-                    jobs.append(((lo1, hi1, node.depth + 1, next_index, node.ub),
-                                 (lo2, hi2, node.depth + 1, next_index + 1,
-                                  node.ub), None, None))
-                next_index += 2
-
-            def _run(spec):
-                return bounder.bound(*spec)
-
-            children = []
-            for spec1, spec2, c1, c2 in jobs:
-                if c1 is not None:
-                    children.extend([c1, c2])
-                elif pool is not None:
-                    children.extend(pool.map(_run, [spec1, spec2]))
-                else:
-                    children.append(_run(spec1))
-                    children.append(_run(spec2))
-
-            for child in children:
-                branches += 1
-                if child.flagged:
-                    flagged += 1
-                if cfg.collect_stats:
-                    stats.append((float(np.max(child.hi - child.lo)),
-                                  child.first_won))
-                if child.lb > best_lb:
-                    best_lb = child.lb
-                    witness = child.witness
-            for child in children:
-                if child.ub > best_lb - _PRUNE_SLACK:
-                    heapq.heappush(heap, (-child.ub, child.index, child))
-            max_active = max(max_active, len(heap))
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+        node = heapq.heappop(heap)[2]
+        scale = max(1.0, float(np.max(np.abs(node.center))))
+        if float(np.max(node.hi - node.lo)) <= _DEGENERATE * scale:
+            finalized_ub = max(finalized_ub, node.ub)
+            continue
+        _, children = _choose_axis(node, bounder, cfg, next_index)
+        next_index += 2
+        for child in children:
+            branches += 1
+            if child.flagged:
+                flagged += 1
+            if cfg.collect_stats:
+                stats.append((float(np.max(child.hi - child.lo)),
+                              child.first_won))
+            if child.lb > best_lb:
+                best_lb = child.lb
+                witness = child.witness
+        for child in children:
+            if child.ub > best_lb - _PRUNE_SLACK:
+                heapq.heappush(heap, (-child.ub, child.index, child))
+        max_active = max(max_active, len(heap))
 
     cur_ub = max(heap[0][2].ub if heap else -np.inf, finalized_ub, best_lb)
     return BnBResult(best_lb, cur_ub, witness, branches, max_active,

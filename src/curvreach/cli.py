@@ -12,7 +12,6 @@ written bracket is still valid).
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,26 +23,13 @@ from .model import ScalarObjective, scalarize
 _VOLATILE = {"wall_time_s"}
 
 
-@dataclass
-class RunConfig:
-    norm: float = np.inf
-    eps_t: float = 1e-2
-    heuristic: str = "maxlen"
-    max_branches: int = 1_000_000
-    workers: int = 1
-    seed: int = 0
-    lipschitz_method: str = "liplt"
-    recompute_local: bool = True
-    template: str = "axes"
-    out: str | None = None
-
-
-def _bnb_config(cfg):
-    method = "naive" if cfg.lipschitz_method == "naive" else "liplt"
-    return bnb.BnBConfig(eps_t=cfg.eps_t, heuristic=cfg.heuristic,
-                         max_branches=cfg.max_branches, workers=cfg.workers,
-                         seed=cfg.seed, lipschitz_method=method,
-                         recompute_local=cfg.recompute_local)
+def _bnb_config(args):
+    if args.max_branches < 1:
+        raise ValueError("--max-branches must be positive")
+    return bnb.BnBConfig(eps_t=args.eps_t, heuristic=args.heuristic,
+                         max_branches=args.max_branches,
+                         lipschitz_method=args.lipschitz,
+                         recompute_local=not args.root_constants)
 
 
 def _strip_volatile(data):
@@ -158,7 +144,7 @@ def _result_dict(res):
 def _cmd_bnb(args):
     net = fileio.load_network(args.network)
     c = fileio.parse_vector(args.direction, net.output_dim)
-    cfg = _bnb_config(_run_config(args))
+    cfg = _bnb_config(args)
     objective = ScalarObjective(scalarize(net, c))
     input_set = _input_set(args, net.input_dim)
     if isinstance(input_set, reach.Box):
@@ -172,19 +158,6 @@ def _cmd_bnb(args):
     return 0 if res.status == "Converged" else 2
 
 
-def _run_config(args):
-    if args.max_branches < 1:
-        raise ValueError("--max-branches must be positive")
-    if args.workers < 1:
-        raise ValueError("--workers must be positive")
-    return RunConfig(
-        eps_t=args.eps_t, heuristic=args.heuristic,
-        max_branches=args.max_branches, workers=args.workers, seed=args.seed,
-        lipschitz_method=getattr(args, "lipschitz", "liplt"),
-        recompute_local=not getattr(args, "root_constants", False),
-        out=args.out)
-
-
 def _validate_eps_t(args):
     if args.eps_t <= 0:
         raise ValueError("termination gap --eps-t must be positive")
@@ -196,7 +169,7 @@ def _cmd_reach(args):
     template, pca_n = _parse_template(args.dirs, net.output_dim)
     if template is None:
         template = reach.pca_directions(net, input_set, pca_n, seed=args.seed)
-    cfg = _bnb_config(_run_config(args))
+    cfg = _bnb_config(args)
     t0 = time.perf_counter()
     poly, results = reach.reach_polytope(net, input_set, template, args.eps_t,
                                          cfg)
@@ -215,7 +188,7 @@ def _cmd_closedloop(args):
     input_set = _input_set(args, sys_model.dim)
     template, pca_n = _parse_template(args.dirs, sys_model.dim)
     next_rep = "hull" if args.hull else "pca"
-    cfg = _bnb_config(_run_config(args))
+    cfg = _bnb_config(args)
     t0 = time.perf_counter()
     trace = reach.closed_loop_reach(
         sys_model, input_set, template, args.eps_t, steps=steps, cfg=cfg,
@@ -250,7 +223,7 @@ def _cmd_audit(args):
         raise ValueError("audit needs --box")
     box = fileio.parse_box(args.box, net.input_dim)
     objective = ScalarObjective(scalarize(net, c))
-    cfg = _bnb_config(_run_config(args))
+    cfg = _bnb_config(args)
     res = bnb.solve(objective, box.lo, box.hi, cfg=cfg)
     per_axis = max(2, int(round(args.samples ** (1.0 / box.dim))))
     sampled_max, _ = oracle.grid_max(objective.value, box.lo, box.hi,
@@ -301,7 +274,6 @@ def _add_solver(sub):
                      default="maxlen")
     sub.add_argument("--max-branches", dest="max_branches", type=int,
                      default=1_000_000)
-    sub.add_argument("--workers", type=int, default=1)
     sub.add_argument("--lipschitz", choices=["naive", "liplt"],
                      default="liplt")
     sub.add_argument("--root-constants", dest="root_constants",

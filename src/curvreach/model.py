@@ -40,7 +40,7 @@ def act_value(kind, x):
     if kind is Activation.TANH:
         return np.tanh(x)
     if kind is Activation.SIGMOID:
-        return K._sigmoid_np(x)
+        return K.sigmoid(x)
     if kind is Activation.SOFTPLUS:
         return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
     return x
@@ -49,22 +49,22 @@ def act_value(kind, x):
 def act_deriv(kind, x):
     x = np.asarray(x, dtype=float)
     if kind is Activation.TANH:
-        return K._sech2_np(x)
+        return K.sech2(x)
     if kind is Activation.SIGMOID:
-        return K._sig_deriv_np(x)
+        return K.sig_deriv(x)
     if kind is Activation.SOFTPLUS:
-        return K._sigmoid_np(x)
+        return K.sigmoid(x)
     return np.ones_like(x)
 
 
 def act_second(kind, x):
     x = np.asarray(x, dtype=float)
     if kind is Activation.TANH:
-        return K._tanh_second_np(x)
+        return K.tanh_second(x)
     if kind is Activation.SIGMOID:
-        return K._sig_second_np(x)
+        return K.sig_second(x)
     if kind is Activation.SOFTPLUS:
-        return K._sig_deriv_np(x)
+        return K.sig_deriv(x)
     return np.zeros_like(x)
 
 

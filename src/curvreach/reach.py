@@ -9,7 +9,7 @@ gradient and adds its dual norm to the Lipschitz constant, with no effect on
 curvature.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -122,37 +122,30 @@ def uniform_directions(k):
                              f"uniform{k}")
 
 
-def pca_directions(map_or_net, input_set, n_samples=10_000, seed=0):
-    """Principal directions of the pushed-forward sample cloud, as a
-    +/- eigenvector template ordered by decreasing variance.  Degenerate
-    covariance pads the template with axis directions."""
-    fwd = map_or_net.forward if isinstance(map_or_net, Network) else map_or_net
+def _rotation_from_pca(fwd, input_set, n_samples, seed):
+    """Principal axes of the pushed-forward sample cloud: an orthonormal
+    rotation whose columns run by decreasing variance, and those variances."""
     rng = np.random.default_rng(seed)
     xs = sample_inputs(input_set, n_samples, rng)
     ys = np.asarray(fwd(xs), dtype=float)
     if n_samples < ys.shape[1] + 1:
         raise ValueError("need more samples than output dimensions")
-    cov = np.cov(ys.T)
-    cov = np.atleast_2d(cov)
-    evals, evecs = np.linalg.eigh(cov)
+    evals, evecs = np.linalg.eigh(np.atleast_2d(np.cov(ys.T)))
     order = np.argsort(evals)[::-1]
-    vecs = evecs[:, order].T  # rows, descending variance
-    dirs = np.concatenate([vecs, -vecs], axis=0)
-    n_f = ys.shape[1]
+    return evecs[:, order], evals[order]
+
+
+def pca_directions(map_or_net, input_set, n_samples=10_000, seed=0):
+    """Principal directions of the pushed-forward sample cloud, as a
+    +/- eigenvector template ordered by decreasing variance.  Degenerate
+    covariance pads the template with axis directions."""
+    fwd = map_or_net.forward if isinstance(map_or_net, Network) else map_or_net
+    R, evals = _rotation_from_pca(fwd, input_set, n_samples, seed)
+    dirs = np.concatenate([R.T, -R.T], axis=0)
     if evals.min() < 1e-12 * max(evals.max(), 1.0):
-        dirs = np.concatenate([dirs, axes_directions(n_f).directions], axis=0)
+        dirs = np.concatenate([dirs, axes_directions(R.shape[0]).directions],
+                              axis=0)
     return DirectionTemplate(dirs, "pca")
-
-
-def _rotation_from_pca(fwd, input_set, n_samples, seed):
-    """Orthonormal rotation for the propagated box, from the same PCA."""
-    rng = np.random.default_rng(seed)
-    xs = sample_inputs(input_set, n_samples, rng)
-    ys = np.asarray(fwd(xs), dtype=float)
-    cov = np.atleast_2d(np.cov(ys.T))
-    evals, evecs = np.linalg.eigh(cov)
-    order = np.argsort(evals)[::-1]
-    return evecs[:, order]  # columns orthonormal
 
 
 @dataclass(frozen=True)
@@ -201,29 +194,35 @@ def _zeroth_root_offset(objective, input_set):
     return res.ub, res.lb
 
 
+def _support_polytope(dirs, objective_for, input_set, cfg):
+    """One face per row c of dirs, offset by the solve of sup objective_for(c)
+    over the input set.  A solve that raises falls back to the zeroth-order
+    root face: its row goes into ``flagged`` and its result is None."""
+    offsets = np.empty(dirs.shape[0])
+    lbs = np.empty(dirs.shape[0])
+    flagged = []
+    results = []
+    for i, c in enumerate(dirs):
+        objective = objective_for(c)
+        try:
+            res = _solve_direction(objective, input_set, cfg)
+            offsets[i], lbs[i] = res.ub, res.lb
+        except Exception:
+            offsets[i], lbs[i] = _zeroth_root_offset(objective, input_set)
+            flagged.append(i)
+            res = None
+        results.append(res)
+    return Polytope(dirs.copy(), offsets, lbs, tuple(flagged)), results
+
+
 def reach_polytope(net, input_set, template, eps_t, cfg=None):
     """Sound polyhedral over-approximation of {f(x) : x in the input set}."""
     if template.count == 0:
         raise ValueError("direction template is empty")
-    cfg = cfg or bnb.BnBConfig()
-    cfg = bnb.BnBConfig(**{**cfg.__dict__, "eps_t": eps_t})
-    offsets = np.empty(template.count)
-    lbs = np.empty(template.count)
-    flagged = []
-    results = []
-    for i, c in enumerate(template.directions):
-        objective = ScalarObjective(scalarize(net, c))
-        try:
-            res = _solve_direction(objective, input_set, cfg)
-            offsets[i] = res.ub
-            lbs[i] = res.lb
-            results.append(res)
-        except Exception:
-            offsets[i], lbs[i] = _zeroth_root_offset(objective, input_set)
-            flagged.append(i)
-            results.append(None)
-    poly = Polytope(template.directions.copy(), offsets, lbs, tuple(flagged))
-    return poly, results
+    cfg = replace(cfg or bnb.BnBConfig(), eps_t=eps_t)
+    return _support_polytope(template.directions,
+                             lambda c: ScalarObjective(scalarize(net, c)),
+                             input_set, cfg)
 
 
 @dataclass(frozen=True)
@@ -287,11 +286,10 @@ def closed_loop_step(sys, input_set, template, eps_t, cfg=None,
     propagated set (axis-aligned interval hull or PCA-rotated box)."""
     if input_set.dim != sys.dim:
         raise ValueError("input set dimension does not match the system")
-    cfg = cfg or bnb.BnBConfig()
-    cfg = bnb.BnBConfig(**{**cfg.__dict__, "eps_t": eps_t})
+    cfg = replace(cfg or bnb.BnBConfig(), eps_t=eps_t)
     n = sys.dim
     if next_rep == "pca":
-        R = _rotation_from_pca(sys.step_map, input_set, pca_samples, seed)
+        R, _ = _rotation_from_pca(sys.step_map, input_set, pca_samples, seed)
         rep_dirs = np.concatenate([R.T, -R.T], axis=0)
     elif next_rep == "hull":
         R = np.eye(n)
@@ -307,21 +305,10 @@ def closed_loop_step(sys, input_set, template, eps_t, cfg=None,
                  if np.abs(rep_dirs - c).max(axis=1).min() > 1e-12]
         dirs = np.concatenate([np.asarray(fresh).reshape(-1, n), rep_dirs],
                               axis=0)
-    offsets = np.empty(dirs.shape[0])
-    lbs = np.empty(dirs.shape[0])
-    flagged = []
-    for i, c in enumerate(dirs):
-        objective = sys.step_objective(c)
-        try:
-            res = _solve_direction(objective, input_set, cfg)
-            offsets[i] = res.ub
-            lbs[i] = res.lb
-        except Exception:
-            offsets[i], lbs[i] = _zeroth_root_offset(objective, input_set)
-            flagged.append(i)
-    poly = Polytope(dirs.copy(), offsets, lbs, tuple(flagged))
+    poly, _ = _support_polytope(dirs, sys.step_objective, input_set, cfg)
 
     # slab extents along the rotation's columns give the propagated box
+    offsets = poly.offsets
     k = rep_dirs.shape[0] // 2
     base = dirs.shape[0] - rep_dirs.shape[0]
     hi_t = offsets[base:base + k]

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from curvreach import _kernels
 from curvreach.model import Activation, Layer, Network
 
 
@@ -58,11 +57,6 @@ def linear_net(W, b=None):
     W = np.asarray(W, dtype=float)
     b = np.zeros(W.shape[0]) if b is None else np.asarray(b, dtype=float)
     return Network((Layer(W, b, None),))
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    _kernels.warmup()
 
 
 @pytest.fixture(scope="session")

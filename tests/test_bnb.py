@@ -201,16 +201,6 @@ class TestSolveContracts:
         assert small.size and large.size
         assert small.mean() >= large.mean()
 
-    def test_workers_bracket_still_valid(self):
-        net = make_net([2, 8, 1], seed=2200)
-        obj = ScalarObjective(net)
-        res = solve(obj, -np.ones(2), np.ones(2),
-                    cfg=BnBConfig(eps_t=1e-3, workers=4))
-        gmax, _ = oracle.grid_max(obj.value, -np.ones(2), np.ones(2),
-                                  n_per_axis=120, n_random=10_000, seed=1)
-        assert res.status == "Converged"
-        assert res.lb - 1e-9 <= gmax <= res.ub + 1e-9
-
     def test_root_constant_reuse_still_sound(self):
         net = make_net([2, 8, 1], seed=2300)
         obj = ScalarObjective(net)
@@ -236,6 +226,47 @@ class TestSolveContracts:
         net = make_net([2, 5, 3], seed=2600)
         with pytest.raises(ValueError):
             as_objective(net)
+
+
+GOLDEN = [
+    # (dims, net seed, heuristic, status, branches, max_active, flagged,
+    #  lb, ub, witness) recorded from the solver's serial loop; floats are
+    #  float.hex so any change to node order or arithmetic shows
+    ([3, 6, 5, 1], 3701, "maxlen", "BranchLimit", 301, 73, 0,
+     "0x1.80380d656745cp+0", "0x1.534bdb9054288p+1",
+     ["-0x1.0000000000000p-2", "0x1.0000000000000p-1",
+      "-0x1.0000000000000p-1"]),
+    ([3, 6, 5, 1], 3701, "bestub", "BranchLimit", 301, 151, 0,
+     "0x1.820b78b240a6bp+0", "0x1.de3707fa71ab6p+3",
+     ["-0x1.9800000000000p-3", "0x1.0000000000000p-1",
+      "-0x1.0000000000000p-1"]),
+    ([3, 6, 1], 3800, "maxlen", "Converged", 81, 8, 0,
+     "0x1.44119d8456922p+1", "0x1.44283028c6e1ep+1",
+     ["0x1.0000000000000p-1", "0x1.0000000000000p-1",
+      "-0x1.0000000000000p-1"]),
+    ([3, 6, 1], 3800, "bestub", "BranchLimit", 301, 148, 0,
+     "0x1.44119d8456922p+1", "0x1.75addecf6757fp+1",
+     ["0x1.0000000000000p-1", "0x1.0000000000000p-1",
+      "-0x1.0000000000000p-1"]),
+]
+
+
+@pytest.mark.parametrize("dims,seed,heuristic,status,branches,max_active,"
+                         "flagged,lb,ub,witness", GOLDEN)
+def test_golden_solve(dims, seed, heuristic, status, branches, max_active,
+                      flagged, lb, ub, witness):
+    # depth 3 takes the scalar Hessian path, depth 2 the matrix path
+    net = make_net(dims, seed=seed, scale=2.0)
+    res = solve(ScalarObjective(net), -0.5 * np.ones(3), 0.5 * np.ones(3),
+                cfg=BnBConfig(eps_t=1e-3, heuristic=heuristic,
+                              max_branches=300))
+    assert res.status == status
+    assert res.branches_processed == branches
+    assert res.max_active == max_active
+    assert res.flagged_nodes == flagged
+    assert res.lb.hex() == lb
+    assert res.ub.hex() == ub
+    assert [float(w).hex() for w in res.witness] == witness
 
 
 class TestActivationsEndToEnd:

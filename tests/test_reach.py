@@ -136,9 +136,10 @@ class TestReachPolytope:
             reach_polytope(net, Box(-np.ones(2), np.ones(2)),
                            DirectionTemplate(np.zeros((0, 2)), "none"), 1e-2)
 
-    def test_solver_failure_falls_back_to_root_bound(self, monkeypatch):
-        net = make_net([2, 6, 2], seed=4300)
-        box = Box(-np.ones(2), np.ones(2))
+    def test_solver_failure_falls_back_to_root_bound(self, monkeypatch,
+                                                     di_controller):
+        # both callers of the shared per-direction loop: a direction whose
+        # solve raises gets a sound zeroth-order root face and is flagged
         import curvreach.reach as reach_mod
         real = reach_mod._solve_direction
         calls = {"n": 0}
@@ -150,13 +151,22 @@ class TestReachPolytope:
             return real(objective, input_set, cfg)
 
         monkeypatch.setattr(reach_mod, "_solve_direction", flaky)
+        net = make_net([2, 6, 2], seed=4300)
+        box = Box(-np.ones(2), np.ones(2))
         poly, results = reach_polytope(net, box, axes_directions(2), 1e-3)
-        assert poly.flagged == (0,)
         assert results[0] is None
-        # the fallback face is sound: all outputs still satisfy it
+        step_box = Box(np.array([2.4, -0.1]), np.array([2.6, 0.1]))
+        sys_model = di_system(di_controller)
+        calls["n"] = 0
+        step_poly, _ = closed_loop_step(sys_model, step_box, None, 1e-3,
+                                        next_rep="hull")
         rng = np.random.default_rng(12)
-        ys = net.forward(sample_inputs(box, 20_000, rng))
-        assert poly.margins(ys).max() <= 1e-9
+        for p, b, fwd in ((poly, box, net.forward),
+                          (step_poly, step_box, sys_model.step_map)):
+            assert p.flagged == (0,)
+            # the fallback face is sound: all outputs still satisfy it
+            ys = fwd(sample_inputs(b, 20_000, rng))
+            assert p.margins(ys).max() <= 1e-9
 
 
 def di_system(controller, horizon=5):
@@ -252,6 +262,12 @@ class TestClosedLoop:
         with pytest.raises(ValueError):
             closed_loop_step(sys_model, Box(-np.ones(3), np.ones(3)), None,
                              1e-3)
+
+    def test_pca_step_needs_more_samples_than_dims(self, di_controller):
+        sys_model = di_system(di_controller)
+        with pytest.raises(ValueError, match="more samples"):
+            closed_loop_step(sys_model, hexagon(), None, 1e-3,
+                             pca_samples=2)
 
     def test_bad_step_count(self, di_controller):
         sys_model = di_system(di_controller)
