@@ -7,6 +7,12 @@ bounds on each side.  Nodes are expanded in order of largest upper bound,
 one at a time: each step pops one node, bounds its two children, updates the
 best lower bound over both and pushes them.  Children never report a looser
 upper bound than their parent.
+
+A node's certificates split into a box-level part (localization, the ell_inf
+internal Lipschitz memo and the ell_2 subnetwork constants), which depends on
+the box and the hidden layers only, and a per-direction finish that reads the
+output layer and the linear term.  Solves of several directions over one input
+set may share the box-level part through a ``BoxCertificates`` store.
 """
 
 import heapq
@@ -24,6 +30,7 @@ from .model import Network, ScalarObjective, prepend_affine
 _PRUNE_SLACK = 1e-12
 _DEGENERATE = 1e-13
 _VERTEX_CAP = 12                       # vertex enumeration up to this dimension
+_CERT_CAP = 1024                       # box certificates kept per store
 
 
 @dataclass
@@ -68,6 +75,70 @@ class BnBResult:
     stats: list = field(default_factory=list)
 
 
+class StoreMismatchError(ValueError):
+    """A certificate store was handed to a solve it cannot serve soundly."""
+
+
+def _same_layers(a, b):
+    """Bit-identical layer stacks."""
+    return len(a) == len(b) and all(
+        x is y or (x.activation is y.activation
+                   and x.weight.shape == y.weight.shape
+                   and x.weight.tobytes() == y.weight.tobytes()
+                   and x.bias.tobytes() == y.bias.tobytes())
+        for x, y in zip(a, b))
+
+
+class BoxCertificates:
+    """Box-level certificates shared by the solves of one input set.
+
+    Entries are keyed by the exact bytes of a box and are valid only for the
+    hidden layers and the ``lipschitz_method`` and ``use_first_order`` they
+    were computed with; the first solve fixes these, and a later solve that
+    differs raises ``StoreMismatchError``.  At most ``_CERT_CAP`` entries are
+    kept; the oldest goes first.
+    """
+
+    def __init__(self):
+        self.entries = {}
+        self._owner = None
+
+    def bind(self, net, cfg):
+        """Fix the owner on first use; refuse any other owner after that."""
+        hidden = net.layers[:-1]
+        shape = (cfg.lipschitz_method, cfg.use_first_order)
+        if self._owner is None:
+            self._owner = (hidden, shape)
+            return
+        if self._owner[1] != shape:
+            raise StoreMismatchError(
+                "certificate store was filled with lipschitz_method, "
+                f"use_first_order = {self._owner[1]}, not {shape}")
+        if not _same_layers(self._owner[0], hidden):
+            raise StoreMismatchError(
+                "certificate store was filled for different hidden layers")
+
+    def put(self, key, cert):
+        if len(self.entries) >= _CERT_CAP:
+            del self.entries[next(iter(self.entries))]
+        self.entries[key] = cert
+
+
+@dataclass(slots=True)
+class _BoxCertificate:
+    """What the per-direction finish reads of a box's certificates.  It
+    stands in for ``LocalBounds`` in the Hessian calls: the scalar bound reads
+    ``slope_hi`` and ``curv_abs``, the two-layer matrices ``curv_lo`` and
+    ``curv_hi``."""
+
+    slope_hi: tuple
+    memo: list                         # ell_inf internal Lipschitz memo
+    curv_lo: tuple = ()
+    curv_hi: tuple = ()
+    curv_abs: tuple = ()
+    subnet2: tuple = ()
+
+
 def as_objective(obj_or_net):
     if isinstance(obj_or_net, ScalarObjective):
         return obj_or_net
@@ -98,44 +169,72 @@ def split_box(lo, hi, axis):
 
 
 class _Bounder:
-    """Per-solve bound engine; caches root certificates when configured."""
+    """Per-solve bound engine; caches root certificates when configured and
+    takes box-level certificates from ``certs`` when given one."""
 
-    def __init__(self, obj, cfg):
+    def __init__(self, obj, cfg, certs=None):
         self.obj = obj
         self.net = obj.net
         self.cfg = cfg
+        self.certs = certs
+        if certs is not None:
+            certs.bind(self.net, cfg)
         self.lin_inf = obj.linear_dual_norm(np.inf)
         self.two_layer = self.net.depth == 2 and cfg.use_first_order
         self.weights = [lay.weight for lay in self.net.layers]
         self.abs_weights = [np.abs(w) for w in self.weights]
-        # the ell_2 subnetwork stages open with these box-independent norms
+        # the ell_inf total stage opens with ||W_L||, the ell_2 subnetwork
+        # stages with ||W_1|| .. ||W_{L-1}||; none depends on the box
+        self.head_inf = lip._norm(self.weights[-1], np.inf)
         self.heads2 = (lip._head_norms(self.weights, 2)
                        if cfg.use_first_order and not self.two_layer else None)
         self.root_consts = None
 
-    def _constants(self, lo, hi):
-        """(L_inf, hessian bound) certified on the box [lo, hi]."""
-        cfg = self.cfg
+    def _ds(self, slope_hi):
+        if self.cfg.lipschitz_method == "naive":
+            return [np.zeros_like(b) for b in slope_hi]
+        return [b / 2.0 for b in slope_hi]
+
+    def _certificate(self, lo, hi):
+        """Box-level certificates on [lo, hi], from the store when it has them."""
+        if self.certs is not None:
+            key = lo.tobytes() + hi.tobytes()
+            cert = self.certs.entries.get(key)
+            if cert is not None:
+                return cert
         local = loc.bounds_for_box(self.net, lo, hi)
         slope_hi = local.slope_hi
-        if cfg.lipschitz_method == "naive":
-            ds = [np.zeros_like(b) for b in slope_hi]
-        else:
-            ds = [b / 2.0 for b in slope_hi]
-        l_inf = lip._total_raw(self.weights, slope_hi, ds, np.inf) + self.lin_inf
-        if not cfg.use_first_order:
+        ds = self._ds(slope_hi)
+        cert = _BoxCertificate(
+            slope_hi, lip._memo_raw(self.weights, slope_hi, ds, np.inf))
+        if self.two_layer:
+            cert.curv_lo, cert.curv_hi = local.curv_lo, local.curv_hi
+        elif self.cfg.use_first_order:
+            cert.curv_abs = local.curv_abs
+            cert.subnet2 = lip._report_raw(self.weights, slope_hi, ds, 2,
+                                           self.heads2)
+        if self.certs is not None:
+            self.certs.put(key, cert)
+        return cert
+
+    def _constants(self, lo, hi):
+        """(L_inf, hessian bound) certified on the box [lo, hi]."""
+        cert = self._certificate(lo, hi)
+        slope_hi = cert.slope_hi
+        l_inf = lip._total_raw(self.weights, slope_hi, self._ds(slope_hi),
+                               np.inf, cert.memo, self.head_inf) + self.lin_inf
+        if not self.cfg.use_first_order:
             return l_inf, None
         if self.two_layer:
-            return l_inf, hs.two_layer_matrix_bounds(self.net, local)
-        subnet2 = lip._report_raw(self.weights, slope_hi, ds, 2, self.heads2)
+            return l_inf, hs.two_layer_matrix_bounds(self.net, cert)
         jac = {}
         s = self.abs_weights[-1][0]
         jac[self.net.depth - 1] = s
         for k in range(self.net.depth - 1, 1, -1):
             s = (s * slope_hi[k - 1]) @ self.abs_weights[k - 1]
             jac[k - 1] = s
-        report = lip.LipschitzReport(0.0, subnet2, 2)
-        return l_inf, hs.hessian_norm_bound(self.net, local, report, jac)
+        report = lip.LipschitzReport(0.0, cert.subnet2, 2)
+        return l_inf, hs.hessian_norm_bound(self.net, cert, report, jac)
 
     def bound(self, lo, hi, depth, index, parent_ub=np.inf):
         cfg = self.cfg
@@ -149,7 +248,8 @@ class _Bounder:
         if cfg.recompute_local or self.root_consts is None:
             try:
                 consts = self._constants(lo, hi)
-            except Exception:
+            except (taylor.DualBisectionError, np.linalg.LinAlgError,
+                    FloatingPointError):
                 # sound fallback: inherit the parent's upper bound, keep the
                 # center evaluation as the lower bound
                 return BnBNode(lo, hi, center, value_c, grad_c, value_c,
@@ -232,8 +332,11 @@ def _choose_axis(node, bounder, cfg, next_index):
     return best[1], best[2]
 
 
-def solve(obj_or_net, lo, hi, eps_t=None, cfg=None):
-    """Branch and bound over the box [lo, hi] until ub - lb <= eps_t."""
+def solve(obj_or_net, lo, hi, eps_t=None, cfg=None, certs=None):
+    """Branch and bound over the box [lo, hi] until ub - lb <= eps_t.
+
+    ``certs`` (internal) is a ``BoxCertificates`` store shared with other
+    solves over the same box and hidden layers; it changes no result."""
     obj = as_objective(obj_or_net)
     cfg = cfg or BnBConfig()
     if eps_t is not None:
@@ -248,7 +351,7 @@ def solve(obj_or_net, lo, hi, eps_t=None, cfg=None):
         raise ValueError("box lower bound exceeds upper bound")
 
     start = time.perf_counter()
-    bounder = _Bounder(obj, cfg)
+    bounder = _Bounder(obj, cfg, certs)
     root = bounder.bound(lo, hi, 0, 0)
     best_lb = root.lb
     witness = root.witness
@@ -305,7 +408,7 @@ def solve(obj_or_net, lo, hi, eps_t=None, cfg=None):
                      time.perf_counter() - start, status, flagged, stats)
 
 
-def solve_zonotope(obj_or_net, G, x_c, eps_t=None, cfg=None):
+def solve_zonotope(obj_or_net, G, x_c, eps_t=None, cfg=None, certs=None):
     """sup over the zonotope {G z + x_c : ||z||_inf <= 1} by solving the
     composed objective over the latent unit box."""
     obj = as_objective(obj_or_net)
@@ -319,4 +422,5 @@ def solve_zonotope(obj_or_net, G, x_c, eps_t=None, cfg=None):
         offset2 = offset2 + float(obj.linear @ x_c)
     composed = ScalarObjective(net2, linear2, offset2)
     m = G.shape[1]
-    return solve(composed, -np.ones(m), np.ones(m), eps_t=eps_t, cfg=cfg)
+    return solve(composed, -np.ones(m), np.ones(m), eps_t=eps_t, cfg=cfg,
+                 certs=certs)

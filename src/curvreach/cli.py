@@ -294,7 +294,6 @@ def build_parser():
     p.add_argument("--method", choices=["naive", "liplt", "liplt-refine"],
                    default="liplt")
     p.add_argument("--sweeps", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_lipschitz)
 
@@ -303,7 +302,6 @@ def build_parser():
     p.add_argument("--box", required=True)
     p.add_argument("--direction", required=True)
     p.add_argument("--scalar-only", dest="scalar_only", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_hessian)
 

@@ -121,10 +121,12 @@ def _memo_raw(weights, slope_his, ds, p):
     return memo
 
 
-def _total_raw(weights, slope_his, ds, p, memo=None):
+def _total_raw(weights, slope_his, ds, p, memo=None, head=None):
+    """Whole-network constant; ``head``, when given, is the norm of W_L."""
     if memo is None:
         memo = _memo_raw(weights, slope_his, ds, p)
-    return float(_stage(weights[-1], len(weights) - 1, memo, weights, ds, p))
+    return float(_stage(weights[-1], len(weights) - 1, memo, weights, ds, p,
+                        head))
 
 
 def _report_raw(weights, slope_his, ds, p, heads, memo=None):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import bnb
+from . import bnb, taylor
 from .model import Network, ScalarObjective, scalarize
 
 
@@ -180,14 +180,17 @@ class Polytope:
         return float(np.max(self.normals @ point - self.offsets))
 
 
-def _solve_direction(objective, input_set, cfg):
+def _solve_direction(objective, input_set, cfg, certs=None):
     if isinstance(input_set, Box):
-        return bnb.solve(objective, input_set.lo, input_set.hi, cfg=cfg)
-    return bnb.solve_zonotope(objective, input_set.G, input_set.center, cfg=cfg)
+        return bnb.solve(objective, input_set.lo, input_set.hi, cfg=cfg,
+                         certs=certs)
+    return bnb.solve_zonotope(objective, input_set.G, input_set.center,
+                              cfg=cfg, certs=certs)
 
 
 def _zeroth_root_offset(objective, input_set):
-    """Sound fallback face offset: root-level zeroth-order bound only."""
+    """Sound fallback face offset: root-level zeroth-order bound only.  It
+    takes no certificate store, since its config is not the step's."""
     fallback = bnb.BnBConfig(eps_t=np.inf, use_first_order=False,
                              max_branches=1)
     res = _solve_direction(objective, input_set, fallback)
@@ -196,18 +199,22 @@ def _zeroth_root_offset(objective, input_set):
 
 def _support_polytope(dirs, objective_for, input_set, cfg):
     """One face per row c of dirs, offset by the solve of sup objective_for(c)
-    over the input set.  A solve that raises falls back to the zeroth-order
-    root face: its row goes into ``flagged`` and its result is None."""
+    over the input set.  The solves share box-level certificates, which
+    depend on the box and the hidden layers but not on c.  A solve that fails
+    numerically falls back to the zeroth-order root face: its row goes into
+    ``flagged`` and its result is None."""
     offsets = np.empty(dirs.shape[0])
     lbs = np.empty(dirs.shape[0])
     flagged = []
     results = []
+    certs = bnb.BoxCertificates()
     for i, c in enumerate(dirs):
         objective = objective_for(c)
         try:
-            res = _solve_direction(objective, input_set, cfg)
+            res = _solve_direction(objective, input_set, cfg, certs)
             offsets[i], lbs[i] = res.ub, res.lb
-        except Exception:
+        except (taylor.DualBisectionError, np.linalg.LinAlgError,
+                FloatingPointError):
             offsets[i], lbs[i] = _zeroth_root_offset(objective, input_set)
             flagged.append(i)
             res = None

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from curvreach import oracle
-from curvreach.bnb import (BnBConfig, BnBNode, as_objective, maxlen_axis,
+from curvreach import bnb, oracle
+from curvreach.bnb import (BnBConfig, BnBNode, BoxCertificates,
+                           StoreMismatchError, as_objective, maxlen_axis,
                            select_node, solve, solve_zonotope, split_box,
                            _Bounder)
-from curvreach.model import Activation, ScalarObjective
+from curvreach.model import Activation, ScalarObjective, scalarize
 from conftest import linear_net, make_net
 
 
@@ -341,7 +342,7 @@ class TestFailureEnvelope:
         root = bounder.bound(-np.ones(2), np.ones(2), 0, 0)
 
         def broken(lo, hi):
-            raise RuntimeError("engine down")
+            raise np.linalg.LinAlgError("engine down")
 
         monkeypatch.setattr(bounder, "_constants", broken)
         child = bounder.bound(-np.ones(2), np.zeros(2), 1, 1,
@@ -414,3 +415,72 @@ class TestZonotope:
                                   -np.ones(3), np.ones(3), n_per_axis=41,
                                   n_random=20_000, seed=2)
         assert res.lb - 1e-9 <= gmax <= res.ub + 1e-9
+
+
+class TestBoxCertificates:
+    def directions(self):
+        ang = 2.0 * np.pi * np.arange(6) / 6
+        return np.stack([np.cos(ang), np.sin(ang)], axis=1)
+
+    def test_refuses_other_hidden_layers(self):
+        lo, hi = -np.ones(2), np.ones(2)
+        store = BoxCertificates()
+        net = make_net([2, 6, 5, 2], seed=3500)
+        solve(ScalarObjective(scalarize(net, [1.0, 0.0])), lo, hi,
+              eps_t=1e-2, certs=store)
+        # same hidden layers, new output layer: accepted
+        solve(ScalarObjective(scalarize(net, [0.0, 1.0])), lo, hi,
+              eps_t=1e-2, certs=store)
+        other = make_net([2, 6, 5, 2], seed=3501)
+        with pytest.raises(StoreMismatchError, match="hidden layers"):
+            solve(ScalarObjective(scalarize(other, [1.0, 0.0])), lo, hi,
+                  eps_t=1e-2, certs=store)
+
+    def test_zonotope_solves_compare_merged_first_layer(self):
+        net = make_net([2, 6, 5, 2], seed=3600)
+        G = np.array([[0.1, 0.1, 0.1], [-0.1, 0.0, 0.1]])
+        x_c = np.array([0.5, 0.0])
+        store = BoxCertificates()
+        for c in ([1.0, 0.0], [0.0, 1.0]):
+            solve_zonotope(ScalarObjective(scalarize(net, c)), G, x_c,
+                           eps_t=1e-2, certs=store)
+        with pytest.raises(StoreMismatchError, match="hidden layers"):
+            solve_zonotope(ScalarObjective(scalarize(net, [1.0, 0.0])),
+                           G, x_c + 1e-3, eps_t=1e-2, certs=store)
+
+    @pytest.mark.parametrize("field, value", [("use_first_order", False),
+                                              ("lipschitz_method", "naive")])
+    def test_refuses_other_certificate_config(self, field, value):
+        obj = ScalarObjective(make_net([2, 6, 5, 1], seed=3700))
+        lo, hi = -np.ones(2), np.ones(2)
+        store = BoxCertificates()
+        solve(obj, lo, hi, cfg=BnBConfig(eps_t=1e-2), certs=store)
+        cfg = BnBConfig(eps_t=1e-2, **{field: value})
+        with pytest.raises(StoreMismatchError, match="use_first_order"):
+            solve(obj, lo, hi, cfg=cfg, certs=store)
+
+    @pytest.mark.parametrize("dims", [[2, 8, 2], [2, 6, 5, 2]])
+    def test_cap_bounds_the_store_and_changes_no_result(self, monkeypatch,
+                                                        dims):
+        monkeypatch.setattr(bnb, "_CERT_CAP", 16)
+        sizes = []
+        put = BoxCertificates.put
+
+        def tracked(self, key, cert):
+            put(self, key, cert)
+            sizes.append(len(self.entries))
+
+        monkeypatch.setattr(BoxCertificates, "put", tracked)
+        net = make_net(dims, seed=3800)
+        lo, hi = -np.ones(2), np.ones(2)
+        cfg = BnBConfig(eps_t=1e-3)
+        store = BoxCertificates()
+        for c in self.directions():
+            obj = ScalarObjective(scalarize(net, c))
+            shared = solve(obj, lo, hi, cfg=cfg, certs=store)
+            alone = solve(obj, lo, hi, cfg=cfg)
+            assert shared.ub.hex() == alone.ub.hex()
+            assert shared.lb.hex() == alone.lb.hex()
+            assert shared.branches_processed == alone.branches_processed
+        assert max(sizes) == 16
+        assert len(sizes) > 16

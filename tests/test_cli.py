@@ -73,6 +73,15 @@ class TestExitCodes:
         assert code == 1
         assert "bad.json:2:" in err and "malformed JSON" in err
 
+    @pytest.mark.parametrize("extra", [[], ["--direction", "1,0"]])
+    def test_seed_rejected_where_unused(self, tanh_file, capsys, extra):
+        # lipschitz and hessian draw no samples
+        command = "hessian" if extra else "lipschitz"
+        code = main([command, "--network", tanh_file, "--box=-1..1,-1..1",
+                     *extra, "--seed", "3"])
+        assert code == 1
+        assert "--seed" in capsys.readouterr().err
+
     def test_branch_limit_exit_2(self, tanh_file, capsys):
         code = main(["bnb", "--network", tanh_file, "--direction", "1,0",
                      "--box=-1..1,-1..1", "--eps-t", "1e-12",

@@ -6,6 +6,8 @@ from curvreach.reach import (Box, DirectionTemplate, LinearSystem, Polytope,
                              Zonotope, axes_directions, closed_loop_reach,
                              closed_loop_step, pca_directions, reach_polytope,
                              sample_inputs, simulate, uniform_directions)
+from curvreach import bnb
+from curvreach.model import ScalarObjective, scalarize
 from conftest import linear_net, make_net
 
 
@@ -144,11 +146,11 @@ class TestReachPolytope:
         real = reach_mod._solve_direction
         calls = {"n": 0}
 
-        def flaky(objective, input_set, cfg):
+        def flaky(objective, input_set, cfg, certs=None):
             calls["n"] += 1
             if calls["n"] == 1 and np.isfinite(cfg.eps_t):
-                raise RuntimeError("solver blew up")
-            return real(objective, input_set, cfg)
+                raise np.linalg.LinAlgError("solver blew up")
+            return real(objective, input_set, cfg, certs)
 
         monkeypatch.setattr(reach_mod, "_solve_direction", flaky)
         net = make_net([2, 6, 2], seed=4300)
@@ -167,6 +169,83 @@ class TestReachPolytope:
             # the fallback face is sound: all outputs still satisfy it
             ys = fwd(sample_inputs(b, 20_000, rng))
             assert p.margins(ys).max() <= 1e-9
+
+    def test_non_numerical_failure_propagates(self, monkeypatch):
+        # only numerical failures become flagged faces; a bug surfaces
+        import curvreach.reach as reach_mod
+
+        def broken(objective, input_set, cfg, certs=None):
+            raise ValueError("shape bug")
+
+        monkeypatch.setattr(reach_mod, "_solve_direction", broken)
+        net = make_net([2, 6, 2], seed=4300)
+        with pytest.raises(ValueError, match="shape bug"):
+            reach_polytope(net, Box(-np.ones(2), np.ones(2)),
+                           axes_directions(2), 1e-3)
+
+
+class TestSharedCertificates:
+    """One step's directions share box certificates; results must match
+    independent solves bit for bit."""
+
+    @staticmethod
+    def assert_identical(a, b, res_a, res_b):
+        assert a.offsets.tobytes() == b.offsets.tobytes()
+        assert a.lbs.tobytes() == b.lbs.tobytes()
+        assert [r.branches_processed for r in res_a] == \
+            [r.branches_processed for r in res_b]
+
+    @pytest.mark.parametrize("dims", [[2, 8, 2], [2, 6, 5, 2]])
+    def test_reach_polytope_box(self, dims):
+        net = make_net(dims, seed=4400)
+        box = Box(-np.ones(2), np.ones(2))
+        template = uniform_directions(8)
+        shared, res_shared = reach_polytope(net, box, template, 1e-3)
+        cfg = bnb.BnBConfig(eps_t=1e-3)
+        res_alone = [bnb.solve(ScalarObjective(scalarize(net, c)), box.lo,
+                               box.hi, cfg=cfg) for c in template.directions]
+        alone = Polytope(template.directions,
+                         np.array([r.ub for r in res_alone]),
+                         np.array([r.lb for r in res_alone]))
+        self.assert_identical(shared, alone, res_shared, res_alone)
+
+    def test_closed_loop_step_zonotope(self, monkeypatch, di_controller):
+        # record each direction's result, with and without the shared store
+        import curvreach.reach as reach_mod
+        real = reach_mod._solve_direction
+        sys_model = di_system(di_controller)
+        runs = []
+        for share in (True, False):
+            results = []
+
+            def recording(objective, input_set, cfg, certs=None):
+                res = real(objective, input_set, cfg, certs if share else None)
+                results.append(res)
+                return res
+
+            monkeypatch.setattr(reach_mod, "_solve_direction", recording)
+            poly, _ = closed_loop_step(sys_model, hexagon(),
+                                       uniform_directions(16), 1e-3)
+            runs.append((poly, results))
+        (a, res_a), (b, res_b) = runs
+        assert len(res_a) == a.normals.shape[0] == 20
+        self.assert_identical(a, b, res_a, res_b)
+
+    def test_localizes_fewer_boxes_than_it_bounds(self, monkeypatch):
+        from curvreach import localize
+        real = localize.bounds_for_box
+        calls = {"n": 0}
+
+        def counting(net, lo, hi):
+            calls["n"] += 1
+            return real(net, lo, hi)
+
+        monkeypatch.setattr(localize, "bounds_for_box", counting)
+        net = make_net([2, 6, 5, 2], seed=4500)
+        _, results = reach_polytope(net, Box(-np.ones(2), np.ones(2)),
+                                    uniform_directions(8), 1e-3)
+        nodes = sum(r.branches_processed for r in results)
+        assert 0 < calls["n"] < nodes
 
 
 def di_system(controller, horizon=5):
