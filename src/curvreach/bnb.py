@@ -4,9 +4,9 @@ Each node views its sub-rectangle as an ell_inf ball of radius half the
 longest edge around the midpoint, computes localized Lipschitz and Hessian
 certificates for it, and takes the better of the zeroth- and first-order
 bounds on each side.  Nodes are expanded in order of largest upper bound,
-one at a time: each step pops one node, bounds its two children, updates the
-best lower bound over both and pushes them.  Children never report a looser
-upper bound than their parent.
+one at a time: each step pops one node, halves its longest edge, bounds the
+two children, updates the best lower bound over both and pushes them.
+Children never report a looser upper bound than their parent.
 
 A node's certificates split into a box-level part (localization, the ell_inf
 internal Lipschitz memo and the ell_2 subnetwork constants), which depends on
@@ -36,10 +36,7 @@ _CERT_CAP = 1024                       # box certificates kept per store
 @dataclass
 class BnBConfig:
     eps_t: float = 1e-2
-    heuristic: str = "maxlen"          # maxlen | bestub
     max_branches: int = 1_000_000
-    max_active: int = 1_000_000
-    time_limit: float | None = None
     lipschitz_method: str = "liplt"    # naive | liplt
     recompute_local: bool = True       # fresh certificates per node vs root reuse
     use_first_order: bool = True
@@ -51,12 +48,9 @@ class BnBNode:
     lo: np.ndarray
     hi: np.ndarray
     center: np.ndarray
-    value_c: float
-    grad_c: np.ndarray
     lb: float
     ub: float
     witness: np.ndarray
-    depth: int
     index: int
     flagged: bool = False
     first_won: bool = False
@@ -70,7 +64,7 @@ class BnBResult:
     branches_processed: int
     max_active: int
     wall_time_s: float
-    status: str                        # Converged | BranchLimit | TimeLimit
+    status: str                        # Converged | BranchLimit
     flagged_nodes: int = 0
     stats: list = field(default_factory=list)
 
@@ -147,13 +141,6 @@ def as_objective(obj_or_net):
     raise ValueError("expected a scalar Network or ScalarObjective")
 
 
-def select_node(pool):
-    """Node with the largest upper bound; ties go to the earliest created."""
-    if not pool:
-        raise RuntimeError("cannot select from an empty pool")
-    return min(pool, key=lambda nd: (-nd.ub, nd.index))
-
-
 def maxlen_axis(lo, hi):
     """Longest-edge axis, smallest index on ties."""
     return int(np.argmax(hi - lo))
@@ -227,24 +214,19 @@ class _Bounder:
             return l_inf, None
         if self.two_layer:
             return l_inf, hs.two_layer_matrix_bounds(self.net, cert)
-        jac = {}
-        s = self.abs_weights[-1][0]
-        jac[self.net.depth - 1] = s
-        for k in range(self.net.depth - 1, 1, -1):
-            s = (s * slope_hi[k - 1]) @ self.abs_weights[k - 1]
-            jac[k - 1] = s
+        jac = lip._jacobian_rows(self.abs_weights, slope_hi)
         report = lip.LipschitzReport(0.0, cert.subnet2, 2)
         return l_inf, hs.hessian_norm_bound(self.net, cert, report, jac)
 
-    def bound(self, lo, hi, depth, index, parent_ub=np.inf):
+    def bound(self, lo, hi, index, parent_ub=np.inf):
         cfg = self.cfg
         center = (lo + hi) / 2.0
         eps = float(np.max(hi - lo)) / 2.0
         value_c, grad_c = self.obj.value_and_grad(center)
         flagged = False
         if eps <= 0.0:
-            return BnBNode(lo, hi, center, value_c, grad_c, value_c,
-                           min(value_c, parent_ub), center, depth, index)
+            return BnBNode(lo, hi, center, value_c, min(value_c, parent_ub),
+                           center, index)
         if cfg.recompute_local or self.root_consts is None:
             try:
                 consts = self._constants(lo, hi)
@@ -252,8 +234,8 @@ class _Bounder:
                     FloatingPointError):
                 # sound fallback: inherit the parent's upper bound, keep the
                 # center evaluation as the lower bound
-                return BnBNode(lo, hi, center, value_c, grad_c, value_c,
-                               parent_ub, center, depth, index, flagged=True)
+                return BnBNode(lo, hi, center, value_c, parent_ub, center,
+                               index, flagged=True)
             if self.root_consts is None:
                 self.root_consts = consts
         else:
@@ -305,31 +287,8 @@ class _Bounder:
                 witness = pts[k]
         ub = min(ub, parent_ub)
         ub = max(ub, lb)
-        return BnBNode(lo, hi, center, value_c, grad_c, lb, ub, witness,
-                       depth, index, flagged=flagged, first_won=first_won)
-
-
-def _choose_axis(node, bounder, cfg, next_index):
-    """Split axis and its two bounded children, as (axis, (c1, c2)).
-
-    maxlen tries the longest edge only; bestub tries every non-flat axis and
-    keeps the one whose worse child has the smallest upper bound, the first
-    such axis on ties."""
-    if cfg.heuristic == "maxlen":
-        axes = [maxlen_axis(node.lo, node.hi)]
-    elif cfg.heuristic == "bestub":
-        axes = np.flatnonzero(node.hi - node.lo > 0.0)
-    else:
-        raise ValueError(f"unknown branching heuristic {cfg.heuristic!r}")
-    best = None
-    for j in axes:
-        (lo1, hi1), (lo2, hi2) = split_box(node.lo, node.hi, j)
-        c1 = bounder.bound(lo1, hi1, node.depth + 1, next_index, node.ub)
-        c2 = bounder.bound(lo2, hi2, node.depth + 1, next_index + 1, node.ub)
-        key = max(c1.ub, c2.ub)
-        if best is None or key < best[0]:
-            best = (key, int(j), (c1, c2))
-    return best[1], best[2]
+        return BnBNode(lo, hi, center, lb, ub, witness, index,
+                       flagged=flagged, first_won=first_won)
 
 
 def solve(obj_or_net, lo, hi, eps_t=None, cfg=None, certs=None):
@@ -347,12 +306,14 @@ def solve(obj_or_net, lo, hi, eps_t=None, cfg=None, certs=None):
     hi = np.asarray(hi, dtype=float)
     if lo.shape != (obj.input_dim,) or hi.shape != (obj.input_dim,):
         raise ValueError(f"box dimension must be ({obj.input_dim},)")
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError("box bounds must be finite")
     if np.any(lo > hi):
         raise ValueError("box lower bound exceeds upper bound")
 
     start = time.perf_counter()
     bounder = _Bounder(obj, cfg, certs)
-    root = bounder.bound(lo, hi, 0, 0)
+    root = bounder.bound(lo, hi, 0)
     best_lb = root.lb
     witness = root.witness
     heap = [(-root.ub, root.index, root)]
@@ -363,21 +324,13 @@ def solve(obj_or_net, lo, hi, eps_t=None, cfg=None, certs=None):
     flagged = 1 if root.flagged else 0
     stats = [(float(np.max(root.hi - root.lo)), root.first_won)] \
         if cfg.collect_stats else []
-    status = None
 
     while True:
         cur_ub = max(heap[0][2].ub if heap else -np.inf, finalized_ub, best_lb)
         if cur_ub - best_lb <= cfg.eps_t:
             status = "Converged"
             break
-        if branches >= cfg.max_branches or len(heap) >= cfg.max_active:
-            status = "BranchLimit"
-            break
-        if cfg.time_limit is not None and \
-                time.perf_counter() - start > cfg.time_limit:
-            status = "TimeLimit"
-            break
-        if not heap:
+        if branches >= cfg.max_branches or not heap:
             status = "BranchLimit"
             break
 
@@ -386,7 +339,10 @@ def solve(obj_or_net, lo, hi, eps_t=None, cfg=None, certs=None):
         if float(np.max(node.hi - node.lo)) <= _DEGENERATE * scale:
             finalized_ub = max(finalized_ub, node.ub)
             continue
-        _, children = _choose_axis(node, bounder, cfg, next_index)
+        (lo1, hi1), (lo2, hi2) = split_box(node.lo, node.hi,
+                                           maxlen_axis(node.lo, node.hi))
+        children = (bounder.bound(lo1, hi1, next_index, node.ub),
+                    bounder.bound(lo2, hi2, next_index + 1, node.ub))
         next_index += 2
         for child in children:
             branches += 1

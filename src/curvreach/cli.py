@@ -26,8 +26,7 @@ _VOLATILE = {"wall_time_s"}
 def _bnb_config(args):
     if args.max_branches < 1:
         raise ValueError("--max-branches must be positive")
-    return bnb.BnBConfig(eps_t=args.eps_t, heuristic=args.heuristic,
-                         max_branches=args.max_branches,
+    return bnb.BnBConfig(eps_t=args.eps_t, max_branches=args.max_branches,
                          lipschitz_method=args.lipschitz,
                          recompute_local=not args.root_constants)
 
@@ -270,8 +269,6 @@ def _add_common(sub, box=True, direction=False):
 
 def _add_solver(sub):
     sub.add_argument("--eps-t", dest="eps_t", type=float, default=1e-2)
-    sub.add_argument("--heuristic", choices=["maxlen", "bestub"],
-                     default="maxlen")
     sub.add_argument("--max-branches", dest="max_branches", type=int,
                      default=1_000_000)
     sub.add_argument("--lipschitz", choices=["naive", "liplt"],

@@ -8,7 +8,7 @@ import json
 
 import numpy as np
 
-from .model import network_from_dict, network_to_dict
+from .model import network_from_dict, network_to_dict, require_finite
 from .reach import Box, LinearSystem, Zonotope
 
 
@@ -119,6 +119,7 @@ def parse_vector(text, dim=None):
     except ValueError:
         raise ValueError(f"bad vector {text!r}; expected comma-separated floats") \
             from None
+    require_finite(vec, f"vector {text!r}")
     if dim is not None and vec.shape[0] != dim:
         raise ValueError(f"vector has {vec.shape[0]} entries, expected {dim}")
     return vec

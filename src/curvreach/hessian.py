@@ -64,7 +64,7 @@ def two_layer_matrix_bounds(net, local):
 
 
 def _weighted_suffix_liplt(weights, slope_his, l, h):
-    """Optional second estimate of max_j h_j |d z^(L) / d a^(l)_j|: a loop-
+    """Second estimate of max_j h_j |d z^(L) / d a^(l)_j|: a loop-
     transformed Lipschitz bound, in the ell_1 norm, of the tail network with
     its first weight scaled column-wise by h."""
     w_suffix = [weights[l] * h[None, :]] + list(weights[l + 1:])
@@ -73,7 +73,7 @@ def _weighted_suffix_liplt(weights, slope_his, l, h):
     return lip._total_raw(w_suffix, s_his, ds, 1)
 
 
-def hessian_norm_bound(net, local, report, jac_bounds, use_suffix_estimate=True):
+def hessian_norm_bound(net, local, report, jac_bounds):
     """Spectral bound: sum over hidden layers of (ell_2 subnet constant)^2
     times the worst h-weighted entry of the output-side Jacobian bound."""
     if not net.is_scalar:
@@ -91,7 +91,7 @@ def hessian_norm_bound(net, local, report, jac_bounds, use_suffix_estimate=True)
             raise ValueError(f"missing Jacobian bound for layer {l}")
         h = habs[l - 1]
         w = float(np.max(h * jac_bounds[l], initial=0.0))
-        if w > 0.0 and use_suffix_estimate:
+        if w > 0.0:
             w = min(w, _weighted_suffix_liplt(weights, local.slope_hi, l, h))
         lam += report.subnet[l - 1] ** 2 * w
     return ScalarHessianBound(max(lam, 0.0))

@@ -250,6 +250,17 @@ def refine_loop_transform(net, local, p, sweeps=50, start=None):
     return LoopTransform(tuple(ds))
 
 
+def _jacobian_rows(abs_weights, slope_his):
+    """The rows of ``jacobian_elementwise_bounds`` from |W_1| .. |W_L|; no
+    validation, hot path."""
+    s = abs_weights[-1][0]
+    rows = {len(abs_weights) - 1: s}
+    for k in range(len(abs_weights) - 1, 1, -1):
+        s = (s * slope_his[k - 1]) @ abs_weights[k - 1]
+        rows[k - 1] = s
+    return rows
+
+
 def jacobian_elementwise_bounds(net, local):
     """Row vectors S(l) with |d z^(L) / d a^(l)| <= S(l) elementwise, for all
     hidden layers l of a scalar network; dict keyed by l."""
@@ -257,13 +268,8 @@ def jacobian_elementwise_bounds(net, local):
         raise ValueError("elementwise Jacobian bounds need a scalar network")
     if net.depth < 2:
         return {}
-    out = {}
-    s = np.abs(net.layers[-1].weight[0])
-    out[net.depth - 1] = s
-    for k in range(net.depth - 1, 1, -1):
-        s = (s * local.slope_hi[k - 1]) @ np.abs(net.layers[k - 1].weight)
-        out[k - 1] = s
-    return out
+    return _jacobian_rows([np.abs(lay.weight) for lay in net.layers],
+                          local.slope_hi)
 
 
 def jacobian_elementwise_bound(net, local, l):

@@ -74,6 +74,12 @@ def _freeze(a):
     return a
 
 
+def require_finite(a, name):
+    """Raise ValueError naming ``name`` when ``a`` holds a NaN or an inf."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} has non-finite entries (NaN or inf)")
+
+
 @dataclass(frozen=True)
 class Layer:
     weight: np.ndarray
@@ -88,6 +94,8 @@ class Layer:
         if b.ndim != 1 or b.shape[0] != w.shape[0]:
             raise ValueError(
                 f"bias shape {b.shape} incompatible with weight shape {w.shape}")
+        require_finite(w, "weight")
+        require_finite(b, "bias")
         object.__setattr__(self, "weight", w)
         object.__setattr__(self, "bias", b)
 
@@ -291,9 +299,12 @@ def network_from_dict(data):
             act = entry["activation"]
         except (KeyError, TypeError):
             raise ValueError(f"layer {i}: needs 'weight', 'bias', 'activation'") from None
-        kind = None if act is None else Activation(act)
-        layers.append(Layer(np.asarray(weight, dtype=float),
-                            np.asarray(bias, dtype=float), kind))
+        try:
+            layers.append(Layer(np.asarray(weight, dtype=float),
+                                np.asarray(bias, dtype=float),
+                                None if act is None else Activation(act)))
+        except ValueError as exc:
+            raise ValueError(f"layer {i}: {exc}") from None
     return Network(tuple(layers))
 
 

@@ -22,12 +22,10 @@ class OracleReport:
         return asdict(self)
 
 
-def grid_max(fn, lo, hi, n_per_axis=0, n_random=0, seed=0):
-    """Max of exact evaluations over a lattice plus seeded uniform samples.
-
-    ``fn`` maps a stack of row points to a value per row.  A valid lower
-    bound on the true supremum over the box.
-    """
+def _start_points(lo, hi, n_per_axis, n_random, seed):
+    """(lo, hi, points): a lattice of ``n_per_axis`` points per axis (the
+    centre when 1), then ``n_random`` seeded uniform samples; the centre alone
+    when both are 0."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     if np.any(lo > hi):
@@ -45,7 +43,16 @@ def grid_max(fn, lo, hi, n_per_axis=0, n_random=0, seed=0):
         pts.append(lo + rng.random((n_random, n)) * (hi - lo))
     if not pts:
         pts.append(((lo + hi) / 2.0)[None, :])
-    pts = np.concatenate(pts, axis=0)
+    return lo, hi, np.concatenate(pts, axis=0)
+
+
+def grid_max(fn, lo, hi, n_per_axis=0, n_random=0, seed=0):
+    """Max of exact evaluations over a lattice plus seeded uniform samples.
+
+    ``fn`` maps a stack of row points to a value per row.  A valid lower
+    bound on the true supremum over the box.
+    """
+    _, _, pts = _start_points(lo, hi, n_per_axis, n_random, seed)
     vals = np.asarray(fn(pts), dtype=float)
     k = int(np.argmax(vals))
     return float(vals[k]), pts[k]
@@ -59,20 +66,8 @@ def polished_max(fn, lo, hi, n_per_axis=0, n_random=0, seed=0, starts=5,
     result remains a valid lower bound on the supremum, but it localizes
     maxima far beyond the grid resolution.
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
+    lo, hi, pts = _start_points(lo, hi, n_per_axis, n_random, seed)
     n = lo.shape[0]
-    pts = []
-    if n_per_axis >= 2:
-        axes = [np.linspace(lo[i], hi[i], n_per_axis) for i in range(n)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts.append(np.stack([m.ravel() for m in mesh], axis=1))
-    if n_random > 0:
-        rng = np.random.default_rng(seed)
-        pts.append(lo + rng.random((n_random, n)) * (hi - lo))
-    if not pts:
-        pts.append(((lo + hi) / 2.0)[None, :])
-    pts = np.concatenate(pts, axis=0)
     vals = np.asarray(fn(pts), dtype=float)
     order = np.argsort(vals)[::-1]
     best_val = float(vals[order[0]])

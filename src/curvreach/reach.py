@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import bnb, taylor
-from .model import Network, ScalarObjective, scalarize
+from .model import Network, ScalarObjective, require_finite, scalarize
 
 
 def _support_separation(center, generators, point):
@@ -38,6 +38,8 @@ class Box:
         hi = np.asarray(self.hi, dtype=float)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("box bounds must be equal-length vectors")
+        require_finite(lo, "box lo")
+        require_finite(hi, "box hi")
         if np.any(lo > hi):
             raise ValueError("box lower bound exceeds upper bound")
         object.__setattr__(self, "lo", lo)
@@ -69,6 +71,8 @@ class Zonotope:
         c = np.asarray(self.center, dtype=float)
         if G.ndim != 2 or c.ndim != 1 or G.shape[0] != c.shape[0]:
             raise ValueError("generator matrix rows must match center length")
+        require_finite(G, "zonotope G")
+        require_finite(c, "zonotope center")
         object.__setattr__(self, "G", G)
         object.__setattr__(self, "center", c)
 
@@ -256,6 +260,9 @@ class LinearSystem:
             np.asarray(self.drift, dtype=float)
         if drift.shape != (n,):
             raise ValueError("drift must be a state-sized vector")
+        require_finite(A, "system A")
+        require_finite(B, "system B")
+        require_finite(drift, "system drift")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "drift", drift)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,6 +82,41 @@ class TestExitCodes:
                      *extra, "--seed", "3"])
         assert code == 1
         assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["inf-box", "nan-box", "nan-weight",
+                                      "inf-generator", "nan-direction",
+                                      "nan-drift"])
+    def test_non_finite_input_names_field(self, tanh_file, di_files, tmp_path,
+                                          capsys, case):
+        net = json.loads(Path(tanh_file).read_text())
+        net["layers"][0]["weight"][0][0] = float("nan")
+        nan_net = tmp_path / "nan.json"
+        nan_net.write_text(json.dumps(net))
+        zono = tmp_path / "zono.json"
+        zono.write_text('{"G": [[Infinity, 0.0], [0.0, 0.1]], '
+                        '"center": [0.0, 0.0]}')
+        system, ctrl, hexagon = di_files
+        drift = tmp_path / "drift.json"
+        drift.write_text(json.dumps({**json.loads(Path(system).read_text()),
+                                     "c": [float("nan"), 0.0]}))
+        bnb = ["bnb", "--network", tanh_file, "--direction", "1,0"]
+        argv, field = {
+            "inf-box": ([*bnb, "--box=-1..inf,-1..1"], "box hi"),
+            "nan-box": ([*bnb, "--box=nan..1,-1..1"], "box lo"),
+            "nan-weight": (["bnb", "--network", str(nan_net), "--direction",
+                            "1,0", "--box=-1..1,-1..1"], "layer 0: weight"),
+            "inf-generator": ([*bnb, "--zonotope", str(zono)], "zonotope G"),
+            "nan-direction": (["bnb", "--network", tanh_file, "--direction",
+                               "nan,0", "--box=-1..1,-1..1"],
+                              "vector 'nan,0'"),
+            "nan-drift": (["closedloop", "--system", str(drift),
+                           "--controller", ctrl, "--zonotope", hexagon,
+                           "--steps", "1", "--out-dir", str(tmp_path / "cl")],
+                          "system drift"),
+        }[case]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert field in err and "non-finite" in err
 
     def test_branch_limit_exit_2(self, tanh_file, capsys):
         code = main(["bnb", "--network", tanh_file, "--direction", "1,0",

@@ -13,13 +13,12 @@ from conftest import make_net
 TANH_K = 4.0 / (3.0 * np.sqrt(3.0))
 
 
-def scalar_pipeline(net, lo, hi, use_suffix=True):
+def scalar_pipeline(net, lo, hi):
     local = bounds_for_box(net, lo, hi)
     lt = default_loop_transform(local)
     report = lipschitz_report(net, local, lt, 2)
     jac = jacobian_elementwise_bounds(net, local)
-    return hessian_norm_bound(net, local, report, jac,
-                              use_suffix_estimate=use_suffix)
+    return hessian_norm_bound(net, local, report, jac)
 
 
 class TestTwoLayerMatrix:
@@ -84,13 +83,6 @@ class TestScalarBound:
                 H = oracle.fd_hessian(obj.value, x)
                 worst = max(worst, float(np.abs(np.linalg.eigvalsh(H)).max()))
             assert worst <= bound.lam + 1e-6
-
-    def test_suffix_estimate_never_looser(self):
-        for k in range(10):
-            net = make_net([2, 6, 6, 1], seed=700 + k)
-            with_suffix = scalar_pipeline(net, -np.ones(2), np.ones(2), True)
-            without = scalar_pipeline(net, -np.ones(2), np.ones(2), False)
-            assert with_suffix.lam <= without.lam + 1e-12
 
     def test_monotonicity_in_localization(self):
         net = make_net([2, 8, 8, 1], seed=9)

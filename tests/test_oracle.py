@@ -133,6 +133,23 @@ class TestPolishedMax:
         assert polished >= raw - 1e-15
 
 
+@pytest.mark.parametrize("search", [oracle.grid_max, oracle.polished_max])
+def test_single_point_lattice_is_the_centre(search):
+    # the one lattice point joins the random samples, and beats them here
+    fn = lambda xs: -(np.atleast_2d(xs) ** 2).sum(axis=1)
+    val, arg = search(fn, -np.ones(2), np.ones(2), n_per_axis=1, n_random=3,
+                      **({"sweeps": 0} if search is oracle.polished_max
+                         else {}))
+    assert val == 0.0 and np.array_equal(arg, np.zeros(2))
+
+
+@pytest.mark.parametrize("search", [oracle.grid_max, oracle.polished_max])
+def test_rejects_inverted_box(search):
+    with pytest.raises(ValueError, match="exceeds"):
+        search(lambda xs: np.atleast_2d(xs)[:, 0], np.ones(2), -np.ones(2),
+               n_random=10)
+
+
 def test_report_round_trip():
     rep = oracle.OracleReport("grid_max", 1.25, 1000, 7)
     d = rep.to_dict()
