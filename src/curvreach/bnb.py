@@ -2,11 +2,14 @@
 
 Each node views its sub-rectangle as an ell_inf ball of radius half the
 longest edge around the midpoint, computes localized Lipschitz and Hessian
-certificates for it, and takes the better of the zeroth- and first-order
-bounds on each side.  Nodes are expanded in order of largest upper bound,
-one at a time: each step pops one node, halves its longest edge, bounds the
-two children, updates the best lower bound over both and pushes them.
-Children never report a looser upper bound than their parent.
+certificates for it, and takes the better of the zeroth-order bound and one
+first-order model bound: the exact vertex maximum over the box when the
+Hessian upper bound is a PSD matrix (one hidden layer, at most ``_VERTEX_CAP``
+inputs), else the isotropic ell_inf-ball bound, with a matrix bound also the
+ell_2 dual bound when smaller.  Nodes are expanded in order of largest upper
+bound, one at a time: each step pops one node, halves its longest edge,
+bounds the two children, updates the best lower bound over both and pushes
+them.  Children never report a looser upper bound than their parent.
 
 A node's certificates split into a box-level part (localization, the ell_inf
 internal Lipschitz memo and the ell_2 subnetwork constants), which depends on
@@ -247,32 +250,30 @@ class _Bounder:
         first_won = False
         candidates = []
         if cfg.use_first_order and hess is not None:
-            region = taylor.BallRegion(center, eps, np.inf)
             n = center.shape[0]
-            if isinstance(hess, hs.MatrixHessianBound):
+            matrix = isinstance(hess, hs.MatrixHessianBound)
+            if matrix:
                 eig = np.linalg.eigvalsh(hess.M)
-                lam_iso = max(float(eig[-1]), 0.0)
-                ub1 = taylor.first_upper_from(value_c, grad_c, region, lam_iso,
-                                              center)
-                candidates.append(taylor.optimal_perturbation(
-                    center, eps, np.inf, grad_c, lam_iso, center))
-                try:
-                    q = taylor.two_layer_dual_upper(grad_c, hess.M,
-                                                    eps * np.sqrt(n), p=2)
-                    ub1 = min(ub1, value_c + q)
-                except taylor.DualBisectionError:
-                    flagged = True
-                if float(eig[0]) >= -1e-9 and n <= _VERTEX_CAP:
-                    v, vert = taylor.vertex_upper(grad_c, hess.M, lo, hi,
-                                                  center, return_witness=True)
-                    ub1 = min(ub1, value_c + v)
-                    candidates.append(vert)
+                lam = max(float(eig[-1]), 0.0)
             else:
                 lam = hess.lam
-                ub1 = taylor.first_upper_from(value_c, grad_c, region, lam,
-                                              center)
-                candidates.append(taylor.optimal_perturbation(
-                    center, eps, np.inf, grad_c, lam, center))
+            x_iso = taylor.optimal_perturbation(center, eps, np.inf, grad_c,
+                                                lam, center)
+            candidates.append(x_iso)
+            if matrix and float(eig[0]) >= -1e-9 and n <= _VERTEX_CAP:
+                # convex model: exact at a vertex, below any ball bound
+                v, vert = taylor.vertex_upper(grad_c, hess.M, lo, hi, center,
+                                              return_witness=True)
+                ub1 = value_c + v
+                candidates.append(vert)
+            else:
+                ub1 = taylor._model_value(value_c, grad_c, lam, x_iso, center)
+                if matrix:
+                    try:
+                        ub1 = min(ub1, value_c + taylor.two_layer_dual_upper(
+                            grad_c, hess.M, eps * np.sqrt(n), p=2))
+                    except taylor.DualBisectionError:
+                        flagged = True
             first_won = ub1 < ub0
             ub = min(ub0, ub1)
 

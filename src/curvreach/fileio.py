@@ -56,12 +56,16 @@ def _load_json(path):
             f"{path}:{exc.lineno}:{exc.colno}: malformed JSON: {exc.msg}") from None
 
 
-def load_network(path):
-    data = _load_json(path)
+def _from_file(path, make, *args):
+    """make(*args), with ``path`` prefixed to the message of its ValueError."""
     try:
-        return network_from_dict(data)
+        return make(*args)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def load_network(path):
+    return _from_file(path, network_from_dict, _load_json(path))
 
 
 def save_network(net, path):
@@ -73,10 +77,11 @@ def save_network(net, path):
 def load_zonotope(path):
     data = _load_json(path)
     try:
-        return Zonotope(np.asarray(data["G"], dtype=float),
-                        np.asarray(data["center"], dtype=float))
-    except (KeyError, TypeError):
-        raise ValueError(f"{path}: zonotope JSON needs 'G' and 'center'") from None
+        G = np.asarray(data["G"], dtype=float)
+        center = np.asarray(data["center"], dtype=float)
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(f"{path}: zonotope JSON needs numeric 'G', 'center'") from None
+    return _from_file(path, Zonotope, G, center)
 
 
 def load_system(path, controller):
@@ -86,10 +91,11 @@ def load_system(path, controller):
         A = np.asarray(data["A"], dtype=float)
         B = np.asarray(data["B"], dtype=float)
         horizon = int(data["T"])
+        drift = np.asarray(data["c"], dtype=float) if "c" in data else None
     except (KeyError, TypeError, ValueError):
-        raise ValueError(f"{path}: system JSON needs 'A', 'B', 'T'") from None
-    drift = np.asarray(data["c"], dtype=float) if "c" in data else None
-    return LinearSystem(A, B, controller, horizon, drift)
+        raise ValueError(f"{path}: system JSON needs numeric 'A', 'B', 'T' "
+                         "(and 'c' if given)") from None
+    return _from_file(path, LinearSystem, A, B, controller, horizon, drift)
 
 
 def parse_box(text, dim=None):

@@ -143,17 +143,12 @@ class Network:
         if x.shape[-1] != self.input_dim:
             raise ValueError(
                 f"input dimension {x.shape[-1]} != network input {self.input_dim}")
-        a = x
-        for lay in self.layers:
-            z = a @ lay.weight.T + lay.bias
-            a = act_value(lay.activation, z) if lay.activation is not None else z
-        return a
+        return self.preactivations(x)[-1]
 
     def preactivations(self, x):
         """List of z^(l) for hidden layers, plus the final output, at x."""
-        x = np.asarray(x, dtype=float)
         zs = []
-        a = x
+        a = np.asarray(x, dtype=float)
         for lay in self.layers:
             z = a @ lay.weight.T + lay.bias
             zs.append(z)
@@ -163,6 +158,16 @@ class Network:
 
 def forward(net, x):
     return net.forward(x)
+
+
+def _backward(net, zs):
+    """Reverse-mode gradient of a scalar network of depth >= 2 from its
+    preactivations; batched ``zs`` broadcast against the output row."""
+    u = net.layers[-1].weight[0]
+    for l in range(net.depth - 2, -1, -1):
+        lay = net.layers[l]
+        u = (u * act_deriv(lay.activation, zs[l])) @ lay.weight
+    return u
 
 
 def gradient(net, x):
@@ -175,13 +180,7 @@ def gradient(net, x):
             f"input dimension {x.shape[-1]} != network input {net.input_dim}")
     if net.depth == 1:
         return np.broadcast_to(net.layers[0].weight[0], x.shape).copy()
-    zs = net.preactivations(x)
-    u = np.broadcast_to(net.layers[-1].weight[0], zs[-2].shape).copy()
-    for l in range(net.depth - 2, -1, -1):
-        lay = net.layers[l]
-        u = u * act_deriv(lay.activation, zs[l])
-        u = u @ lay.weight
-    return u
+    return _backward(net, net.preactivations(x))
 
 
 def scalarize(net, c):
@@ -253,20 +252,12 @@ class ScalarObjective:
         """Single forward pass for both; the branch-and-bound hot path."""
         x = np.asarray(x, dtype=float)
         net = self.net
-        zs = []
-        a = x
-        for lay in net.layers:
-            z = a @ lay.weight.T + lay.bias
-            zs.append(z)
-            a = act_value(lay.activation, z) if lay.activation is not None else z
-        v = float(a[0]) + self.offset
+        zs = net.preactivations(x)
+        v = float(zs[-1][0]) + self.offset
         if net.depth == 1:
             g = net.layers[0].weight[0].copy()
         else:
-            g = net.layers[-1].weight[0].copy()
-            for l in range(net.depth - 2, -1, -1):
-                lay = net.layers[l]
-                g = (g * act_deriv(lay.activation, zs[l])) @ lay.weight
+            g = _backward(net, zs)
         if self.linear is not None:
             v += float(x @ self.linear)
             g = g + self.linear

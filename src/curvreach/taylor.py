@@ -3,8 +3,9 @@
 The zeroth-order bracket uses only a Lipschitz constant; the first-order
 bracket expands J around a point y, bounds the remainder with a Hessian
 certificate, and maximizes the resulting quadratic model exactly (closed form
-for the ell_2 ball, separable for the ell_inf ball, dual bisection or vertex
-enumeration when a full matrix bound is available).
+for the ell_2 ball, separable for the ell_inf ball).  With a matrix bound M,
+vertex enumeration is exact over a box when M is PSD; branch and bound runs
+the dual bisection only where it is not (indefinite M or too many inputs).
 """
 
 import math

@@ -315,6 +315,54 @@ class TestFailureEnvelope:
         assert res.ub - res.lb <= 1e-9
 
 
+class TestModelBoundRouting:
+    """A two-layer node runs the dual only where the vertex bound does not
+    apply: an indefinite M, or more inputs than the vertex cap."""
+
+    @staticmethod
+    def _count_dual_calls(monkeypatch):
+        from curvreach import taylor as ty
+        calls = []
+        real = ty.two_layer_dual_upper
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ty, "two_layer_dual_upper", counted)
+        return calls
+
+    @staticmethod
+    def _assert_bracket(obj, res, lo, hi):
+        gmax, _ = oracle.polished_max(obj.value, lo, hi, n_random=5_000,
+                                      seed=1)
+        assert res.lb - 1e-9 <= gmax <= res.ub + 1e-9
+
+    def test_psd_bound_skips_the_dual(self, monkeypatch):
+        # softplus curvature lies in [0, 1/4]; with positive output weights
+        # every unit adds a PSD term to M, so every node takes the vertex bound
+        from curvreach.model import Layer, Network
+        hidden, out = make_net([2, 6, 1], act=Activation.SOFTPLUS,
+                               seed=3500).layers
+        net = Network((hidden, Layer(np.abs(out.weight), out.bias, None)))
+        obj = ScalarObjective(net)
+        calls = self._count_dual_calls(monkeypatch)
+        lo, hi = -np.ones(2), np.ones(2)
+        res = solve(obj, lo, hi, eps_t=1e-4)
+        assert res.status == "Converged" and res.branches_processed > 1
+        assert not calls
+        self._assert_bracket(obj, res, lo, hi)
+
+    def test_above_the_vertex_cap_runs_the_dual(self, monkeypatch):
+        n = bnb._VERTEX_CAP + 1
+        obj = ScalarObjective(make_net([n, 8, 1], seed=3700))
+        calls = self._count_dual_calls(monkeypatch)
+        lo, hi = -0.5 * np.ones(n), 0.5 * np.ones(n)
+        res = solve(obj, lo, hi, eps_t=1e-3, cfg=BnBConfig(max_branches=41))
+        assert calls
+        self._assert_bracket(obj, res, lo, hi)
+
+
 class TestZonotope:
     def test_scaled_identity_equals_box(self):
         net = make_net([2, 8, 1], seed=2700)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvreach.cli import main
-from curvreach.fileio import dumps17, load_network, parse_box, save_network
+from curvreach.fileio import (dumps17, load_network, load_system, load_zonotope,
+                              parse_box, save_network)
 from curvreach.model import network_to_dict
 from conftest import linear_net, make_net
 
@@ -100,19 +101,22 @@ class TestExitCodes:
         drift.write_text(json.dumps({**json.loads(Path(system).read_text()),
                                      "c": [float("nan"), 0.0]}))
         bnb = ["bnb", "--network", tanh_file, "--direction", "1,0"]
+        # the field, prefixed by the file it came from where there is one
         argv, field = {
             "inf-box": ([*bnb, "--box=-1..inf,-1..1"], "box hi"),
             "nan-box": ([*bnb, "--box=nan..1,-1..1"], "box lo"),
             "nan-weight": (["bnb", "--network", str(nan_net), "--direction",
-                            "1,0", "--box=-1..1,-1..1"], "layer 0: weight"),
-            "inf-generator": ([*bnb, "--zonotope", str(zono)], "zonotope G"),
+                            "1,0", "--box=-1..1,-1..1"],
+                           f"{nan_net}: layer 0: weight"),
+            "inf-generator": ([*bnb, "--zonotope", str(zono)],
+                              f"{zono}: zonotope G"),
             "nan-direction": (["bnb", "--network", tanh_file, "--direction",
                                "nan,0", "--box=-1..1,-1..1"],
                               "vector 'nan,0'"),
             "nan-drift": (["closedloop", "--system", str(drift),
                            "--controller", ctrl, "--zonotope", hexagon,
                            "--steps", "1", "--out-dir", str(tmp_path / "cl")],
-                          "system drift"),
+                          f"{drift}: system drift"),
         }[case]
         assert main(argv) == 1
         err = capsys.readouterr().err
@@ -266,6 +270,17 @@ class TestParsing:
             parse_box("1..-1")
         with pytest.raises(ValueError):
             parse_box("0:1")
+
+    def test_ragged_arrays_name_the_file(self, di_controller, tmp_path):
+        zono = tmp_path / "zono.json"
+        zono.write_text('{"G": [[0.1, 0.0], [0.0]], "center": [0.0, 0.0]}')
+        with pytest.raises(ValueError, match="zono.json: zonotope JSON"):
+            load_zonotope(zono)
+        system = tmp_path / "system.json"
+        system.write_text('{"A": [[1.0, 0.0], [0.0, 1.0]], "B": [[0.0], [1.0]],'
+                          ' "T": 1, "c": [[0.0], 1.0]}')
+        with pytest.raises(ValueError, match="system.json: system JSON"):
+            load_system(system, di_controller)
 
     def test_network_round_trip(self, tmp_path):
         net = make_net([2, 4, 1], seed=6100)

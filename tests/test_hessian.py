@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvreach import oracle
 from curvreach.hessian import (MatrixHessianBound, ScalarHessianBound,
@@ -37,19 +38,22 @@ class TestTwoLayerMatrix:
         assert np.allclose(mb.M, TANH_K * np.eye(2), atol=1e-12)
         assert np.allclose(mb.N, -TANH_K * np.eye(2), atol=1e-12)
 
-    def test_fd_sandwich(self):
-        rng = np.random.default_rng(1)
-        for k in range(10):
-            net = make_net([2, 6, 1], seed=500 + k)
-            obj = ScalarObjective(net)
-            lo, hi = -np.ones(2), np.ones(2)
-            local = bounds_for_box(net, lo, hi)
-            mb = two_layer_matrix_bounds(net, local)
-            for _ in range(20):
-                x = lo + 0.02 + rng.random(2) * (hi - lo - 0.04)
-                H = oracle.fd_hessian(obj.value, x)
-                assert np.linalg.eigvalsh(mb.M - H).min() >= -1e-6
-                assert np.linalg.eigvalsh(H - mb.N).min() >= -1e-6
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(act=st.sampled_from(list(Activation)), seed=st.integers(0, 100_000))
+    def test_fd_sandwich(self, act, seed):
+        # N <= H <= M at sampled points of a random box, for every activation:
+        # the vertex bound in branch and bound is sound only if H <= M
+        rng = np.random.default_rng(seed)
+        net = make_net([2, 6, 1], act=act, seed=seed, scale=2.0)
+        obj = ScalarObjective(net)
+        lo = rng.uniform(-1.5, 1.0, 2)
+        hi = lo + rng.uniform(0.1, 2.0, 2)
+        mb = two_layer_matrix_bounds(net, bounds_for_box(net, lo, hi))
+        for _ in range(10):
+            x = lo + 0.02 + rng.random(2) * (hi - lo - 0.04)
+            H = oracle.fd_hessian(obj.value, x)
+            assert np.linalg.eigvalsh(mb.M - H).min() >= -1e-6
+            assert np.linalg.eigvalsh(H - mb.N).min() >= -1e-6
 
     def test_depth_check(self):
         net = make_net([2, 4, 4, 1], seed=2)

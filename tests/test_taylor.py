@@ -361,3 +361,28 @@ def test_p2_model_tightness(seed):
     model_at_star = g @ d + 0.5 * lam * d @ d
     ub = first_upper_from(0.0, g, region, lam, y)
     assert abs(model_at_star - ub) <= 1e-12 * max(1.0, abs(ub))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 100_000))
+def test_vertex_bound_never_above_the_ball_bounds(seed):
+    # with M PSD the vertex maximum is exact over the box, while the dual
+    # (ell_2 ball of radius eps sqrt(n)) and the isotropic bound (ell_inf ball
+    # of radius eps, lam = lam_max(M)) maximize over supersets of it
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    A = rng.standard_normal((n, int(rng.integers(0, n + 1))))
+    M = A @ A.T * rng.uniform(0.0, 3.0)
+    g = rng.standard_normal(n) * rng.uniform(0.0, 2.0)
+    lo = rng.uniform(-1.5, 1.0, n)
+    hi = lo + rng.uniform(0.01, 2.0, n)
+    center = (lo + hi) / 2.0
+    eps = float(np.max(hi - lo)) / 2.0
+    lam = max(float(np.linalg.eigvalsh(M)[-1]), 0.0)
+    v = vertex_upper(g, M, lo, hi, center)
+    dual = two_layer_dual_upper(g, M, eps * np.sqrt(n), p=2)
+    iso = first_upper_from(0.0, g, BallRegion(center, eps, np.inf), lam,
+                           center)
+    slack = 1e-12 * max(1.0, abs(v))
+    assert v <= dual + slack
+    assert v <= iso + slack
