@@ -1,15 +1,16 @@
 """Best-first branch and bound for sup of a scalar objective over a box.
 
-Each node views its sub-rectangle as an ell_inf ball of radius half the
-longest edge around the midpoint, computes localized Lipschitz and Hessian
-certificates for it, and takes the better of the zeroth-order bound and one
-first-order model bound: the exact vertex maximum over the box when the
-Hessian upper bound is a PSD matrix (one hidden layer, at most ``_VERTEX_CAP``
-inputs), else the isotropic ell_inf-ball bound, with a matrix bound also the
-ell_2 dual bound when smaller.  Nodes are expanded in order of largest upper
-bound, one at a time: each step pops one node, halves its longest edge,
-bounds the two children, updates the best lower bound over both and pushes
-them.  Children never report a looser upper bound than their parent.
+Each node computes localized Lipschitz and Hessian certificates for its
+sub-rectangle and takes the better of the zeroth-order bound (the ell_inf
+Lipschitz constant times half the longest edge) and one first-order model
+bound over the box itself: the exact vertex maximum when the Hessian upper
+bound is a PSD matrix (one hidden layer, at most ``_VERTEX_CAP`` inputs), else
+the exact maximum of the isotropic model over the box, with a matrix bound
+also the dual bound over the ell_2 ball of radius ``||(hi - lo)/2||_2`` when
+smaller.  Nodes are expanded in order of largest upper bound, one at a time:
+each step pops one node, halves its longest edge, bounds the two children,
+updates the best lower bound over both and pushes them.  Children never
+report a looser upper bound than their parent.
 
 A node's certificates split into a box-level part (localization, the ell_inf
 internal Lipschitz memo and the ell_2 subnetwork constants), which depends on
@@ -224,7 +225,8 @@ class _Bounder:
     def bound(self, lo, hi, index, parent_ub=np.inf):
         cfg = self.cfg
         center = (lo + hi) / 2.0
-        eps = float(np.max(hi - lo)) / 2.0
+        r = (hi - lo) / 2.0            # half-edges; the box is center +- r
+        eps = float(r.max())
         value_c, grad_c = self.obj.value_and_grad(center)
         flagged = False
         if eps <= 0.0:
@@ -257,11 +259,14 @@ class _Bounder:
                 lam = max(float(eig[-1]), 0.0)
             else:
                 lam = hess.lam
-            x_iso = taylor.optimal_perturbation(center, eps, np.inf, grad_c,
+            # the isotropic model's maximizer over the box itself: the
+            # segment from the center to any point of the box stays in the
+            # box, on which lam is certified
+            x_iso = taylor.optimal_perturbation(center, r, np.inf, grad_c,
                                                 lam, center)
             candidates.append(x_iso)
             if matrix and float(eig[0]) >= -1e-9 and n <= _VERTEX_CAP:
-                # convex model: exact at a vertex, below any ball bound
+                # convex model: exact at a vertex, never above the others
                 v, vert = taylor.vertex_upper(grad_c, hess.M, lo, hi, center,
                                               return_witness=True)
                 ub1 = value_c + v
@@ -271,7 +276,7 @@ class _Bounder:
                 if matrix:
                     try:
                         ub1 = min(ub1, value_c + taylor.two_layer_dual_upper(
-                            grad_c, hess.M, eps * np.sqrt(n), p=2))
+                            grad_c, hess.M, float(np.linalg.norm(r)), p=2))
                     except taylor.DualBisectionError:
                         flagged = True
             first_won = ub1 < ub0

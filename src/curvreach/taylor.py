@@ -1,11 +1,13 @@
-"""Sound bounds on sup J over a norm ball from Lipschitz and Hessian certificates.
+"""Sound bounds on sup J over a norm ball or a box from Lipschitz and Hessian
+certificates.
 
 The zeroth-order bracket uses only a Lipschitz constant; the first-order
 bracket expands J around a point y, bounds the remainder with a Hessian
 certificate, and maximizes the resulting quadratic model exactly (closed form
-for the ell_2 ball, separable for the ell_inf ball).  With a matrix bound M,
-vertex enumeration is exact over a box when M is PSD; branch and bound runs
-the dual bisection only where it is not (indefinite M or too many inputs).
+for the ell_2 ball, separable for the ell_inf ball and for a box given by
+per-coordinate radii).  With a matrix bound M, vertex enumeration is exact
+over a box when M is PSD; branch and bound runs the dual bisection only where
+it is not (indefinite M or too many inputs).
 """
 
 import math
@@ -86,7 +88,9 @@ def zeroth_bounds(obj, region, L):
 def optimal_perturbation(center, eps, p, grad_y, lam, y):
     """Maximizer of the quadratic model grad_y . (x-y) + lam/2 ||x-y||_2^2
     over the ball; for p=2 the normalized steering vector, for p=inf the
-    per-coordinate endpoint choice."""
+    per-coordinate endpoint choice.  For p=inf, ``eps`` may be an array of
+    per-coordinate radii r: the maximizer over the box center +- r, where
+    the model at y = center peaks at sum(|g_i| r_i + lam/2 r_i^2)."""
     center = np.asarray(center, dtype=float)
     grad_y = np.asarray(grad_y, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -216,7 +220,10 @@ def two_layer_dual_upper(grad, M, eps, p=2):
 
 def vertex_upper(grad, M, lo, hi, center=None, return_witness=False):
     """Exact max of the quadratic model over box vertices; valid bound on the
-    whole box when M is positive semidefinite (convex model)."""
+    whole box when M is positive semidefinite (convex model).  M is accepted
+    down to lambda_min(M) >= -1e-9; with tau = -lambda_min(M) > 0 the bound
+    adds tau/2 * sum_i max(hi_i - c_i, c_i - lo_i)^2, the most by which the
+    convex model with M + tau I lies above the one with M on the box."""
     g = np.asarray(grad, dtype=float)
     M = np.asarray(M, dtype=float)
     lo = np.asarray(lo, dtype=float)
@@ -224,7 +231,8 @@ def vertex_upper(grad, M, lo, hi, center=None, return_witness=False):
     n = lo.shape[0]
     if n > 20:
         raise ValueError(f"vertex enumeration unsupported beyond 20 dims (got {n})")
-    if np.linalg.eigvalsh(M).min() < -1e-9:
+    tau = -float(np.linalg.eigvalsh(M).min())
+    if tau > 1e-9:
         raise ValueError("vertex bound needs a positive semidefinite matrix")
     if center is None:
         center = (lo + hi) / 2.0
@@ -243,6 +251,9 @@ def vertex_upper(grad, M, lo, hi, center=None, return_witness=False):
         if vals[k] > best:
             best = float(vals[k])
             best_v = verts[k]
+    if tau > 0.0:
+        far = np.maximum(hi - center, center - lo)
+        best += 0.5 * tau * float(far @ far)
     if return_witness:
         return best, best_v
     return best

@@ -182,12 +182,12 @@ GOLDEN = [
     # (dims, net seed, status, branches, max_active, flagged, lb, ub,
     #  witness) recorded from the solver's serial loop; floats are float.hex
     #  so any change to node order or arithmetic shows
-    ([3, 6, 5, 1], 3701, "BranchLimit", 301, 73, 0,
-     "0x1.80380d656745cp+0", "0x1.534bdb9054288p+1",
-     ["-0x1.0000000000000p-2", "0x1.0000000000000p-1",
+    ([3, 6, 5, 1], 3701, "BranchLimit", 301, 91, 0,
+     "0x1.81ead44592323p+0", "0x1.fe5e3eda844dap+0",
+     ["-0x1.8000000000000p-3", "0x1.0000000000000p-1",
       "-0x1.0000000000000p-1"]),
-    ([3, 6, 1], 3800, "Converged", 81, 8, 0,
-     "0x1.44119d8456922p+1", "0x1.44283028c6e1ep+1",
+    ([3, 6, 1], 3800, "Converged", 57, 7, 0,
+     "0x1.44119d8456922p+1", "0x1.4421fdca78217p+1",
      ["0x1.0000000000000p-1", "0x1.0000000000000p-1",
       "-0x1.0000000000000p-1"]),
 ]
@@ -227,6 +227,24 @@ class TestActivationsEndToEnd:
         gmax, _ = oracle.polished_max(obj.value, -np.ones(2), np.ones(2),
                                       n_per_axis=20, n_random=500, seed=seed)
         assert res.lb - 1e-9 <= gmax <= res.ub + 1e-9
+
+    @pytest.mark.parametrize("act", list(Activation))
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(hidden=st.lists(st.integers(2, 7), min_size=1, max_size=3),
+           seed=st.integers(0, 2**16), scale=st.floats(0.5, 3.0))
+    def test_root_bound_on_non_cubic_boxes(self, act, hidden, seed, scale):
+        # depth 2-4: the root's model is maximized over the box itself, so
+        # its ub must hold on boxes whose edges differ by up to 40x
+        rng = np.random.default_rng(seed)
+        net = make_net([3, *hidden, 1], act=act, seed=seed, scale=scale)
+        obj = ScalarObjective(net)
+        lo = rng.uniform(-1.5, 1.0, 3)
+        hi = lo + rng.uniform(0.05, 2.0, 3)
+        res = solve(obj, lo, hi, cfg=BnBConfig(eps_t=1e-9, max_branches=1))
+        assert res.branches_processed == 1
+        gmax, _ = oracle.polished_max(obj.value, lo, hi, n_per_axis=12,
+                                      n_random=500, seed=seed)
+        assert gmax <= res.ub + 1e-9
 
     def test_softplus_two_layer_matrix_route(self):
         # softplus has one-sided curvature [0, 1/4]: M and N are both built

@@ -340,6 +340,12 @@ class TestVertexUpper:
         with pytest.raises(ValueError):
             vertex_upper(np.zeros(n), np.eye(n), -np.ones(n), np.ones(n))
 
+    def test_psd_tolerance_is_accounted(self):
+        # lambda_min = -5e-10 passes the PSD check; the model's maximum over
+        # the box is 0, at the centre, which no vertex attains
+        got = vertex_upper(np.zeros(1), [[-5e-10]], [-1.0], [1.0])
+        assert got >= 0.0
+
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 100_000))
@@ -386,3 +392,32 @@ def test_vertex_bound_never_above_the_ball_bounds(seed):
     slack = 1e-12 * max(1.0, abs(v))
     assert v <= dual + slack
     assert v <= iso + slack
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 100_000))
+def test_box_maximizer_is_exact_over_the_box(seed):
+    # with per-coordinate radii r the ell_inf maximizer is the model's exact
+    # maximum over the box c +- r (the brute-force vertex maximum, since the
+    # model is convex), never above the one over the cube of radius max(r)
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    g = rng.standard_normal(n) * (rng.random(n) < 0.9)
+    lam = float(rng.uniform(0.0, 4.0)) * (rng.random() < 0.8)
+    lo = rng.uniform(-1.5, 1.0, n)
+    hi = lo + np.exp(rng.uniform(np.log(1e-3), np.log(2.0), n))
+    c = (lo + hi) / 2.0
+    r = (hi - lo) / 2.0
+
+    def model(x):
+        d = np.atleast_2d(x) - c
+        return d @ g + 0.5 * lam * np.einsum("ij,ij->i", d, d)
+
+    box = float(model(optimal_perturbation(c, r, np.inf, g, lam, c))[0])
+    mask = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    brute = float(model(np.where(mask == 1, hi, lo)).max())
+    cube = float(model(optimal_perturbation(c, float(r.max()), np.inf, g,
+                                            lam, c))[0])
+    slack = 1e-12 * max(1.0, abs(brute))
+    assert abs(box - brute) <= slack
+    assert box <= cube + slack
