@@ -10,9 +10,8 @@ from .bnb import BnBConfig, BnBResult, solve, solve_zonotope
 from .hessian import (MatrixHessianBound, ScalarHessianBound,
                       hessian_norm_bound, two_layer_matrix_bounds)
 from .lipschitz import (LipschitzReport, LoopTransform, default_loop_transform,
-                        jacobian_elementwise_bound, lipschitz_report, liplt,
-                        naive_lipschitz, operator_norm, refine_loop_transform,
-                        subnet_lipschitz)
+                        lipschitz_report, liplt, naive_lipschitz,
+                        operator_norm, refine_loop_transform)
 from .localize import (LayerIntervals, LocalBounds, bounds_for_box,
                        global_bounds, ibp_intervals, local_bounds,
                        local_curvature, local_slope)
@@ -23,8 +22,8 @@ from .reach import (Box, DirectionTemplate, LinearSystem, Polytope, Zonotope,
                     axes_directions, closed_loop_reach, closed_loop_step,
                     pca_directions, reach_polytope, simulate,
                     uniform_directions)
-from .taylor import (BallRegion, BoundPair, epsilon_crossover, first_lower,
-                     first_upper, optimal_perturbation, shifted_center,
-                     two_layer_dual_upper, vertex_upper, zeroth_bounds)
+from .taylor import (BallRegion, epsilon_crossover, first_upper,
+                     optimal_perturbation, shifted_center, two_layer_dual_upper,
+                     vertex_upper)
 
 __version__ = "0.1.0"

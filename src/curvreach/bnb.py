@@ -2,15 +2,16 @@
 
 Each node computes localized Lipschitz and Hessian certificates for its
 sub-rectangle and takes the better of the zeroth-order bound (the ell_inf
-Lipschitz constant times half the longest edge) and one first-order model
-bound over the box itself: the exact vertex maximum when the Hessian upper
-bound is a PSD matrix (one hidden layer, at most ``_VERTEX_CAP`` inputs), else
-the exact maximum of the isotropic model over the box, with a matrix bound
-also the dual bound over the ell_2 ball of radius ``||(hi - lo)/2||_2`` when
-smaller.  Nodes are expanded in order of largest upper bound, one at a time:
-each step pops one node, halves its longest edge, bounds the two children,
-updates the best lower bound over both and pushes them.  Children never
-report a looser upper bound than their parent.
+loop-transformed Lipschitz constant, with ``d = slope_hi / 2``, times half
+the longest edge) and one first-order model bound over the box itself: the
+exact vertex maximum when the Hessian upper bound is a PSD matrix (one hidden
+layer, at most ``_VERTEX_CAP`` inputs), else the exact maximum of the
+isotropic model over the box, with a matrix bound also the dual bound over
+the ell_2 ball of radius ``||(hi - lo)/2||_2`` when smaller.  Nodes are
+expanded in order of largest upper bound, one at a time: each step pops one
+node, halves its longest edge, bounds the two children, updates the best
+lower bound over both and pushes them.  Children never report a looser upper
+bound than their parent.
 
 A node's certificates split into a box-level part (localization, the ell_inf
 internal Lipschitz memo and the ell_2 subnetwork constants), which depends on
@@ -41,7 +42,6 @@ _CERT_CAP = 1024                       # box certificates kept per store
 class BnBConfig:
     eps_t: float = 1e-2
     max_branches: int = 1_000_000
-    lipschitz_method: str = "liplt"    # naive | liplt
     recompute_local: bool = True       # fresh certificates per node vs root reuse
     use_first_order: bool = True
     collect_stats: bool = False
@@ -91,10 +91,10 @@ class BoxCertificates:
     """Box-level certificates shared by the solves of one input set.
 
     Entries are keyed by the exact bytes of a box and are valid only for the
-    hidden layers and the ``lipschitz_method`` and ``use_first_order`` they
-    were computed with; the first solve fixes these, and a later solve that
-    differs raises ``StoreMismatchError``.  At most ``_CERT_CAP`` entries are
-    kept; the oldest goes first.
+    hidden layers and the ``use_first_order`` they were computed with; the
+    first solve fixes these, and a later solve that differs raises
+    ``StoreMismatchError``.  At most ``_CERT_CAP`` entries are kept; the
+    oldest goes first.
     """
 
     def __init__(self):
@@ -104,14 +104,13 @@ class BoxCertificates:
     def bind(self, net, cfg):
         """Fix the owner on first use; refuse any other owner after that."""
         hidden = net.layers[:-1]
-        shape = (cfg.lipschitz_method, cfg.use_first_order)
         if self._owner is None:
-            self._owner = (hidden, shape)
+            self._owner = (hidden, cfg.use_first_order)
             return
-        if self._owner[1] != shape:
+        if self._owner[1] != cfg.use_first_order:
             raise StoreMismatchError(
-                "certificate store was filled with lipschitz_method, "
-                f"use_first_order = {self._owner[1]}, not {shape}")
+                "certificate store was filled with use_first_order = "
+                f"{self._owner[1]}, not {cfg.use_first_order}")
         if not _same_layers(self._owner[0], hidden):
             raise StoreMismatchError(
                 "certificate store was filled for different hidden layers")
@@ -182,8 +181,6 @@ class _Bounder:
         self.root_consts = None
 
     def _ds(self, slope_hi):
-        if self.cfg.lipschitz_method == "naive":
-            return [np.zeros_like(b) for b in slope_hi]
         return [b / 2.0 for b in slope_hi]
 
     def _certificate(self, lo, hi):

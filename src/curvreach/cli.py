@@ -27,7 +27,6 @@ def _bnb_config(args):
     if args.max_branches < 1:
         raise ValueError("--max-branches must be positive")
     return bnb.BnBConfig(eps_t=args.eps_t, max_branches=args.max_branches,
-                         lipschitz_method=args.lipschitz,
                          recompute_local=not args.root_constants)
 
 
@@ -183,7 +182,7 @@ def _cmd_reach(args):
 def _cmd_closedloop(args):
     controller = fileio.load_network(args.controller)
     sys_model = fileio.load_system(args.system, controller)
-    steps = args.steps or sys_model.horizon
+    steps = sys_model.horizon if args.steps is None else args.steps
     input_set = _input_set(args, sys_model.dim)
     template, pca_n = _parse_template(args.dirs, sys_model.dim)
     next_rep = "hull" if args.hull else "pca"
@@ -271,8 +270,6 @@ def _add_solver(sub):
     sub.add_argument("--eps-t", dest="eps_t", type=float, default=1e-2)
     sub.add_argument("--max-branches", dest="max_branches", type=int,
                      default=1_000_000)
-    sub.add_argument("--lipschitz", choices=["naive", "liplt"],
-                     default="liplt")
     sub.add_argument("--root-constants", dest="root_constants",
                      action="store_true",
                      help="reuse root certificates instead of per-node ones")

@@ -147,13 +147,6 @@ def _head_norms(weights, p):
     return [_norm(W, p) for W in weights[:-1]]
 
 
-def _internal_memo(net, local, lt, p):
-    weights = [lay.weight for lay in net.layers]
-    ds = list(lt.d)
-    memo = _memo_raw(weights, local.slope_hi, ds, p)
-    return memo, weights, ds
-
-
 def naive_lipschitz(net, local, p):
     """Product bound: ||W_L|| * prod_l ||diag(slope_hi_l) W_l||."""
     if local.num_hidden != net.depth - 1:
@@ -167,17 +160,8 @@ def naive_lipschitz(net, local, p):
 def liplt(net, local, lt, p):
     """Loop-transformed Lipschitz bound of the whole network."""
     _check_transform(net, local, lt)
-    memo, weights, ds = _internal_memo(net, local, lt, p)
-    return float(_stage(weights[-1], net.depth - 1, memo, weights, ds, p))
-
-
-def subnet_lipschitz(net, local, lt, p, l):
-    """Lipschitz bound of x -> z^(l), the l-th preactivation map (1-indexed)."""
-    _check_transform(net, local, lt)
-    if not 1 <= l <= net.depth - 1:
-        raise ValueError(f"layer index {l} out of range [1, {net.depth - 1}]")
-    memo, weights, ds = _internal_memo(net, local, lt, p)
-    return float(_stage(weights[l - 1], l - 1, memo, weights, ds, p))
+    return _total_raw([lay.weight for lay in net.layers], local.slope_hi,
+                      list(lt.d), p)
 
 
 @dataclass(frozen=True)
@@ -271,8 +255,3 @@ def jacobian_elementwise_bounds(net, local):
     return _jacobian_rows([np.abs(lay.weight) for lay in net.layers],
                           local.slope_hi)
 
-
-def jacobian_elementwise_bound(net, local, l):
-    if not 1 <= l <= net.depth - 1:
-        raise ValueError(f"layer index {l} out of range [1, {net.depth - 1}]")
-    return jacobian_elementwise_bounds(net, local)[l]

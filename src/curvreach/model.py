@@ -156,10 +156,6 @@ class Network:
         return zs
 
 
-def forward(net, x):
-    return net.forward(x)
-
-
 def _backward(net, zs):
     """Reverse-mode gradient of a scalar network of depth >= 2 from its
     preactivations; batched ``zs`` broadcast against the output row."""

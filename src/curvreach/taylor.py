@@ -1,13 +1,12 @@
-"""Sound bounds on sup J over a norm ball or a box from Lipschitz and Hessian
+"""Sound upper bounds on sup J over a norm ball or a box from Hessian
 certificates.
 
-The zeroth-order bracket uses only a Lipschitz constant; the first-order
-bracket expands J around a point y, bounds the remainder with a Hessian
-certificate, and maximizes the resulting quadratic model exactly (closed form
-for the ell_2 ball, separable for the ell_inf ball and for a box given by
-per-coordinate radii).  With a matrix bound M, vertex enumeration is exact
-over a box when M is PSD; branch and bound runs the dual bisection only where
-it is not (indefinite M or too many inputs).
+The first-order bound expands J around a point y, bounds the remainder with a
+Hessian certificate, and maximizes the resulting quadratic model exactly
+(closed form for the ell_2 ball, separable for the ell_inf ball and for a box
+given by per-coordinate radii).  With a matrix bound M, vertex enumeration is
+exact over a box when M is PSD; branch and bound runs the dual bisection only
+where it is not (indefinite M or too many inputs).
 """
 
 import math
@@ -42,17 +41,6 @@ class BallRegion:
     def dim(self):
         return self.center.shape[0]
 
-    def clamp(self, x):
-        """Project a point into the region."""
-        x = np.asarray(x, dtype=float)
-        if np.isinf(self.p):
-            return np.clip(x, self.center - self.radius, self.center + self.radius)
-        d = x - self.center
-        nn = np.linalg.norm(d)
-        if nn <= self.radius:
-            return x.copy()
-        return self.center + d * (self.radius / nn)
-
     def contains(self, x, tol=1e-12):
         d = np.asarray(x, dtype=float) - self.center
         if np.isinf(self.p):
@@ -60,29 +48,9 @@ class BallRegion:
         return bool(np.linalg.norm(d) <= self.radius + tol)
 
 
-@dataclass(frozen=True)
-class BoundPair:
-    """lb <= sup J <= ub with the lb realized by an exact evaluation at witness."""
-
-    lb: float
-    ub: float
-    witness: np.ndarray
-    lb_method: str = ""
-    ub_method: str = ""
-
-
 def _sign_pos(v):
     # sign with sign(0) resolved to +1
     return np.where(v >= 0.0, 1.0, -1.0)
-
-
-def zeroth_bounds(obj, region, L):
-    """lb = J(center), ub = J(center) + L * radius."""
-    if L < 0.0:
-        raise ValueError("Lipschitz constant must be nonnegative")
-    v = float(obj.value(region.center))
-    return BoundPair(v, v + L * region.radius, region.center.copy(),
-                     "center", "zeroth")
 
 
 def optimal_perturbation(center, eps, p, grad_y, lam, y):
@@ -144,17 +112,6 @@ def shifted_center(center, eps, grad_c, lam):
     return center + eta * delta
 
 
-def first_lower(obj, region, candidates=()):
-    """Exact evaluations at the center and at clamped candidate points."""
-    pts = [region.center]
-    for cand in candidates:
-        pts.append(region.clamp(cand))
-    pts = np.stack(pts)
-    vals = obj.value(pts)
-    k = int(np.argmax(vals))
-    return float(vals[k]), pts[k]
-
-
 def epsilon_crossover(L, grad_dual, lam, p, n0):
     """Largest radius at which the first-order upper bound still beats the
     zeroth-order one (at formula level)."""
@@ -172,7 +129,10 @@ def two_layer_dual_upper(grad, M, eps, p=2):
     ball is relaxed to its enclosing ell_2 ball first.
 
     Returns the quadratic part only; the caller adds J at the center.
+    Raises ValueError unless the radius ``eps`` is positive.
     """
+    if not eps > 0.0:
+        raise ValueError(f"dual bound needs a positive radius eps, got {eps}")
     g = np.asarray(grad, dtype=float)
     M = np.asarray(M, dtype=float)
     n = g.shape[0]

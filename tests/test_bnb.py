@@ -459,8 +459,7 @@ class TestBoxCertificates:
             solve_zonotope(ScalarObjective(scalarize(net, [1.0, 0.0])),
                            G, x_c + 1e-3, eps_t=1e-2, certs=store)
 
-    @pytest.mark.parametrize("field, value", [("use_first_order", False),
-                                              ("lipschitz_method", "naive")])
+    @pytest.mark.parametrize("field, value", [("use_first_order", False)])
     def test_refuses_other_certificate_config(self, field, value):
         obj = ScalarObjective(make_net([2, 6, 5, 1], seed=3700))
         lo, hi = -np.ones(2), np.ones(2)

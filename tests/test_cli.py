@@ -122,6 +122,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert field in err and "non-finite" in err
 
+    def test_closedloop_zero_steps_rejected(self, di_files, tmp_path, capsys):
+        system, ctrl, hexagon = di_files
+        out_dir = tmp_path / "cl"
+        code = main(["closedloop", "--system", system, "--controller", ctrl,
+                     "--zonotope", hexagon, "--steps", "0",
+                     "--out-dir", str(out_dir)])
+        assert code == 1
+        assert "at least one step" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["bnb", "reach", "closedloop", "audit"])
+    def test_lipschitz_flag_rejected(self, tanh_file, di_files, tmp_path,
+                                     capsys, command):
+        # the solver has one Lipschitz recipe, so there is nothing to choose
+        system, ctrl, hexagon = di_files
+        box = ["--box=-1..1,-1..1"]
+        argv = {
+            "bnb": ["bnb", "--network", tanh_file, "--direction", "1,0", *box],
+            "reach": ["reach", "--network", tanh_file, *box],
+            "closedloop": ["closedloop", "--system", system, "--controller",
+                           ctrl, "--zonotope", hexagon, "--steps", "1",
+                           "--out-dir", str(tmp_path / "cl")],
+            "audit": ["audit", "--network", tanh_file, "--direction", "1,0",
+                      *box, "--samples", "10"],
+        }[command]
+        assert main([*argv, "--lipschitz", "liplt"]) == 1
+        assert "--lipschitz" in capsys.readouterr().err
+
     def test_branch_limit_exit_2(self, tanh_file, capsys):
         code = main(["bnb", "--network", tanh_file, "--direction", "1,0",
                      "--box=-1..1,-1..1", "--eps-t", "1e-12",

@@ -6,11 +6,10 @@ from hypothesis.extra import numpy as hnp
 
 from curvreach import oracle
 from curvreach.lipschitz import (LoopTransform, default_loop_transform,
-                                 jacobian_elementwise_bound,
                                  jacobian_elementwise_bounds, liplt,
                                  lipschitz_report, naive_lipschitz,
                                  operator_norm, refine_loop_transform,
-                                 subnet_lipschitz, zero_loop_transform)
+                                 zero_loop_transform)
 from curvreach.localize import LocalBounds, bounds_for_box
 from curvreach.model import Activation, Layer, Network, ScalarObjective
 from conftest import make_net
@@ -207,7 +206,7 @@ class TestSubnet:
         local = bounds_for_box(net, -np.ones(3), np.ones(3))
         lt = default_loop_transform(local)
         for p in (2, np.inf):
-            assert subnet_lipschitz(net, local, lt, p, 1) == \
+            assert lipschitz_report(net, local, lt, p).subnet[0] == \
                 pytest.approx(operator_norm(net.layers[0].weight, p), rel=1e-12)
 
     def test_linear_chain_submultiplicative(self):
@@ -217,7 +216,7 @@ class TestSubnet:
                        Layer(W2, np.zeros(2), None)))
         local = bounds_for_box(net, -np.ones(3), np.ones(3))
         lt = zero_loop_transform(local)
-        got = subnet_lipschitz(net, local, lt, 2, 1)
+        got = lipschitz_report(net, local, lt, 2).subnet[0]
         assert operator_norm(W1, 2) == pytest.approx(got, rel=1e-12)
 
     def test_sampled_subnet_slopes(self):
@@ -230,20 +229,12 @@ class TestSubnet:
         ys = lo + rng.random((300, 2)) * (hi - lo)
         zx = net.preactivations(xs)
         zy = net.preactivations(ys)
+        subnet = lipschitz_report(net, local, lt, 2).subnet
         for l in (1, 2):
-            const = subnet_lipschitz(net, local, lt, 2, l)
+            const = subnet[l - 1]
             num = np.linalg.norm(zx[l - 1] - zy[l - 1], axis=1)
             den = np.linalg.norm(xs - ys, axis=1)
             assert np.max(num / den) <= const + 1e-7
-
-    def test_out_of_range(self):
-        net = make_net([2, 4, 1], seed=3)
-        local = bounds_for_box(net, -np.ones(2), np.ones(2))
-        lt = default_loop_transform(local)
-        with pytest.raises(ValueError):
-            subnet_lipschitz(net, local, lt, 2, 0)
-        with pytest.raises(ValueError):
-            subnet_lipschitz(net, local, lt, 2, 2)
 
     def test_report_matches_individual_calls(self):
         net = make_net([2, 6, 5, 1], seed=34)
@@ -251,16 +242,13 @@ class TestSubnet:
         lt = default_loop_transform(local)
         rep = lipschitz_report(net, local, lt, 2)
         assert rep.total == pytest.approx(liplt(net, local, lt, 2), abs=1e-12)
-        for l in (1, 2):
-            assert rep.subnet[l - 1] == pytest.approx(
-                subnet_lipschitz(net, local, lt, 2, l), abs=1e-12)
 
 
 class TestJacobianElementwise:
     def test_base_case(self):
         net = make_net([2, 5, 1], seed=40)
         local = bounds_for_box(net, -np.ones(2), np.ones(2))
-        S = jacobian_elementwise_bound(net, local, 1)
+        S = jacobian_elementwise_bounds(net, local)[1]
         assert np.allclose(S, np.abs(net.layers[-1].weight[0]))
 
     def test_identity_activations_absolute_products(self):
@@ -272,9 +260,10 @@ class TestJacobianElementwise:
                        Layer(W2, np.zeros(3), Activation.IDENTITY),
                        Layer(W3, np.zeros(1), None)))
         local = bounds_for_box(net, -np.ones(2), np.ones(2))
-        S1 = jacobian_elementwise_bound(net, local, 1)
+        bounds = jacobian_elementwise_bounds(net, local)
+        S1 = bounds[1]
         assert np.allclose(S1, np.abs(W3) @ np.abs(W2), atol=1e-12)
-        S2 = jacobian_elementwise_bound(net, local, 2)
+        S2 = bounds[2]
         assert np.allclose(S2, np.abs(W3)[0], atol=1e-12)
 
     def test_fd_jacobian_dominated(self):

@@ -15,8 +15,6 @@ class TestForward:
     def test_identity_network(self):
         net = linear_net(np.eye(2))
         assert np.allclose(net.forward([1.0, 2.0]), [1.0, 2.0])
-        from curvreach.model import forward
-        assert np.allclose(forward(net, [1.0, 2.0]), [1.0, 2.0])
 
     def test_tanh_zero_fixed_point(self):
         net = Network((

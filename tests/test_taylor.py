@@ -5,44 +5,49 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvreach import oracle
+from curvreach.bnb import BnBConfig, solve
 from curvreach.model import ScalarObjective
-from curvreach.taylor import (BallRegion, epsilon_crossover,
-                              first_lower, first_upper, first_upper_from,
-                              optimal_perturbation, shifted_center,
-                              two_layer_dual_upper, vertex_upper, zeroth_bounds)
+from curvreach.taylor import (BallRegion, epsilon_crossover, first_upper,
+                              first_upper_from, optimal_perturbation,
+                              shifted_center, two_layer_dual_upper,
+                              vertex_upper)
 from conftest import ball_sup_oracle, linear_net, make_net, quad_model
 
 
+def root_node(obj, center, radius, use_first_order=False):
+    """Branch and bound over center +- radius, stopped after the root node."""
+    center = np.asarray(center, dtype=float)
+    cfg = BnBConfig(eps_t=1e-12, max_branches=1,
+                    use_first_order=use_first_order)
+    return solve(obj, center - radius, center + radius, cfg=cfg)
+
+
 class TestZeroth:
+    """The zeroth-order bound J(center) + L_inf * radius, which branch and
+    bound computes inline; checked at its root node."""
+
     def test_direct_substitution(self):
-        obj = ScalarObjective(linear_net([[0.0, 0.0]], b=[5.0]))
-        region = BallRegion(np.zeros(2), 0.5, np.inf)
-        pair = zeroth_bounds(obj, region, 2.0)
-        assert pair.lb == pytest.approx(5.0)
-        assert pair.ub == pytest.approx(6.0)
-        assert np.allclose(pair.witness, region.center)
+        obj = ScalarObjective(linear_net([[1.0, -1.0]], b=[5.0]))
+        res = root_node(obj, np.zeros(2), 0.5)
+        # L_inf = 2 for this net
+        assert res.lb == pytest.approx(5.0)
+        assert res.ub == pytest.approx(6.0)
+        assert np.allclose(res.witness, np.zeros(2))
 
     def test_zero_lipschitz_collapses(self):
         obj = ScalarObjective(linear_net([[0.0]], b=[3.0]))
-        region = BallRegion(np.zeros(1), 1.0, 2)
-        pair = zeroth_bounds(obj, region, 0.0)
-        assert pair.lb == pair.ub == pytest.approx(3.0)
+        res = root_node(obj, np.zeros(1), 1.0)
+        assert res.lb == res.ub == pytest.approx(3.0)
 
     def test_linear_inf_ball_exact(self):
         W = np.array([[2.0, -3.0]])
         obj = ScalarObjective(linear_net(W))
-        region = BallRegion(np.array([0.5, -0.5]), 1.0, np.inf)
-        L = np.abs(W).sum()
-        pair = zeroth_bounds(obj, region, L)
-        vertices = region.center + np.array(
+        center = np.array([0.5, -0.5])
+        res = root_node(obj, center, 1.0)
+        vertices = center + np.array(
             [[sx, sy] for sx in (-1, 1) for sy in (-1, 1)])
         vmax = obj.value(vertices).max()
-        assert pair.ub == pytest.approx(vmax, abs=1e-12)
-
-    def test_negative_lipschitz_rejected(self):
-        obj = ScalarObjective(linear_net([[1.0]]))
-        with pytest.raises(ValueError):
-            zeroth_bounds(obj, BallRegion(np.zeros(1), 1.0, 2), -1.0)
+        assert res.ub == pytest.approx(vmax, abs=1e-12)
 
 
 class TestFirstUpper:
@@ -176,44 +181,37 @@ class TestShiftedCenter:
 
 
 class TestFirstLower:
+    """Branch and bound's lower bound: exact evaluations at the center and at
+    the model maximizers clipped into the box; checked at its root node."""
+
     def test_empty_candidates(self):
+        # without the first-order model the root evaluates its center only
         obj = ScalarObjective(make_net([2, 4, 1], seed=3))
-        region = BallRegion(np.array([0.1, 0.2]), 0.5, np.inf)
-        lb, witness = first_lower(obj, region)
-        assert lb == pytest.approx(obj.value(region.center))
-        assert np.allclose(witness, region.center)
+        center = np.array([0.1, 0.2])
+        res = root_node(obj, center, 0.5)
+        assert res.lb == pytest.approx(obj.value(center))
+        assert np.allclose(res.witness, center)
 
     def test_linear_vertex_is_exact(self):
         W = np.array([[1.0, -2.0]])
         obj = ScalarObjective(linear_net(W))
-        region = BallRegion(np.zeros(2), 1.0, np.inf)
-        cand = optimal_perturbation(np.zeros(2), 1.0, np.inf, W[0], 0.0,
-                                    np.zeros(2))
-        lb, witness = first_lower(obj, region, [cand])
-        assert lb == pytest.approx(3.0)
+        res = root_node(obj, np.zeros(2), 1.0, use_first_order=True)
+        assert res.lb == pytest.approx(3.0)
 
     def test_witness_is_exact_evaluation(self):
         obj = ScalarObjective(make_net([2, 6, 1], seed=4))
-        region = BallRegion(np.zeros(2), 0.8, np.inf)
-        cands = np.random.default_rng(5).uniform(-2, 2, size=(10, 2))
-        lb, witness = first_lower(obj, region, list(cands))
-        assert obj.value(witness) == pytest.approx(lb, abs=1e-9)
-        assert region.contains(witness)
+        res = root_node(obj, np.zeros(2), 0.8, use_first_order=True)
+        assert obj.value(res.witness) == pytest.approx(res.lb, abs=1e-9)
+        assert np.all(np.abs(res.witness) <= 0.8)
 
     def test_bracket_with_grid(self):
-        rng = np.random.default_rng(6)
         for k in range(5):
-            net = make_net([2, 8, 1], seed=1100 + k)
-            obj = ScalarObjective(net)
-            region = BallRegion(np.zeros(2), 0.5, np.inf)
-            grad_c = obj.grad(region.center)
-            cand = optimal_perturbation(region.center, 0.5, np.inf, grad_c,
-                                        0.0, region.center)
-            lb, _ = first_lower(obj, region, [cand])
-            gmax, _ = oracle.grid_max(obj.value, region.center - 0.5,
-                                      region.center + 0.5, n_per_axis=100,
+            obj = ScalarObjective(make_net([2, 8, 1], seed=1100 + k))
+            res = root_node(obj, np.zeros(2), 0.5, use_first_order=True)
+            gmax, _ = oracle.grid_max(obj.value, -0.5 * np.ones(2),
+                                      0.5 * np.ones(2), n_per_axis=100,
                                       n_random=10_000, seed=k)
-            assert lb <= gmax + 1e-9
+            assert res.lb <= gmax + 1e-9 <= res.ub + 1e-9
 
 
 class TestCrossover:
@@ -303,6 +301,11 @@ class TestDualUpper:
             corners = eps * np.array([[sx, sy] for sx in (-1, 1)
                                       for sy in (-1, 1)])
             assert val >= fn(np.concatenate([xs, corners])).max() - 1e-9
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan")])
+    def test_nonpositive_radius_rejected(self, eps):
+        with pytest.raises(ValueError, match="radius"):
+            two_layer_dual_upper(np.ones(2), np.eye(2), eps)
 
 
 class TestVertexUpper:
