@@ -8,6 +8,12 @@ thousands to millions of nodes, so they are the runtime hot spots:
 * fused interval propagation through an affine layer,
 * the inf-norm (maximum absolute row sum) of small matrices.
 
+Each kernel also takes stacked inputs with a leading batch axis, one box or
+one matrix per entry, as the branch-and-bound solver bounds the two children
+of a split in one pass.  A stacked call rounds exactly as one call per entry
+would: matrix-vector products keep one BLAS call per vector, never merging
+the stack into one matrix product.
+
 The activation helpers (``sigmoid``, ``sech2`` and the derivatives) are also
 the forward and derivative maps of ``model.py``.
 
@@ -56,8 +62,8 @@ def _even_peak_range(lo, hi, fun, peak):
     """Range of an even function that peaks at 0 and decays in |x|."""
     near = np.where(np.sign(lo) != np.sign(hi), 0.0, np.minimum(np.abs(lo), np.abs(hi)))
     far = np.maximum(np.abs(lo), np.abs(hi))
-    amax = np.where(near == 0.0, peak, fun(near))
-    amin = fun(far)
+    f_near, amin = fun(np.array((near, far)))     # one call for both ends
+    amax = np.where(near == 0.0, peak, f_near)
     return amin, amax
 
 
@@ -79,8 +85,7 @@ def slope_range_softplus(lo, hi):
 
 def _odd_bump_range(lo, hi, fun, crit, extreme):
     """Range of an odd function with a max at -crit and a min at +crit."""
-    vlo = fun(lo)
-    vhi = fun(hi)
+    vlo, vhi = fun(np.array((lo, hi)))            # one call for both ends
     cmin = np.minimum(vlo, vhi)
     cmax = np.maximum(vlo, vhi)
     cmax = np.where((lo < -crit) & (-crit < hi), extreme, cmax)
@@ -107,9 +112,15 @@ def curv_range_softplus(lo, hi):
 
 
 def interval_affine(W, b, c, r):
-    """Push a center/radius interval through x -> Wx + b."""
-    return W @ c + b, np.abs(W) @ r
+    """Push a center/radius interval through x -> Wx + b; ``c`` and ``r``
+    are vectors or stacks of them (rows)."""
+    # a trailing unit axis keeps one matrix-vector product per row
+    return ((W @ c[..., None])[..., 0] + b,
+            (np.abs(W) @ r[..., None])[..., 0])
 
 
 def op_norm_inf(A):
-    return float(np.abs(A).sum(axis=1).max(initial=0.0))
+    """Maximum absolute row sum: a float for one matrix, an array for a
+    stack of them."""
+    norm = np.abs(A).sum(axis=-1).max(axis=-1, initial=0.0)
+    return float(norm) if norm.ndim == 0 else norm

@@ -7,11 +7,18 @@ the longest edge) and one first-order model bound over the box itself: the
 exact vertex maximum when the Hessian upper bound is a PSD matrix (one hidden
 layer, at most ``_VERTEX_CAP`` inputs), else the exact maximum of the
 isotropic model over the box, with a matrix bound also the dual bound over
-the ell_2 ball of radius ``||(hi - lo)/2||_2`` when smaller.  Nodes are
-expanded in order of largest upper bound, one at a time: each step pops one
-node, halves its longest edge, bounds the two children, updates the best
-lower bound over both and pushes them.  Children never report a looser upper
-bound than their parent.
+the ell_2 ball of radius ``||(hi - lo)/2||_2`` when smaller.  On the matrix
+path one eigendecomposition of the upper matrix ``M`` per node serves the
+isotropic curvature, the PSD test and the vertex bound's PSD tolerance.
+
+Nodes are expanded in order of largest upper bound, one at a time: each step
+pops one node, halves its longest edge, bounds both children in one stacked
+pass (the box arrays of ``_Bounder.bound`` carry a leading axis of length 2),
+updates the best lower bound over both and pushes them, first child first.
+Each child gets the bounds it would get alone, bit for bit; the dual solve
+and the scalar Hessian bound run per child, and a stack whose certificates
+fail numerically is bounded again one child at a time.  Children never report
+a looser upper bound than their parent.
 
 A node's certificates split into a box-level part (localization, the ell_inf
 internal Lipschitz memo and the ell_2 subnetwork constants), which depends on
@@ -22,7 +29,7 @@ set may share the box-level part through a ``BoxCertificates`` store.
 
 import heapq
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -126,14 +133,38 @@ class _BoxCertificate:
     """What the per-direction finish reads of a box's certificates.  It
     stands in for ``LocalBounds`` in the Hessian calls: the scalar bound reads
     ``slope_hi`` and ``curv_abs``, the two-layer matrices ``curv_lo`` and
-    ``curv_hi``."""
+    ``curv_hi``.  Each field holds one entry per layer; for a stack of boxes
+    every entry has a leading axis over the boxes."""
 
     slope_hi: tuple
-    memo: list                         # ell_inf internal Lipschitz memo
+    memo: tuple                        # ell_inf internal memo, l >= 1
     curv_lo: tuple = ()
     curv_hi: tuple = ()
     curv_abs: tuple = ()
     subnet2: tuple = ()
+
+    def row(self, k):
+        """The certificate of box ``k`` of a stack, on its own."""
+        return _BoxCertificate(*(
+            tuple(a[k] if a.ndim > 1 else float(a[k])
+                  for a in getattr(self, f.name))
+            for f in fields(self)))
+
+    @staticmethod
+    def stack(certs):
+        """The certificates of single boxes, stacked in order."""
+        return _BoxCertificate(*(
+            tuple(np.array(parts)
+                  for parts in zip(*(getattr(c, f.name) for c in certs)))
+            for f in fields(_BoxCertificate)))
+
+
+def _select(mask):
+    """Index of the boxes that ``mask`` picks: a plain slice when it picks
+    all of them, so that nothing is copied, and None when it picks none."""
+    if mask.all():
+        return slice(None)
+    return np.flatnonzero(mask) if mask.any() else None
 
 
 def as_objective(obj_or_net):
@@ -184,114 +215,178 @@ class _Bounder:
         return [b / 2.0 for b in slope_hi]
 
     def _certificate(self, lo, hi):
-        """Box-level certificates on [lo, hi], from the store when it has them."""
-        if self.certs is not None:
-            key = lo.tobytes() + hi.tobytes()
-            cert = self.certs.entries.get(key)
-            if cert is not None:
-                return cert
+        """Box-level certificates of a stack of boxes; each box is looked up
+        in the store on its own, and the missing ones are computed together."""
+        if self.certs is None:
+            return self._fresh_certificate(lo, hi)
+        keys = [a.tobytes() + b.tobytes() for a, b in zip(lo, hi)]
+        certs = [self.certs.entries.get(key) for key in keys]
+        missing = [k for k, cert in enumerate(certs) if cert is None]
+        if not missing:
+            return _BoxCertificate.stack(certs)
+        fresh = self._fresh_certificate(lo[missing], hi[missing])
+        for j, k in enumerate(missing):
+            certs[k] = fresh.row(j)
+            self.certs.put(keys[k], certs[k])
+        if len(missing) == len(keys):
+            return fresh
+        return _BoxCertificate.stack(certs)
+
+    def _fresh_certificate(self, lo, hi):
         local = loc.bounds_for_box(self.net, lo, hi)
         slope_hi = local.slope_hi
         ds = self._ds(slope_hi)
-        cert = _BoxCertificate(
-            slope_hi, lip._memo_raw(self.weights, slope_hi, ds, np.inf))
+        memo = lip._memo_raw(self.weights, slope_hi, ds, np.inf)
+        cert = _BoxCertificate(slope_hi, tuple(memo[1:]))
         if self.two_layer:
             cert.curv_lo, cert.curv_hi = local.curv_lo, local.curv_hi
         elif self.cfg.use_first_order:
             cert.curv_abs = local.curv_abs
-            cert.subnet2 = lip._report_raw(self.weights, slope_hi, ds, 2,
-                                           self.heads2)
-        if self.certs is not None:
-            self.certs.put(key, cert)
+            # the first subnetwork constant, ||W_1||, is one for all boxes
+            cert.subnet2 = tuple(
+                np.broadcast_to(c, lo.shape[:1])
+                for c in lip._report_raw(self.weights, slope_hi, ds, 2,
+                                         self.heads2))
         return cert
 
+    def _scalar_lam(self, box):
+        """The scalar Hessian bound of one box, from its own certificate."""
+        report = lip.LipschitzReport(0.0, box.subnet2, 2)
+        jac = lip._jacobian_rows(self.abs_weights, box.slope_hi)
+        return hs.hessian_norm_bound(self.net, box, report, jac).lam
+
     def _constants(self, lo, hi):
-        """(L_inf, hessian bound) certified on the box [lo, hi]."""
+        """(L_inf, M, eig, lam) certified on each box of a stack: the ell_inf
+        Lipschitz constant; on the two-layer path the upper Hessian matrix
+        and its eigenvalues, else None; and lam >= ||hess J||_2, which is
+        lambda_max(M)^+ on the two-layer path.  The last three are None
+        without first-order bounds."""
         cert = self._certificate(lo, hi)
         slope_hi = cert.slope_hi
         l_inf = lip._total_raw(self.weights, slope_hi, self._ds(slope_hi),
-                               np.inf, cert.memo, self.head_inf) + self.lin_inf
+                               np.inf, (0.0,) + cert.memo,
+                               self.head_inf) + self.lin_inf
         if not self.cfg.use_first_order:
-            return l_inf, None
+            return l_inf, None, None, None
         if self.two_layer:
-            return l_inf, hs.two_layer_matrix_bounds(self.net, cert)
-        jac = lip._jacobian_rows(self.abs_weights, slope_hi)
-        report = lip.LipschitzReport(0.0, cert.subnet2, 2)
-        return l_inf, hs.hessian_norm_bound(self.net, cert, report, jac)
+            M = hs.two_layer_matrix_bounds(self.net, cert).M
+            # the one decomposition of M: lam, the PSD test and the vertex
+            # bound's tolerance all read it
+            eig = np.linalg.eigvalsh(M)
+            return l_inf, M, eig, np.maximum(eig[:, -1], 0.0)
+        lam = np.array([self._scalar_lam(cert.row(k)) for k in range(len(lo))])
+        return l_inf, None, None, lam
+
+    def _one_by_one(self, lo, hi, index, parent_ub):
+        """``bound`` on each box of a stack as a stack of one."""
+        return [node for k in range(len(lo))
+                for node in self.bound(lo[k:k + 1], hi[k:k + 1], index + k,
+                                       parent_ub)]
 
     def bound(self, lo, hi, index, parent_ub=np.inf):
+        """Bound each box of the stack ``lo``, ``hi`` (shape ``(B, n)``) and
+        return its ``B`` nodes, numbered from ``index`` in stack order.
+
+        Each box gets the bounds it would get alone, bit for bit.  A stack
+        that holds a degenerate box, or whose certificates fail numerically,
+        is bounded one box at a time, so only a failing box is flagged."""
         cfg = self.cfg
+        n_box = len(lo)
         center = (lo + hi) / 2.0
-        r = (hi - lo) / 2.0            # half-edges; the box is center +- r
-        eps = float(r.max())
+        r = (hi - lo) / 2.0            # half-edges; a box is center +- r
+        eps = r.max(axis=1)
+        if n_box > 1 and not (eps > 0.0).all():
+            return self._one_by_one(lo, hi, index, parent_ub)
         value_c, grad_c = self.obj.value_and_grad(center)
-        flagged = False
-        if eps <= 0.0:
-            return BnBNode(lo, hi, center, value_c, min(value_c, parent_ub),
-                           center, index)
+        if eps[0] <= 0.0:
+            v = float(value_c[0])
+            return [BnBNode(lo[0], hi[0], center[0], v, min(v, parent_ub),
+                            center[0], index)]
         if cfg.recompute_local or self.root_consts is None:
             try:
                 consts = self._constants(lo, hi)
             except (taylor.DualBisectionError, np.linalg.LinAlgError,
                     FloatingPointError):
+                if n_box > 1:
+                    return self._one_by_one(lo, hi, index, parent_ub)
                 # sound fallback: inherit the parent's upper bound, keep the
                 # center evaluation as the lower bound
-                return BnBNode(lo, hi, center, value_c, parent_ub, center,
-                               index, flagged=True)
-            if self.root_consts is None:
+                return [BnBNode(lo[0], hi[0], center[0], float(value_c[0]),
+                                parent_ub, center[0], index, flagged=True)]
+            if index == 0:
+                # only the root's certificates hold on every later box; if
+                # the root's fail, each node keeps its own
                 self.root_consts = consts
         else:
-            consts = self.root_consts
-        l_inf, hess = consts
+            consts = tuple(None if a is None else
+                           np.broadcast_to(a, (n_box,) + a.shape[1:])
+                           for a in self.root_consts)
+        l_inf, M, eig, lam = consts
 
-        ub0 = value_c + l_inf * eps
-        ub = ub0
-        first_won = False
-        candidates = []
-        if cfg.use_first_order and hess is not None:
-            n = center.shape[0]
-            matrix = isinstance(hess, hs.MatrixHessianBound)
-            if matrix:
-                eig = np.linalg.eigvalsh(hess.M)
-                lam = max(float(eig[-1]), 0.0)
-            else:
-                lam = hess.lam
+        ub = value_c + l_inf * eps
+        lb = value_c
+        witness = center
+        first_won = np.zeros(n_box, dtype=bool)
+        flagged = np.zeros(n_box, dtype=bool)
+        if lam is not None:
             # the isotropic model's maximizer over the box itself: the
             # segment from the center to any point of the box stays in the
             # box, on which lam is certified
             x_iso = taylor.optimal_perturbation(center, r, np.inf, grad_c,
                                                 lam, center)
-            candidates.append(x_iso)
-            if matrix and float(eig[0]) >= -1e-9 and n <= _VERTEX_CAP:
+            vertex = np.zeros(n_box, dtype=bool)
+            if M is not None and center.shape[1] <= _VERTEX_CAP:
+                vertex = eig[:, 0] >= -1e-9
+            v_sel, i_sel = _select(vertex), _select(~vertex)
+            ub1 = np.empty(n_box)
+            # lower-bound candidates: the isotropic maximizer, then the
+            # vertex maximizer where there is one
+            pts = np.empty((n_box, 2, center.shape[1]))
+            pts[:] = x_iso[:, None, :]
+            if v_sel is not None:
                 # convex model: exact at a vertex, never above the others
-                v, vert = taylor.vertex_upper(grad_c, hess.M, lo, hi, center,
-                                              return_witness=True)
-                ub1 = value_c + v
-                candidates.append(vert)
-            else:
-                ub1 = taylor._model_value(value_c, grad_c, lam, x_iso, center)
-                if matrix:
+                v, vert = taylor.vertex_upper(
+                    grad_c[v_sel], M[v_sel], lo[v_sel], hi[v_sel],
+                    center[v_sel], return_witness=True, eig=eig[v_sel])
+                ub1[v_sel] = value_c[v_sel] + v
+                pts[v_sel, 1] = vert
+            if i_sel is not None:
+                ub1[i_sel] = taylor._model_value(value_c[i_sel], grad_c[i_sel],
+                                                 lam[i_sel], x_iso[i_sel],
+                                                 center[i_sel])
+            if i_sel is not None and M is not None:
+                # the dual runs per box, on its own radius
+                for k in np.arange(n_box)[i_sel]:
                     try:
-                        ub1 = min(ub1, value_c + taylor.two_layer_dual_upper(
-                            grad_c, hess.M, float(np.linalg.norm(r)), p=2))
+                        dual = taylor.two_layer_dual_upper(
+                            grad_c[k], M[k], float(np.linalg.norm(r[k])), p=2)
+                        ub1[k] = min(ub1[k], value_c[k] + dual)
                     except taylor.DualBisectionError:
-                        flagged = True
-            first_won = ub1 < ub0
-            ub = min(ub0, ub1)
-
-        lb = value_c
-        witness = center
-        if candidates:
-            pts = np.clip(np.stack(candidates), lo, hi)
-            vals = self.obj.value(pts)
-            k = int(np.argmax(vals))
-            if float(vals[k]) > lb:
-                lb = float(vals[k])
-                witness = pts[k]
-        ub = min(ub, parent_ub)
-        ub = max(ub, lb)
-        return BnBNode(lo, hi, center, lb, ub, witness, index,
-                       flagged=flagged, first_won=first_won)
+                        flagged[k] = True
+            first_won = ub1 < ub
+            ub = np.minimum(ub, ub1)
+            # the candidates, clipped to their box, are evaluated exactly;
+            # boxes with one and with two candidates are evaluated apart,
+            # since a one-row and a two-row product round differently
+            np.clip(pts, lo[:, None, :], hi[:, None, :], out=pts)
+            lb = lb.copy()
+            witness = witness.copy()
+            for sel, count in ((v_sel, 2), (i_sel, 1)):
+                if sel is None:
+                    continue
+                cand = pts[sel, :count]
+                vals = self.obj.value(cand)
+                at = np.arange(len(vals))
+                k = np.argmax(vals, axis=1)
+                up = vals[at, k] > lb[sel]
+                lb[sel] = np.where(up, vals[at, k], lb[sel])
+                witness[sel] = np.where(up[:, None], cand[at, k], witness[sel])
+        ub = np.maximum(np.minimum(ub, parent_ub), lb)
+        return [BnBNode(lo[k], hi[k], center[k], lb_k, ub_k, witness[k],
+                        index + k, flagged=f_k, first_won=w_k)
+                for k, (lb_k, ub_k, f_k, w_k) in enumerate(zip(
+                    lb.tolist(), ub.tolist(), flagged.tolist(),
+                    first_won.tolist()))]
 
 
 def solve(obj_or_net, lo, hi, eps_t=None, cfg=None, certs=None):
@@ -316,7 +411,7 @@ def solve(obj_or_net, lo, hi, eps_t=None, cfg=None, certs=None):
 
     start = time.perf_counter()
     bounder = _Bounder(obj, cfg, certs)
-    root = bounder.bound(lo, hi, 0)
+    root, = bounder.bound(lo[None], hi[None], 0)
     best_lb = root.lb
     witness = root.witness
     heap = [(-root.ub, root.index, root)]
@@ -344,8 +439,9 @@ def solve(obj_or_net, lo, hi, eps_t=None, cfg=None, certs=None):
             continue
         (lo1, hi1), (lo2, hi2) = split_box(node.lo, node.hi,
                                            maxlen_axis(node.lo, node.hi))
-        children = (bounder.bound(lo1, hi1, next_index, node.ub),
-                    bounder.bound(lo2, hi2, next_index + 1, node.ub))
+        # both children in one stacked pass, in the order they are pushed
+        children = bounder.bound(np.array((lo1, lo2)), np.array((hi1, hi2)),
+                                 next_index, node.ub)
         next_index += 2
         for child in children:
             branches += 1

@@ -55,15 +55,29 @@ def _parse_norm(text):
     raise ValueError(f"unsupported norm {text!r}; use 2 or inf")
 
 
+def _template_count(text):
+    """The K of ``--dirs uniform:K`` or the N of ``--dirs pca:N``."""
+    kind, _, count = text.partition(":")
+    try:
+        value = int(count)
+    except ValueError:
+        raise ValueError(f"--dirs {text!r}: {kind} needs an integer count, "
+                         f"got {count!r}") from None
+    if value < 0:
+        raise ValueError(f"--dirs {text!r}: {kind} needs a nonnegative count")
+    return value
+
+
 def _parse_template(text, n_f):
     if text == "axes":
         return reach.axes_directions(n_f), None
     if text.startswith("uniform:"):
+        count = _template_count(text)
         if n_f != 2:
             raise ValueError("uniform templates need a 2-D output space")
-        return reach.uniform_directions(int(text.split(":", 1)[1])), None
+        return reach.uniform_directions(count), None
     if text.startswith("pca:"):
-        return None, int(text.split(":", 1)[1])
+        return None, _template_count(text)
     raise ValueError(f"unknown template {text!r}; use axes|uniform:K|pca:N")
 
 
@@ -183,6 +197,9 @@ def _cmd_closedloop(args):
     controller = fileio.load_network(args.controller)
     sys_model = fileio.load_system(args.system, controller)
     steps = sys_model.horizon if args.steps is None else args.steps
+    if args.sim_points < 0:
+        raise ValueError("--sim-points must be nonnegative, got "
+                         f"{args.sim_points}")
     input_set = _input_set(args, sys_model.dim)
     template, pca_n = _parse_template(args.dirs, sys_model.dim)
     next_rep = "hull" if args.hull else "pca"
@@ -190,7 +207,8 @@ def _cmd_closedloop(args):
     t0 = time.perf_counter()
     trace = reach.closed_loop_reach(
         sys_model, input_set, template, args.eps_t, steps=steps, cfg=cfg,
-        next_rep=next_rep, pca_samples=pca_n or 10_000, seed=args.seed)
+        next_rep=next_rep,
+        pca_samples=10_000 if pca_n is None else pca_n, seed=args.seed)
     polys = [poly for poly, _ in trace]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -14,7 +14,8 @@ from . import lipschitz as lip
 
 @dataclass(frozen=True)
 class MatrixHessianBound:
-    """Symmetric M, N with N <= hess J(x) <= M on the certified region."""
+    """Symmetric M, N with N <= hess J(x) <= M on the certified region; a
+    stack of regions has one pair per entry of a leading axis."""
 
     M: np.ndarray
     N: np.ndarray
@@ -22,7 +23,8 @@ class MatrixHessianBound:
     def __post_init__(self):
         M = np.asarray(self.M, dtype=float)
         N = np.asarray(self.N, dtype=float)
-        if M.shape != N.shape or M.ndim != 2 or M.shape[0] != M.shape[1]:
+        if M.shape != N.shape or M.ndim not in (2, 3) \
+                or M.shape[-1] != M.shape[-2]:
             raise ValueError("M and N must be square matrices of equal shape")
         if np.linalg.eigvalsh(M - N).min() < -1e-9:
             raise ValueError("upper matrix does not dominate lower matrix")
@@ -45,7 +47,8 @@ def two_layer_matrix_bounds(net, local):
     """Sandwich matrices for a one-hidden-layer scalar network.
 
     Each hidden unit j contributes w1_j w1_j^T scaled by the worst-case signed
-    curvature of its activation times the output weight.
+    curvature of its activation times the output weight.  Curvature ranges
+    stacked on a leading axis, one row per box, give stacked matrices.
     """
     if net.depth != 2:
         raise ValueError("matrix Hessian bounds need exactly one hidden layer")
@@ -58,9 +61,11 @@ def two_layer_matrix_bounds(net, local):
     m_coeff = cb * pos + ca * neg
     n_coeff = ca * pos + cb * neg
     W1 = net.layers[0].weight
-    M = (W1 * m_coeff[:, None]).T @ W1
-    N = (W1 * n_coeff[:, None]).T @ W1
-    return MatrixHessianBound((M + M.T) / 2.0, (N + N.T) / 2.0)
+    # W1^T diag(coeff) W1 for both coefficient vectors at once, symmetrized
+    coeff = np.array((m_coeff, n_coeff))
+    G = (W1 * coeff[..., :, None]).swapaxes(-1, -2) @ W1
+    M, N = (G + G.swapaxes(-1, -2)) / 2.0
+    return MatrixHessianBound(M, N)
 
 
 def _weighted_suffix_liplt(weights, slope_his, l, h):

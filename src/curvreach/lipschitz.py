@@ -14,6 +14,11 @@ final stage.  ``d = 0`` collapses it to the naive product of layer norms, and
 
 Spectral norms are LAPACK singular values inflated by an explicit rounding
 margin (see ``operator_norm``), never estimates from below.
+
+The raw recursion (``_memo_raw``, ``_total_raw``, ``_report_raw``) also takes
+per-layer slope and transform vectors stacked on a leading batch axis, one
+row per box; its constants are then arrays with one entry per box, each equal
+to what the box alone gives.
 """
 
 from dataclasses import dataclass
@@ -40,26 +45,29 @@ def operator_norm(A, p):
     The inf-norm is the maximum absolute row sum.  The spectral norm is
     the largest singular value from LAPACK's SVD, inflated by the rounding
     margin ``1 + 8 max(m, n) eps``, so it never falls below the true norm.
+    A stack of matrices ``(B, m, n)`` gives an array of ``B`` norms.
     Raises ValueError on an empty, non-2-D or non-finite matrix.
     """
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.size == 0:
-        raise ValueError("operator_norm needs a nonempty 2-D matrix")
+    if A.ndim not in (2, 3) or A.size == 0:
+        raise ValueError("operator_norm needs a nonempty 2-D matrix or a "
+                         "stack of them")
     if not np.isfinite(A).all():
         raise ValueError("operator_norm got a matrix with non-finite entries "
                          "(NaN or inf)")
     if np.isinf(p):
         return K.op_norm_inf(A)
     if p == 2:
-        sigma = float(np.linalg.svd(A, compute_uv=False)[0])
-        return sigma * (1.0 + _SVD_MARGIN_C * max(A.shape) * _EPS)
+        sigma = np.linalg.svd(A, compute_uv=False)[..., 0]
+        sigma = float(sigma) if sigma.ndim == 0 else sigma
+        return sigma * (1.0 + _SVD_MARGIN_C * max(A.shape[-2:]) * _EPS)
     raise ValueError(f"unsupported norm {p}")
 
 
 def _norm(A, p):
     # internal: also serves p=1 (max column sum) for the weighted suffix bound
     if p == 1:
-        return K.op_norm_inf(np.ascontiguousarray(A.T))
+        return K.op_norm_inf(np.ascontiguousarray(A.swapaxes(-1, -2)))
     return operator_norm(A, p)
 
 
@@ -106,9 +114,15 @@ def _stage(P0, top, memo, weights, ds, p, head=None):
     P = P0
     for j in range(top, 0, -1):
         total += norm * memo[j]
-        P = (P * ds[j - 1]) @ weights[j - 1]
+        # columns scaled by d, per box when d is stacked
+        P = (P * ds[j - 1][..., None, :]) @ weights[j - 1]
         norm = _norm(P, p)
     return total + norm
+
+
+def _unbox(c):
+    """A float for one constant; the array as is for a stack of boxes."""
+    return c if isinstance(c, np.ndarray) and c.ndim else float(c)
 
 
 def _memo_raw(weights, slope_his, ds, p):
@@ -116,7 +130,7 @@ def _memo_raw(weights, slope_his, ds, p):
     memo = [0.0] * len(weights)
     for l in range(1, len(weights)):
         dprime = slope_his[l - 1] - ds[l - 1]
-        P0 = dprime[:, None] * weights[l - 1]
+        P0 = dprime[..., :, None] * weights[l - 1]
         memo[l] = _stage(P0, l - 1, memo, weights, ds, p)
     return memo
 
@@ -125,8 +139,8 @@ def _total_raw(weights, slope_his, ds, p, memo=None, head=None):
     """Whole-network constant; ``head``, when given, is the norm of W_L."""
     if memo is None:
         memo = _memo_raw(weights, slope_his, ds, p)
-    return float(_stage(weights[-1], len(weights) - 1, memo, weights, ds, p,
-                        head))
+    total = _stage(weights[-1], len(weights) - 1, memo, weights, ds, p, head)
+    return _unbox(total)
 
 
 def _report_raw(weights, slope_his, ds, p, heads, memo=None):
@@ -136,10 +150,9 @@ def _report_raw(weights, slope_his, ds, p, heads, memo=None):
     depend on the box, so callers pass these in as ``heads[l-1]``."""
     if memo is None:
         memo = _memo_raw(weights, slope_his, ds, p)
-    return tuple(
-        float(_stage(weights[l - 1], l - 1, memo, weights, ds, p, heads[l - 1]))
-        for l in range(1, len(weights))
-    )
+    subnet = (_stage(weights[l - 1], l - 1, memo, weights, ds, p, heads[l - 1])
+              for l in range(1, len(weights)))
+    return tuple(_unbox(c) for c in subnet)
 
 
 def _head_norms(weights, p):

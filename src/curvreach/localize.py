@@ -5,6 +5,10 @@ layer (center ``Wc + b``, radius ``|W|r``) and through the monotone-increasing
 activations.  The resulting per-unit intervals tighten the global slope and
 curvature ranges of each activation, which is what makes the Lipschitz and
 Hessian certificates local.
+
+``ibp_intervals`` and ``bounds_for_box`` also take a stack of boxes, ``lo``
+and ``hi`` of shape ``(B, n)``; every per-unit array then has a leading axis
+of length ``B``, and each box's entries equal those of bounding it alone.
 """
 
 from dataclasses import dataclass
@@ -55,24 +59,28 @@ class LocalBounds:
 
 
 def ibp_intervals(net, lo, hi):
-    """Interval bound propagation of the box [lo, hi] through the network."""
+    """Interval bound propagation of the box [lo, hi], or of a stack of
+    boxes (rows), through the network."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    if lo.shape != (net.input_dim,) or hi.shape != (net.input_dim,):
+    if lo.shape != hi.shape or lo.ndim not in (1, 2) \
+            or lo.shape[-1] != net.input_dim:
         raise ValueError(f"box dimension must be ({net.input_dim},)")
     if np.any(lo > hi):
         raise ValueError("box lower bound exceeds upper bound")
     c = (lo + hi) / 2.0
     r = (hi - lo) / 2.0
     lowers, uppers = [], []
-    for lay in net.layers[:-1]:
+    hidden = net.layers[:-1]
+    for l, lay in enumerate(hidden):
         c, r = K.interval_affine(lay.weight, lay.bias, c, r)
         zl, zu = c - r, c + r
         lowers.append(zl)
         uppers.append(zu)
+        if l + 1 == len(hidden):
+            break                      # the output layer's input is not needed
         # activations are monotone increasing, so the image is [act(zl), act(zu)]
-        al = act_value(lay.activation, zl)
-        au = act_value(lay.activation, zu)
+        al, au = act_value(lay.activation, np.array((zl, zu)))
         c = (al + au) / 2.0
         r = (au - al) / 2.0
     return LayerIntervals(tuple(lowers), tuple(uppers))

@@ -245,19 +245,25 @@ class ScalarObjective:
         return g
 
     def value_and_grad(self, x):
-        """Single forward pass for both; the branch-and-bound hot path."""
+        """Single forward pass for both; the branch-and-bound hot path.
+
+        ``x`` is a point ``(n,)``, giving a float and a gradient, or a stack
+        of points ``(B, n)``, giving ``B`` values and ``B`` gradient rows."""
         x = np.asarray(x, dtype=float)
         net = self.net
-        zs = net.preactivations(x)
-        v = float(zs[-1][0]) + self.offset
+        # each point its own one-row matrix: one matrix-vector product per
+        # point, so a stacked call rounds as single ones do
+        rows = x[..., None, :]
+        zs = net.preactivations(rows)
+        v = zs[-1][..., 0, 0] + self.offset
         if net.depth == 1:
-            g = net.layers[0].weight[0].copy()
+            g = np.broadcast_to(net.layers[0].weight[0], x.shape).copy()
         else:
-            g = _backward(net, zs)
+            g = _backward(net, zs)[..., 0, :]
         if self.linear is not None:
-            v += float(x @ self.linear)
+            v = v + (rows @ self.linear)[..., 0]
             g = g + self.linear
-        return v, g
+        return (float(v), g) if v.ndim == 0 else (v, g)
 
     def linear_dual_norm(self, p):
         """Lipschitz contribution of the affine part in the ell_p norm."""

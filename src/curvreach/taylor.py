@@ -7,6 +7,10 @@ Hessian certificate, and maximizes the resulting quadratic model exactly
 given by per-coordinate radii).  With a matrix bound M, vertex enumeration is
 exact over a box when M is PSD; branch and bound runs the dual bisection only
 where it is not (indefinite M or too many inputs).
+
+``optimal_perturbation`` (for p=inf) and ``vertex_upper`` also take a stack
+of boxes, every argument with a leading batch axis, and return one result
+per box, each equal to what the box alone gives.
 """
 
 import math
@@ -58,13 +62,16 @@ def optimal_perturbation(center, eps, p, grad_y, lam, y):
     over the ball; for p=2 the normalized steering vector, for p=inf the
     per-coordinate endpoint choice.  For p=inf, ``eps`` may be an array of
     per-coordinate radii r: the maximizer over the box center +- r, where
-    the model at y = center peaks at sum(|g_i| r_i + lam/2 r_i^2)."""
+    the model at y = center peaks at sum(|g_i| r_i + lam/2 r_i^2).  For p=inf
+    the vectors may also be stacks of rows, with one ``lam`` per row."""
     center = np.asarray(center, dtype=float)
     grad_y = np.asarray(grad_y, dtype=float)
     y = np.asarray(y, dtype=float)
-    u = grad_y - lam * (y - center)
+    u = grad_y - np.asarray(lam)[..., None] * (y - center)
     if np.isinf(p):
         return center + eps * _sign_pos(u)
+    if u.ndim != 1:
+        raise ValueError("the ell_2 maximizer takes a single vector")
     if p == 2:
         nn = np.linalg.norm(u)
         if nn == 0.0:
@@ -75,9 +82,16 @@ def optimal_perturbation(center, eps, p, grad_y, lam, y):
     raise ValueError(f"unsupported norm {p}")
 
 
+def _dot(a, b):
+    """Row-wise dot product; one BLAS dot per row, as for single vectors."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def _model_value(value_y, grad_y, lam, x, y):
+    """The model at x; rows of stacked arguments give an array of values."""
     d = x - y
-    return float(value_y + grad_y @ d + 0.5 * lam * (d @ d))
+    v = value_y + _dot(grad_y, d) + 0.5 * lam * _dot(d, d)
+    return v if isinstance(v, np.ndarray) and v.ndim else float(v)
 
 
 def first_upper_from(value_y, grad_y, region, lam, y):
@@ -178,42 +192,64 @@ def two_layer_dual_upper(grad, M, eps, p=2):
     return dual_value(hi)
 
 
-def vertex_upper(grad, M, lo, hi, center=None, return_witness=False):
+def vertex_upper(grad, M, lo, hi, center=None, return_witness=False,
+                 eig=None):
     """Exact max of the quadratic model over box vertices; valid bound on the
     whole box when M is positive semidefinite (convex model).  M is accepted
     down to lambda_min(M) >= -1e-9; with tau = -lambda_min(M) > 0 the bound
     adds tau/2 * sum_i max(hi_i - c_i, c_i - lo_i)^2, the most by which the
-    convex model with M + tau I lies above the one with M on the box."""
-    g = np.asarray(grad, dtype=float)
-    M = np.asarray(M, dtype=float)
+    convex model with M + tau I lies above the one with M on the box.
+
+    ``eig``, when given, holds the eigenvalues of M (``eigvalsh(M)``), which
+    the caller has already computed; the PSD check reads them in place of a
+    fresh decomposition.  Stacked arguments, one box per entry of a leading
+    axis, give one value (and witness) per box; the check then covers every
+    M of the stack.
+    """
+    single = np.ndim(lo) == 1
     lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    n = lo.shape[0]
+    n = lo.shape[-1]
     if n > 20:
         raise ValueError(f"vertex enumeration unsupported beyond 20 dims (got {n})")
-    tau = -float(np.linalg.eigvalsh(M).min())
-    if tau > 1e-9:
+    # one row per box from here on
+    lo = lo.reshape(-1, n)
+    hi = np.asarray(hi, dtype=float).reshape(-1, n)
+    g = np.asarray(grad, dtype=float).reshape(-1, n)
+    M = np.asarray(M, dtype=float).reshape(-1, n, n)
+    if eig is None:
+        eig = np.linalg.eigvalsh(M)
+    tau = -np.asarray(eig, dtype=float).reshape(-1, n).min(axis=1)
+    if (tau > 1e-9).any():
         raise ValueError("vertex bound needs a positive semidefinite matrix")
-    if center is None:
-        center = (lo + hi) / 2.0
-    best = -math.inf
-    best_v = None
+    center = (lo + hi) / 2.0 if center is None \
+        else np.asarray(center, dtype=float).reshape(-1, n)
+    rows = np.arange(lo.shape[0])
     total = 1 << n
     chunk = 1 << min(n, 16)
     bits = np.arange(n)
+    up = (hi - center)[:, None, :]
+    down = (lo - center)[:, None, :]
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total))
-        mask = (idx[:, None] >> bits) & 1
-        verts = np.where(mask == 1, hi, lo)
-        delta = verts - center
-        vals = delta @ g + 0.5 * np.einsum("ij,jk,ik->i", delta, M, delta)
-        k = int(np.argmax(vals))
-        if vals[k] > best:
-            best = float(vals[k])
-            best_v = verts[k]
-    if tau > 0.0:
+        upper = ((idx[:, None] >> bits) & 1) == 1   # vertex i takes hi_j
+        delta = np.where(upper, up, down)
+        # one matrix-vector product per box, as for a single box
+        vals = (delta @ g[:, :, None])[..., 0] \
+            + 0.5 * np.einsum("bij,bjk,bik->bi", delta, M, delta)
+        k = np.argmax(vals, axis=1)
+        top, top_v = vals[rows, k], np.where(upper[k], hi, lo)
+        if start == 0:
+            best, best_v = top, top_v
+        else:
+            better = top > best
+            best = np.where(better, top, best)
+            best_v = np.where(better[:, None], top_v, best_v)
+    slack = tau > 0.0
+    if slack.any():
         far = np.maximum(hi - center, center - lo)
-        best += 0.5 * tau * float(far @ far)
+        best = np.where(slack, best + 0.5 * tau * _dot(far, far), best)
+    if single:
+        best, best_v = float(best[0]), best_v[0]
     if return_witness:
         return best, best_v
     return best

@@ -303,16 +303,39 @@ class TestFailureEnvelope:
         obj = ScalarObjective(net)
         cfg = BnBConfig(eps_t=1e-3)
         bounder = _Bounder(obj, cfg)
-        root = bounder.bound(-np.ones(2), np.ones(2), 0)
+        root, = bounder.bound(-np.ones((1, 2)), np.ones((1, 2)), 0)
 
         def broken(lo, hi):
             raise np.linalg.LinAlgError("engine down")
 
         monkeypatch.setattr(bounder, "_constants", broken)
-        child = bounder.bound(-np.ones(2), np.zeros(2), 1, parent_ub=root.ub)
+        child, = bounder.bound(-np.ones((1, 2)), np.zeros((1, 2)), 1,
+                               parent_ub=root.ub)
         assert child.flagged
         assert child.ub == root.ub
         assert child.lb == pytest.approx(obj.value(child.center))
+
+    def test_root_constants_come_from_the_root_only(self, monkeypatch):
+        # with the root's certificates failed, a child's certificates hold on
+        # its own box only, so no later node may reuse them
+        obj = ScalarObjective(make_net([2, 6, 1], seed=3100))
+        bounder = _Bounder(obj, BnBConfig(recompute_local=False))
+        real = bounder._constants
+        calls = []
+
+        def constants(lo, hi):
+            calls.append(len(lo))
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("root fails")
+            return real(lo, hi)
+
+        monkeypatch.setattr(bounder, "_constants", constants)
+        root, = bounder.bound(-np.ones((1, 2)), np.ones((1, 2)), 0)
+        assert root.flagged
+        lo, hi = _children(-np.ones(2), np.ones(2))
+        bounder.bound(lo, hi, 1, root.ub)
+        bounder.bound(lo[:1], hi[:1], 3, root.ub)
+        assert calls == [1, 2, 1]
 
     def test_degenerate_box_solves_as_point(self):
         net = make_net([2, 5, 1], seed=3200)
@@ -379,6 +402,103 @@ class TestModelBoundRouting:
         res = solve(obj, lo, hi, eps_t=1e-3, cfg=BnBConfig(max_branches=41))
         assert calls
         self._assert_bracket(obj, res, lo, hi)
+
+
+def _children(lo, hi):
+    """The stacked children of the box [lo, hi], split as the solver does."""
+    (lo1, hi1), (lo2, hi2) = split_box(lo, hi, maxlen_axis(lo, hi))
+    return np.array((lo1, lo2)), np.array((hi1, hi2))
+
+
+def _bound_stacked_and_alone(obj, lo, hi, parent_ub=np.inf):
+    stacked = _Bounder(obj, BnBConfig()).bound(lo, hi, 1, parent_ub)
+    alone = [_Bounder(obj, BnBConfig()).bound(lo[k:k + 1], hi[k:k + 1],
+                                              1 + k, parent_ub)[0]
+             for k in range(len(lo))]
+    return stacked, alone
+
+
+def _assert_same_nodes(stacked, alone):
+    assert len(stacked) == len(alone)
+    for s, a in zip(stacked, alone):
+        assert s.index == a.index
+        assert np.isclose(s.lb, a.lb, rtol=1e-12, atol=0.0)
+        assert np.isclose(s.ub, a.ub, rtol=1e-12, atol=0.0)
+        assert s.flagged == a.flagged
+        assert s.first_won == a.first_won
+        assert np.all((s.lo <= s.witness) & (s.witness <= s.hi))
+
+
+class TestStackedBounds:
+    """Both children of a split are bounded in one stacked pass; each must
+    get the bounds it gets when bounded alone."""
+
+    @pytest.mark.parametrize("act", list(Activation))
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(hidden=st.lists(st.integers(2, 7), min_size=1, max_size=3),
+           seed=st.integers(0, 2**16), scale=st.floats(0.5, 3.0))
+    def test_stacked_matches_alone(self, act, hidden, seed, scale):
+        # depth 2-4 on non-cubic boxes; depth 2 takes the matrix routes
+        rng = np.random.default_rng(seed)
+        obj = ScalarObjective(make_net([3, *hidden, 1], act=act, seed=seed,
+                                       scale=scale))
+        lo = rng.uniform(-1.5, 1.0, 3)
+        hi = lo + rng.uniform(0.05, 2.0, 3)
+        _assert_same_nodes(*_bound_stacked_and_alone(obj, *_children(lo, hi)))
+
+    def test_dual_route_above_the_vertex_cap(self):
+        rng = np.random.default_rng(13)
+        obj = ScalarObjective(make_net([13, 8, 1], seed=3900))
+        lo = rng.uniform(-1.0, 0.0, 13)
+        hi = lo + rng.uniform(0.2, 1.0, 13)
+        _assert_same_nodes(*_bound_stacked_and_alone(obj, *_children(lo, hi)))
+
+    @staticmethod
+    def _mixed_route_net():
+        # softplus curvature lies in [0, 1/4]; unit 2 has a negative output
+        # weight, so M = diag(-100 c, m) with c its least curvature, which is
+        # 0 (to the guard) far from the origin and positive near it
+        from curvreach.model import Layer, Network
+        W1 = np.array([[0.0, 1.0], [10.0, 0.0]])
+        return Network((Layer(W1, np.zeros(2), Activation.SOFTPLUS),
+                        Layer(np.array([[1.0, -1.0]]), np.zeros(1), None)))
+
+    def test_children_on_different_routes(self):
+        from curvreach.hessian import two_layer_matrix_bounds
+        from curvreach.localize import bounds_for_box
+        net = self._mixed_route_net()
+        lo, hi = _children(np.array([-4.0, -1.0]), np.array([0.5, 1.0]))
+        lam_min = [np.linalg.eigvalsh(two_layer_matrix_bounds(
+            net, bounds_for_box(net, lo[k], hi[k])).M)[0] for k in range(2)]
+        # the first child takes the vertex bound, the second the isotropic
+        # and dual bounds
+        assert lam_min[0] >= -1e-9 > lam_min[1]
+        _assert_same_nodes(*_bound_stacked_and_alone(ScalarObjective(net),
+                                                     lo, hi))
+
+    def test_failing_child_alone_is_flagged(self, monkeypatch):
+        from curvreach.hessian import two_layer_matrix_bounds
+        from curvreach.localize import bounds_for_box
+        net = make_net([3, 6, 1], seed=4000)
+        obj = ScalarObjective(net)
+        lo, hi = _children(-np.ones(3), np.array([1.0, 0.5, 0.5]))
+        bad = two_layer_matrix_bounds(net, bounds_for_box(net, lo[1], hi[1])).M
+        real = np.linalg.eigvalsh
+
+        def eigvalsh(a, *args, **kwargs):
+            mats = np.reshape(a, (-1,) + np.shape(a)[-2:])
+            if any(np.array_equal(m, bad) for m in mats):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real(a, *args, **kwargs)
+
+        alone_first = _Bounder(obj, BnBConfig()).bound(lo[:1], hi[:1], 1, 9.0)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        first, second = _Bounder(obj, BnBConfig()).bound(lo, hi, 1, 9.0)
+        _assert_same_nodes([first], alone_first)
+        assert not first.flagged
+        assert second.flagged
+        assert second.ub == 9.0
+        assert second.lb == obj.value(second.center)
 
 
 class TestZonotope:

@@ -132,6 +132,37 @@ class TestExitCodes:
         assert "at least one step" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_closedloop_pca_zero_rejected_like_reach(self, tanh_file,
+                                                     di_files, tmp_path,
+                                                     capsys):
+        # pca:0 asks for no samples; it must not fall back to the default
+        system, ctrl, hexagon = di_files
+        assert main(["reach", "--network", tanh_file, "--box=-1..1,-1..1",
+                     "--dirs", "pca:0"]) == 1
+        reach_err = capsys.readouterr().err
+        assert "need more samples" in reach_err
+        out_dir = tmp_path / "cl"
+        assert main(["closedloop", "--system", system, "--controller", ctrl,
+                     "--zonotope", hexagon, "--steps", "1", "--dirs", "pca:0",
+                     "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err == reach_err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--sim-points", "-1"),
+                                             ("--dirs", "uniform:x"),
+                                             ("--dirs", "pca:x")])
+    def test_closedloop_bad_count_names_flag(self, di_files, tmp_path, capsys,
+                                             flag, value):
+        system, ctrl, hexagon = di_files
+        out_dir = tmp_path / "cl"
+        code = main(["closedloop", "--system", system, "--controller", ctrl,
+                     "--zonotope", hexagon, "--steps", "1", flag, value,
+                     "--out-dir", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and flag in err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("command", ["bnb", "reach", "closedloop", "audit"])
     def test_lipschitz_flag_rejected(self, tanh_file, di_files, tmp_path,
                                      capsys, command):

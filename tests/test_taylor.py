@@ -343,6 +343,35 @@ class TestVertexUpper:
         with pytest.raises(ValueError):
             vertex_upper(np.zeros(n), np.eye(n), -np.ones(n), np.ones(n))
 
+    def test_precomputed_eigenvalues(self):
+        # eigenvalues handed in give the value and witness of those computed
+        # inside; a stack of boxes gives each box's own result
+        rng = np.random.default_rng(12)
+        for n in (1, 3, 5):
+            A = rng.standard_normal((2, n, n))
+            M = A @ np.swapaxes(A, 1, 2)
+            g = rng.standard_normal((2, n))
+            lo = rng.uniform(-1.5, -0.3, (2, n))
+            hi = rng.uniform(0.3, 1.5, (2, n))
+            stacked = vertex_upper(g, M, lo, hi, return_witness=True,
+                                   eig=np.linalg.eigvalsh(M))
+            for k in range(2):
+                v, w = vertex_upper(g[k], M[k], lo[k], hi[k],
+                                    return_witness=True)
+                v_eig, w_eig = vertex_upper(g[k], M[k], lo[k], hi[k],
+                                            return_witness=True,
+                                            eig=np.linalg.eigvalsh(M[k]))
+                assert v_eig == v and np.array_equal(w_eig, w)
+                assert stacked[0][k] == v
+                assert np.array_equal(stacked[1][k], w)
+
+    def test_precomputed_eigenvalues_still_checked(self):
+        M = np.diag([1.0, -2e-9])
+        assert np.linalg.eigvalsh(M)[0] < -1e-9
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            vertex_upper(np.zeros(2), M, -np.ones(2), np.ones(2),
+                         eig=np.linalg.eigvalsh(M))
+
     def test_psd_tolerance_is_accounted(self):
         # lambda_min = -5e-10 passes the PSD check; the model's maximum over
         # the box is 0, at the centre, which no vertex attains
