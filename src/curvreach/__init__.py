@@ -13,8 +13,7 @@ from .lipschitz import (LipschitzReport, LoopTransform, default_loop_transform,
                         lipschitz_report, liplt, naive_lipschitz,
                         operator_norm, refine_loop_transform)
 from .localize import (LayerIntervals, LocalBounds, bounds_for_box,
-                       global_bounds, ibp_intervals, local_bounds,
-                       local_curvature, local_slope)
+                       global_bounds, ibp_intervals, local_bounds)
 from .model import (Activation, Layer, Network, ScalarObjective, gradient,
                     network_from_dict, network_to_dict, prepend_affine,
                     scalarize)

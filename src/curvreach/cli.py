@@ -159,11 +159,7 @@ def _cmd_bnb(args):
     cfg = _bnb_config(args)
     objective = ScalarObjective(scalarize(net, c))
     input_set = _input_set(args, net.input_dim)
-    if isinstance(input_set, reach.Box):
-        res = bnb.solve(objective, input_set.lo, input_set.hi, cfg=cfg)
-    else:
-        res = bnb.solve_zonotope(objective, input_set.G, input_set.center,
-                                 cfg=cfg)
+    res = reach._solve_direction(objective, input_set, cfg)
     _emit(_result_dict(res), args.out)
     print(f"bnb: status={res.status} lb={res.lb:.6g} ub={res.ub:.6g} "
           f"branches={res.branches_processed}", file=sys.stderr)

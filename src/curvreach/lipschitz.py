@@ -25,8 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels as K
-
 # Rounding margin of the spectral norm, relative to max(m, n) * eps.  LAPACK
 # computes singular values by a backward-stable reduction, so the computed
 # sigma_1 is within p(m, n) * eps * sigma_1 of the true one, where p(m, n) is a
@@ -35,8 +33,23 @@ from . import _kernels as K
 # Householder bidiagonalization grow linearly in the dimension.  Taking
 # p(m, n) = 8 max(m, n) exceeds the guide's estimate at least 16-fold, covers
 # the final rounding of the product, and costs about 6e-14 relative on 32x32.
+# These bounds hold in the normal range only.  Below it every rounding adds
+# an absolute error of up to half the smallest subnormal, LAPACK scales or
+# flushes values under its safe minimum (the smallest normal number), and a
+# relative margin rounds away: a 1x4 row of 2.2e-313 gives the subnormal just
+# below its true sigma_1.  So the margin also adds 8 max(m, n) smallest
+# normals, which covers those absolute errors and is below half an ulp of
+# any sigma_1 above max(m, n) * 2e-291, where results come out as before.
 _SVD_MARGIN_C = 8.0
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).smallest_normal)
+
+
+def op_norm_inf(A):
+    """Maximum absolute row sum: a float for one matrix, an array for a
+    stack of them."""
+    norm = np.abs(A).sum(axis=-1).max(axis=-1, initial=0.0)
+    return float(norm) if norm.ndim == 0 else norm
 
 
 def operator_norm(A, p):
@@ -44,7 +57,8 @@ def operator_norm(A, p):
 
     The inf-norm is the maximum absolute row sum.  The spectral norm is
     the largest singular value from LAPACK's SVD, inflated by the rounding
-    margin ``1 + 8 max(m, n) eps``, so it never falls below the true norm.
+    margin ``1 + 8 max(m, n) eps`` plus ``8 max(m, n)`` smallest normal
+    numbers for underflow, so it never falls below the true norm.
     A stack of matrices ``(B, m, n)`` gives an array of ``B`` norms.
     Raises ValueError on an empty, non-2-D or non-finite matrix.
     """
@@ -56,18 +70,19 @@ def operator_norm(A, p):
         raise ValueError("operator_norm got a matrix with non-finite entries "
                          "(NaN or inf)")
     if np.isinf(p):
-        return K.op_norm_inf(A)
+        return op_norm_inf(A)
     if p == 2:
         sigma = np.linalg.svd(A, compute_uv=False)[..., 0]
         sigma = float(sigma) if sigma.ndim == 0 else sigma
-        return sigma * (1.0 + _SVD_MARGIN_C * max(A.shape[-2:]) * _EPS)
+        k = _SVD_MARGIN_C * max(A.shape[-2:])
+        return sigma * (1.0 + k * _EPS) + k * _TINY
     raise ValueError(f"unsupported norm {p}")
 
 
 def _norm(A, p):
     # internal: also serves p=1 (max column sum) for the weighted suffix bound
     if p == 1:
-        return K.op_norm_inf(np.ascontiguousarray(A.swapaxes(-1, -2)))
+        return op_norm_inf(np.ascontiguousarray(A.swapaxes(-1, -2)))
     return operator_norm(A, p)
 
 

@@ -9,25 +9,14 @@ Hessian certificates local.
 ``ibp_intervals`` and ``bounds_for_box`` also take a stack of boxes, ``lo``
 and ``hi`` of shape ``(B, n)``; every per-unit array then has a leading axis
 of length ``B``, and each box's entries equal those of bounding it alone.
+The slope and curvature ranges are those of ``model.ACTIVATIONS``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels as K
-from .model import Activation, GLOBAL_CURVATURE, GLOBAL_SLOPE, act_value
-
-_SLOPE_KERNELS = {
-    Activation.TANH: K.slope_range_tanh,
-    Activation.SIGMOID: K.slope_range_sigmoid,
-    Activation.SOFTPLUS: K.slope_range_softplus,
-}
-_CURV_KERNELS = {
-    Activation.TANH: K.curv_range_tanh,
-    Activation.SIGMOID: K.curv_range_sigmoid,
-    Activation.SOFTPLUS: K.curv_range_softplus,
-}
+from .model import ACTIVATIONS, GLOBAL_CURVATURE, GLOBAL_SLOPE, act_value
 
 
 @dataclass(frozen=True)
@@ -58,6 +47,15 @@ class LocalBounds:
         return len(self.slope_lo)
 
 
+def interval_affine(W, b, c, r):
+    """Push a center/radius interval through x -> Wx + b; ``c`` and ``r``
+    are vectors or stacks of them (rows).  A stacked call rounds exactly as
+    one call per row would."""
+    # a trailing unit axis keeps one matrix-vector product per row
+    return ((W @ c[..., None])[..., 0] + b,
+            (np.abs(W) @ r[..., None])[..., 0])
+
+
 def ibp_intervals(net, lo, hi):
     """Interval bound propagation of the box [lo, hi], or of a stack of
     boxes (rows), through the network."""
@@ -73,7 +71,7 @@ def ibp_intervals(net, lo, hi):
     lowers, uppers = [], []
     hidden = net.layers[:-1]
     for l, lay in enumerate(hidden):
-        c, r = K.interval_affine(lay.weight, lay.bias, c, r)
+        c, r = interval_affine(lay.weight, lay.bias, c, r)
         zl, zu = c - r, c + r
         lowers.append(zl)
         uppers.append(zu)
@@ -86,45 +84,34 @@ def ibp_intervals(net, lo, hi):
     return LayerIntervals(tuple(lowers), tuple(uppers))
 
 
-def slope_range(kind, lo, hi):
-    """Vector of (min, max) of sigma' over the per-unit intervals [lo, hi]."""
+def _interval(lo, hi):
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     if np.any(lo > hi):
         raise ValueError("interval lower bound exceeds upper bound")
-    if kind is Activation.IDENTITY:
-        return np.ones_like(lo), np.ones_like(hi)
-    return _SLOPE_KERNELS[kind](lo, hi)
+    return lo, hi
+
+
+def slope_range(kind, lo, hi):
+    """Vector of (min, max) of sigma' over the per-unit intervals [lo, hi]."""
+    return ACTIVATIONS[kind].slope_range(*_interval(lo, hi))
 
 
 def curvature_range(kind, lo, hi):
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if np.any(lo > hi):
-        raise ValueError("interval lower bound exceeds upper bound")
-    if kind is Activation.IDENTITY:
-        return np.zeros_like(lo), np.zeros_like(hi)
-    return _CURV_KERNELS[kind](lo, hi)
-
-
-def local_slope(kind, lo, hi):
-    """Scalar (alpha, beta) slope bounds of one activation on [lo, hi]."""
-    a, b = slope_range(kind, np.array([float(lo)]), np.array([float(hi)]))
-    return float(a[0]), float(b[0])
-
-
-def local_curvature(kind, lo, hi):
-    """Scalar (alpha', beta', h) curvature bounds of one activation on [lo, hi]."""
-    a, b = curvature_range(kind, np.array([float(lo)]), np.array([float(hi)]))
-    return float(a[0]), float(b[0]), float(max(abs(a[0]), abs(b[0])))
+    """Vector of (min, max) of sigma'' over the per-unit intervals [lo, hi]."""
+    return ACTIVATIONS[kind].curv_range(*_interval(lo, hi))
 
 
 def local_bounds(net, intervals):
-    """LocalBounds for every hidden layer from its preactivation intervals."""
+    """LocalBounds for every hidden layer from its preactivation intervals.
+
+    The intervals are taken as ``ibp_intervals`` builds them, ``c -+ r`` with
+    ``r >= 0`` from a checked box, so ``lo <= hi`` is not checked again."""
     s_lo, s_hi, c_lo, c_hi = [], [], [], []
     for lay, zl, zu in zip(net.layers[:-1], intervals.lower, intervals.upper):
-        a, b = slope_range(lay.activation, zl, zu)
-        ca, cb = curvature_range(lay.activation, zl, zu)
+        act = ACTIVATIONS[lay.activation]
+        a, b = act.slope_range(zl, zu)
+        ca, cb = act.curv_range(zl, zu)
         s_lo.append(a)
         s_hi.append(b)
         c_lo.append(ca)

@@ -3,14 +3,19 @@
 A network is an immutable stack of affine layers, each followed by an
 elementwise activation except the last.  All arithmetic is float64; batched
 evaluation accepts ``(n,)`` vectors or ``(N, n)`` row stacks.
+
+Each activation is defined once, as a row of ``ACTIVATIONS``: sigma, sigma'
+and sigma'', and the guarded ranges of sigma' (slope) and sigma'' (curvature)
+over per-unit intervals ``[lo, hi]``.  The global ranges are those interval
+ranges over the whole real line.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
-
-from . import _kernels as K
 
 
 class Activation(Enum):
@@ -20,52 +25,119 @@ class Activation(Enum):
     IDENTITY = "identity"
 
 
+GUARD = 1e-12                                         # rounding guard on computed extrema
+TANH_CURV_MAX = 4.0 / (3.0 * math.sqrt(3.0))          # at x = -arctanh(1/sqrt(3))
+TANH_CURV_CRIT = 0.6584789484624084                   # arctanh(1/sqrt(3))
+SIG_CURV_MAX = 1.0 / (6.0 * math.sqrt(3.0))           # at x = -log(2+sqrt(3))
+SIG_CURV_CRIT = 1.3169578969248166                    # log(2+sqrt(3))
+
+
+def _sech2(x):
+    # 4 e^{-2|x|} / (1 + e^{-2|x|})^2, stable for any magnitude
+    e = np.exp(-2.0 * np.abs(x))
+    return 4.0 * e / (1.0 + e) ** 2
+
+
+def _sig_deriv(x):
+    e = np.exp(-np.abs(x))
+    return e / (1.0 + e) ** 2
+
+
+def _sigmoid(x):
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _tanh_second(x):
+    return -2.0 * np.tanh(x) * _sech2(x)
+
+
+def _sig_second(x):
+    s = _sigmoid(x)
+    return s * (1.0 - s) * (1.0 - 2.0 * s)
+
+
+def _even_peak_range(fun, peak):
+    """Guarded range over [lo, hi] of an even function that peaks at 0 with
+    value ``peak`` and decays in |x| towards 0."""
+    def range_(lo, hi):
+        near = np.where(np.sign(lo) != np.sign(hi), 0.0,
+                        np.minimum(np.abs(lo), np.abs(hi)))
+        far = np.maximum(np.abs(lo), np.abs(hi))
+        f_near, amin = fun(np.array((near, far)))     # one call for both ends
+        amax = np.where(near == 0.0, peak, f_near)
+        return (np.maximum(amin - GUARD, 0.0), np.minimum(amax + GUARD, peak))
+    return range_
+
+
+def _odd_bump_range(fun, crit, extreme):
+    """Guarded range over [lo, hi] of an odd function with its maximum
+    ``extreme`` at -crit and its minimum ``-extreme`` at +crit."""
+    def range_(lo, hi):
+        vlo, vhi = fun(np.array((lo, hi)))            # one call for both ends
+        cmin = np.minimum(vlo, vhi)
+        cmax = np.maximum(vlo, vhi)
+        cmax = np.where((lo < -crit) & (-crit < hi), extreme, cmax)
+        cmin = np.where((lo < crit) & (crit < hi), -extreme, cmin)
+        return (np.maximum(cmin - GUARD, -extreme),
+                np.minimum(cmax + GUARD, extreme))
+    return range_
+
+
+@dataclass(frozen=True)
+class ActivationDef:
+    """sigma, sigma', sigma'' elementwise, and ``(min, max)`` arrays of sigma'
+    and sigma'' over per-unit intervals ``[lo, hi]`` with ``lo <= hi``."""
+
+    value: Callable
+    deriv: Callable
+    second: Callable
+    slope_range: Callable
+    curv_range: Callable
+
+
+ACTIVATIONS = {
+    Activation.TANH: ActivationDef(
+        np.tanh, _sech2, _tanh_second,
+        _even_peak_range(_sech2, 1.0),
+        _odd_bump_range(_tanh_second, TANH_CURV_CRIT, TANH_CURV_MAX)),
+    Activation.SIGMOID: ActivationDef(
+        _sigmoid, _sig_deriv, _sig_second,
+        _even_peak_range(_sig_deriv, 0.25),
+        _odd_bump_range(_sig_second, SIG_CURV_CRIT, SIG_CURV_MAX)),
+    # softplus' = sigmoid rises from 0 to 1; softplus'' = sigmoid' peaks at 0
+    Activation.SOFTPLUS: ActivationDef(
+        lambda x: np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0),
+        _sigmoid, _sig_deriv,
+        lambda lo, hi: (np.maximum(_sigmoid(lo) - GUARD, 0.0),
+                        np.minimum(_sigmoid(hi) + GUARD, 1.0)),
+        _even_peak_range(_sig_deriv, 0.25)),
+    Activation.IDENTITY: ActivationDef(
+        lambda x: x, np.ones_like, np.zeros_like,
+        lambda lo, hi: (np.ones_like(lo), np.ones_like(hi)),
+        lambda lo, hi: (np.zeros_like(lo), np.zeros_like(hi))),
+}
+
+
+def _whole_line(range_fn):
+    return tuple(float(v) for v in range_fn(-np.inf, np.inf))
+
+
 # Global ranges of sigma' (slope) and sigma'' (curvature) per activation.
-GLOBAL_SLOPE = {
-    Activation.TANH: (0.0, 1.0),
-    Activation.SIGMOID: (0.0, 0.25),
-    Activation.SOFTPLUS: (0.0, 1.0),
-    Activation.IDENTITY: (1.0, 1.0),
-}
-GLOBAL_CURVATURE = {
-    Activation.TANH: (-K.TANH_CURV_MAX, K.TANH_CURV_MAX),
-    Activation.SIGMOID: (-K.SIG_CURV_MAX, K.SIG_CURV_MAX),
-    Activation.SOFTPLUS: (0.0, 0.25),
-    Activation.IDENTITY: (0.0, 0.0),
-}
+GLOBAL_SLOPE = {k: _whole_line(a.slope_range) for k, a in ACTIVATIONS.items()}
+GLOBAL_CURVATURE = {k: _whole_line(a.curv_range) for k, a in ACTIVATIONS.items()}
 
 
 def act_value(kind, x):
-    x = np.asarray(x, dtype=float)
-    if kind is Activation.TANH:
-        return np.tanh(x)
-    if kind is Activation.SIGMOID:
-        return K.sigmoid(x)
-    if kind is Activation.SOFTPLUS:
-        return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
-    return x
+    return ACTIVATIONS[kind].value(np.asarray(x, dtype=float))
 
 
 def act_deriv(kind, x):
-    x = np.asarray(x, dtype=float)
-    if kind is Activation.TANH:
-        return K.sech2(x)
-    if kind is Activation.SIGMOID:
-        return K.sig_deriv(x)
-    if kind is Activation.SOFTPLUS:
-        return K.sigmoid(x)
-    return np.ones_like(x)
+    return ACTIVATIONS[kind].deriv(np.asarray(x, dtype=float))
 
 
 def act_second(kind, x):
-    x = np.asarray(x, dtype=float)
-    if kind is Activation.TANH:
-        return K.tanh_second(x)
-    if kind is Activation.SIGMOID:
-        return K.sig_second(x)
-    if kind is Activation.SOFTPLUS:
-        return K.sig_deriv(x)
-    return np.zeros_like(x)
+    return ACTIVATIONS[kind].second(np.asarray(x, dtype=float))
 
 
 def _freeze(a):

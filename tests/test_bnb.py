@@ -589,6 +589,25 @@ class TestBoxCertificates:
         with pytest.raises(StoreMismatchError, match="use_first_order"):
             solve(obj, lo, hi, cfg=cfg, certs=store)
 
+    def shared_solves_match_solo(self, dims, directions):
+        """Solve each direction with one shared store and without a store:
+        bounds and node counts must agree.  Returns the store and the number
+        of boxes the shared solves bounded."""
+        net = make_net(dims, seed=3800)
+        lo, hi = -np.ones(2), np.ones(2)
+        cfg = BnBConfig(eps_t=1e-3)
+        store = BoxCertificates()
+        bounded = 0
+        for c in directions:
+            obj = ScalarObjective(scalarize(net, c))
+            shared = solve(obj, lo, hi, cfg=cfg, certs=store)
+            alone = solve(obj, lo, hi, cfg=cfg)
+            assert shared.ub.hex() == alone.ub.hex()
+            assert shared.lb.hex() == alone.lb.hex()
+            assert shared.branches_processed == alone.branches_processed
+            bounded += shared.branches_processed
+        return store, bounded
+
     @pytest.mark.parametrize("dims", [[2, 8, 2], [2, 6, 5, 2]])
     def test_cap_bounds_the_store_and_changes_no_result(self, monkeypatch,
                                                         dims):
@@ -601,16 +620,16 @@ class TestBoxCertificates:
             sizes.append(len(self.entries))
 
         monkeypatch.setattr(BoxCertificates, "put", tracked)
-        net = make_net(dims, seed=3800)
-        lo, hi = -np.ones(2), np.ones(2)
-        cfg = BnBConfig(eps_t=1e-3)
-        store = BoxCertificates()
-        for c in self.directions():
-            obj = ScalarObjective(scalarize(net, c))
-            shared = solve(obj, lo, hi, cfg=cfg, certs=store)
-            alone = solve(obj, lo, hi, cfg=cfg)
-            assert shared.ub.hex() == alone.ub.hex()
-            assert shared.lb.hex() == alone.lb.hex()
-            assert shared.branches_processed == alone.branches_processed
+        self.shared_solves_match_solo(dims, self.directions())
         assert max(sizes) == 16
         assert len(sizes) > 16
+
+    @pytest.mark.parametrize("dims", [[2, 8, 2], [2, 6, 5, 2]])
+    def test_store_hits_return_each_box_its_own_certificate(self, monkeypatch,
+                                                             dims):
+        # no eviction, so later directions revisit stored boxes; a store
+        # that handed one box another's certificate would change a bound
+        monkeypatch.setattr(bnb, "_CERT_CAP", 10**6)
+        store, bounded = self.shared_solves_match_solo(
+            dims, np.vstack([np.eye(2), -np.eye(2)]))
+        assert len(store.entries) < bounded        # some lookups hit

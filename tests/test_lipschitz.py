@@ -73,6 +73,14 @@ class TestOperatorNorm:
         A = np.full((1, 4), 1e-170)
         assert operator_norm(A, 2) >= 2.0 * A[0, 0]
 
+    def test_subnormal_entries_not_underestimated(self):
+        # a relative margin rounds away on subnormal values
+        A = np.array([[0.0, 2.22507386e-313, 2.22507386e-313, 2.22507386e-313]])
+        with mpmath.workdps(50):
+            sigma = max(mpmath.svd_r(mpmath.matrix(A.tolist()),
+                                     compute_uv=False))
+            assert mpmath.mpf(operator_norm(A, 2)) >= sigma
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("p", [2, np.inf])
     def test_non_finite_rejected(self, bad, p):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curvreach.localize import (bounds_for_box, global_bounds,
-                                ibp_intervals, local_curvature, local_slope)
+from curvreach.localize import (bounds_for_box, curvature_range,
+                                global_bounds, ibp_intervals, slope_range)
 from curvreach.model import (Activation, GLOBAL_CURVATURE, GLOBAL_SLOPE, Layer,
                              Network, act_deriv, act_second)
 from conftest import make_net
@@ -57,23 +57,25 @@ class TestIbp:
 
 class TestLocalSlope:
     def test_tanh_wide_interval(self):
-        a, b = local_slope(Activation.TANH, -10.0, 10.0)
+        a, b = slope_range(Activation.TANH, -10.0, 10.0)
         sech2_10 = 1.0 / np.cosh(10.0) ** 2
         assert abs(a - sech2_10) < 1e-8
         assert abs(b - 1.0) < 1e-8
 
     def test_tanh_positive_interval_frozen(self):
         # dense-grid oracle froze these: sech^2(2), sech^2(1)
-        a, b = local_slope(Activation.TANH, 1.0, 2.0)
+        a, b = slope_range(Activation.TANH, 1.0, 2.0)
         assert abs(a - 0.07065082485316447) < 1e-9
         assert abs(b - 0.4199743416140261) < 1e-9
 
     def test_identity(self):
-        assert local_slope(Activation.IDENTITY, -3.0, 7.0) == (1.0, 1.0)
+        assert slope_range(Activation.IDENTITY, -3.0, 7.0) == (1.0, 1.0)
 
     def test_bad_interval(self):
         with pytest.raises(ValueError):
-            local_slope(Activation.TANH, 1.0, 0.0)
+            slope_range(Activation.TANH, 1.0, 0.0)
+        with pytest.raises(ValueError):
+            curvature_range(Activation.TANH, 1.0, 0.0)
 
     @pytest.mark.parametrize("kind", SMOOTH)
     def test_dense_grid_oracle(self, kind):
@@ -81,7 +83,7 @@ class TestLocalSlope:
         for _ in range(20):
             lo = rng.uniform(-4, 4)
             hi = lo + rng.uniform(0, 4)
-            a, b = local_slope(kind, lo, hi)
+            a, b = slope_range(kind, lo, hi)
             ga, gb = grid_range(act_deriv, kind, lo, hi)
             assert a - 1e-9 <= ga and gb <= b + 1e-9
             assert abs(a - ga) < 1e-6 and abs(b - gb) < 1e-6
@@ -89,21 +91,20 @@ class TestLocalSlope:
 
 class TestLocalCurvature:
     def test_tanh_global_extrema(self):
-        a, b, h = local_curvature(Activation.TANH, -20.0, 20.0)
+        a, b = curvature_range(Activation.TANH, -20.0, 20.0)
         k = 4.0 / (3.0 * np.sqrt(3.0))
         assert abs(a + k) < 1e-9 and abs(b - k) < 1e-9
-        assert abs(h - k) < 1e-9
 
     def test_tanh_no_interior_critical_point(self):
         # on [0.1, 0.2] sigma'' is negative and decreasing: endpoints decide
-        a, b, h = local_curvature(Activation.TANH, 0.1, 0.2)
+        a, b = curvature_range(Activation.TANH, 0.1, 0.2)
         s2 = lambda t: float(act_second(Activation.TANH, np.array([t]))[0])
         assert abs(a - s2(0.2)) < 1e-9
         assert abs(b - s2(0.1)) < 1e-9
-        assert b < 0 and h == pytest.approx(abs(a))
+        assert b < 0
 
     def test_identity(self):
-        assert local_curvature(Activation.IDENTITY, -1.0, 1.0) == (0.0, 0.0, 0.0)
+        assert curvature_range(Activation.IDENTITY, -1.0, 1.0) == (0.0, 0.0)
 
     @pytest.mark.parametrize("kind", SMOOTH)
     def test_dense_grid_oracle(self, kind):
@@ -111,11 +112,10 @@ class TestLocalCurvature:
         for _ in range(20):
             lo = rng.uniform(-4, 4)
             hi = lo + rng.uniform(0, 4)
-            a, b, h = local_curvature(kind, lo, hi)
+            a, b = curvature_range(kind, lo, hi)
             ga, gb = grid_range(act_second, kind, lo, hi)
             assert a - 1e-9 <= ga and gb <= b + 1e-9
             assert abs(a - ga) < 1e-6 and abs(b - gb) < 1e-6
-            assert h == pytest.approx(max(abs(a), abs(b)))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -124,8 +124,8 @@ class TestLocalCurvature:
        shrink=st.floats(0, 1), offset=st.floats(0, 1))
 def test_localization_properties(kind, lo, width, shrink, offset):
     hi = lo + width
-    a, b = local_slope(kind, lo, hi)
-    ca, cb, h = local_curvature(kind, lo, hi)
+    a, b = slope_range(kind, lo, hi)
+    ca, cb = curvature_range(kind, lo, hi)
     # soundness on sampled points
     ts = np.linspace(lo, hi, 101)
     d1 = act_deriv(kind, ts)
@@ -140,8 +140,8 @@ def test_localization_properties(kind, lo, width, shrink, offset):
     # monotone refinement: a sub-interval never widens the bounds
     sub_w = width * shrink
     sub_lo = lo + (width - sub_w) * offset
-    a2, b2 = local_slope(kind, sub_lo, sub_lo + sub_w)
-    ca2, cb2, _ = local_curvature(kind, sub_lo, sub_lo + sub_w)
+    a2, b2 = slope_range(kind, sub_lo, sub_lo + sub_w)
+    ca2, cb2 = curvature_range(kind, sub_lo, sub_lo + sub_w)
     assert a2 >= a - 1e-15 and b2 <= b + 1e-15
     assert ca2 >= ca - 1e-15 and cb2 <= cb + 1e-15
 
@@ -157,3 +157,11 @@ def test_local_bounds_shapes_and_global_fallback():
         assert np.all(loc_a >= glob_a - 1e-12)
     for h_loc, h_glob in zip(lb.curv_abs, gb.curv_abs):
         assert np.all(h_loc <= h_glob + 1e-12)
+
+
+def test_guard_widening_present():
+    # computed extrema are widened by the rounding guard, never narrowed
+    a, b = slope_range(Activation.TANH, np.array([0.5]), np.array([0.5]))
+    exact = 1.0 / np.cosh(0.5) ** 2
+    assert a[0] <= exact <= b[0]
+    assert b[0] - a[0] >= 1e-12
