@@ -8,7 +8,8 @@ half-spaces into a sound over-approximation of the image set.
 
 from .bnb import BnBConfig, BnBResult, solve, solve_zonotope
 from .hessian import (MatrixHessianBound, ScalarHessianBound,
-                      hessian_norm_bound, two_layer_matrix_bounds)
+                      hessian_norm_bound, interval_hessian,
+                      two_layer_matrix_bounds)
 from .lipschitz import (LipschitzReport, LoopTransform, default_loop_transform,
                         lipschitz_report, liplt, naive_lipschitz,
                         operator_norm, refine_loop_transform)

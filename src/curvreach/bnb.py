@@ -11,6 +11,15 @@ the ell_2 ball of radius ``||(hi - lo)/2||_2`` when smaller.  On the matrix
 path one eigendecomposition of the upper matrix ``M`` per node serves the
 isotropic curvature, the PSD test and the vertex bound's PSD tolerance.
 
+On nets of depth 3 or more the isotropic model's curvature is the spectral
+bound ``lam``, and a second model bound comes from the interval Hessian
+``[H_lo, H_hi]`` over the box (``hessian.interval_hessian``): with half-edges
+``r``, ``J(c) + sum |g_i| r_i + r^T A r / 2``, where ``A_ij = max(|H_lo,ij|,
+|H_hi,ij|)`` off the diagonal and ``A_ii = max(H_hi,ii, 0)``.  Both models
+peak at ``c + r * sign(g)`` and the smaller bound wins: the interval is
+tighter on small boxes, ``lam`` near the root of wide deep nets.  The
+interval rounds to nearest, as localization does.
+
 Nodes are expanded in order of largest upper bound, one at a time: each step
 pops one node, halves its longest edge, bounds both children in one stacked
 pass (the box arrays of ``_Bounder.bound`` carry a leading axis of length 2),
@@ -21,10 +30,11 @@ fail numerically is bounded again one child at a time.  Children never report
 a looser upper bound than their parent.
 
 A node's certificates split into a box-level part (localization, the ell_inf
-internal Lipschitz memo and the ell_2 subnetwork constants), which depends on
-the box and the hidden layers only, and a per-direction finish that reads the
-output layer and the linear term.  Solves of several directions over one input
-set may share the box-level part through a ``BoxCertificates`` store.
+internal Lipschitz memo, the ell_2 subnetwork constants and the Jacobian
+intervals of the interval Hessian), which depends on the box and the hidden
+layers only, and a per-direction finish that reads the output layer and the
+linear term.  Solves of several directions over one input set may share the
+box-level part through a ``BoxCertificates`` store.
 """
 
 import heapq
@@ -133,8 +143,10 @@ class _BoxCertificate:
     """What the per-direction finish reads of a box's certificates.  It
     stands in for ``LocalBounds`` in the Hessian calls: the scalar bound reads
     ``slope_hi`` and ``curv_abs``, the two-layer matrices ``curv_lo`` and
-    ``curv_hi``.  Each field holds one entry per layer; for a stack of boxes
-    every entry has a leading axis over the boxes."""
+    ``curv_hi``, the interval Hessian the slope and curvature ranges and the
+    Jacobian intervals ``jac_mid``, ``jac_rad`` of layers ``l >= 2``.  Each
+    field holds one entry per layer; for a stack of boxes every entry has a
+    leading axis over the boxes."""
 
     slope_hi: tuple
     memo: tuple                        # ell_inf internal memo, l >= 1
@@ -142,6 +154,9 @@ class _BoxCertificate:
     curv_hi: tuple = ()
     curv_abs: tuple = ()
     subnet2: tuple = ()
+    slope_lo: tuple = ()
+    jac_mid: tuple = ()
+    jac_rad: tuple = ()
 
     def row(self, k):
         """The certificate of box ``k`` of a stack, on its own."""
@@ -202,6 +217,7 @@ class _Bounder:
             certs.bind(self.net, cfg)
         self.lin_inf = obj.linear_dual_norm(np.inf)
         self.two_layer = self.net.depth == 2 and cfg.use_first_order
+        self.deep = self.net.depth >= 3 and cfg.use_first_order
         self.weights = [lay.weight for lay in self.net.layers]
         self.abs_weights = [np.abs(w) for w in self.weights]
         # the ell_inf total stage opens with ||W_L||, the ell_2 subnetwork
@@ -238,15 +254,21 @@ class _Bounder:
         ds = self._ds(slope_hi)
         memo = lip._memo_raw(self.weights, slope_hi, ds, np.inf)
         cert = _BoxCertificate(slope_hi, tuple(memo[1:]))
+        if not self.cfg.use_first_order:
+            return cert
+        cert.curv_lo, cert.curv_hi = local.curv_lo, local.curv_hi
         if self.two_layer:
-            cert.curv_lo, cert.curv_hi = local.curv_lo, local.curv_hi
-        elif self.cfg.use_first_order:
-            cert.curv_abs = local.curv_abs
-            # the first subnetwork constant, ||W_1||, is one for all boxes
-            cert.subnet2 = tuple(
-                np.broadcast_to(c, lo.shape[:1])
-                for c in lip._report_raw(self.weights, slope_hi, ds, 2,
-                                         self.heads2))
+            return cert
+        cert.curv_abs = local.curv_abs
+        # the first subnetwork constant, ||W_1||, is one for all boxes
+        cert.subnet2 = tuple(
+            np.broadcast_to(c, lo.shape[:1])
+            for c in lip._report_raw(self.weights, slope_hi, ds, 2,
+                                     self.heads2))
+        if self.deep:
+            cert.slope_lo = local.slope_lo
+            cert.jac_mid, cert.jac_rad = hs._jacobian_intervals(
+                self.weights, local.slope_lo, slope_hi)
         return cert
 
     def _scalar_lam(self, box):
@@ -256,26 +278,35 @@ class _Bounder:
         return hs.hessian_norm_bound(self.net, box, report, jac).lam
 
     def _constants(self, lo, hi):
-        """(L_inf, M, eig, lam) certified on each box of a stack: the ell_inf
-        Lipschitz constant; on the two-layer path the upper Hessian matrix
-        and its eigenvalues, else None; and lam >= ||hess J||_2, which is
-        lambda_max(M)^+ on the two-layer path.  The last three are None
-        without first-order bounds."""
+        """(L_inf, M, eig, lam, A) certified on each box of a stack: the
+        ell_inf Lipschitz constant; on the two-layer path the upper Hessian
+        matrix and its eigenvalues, else None; lam >= ||hess J||_2, which is
+        lambda_max(M)^+ on the two-layer path; and on nets of depth 3 or more
+        the matrix A with d^T hess J d <= |d|^T A |d|, else None.  The last
+        four are None without first-order bounds."""
         cert = self._certificate(lo, hi)
         slope_hi = cert.slope_hi
         l_inf = lip._total_raw(self.weights, slope_hi, self._ds(slope_hi),
                                np.inf, (0.0,) + cert.memo,
                                self.head_inf) + self.lin_inf
         if not self.cfg.use_first_order:
-            return l_inf, None, None, None
+            return l_inf, None, None, None, None
         if self.two_layer:
             M = hs.two_layer_matrix_bounds(self.net, cert).M
             # the one decomposition of M: lam, the PSD test and the vertex
             # bound's tolerance all read it
             eig = np.linalg.eigvalsh(M)
-            return l_inf, M, eig, np.maximum(eig[:, -1], 0.0)
+            return l_inf, M, eig, np.maximum(eig[:, -1], 0.0), None
         lam = np.array([self._scalar_lam(cert.row(k)) for k in range(len(lo))])
-        return l_inf, None, None, lam
+        if not self.deep:
+            return l_inf, None, None, lam, None
+        h_lo, h_hi = hs._interval_hessian_raw(self.weights, cert.jac_mid,
+                                              cert.jac_rad, cert)
+        # |H_ij| <= A_ij off the diagonal, H_ii <= A_ii on it
+        A = np.maximum(np.abs(h_lo), np.abs(h_hi))
+        i = np.arange(A.shape[-1])
+        A[:, i, i] = np.maximum(h_hi[:, i, i], 0.0)
+        return l_inf, None, None, lam, A
 
     def _one_by_one(self, lo, hi, index, parent_ub):
         """``bound`` on each box of a stack as a stack of one."""
@@ -321,7 +352,7 @@ class _Bounder:
             consts = tuple(None if a is None else
                            np.broadcast_to(a, (n_box,) + a.shape[1:])
                            for a in self.root_consts)
-        l_inf, M, eig, lam = consts
+        l_inf, M, eig, lam, A = consts
 
         ub = value_c + l_inf * eps
         lb = value_c
@@ -354,6 +385,15 @@ class _Bounder:
                 ub1[i_sel] = taylor._model_value(value_c[i_sel], grad_c[i_sel],
                                                  lam[i_sel], x_iso[i_sel],
                                                  center[i_sel])
+            if A is not None:
+                # the interval Hessian's model, J(c) + sum |g_i| r_i +
+                # r^T A r / 2, peaks at x_iso too; the smaller bound wins,
+                # and an overflowed interval (NaN) leaves the lam bound
+                d = x_iso - center
+                ad = np.abs(d)
+                quad = taylor._dot(ad, (A @ ad[..., None])[..., 0])
+                ub1 = np.fmin(ub1, value_c + taylor._dot(grad_c, d)
+                              + 0.5 * quad)
             if i_sel is not None and M is not None:
                 # the dual runs per box, on its own radius
                 for k in np.arange(n_box)[i_sel]:

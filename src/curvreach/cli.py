@@ -135,6 +135,10 @@ def _cmd_hessian(args):
         jac = lip.jacobian_elementwise_bounds(scalar, local)
         bound = hs.hessian_norm_bound(scalar, local, report, jac)
         data = {"kind": "scalar", "lambda": bound.lam}
+        if scalar.depth >= 3:
+            h_lo, h_hi = hs.interval_hessian(scalar, local)
+            data["H_lo"] = h_lo.tolist()
+            data["H_hi"] = h_hi.tolist()
     data["wall_time_s"] = time.perf_counter() - t0
     _emit(data, args.out)
     return 0
@@ -231,8 +235,6 @@ def _cmd_closedloop(args):
 def _cmd_audit(args):
     net = fileio.load_network(args.network)
     c = fileio.parse_vector(args.direction, net.output_dim)
-    if not args.box:
-        raise ValueError("audit needs --box")
     box = fileio.parse_box(args.box, net.input_dim)
     objective = ScalarObjective(scalarize(net, c))
     cfg = _bnb_config(args)
@@ -269,11 +271,13 @@ def _cmd_audit(args):
     return 0 if res.status == "Converged" else 2
 
 
-def _add_common(sub, box=True, direction=False):
+def _add_common(sub, direction=False, zonotope=True):
     sub.add_argument("--network", required=True)
-    if box:
+    if zonotope:
         sub.add_argument("--box")
         sub.add_argument("--zonotope")
+    else:
+        sub.add_argument("--box", required=True)
     if direction:
         sub.add_argument("--direction", required=True)
     sub.add_argument("--seed", type=int, default=0)
@@ -341,7 +345,7 @@ def build_parser():
     p.set_defaults(fn=_cmd_closedloop)
 
     p = subs.add_parser("audit", help="bound plus brute-force audit report")
-    _add_common(p, direction=True)
+    _add_common(p, direction=True, zonotope=False)
     _add_solver(p)
     p.add_argument("--samples", type=int, default=10_000)
     p.set_defaults(fn=_cmd_audit)

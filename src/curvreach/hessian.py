@@ -1,8 +1,19 @@
 """Certified bounds on the Hessian of a scalar network over a localized region.
 
-Two forms: the exact sandwich matrices (M, N) for one-hidden-layer networks,
-and a spectral-norm scalar bound for arbitrary depth built from subnetwork
-Lipschitz constants and elementwise Jacobian bounds.
+Three forms:
+
+- the exact sandwich matrices (M, N) for one-hidden-layer networks;
+- a spectral-norm scalar bound for arbitrary depth, built from subnetwork
+  Lipschitz constants and elementwise Jacobian bounds;
+- an entrywise interval ``[H_lo, H_hi]`` for arbitrary depth, from the
+  Hessian chain rule ``hess J = sum_l J_l^T diag(delta_l * sigma''(z_l)) J_l``
+  in midpoint-radius interval arithmetic (Moore, Kearfott and Cloud, 2009).
+  Here ``J_l = dz^(l)/dx`` runs forward from ``J_1 = W_1``, ``delta_l =
+  dJ/da^(l)`` runs backward from the output row, and sigma' and sigma'' range
+  over the localized slope and curvature intervals.
+
+The interval form rounds to nearest, as ``localize`` does; outward rounding
+is an open item of the roadmap (item 6).
 """
 
 from dataclasses import dataclass
@@ -100,3 +111,90 @@ def hessian_norm_bound(net, local, report, jac_bounds):
             w = min(w, _weighted_suffix_liplt(weights, local.slope_hi, l, h))
         lam += report.subnet[l - 1] ** 2 * w
     return ScalarHessianBound(max(lam, 0.0))
+
+
+def _jacobian_intervals(weights, slope_lo, slope_hi):
+    """Midpoint-radius intervals ``(mids, rads)`` of ``J_l = dz^(l)/dx`` for
+    the hidden layers ``l >= 2``, entry ``l - 2`` each; ``J_1 = W_1`` is exact
+    and not listed.  ``J_{l+1} = W_{l+1} diag(s) J_l`` with ``s`` in
+    ``[slope_lo, slope_hi]`` of layer ``l``.  Slope rows stacked on a leading
+    axis give stacked intervals, each box's bit-identical to it alone."""
+    mids, rads = [], []
+    jm, jr = weights[0], None
+    for l in range(1, len(weights) - 1):
+        s_lo, s_hi = slope_lo[l - 1][..., :, None], slope_hi[l - 1][..., :, None]
+        # diag(s) J: slopes are nonnegative, so |s| <= s_hi
+        pm = (s_lo + s_hi) / 2.0 * jm
+        pr = (s_hi - s_lo) / 2.0 * np.abs(jm)
+        if jr is not None:
+            pr = pr + s_hi * jr
+        jm = weights[l] @ pm
+        jr = np.abs(weights[l]) @ pr
+        mids.append(jm)
+        rads.append(jr)
+    return tuple(mids), tuple(rads)
+
+
+def _rows_times(v, W):
+    """Each row of ``v`` times ``W``, one matrix-vector product per row."""
+    return (v[..., None, :] @ W)[..., 0, :]
+
+
+def _interval_hessian_raw(weights, jac_mid, jac_rad, local):
+    """``(H_lo, H_hi)``: the symmetric interval Hessian of the scalar
+    network with these weights, given ``_jacobian_intervals`` and the slope
+    and curvature ranges of ``local``; no validation, hot path.
+
+    Per layer, ``t = delta * sigma''`` and then ``J^T diag(t) J`` in
+    midpoint-radius form: with ``a = |J_mid|``, ``R = J_rad`` and ``T = |t_mid|
+    + t_rad``, the radius is ``a^T diag(t_rad) a + sym(R^T diag(T) (2a + R))``.
+    Stacked ranges give stacked matrices, each box's bit-identical to it
+    alone."""
+    n = weights[0].shape[1]
+    shape = local.slope_hi[0].shape[:-1] if local.slope_hi else ()
+    mid = np.zeros(shape + (n, n))
+    rad = np.zeros(shape + (n, n))
+    dm, dr = weights[-1][0], None          # delta_{L-1}: the output row, exact
+    for l in range(len(weights) - 1, 0, -1):
+        c_lo, c_hi = local.curv_lo[l - 1], local.curv_hi[l - 1]
+        cm = (c_lo + c_hi) / 2.0
+        cr = (c_hi - c_lo) / 2.0
+        tm = dm * cm
+        tr = np.abs(dm) * cr
+        if dr is not None:
+            tr = tr + dr * (np.abs(cm) + cr)
+        if l == 1:
+            jm, jr = weights[0], None
+        else:
+            jm, jr = jac_mid[l - 2], jac_rad[l - 2]
+        a = np.abs(jm)
+        mid = mid + (jm * tm[..., :, None]).swapaxes(-1, -2) @ jm
+        rad = rad + (a * tr[..., :, None]).swapaxes(-1, -2) @ a
+        if jr is not None:
+            y = (jr * (np.abs(tm) + tr)[..., :, None]).swapaxes(-1, -2) \
+                @ (2.0 * a + jr)
+            rad = rad + (y + y.swapaxes(-1, -2)) / 2.0
+        if l > 1:
+            # delta_{l-1} = (delta_l * sigma'(z_l)) W_l; slopes are nonnegative
+            s_lo, s_hi = local.slope_lo[l - 1], local.slope_hi[l - 1]
+            qr = np.abs(dm) * ((s_hi - s_lo) / 2.0)
+            if dr is not None:
+                qr = qr + dr * s_hi
+            dm = _rows_times(dm * ((s_lo + s_hi) / 2.0), weights[l - 1])
+            dr = _rows_times(qr, np.abs(weights[l - 1]))
+    mid = (mid + mid.swapaxes(-1, -2)) / 2.0
+    rad = np.maximum(rad, rad.swapaxes(-1, -2))
+    return mid - rad, mid + rad
+
+
+def interval_hessian(net, local):
+    """``(H_lo, H_hi)`` with ``H_lo <= hess J(x) <= H_hi`` entrywise at every
+    ``x`` of the box that ``local`` localizes, for a scalar network of any
+    depth; ``local`` stacked over boxes gives stacked matrices."""
+    if not net.is_scalar:
+        raise ValueError("interval Hessian needs a scalar network")
+    if local.num_hidden != net.depth - 1:
+        raise ValueError("local bounds do not match network depth")
+    weights = [lay.weight for lay in net.layers]
+    jac = _jacobian_intervals(weights, local.slope_lo, local.slope_hi)
+    return _interval_hessian_raw(weights, *jac, local)

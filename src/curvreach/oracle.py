@@ -1,4 +1,5 @@
-"""Brute-force baselines: sampling maxima, finite differences, sampled slopes.
+"""Brute-force baselines: sampling maxima, finite differences, sampled slopes,
+and the exact pointwise Hessian.
 
 These live in the shipped library, not only in the test suite, so the CLI can
 emit self-audit reports next to any certified bound.  Every oracle value is a
@@ -9,6 +10,8 @@ finite differences approximate equalities.
 from dataclasses import asdict, dataclass
 
 import numpy as np
+
+from .model import act_deriv, act_second
 
 
 @dataclass(frozen=True)
@@ -133,6 +136,30 @@ def fd_hessian(fn, x, h=1e-4):
                 pts.append(p)
     vals = np.asarray(fn(np.stack(pts)), dtype=float).reshape(n, n, 4)
     H = (vals[:, :, 0] - vals[:, :, 1] - vals[:, :, 2] + vals[:, :, 3]) / (4.0 * h * h)
+    return (H + H.T) / 2.0
+
+
+def exact_hessian(net, x):
+    """Hessian of a scalar network at the point ``x``, by the chain rule
+    ``sum_l J_l^T diag(delta_l * sigma''(z_l)) J_l`` with ``J_l = dz^(l)/dx``
+    and ``delta_l = dJ/da^(l)`` evaluated exactly at ``x``."""
+    if not net.is_scalar:
+        raise ValueError("exact Hessian needs a scalar network")
+    x = np.asarray(x, dtype=float)
+    if x.shape != (net.input_dim,):
+        raise ValueError(f"point must have shape ({net.input_dim},)")
+    zs = net.preactivations(x)[:-1]
+    hidden = net.layers[:-1]
+    jacs = [net.layers[0].weight]
+    for lay, prev, z in zip(hidden[1:], hidden, zs):
+        jacs.append(lay.weight @ (act_deriv(prev.activation, z)[:, None]
+                                  * jacs[-1]))
+    H = np.zeros((x.shape[0], x.shape[0]))
+    delta = net.layers[-1].weight[0]
+    for l in range(len(hidden) - 1, -1, -1):
+        act, z, J = hidden[l].activation, zs[l], jacs[l]
+        H += J.T @ ((delta * act_second(act, z))[:, None] * J)
+        delta = (delta * act_deriv(act, z)) @ hidden[l].weight
     return (H + H.T) / 2.0
 
 

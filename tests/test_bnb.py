@@ -181,10 +181,12 @@ class TestSolveContracts:
 GOLDEN = [
     # (dims, net seed, status, branches, max_active, flagged, lb, ub,
     #  witness) recorded from the solver's serial loop; floats are float.hex
-    #  so any change to node order or arithmetic shows
-    ([3, 6, 5, 1], 3701, "BranchLimit", 301, 91, 0,
-     "0x1.81ead44592323p+0", "0x1.fe5e3eda844dap+0",
-     ["-0x1.8000000000000p-3", "0x1.0000000000000p-1",
+    #  so any change to node order or arithmetic shows.  The depth-3 row was
+    #  re-recorded when its nodes gained the interval Hessian bound, which
+    #  converges where the spectral bound alone stopped at the budget
+    ([3, 6, 5, 1], 3701, "Converged", 275, 24, 0,
+     "0x1.8209edfcce047p+0", "0x1.824709f340a19p+0",
+     ["-0x1.a000000000000p-3", "0x1.0000000000000p-1",
       "-0x1.0000000000000p-1"]),
     ([3, 6, 1], 3800, "Converged", 57, 7, 0,
      "0x1.44119d8456922p+1", "0x1.4421fdca78217p+1",
@@ -195,10 +197,11 @@ GOLDEN = [
 
 @pytest.mark.parametrize("dims,seed,status,branches,max_active,flagged,lb,"
                          "ub,witness", GOLDEN,
-                         ids=["depth3-scalar-path", "depth2-matrix-path"])
+                         ids=["depth3-interval-path", "depth2-matrix-path"])
 def test_golden_solve(dims, seed, status, branches, max_active, flagged, lb,
                       ub, witness):
-    # depth 3 takes the scalar Hessian path, depth 2 the matrix path
+    # depth 3 takes the smaller of the spectral and the interval Hessian
+    # bounds, depth 2 the matrix path
     net = make_net(dims, seed=seed, scale=2.0)
     res = solve(ScalarObjective(net), -0.5 * np.ones(3), 0.5 * np.ones(3),
                 cfg=BnBConfig(eps_t=1e-3, max_branches=300))
@@ -337,6 +340,25 @@ class TestFailureEnvelope:
         bounder.bound(lo[:1], hi[:1], 3, root.ub)
         assert calls == [1, 2, 1]
 
+    def test_overflowed_interval_hessian_keeps_the_lam_bound(self,
+                                                             monkeypatch):
+        from curvreach import hessian as hs
+        obj = ScalarObjective(make_net([2, 6, 5, 1], seed=4200))
+        lo, hi = -np.ones((1, 2)), np.ones((1, 2))
+        l_inf, _, _, lam, _ = _Bounder(obj, BnBConfig())._constants(lo, hi)
+
+        def overflowed(weights, jac_mid, jac_rad, local):
+            nan = np.full(local.slope_hi[0].shape[:-1] + (2, 2), np.nan)
+            return nan, nan
+
+        monkeypatch.setattr(hs, "_interval_hessian_raw", overflowed)
+        node, = _Bounder(obj, BnBConfig()).bound(lo, hi, 0)
+        value, grad = obj.value_and_grad(np.zeros(2))
+        # half-edges 1: the lam model peaks at J(0) + |g|_1 + lam
+        lam_model = value + np.abs(grad).sum() + lam[0]
+        assert node.ub == pytest.approx(min(value + l_inf[0], lam_model),
+                                        rel=1e-12)
+
     def test_degenerate_box_solves_as_point(self):
         net = make_net([2, 5, 1], seed=3200)
         obj = ScalarObjective(net)
@@ -445,6 +467,38 @@ class TestStackedBounds:
         lo = rng.uniform(-1.5, 1.0, 3)
         hi = lo + rng.uniform(0.05, 2.0, 3)
         _assert_same_nodes(*_bound_stacked_and_alone(obj, *_children(lo, hi)))
+
+    def test_deep_net_takes_the_interval_bound(self):
+        # depth 3: each child's ub is the interval model J(c) + |g|.r +
+        # r^T A r / 2, with A built from the public interval Hessian, and is
+        # bit-identical to bounding the child alone
+        from curvreach.hessian import interval_hessian
+        from curvreach.localize import bounds_for_box
+        rng = np.random.default_rng(17)
+        obj = ScalarObjective(make_net([3, 6, 5, 1], seed=4102, scale=2.0))
+        lo = rng.uniform(-1.0, 0.0, 3)
+        hi = lo + rng.uniform(0.05, 0.3, 3)
+        lo2, hi2 = _children(lo, hi)
+        h_lo, h_hi = interval_hessian(obj.net, bounds_for_box(obj.net, lo2,
+                                                              hi2))
+        diag = np.diagonal(h_hi, axis1=1, axis2=2)
+        assert (diag < 0.0).any()          # the clamp to 0 matters here
+        A = np.maximum(np.abs(h_lo), np.abs(h_hi))
+        A[:, [0, 1, 2], [0, 1, 2]] = np.maximum(diag, 0.0)
+        r = (hi2 - lo2) / 2.0
+        value, grad = obj.value_and_grad((lo2 + hi2) / 2.0)
+        model = value + (np.abs(grad) * r).sum(axis=1) \
+            + 0.5 * np.einsum("bi,bij,bj->b", r, A, r)
+        l_inf, _, _, lam, _ = _Bounder(obj, BnBConfig())._constants(lo2, hi2)
+        assert (model < value + (np.abs(grad) * r).sum(axis=1)
+                + 0.5 * lam * (r * r).sum(axis=1)).all()
+        assert (model < value + l_inf * r.max(axis=1)).all()
+        stacked, alone = _bound_stacked_and_alone(obj, lo2, hi2)
+        _assert_same_nodes(stacked, alone)
+        for k, (s, a) in enumerate(zip(stacked, alone)):
+            assert (s.lb, s.ub) == (a.lb, a.ub)
+            assert np.array_equal(s.witness, a.witness)
+            assert s.ub == pytest.approx(model[k], rel=1e-12)
 
     def test_dual_route_above_the_vertex_cap(self):
         rng = np.random.default_rng(13)

@@ -236,6 +236,33 @@ class TestHessianCommand:
         assert data["lambda"] >= 0
 
 
+    def test_interval_next_to_lambda_for_deep_nets(self, tmp_path):
+        # depth 3: the FD Hessian at the box centre lies in [H_lo, H_hi]
+        from curvreach import oracle
+        from curvreach.model import ScalarObjective, scalarize
+        net = make_net([2, 6, 5, 2], seed=6100)
+        path = tmp_path / "deep.json"
+        save_network(net, path)
+        out = tmp_path / "h.json"
+        code = main(["hessian", "--network", str(path),
+                     "--box=-0.5..1,-1..0.25", "--direction", "1,-1",
+                     "--out", str(out)])
+        assert code == 0
+        data = json.loads(out.read_text())
+        assert data["kind"] == "scalar" and data["lambda"] >= 0
+        h_lo, h_hi = np.array(data["H_lo"]), np.array(data["H_hi"])
+        assert h_lo.shape == h_hi.shape == (2, 2)
+        obj = ScalarObjective(scalarize(net, np.array([1.0, -1.0])))
+        H = oracle.fd_hessian(obj.value, np.array([0.25, -0.375]))
+        assert (h_lo - 1e-6 <= H).all() and (H <= h_hi + 1e-6).all()
+
+    def test_no_interval_for_two_layer_scalar_only(self, tanh_file, tmp_path):
+        out = tmp_path / "h.json"
+        main(["hessian", "--network", tanh_file, "--box=-1..1,-1..1",
+              "--direction", "1,-1", "--scalar-only", "--out", str(out)])
+        assert set(json.loads(out.read_text())) == {"kind", "lambda"}
+
+
 class TestReachCommand:
     def test_polytope_faces(self, tanh_file, tmp_path):
         out = tmp_path / "poly.json"
@@ -287,6 +314,15 @@ class TestAuditCommand:
         assert data["sound"] is True
         quantities = {r["quantity"] for r in data["oracle_reports"]}
         assert quantities == {"grid_max", "sampled_lipschitz"}
+
+
+    def test_box_required_and_no_zonotope_offered(self, tanh_file, capsys):
+        assert main(["audit", "--help"]) == 0
+        help_text = capsys.readouterr().out
+        assert "--box" in help_text and "--zonotope" not in help_text
+        assert main(["audit", "--network", tanh_file,
+                     "--direction", "1,0"]) == 1
+        assert "--box" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from curvreach import oracle
 from curvreach.hessian import (MatrixHessianBound, ScalarHessianBound,
-                               hessian_norm_bound, two_layer_matrix_bounds)
+                               hessian_norm_bound, interval_hessian,
+                               two_layer_matrix_bounds)
 from curvreach.lipschitz import (default_loop_transform,
                                  jacobian_elementwise_bounds, lipschitz_report)
 from curvreach.localize import bounds_for_box, global_bounds
@@ -152,3 +153,149 @@ class TestTwoRoutesConsistency:
             spec = np.abs(np.linalg.eigvalsh(H)).max()
             assert spec <= sb.lam + 1e-6
             assert np.linalg.eigvalsh(mb.M - H).min() >= -1e-6
+
+
+class TestExactHessianOracle:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(act=st.sampled_from(list(Activation)),
+           hidden=st.lists(st.integers(2, 8), min_size=0, max_size=3),
+           seed=st.integers(0, 100_000))
+    def test_matches_finite_differences(self, act, hidden, seed):
+        rng = np.random.default_rng(seed)
+        net = make_net([3, *hidden, 1], act=act, seed=seed, scale=2.0)
+        x = rng.uniform(-1.0, 1.0, 3)
+        H = oracle.exact_hessian(net, x)
+        assert np.array_equal(H, H.T)
+        fd = oracle.fd_hessian(ScalarObjective(net).value, x)
+        assert np.allclose(H, fd, rtol=1e-4, atol=1e-5)
+
+    def test_rejects_vector_network(self):
+        with pytest.raises(ValueError):
+            oracle.exact_hessian(make_net([2, 4, 2], seed=1), np.zeros(2))
+
+
+def _imul(a, b):
+    """Exact range of the product of intervals a = (lo, hi) and b."""
+    p = np.array([a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1]])
+    return p.min(axis=0), p.max(axis=0)
+
+
+def _ilin(W, a):
+    """Exact range of W x over the box x in a = (lo, hi)."""
+    pos, neg = np.maximum(W, 0.0), np.minimum(W, 0.0)
+    return pos @ a[0] + neg @ a[1], pos @ a[1] + neg @ a[0]
+
+
+def endpoint_interval_hessian(net, local):
+    """The Hessian chain rule in endpoint interval arithmetic, one exact
+    interval operation at a time: no tighter than the true Hessian range,
+    and never looser than the midpoint-radius form of ``interval_hessian``,
+    whose every operation encloses the exact range of its operands."""
+    Ws = [lay.weight for lay in net.layers]
+    jacs = [(Ws[0], Ws[0])]
+    for l in range(1, len(Ws) - 1):
+        s = (local.slope_lo[l - 1][:, None], local.slope_hi[l - 1][:, None])
+        jacs.append(_ilin(Ws[l], _imul(s, jacs[-1])))
+    delta = (Ws[-1][0], Ws[-1][0])
+    lo = hi = 0.0
+    for l in range(len(Ws) - 1, 0, -1):
+        t = _imul(delta, (local.curv_lo[l - 1], local.curv_hi[l - 1]))
+        J_lo, J_hi = jacs[l - 1]
+        pair = _imul((J_lo[:, :, None], J_hi[:, :, None]),
+                     (J_lo[:, None, :], J_hi[:, None, :]))
+        term = _imul(pair, (t[0][:, None, None], t[1][:, None, None]))
+        lo, hi = lo + term[0].sum(axis=0), hi + term[1].sum(axis=0)
+        q = _imul(delta, (local.slope_lo[l - 1], local.slope_hi[l - 1]))
+        delta = _ilin(Ws[l - 1].T, q)
+    return lo, hi
+
+
+class TestIntervalHessian:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(act=st.sampled_from(list(Activation)),
+           hidden=st.lists(st.integers(2, 8), min_size=1, max_size=3),
+           seed=st.integers(0, 100_000))
+    def test_encloses_the_exact_hessian(self, act, hidden, seed):
+        # H_lo <= hess J(x) <= H_hi at sampled points of a random box, depth
+        # 2-4, corners included: branch and bound bounds its model with the
+        # interval on the whole box
+        rng = np.random.default_rng(seed)
+        net = make_net([3, *hidden, 1], act=act, seed=seed, scale=2.0)
+        lo = rng.uniform(-1.5, 1.0, 3)
+        hi = lo + rng.uniform(0.05, 2.0, 3)
+        h_lo, h_hi = interval_hessian(net, bounds_for_box(net, lo, hi))
+        assert np.array_equal(h_lo, h_lo.T) and np.array_equal(h_hi, h_hi.T)
+        pts = np.vstack([lo + rng.random((10, 3)) * (hi - lo), lo, hi])
+        for x in pts:
+            H = oracle.exact_hessian(net, x)
+            tol = 1e-12 * max(1.0, float(np.abs(H).max()))
+            assert (h_lo - tol <= H).all() and (H <= h_hi + tol).all()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(act=st.sampled_from(list(Activation)),
+           hidden=st.lists(st.integers(2, 8), min_size=1, max_size=3),
+           seed=st.integers(0, 100_000))
+    def test_encloses_the_endpoint_reference(self, act, hidden, seed):
+        # sampling rarely reaches the interval's ends; the endpoint form
+        # does, so a term dropped from any radius shows here
+        rng = np.random.default_rng(seed)
+        net = make_net([3, *hidden, 1], act=act, seed=seed, scale=2.0)
+        lo = rng.uniform(-1.5, 1.0, 3)
+        hi = lo + rng.uniform(0.05, 2.0, 3)
+        local = bounds_for_box(net, lo, hi)
+        h_lo, h_hi = interval_hessian(net, local)
+        ref_lo, ref_hi = endpoint_interval_hessian(net, local)
+        tol = 1e-12 * (1.0 + np.abs(ref_lo) + np.abs(ref_hi))
+        assert (h_lo <= ref_lo + tol).all() and (ref_hi <= h_hi + tol).all()
+        for x in lo + rng.random((5, 3)) * (hi - lo):
+            H = oracle.exact_hessian(net, x)
+            assert (ref_lo - tol <= H).all() and (H <= ref_hi + tol).all()
+
+    def test_identity_activations_give_zero(self):
+        net = Network((Layer(np.eye(2), np.zeros(2), Activation.IDENTITY),
+                       Layer(np.ones((2, 2)), np.zeros(2), Activation.IDENTITY),
+                       Layer(np.ones((1, 2)), np.zeros(1), None)))
+        h_lo, h_hi = interval_hessian(
+            net, bounds_for_box(net, -np.ones(2), np.ones(2)))
+        assert not h_lo.any() and not h_hi.any()
+
+    def test_two_layer_matches_the_sandwich(self):
+        # one hidden layer: J_1 = W_1 is exact, so the interval's diagonal
+        # never exceeds the sandwich's upper matrix M
+        net = make_net([3, 6, 1], seed=12, scale=2.0)
+        local = bounds_for_box(net, -np.ones(3), np.ones(3))
+        h_lo, h_hi = interval_hessian(net, local)
+        mb = two_layer_matrix_bounds(net, local)
+        assert (np.diag(h_hi) <= np.diag(mb.M) + 1e-12).all()
+        assert (np.diag(mb.N) - 1e-12 <= np.diag(h_lo)).all()
+
+    @pytest.mark.parametrize("act", list(Activation))
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(hidden=st.lists(st.integers(2, 8), min_size=1, max_size=3),
+           seed=st.integers(0, 2**16))
+    def test_stacked_boxes_match_alone(self, act, hidden, seed):
+        # bit for bit: branch and bound stacks a split's children
+        rng = np.random.default_rng(seed)
+        net = make_net([3, *hidden, 1], act=act, seed=seed, scale=2.0)
+        lo = rng.uniform(-1.5, 1.0, (4, 3))
+        hi = lo + rng.uniform(0.05, 2.0, (4, 3))
+        h_lo, h_hi = interval_hessian(net, bounds_for_box(net, lo, hi))
+        for k in range(4):
+            a, b = interval_hessian(net, bounds_for_box(net, lo[k], hi[k]))
+            assert np.array_equal(h_lo[k], a) and np.array_equal(h_hi[k], b)
+
+    def test_tightens_as_the_box_shrinks(self):
+        net = make_net([2, 6, 5, 1], seed=21, scale=2.0)
+        widths = []
+        for half in (1.0, 0.1, 1e-2, 1e-3, 1e-4):
+            h_lo, h_hi = interval_hessian(
+                net, bounds_for_box(net, -half * np.ones(2), half * np.ones(2)))
+            widths.append(float((h_hi - h_lo).max()))
+        assert all(b <= a for a, b in zip(widths, widths[1:]))
+        H0 = oracle.exact_hessian(net, np.zeros(2))
+        assert widths[-1] < 0.1 * float(np.abs(H0).max())
+
+    def test_rejects_vector_network(self):
+        net = make_net([2, 4, 4, 2], seed=3)
+        with pytest.raises(ValueError):
+            interval_hessian(net, bounds_for_box(net, -np.ones(2), np.ones(2)))
