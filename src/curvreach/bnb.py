@@ -24,22 +24,23 @@ Nodes are expanded in order of largest upper bound, one at a time: each step
 pops one node, halves its longest edge, bounds both children in one stacked
 pass (the box arrays of ``_Bounder.bound`` carry a leading axis of length 2),
 updates the best lower bound over both and pushes them, first child first.
-Each child gets the bounds it would get alone, bit for bit; the dual solve
-and the scalar Hessian bound run per child, and a stack whose certificates
-fail numerically is bounded again one child at a time.  Children never report
-a looser upper bound than their parent.
+Each child gets the bounds it would get alone, bit for bit; only the dual
+solve runs per child, and a stack whose certificates fail numerically is
+bounded again one child at a time.  Children never report a looser upper
+bound than their parent.
 
 A node's certificates split into a box-level part (localization, the ell_inf
 internal Lipschitz memo, the ell_2 subnetwork constants and the Jacobian
 intervals of the interval Hessian), which depends on the box and the hidden
 layers only, and a per-direction finish that reads the output layer and the
 linear term.  Solves of several directions over one input set may share the
-box-level part through a ``BoxCertificates`` store.
+box-level part through a ``BoxCertificates`` store, which keeps each stack's
+certificates whole: a split's children come as the same pair in every solve.
 """
 
 import heapq
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -52,7 +53,7 @@ from .model import Network, ScalarObjective, prepend_affine
 _PRUNE_SLACK = 1e-12
 _DEGENERATE = 1e-13
 _VERTEX_CAP = 12                       # vertex enumeration up to this dimension
-_CERT_CAP = 1024                       # box certificates kept per store
+_CERT_CAP = 1024                       # stack certificates kept per store
 
 
 @dataclass
@@ -107,11 +108,12 @@ def _same_layers(a, b):
 class BoxCertificates:
     """Box-level certificates shared by the solves of one input set.
 
-    Entries are keyed by the exact bytes of a box and are valid only for the
-    hidden layers and the ``use_first_order`` they were computed with; the
-    first solve fixes these, and a later solve that differs raises
-    ``StoreMismatchError``.  At most ``_CERT_CAP`` entries are kept; the
-    oldest goes first.
+    Each entry holds the certificates of one stack of boxes (a split's two
+    children, or one box), keyed by the exact bytes of the stack's ``lo`` and
+    ``hi``.  Entries are valid only for the hidden layers and the
+    ``use_first_order`` they were computed with; the first solve fixes these,
+    and a later solve that differs raises ``StoreMismatchError``.  At most
+    ``_CERT_CAP`` stacks are kept; the oldest goes first.
     """
 
     def __init__(self):
@@ -145,8 +147,8 @@ class _BoxCertificate:
     ``slope_hi`` and ``curv_abs``, the two-layer matrices ``curv_lo`` and
     ``curv_hi``, the interval Hessian the slope and curvature ranges and the
     Jacobian intervals ``jac_mid``, ``jac_rad`` of layers ``l >= 2``.  Each
-    field holds one entry per layer; for a stack of boxes every entry has a
-    leading axis over the boxes."""
+    field holds one entry per layer, and every entry has a leading axis over
+    the boxes of the stack."""
 
     slope_hi: tuple
     memo: tuple                        # ell_inf internal memo, l >= 1
@@ -157,21 +159,6 @@ class _BoxCertificate:
     slope_lo: tuple = ()
     jac_mid: tuple = ()
     jac_rad: tuple = ()
-
-    def row(self, k):
-        """The certificate of box ``k`` of a stack, on its own."""
-        return _BoxCertificate(*(
-            tuple(a[k] if a.ndim > 1 else float(a[k])
-                  for a in getattr(self, f.name))
-            for f in fields(self)))
-
-    @staticmethod
-    def stack(certs):
-        """The certificates of single boxes, stacked in order."""
-        return _BoxCertificate(*(
-            tuple(np.array(parts)
-                  for parts in zip(*(getattr(c, f.name) for c in certs)))
-            for f in fields(_BoxCertificate)))
 
 
 def _select(mask):
@@ -223,30 +210,23 @@ class _Bounder:
         # the ell_inf total stage opens with ||W_L||, the ell_2 subnetwork
         # stages with ||W_1|| .. ||W_{L-1}||; none depends on the box
         self.head_inf = lip._norm(self.weights[-1], np.inf)
-        self.heads2 = (lip._head_norms(self.weights, 2)
-                       if cfg.use_first_order and not self.two_layer else None)
+        self.heads2 = lip._head_norms(self.weights, 2) if self.deep else None
         self.root_consts = None
 
     def _ds(self, slope_hi):
         return [b / 2.0 for b in slope_hi]
 
     def _certificate(self, lo, hi):
-        """Box-level certificates of a stack of boxes; each box is looked up
-        in the store on its own, and the missing ones are computed together."""
+        """Box-level certificates of a stack of boxes, from the store when it
+        holds the stack."""
         if self.certs is None:
             return self._fresh_certificate(lo, hi)
-        keys = [a.tobytes() + b.tobytes() for a, b in zip(lo, hi)]
-        certs = [self.certs.entries.get(key) for key in keys]
-        missing = [k for k, cert in enumerate(certs) if cert is None]
-        if not missing:
-            return _BoxCertificate.stack(certs)
-        fresh = self._fresh_certificate(lo[missing], hi[missing])
-        for j, k in enumerate(missing):
-            certs[k] = fresh.row(j)
-            self.certs.put(keys[k], certs[k])
-        if len(missing) == len(keys):
-            return fresh
-        return _BoxCertificate.stack(certs)
+        key = lo.tobytes() + hi.tobytes()
+        cert = self.certs.entries.get(key)
+        if cert is None:
+            cert = self._fresh_certificate(lo, hi)
+            self.certs.put(key, cert)
+        return cert
 
     def _fresh_certificate(self, lo, hi):
         local = loc.bounds_for_box(self.net, lo, hi)
@@ -257,25 +237,17 @@ class _Bounder:
         if not self.cfg.use_first_order:
             return cert
         cert.curv_lo, cert.curv_hi = local.curv_lo, local.curv_hi
-        if self.two_layer:
+        if not self.deep:
             return cert
-        cert.curv_abs = local.curv_abs
+        cert.curv_abs, cert.slope_lo = local.curv_abs, local.slope_lo
         # the first subnetwork constant, ||W_1||, is one for all boxes
         cert.subnet2 = tuple(
             np.broadcast_to(c, lo.shape[:1])
             for c in lip._report_raw(self.weights, slope_hi, ds, 2,
                                      self.heads2))
-        if self.deep:
-            cert.slope_lo = local.slope_lo
-            cert.jac_mid, cert.jac_rad = hs._jacobian_intervals(
-                self.weights, local.slope_lo, slope_hi)
+        cert.jac_mid, cert.jac_rad = hs._jacobian_intervals(
+            self.weights, local.slope_lo, slope_hi)
         return cert
-
-    def _scalar_lam(self, box):
-        """The scalar Hessian bound of one box, from its own certificate."""
-        report = lip.LipschitzReport(0.0, box.subnet2, 2)
-        jac = lip._jacobian_rows(self.abs_weights, box.slope_hi)
-        return hs.hessian_norm_bound(self.net, box, report, jac).lam
 
     def _constants(self, lo, hi):
         """(L_inf, M, eig, lam, A) certified on each box of a stack: the
@@ -297,9 +269,13 @@ class _Bounder:
             # bound's tolerance all read it
             eig = np.linalg.eigvalsh(M)
             return l_inf, M, eig, np.maximum(eig[:, -1], 0.0), None
-        lam = np.array([self._scalar_lam(cert.row(k)) for k in range(len(lo))])
         if not self.deep:
-            return l_inf, None, None, lam, None
+            # no hidden layer: the objective is linear
+            return l_inf, None, None, np.zeros(len(lo)), None
+        # only the subnetwork constants of the report are read
+        report = lip.LipschitzReport(0.0, cert.subnet2, 2)
+        jac = lip._jacobian_rows(self.abs_weights, slope_hi)
+        lam = hs.hessian_norm_bound(self.net, cert, report, jac).lam
         h_lo, h_hi = hs._interval_hessian_raw(self.weights, cert.jac_mid,
                                               cert.jac_rad, cert)
         # |H_ij| <= A_ij off the diagonal, H_ii <= A_ii on it

@@ -236,6 +236,8 @@ def _cmd_audit(args):
     net = fileio.load_network(args.network)
     c = fileio.parse_vector(args.direction, net.output_dim)
     box = fileio.parse_box(args.box, net.input_dim)
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     objective = ScalarObjective(scalarize(net, c))
     cfg = _bnb_config(args)
     res = bnb.solve(objective, box.lo, box.hi, cfg=cfg)

@@ -90,12 +90,16 @@ def load_system(path, controller):
     try:
         A = np.asarray(data["A"], dtype=float)
         B = np.asarray(data["B"], dtype=float)
-        horizon = int(data["T"])
+        T = data["T"]
         drift = np.asarray(data["c"], dtype=float) if "c" in data else None
     except (KeyError, TypeError, ValueError):
         raise ValueError(f"{path}: system JSON needs numeric 'A', 'B', 'T' "
                          "(and 'c' if given)") from None
-    return _from_file(path, LinearSystem, A, B, controller, horizon, drift)
+    # a whole number >= 1; inf % 1 is NaN, which is truthy
+    if not isinstance(T, (int, float)) or T % 1 or T < 1:
+        raise ValueError(f"{path}: system T must be a whole number of steps "
+                         f">= 1, got {T!r}")
+    return _from_file(path, LinearSystem, A, B, controller, int(T), drift)
 
 
 def parse_box(text, dim=None):

@@ -45,12 +45,13 @@ class MatrixHessianBound:
 
 @dataclass(frozen=True)
 class ScalarHessianBound:
-    """lam >= 0 with ||hess J(x)||_2 <= lam, i.e. M = lam I, N = -lam I."""
+    """lam >= 0 with ||hess J(x)||_2 <= lam, i.e. M = lam I, N = -lam I; a
+    stack of regions has an array with one entry per region."""
 
     lam: float
 
     def __post_init__(self):
-        if self.lam < 0.0:
+        if np.any(self.lam < 0.0):
             raise ValueError("scalar Hessian bound must be nonnegative")
 
 
@@ -82,8 +83,8 @@ def two_layer_matrix_bounds(net, local):
 def _weighted_suffix_liplt(weights, slope_his, l, h):
     """Second estimate of max_j h_j |d z^(L) / d a^(l)_j|: a loop-
     transformed Lipschitz bound, in the ell_1 norm, of the tail network with
-    its first weight scaled column-wise by h."""
-    w_suffix = [weights[l] * h[None, :]] + list(weights[l + 1:])
+    its first weight scaled column-wise by h, per box when h is stacked."""
+    w_suffix = [weights[l] * h[..., None, :]] + list(weights[l + 1:])
     s_his = list(slope_his[l:])
     ds = [b / 2.0 for b in s_his]
     return lip._total_raw(w_suffix, s_his, ds, 1)
@@ -91,7 +92,9 @@ def _weighted_suffix_liplt(weights, slope_his, l, h):
 
 def hessian_norm_bound(net, local, report, jac_bounds):
     """Spectral bound: sum over hidden layers of (ell_2 subnet constant)^2
-    times the worst h-weighted entry of the output-side Jacobian bound."""
+    times the worst h-weighted entry of the output-side Jacobian bound.
+    Inputs stacked over boxes give an array ``lam``, each box's entry
+    bit-identical to its float alone."""
     if not net.is_scalar:
         raise ValueError("Hessian norm bound needs a scalar network")
     if report.p != 2:
@@ -106,11 +109,15 @@ def hessian_norm_bound(net, local, report, jac_bounds):
         if l not in jac_bounds:
             raise ValueError(f"missing Jacobian bound for layer {l}")
         h = habs[l - 1]
-        w = float(np.max(h * jac_bounds[l], initial=0.0))
-        if w > 0.0:
-            w = min(w, _weighted_suffix_liplt(weights, local.slope_hi, l, h))
-        lam += report.subnet[l - 1] ** 2 * w
-    return ScalarHessianBound(max(lam, 0.0))
+        w = np.max(h * jac_bounds[l], axis=-1, initial=0.0)
+        if (w > 0.0).any():
+            # fmin keeps w where the suffix bound is NaN
+            w = np.where(w > 0.0, np.fmin(w, _weighted_suffix_liplt(
+                weights, local.slope_hi, l, h)), w)
+        # c * c: a float's c ** 2 calls the C pow, which may round otherwise
+        c = report.subnet[l - 1]
+        lam = lam + c * c * w
+    return ScalarHessianBound(lip._unbox(np.maximum(lam, 0.0)))
 
 
 def _jacobian_intervals(weights, slope_lo, slope_hi):
@@ -133,11 +140,6 @@ def _jacobian_intervals(weights, slope_lo, slope_hi):
         mids.append(jm)
         rads.append(jr)
     return tuple(mids), tuple(rads)
-
-
-def _rows_times(v, W):
-    """Each row of ``v`` times ``W``, one matrix-vector product per row."""
-    return (v[..., None, :] @ W)[..., 0, :]
 
 
 def _interval_hessian_raw(weights, jac_mid, jac_rad, local):
@@ -180,8 +182,8 @@ def _interval_hessian_raw(weights, jac_mid, jac_rad, local):
             qr = np.abs(dm) * ((s_hi - s_lo) / 2.0)
             if dr is not None:
                 qr = qr + dr * s_hi
-            dm = _rows_times(dm * ((s_lo + s_hi) / 2.0), weights[l - 1])
-            dr = _rows_times(qr, np.abs(weights[l - 1]))
+            dm = lip._rows_times(dm * ((s_lo + s_hi) / 2.0), weights[l - 1])
+            dr = lip._rows_times(qr, np.abs(weights[l - 1]))
     mid = (mid + mid.swapaxes(-1, -2)) / 2.0
     rad = np.maximum(rad, rad.swapaxes(-1, -2))
     return mid - rad, mid + rad

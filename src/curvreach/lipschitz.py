@@ -262,13 +262,20 @@ def refine_loop_transform(net, local, p, sweeps=50, start=None):
     return LoopTransform(tuple(ds))
 
 
+def _rows_times(v, W):
+    """Each row of ``v`` times ``W``, one vector-matrix product per row, so
+    that a stacked row gets the bits it gets alone."""
+    return (v[..., None, :] @ W)[..., 0, :]
+
+
 def _jacobian_rows(abs_weights, slope_his):
     """The rows of ``jacobian_elementwise_bounds`` from |W_1| .. |W_L|; no
-    validation, hot path."""
+    validation, hot path.  Slope rows stacked on a leading axis give stacked
+    Jacobian rows."""
     s = abs_weights[-1][0]
     rows = {len(abs_weights) - 1: s}
     for k in range(len(abs_weights) - 1, 1, -1):
-        s = (s * slope_his[k - 1]) @ abs_weights[k - 1]
+        s = _rows_times(s * slope_his[k - 1], abs_weights[k - 1])
         rows[k - 1] = s
     return rows
 

@@ -163,6 +163,20 @@ class TestExitCodes:
         assert err.startswith("error: ") and flag in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("samples", ["-5", "0"])
+    def test_audit_samples_below_one_names_flag(self, tanh_file, monkeypatch,
+                                                capsys, samples):
+        # rejected before the solve, which must not run
+        def no_solve(*args, **kwargs):
+            raise AssertionError("audit solved before checking --samples")
+
+        monkeypatch.setattr("curvreach.bnb.solve", no_solve)
+        code = main(["audit", "--network", tanh_file, "--direction", "1,0",
+                     "--box=-1..1,-1..1", "--samples", samples])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "--samples" in err
+
     @pytest.mark.parametrize("command", ["bnb", "reach", "closedloop", "audit"])
     def test_lipschitz_flag_rejected(self, tanh_file, di_files, tmp_path,
                                      capsys, command):
@@ -375,6 +389,16 @@ class TestParsing:
         system.write_text('{"A": [[1.0, 0.0], [0.0, 1.0]], "B": [[0.0], [1.0]],'
                           ' "T": 1, "c": [[0.0], 1.0]}')
         with pytest.raises(ValueError, match="system.json: system JSON"):
+            load_system(system, di_controller)
+
+    @pytest.mark.parametrize("horizon", ["1e400", "2.7", "0"])
+    def test_system_horizon_must_be_whole(self, di_controller, tmp_path,
+                                          horizon):
+        # 1e400 parses as inf; 2.7 must not run 2 steps; 0 must name the file
+        system = tmp_path / "system.json"
+        system.write_text('{"A": [[1.0, 0.0], [0.0, 1.0]], "B": [[0.0], [1.0]],'
+                          f' "T": {horizon}}}')
+        with pytest.raises(ValueError, match="system.json: system T"):
             load_system(system, di_controller)
 
     def test_network_round_trip(self, tmp_path):

@@ -280,9 +280,14 @@ class TestIntervalHessian:
         lo = rng.uniform(-1.5, 1.0, (4, 3))
         hi = lo + rng.uniform(0.05, 2.0, (4, 3))
         h_lo, h_hi = interval_hessian(net, bounds_for_box(net, lo, hi))
+        lam = scalar_pipeline(net, lo, hi).lam
+        assert lam.shape == (4,)
         for k in range(4):
             a, b = interval_hessian(net, bounds_for_box(net, lo[k], hi[k]))
             assert np.array_equal(h_lo[k], a) and np.array_equal(h_hi[k], b)
+            alone = scalar_pipeline(net, lo[k], hi[k]).lam
+            assert type(alone) is float
+            assert float(lam[k]).hex() == alone.hex()
 
     def test_tightens_as_the_box_shrinks(self):
         net = make_net([2, 6, 5, 1], seed=21, scale=2.0)
