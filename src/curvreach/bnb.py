@@ -20,10 +20,22 @@ peak at ``c + r * sign(g)`` and the smaller bound wins: the interval is
 tighter on small boxes, ``lam`` near the root of wide deep nets.  The
 interval rounds to nearest, as localization does.
 
-Nodes are expanded in order of largest upper bound, one at a time: each step
-pops one node, halves its longest edge, bounds both children in one stacked
-pass (the box arrays of ``_Bounder.bound`` carry a leading axis of length 2),
-updates the best lower bound over both and pushes them, first child first.
+Nodes are expanded in order of largest upper bound, and the result is that
+of expanding them one at a time: pop the top node, halve its longest edge,
+bound both children, update the best lower bound over both and push them,
+first child first.  For speed, each step pops up to ``_BATCH`` top nodes,
+splits them all and bounds every child in one stacked pass (the box arrays of
+``_Bounder.bound`` carry a leading axis over the children, and ``parent_ub``
+one entry per child), then replays the one-node loop over the results.
+Before each later node of the batch the replay redoes that loop's checks:
+termination, the node budget, and whether a child pushed meanwhile now
+outranks the node.  At the first failed check the unreplayed nodes go back on
+the heap and their children are dropped, so node numbers, counts, bounds and
+witness are those of the one-node loop, bit for bit.  The batch grows from one
+node as a solve proceeds: it holds at most as many nodes as were expanded
+before it, as the budget leaves room for, and as stay above the termination
+gap, so short solves stay sequential.
+
 Each child gets the bounds it would get alone, bit for bit; only the dual
 solve runs per child, and a stack whose certificates fail numerically is
 bounded again one child at a time.  Children never report a looser upper
@@ -34,13 +46,14 @@ internal Lipschitz memo, the ell_2 subnetwork constants and the Jacobian
 intervals of the interval Hessian), which depends on the box and the hidden
 layers only, and a per-direction finish that reads the output layer and the
 linear term.  Solves of several directions over one input set may share the
-box-level part through a ``BoxCertificates`` store, which keeps each stack's
-certificates whole: a split's children come as the same pair in every solve.
+box-level part through a ``BoxCertificates`` store, keyed by split pair: a
+split's children come as the same pair in every solve, whichever nodes they
+are batched with.
 """
 
 import heapq
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -53,7 +66,8 @@ from .model import Network, ScalarObjective, prepend_affine
 _PRUNE_SLACK = 1e-12
 _DEGENERATE = 1e-13
 _VERTEX_CAP = 12                       # vertex enumeration up to this dimension
-_CERT_CAP = 1024                       # stack certificates kept per store
+_CERT_CAP = 1024                       # pair certificates kept per store
+_BATCH = 32                            # most nodes whose children share a pass
 
 
 @dataclass
@@ -108,12 +122,14 @@ def _same_layers(a, b):
 class BoxCertificates:
     """Box-level certificates shared by the solves of one input set.
 
-    Each entry holds the certificates of one stack of boxes (a split's two
-    children, or one box), keyed by the exact bytes of the stack's ``lo`` and
-    ``hi``.  Entries are valid only for the hidden layers and the
-    ``use_first_order`` they were computed with; the first solve fixes these,
-    and a later solve that differs raises ``StoreMismatchError``.  At most
-    ``_CERT_CAP`` stacks are kept; the oldest goes first.
+    Each entry holds the certificates of one split pair (a split's two
+    children, or one box bounded alone), keyed by the exact bytes of its
+    ``lo`` and ``hi``; a stacked pass over many pairs looks each up, and
+    stores each, on its own.  Entries are valid only for the hidden layers
+    and the ``use_first_order`` they were computed with; the first solve
+    fixes these, and a later solve that differs raises
+    ``StoreMismatchError``.  At most ``_CERT_CAP`` entries are kept; the
+    oldest goes first.
     """
 
     def __init__(self):
@@ -159,6 +175,19 @@ class _BoxCertificate:
     slope_lo: tuple = ()
     jac_mid: tuple = ()
     jac_rad: tuple = ()
+
+    def rows(self, sel):
+        """The certificate of the boxes that the slice ``sel`` picks."""
+        return _BoxCertificate(*(tuple(a[sel] for a in getattr(self, f.name))
+                                 for f in fields(self)))
+
+    @staticmethod
+    def join(certs):
+        """One certificate of the boxes of ``certs``, in order."""
+        return _BoxCertificate(*(
+            tuple(np.concatenate(parts)
+                  for parts in zip(*(getattr(c, f.name) for c in certs)))
+            for f in fields(_BoxCertificate)))
 
 
 def _select(mask):
@@ -217,16 +246,28 @@ class _Bounder:
         return [b / 2.0 for b in slope_hi]
 
     def _certificate(self, lo, hi):
-        """Box-level certificates of a stack of boxes, from the store when it
-        holds the stack."""
+        """Box-level certificates of a stack of boxes.  With a store, the
+        stack is taken as a run of split pairs, or as single boxes when its
+        length is odd: stored pairs are looked up, and the missing ones are
+        computed in one stacked pass and stored pair by pair."""
         if self.certs is None:
             return self._fresh_certificate(lo, hi)
-        key = lo.tobytes() + hi.tobytes()
-        cert = self.certs.entries.get(key)
-        if cert is None:
-            cert = self._fresh_certificate(lo, hi)
-            self.certs.put(key, cert)
-        return cert
+        step = 2 if len(lo) % 2 == 0 else 1
+        keys = [lo[k:k + step].tobytes() + hi[k:k + step].tobytes()
+                for k in range(0, len(lo), step)]
+        found = [self.certs.entries.get(key) for key in keys]
+        missing = [g for g, cert in enumerate(found) if cert is None]
+        if not missing:
+            return found[0] if len(found) == 1 else _BoxCertificate.join(found)
+        whole = len(missing) == len(found)
+        rows = slice(None) if whole else [
+            k for g in missing for k in range(g * step, (g + 1) * step)]
+        fresh = self._fresh_certificate(lo[rows], hi[rows])
+        for i, g in enumerate(missing):
+            found[g] = fresh if len(found) == 1 \
+                else fresh.rows(slice(i * step, (i + 1) * step))
+            self.certs.put(keys[g], found[g])
+        return fresh if whole else _BoxCertificate.join(found)
 
     def _fresh_certificate(self, lo, hi):
         local = loc.bounds_for_box(self.net, lo, hi)
@@ -286,19 +327,23 @@ class _Bounder:
 
     def _one_by_one(self, lo, hi, index, parent_ub):
         """``bound`` on each box of a stack as a stack of one."""
+        parent_ub = np.broadcast_to(parent_ub, len(lo))
         return [node for k in range(len(lo))
                 for node in self.bound(lo[k:k + 1], hi[k:k + 1], index + k,
-                                       parent_ub)]
+                                       parent_ub[k:k + 1])]
 
     def bound(self, lo, hi, index, parent_ub=np.inf):
         """Bound each box of the stack ``lo``, ``hi`` (shape ``(B, n)``) and
-        return its ``B`` nodes, numbered from ``index`` in stack order.
+        return its ``B`` nodes, numbered from ``index`` in stack order;
+        ``parent_ub`` caps each box's upper bound, one value for all or one
+        per box.
 
         Each box gets the bounds it would get alone, bit for bit.  A stack
         that holds a degenerate box, or whose certificates fail numerically,
         is bounded one box at a time, so only a failing box is flagged."""
         cfg = self.cfg
         n_box = len(lo)
+        parent_ub = np.asarray(parent_ub, dtype=float)
         center = (lo + hi) / 2.0
         r = (hi - lo) / 2.0            # half-edges; a box is center +- r
         eps = r.max(axis=1)
@@ -307,8 +352,8 @@ class _Bounder:
         value_c, grad_c = self.obj.value_and_grad(center)
         if eps[0] <= 0.0:
             v = float(value_c[0])
-            return [BnBNode(lo[0], hi[0], center[0], v, min(v, parent_ub),
-                            center[0], index)]
+            return [BnBNode(lo[0], hi[0], center[0], v,
+                            min(v, parent_ub.item()), center[0], index)]
         if cfg.recompute_local or self.root_consts is None:
             try:
                 consts = self._constants(lo, hi)
@@ -319,7 +364,8 @@ class _Bounder:
                 # sound fallback: inherit the parent's upper bound, keep the
                 # center evaluation as the lower bound
                 return [BnBNode(lo[0], hi[0], center[0], float(value_c[0]),
-                                parent_ub, center[0], index, flagged=True)]
+                                parent_ub.item(), center[0], index,
+                                flagged=True)]
             if index == 0:
                 # only the root's certificates hold on every later box; if
                 # the root's fail, each node keeps its own
@@ -435,44 +481,78 @@ def solve(obj_or_net, lo, hi, eps_t=None, cfg=None, certs=None):
     branches = 1
     max_active = 1
     next_index = 1
+    expanded = 0
     flagged = 1 if root.flagged else 0
     stats = [(float(np.max(root.hi - root.lo)), root.first_won)] \
         if cfg.collect_stats else []
 
+    def stop(top):
+        """The one-node loop's status before it pops the heap entry ``top``
+        (None for an empty heap), or None while it goes on."""
+        top_ub = top[2].ub if top else -np.inf
+        if max(top_ub, finalized_ub, best_lb) - best_lb <= cfg.eps_t:
+            return "Converged"
+        if branches >= cfg.max_branches or top is None:
+            return "BranchLimit"
+        return None
+
     while True:
-        cur_ub = max(heap[0][2].ub if heap else -np.inf, finalized_ub, best_lb)
-        if cur_ub - best_lb <= cfg.eps_t:
-            status = "Converged"
-            break
-        if branches >= cfg.max_branches or not heap:
-            status = "BranchLimit"
+        status = stop(heap[0] if heap else None)
+        if status:
             break
 
-        node = heapq.heappop(heap)[2]
-        scale = max(1.0, float(np.max(np.abs(node.center))))
-        if float(np.max(node.hi - node.lo)) <= _DEGENERATE * scale:
-            finalized_ub = max(finalized_ub, node.ub)
-            continue
-        (lo1, hi1), (lo2, hi2) = split_box(node.lo, node.hi,
-                                           maxlen_axis(node.lo, node.hi))
-        # both children in one stacked pass, in the order they are pushed
-        children = bounder.bound(np.array((lo1, lo2)), np.array((hi1, hi2)),
-                                 next_index, node.ub)
-        next_index += 2
-        for child in children:
-            branches += 1
-            if child.flagged:
-                flagged += 1
-            if cfg.collect_stats:
-                stats.append((float(np.max(child.hi - child.lo)),
-                              child.first_won))
-            if child.lb > best_lb:
-                best_lb = child.lb
-                witness = child.witness
-        for child in children:
-            if child.ub > best_lb - _PRUNE_SLACK:
-                heapq.heappush(heap, (-child.ub, child.index, child))
-        max_active = max(max_active, len(heap))
+        # speculate: pop the top nodes the one-node loop may expand next
+        size = min(_BATCH, max(expanded, 1),
+                   (cfg.max_branches - branches + 1) // 2)
+        batch = [heapq.heappop(heap)]
+        while (len(batch) < size and heap
+               and heap[0][2].ub - best_lb > cfg.eps_t):
+            batch.append(heapq.heappop(heap))
+        splits, los, his, parent_ubs = [], [], [], []
+        for _, _, node in batch:
+            scale = max(1.0, float(np.max(np.abs(node.center))))
+            splits.append(float(np.max(node.hi - node.lo))
+                          > _DEGENERATE * scale)
+            if splits[-1]:
+                (lo1, hi1), (lo2, hi2) = split_box(
+                    node.lo, node.hi, maxlen_axis(node.lo, node.hi))
+                los += (lo1, lo2)
+                his += (hi1, hi2)
+                parent_ubs += (node.ub, node.ub)
+        # every child in one stacked pass, numbered in the order the one-node
+        # loop gives them
+        children = bounder.bound(np.array(los), np.array(his), next_index,
+                                 np.array(parent_ubs)) if los else []
+
+        # replay the one-node loop; children of unreplayed nodes are dropped
+        k = 0
+        for j, (entry, is_split) in enumerate(zip(batch, splits)):
+            if j and (heap and heap[0] < entry or stop(entry)):
+                for rest in batch[j:]:
+                    heapq.heappush(heap, rest)
+                break
+            expanded += 1
+            if not is_split:
+                finalized_ub = max(finalized_ub, entry[2].ub)
+                continue
+            kids = children[k:k + 2]
+            k += 2
+            next_index += 2
+            for child in kids:
+                branches += 1
+                if child.flagged:
+                    flagged += 1
+                if cfg.collect_stats:
+                    stats.append((float(np.max(child.hi - child.lo)),
+                                  child.first_won))
+                if child.lb > best_lb:
+                    best_lb = child.lb
+                    witness = child.witness
+            for child in kids:
+                if child.ub > best_lb - _PRUNE_SLACK:
+                    heapq.heappush(heap, (-child.ub, child.index, child))
+            # the unreplayed nodes of the batch still count as on the heap
+            max_active = max(max_active, len(heap) + len(batch) - j - 1)
 
     cur_ub = max(heap[0][2].ub if heap else -np.inf, finalized_ub, best_lb)
     return BnBResult(best_lb, cur_ub, witness, branches, max_active,

@@ -433,19 +433,23 @@ def _children(lo, hi):
 
 
 def _bound_stacked_and_alone(obj, lo, hi, parent_ub=np.inf):
+    """``parent_ub`` is one value for all boxes or one per box."""
+    parent_ub = np.broadcast_to(parent_ub, len(lo))
     stacked = _Bounder(obj, BnBConfig()).bound(lo, hi, 1, parent_ub)
     alone = [_Bounder(obj, BnBConfig()).bound(lo[k:k + 1], hi[k:k + 1],
-                                              1 + k, parent_ub)[0]
+                                              1 + k, parent_ub[k])[0]
              for k in range(len(lo))]
     return stacked, alone
 
 
 def _assert_same_nodes(stacked, alone):
+    # bit for bit: solve bounds the children of many nodes in one pass and
+    # must expand the nodes the one-node loop expands
     assert len(stacked) == len(alone)
     for s, a in zip(stacked, alone):
         assert s.index == a.index
-        assert np.isclose(s.lb, a.lb, rtol=1e-12, atol=0.0)
-        assert np.isclose(s.ub, a.ub, rtol=1e-12, atol=0.0)
+        assert s.lb == a.lb and s.ub == a.ub
+        assert np.array_equal(s.witness, a.witness)
         assert s.flagged == a.flagged
         assert s.first_won == a.first_won
         assert np.all((s.lo <= s.witness) & (s.witness <= s.hi))
@@ -467,6 +471,28 @@ class TestStackedBounds:
         lo = rng.uniform(-1.5, 1.0, 3)
         hi = lo + rng.uniform(0.05, 2.0, 3)
         _assert_same_nodes(*_bound_stacked_and_alone(obj, *_children(lo, hi)))
+
+    @pytest.mark.parametrize("act", list(Activation))
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(hidden=st.lists(st.integers(2, 7), min_size=1, max_size=3),
+           seed=st.integers(0, 2**16), scale=st.floats(0.5, 3.0))
+    def test_batch_of_children_matches_alone(self, act, hidden, seed, scale):
+        # depth 2-4: the children of 2 * _BATCH distinct boxes in one pass,
+        # as solve bounds a batch, each pair capped by its own parent's ub,
+        # which binds on some boxes and not on others
+        rng = np.random.default_rng(seed)
+        obj = ScalarObjective(make_net([3, *hidden, 1], act=act, seed=seed,
+                                       scale=scale))
+        lo = rng.uniform(-1.5, 1.0, (bnb._BATCH, 3))
+        hi = lo + rng.uniform(0.05, 2.0, (bnb._BATCH, 3))
+        pairs = [_children(a, b) for a, b in zip(lo, hi)]
+        lo2 = np.concatenate([a for a, _ in pairs])
+        hi2 = np.concatenate([b for _, b in pairs])
+        parent_ub = np.repeat(obj.value((lo + hi) / 2.0)
+                              + rng.uniform(0.0, 2.0, bnb._BATCH), 2)
+        stacked, alone = _bound_stacked_and_alone(obj, lo2, hi2, parent_ub)
+        assert len(stacked) == 2 * bnb._BATCH
+        _assert_same_nodes(stacked, alone)
 
     def test_deep_net_takes_the_interval_bound(self):
         # depth 3: each child's ub is the interval model J(c) + |g|.r +
@@ -495,9 +521,7 @@ class TestStackedBounds:
         assert (model < value + l_inf * r.max(axis=1)).all()
         stacked, alone = _bound_stacked_and_alone(obj, lo2, hi2)
         _assert_same_nodes(stacked, alone)
-        for k, (s, a) in enumerate(zip(stacked, alone)):
-            assert (s.lb, s.ub) == (a.lb, a.ub)
-            assert np.array_equal(s.witness, a.witness)
+        for k, s in enumerate(stacked):
             assert s.ub == pytest.approx(model[k], rel=1e-12)
 
     def test_dual_route_above_the_vertex_cap(self):
@@ -553,6 +577,111 @@ class TestStackedBounds:
         assert second.flagged
         assert second.ub == 9.0
         assert second.lb == obj.value(second.center)
+
+
+def _solve_both_ways(monkeypatch, run):
+    """``run()`` with speculative batches and with one node per stacked pass
+    (``_BATCH = 1``, the one-node loop), and the stack sizes each bounded."""
+    real, full = _Bounder.bound, bnb._BATCH
+    results, sizes = [], []
+    for batch in (full, 1):
+        monkeypatch.setattr(bnb, "_BATCH", batch)
+        sizes.append([])
+
+        def bound(self, lo, hi, index, parent_ub=np.inf, sizes=sizes[-1]):
+            sizes.append(len(lo))
+            return real(self, lo, hi, index, parent_ub)
+
+        monkeypatch.setattr(_Bounder, "bound", bound)
+        results.append(run())
+    monkeypatch.setattr(_Bounder, "bound", real)
+    monkeypatch.setattr(bnb, "_BATCH", full)
+    return results, sizes
+
+
+def _assert_same_results(batched, one):
+    assert batched.lb == one.lb and batched.ub == one.ub
+    assert np.array_equal(batched.witness, one.witness)
+    assert batched.branches_processed == one.branches_processed
+    assert batched.max_active == one.max_active
+    assert batched.status == one.status
+    assert batched.flagged_nodes == one.flagged_nodes
+    assert batched.stats == one.stats
+
+
+class TestSpeculativeBatching:
+    """solve bounds the children of up to _BATCH top nodes in one pass and
+    replays the one-node loop over them; every field of the result must be
+    that of the one-node loop."""
+
+    def compare(self, monkeypatch, obj, lo, hi, cfg):
+        (batched, one), (sizes, one_sizes) = _solve_both_ways(
+            monkeypatch, lambda: solve(obj, lo, hi, cfg=cfg))
+        _assert_same_results(batched, one)
+        assert max(one_sizes) <= 2
+        # the batch grows from one node; children of nodes the replay did
+        # not reach are bounded and dropped
+        assert sizes[:3] == [1, 2, 2]
+        assert sum(sizes) >= one.branches_processed
+        return batched, sizes
+
+    def test_budget_stop(self, monkeypatch):
+        obj = ScalarObjective(make_net([4, 16, 1], seed=5100, scale=2.5))
+        cfg = BnBConfig(eps_t=1e-9, max_branches=401, collect_stats=True)
+        res, sizes = self.compare(monkeypatch, obj, -np.ones(4), np.ones(4),
+                                  cfg)
+        assert res.status == "BranchLimit"
+        assert max(sizes) == 2 * bnb._BATCH
+
+    # at the coarse gap a child's lower bound ends the solve before the last
+    # node of its batch
+    @pytest.mark.parametrize("dims, eps_t", [([3, 6, 5, 1], 1e-4),
+                                             ([3, 12, 1], 3e-3)])
+    def test_converged(self, monkeypatch, dims, eps_t):
+        obj = ScalarObjective(make_net(dims, seed=5200, scale=2.0))
+        res, sizes = self.compare(monkeypatch, obj, -np.ones(3), np.ones(3),
+                                  BnBConfig(eps_t=eps_t, collect_stats=True))
+        assert res.status == "Converged"
+        assert max(sizes) > 2
+
+    def test_root_constants(self, monkeypatch):
+        obj = ScalarObjective(make_net([3, 10, 1], seed=5300, scale=2.0))
+        cfg = BnBConfig(eps_t=1e-6, max_branches=301, recompute_local=False)
+        _, sizes = self.compare(monkeypatch, obj, -np.ones(3), np.ones(3),
+                                  cfg)
+        assert max(sizes) > 2
+
+    def test_child_outranks_a_later_node_of_its_batch(self, monkeypatch):
+        # a solve that converges within its budget drops children at a
+        # termination check in its last batch only, at most 2 * _BATCH - 2 of
+        # them; any more were dropped where a pushed child outranked a later
+        # node of its batch
+        obj = ScalarObjective(make_net([3, 12, 1], seed=5200, scale=2.0))
+        res, sizes = self.compare(monkeypatch, obj, -np.ones(3), np.ones(3),
+                                  BnBConfig(eps_t=1e-4))
+        assert res.status == "Converged"
+        dropped = sum(sizes) - res.branches_processed
+        assert dropped > 2 * bnb._BATCH - 2
+
+    @pytest.mark.parametrize("dims", [[2, 8, 2], [2, 6, 5, 2]])
+    def test_directions_sharing_a_store(self, monkeypatch, dims):
+        # each way of solving fills its own store over the same directions;
+        # later directions hit pairs stored by earlier ones
+        net = make_net(dims, seed=5400, scale=2.0)
+        ang = 2.0 * np.pi * np.arange(6) / 6
+        directions = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        lo, hi = -np.ones(2), np.ones(2)
+
+        def run():
+            store = BoxCertificates()
+            return [solve(ScalarObjective(scalarize(net, c)), lo, hi,
+                          cfg=BnBConfig(eps_t=1e-4), certs=store)
+                    for c in directions]
+
+        (batched, one), (sizes, _) = _solve_both_ways(monkeypatch, run)
+        for b, o in zip(batched, one):
+            _assert_same_results(b, o)
+        assert max(sizes) > 2
 
 
 class TestZonotope:

@@ -274,7 +274,19 @@ class TestIntervalHessian:
     @given(hidden=st.lists(st.integers(2, 8), min_size=1, max_size=3),
            seed=st.integers(0, 2**16))
     def test_stacked_boxes_match_alone(self, act, hidden, seed):
-        # bit for bit: branch and bound stacks a split's children
+        # bit for bit: branch and bound stacks the children of many splits
+        self._assert_stacked_matches_alone(act, hidden, seed)
+
+    def test_stacked_boxes_match_alone_where_pow_rounds_apart(self):
+        # box 3's second subnetwork constant is 0x1.c97766a0e88cdp+2, whose
+        # square by the C pow behind a float's c ** 2 rounds apart from c * c
+        # with at least one libm (CPython 3.11.7, GCC 12.2); numpy squares
+        # the stacked constants as c * c, so a c ** 2 in hessian_norm_bound
+        # would set box 3's lam apart from its lam alone
+        self._assert_stacked_matches_alone(Activation.TANH, [7, 4], 51)
+
+    @staticmethod
+    def _assert_stacked_matches_alone(act, hidden, seed):
         rng = np.random.default_rng(seed)
         net = make_net([3, *hidden, 1], act=act, seed=seed, scale=2.0)
         lo = rng.uniform(-1.5, 1.0, (4, 3))
