@@ -49,11 +49,25 @@ linear term.  Solves of several directions over one input set may share the
 box-level part through a ``BoxCertificates`` store, keyed by split pair: a
 split's children come as the same pair in every solve, whichever nodes they
 are batched with.
+
+The directions registered with a store also run in lockstep.  The node loop
+is a generator, ``_search``, that yields each round's stack of children and
+is sent their nodes; a lone solve drives a list of one search.  The first
+solve of a registered direction drives the searches of all of them: each
+round concatenates the stacks of the live searches into one
+``_Bounder.bound`` pass, whose per-direction parts (output row, linear
+term, root constants, node numbers) are gathered by direction for each box,
+and a split pair that several directions carry gets its certificates once.
+Each search still sees exactly the nodes it would bound alone.  If a stacked
+pass raises, the round is bounded again one search at a time, and a search
+whose own pass raises ends with that exception, which its solve re-raises.
 """
 
 import heapq
 import time
+import weakref
 from dataclasses import dataclass, field, fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -99,7 +113,7 @@ class BnBResult:
     witness: np.ndarray
     branches_processed: int
     max_active: int
-    wall_time_s: float
+    wall_time_s: float                 # from the start of its (lockstep) run
     status: str                        # Converged | BranchLimit
     flagged_nodes: int = 0
     stats: list = field(default_factory=list)
@@ -120,7 +134,8 @@ def _same_layers(a, b):
 
 
 class BoxCertificates:
-    """Box-level certificates shared by the solves of one input set.
+    """Box-level certificates shared by the solves of one input set, and the
+    lockstep runs of the directions registered with it.
 
     Each entry holds the certificates of one split pair (a split's two
     children, or one box bounded alone), keyed by the exact bytes of its
@@ -130,11 +145,25 @@ class BoxCertificates:
     fixes these, and a later solve that differs raises
     ``StoreMismatchError``.  At most ``_CERT_CAP`` entries are kept; the
     oldest goes first.
+
+    ``register`` queues a direction's objective.  The first ``solve`` of a
+    queued objective on the store runs the searches of every queued
+    direction in lockstep, over that solve's box and config: each round
+    bounds the stacks of all live searches in one stacked pass, in which a
+    split pair that several directions carry gets its certificates once.
+    The store keeps the other directions' results, and a later ``solve`` of
+    one of them over the same box with the same config returns it, or
+    re-raises the exception that ended its search.  Each result is that of
+    solving its direction alone, bit for bit.  One bound engine serves all
+    solves of the store, so the hidden layers' norms are computed once.
     """
 
     def __init__(self):
         self.entries = {}
         self._owner = None
+        self._bounder = None
+        self._queued = []
+        self._done = []                # (objective, run key, outcome)
 
     def bind(self, net, cfg):
         """Fix the owner on first use; refuse any other owner after that."""
@@ -154,6 +183,36 @@ class BoxCertificates:
         if len(self.entries) >= _CERT_CAP:
             del self.entries[next(iter(self.entries))]
         self.entries[key] = cert
+
+    def register(self, obj):
+        """Queue the direction ``obj`` (a ``ScalarObjective``) for the next
+        lockstep run; its own ``solve`` then runs it or returns its result."""
+        self._queued.append(obj)
+
+    def _outcome(self, obj, lo, hi, cfg, start):
+        """The result of solving ``obj`` over [lo, hi] with ``cfg``, or the
+        exception that ended its search."""
+        key = (lo.tobytes(), hi.tobytes(), cfg)
+        for k, (done, done_key, outcome) in enumerate(self._done):
+            if done is obj and done_key == key:
+                del self._done[k]
+                return outcome
+        objs = [obj]
+        if any(q is obj for q in self._queued):
+            objs += [q for q in self._queued if q is not obj]
+            self._queued = []
+        for q in objs:
+            self.bind(q.net, cfg)
+        bounder = self._bounder
+        if bounder is None or bounder.cfg.recompute_local != cfg.recompute_local:
+            bounder = self._bounder = _Bounder(objs[0], cfg, self)
+            slots = [0] + [bounder.add(q) for q in objs[1:]]
+        else:
+            slots = [bounder.add(q) for q in objs]
+        outcomes = _lockstep(bounder, slots, lo, hi, cfg, start)
+        self._done += [(q, key, outcome)
+                       for q, outcome in zip(objs[1:], outcomes[1:])]
+        return outcomes[0]
 
 
 @dataclass(slots=True)
@@ -198,6 +257,17 @@ def _select(mask):
     return np.flatnonzero(mask) if mask.any() else None
 
 
+def _within(sel, a, b, n_box):
+    """The boxes of the index ``sel`` of ``_select`` that lie in the run
+    ``[a, b)`` of a stack of ``n_box`` boxes, indexed the same way."""
+    if sel is None or (a == 0 and b == n_box):
+        return sel
+    if isinstance(sel, slice):
+        return slice(a, b)
+    sel = sel[(sel >= a) & (sel < b)]
+    return sel if sel.size else None
+
+
 def as_objective(obj_or_net):
     if isinstance(obj_or_net, ScalarObjective):
         return obj_or_net
@@ -220,54 +290,99 @@ def split_box(lo, hi, axis):
     return (lo.copy(), hi_l), (lo_r, hi.copy())
 
 
+def _runs(dirs, n_box):
+    """``(direction, start, stop)`` of each run of boxes of one direction in
+    a stack of ``n_box`` boxes, given one direction for all or one per box."""
+    if np.ndim(dirs) == 0:
+        return [(int(dirs), 0, n_box)]
+    cut = (np.flatnonzero(dirs[1:] != dirs[:-1]) + 1).tolist()
+    return [(int(dirs[a]), a, b)
+            for a, b in zip([0] + cut, cut + [len(dirs)])]
+
+
 class _Bounder:
-    """Per-solve bound engine; caches root certificates when configured and
-    takes box-level certificates from ``certs`` when given one."""
+    """Bound engine of one solve, or of the directions of a certificate
+    store.  Box-level certificates read the hidden layers only, which the
+    directions share; the per-direction parts (the output row, ``lin_inf``,
+    ``head_inf`` and the root constants) are kept per direction and gathered
+    by direction for each box of a stack.  The root constants are cached when
+    configured, and box-level certificates come from ``certs`` when given.
+    Direction 0 is ``obj``; ``add`` appends more."""
 
     def __init__(self, obj, cfg, certs=None):
-        self.obj = obj
-        self.net = obj.net
+        self.net = obj.net             # localization reads its hidden layers
         self.cfg = cfg
-        self.certs = certs
+        self.certs = None
         if certs is not None:
             certs.bind(self.net, cfg)
-        self.lin_inf = obj.linear_dual_norm(np.inf)
+            # a store keeps its engine; a weak reference back makes no
+            # cycle, so a step's store is freed as soon as the step ends
+            self.certs = weakref.proxy(certs)
         self.two_layer = self.net.depth == 2 and cfg.use_first_order
         self.deep = self.net.depth >= 3 and cfg.use_first_order
         self.weights = [lay.weight for lay in self.net.layers]
-        self.abs_weights = [np.abs(w) for w in self.weights]
-        # the ell_inf total stage opens with ||W_L||, the ell_2 subnetwork
-        # stages with ||W_1|| .. ||W_{L-1}||; none depends on the box
-        self.head_inf = lip._norm(self.weights[-1], np.inf)
+        self.abs_hidden = [np.abs(w) for w in self.weights[:-1]]
+        # the ell_2 subnetwork stages open with ||W_1|| .. ||W_{L-1}||, which
+        # depend on neither the box nor the direction
         self.heads2 = lip._head_norms(self.weights, 2) if self.deep else None
-        self.root_consts = None
+        self.objs, self.root_consts = [], []
+        self.rows = np.empty((0, 1, self.weights[-1].shape[1]))
+        self.lin_inf = np.empty(0)
+        self.head_inf = np.empty(0)
+        self.add(obj)
+
+    def add(self, obj):
+        """Add a direction over the same hidden layers; returns its number."""
+        w = obj.net.layers[-1].weight
+        self.objs.append(obj)
+        self.root_consts.append(None)
+        self.rows = np.concatenate((self.rows, w[None]))
+        self.lin_inf = np.append(self.lin_inf, obj.linear_dual_norm(np.inf))
+        # the ell_inf total stage opens with ||W_L||, which does not depend
+        # on the box
+        self.head_inf = np.append(self.head_inf, lip._norm(w, np.inf))
+        return len(self.objs) - 1
 
     def _ds(self, slope_hi):
         return [b / 2.0 for b in slope_hi]
 
-    def _certificate(self, lo, hi):
-        """Box-level certificates of a stack of boxes.  With a store, the
-        stack is taken as a run of split pairs, or as single boxes when its
-        length is odd: stored pairs are looked up, and the missing ones are
+    def _certificate(self, lo, hi, dirs):
+        """Box-level certificates of a stack of boxes.  With a store, each
+        direction's run of the stack is taken as a run of split pairs, or as
+        single boxes when its length is odd: stored pairs are looked up, and
+        the missing ones, each once however many directions carry it, are
         computed in one stacked pass and stored pair by pair."""
         if self.certs is None:
             return self._fresh_certificate(lo, hi)
-        step = 2 if len(lo) % 2 == 0 else 1
-        keys = [lo[k:k + step].tobytes() + hi[k:k + step].tobytes()
-                for k in range(0, len(lo), step)]
-        found = [self.certs.entries.get(key) for key in keys]
-        missing = [g for g, cert in enumerate(found) if cert is None]
-        if not missing:
-            return found[0] if len(found) == 1 else _BoxCertificate.join(found)
-        whole = len(missing) == len(found)
-        rows = slice(None) if whole else [
-            k for g in missing for k in range(g * step, (g + 1) * step)]
-        fresh = self._fresh_certificate(lo[rows], hi[rows])
-        for i, g in enumerate(missing):
-            found[g] = fresh if len(found) == 1 \
-                else fresh.rows(slice(i * step, (i + 1) * step))
-            self.certs.put(keys[g], found[g])
-        return fresh if whole else _BoxCertificate.join(found)
+        groups = []
+        for _, a, b in _runs(dirs, len(lo)):
+            step = 2 if (b - a) % 2 == 0 else 1
+            groups += [(k, k + step) for k in range(a, b, step)]
+        keys = [lo[a:b].tobytes() + hi[a:b].tobytes() for a, b in groups]
+        found, missing = {}, {}        # missing: the rows of a key's first group
+        for key, group in zip(keys, groups):
+            if key not in found and key not in missing:
+                cert = self.certs.entries.get(key)
+                if cert is None:
+                    missing[key] = group
+                else:
+                    found[key] = cert
+        if missing:
+            whole = len(missing) == len(groups)
+            rows = slice(None) if whole else [
+                k for a, b in missing.values() for k in range(a, b)]
+            fresh = self._fresh_certificate(lo[rows], hi[rows])
+            start = 0
+            for key, (a, b) in missing.items():
+                found[key] = fresh if len(missing) == 1 \
+                    else fresh.rows(slice(start, start + b - a))
+                start += b - a
+                self.certs.put(key, found[key])
+            if whole:
+                return fresh
+        if len(keys) == 1:
+            return found[keys[0]]
+        return _BoxCertificate.join([found[key] for key in keys])
 
     def _fresh_certificate(self, lo, hi):
         local = loc.bounds_for_box(self.net, lo, hi)
@@ -290,22 +405,29 @@ class _Bounder:
             self.weights, local.slope_lo, slope_hi)
         return cert
 
-    def _constants(self, lo, hi):
+    def _constants(self, lo, hi, dirs=0):
         """(L_inf, M, eig, lam, A) certified on each box of a stack: the
         ell_inf Lipschitz constant; on the two-layer path the upper Hessian
         matrix and its eigenvalues, else None; lam >= ||hess J||_2, which is
         lambda_max(M)^+ on the two-layer path; and on nets of depth 3 or more
         the matrix A with d^T hess J d <= |d|^T A |d|, else None.  The last
-        four are None without first-order bounds."""
-        cert = self._certificate(lo, hi)
+        four are None without first-order bounds.  ``dirs`` names each box's
+        direction, one for all or one per box."""
+        cert = self._certificate(lo, hi, dirs)
         slope_hi = cert.slope_hi
-        l_inf = lip._total_raw(self.weights, slope_hi, self._ds(slope_hi),
+        rows = self.rows[dirs]
+        weights = self.weights[:-1] + [rows]
+        l_inf = lip._total_raw(weights, slope_hi, self._ds(slope_hi),
                                np.inf, (0.0,) + cert.memo,
-                               self.head_inf) + self.lin_inf
+                               self.head_inf[dirs]) + self.lin_inf[dirs]
         if not self.cfg.use_first_order:
             return l_inf, None, None, None, None
+        # what the Hessian bounds read of a network, with one output row
+        # per box: the last weight stacked as (B, 1, h)
+        layers = self.net.layers[:-1] + (SimpleNamespace(weight=rows),)
+        net = SimpleNamespace(layers=layers, depth=len(layers), is_scalar=True)
         if self.two_layer:
-            M = hs.two_layer_matrix_bounds(self.net, cert).M
+            M = hs.two_layer_matrix_bounds(net, cert).M
             # the one decomposition of M: lam, the PSD test and the vertex
             # bound's tolerance all read it
             eig = np.linalg.eigvalsh(M)
@@ -315,9 +437,9 @@ class _Bounder:
             return l_inf, None, None, np.zeros(len(lo)), None
         # only the subnetwork constants of the report are read
         report = lip.LipschitzReport(0.0, cert.subnet2, 2)
-        jac = lip._jacobian_rows(self.abs_weights, slope_hi)
-        lam = hs.hessian_norm_bound(self.net, cert, report, jac).lam
-        h_lo, h_hi = hs._interval_hessian_raw(self.weights, cert.jac_mid,
+        jac = lip._jacobian_rows(self.abs_hidden + [np.abs(rows)], slope_hi)
+        lam = hs.hessian_norm_bound(net, cert, report, jac).lam
+        h_lo, h_hi = hs._interval_hessian_raw(weights, cert.jac_mid,
                                               cert.jac_rad, cert)
         # |H_ij| <= A_ij off the diagonal, H_ii <= A_ii on it
         A = np.maximum(np.abs(h_lo), np.abs(h_hi))
@@ -325,57 +447,87 @@ class _Bounder:
         A[:, i, i] = np.maximum(h_hi[:, i, i], 0.0)
         return l_inf, None, None, lam, A
 
-    def _one_by_one(self, lo, hi, index, parent_ub):
+    def _root_or_fresh(self, lo, hi, index, dirs):
+        """The constants of each box of a stack: fresh ones, or with root
+        reuse configured, its direction's root constants once they exist."""
+        if self.cfg.recompute_local:
+            return self._constants(lo, hi, dirs)
+        parts = []
+        for d, a, b in _runs(dirs, len(lo)):
+            consts = self.root_consts[d]
+            if consts is None:
+                consts = self._constants(lo[a:b], hi[a:b], d)
+                # only a root's certificates hold on every later box of its
+                # direction; if the root's fail, each node keeps its own
+                if index[a] == 0:
+                    self.root_consts[d] = consts
+            parts.append(tuple(None if c is None else
+                               np.broadcast_to(c, (b - a,) + np.shape(c)[1:])
+                               for c in consts))
+        if len(parts) == 1:
+            return parts[0]
+        return tuple(None if c[0] is None else np.concatenate(c)
+                     for c in zip(*parts))
+
+    def _one_by_one(self, lo, hi, index, parent_ub, dirs):
         """``bound`` on each box of a stack as a stack of one."""
         parent_ub = np.broadcast_to(parent_ub, len(lo))
         return [node for k in range(len(lo))
-                for node in self.bound(lo[k:k + 1], hi[k:k + 1], index + k,
-                                       parent_ub[k:k + 1])]
+                for node in self.bound(
+                    lo[k:k + 1], hi[k:k + 1],
+                    index[k:k + 1], parent_ub[k:k + 1],
+                    dirs if np.ndim(dirs) == 0 else dirs[k:k + 1])]
 
-    def bound(self, lo, hi, index, parent_ub=np.inf):
+    def _value_and_grad(self, x, runs):
+        """Each point's value and gradient, one call per direction on its
+        own run of points."""
+        if len(runs) == 1:
+            return self.objs[runs[0][0]].value_and_grad(x)
+        value, grad = np.empty(len(x)), np.empty(x.shape)
+        for d, a, b in runs:
+            value[a:b], grad[a:b] = self.objs[d].value_and_grad(x[a:b])
+        return value, grad
+
+    def bound(self, lo, hi, index, parent_ub=np.inf, dirs=0):
         """Bound each box of the stack ``lo``, ``hi`` (shape ``(B, n)``) and
-        return its ``B`` nodes, numbered from ``index`` in stack order;
-        ``parent_ub`` caps each box's upper bound, one value for all or one
-        per box.
+        return its ``B`` nodes.  ``index`` numbers them: a first number,
+        counted up in stack order, or one number per box.  ``parent_ub`` caps
+        each box's upper bound, and ``dirs`` names each box's direction;
+        each is one value for all boxes or one per box, and each direction's
+        boxes form one run of the stack.
 
         Each box gets the bounds it would get alone, bit for bit.  A stack
         that holds a degenerate box, or whose certificates fail numerically,
         is bounded one box at a time, so only a failing box is flagged."""
         cfg = self.cfg
         n_box = len(lo)
+        if np.ndim(index) == 0:
+            index = np.arange(index, index + n_box)
         parent_ub = np.asarray(parent_ub, dtype=float)
         center = (lo + hi) / 2.0
         r = (hi - lo) / 2.0            # half-edges; a box is center +- r
         eps = r.max(axis=1)
         if n_box > 1 and not (eps > 0.0).all():
-            return self._one_by_one(lo, hi, index, parent_ub)
-        value_c, grad_c = self.obj.value_and_grad(center)
+            return self._one_by_one(lo, hi, index, parent_ub, dirs)
+        runs = _runs(dirs, n_box)
+        value_c, grad_c = self._value_and_grad(center, runs)
         if eps[0] <= 0.0:
             v = float(value_c[0])
             return [BnBNode(lo[0], hi[0], center[0], v,
-                            min(v, parent_ub.item()), center[0], index)]
-        if cfg.recompute_local or self.root_consts is None:
-            try:
-                consts = self._constants(lo, hi)
-            except (taylor.DualBisectionError, np.linalg.LinAlgError,
-                    FloatingPointError):
-                if n_box > 1:
-                    return self._one_by_one(lo, hi, index, parent_ub)
-                # sound fallback: inherit the parent's upper bound, keep the
-                # center evaluation as the lower bound
-                return [BnBNode(lo[0], hi[0], center[0], float(value_c[0]),
-                                parent_ub.item(), center[0], index,
-                                flagged=True)]
-            if index == 0:
-                # only the root's certificates hold on every later box; if
-                # the root's fail, each node keeps its own
-                self.root_consts = consts
-        else:
-            consts = tuple(None if a is None else
-                           np.broadcast_to(a, (n_box,) + a.shape[1:])
-                           for a in self.root_consts)
+                            min(v, parent_ub.item()), center[0],
+                            int(index[0]))]
+        try:
+            consts = self._root_or_fresh(lo, hi, index, dirs)
+        except (taylor.DualBisectionError, np.linalg.LinAlgError,
+                FloatingPointError):
+            if n_box > 1:
+                return self._one_by_one(lo, hi, index, parent_ub, dirs)
+            # sound fallback: inherit the parent's upper bound, keep the
+            # center evaluation as the lower bound
+            return [BnBNode(lo[0], hi[0], center[0], float(value_c[0]),
+                            parent_ub.item(), center[0], int(index[0]),
+                            flagged=True)]
         l_inf, M, eig, lam, A = consts
-
         ub = value_c + l_inf * eps
         lb = value_c
         witness = center
@@ -433,29 +585,35 @@ class _Bounder:
             np.clip(pts, lo[:, None, :], hi[:, None, :], out=pts)
             lb = lb.copy()
             witness = witness.copy()
-            for sel, count in ((v_sel, 2), (i_sel, 1)):
-                if sel is None:
-                    continue
-                cand = pts[sel, :count]
-                vals = self.obj.value(cand)
-                at = np.arange(len(vals))
-                k = np.argmax(vals, axis=1)
-                up = vals[at, k] > lb[sel]
-                lb[sel] = np.where(up, vals[at, k], lb[sel])
-                witness[sel] = np.where(up[:, None], cand[at, k], witness[sel])
+            for d, a, b in runs:
+                for sel, count in ((v_sel, 2), (i_sel, 1)):
+                    sel = _within(sel, a, b, n_box)
+                    if sel is None:
+                        continue
+                    cand = pts[sel, :count]
+                    vals = self.objs[d].value(cand)
+                    at = np.arange(len(vals))
+                    k = np.argmax(vals, axis=1)
+                    up = vals[at, k] > lb[sel]
+                    lb[sel] = np.where(up, vals[at, k], lb[sel])
+                    witness[sel] = np.where(up[:, None], cand[at, k],
+                                            witness[sel])
         ub = np.maximum(np.minimum(ub, parent_ub), lb)
         return [BnBNode(lo[k], hi[k], center[k], lb_k, ub_k, witness[k],
-                        index + k, flagged=f_k, first_won=w_k)
-                for k, (lb_k, ub_k, f_k, w_k) in enumerate(zip(
-                    lb.tolist(), ub.tolist(), flagged.tolist(),
-                    first_won.tolist()))]
+                        i_k, flagged=f_k, first_won=w_k)
+                for k, (lb_k, ub_k, i_k, f_k, w_k) in enumerate(zip(
+                    lb.tolist(), ub.tolist(), index.tolist(),
+                    flagged.tolist(), first_won.tolist()))]
 
 
 def solve(obj_or_net, lo, hi, eps_t=None, cfg=None, certs=None):
     """Branch and bound over the box [lo, hi] until ub - lb <= eps_t.
 
     ``certs`` (internal) is a ``BoxCertificates`` store shared with other
-    solves over the same box and hidden layers; it changes no result."""
+    solves over the same box and hidden layers; it changes no result.  A
+    solve of a direction registered with it runs, or has run, in lockstep
+    with the store's other registered directions; its ``wall_time_s`` then
+    runs from the start of that lockstep run to the end of its own search."""
     obj = as_objective(obj_or_net)
     cfg = cfg or BnBConfig()
     if eps_t is not None:
@@ -472,8 +630,74 @@ def solve(obj_or_net, lo, hi, eps_t=None, cfg=None, certs=None):
         raise ValueError("box lower bound exceeds upper bound")
 
     start = time.perf_counter()
-    bounder = _Bounder(obj, cfg, certs)
-    root, = bounder.bound(lo[None], hi[None], 0)
+    if certs is None:
+        outcome, = _lockstep(_Bounder(obj, cfg), [0], lo, hi, cfg, start)
+    else:
+        outcome = certs._outcome(obj, lo, hi, cfg, start)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _pass(bounder, slots, asks):
+    """Bound the stacks ``asks`` of the searches of directions ``slots`` in
+    one stacked pass; returns each stack's nodes."""
+    if len(asks) == 1:
+        return [bounder.bound(*asks[0], slots[0])]
+    counts = [len(ask[0]) for ask in asks]
+    lo, hi, index, parent_ub = (np.concatenate(part) for part in zip(*(
+        (lo, hi, first + np.arange(n), np.broadcast_to(pub, n))
+        for (lo, hi, first, pub), n in zip(asks, counts))))
+    nodes = bounder.bound(lo, hi, index, parent_ub, np.repeat(slots, counts))
+    cuts = np.cumsum([0] + counts).tolist()
+    return [nodes[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def _own_pass(bounder, slot, ask):
+    """One search's stack bounded alone, or the exception that raised."""
+    try:
+        return bounder.bound(*ask, slot)
+    except Exception as exc:           # re-raised by the search's solve
+        return exc
+
+
+def _lockstep(bounder, slots, lo, hi, cfg, start):
+    """One search over [lo, hi] per direction ``slots`` of ``bounder``, run
+    together: each round bounds the stacks of all live searches in one
+    stacked pass.  Returns each search's ``BnBResult``, or the exception
+    that ended it, for its solve to raise."""
+    searches = [_search(lo, hi, cfg, start) for _ in slots]
+    asks = {i: next(search) for i, search in enumerate(searches)}
+    outcomes = [None] * len(slots)
+    while asks:
+        live = list(asks)
+        try:
+            replies = _pass(bounder, [slots[i] for i in live],
+                            [asks[i] for i in live])
+        except Exception as exc:       # re-raised by the search's solve
+            # the round again, one search at a time, so that an exception
+            # ends only the search whose own pass raises it
+            replies = [exc] if len(live) == 1 else [
+                _own_pass(bounder, slots[i], asks[i]) for i in live]
+        for i, reply in zip(live, replies):
+            if isinstance(reply, Exception):
+                outcomes[i] = reply
+            else:
+                try:
+                    asks[i] = searches[i].send(reply)
+                    continue
+                except StopIteration as stop:
+                    outcomes[i] = stop.value
+            del asks[i]
+    return outcomes
+
+
+def _search(lo, hi, cfg, start):
+    """The node loop of one solve over [lo, hi], as a generator.  It yields
+    each stack of boxes to bound as ``(lo, hi, index, parent_ub)``, with the
+    boxes numbered from ``index`` in stack order, is sent the stack's nodes,
+    and returns the ``BnBResult``."""
+    root, = yield lo[None], hi[None], 0, np.inf
     best_lb = root.lb
     witness = root.witness
     heap = [(-root.ub, root.index, root)]
@@ -521,8 +745,8 @@ def solve(obj_or_net, lo, hi, eps_t=None, cfg=None, certs=None):
                 parent_ubs += (node.ub, node.ub)
         # every child in one stacked pass, numbered in the order the one-node
         # loop gives them
-        children = bounder.bound(np.array(los), np.array(his), next_index,
-                                 np.array(parent_ubs)) if los else []
+        children = (yield np.array(los), np.array(his), next_index,
+                    np.array(parent_ubs)) if los else []
 
         # replay the one-node loop; children of unreplayed nodes are dropped
         k = 0
@@ -559,19 +783,24 @@ def solve(obj_or_net, lo, hi, eps_t=None, cfg=None, certs=None):
                      time.perf_counter() - start, status, flagged, stats)
 
 
+def latent_objective(obj, G, x_c, net=None):
+    """``obj`` composed with z -> G z + x_c, an objective over the latent
+    unit box; ``net``, when given, is ``prepend_affine(obj.net, G, x_c)``."""
+    G = np.asarray(G, dtype=float)
+    x_c = np.asarray(x_c, dtype=float)
+    if net is None:
+        net = prepend_affine(obj.net, G, x_c)
+    linear = None
+    offset = obj.offset
+    if obj.linear is not None:
+        linear = G.T @ obj.linear
+        offset = offset + float(obj.linear @ x_c)
+    return ScalarObjective(net, linear, offset)
+
+
 def solve_zonotope(obj_or_net, G, x_c, eps_t=None, cfg=None, certs=None):
     """sup over the zonotope {G z + x_c : ||z||_inf <= 1} by solving the
     composed objective over the latent unit box."""
-    obj = as_objective(obj_or_net)
-    G = np.asarray(G, dtype=float)
-    x_c = np.asarray(x_c, dtype=float)
-    net2 = prepend_affine(obj.net, G, x_c)
-    linear2 = None
-    offset2 = obj.offset
-    if obj.linear is not None:
-        linear2 = G.T @ obj.linear
-        offset2 = offset2 + float(obj.linear @ x_c)
-    composed = ScalarObjective(net2, linear2, offset2)
-    m = G.shape[1]
-    return solve(composed, -np.ones(m), np.ones(m), eps_t=eps_t, cfg=cfg,
-                 certs=certs)
+    m = np.shape(G)[1]
+    return solve(latent_objective(as_objective(obj_or_net), G, x_c),
+                 -np.ones(m), np.ones(m), eps_t=eps_t, cfg=cfg, certs=certs)

@@ -60,13 +60,14 @@ def two_layer_matrix_bounds(net, local):
 
     Each hidden unit j contributes w1_j w1_j^T scaled by the worst-case signed
     curvature of its activation times the output weight.  Curvature ranges
-    stacked on a leading axis, one row per box, give stacked matrices.
+    stacked on a leading axis, one row per box, give stacked matrices; so
+    does a last weight stacked the same way, ``(B, 1, h)``.
     """
     if net.depth != 2:
         raise ValueError("matrix Hessian bounds need exactly one hidden layer")
     if not net.is_scalar:
         raise ValueError("matrix Hessian bounds need a scalar network")
-    w2 = net.layers[1].weight[0]
+    w2 = net.layers[1].weight[..., 0, :]
     ca, cb = local.curv_lo[0], local.curv_hi[0]
     pos = np.maximum(w2, 0.0)
     neg = np.minimum(w2, 0.0)
@@ -93,8 +94,8 @@ def _weighted_suffix_liplt(weights, slope_his, l, h):
 def hessian_norm_bound(net, local, report, jac_bounds):
     """Spectral bound: sum over hidden layers of (ell_2 subnet constant)^2
     times the worst h-weighted entry of the output-side Jacobian bound.
-    Inputs stacked over boxes give an array ``lam``, each box's entry
-    bit-identical to its float alone."""
+    Inputs stacked over boxes, the last weight too (``(B, 1, h)``), give an
+    array ``lam``, each box's entry bit-identical to its float alone."""
     if not net.is_scalar:
         raise ValueError("Hessian norm bound needs a scalar network")
     if report.p != 2:
@@ -150,13 +151,13 @@ def _interval_hessian_raw(weights, jac_mid, jac_rad, local):
     Per layer, ``t = delta * sigma''`` and then ``J^T diag(t) J`` in
     midpoint-radius form: with ``a = |J_mid|``, ``R = J_rad`` and ``T = |t_mid|
     + t_rad``, the radius is ``a^T diag(t_rad) a + sym(R^T diag(T) (2a + R))``.
-    Stacked ranges give stacked matrices, each box's bit-identical to it
-    alone."""
+    Stacked ranges, and a last weight stacked as ``(B, 1, h)``, give stacked
+    matrices, each box's bit-identical to it alone."""
     n = weights[0].shape[1]
     shape = local.slope_hi[0].shape[:-1] if local.slope_hi else ()
     mid = np.zeros(shape + (n, n))
     rad = np.zeros(shape + (n, n))
-    dm, dr = weights[-1][0], None          # delta_{L-1}: the output row, exact
+    dm, dr = weights[-1][..., 0, :], None  # delta_{L-1}: the output row, exact
     for l in range(len(weights) - 1, 0, -1):
         c_lo, c_hi = local.curv_lo[l - 1], local.curv_hi[l - 1]
         cm = (c_lo + c_hi) / 2.0

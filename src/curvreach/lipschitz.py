@@ -271,8 +271,9 @@ def _rows_times(v, W):
 def _jacobian_rows(abs_weights, slope_his):
     """The rows of ``jacobian_elementwise_bounds`` from |W_1| .. |W_L|; no
     validation, hot path.  Slope rows stacked on a leading axis give stacked
-    Jacobian rows."""
-    s = abs_weights[-1][0]
+    Jacobian rows, and so does a stacked last weight ``(B, 1, h)``, one
+    output row per box."""
+    s = abs_weights[-1][..., 0, :]
     rows = {len(abs_weights) - 1: s}
     for k in range(len(abs_weights) - 1, 1, -1):
         s = _rows_times(s * slope_his[k - 1], abs_weights[k - 1])

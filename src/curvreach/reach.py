@@ -9,12 +9,14 @@ gradient and adds its dual norm to the Lipschitz constant, with no effect on
 curvature.
 """
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import bnb, taylor
-from .model import Network, ScalarObjective, require_finite, scalarize
+from .model import (Network, ScalarObjective, prepend_affine,
+                    require_finite, scalarize)
 
 
 def _support_separation(center, generators, point):
@@ -102,9 +104,17 @@ class DirectionTemplate:
     tag: str
 
     def __post_init__(self):
-        d = np.asarray(self.directions, dtype=float)
-        if d.ndim != 2:
-            raise ValueError("directions must be a (k, n_f) array")
+        try:
+            d = np.asarray(self.directions, dtype=float)
+        except ValueError:
+            d = None                   # rows of unequal length
+        if d is None or d.ndim != 2:
+            raise ValueError(f"template {self.tag!r}: directions must be a "
+                             "(k, n_f) array of equal-length rows")
+        bad = np.flatnonzero(~np.isfinite(d).all(axis=1))
+        if bad.size:
+            raise ValueError(f"template {self.tag!r}: direction {bad[0]} has "
+                             "non-finite entries (NaN or inf)")
         object.__setattr__(self, "directions", d)
 
     @property
@@ -201,19 +211,45 @@ def _zeroth_root_offset(objective, input_set):
     return res.ub, res.lb
 
 
+def _over_latent_box(objectives, zono):
+    """The objectives composed with z -> G z + center, over the latent unit
+    box.  Directions that share their first layer, a hidden layer, share its
+    composition with G, which is computed once."""
+    out = []
+    first = merged = None
+    for objective in objectives:
+        layers = objective.net.layers
+        if layers[0] is first:
+            net = Network((merged,) + layers[1:])
+        else:
+            net = prepend_affine(objective.net, zono.G, zono.center)
+            first, merged = layers[0], net.layers[0]
+        out.append(bnb.latent_objective(objective, zono.G, zono.center, net))
+    return out
+
+
 def _support_polytope(dirs, objective_for, input_set, cfg):
     """One face per row c of dirs, offset by the solve of sup objective_for(c)
-    over the input set.  The solves share box-level certificates, which
-    depend on the box and the hidden layers but not on c.  A solve that fails
-    numerically falls back to the zeroth-order root face: its row goes into
-    ``flagged`` and its result is None."""
+    over the input set.  Every direction is registered with one certificate
+    store, so the first solve runs them all in lockstep: they share box-level
+    certificates, which depend on the box and the hidden layers but not on
+    c, and one stacked bound pass per round.  Each result is that of solving
+    its direction alone.  A solve that fails numerically falls back to the
+    zeroth-order root face: its row goes into ``flagged`` and its result is
+    None."""
+    objectives = [objective_for(c) for c in dirs]
+    if isinstance(input_set, Zonotope):
+        objectives = _over_latent_box(objectives, input_set)
+        m = input_set.G.shape[1]
+        input_set = Box(-np.ones(m), np.ones(m))
     offsets = np.empty(dirs.shape[0])
     lbs = np.empty(dirs.shape[0])
     flagged = []
     results = []
     certs = bnb.BoxCertificates()
-    for i, c in enumerate(dirs):
-        objective = objective_for(c)
+    for objective in objectives:
+        certs.register(objective)
+    for i, objective in enumerate(objectives):
         try:
             res = _solve_direction(objective, input_set, cfg, certs)
             offsets[i], lbs[i] = res.ub, res.lb
@@ -340,8 +376,12 @@ def closed_loop_reach(sys, initial_set, template, eps_t, steps=None, cfg=None,
                       next_rep="pca", pca_samples=10_000, seed=0):
     """Iterate closed_loop_step, feeding the propagated set forward."""
     steps = sys.horizon if steps is None else steps
-    if steps < 1:
-        raise ValueError("need at least one step")
+    # a whole number >= 1; inf % 1 is NaN, which is truthy
+    if (not isinstance(steps, numbers.Real) or isinstance(steps, bool)
+            or steps % 1 or steps < 1):
+        raise ValueError("need at least one step: steps must be a whole "
+                         f"number >= 1, got {steps!r}")
+    steps = int(steps)
     current = initial_set
     out = []
     for t in range(steps):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -308,7 +310,7 @@ class TestFailureEnvelope:
         bounder = _Bounder(obj, cfg)
         root, = bounder.bound(-np.ones((1, 2)), np.ones((1, 2)), 0)
 
-        def broken(lo, hi):
+        def broken(lo, hi, dirs):
             raise np.linalg.LinAlgError("engine down")
 
         monkeypatch.setattr(bounder, "_constants", broken)
@@ -326,11 +328,11 @@ class TestFailureEnvelope:
         real = bounder._constants
         calls = []
 
-        def constants(lo, hi):
+        def constants(lo, hi, dirs):
             calls.append(len(lo))
             if len(calls) == 1:
                 raise np.linalg.LinAlgError("root fails")
-            return real(lo, hi)
+            return real(lo, hi, dirs)
 
         monkeypatch.setattr(bounder, "_constants", constants)
         root, = bounder.bound(-np.ones((1, 2)), np.ones((1, 2)), 0)
@@ -339,6 +341,18 @@ class TestFailureEnvelope:
         bounder.bound(lo, hi, 1, root.ub)
         bounder.bound(lo[:1], hi[:1], 3, root.ub)
         assert calls == [1, 2, 1]
+
+    def test_root_constants_on_a_linear_net(self):
+        # no hidden layer and no first-order bound: the root's Lipschitz
+        # constant is a scalar, reused on every later box
+        obj = scalar_linear([1.0, -2.0])
+        cfg = BnBConfig(eps_t=1e-3, use_first_order=False,
+                        recompute_local=False, max_branches=21)
+        res = solve(obj, -np.ones(2), np.ones(2), cfg=cfg)
+        fresh = solve(obj, -np.ones(2), np.ones(2),
+                      cfg=replace(cfg, recompute_local=True))
+        _assert_same_results(res, fresh)
+        assert res.branches_processed == 21 and res.ub == 3.0
 
     def test_overflowed_interval_hessian_keeps_the_lam_bound(self,
                                                              monkeypatch):
@@ -588,9 +602,9 @@ def _solve_both_ways(monkeypatch, run):
         monkeypatch.setattr(bnb, "_BATCH", batch)
         sizes.append([])
 
-        def bound(self, lo, hi, index, parent_ub=np.inf, sizes=sizes[-1]):
+        def bound(self, lo, hi, *args, sizes=sizes[-1]):
             sizes.append(len(lo))
-            return real(self, lo, hi, index, parent_ub)
+            return real(self, lo, hi, *args)
 
         monkeypatch.setattr(_Bounder, "bound", bound)
         results.append(run())
@@ -771,6 +785,31 @@ class TestBoxCertificates:
         cfg = BnBConfig(eps_t=1e-2, **{field: value})
         with pytest.raises(StoreMismatchError, match="use_first_order"):
             solve(obj, lo, hi, cfg=cfg, certs=store)
+
+    def test_registered_directions_run_in_lockstep(self, monkeypatch):
+        # the first solve of a registered direction runs them all; a later
+        # solve returns its kept result, unless its box or config differs
+        net = make_net([2, 6, 5, 2], seed=3900)
+        objs = [ScalarObjective(scalarize(net, c)) for c in self.directions()]
+        lo, hi = -np.ones(2), np.ones(2)
+        cfg = BnBConfig(eps_t=1e-3)
+        runs = []
+        real = bnb._lockstep
+
+        def counting(bounder, slots, *args):
+            runs.append(len(slots))
+            return real(bounder, slots, *args)
+
+        monkeypatch.setattr(bnb, "_lockstep", counting)
+        store = BoxCertificates()
+        for obj in objs:
+            store.register(obj)
+        shared = [solve(obj, lo, hi, cfg=cfg, certs=store) for obj in objs]
+        other = solve(objs[1], lo, hi, cfg=BnBConfig(eps_t=1e-2), certs=store)
+        assert runs == [len(objs), 1]
+        for obj, res in zip(objs, shared):
+            _assert_same_results(res, solve(obj, lo, hi, cfg=cfg))
+        _assert_same_results(other, solve(objs[1], lo, hi, eps_t=1e-2))
 
     def shared_solves_match_solo(self, dims, directions):
         """Solve each direction with one shared store and without a store:

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,21 @@ class TestTemplates:
         assert angle < 1e-3
         # rank-deficient cloud: axis padding present
         assert t.count > 4
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_row_naming_it(self, bad):
+        dirs = np.eye(2).tolist() + [[1.0, bad]]
+        with pytest.raises(ValueError,
+                           match=r"template 'mine': direction 2 has "
+                                 r"non-finite entries"):
+            DirectionTemplate(dirs, "mine")
+
+    @pytest.mark.parametrize("dirs", [[1.0, 0.0], [[1.0, 0.0], [1.0]],
+                                      np.ones((2, 2, 2))])
+    def test_rejects_rows_that_are_not_a_matrix(self, dirs):
+        with pytest.raises(ValueError, match=r"template 'mine': directions "
+                                             r"must be a \(k, n_f\) array"):
+            DirectionTemplate(dirs, "mine")
 
     def test_pca_default_samples_contract(self):
         import inspect
@@ -248,6 +265,173 @@ class TestSharedCertificates:
         assert 0 < calls["n"] < nodes
 
 
+def _assert_same_result(a, b):
+    """Every BnBResult field but the wall time, bit for bit."""
+    for f in fields(bnb.BnBResult):
+        if f.name != "wall_time_s":
+            assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), \
+                f.name
+
+
+class TestLockstepDirections:
+    """reach runs the directions of one input set in lockstep, with one
+    stacked bound pass per round over every live direction; each result
+    must be that of solving its direction alone, with no store."""
+
+    DEPTHS = [[2, 8, 2], [2, 6, 5, 2], [2, 5, 4, 3, 2]]
+    ZONO = Zonotope(np.array([[0.15, 0.075, 0.05], [-0.1, 0.05, 0.125]]),
+                    np.array([0.3, -0.2]))
+
+    @staticmethod
+    def alone(objective, input_set, cfg):
+        if isinstance(input_set, Box):
+            return bnb.solve(objective, input_set.lo, input_set.hi, cfg=cfg)
+        return bnb.solve_zonotope(objective, input_set.G, input_set.center,
+                                  cfg=cfg)
+
+    @staticmethod
+    def count_passes(monkeypatch):
+        """The number of stacked bound passes, and the number of searches
+        in each."""
+        real = bnb._pass
+        passes = []
+
+        def counting(bounder, slots, asks):
+            passes.append(len(slots))
+            return real(bounder, slots, asks)
+
+        monkeypatch.setattr(bnb, "_pass", counting)
+        return passes
+
+    def rounds_alone(self, monkeypatch, objectives, input_set, cfg):
+        """Each direction's result alone, and the passes it takes."""
+        passes = self.count_passes(monkeypatch)
+        results, rounds = [], []
+        for objective in objectives:
+            passes.clear()
+            results.append(self.alone(objective, input_set, cfg))
+            rounds.append(len(passes))
+        return results, rounds
+
+    @pytest.mark.parametrize("cfg", [
+        bnb.BnBConfig(eps_t=1e-2),
+        # directions stop in different rounds at this budget
+        bnb.BnBConfig(eps_t=1e-3, max_branches=101),
+        bnb.BnBConfig(eps_t=1e-2, max_branches=201, recompute_local=False,
+                      collect_stats=True),
+    ], ids=["converged", "budget", "root-constants-stats"])
+    @pytest.mark.parametrize("kind", ["box", "zonotope"])
+    @pytest.mark.parametrize("dims", DEPTHS, ids=["depth2", "depth3",
+                                                  "depth4"])
+    def test_reach_polytope_matches_alone(self, monkeypatch, dims, kind,
+                                          cfg):
+        net = make_net(dims, seed=4600, scale=2.0)
+        input_set = Box(-np.ones(2), np.ones(2)) if kind == "box" \
+            else self.ZONO
+        template = uniform_directions(6)
+        objectives = [ScalarObjective(scalarize(net, c))
+                      for c in template.directions]
+        alone, rounds = self.rounds_alone(monkeypatch, objectives,
+                                          input_set, cfg)
+        passes = self.count_passes(monkeypatch)
+        poly, results = reach_polytope(net, input_set, template, cfg.eps_t,
+                                       cfg)
+        for res, ref in zip(results, alone):
+            _assert_same_result(res, ref)
+        assert poly.offsets.tolist() == [r.ub for r in alone]
+        # one pass per round, all directions in the first
+        assert len(passes) == max(rounds)
+        assert passes[0] == len(objectives)
+        if cfg.max_branches == 101:
+            assert len(set(rounds)) > 1
+
+    @pytest.mark.parametrize("cfg", [
+        bnb.BnBConfig(eps_t=1e-3),
+        # the zeroth-order bound alone reads each direction's linear part
+        bnb.BnBConfig(eps_t=1e-3, max_branches=101, use_first_order=False),
+    ], ids=["first-order", "zeroth-order"])
+    @pytest.mark.parametrize("kind", ["box", "zonotope"])
+    def test_closed_loop_step_matches_alone(self, monkeypatch, di_controller,
+                                            kind, cfg):
+        # the shipped depth-4 controller under the step map's linear part
+        import curvreach.reach as reach_mod
+        sys_model = di_system(di_controller)
+        input_set = hexagon() if kind == "zonotope" else \
+            Box(np.array([2.4, -0.1]), np.array([2.6, 0.1]))
+        real = reach_mod._solve_direction
+        results = []
+
+        def recording(objective, input_set, cfg, certs=None):
+            results.append(real(objective, input_set, cfg, certs))
+            return results[-1]
+
+        monkeypatch.setattr(reach_mod, "_solve_direction", recording)
+        passes = self.count_passes(monkeypatch)
+        poly, _ = closed_loop_step(sys_model, input_set,
+                                   uniform_directions(16), cfg.eps_t, cfg)
+        lockstep = len(passes)
+        objectives = [sys_model.step_objective(c) for c in poly.normals]
+        alone, rounds = self.rounds_alone(monkeypatch, objectives,
+                                          input_set, cfg)
+        assert len(results) == len(alone) == 20
+        for res, ref in zip(results, alone):
+            _assert_same_result(res, ref)
+        assert lockstep == max(rounds)
+
+    @staticmethod
+    def fail_after_root(monkeypatch, net, c, error):
+        """Make the objective of direction ``c`` raise ``error`` whenever it
+        is evaluated away from the root's center, the origin."""
+        row = (c @ net.layers[-1].weight).tobytes()
+        real = ScalarObjective.value_and_grad
+
+        def value_and_grad(self, x):
+            if self.net.layers[-1].weight.tobytes() == row \
+                    and np.any(x != 0.0):
+                raise error("injected")
+            return real(self, x)
+
+        monkeypatch.setattr(ScalarObjective, "value_and_grad",
+                            value_and_grad)
+
+    @pytest.mark.parametrize("dims", DEPTHS[:2], ids=["depth2", "depth3"])
+    def test_one_direction_failing_numerically(self, monkeypatch, dims):
+        # its pass raises in the second round, which is then rerun one
+        # direction at a time: only its face falls back and is flagged
+        net = make_net(dims, seed=4600, scale=2.0)
+        box = Box(-np.ones(2), np.ones(2))
+        template = uniform_directions(6)
+        cfg = bnb.BnBConfig(eps_t=1e-2)
+        alone = [bnb.solve(ScalarObjective(scalarize(net, c)), box.lo,
+                           box.hi, cfg=cfg) for c in template.directions]
+        bad = 2
+        self.fail_after_root(monkeypatch, net, template.directions[bad],
+                             FloatingPointError)
+        passes = self.count_passes(monkeypatch)
+        poly, results = reach_polytope(net, box, template, cfg.eps_t, cfg)
+        assert poly.flagged == (bad,)
+        assert results[bad] is None
+        for k, (res, ref) in enumerate(zip(results, alone)):
+            if k != bad:
+                _assert_same_result(res, ref)
+        # the second round raised stacked and was rerun one direction at a
+        # time; the other five go on in lockstep
+        assert passes[:3] == [6, 6, 5]
+        # the fallback face is sound
+        rng = np.random.default_rng(13)
+        ys = net.forward(sample_inputs(box, 20_000, rng))
+        assert poly.margins(ys).max() <= 1e-9
+
+    def test_non_numerical_failure_in_a_pass_propagates(self, monkeypatch):
+        net = make_net([2, 6, 5, 2], seed=4600, scale=2.0)
+        template = uniform_directions(6)
+        self.fail_after_root(monkeypatch, net, template.directions[4],
+                             ValueError)
+        with pytest.raises(ValueError, match="injected"):
+            reach_polytope(net, Box(-np.ones(2), np.ones(2)), template,
+                           1e-2)
+
+
 def di_system(controller, horizon=5):
     A = np.array([[1.0, 1.0], [0.0, 1.0]])
     B = np.array([[0.5], [1.0]])
@@ -352,6 +536,23 @@ class TestClosedLoop:
         sys_model = di_system(di_controller)
         with pytest.raises(ValueError):
             closed_loop_reach(sys_model, hexagon(), None, 1e-3, steps=0)
+
+    @pytest.mark.parametrize("steps", [1.5, 0.0, -1, np.inf, np.nan, True,
+                                       "2"])
+    def test_steps_must_be_a_whole_number(self, steps):
+        sys_model = LinearSystem(np.eye(2), np.zeros((2, 1)),
+                                 make_net([2, 4, 1], seed=6), 3)
+        with pytest.raises(ValueError, match="steps must be a whole number"):
+            closed_loop_reach(sys_model, Box(-np.ones(2), np.ones(2)), None,
+                              1e-3, steps=steps, next_rep="hull")
+
+    @pytest.mark.parametrize("steps", [2, 2.0, np.int64(2)])
+    def test_whole_steps_of_any_number_type(self, steps):
+        sys_model = LinearSystem(np.eye(2), np.zeros((2, 1)),
+                                 make_net([2, 4, 1], seed=6), 3)
+        trace = closed_loop_reach(sys_model, Box(-np.ones(2), np.ones(2)),
+                                  None, 1e-3, steps=steps, next_rep="hull")
+        assert len(trace) == 2
 
 
 class TestSetOperations:
