@@ -45,27 +45,24 @@ A node's certificates split into a box-level part (localization, the ell_inf
 internal Lipschitz memo, the ell_2 subnetwork constants and the Jacobian
 intervals of the interval Hessian), which depends on the box and the hidden
 layers only, and a per-direction finish that reads the output layer and the
-linear term.  Solves of several directions over one input set may share the
-box-level part through a ``BoxCertificates`` store, keyed by split pair: a
-split's children come as the same pair in every solve, whichever nodes they
-are batched with.
+linear term.  Within one stacked pass, each distinct box gets its box-level
+part once, however many directions carry it.
 
-The directions registered with a store also run in lockstep.  The node loop
-is a generator, ``_search``, that yields each round's stack of children and
-is sent their nodes; a lone solve drives a list of one search.  The first
-solve of a registered direction drives the searches of all of them: each
-round concatenates the stacks of the live searches into one
-``_Bounder.bound`` pass, whose per-direction parts (output row, linear
-term, root constants, node numbers) are gathered by direction for each box,
-and a split pair that several directions carry gets its certificates once.
-Each search still sees exactly the nodes it would bound alone.  If a stacked
-pass raises, the round is bounded again one search at a time, and a search
-whose own pass raises ends with that exception, which its solve re-raises.
+The directions registered with a ``Lockstep`` group run in lockstep.  The
+node loop is a generator, ``_search``, that yields each round's stack of
+children and is sent their nodes; a lone solve drives a list of one search.
+The first solve of a registered direction drives the searches of all of them:
+each round concatenates the stacks of the live searches into one
+``_Bounder.bound`` pass, whose per-direction parts (output row, linear term,
+root constants, node numbers) are gathered by direction for each box.  Each
+search still sees exactly the nodes it would bound alone.  If a stacked pass
+raises, the round is bounded again one search at a time, and a search whose
+own pass raises ends with that exception, which its solve re-raises.
 """
 
 import heapq
+import numbers
 import time
-import weakref
 from dataclasses import dataclass, field, fields, replace
 from types import SimpleNamespace
 
@@ -80,7 +77,6 @@ from .model import Network, ScalarObjective, prepend_affine
 _PRUNE_SLACK = 1e-12
 _DEGENERATE = 1e-13
 _VERTEX_CAP = 12                       # vertex enumeration up to this dimension
-_CERT_CAP = 1024                       # pair certificates kept per store
 _BATCH = 32                            # most nodes whose children share a pass
 
 
@@ -91,6 +87,17 @@ class BnBConfig:
     recompute_local: bool = True       # fresh certificates per node vs root reuse
     use_first_order: bool = True
     collect_stats: bool = False
+
+    def __post_init__(self):
+        # not > 0 also rejects NaN; inf is the zeroth-order fallback's gap
+        if not self.eps_t > 0.0:
+            raise ValueError("termination gap eps_t must be positive, got "
+                             f"{self.eps_t!r}")
+        if (not isinstance(self.max_branches, numbers.Integral)
+                or isinstance(self.max_branches, bool)
+                or self.max_branches < 1):
+            raise ValueError("max_branches must be an integer >= 1, got "
+                             f"{self.max_branches!r}")
 
 
 @dataclass
@@ -119,10 +126,6 @@ class BnBResult:
     stats: list = field(default_factory=list)
 
 
-class StoreMismatchError(ValueError):
-    """A certificate store was handed to a solve it cannot serve soundly."""
-
-
 def _same_layers(a, b):
     """Bit-identical layer stacks."""
     return len(a) == len(b) and all(
@@ -133,56 +136,24 @@ def _same_layers(a, b):
         for x, y in zip(a, b))
 
 
-class BoxCertificates:
-    """Box-level certificates shared by the solves of one input set, and the
-    lockstep runs of the directions registered with it.
-
-    Each entry holds the certificates of one split pair (a split's two
-    children, or one box bounded alone), keyed by the exact bytes of its
-    ``lo`` and ``hi``; a stacked pass over many pairs looks each up, and
-    stores each, on its own.  Entries are valid only for the hidden layers
-    and the ``use_first_order`` they were computed with; the first solve
-    fixes these, and a later solve that differs raises
-    ``StoreMismatchError``.  At most ``_CERT_CAP`` entries are kept; the
-    oldest goes first.
+class Lockstep:
+    """The directions of one input set, solved in lockstep.
 
     ``register`` queues a direction's objective.  The first ``solve`` of a
-    queued objective on the store runs the searches of every queued
-    direction in lockstep, over that solve's box and config: each round
-    bounds the stacks of all live searches in one stacked pass, in which a
-    split pair that several directions carry gets its certificates once.
-    The store keeps the other directions' results, and a later ``solve`` of
-    one of them over the same box with the same config returns it, or
-    re-raises the exception that ended its search.  Each result is that of
-    solving its direction alone, bit for bit.  One bound engine serves all
-    solves of the store, so the hidden layers' norms are computed once.
+    queued objective with the group runs the searches of every queued
+    direction together, over that solve's box and config: each round bounds
+    the stacks of all live searches in one stacked pass, in which a box that
+    several directions carry gets its box-level certificates once.  The
+    directions must share their hidden layers.  The group keeps the other
+    directions' results, and a later ``solve`` of one of them over the same
+    box with the same config returns it, or re-raises the exception that
+    ended its search.  Any other solve with the group runs alone.  Each
+    result is that of solving its direction alone, bit for bit.
     """
 
     def __init__(self):
-        self.entries = {}
-        self._owner = None
-        self._bounder = None
         self._queued = []
         self._done = []                # (objective, run key, outcome)
-
-    def bind(self, net, cfg):
-        """Fix the owner on first use; refuse any other owner after that."""
-        hidden = net.layers[:-1]
-        if self._owner is None:
-            self._owner = (hidden, cfg.use_first_order)
-            return
-        if self._owner[1] != cfg.use_first_order:
-            raise StoreMismatchError(
-                "certificate store was filled with use_first_order = "
-                f"{self._owner[1]}, not {cfg.use_first_order}")
-        if not _same_layers(self._owner[0], hidden):
-            raise StoreMismatchError(
-                "certificate store was filled for different hidden layers")
-
-    def put(self, key, cert):
-        if len(self.entries) >= _CERT_CAP:
-            del self.entries[next(iter(self.entries))]
-        self.entries[key] = cert
 
     def register(self, obj):
         """Queue the direction ``obj`` (a ``ScalarObjective``) for the next
@@ -201,14 +172,8 @@ class BoxCertificates:
         if any(q is obj for q in self._queued):
             objs += [q for q in self._queued if q is not obj]
             self._queued = []
-        for q in objs:
-            self.bind(q.net, cfg)
-        bounder = self._bounder
-        if bounder is None or bounder.cfg.recompute_local != cfg.recompute_local:
-            bounder = self._bounder = _Bounder(objs[0], cfg, self)
-            slots = [0] + [bounder.add(q) for q in objs[1:]]
-        else:
-            slots = [bounder.add(q) for q in objs]
+        bounder = _Bounder(obj, cfg)
+        slots = [0] + [bounder.add(q) for q in objs[1:]]
         outcomes = _lockstep(bounder, slots, lo, hi, cfg, start)
         self._done += [(q, key, outcome)
                        for q, outcome in zip(objs[1:], outcomes[1:])]
@@ -236,17 +201,9 @@ class _BoxCertificate:
     jac_rad: tuple = ()
 
     def rows(self, sel):
-        """The certificate of the boxes that the slice ``sel`` picks."""
+        """The certificate of the boxes that the index ``sel`` picks."""
         return _BoxCertificate(*(tuple(a[sel] for a in getattr(self, f.name))
                                  for f in fields(self)))
-
-    @staticmethod
-    def join(certs):
-        """One certificate of the boxes of ``certs``, in order."""
-        return _BoxCertificate(*(
-            tuple(np.concatenate(parts)
-                  for parts in zip(*(getattr(c, f.name) for c in certs)))
-            for f in fields(_BoxCertificate)))
 
 
 def _select(mask):
@@ -301,23 +258,16 @@ def _runs(dirs, n_box):
 
 
 class _Bounder:
-    """Bound engine of one solve, or of the directions of a certificate
-    store.  Box-level certificates read the hidden layers only, which the
-    directions share; the per-direction parts (the output row, ``lin_inf``,
-    ``head_inf`` and the root constants) are kept per direction and gathered
-    by direction for each box of a stack.  The root constants are cached when
-    configured, and box-level certificates come from ``certs`` when given.
+    """Bound engine of one solve, or of the directions of one lockstep run.
+    Box-level certificates read the hidden layers only, which the directions
+    share; the per-direction parts (the output row, ``lin_inf``, ``head_inf``
+    and the root constants) are kept per direction and gathered by direction
+    for each box of a stack.  The root constants are cached when configured.
     Direction 0 is ``obj``; ``add`` appends more."""
 
-    def __init__(self, obj, cfg, certs=None):
+    def __init__(self, obj, cfg):
         self.net = obj.net             # localization reads its hidden layers
         self.cfg = cfg
-        self.certs = None
-        if certs is not None:
-            certs.bind(self.net, cfg)
-            # a store keeps its engine; a weak reference back makes no
-            # cycle, so a step's store is freed as soon as the step ends
-            self.certs = weakref.proxy(certs)
         self.two_layer = self.net.depth == 2 and cfg.use_first_order
         self.deep = self.net.depth >= 3 and cfg.use_first_order
         self.weights = [lay.weight for lay in self.net.layers]
@@ -333,6 +283,9 @@ class _Bounder:
 
     def add(self, obj):
         """Add a direction over the same hidden layers; returns its number."""
+        if not _same_layers(self.net.layers[:-1], obj.net.layers[:-1]):
+            raise ValueError("directions solved in lockstep must share their "
+                             "hidden layers")
         w = obj.net.layers[-1].weight
         self.objs.append(obj)
         self.root_consts.append(None)
@@ -347,42 +300,18 @@ class _Bounder:
         return [b / 2.0 for b in slope_hi]
 
     def _certificate(self, lo, hi, dirs):
-        """Box-level certificates of a stack of boxes.  With a store, each
-        direction's run of the stack is taken as a run of split pairs, or as
-        single boxes when its length is odd: stored pairs are looked up, and
-        the missing ones, each once however many directions carry it, are
-        computed in one stacked pass and stored pair by pair."""
-        if self.certs is None:
+        """Box-level certificates of a stack of boxes, computed once for each
+        distinct box.  Boxes are told apart by the exact bytes of their
+        bounds; the boxes of one direction are distinct."""
+        if np.ndim(dirs) == 0:
             return self._fresh_certificate(lo, hi)
-        groups = []
-        for _, a, b in _runs(dirs, len(lo)):
-            step = 2 if (b - a) % 2 == 0 else 1
-            groups += [(k, k + step) for k in range(a, b, step)]
-        keys = [lo[a:b].tobytes() + hi[a:b].tobytes() for a, b in groups]
-        found, missing = {}, {}        # missing: the rows of a key's first group
-        for key, group in zip(keys, groups):
-            if key not in found and key not in missing:
-                cert = self.certs.entries.get(key)
-                if cert is None:
-                    missing[key] = group
-                else:
-                    found[key] = cert
-        if missing:
-            whole = len(missing) == len(groups)
-            rows = slice(None) if whole else [
-                k for a, b in missing.values() for k in range(a, b)]
-            fresh = self._fresh_certificate(lo[rows], hi[rows])
-            start = 0
-            for key, (a, b) in missing.items():
-                found[key] = fresh if len(missing) == 1 \
-                    else fresh.rows(slice(start, start + b - a))
-                start += b - a
-                self.certs.put(key, found[key])
-            if whole:
-                return fresh
-        if len(keys) == 1:
-            return found[keys[0]]
-        return _BoxCertificate.join([found[key] for key in keys])
+        ids = {}
+        inverse = [ids.setdefault(a.tobytes() + b.tobytes(), len(ids))
+                   for a, b in zip(lo, hi)]
+        if len(ids) == len(lo):
+            return self._fresh_certificate(lo, hi)
+        _, first = np.unique(inverse, return_index=True)
+        return self._fresh_certificate(lo[first], hi[first]).rows(inverse)
 
     def _fresh_certificate(self, lo, hi):
         local = loc.bounds_for_box(self.net, lo, hi)
@@ -449,21 +378,34 @@ class _Bounder:
 
     def _root_or_fresh(self, lo, hi, index, dirs):
         """The constants of each box of a stack: fresh ones, or with root
-        reuse configured, its direction's root constants once they exist."""
+        reuse configured, its direction's root constants once they exist.
+        The directions without them get fresh ones in one call, so a box
+        that several of them carry is localized once."""
         if self.cfg.recompute_local:
             return self._constants(lo, hi, dirs)
-        parts = []
-        for d, a, b in _runs(dirs, len(lo)):
-            consts = self.root_consts[d]
-            if consts is None:
-                consts = self._constants(lo[a:b], hi[a:b], d)
+        runs = _runs(dirs, len(lo))
+        fresh = [run for run in runs if self.root_consts[run[0]] is None]
+        if fresh:
+            rows = np.concatenate([np.arange(a, b) for _, a, b in fresh])
+            consts = tuple(
+                None if c is None else
+                np.broadcast_to(c, (len(rows),) + np.shape(c)[1:])
+                for c in self._constants(lo[rows], hi[rows], dirs
+                                         if np.ndim(dirs) == 0 else dirs[rows]))
+        parts, at = [], 0
+        for d, a, b in runs:
+            part = self.root_consts[d]
+            if part is None:
+                part = tuple(None if c is None else c[at:at + b - a]
+                             for c in consts)
+                at += b - a
                 # only a root's certificates hold on every later box of its
                 # direction; if the root's fail, each node keeps its own
                 if index[a] == 0:
-                    self.root_consts[d] = consts
+                    self.root_consts[d] = part
             parts.append(tuple(None if c is None else
-                               np.broadcast_to(c, (b - a,) + np.shape(c)[1:])
-                               for c in consts))
+                               np.broadcast_to(c, (b - a,) + c.shape[1:])
+                               for c in part))
         if len(parts) == 1:
             return parts[0]
         return tuple(None if c[0] is None else np.concatenate(c)
@@ -606,20 +548,17 @@ class _Bounder:
                     flagged.tolist(), first_won.tolist()))]
 
 
-def solve(obj_or_net, lo, hi, eps_t=None, cfg=None, certs=None):
+def solve(obj_or_net, lo, hi, eps_t=None, cfg=None, lockstep=None):
     """Branch and bound over the box [lo, hi] until ub - lb <= eps_t.
 
-    ``certs`` (internal) is a ``BoxCertificates`` store shared with other
-    solves over the same box and hidden layers; it changes no result.  A
+    ``lockstep`` (internal) is a ``Lockstep`` group; it changes no result.  A
     solve of a direction registered with it runs, or has run, in lockstep
-    with the store's other registered directions; its ``wall_time_s`` then
+    with the group's other registered directions; its ``wall_time_s`` then
     runs from the start of that lockstep run to the end of its own search."""
     obj = as_objective(obj_or_net)
     cfg = cfg or BnBConfig()
     if eps_t is not None:
         cfg = replace(cfg, eps_t=eps_t)
-    if not cfg.eps_t > 0.0:
-        raise ValueError("termination gap must be positive")
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     if lo.shape != (obj.input_dim,) or hi.shape != (obj.input_dim,):
@@ -630,10 +569,10 @@ def solve(obj_or_net, lo, hi, eps_t=None, cfg=None, certs=None):
         raise ValueError("box lower bound exceeds upper bound")
 
     start = time.perf_counter()
-    if certs is None:
+    if lockstep is None:
         outcome, = _lockstep(_Bounder(obj, cfg), [0], lo, hi, cfg, start)
     else:
-        outcome = certs._outcome(obj, lo, hi, cfg, start)
+        outcome = lockstep._outcome(obj, lo, hi, cfg, start)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -798,9 +737,10 @@ def latent_objective(obj, G, x_c, net=None):
     return ScalarObjective(net, linear, offset)
 
 
-def solve_zonotope(obj_or_net, G, x_c, eps_t=None, cfg=None, certs=None):
+def solve_zonotope(obj_or_net, G, x_c, eps_t=None, cfg=None, lockstep=None):
     """sup over the zonotope {G z + x_c : ||z||_inf <= 1} by solving the
     composed objective over the latent unit box."""
     m = np.shape(G)[1]
     return solve(latent_objective(as_objective(obj_or_net), G, x_c),
-                 -np.ones(m), np.ones(m), eps_t=eps_t, cfg=cfg, certs=certs)
+                 -np.ones(m), np.ones(m), eps_t=eps_t, cfg=cfg,
+                 lockstep=lockstep)

@@ -24,8 +24,6 @@ _VOLATILE = {"wall_time_s"}
 
 
 def _bnb_config(args):
-    if args.max_branches < 1:
-        raise ValueError("--max-branches must be positive")
     return bnb.BnBConfig(eps_t=args.eps_t, max_branches=args.max_branches,
                          recompute_local=not args.root_constants)
 
@@ -158,9 +156,9 @@ def _result_dict(res):
 
 
 def _cmd_bnb(args):
+    cfg = _bnb_config(args)
     net = fileio.load_network(args.network)
     c = fileio.parse_vector(args.direction, net.output_dim)
-    cfg = _bnb_config(args)
     objective = ScalarObjective(scalarize(net, c))
     input_set = _input_set(args, net.input_dim)
     res = reach._solve_direction(objective, input_set, cfg)
@@ -170,18 +168,13 @@ def _cmd_bnb(args):
     return 0 if res.status == "Converged" else 2
 
 
-def _validate_eps_t(args):
-    if args.eps_t <= 0:
-        raise ValueError("termination gap --eps-t must be positive")
-
-
 def _cmd_reach(args):
+    cfg = _bnb_config(args)
     net = fileio.load_network(args.network)
     input_set = _input_set(args, net.input_dim)
     template, pca_n = _parse_template(args.dirs, net.output_dim)
     if template is None:
         template = reach.pca_directions(net, input_set, pca_n, seed=args.seed)
-    cfg = _bnb_config(args)
     t0 = time.perf_counter()
     poly, results = reach.reach_polytope(net, input_set, template, args.eps_t,
                                          cfg)
@@ -194,6 +187,7 @@ def _cmd_reach(args):
 
 
 def _cmd_closedloop(args):
+    cfg = _bnb_config(args)
     controller = fileio.load_network(args.controller)
     sys_model = fileio.load_system(args.system, controller)
     steps = sys_model.horizon if args.steps is None else args.steps
@@ -203,7 +197,6 @@ def _cmd_closedloop(args):
     input_set = _input_set(args, sys_model.dim)
     template, pca_n = _parse_template(args.dirs, sys_model.dim)
     next_rep = "hull" if args.hull else "pca"
-    cfg = _bnb_config(args)
     t0 = time.perf_counter()
     trace = reach.closed_loop_reach(
         sys_model, input_set, template, args.eps_t, steps=steps, cfg=cfg,
@@ -233,13 +226,13 @@ def _cmd_closedloop(args):
 
 
 def _cmd_audit(args):
+    cfg = _bnb_config(args)
     net = fileio.load_network(args.network)
     c = fileio.parse_vector(args.direction, net.output_dim)
     box = fileio.parse_box(args.box, net.input_dim)
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
     objective = ScalarObjective(scalarize(net, c))
-    cfg = _bnb_config(args)
     res = bnb.solve(objective, box.lo, box.hi, cfg=cfg)
     per_axis = max(2, int(round(args.samples ** (1.0 / box.dim))))
     sampled_max, _ = oracle.grid_max(objective.value, box.lo, box.hi,
@@ -362,8 +355,6 @@ def main(argv=None):
         # argparse exits 2 on usage problems; those are input errors here
         return 0 if exc.code in (0, None) else 1
     try:
-        if hasattr(args, "eps_t"):
-            _validate_eps_t(args)
         return args.fn(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -139,11 +139,21 @@ def uniform_directions(k):
 def _rotation_from_pca(fwd, input_set, n_samples, seed):
     """Principal axes of the pushed-forward sample cloud: an orthonormal
     rotation whose columns run by decreasing variance, and those variances."""
+    if (not isinstance(n_samples, numbers.Integral)
+            or isinstance(n_samples, bool)):
+        raise ValueError("pca_samples (n_samples) must be an integer, "
+                         f"got {n_samples!r}")
+    too_few = (f"pca_samples (n_samples) = {n_samples}: need more samples "
+               "than output dimensions")
+    # every output has a dimension, so fewer than 2 never do; rejected
+    # before sampling, which fails on a negative count
+    if n_samples < 2:
+        raise ValueError(too_few)
     rng = np.random.default_rng(seed)
     xs = sample_inputs(input_set, n_samples, rng)
     ys = np.asarray(fwd(xs), dtype=float)
     if n_samples < ys.shape[1] + 1:
-        raise ValueError("need more samples than output dimensions")
+        raise ValueError(too_few)
     evals, evecs = np.linalg.eigh(np.atleast_2d(np.cov(ys.T)))
     order = np.argsort(evals)[::-1]
     return evecs[:, order], evals[order]
@@ -194,17 +204,17 @@ class Polytope:
         return float(np.max(self.normals @ point - self.offsets))
 
 
-def _solve_direction(objective, input_set, cfg, certs=None):
+def _solve_direction(objective, input_set, cfg, lockstep=None):
     if isinstance(input_set, Box):
         return bnb.solve(objective, input_set.lo, input_set.hi, cfg=cfg,
-                         certs=certs)
+                         lockstep=lockstep)
     return bnb.solve_zonotope(objective, input_set.G, input_set.center,
-                              cfg=cfg, certs=certs)
+                              cfg=cfg, lockstep=lockstep)
 
 
 def _zeroth_root_offset(objective, input_set):
-    """Sound fallback face offset: root-level zeroth-order bound only.  It
-    takes no certificate store, since its config is not the step's."""
+    """Sound fallback face offset: root-level zeroth-order bound only,
+    solved alone, since its config is not the step's."""
     fallback = bnb.BnBConfig(eps_t=np.inf, use_first_order=False,
                              max_branches=1)
     res = _solve_direction(objective, input_set, fallback)
@@ -230,11 +240,11 @@ def _over_latent_box(objectives, zono):
 
 def _support_polytope(dirs, objective_for, input_set, cfg):
     """One face per row c of dirs, offset by the solve of sup objective_for(c)
-    over the input set.  Every direction is registered with one certificate
-    store, so the first solve runs them all in lockstep: they share box-level
-    certificates, which depend on the box and the hidden layers but not on
-    c, and one stacked bound pass per round.  Each result is that of solving
-    its direction alone.  A solve that fails numerically falls back to the
+    over the input set.  Every direction is registered with one lockstep
+    group, so the first solve runs them all with one stacked bound pass per
+    round, in which a box that several directions carry gets its box-level
+    certificates, which do not depend on c, once.  Each result is that of
+    solving its direction alone.  A solve that fails numerically falls back to the
     zeroth-order root face: its row goes into ``flagged`` and its result is
     None."""
     objectives = [objective_for(c) for c in dirs]
@@ -246,12 +256,12 @@ def _support_polytope(dirs, objective_for, input_set, cfg):
     lbs = np.empty(dirs.shape[0])
     flagged = []
     results = []
-    certs = bnb.BoxCertificates()
+    lockstep = bnb.Lockstep()
     for objective in objectives:
-        certs.register(objective)
+        lockstep.register(objective)
     for i, objective in enumerate(objectives):
         try:
-            res = _solve_direction(objective, input_set, cfg, certs)
+            res = _solve_direction(objective, input_set, cfg, lockstep)
             offsets[i], lbs[i] = res.ub, res.lb
         except (taylor.DualBisectionError, np.linalg.LinAlgError,
                 FloatingPointError):

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvreach import bnb, oracle
-from curvreach.bnb import (BnBConfig, BoxCertificates, StoreMismatchError,
-                           as_objective, maxlen_axis, solve, solve_zonotope,
-                           split_box, _Bounder)
+from curvreach.bnb import (BnBConfig, Lockstep, as_objective, maxlen_axis,
+                           solve, solve_zonotope, split_box, _Bounder)
 from curvreach.model import Activation, ScalarObjective, scalarize
 from conftest import linear_net, make_net
 
@@ -111,6 +110,24 @@ class TestSolveContracts:
         obj = scalar_linear([1.0])
         with pytest.raises(ValueError):
             solve(obj, -np.ones(1), np.ones(1), eps_t=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("eps_t", 0.0), ("eps_t", -1e-3), ("eps_t", np.nan),
+        ("max_branches", 0), ("max_branches", -3), ("max_branches", 2.5),
+        ("max_branches", 5.0), ("max_branches", True),
+    ])
+    def test_config_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            BnBConfig(**{field: value})
+        # a solve never sees it: replacing a field validates it too
+        with pytest.raises(ValueError, match=field):
+            solve(scalar_linear([1.0]), -np.ones(1), np.ones(1),
+                  cfg=replace(BnBConfig(), **{field: value}))
+
+    def test_config_accepts_its_limits(self):
+        # an infinite gap is the zeroth-order root fallback's
+        cfg = BnBConfig(eps_t=np.inf, max_branches=np.int64(1))
+        assert cfg.eps_t == np.inf and cfg.max_branches == 1
 
     def test_bad_box(self):
         obj = scalar_linear([1.0, 1.0])
@@ -679,23 +696,24 @@ class TestSpeculativeBatching:
 
     @pytest.mark.parametrize("dims", [[2, 8, 2], [2, 6, 5, 2]])
     def test_directions_sharing_a_store(self, monkeypatch, dims):
-        # each way of solving fills its own store over the same directions;
-        # later directions hit pairs stored by earlier ones
+        # the directions run in lockstep, every stack of theirs in one pass
         net = make_net(dims, seed=5400, scale=2.0)
         ang = 2.0 * np.pi * np.arange(6) / 6
         directions = np.stack([np.cos(ang), np.sin(ang)], axis=1)
         lo, hi = -np.ones(2), np.ones(2)
 
         def run():
-            store = BoxCertificates()
-            return [solve(ScalarObjective(scalarize(net, c)), lo, hi,
-                          cfg=BnBConfig(eps_t=1e-4), certs=store)
-                    for c in directions]
+            objs = [ScalarObjective(scalarize(net, c)) for c in directions]
+            group = Lockstep()
+            for obj in objs:
+                group.register(obj)
+            return [solve(obj, lo, hi, cfg=BnBConfig(eps_t=1e-4),
+                          lockstep=group) for obj in objs]
 
         (batched, one), (sizes, _) = _solve_both_ways(monkeypatch, run)
         for b, o in zip(batched, one):
             _assert_same_results(b, o)
-        assert max(sizes) > 2
+        assert max(sizes) > 2 * len(directions)
 
 
 class TestZonotope:
@@ -746,45 +764,12 @@ class TestZonotope:
 
 
 class TestBoxCertificates:
+    """Box-level certificates are shared among the boxes of one stacked pass
+    only: each distinct box of a pass gets them once."""
+
     def directions(self):
         ang = 2.0 * np.pi * np.arange(6) / 6
         return np.stack([np.cos(ang), np.sin(ang)], axis=1)
-
-    def test_refuses_other_hidden_layers(self):
-        lo, hi = -np.ones(2), np.ones(2)
-        store = BoxCertificates()
-        net = make_net([2, 6, 5, 2], seed=3500)
-        solve(ScalarObjective(scalarize(net, [1.0, 0.0])), lo, hi,
-              eps_t=1e-2, certs=store)
-        # same hidden layers, new output layer: accepted
-        solve(ScalarObjective(scalarize(net, [0.0, 1.0])), lo, hi,
-              eps_t=1e-2, certs=store)
-        other = make_net([2, 6, 5, 2], seed=3501)
-        with pytest.raises(StoreMismatchError, match="hidden layers"):
-            solve(ScalarObjective(scalarize(other, [1.0, 0.0])), lo, hi,
-                  eps_t=1e-2, certs=store)
-
-    def test_zonotope_solves_compare_merged_first_layer(self):
-        net = make_net([2, 6, 5, 2], seed=3600)
-        G = np.array([[0.1, 0.1, 0.1], [-0.1, 0.0, 0.1]])
-        x_c = np.array([0.5, 0.0])
-        store = BoxCertificates()
-        for c in ([1.0, 0.0], [0.0, 1.0]):
-            solve_zonotope(ScalarObjective(scalarize(net, c)), G, x_c,
-                           eps_t=1e-2, certs=store)
-        with pytest.raises(StoreMismatchError, match="hidden layers"):
-            solve_zonotope(ScalarObjective(scalarize(net, [1.0, 0.0])),
-                           G, x_c + 1e-3, eps_t=1e-2, certs=store)
-
-    @pytest.mark.parametrize("field, value", [("use_first_order", False)])
-    def test_refuses_other_certificate_config(self, field, value):
-        obj = ScalarObjective(make_net([2, 6, 5, 1], seed=3700))
-        lo, hi = -np.ones(2), np.ones(2)
-        store = BoxCertificates()
-        solve(obj, lo, hi, cfg=BnBConfig(eps_t=1e-2), certs=store)
-        cfg = BnBConfig(eps_t=1e-2, **{field: value})
-        with pytest.raises(StoreMismatchError, match="use_first_order"):
-            solve(obj, lo, hi, cfg=cfg, certs=store)
 
     def test_registered_directions_run_in_lockstep(self, monkeypatch):
         # the first solve of a registered direction runs them all; a later
@@ -801,57 +786,101 @@ class TestBoxCertificates:
             return real(bounder, slots, *args)
 
         monkeypatch.setattr(bnb, "_lockstep", counting)
-        store = BoxCertificates()
+        group = Lockstep()
         for obj in objs:
-            store.register(obj)
-        shared = [solve(obj, lo, hi, cfg=cfg, certs=store) for obj in objs]
-        other = solve(objs[1], lo, hi, cfg=BnBConfig(eps_t=1e-2), certs=store)
+            group.register(obj)
+        shared = [solve(obj, lo, hi, cfg=cfg, lockstep=group) for obj in objs]
+        other = solve(objs[1], lo, hi, cfg=BnBConfig(eps_t=1e-2),
+                      lockstep=group)
         assert runs == [len(objs), 1]
         for obj, res in zip(objs, shared):
             _assert_same_results(res, solve(obj, lo, hi, cfg=cfg))
         _assert_same_results(other, solve(objs[1], lo, hi, eps_t=1e-2))
 
-    def shared_solves_match_solo(self, dims, directions):
-        """Solve each direction with one shared store and without a store:
-        bounds and node counts must agree.  Returns the store and the number
-        of boxes the shared solves bounded."""
-        net = make_net(dims, seed=3800)
+    @staticmethod
+    def assert_third_refused(objs, lo, hi):
+        """The first two directions run in lockstep; with the third, whose
+        hidden layers differ, the run is refused."""
+        def run(objs):
+            group = Lockstep()
+            for obj in objs:
+                group.register(obj)
+            return solve(objs[0], lo, hi, eps_t=1e-2, lockstep=group)
+
+        run(objs[:2])
+        with pytest.raises(ValueError, match="hidden layers"):
+            run(objs)
+
+    def test_refuses_other_hidden_layers(self):
+        # the directions of a run share one localization of each box; same
+        # hidden layers with a new output layer are accepted
+        net = make_net([2, 6, 5, 2], seed=3500)
+        other = make_net([2, 6, 5, 2], seed=3501)
+        objs = [ScalarObjective(scalarize(n, c))
+                for n, c in ((net, [1.0, 0.0]), (net, [0.0, 1.0]),
+                             (other, [1.0, 0.0]))]
+        self.assert_third_refused(objs, -np.ones(2), np.ones(2))
+
+    def test_zonotope_solves_compare_merged_first_layer(self):
+        # over a zonotope the first hidden layer holds its center; equal
+        # compositions built apart are accepted
+        net = make_net([2, 6, 5, 2], seed=3600)
+        G = np.array([[0.1, 0.1, 0.1], [-0.1, 0.0, 0.1]])
+        objs = [bnb.latent_objective(ScalarObjective(scalarize(net, c)), G,
+                                     np.array(x_c))
+                for c, x_c in (([1.0, 0.0], [0.5, 0.0]),
+                               ([0.0, 1.0], [0.5, 0.0]),
+                               ([1.0, 0.0], [0.5, 1e-3]))]
+        self.assert_third_refused(objs, -np.ones(3), np.ones(3))
+
+    @pytest.mark.parametrize("recompute", [True, False])
+    @pytest.mark.parametrize("dims", [[2, 8, 2], [2, 6, 5, 2]])
+    def test_each_box_of_a_pass_certified_once(self, monkeypatch, dims,
+                                               recompute):
+        net = make_net(dims, seed=3800, scale=2.0)
+        objs = [ScalarObjective(scalarize(net, c)) for c in self.directions()]
         lo, hi = -np.ones(2), np.ones(2)
-        cfg = BnBConfig(eps_t=1e-3)
-        store = BoxCertificates()
-        bounded = 0
-        for c in directions:
-            obj = ScalarObjective(scalarize(net, c))
-            shared = solve(obj, lo, hi, cfg=cfg, certs=store)
-            alone = solve(obj, lo, hi, cfg=cfg)
-            assert shared.ub.hex() == alone.ub.hex()
-            assert shared.lb.hex() == alone.lb.hex()
-            assert shared.branches_processed == alone.branches_processed
-            bounded += shared.branches_processed
-        return store, bounded
+        cfg = BnBConfig(eps_t=1e-3, max_branches=201,
+                        recompute_local=recompute)
+        real = _Bounder._fresh_certificate
+        stacks = []
 
-    @pytest.mark.parametrize("dims", [[2, 8, 2], [2, 6, 5, 2]])
-    def test_cap_bounds_the_store_and_changes_no_result(self, monkeypatch,
-                                                        dims):
-        monkeypatch.setattr(bnb, "_CERT_CAP", 16)
-        sizes = []
-        put = BoxCertificates.put
+        def fresh(self, lo, hi):
+            stacks.append({a.tobytes() + b.tobytes() for a, b in zip(lo, hi)})
+            assert len(stacks[-1]) == len(lo)      # no box twice in a pass
+            return real(self, lo, hi)
 
-        def tracked(self, key, cert):
-            put(self, key, cert)
-            sizes.append(len(self.entries))
+        monkeypatch.setattr(_Bounder, "_fresh_certificate", fresh)
+        group = Lockstep()
+        for obj in objs:
+            group.register(obj)
+        shared = [solve(obj, lo, hi, cfg=cfg, lockstep=group) for obj in objs]
+        # the first pass bounds every direction's root, the one box [lo, hi]
+        assert len(stacks[0]) == 1
+        if not recompute:
+            # the root constants hold on every later box
+            assert len(stacks) == 1
+        monkeypatch.setattr(_Bounder, "_fresh_certificate", real)
+        for obj, res in zip(objs, shared):
+            _assert_same_results(res, solve(obj, lo, hi, cfg=cfg))
 
-        monkeypatch.setattr(BoxCertificates, "put", tracked)
-        self.shared_solves_match_solo(dims, self.directions())
-        assert max(sizes) == 16
-        assert len(sizes) > 16
+    @pytest.mark.parametrize("zero, rows", [(0.0, 1), (-0.0, 2)])
+    def test_boxes_told_apart_by_their_bytes(self, monkeypatch, zero, rows):
+        # equal floats are not enough: a box is shared only when its bounds
+        # are bit for bit the same, so 0.0 and -0.0 stay apart
+        net = make_net([2, 6, 5, 2], seed=3800)
+        bounder = _Bounder(ScalarObjective(scalarize(net, [1.0, 0.0])),
+                           BnBConfig())
+        bounder.add(ScalarObjective(scalarize(net, [0.0, 1.0])))
+        real = _Bounder._fresh_certificate
+        counts = []
 
-    @pytest.mark.parametrize("dims", [[2, 8, 2], [2, 6, 5, 2]])
-    def test_store_hits_return_each_box_its_own_certificate(self, monkeypatch,
-                                                             dims):
-        # no eviction, so later directions revisit stored boxes; a store
-        # that handed one box another's certificate would change a bound
-        monkeypatch.setattr(bnb, "_CERT_CAP", 10**6)
-        store, bounded = self.shared_solves_match_solo(
-            dims, np.vstack([np.eye(2), -np.eye(2)]))
-        assert len(store.entries) < bounded        # some lookups hit
+        def fresh(self, lo, hi):
+            counts.append(len(lo))
+            return real(self, lo, hi)
+
+        monkeypatch.setattr(_Bounder, "_fresh_certificate", fresh)
+        lo = np.array([[0.0, -1.0], [zero, -1.0]])
+        cert = bounder._certificate(lo, np.ones((2, 2)), np.array([0, 1]))
+        assert counts == [rows]
+        assert len(cert.slope_hi[0]) == 2

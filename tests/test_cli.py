@@ -61,6 +61,21 @@ class TestExitCodes:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["bnb", "reach"])
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--max-branches", "0", "max_branches"),
+        ("--max-branches", "-3", "max_branches"),
+        ("--eps-t", "nan", "eps_t"),
+    ])
+    def test_bad_solver_config_rejected(self, linear_file, capsys, command,
+                                        flag, value, field):
+        direction = [] if command == "reach" else ["--direction", "1"]
+        code = main([command, "--network", linear_file, *direction,
+                     "--box=-1..1,-1..1", flag, value])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+
     def test_missing_file(self, capsys):
         code = main(["bnb", "--network", "/nonexistent.json",
                      "--direction", "1", "--box=-1..1"])

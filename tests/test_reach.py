@@ -163,11 +163,11 @@ class TestReachPolytope:
         real = reach_mod._solve_direction
         calls = {"n": 0}
 
-        def flaky(objective, input_set, cfg, certs=None):
+        def flaky(objective, input_set, cfg, lockstep=None):
             calls["n"] += 1
             if calls["n"] == 1 and np.isfinite(cfg.eps_t):
                 raise np.linalg.LinAlgError("solver blew up")
-            return real(objective, input_set, cfg, certs)
+            return real(objective, input_set, cfg, lockstep)
 
         monkeypatch.setattr(reach_mod, "_solve_direction", flaky)
         net = make_net([2, 6, 2], seed=4300)
@@ -191,7 +191,7 @@ class TestReachPolytope:
         # only numerical failures become flagged faces; a bug surfaces
         import curvreach.reach as reach_mod
 
-        def broken(objective, input_set, cfg, certs=None):
+        def broken(objective, input_set, cfg, lockstep=None):
             raise ValueError("shape bug")
 
         monkeypatch.setattr(reach_mod, "_solve_direction", broken)
@@ -227,7 +227,7 @@ class TestSharedCertificates:
         self.assert_identical(shared, alone, res_shared, res_alone)
 
     def test_closed_loop_step_zonotope(self, monkeypatch, di_controller):
-        # record each direction's result, with and without the shared store
+        # record each direction's result, in lockstep and alone
         import curvreach.reach as reach_mod
         real = reach_mod._solve_direction
         sys_model = di_system(di_controller)
@@ -235,8 +235,9 @@ class TestSharedCertificates:
         for share in (True, False):
             results = []
 
-            def recording(objective, input_set, cfg, certs=None):
-                res = real(objective, input_set, cfg, certs if share else None)
+            def recording(objective, input_set, cfg, lockstep=None):
+                res = real(objective, input_set, cfg,
+                           lockstep if share else None)
                 results.append(res)
                 return res
 
@@ -276,7 +277,7 @@ def _assert_same_result(a, b):
 class TestLockstepDirections:
     """reach runs the directions of one input set in lockstep, with one
     stacked bound pass per round over every live direction; each result
-    must be that of solving its direction alone, with no store."""
+    must be that of solving its direction alone."""
 
     DEPTHS = [[2, 8, 2], [2, 6, 5, 2], [2, 5, 4, 3, 2]]
     ZONO = Zonotope(np.array([[0.15, 0.075, 0.05], [-0.1, 0.05, 0.125]]),
@@ -361,8 +362,8 @@ class TestLockstepDirections:
         real = reach_mod._solve_direction
         results = []
 
-        def recording(objective, input_set, cfg, certs=None):
-            results.append(real(objective, input_set, cfg, certs))
+        def recording(objective, input_set, cfg, lockstep=None):
+            results.append(real(objective, input_set, cfg, lockstep))
             return results[-1]
 
         monkeypatch.setattr(reach_mod, "_solve_direction", recording)
@@ -531,6 +532,19 @@ class TestClosedLoop:
         with pytest.raises(ValueError, match="more samples"):
             closed_loop_step(sys_model, hexagon(), None, 1e-3,
                              pca_samples=2)
+
+    @pytest.mark.parametrize("count, cause", [
+        (-5, "more samples"), (0, "more samples"), (2, "more samples"),
+        (2.5, "an integer"), (True, "an integer"),
+    ])
+    def test_bad_pca_sample_count_names_it(self, di_controller, count,
+                                           cause):
+        sys_model = di_system(di_controller)
+        with pytest.raises(ValueError, match=f"pca_samples.*{cause}"):
+            closed_loop_step(sys_model, hexagon(), None, 1e-3,
+                             pca_samples=count)
+        with pytest.raises(ValueError, match=f"n_samples.*{cause}"):
+            pca_directions(sys_model.step_map, hexagon(), n_samples=count)
 
     def test_bad_step_count(self, di_controller):
         sys_model = di_system(di_controller)
