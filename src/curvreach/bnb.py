@@ -1,15 +1,16 @@
 """Best-first branch and bound for sup of a scalar objective over a box.
 
-Each node computes localized Lipschitz and Hessian certificates for its
-sub-rectangle and takes the better of the zeroth-order bound (the ell_inf
-loop-transformed Lipschitz constant, with ``d = slope_hi / 2``, times half
-the longest edge) and one first-order model bound over the box itself: the
-exact vertex maximum when the Hessian upper bound is a PSD matrix (one hidden
-layer, at most ``_VERTEX_CAP`` inputs), else the exact maximum of the
-isotropic model over the box, with a matrix bound also the dual bound over
-the ell_2 ball of radius ``||(hi - lo)/2||_2`` when smaller.  On the matrix
-path one eigendecomposition of the upper matrix ``M`` per node serves the
-isotropic curvature, the PSD test and the vertex bound's PSD tolerance.
+Each node computes fresh localized Lipschitz and Hessian certificates for its
+own sub-rectangle, reusing none from the root or its parent, and takes the
+better of the zeroth-order bound (the ell_inf loop-transformed Lipschitz
+constant, with ``d = slope_hi / 2``, times half the longest edge) and one
+first-order model bound over the box itself: the exact vertex maximum when
+the Hessian upper bound is a PSD matrix (one hidden layer, at most
+``_VERTEX_CAP`` inputs), else the exact maximum of the isotropic model over
+the box, with a matrix bound also the dual bound over the ell_2 ball of
+radius ``||(hi - lo)/2||_2`` when smaller.  On the matrix path one
+eigendecomposition of the upper matrix ``M`` per node serves the isotropic
+curvature, the PSD test and the vertex bound's PSD tolerance.
 
 On nets of depth 3 or more the isotropic model's curvature is the spectral
 bound ``lam``, and a second model bound comes from the interval Hessian
@@ -20,21 +21,21 @@ peak at ``c + r * sign(g)`` and the smaller bound wins: the interval is
 tighter on small boxes, ``lam`` near the root of wide deep nets.  The
 interval rounds to nearest, as localization does.
 
-Nodes are expanded in order of largest upper bound, and the result is that
-of expanding them one at a time: pop the top node, halve its longest edge,
-bound both children, update the best lower bound over both and push them,
-first child first.  For speed, each step pops up to ``_BATCH`` top nodes,
-splits them all and bounds every child in one stacked pass (the box arrays of
-``_Bounder.bound`` carry a leading axis over the children, and ``parent_ub``
-one entry per child), then replays the one-node loop over the results.
-Before each later node of the batch the replay redoes that loop's checks:
-termination, the node budget, and whether a child pushed meanwhile now
-outranks the node.  At the first failed check the unreplayed nodes go back on
-the heap and their children are dropped, so node numbers, counts, bounds and
-witness are those of the one-node loop, bit for bit.  The batch grows from one
-node as a solve proceeds: it holds at most as many nodes as were expanded
-before it, as the budget leaves room for, and as stay above the termination
-gap, so short solves stay sequential.
+Nodes are expanded in order of largest upper bound, and the result is that of
+expanding them one at a time: pop the top node, halve its longest edge, bound
+both children, update the best lower bound over both and push them, first
+child first.  For speed, each step pops up to ``_BATCH`` top nodes, splits
+them all and bounds every child in one stacked pass (the box arrays of
+``_Bounder.bound`` carry a leading axis over the children, and its node
+numbers, parent bounds and directions one entry per child), then replays the
+one-node loop over the results.  Before each later node of the batch the
+replay redoes that loop's checks: termination, the node budget, and whether a
+child pushed meanwhile now outranks the node.  At the first failed check the
+unreplayed nodes go back on the heap and their children are dropped, so node
+numbers, counts, bounds and witness are those of the one-node loop, bit for
+bit.  The batch grows from one node as a solve proceeds: it holds at most as
+many nodes as were expanded before it, as the budget leaves room for, and as
+stay above the termination gap, so short solves stay sequential.
 
 Each child gets the bounds it would get alone, bit for bit; only the dual
 solve runs per child, and a stack whose certificates fail numerically is
@@ -54,10 +55,10 @@ children and is sent their nodes; a lone solve drives a list of one search.
 The first solve of a registered direction drives the searches of all of them:
 each round concatenates the stacks of the live searches into one
 ``_Bounder.bound`` pass, whose per-direction parts (output row, linear term,
-root constants, node numbers) are gathered by direction for each box.  Each
-search still sees exactly the nodes it would bound alone.  If a stacked pass
-raises, the round is bounded again one search at a time, and a search whose
-own pass raises ends with that exception, which its solve re-raises.
+node numbers) are gathered by direction for each box.  Each search still sees
+exactly the nodes it would bound alone.  If a stacked pass raises, the round
+is bounded again one search at a time, and a search whose own pass raises
+ends with that exception, which its solve re-raises.
 """
 
 import heapq
@@ -84,7 +85,6 @@ _BATCH = 32                            # most nodes whose children share a pass
 class BnBConfig:
     eps_t: float = 1e-2
     max_branches: int = 1_000_000
-    recompute_local: bool = True       # fresh certificates per node vs root reuse
     use_first_order: bool = True
     collect_stats: bool = False
 
@@ -247,11 +247,9 @@ def split_box(lo, hi, axis):
     return (lo.copy(), hi_l), (lo_r, hi.copy())
 
 
-def _runs(dirs, n_box):
+def _runs(dirs):
     """``(direction, start, stop)`` of each run of boxes of one direction in
-    a stack of ``n_box`` boxes, given one direction for all or one per box."""
-    if np.ndim(dirs) == 0:
-        return [(int(dirs), 0, n_box)]
+    a stack, given each box's direction."""
     cut = (np.flatnonzero(dirs[1:] != dirs[:-1]) + 1).tolist()
     return [(int(dirs[a]), a, b)
             for a, b in zip([0] + cut, cut + [len(dirs)])]
@@ -259,10 +257,10 @@ def _runs(dirs, n_box):
 
 class _Bounder:
     """Bound engine of one solve, or of the directions of one lockstep run.
-    Box-level certificates read the hidden layers only, which the directions
-    share; the per-direction parts (the output row, ``lin_inf``, ``head_inf``
-    and the root constants) are kept per direction and gathered by direction
-    for each box of a stack.  The root constants are cached when configured.
+    Every box gets fresh certificates of its own.  Box-level certificates
+    read the hidden layers only, which the directions share; the
+    per-direction parts (the output row, ``lin_inf`` and ``head_inf``) are
+    kept per direction and gathered by direction for each box of a stack.
     Direction 0 is ``obj``; ``add`` appends more."""
 
     def __init__(self, obj, cfg):
@@ -275,7 +273,7 @@ class _Bounder:
         # the ell_2 subnetwork stages open with ||W_1|| .. ||W_{L-1}||, which
         # depend on neither the box nor the direction
         self.heads2 = lip._head_norms(self.weights, 2) if self.deep else None
-        self.objs, self.root_consts = [], []
+        self.objs = []
         self.rows = np.empty((0, 1, self.weights[-1].shape[1]))
         self.lin_inf = np.empty(0)
         self.head_inf = np.empty(0)
@@ -288,7 +286,6 @@ class _Bounder:
                              "hidden layers")
         w = obj.net.layers[-1].weight
         self.objs.append(obj)
-        self.root_consts.append(None)
         self.rows = np.concatenate((self.rows, w[None]))
         self.lin_inf = np.append(self.lin_inf, obj.linear_dual_norm(np.inf))
         # the ell_inf total stage opens with ||W_L||, which does not depend
@@ -299,11 +296,11 @@ class _Bounder:
     def _ds(self, slope_hi):
         return [b / 2.0 for b in slope_hi]
 
-    def _certificate(self, lo, hi, dirs):
+    def _certificate(self, lo, hi):
         """Box-level certificates of a stack of boxes, computed once for each
         distinct box.  Boxes are told apart by the exact bytes of their
         bounds; the boxes of one direction are distinct."""
-        if np.ndim(dirs) == 0:
+        if len(self.objs) == 1:
             return self._fresh_certificate(lo, hi)
         ids = {}
         inverse = [ids.setdefault(a.tobytes() + b.tobytes(), len(ids))
@@ -334,15 +331,15 @@ class _Bounder:
             self.weights, local.slope_lo, slope_hi)
         return cert
 
-    def _constants(self, lo, hi, dirs=0):
+    def _constants(self, lo, hi, dirs):
         """(L_inf, M, eig, lam, A) certified on each box of a stack: the
         ell_inf Lipschitz constant; on the two-layer path the upper Hessian
         matrix and its eigenvalues, else None; lam >= ||hess J||_2, which is
         lambda_max(M)^+ on the two-layer path; and on nets of depth 3 or more
         the matrix A with d^T hess J d <= |d|^T A |d|, else None.  The last
         four are None without first-order bounds.  ``dirs`` names each box's
-        direction, one for all or one per box."""
-        cert = self._certificate(lo, hi, dirs)
+        direction."""
+        cert = self._certificate(lo, hi)
         slope_hi = cert.slope_hi
         rows = self.rows[dirs]
         weights = self.weights[:-1] + [rows]
@@ -376,49 +373,12 @@ class _Bounder:
         A[:, i, i] = np.maximum(h_hi[:, i, i], 0.0)
         return l_inf, None, None, lam, A
 
-    def _root_or_fresh(self, lo, hi, index, dirs):
-        """The constants of each box of a stack: fresh ones, or with root
-        reuse configured, its direction's root constants once they exist.
-        The directions without them get fresh ones in one call, so a box
-        that several of them carry is localized once."""
-        if self.cfg.recompute_local:
-            return self._constants(lo, hi, dirs)
-        runs = _runs(dirs, len(lo))
-        fresh = [run for run in runs if self.root_consts[run[0]] is None]
-        if fresh:
-            rows = np.concatenate([np.arange(a, b) for _, a, b in fresh])
-            consts = tuple(
-                None if c is None else
-                np.broadcast_to(c, (len(rows),) + np.shape(c)[1:])
-                for c in self._constants(lo[rows], hi[rows], dirs
-                                         if np.ndim(dirs) == 0 else dirs[rows]))
-        parts, at = [], 0
-        for d, a, b in runs:
-            part = self.root_consts[d]
-            if part is None:
-                part = tuple(None if c is None else c[at:at + b - a]
-                             for c in consts)
-                at += b - a
-                # only a root's certificates hold on every later box of its
-                # direction; if the root's fail, each node keeps its own
-                if index[a] == 0:
-                    self.root_consts[d] = part
-            parts.append(tuple(None if c is None else
-                               np.broadcast_to(c, (b - a,) + c.shape[1:])
-                               for c in part))
-        if len(parts) == 1:
-            return parts[0]
-        return tuple(None if c[0] is None else np.concatenate(c)
-                     for c in zip(*parts))
-
     def _one_by_one(self, lo, hi, index, parent_ub, dirs):
         """``bound`` on each box of a stack as a stack of one."""
-        parent_ub = np.broadcast_to(parent_ub, len(lo))
         return [node for k in range(len(lo))
-                for node in self.bound(
-                    lo[k:k + 1], hi[k:k + 1],
-                    index[k:k + 1], parent_ub[k:k + 1],
-                    dirs if np.ndim(dirs) == 0 else dirs[k:k + 1])]
+                for node in self.bound(lo[k:k + 1], hi[k:k + 1],
+                                       index[k:k + 1], parent_ub[k:k + 1],
+                                       dirs[k:k + 1])]
 
     def _value_and_grad(self, x, runs):
         """Each point's value and gradient, one call per direction on its
@@ -430,28 +390,24 @@ class _Bounder:
             value[a:b], grad[a:b] = self.objs[d].value_and_grad(x[a:b])
         return value, grad
 
-    def bound(self, lo, hi, index, parent_ub=np.inf, dirs=0):
+    def bound(self, lo, hi, index, parent_ub, dirs):
         """Bound each box of the stack ``lo``, ``hi`` (shape ``(B, n)``) and
-        return its ``B`` nodes.  ``index`` numbers them: a first number,
-        counted up in stack order, or one number per box.  ``parent_ub`` caps
-        each box's upper bound, and ``dirs`` names each box's direction;
-        each is one value for all boxes or one per box, and each direction's
-        boxes form one run of the stack.
+        return its ``B`` nodes, with fresh certificates for every box.
+        ``index``, ``parent_ub`` and ``dirs`` hold one entry per box: its
+        node number, the cap on its upper bound and its direction.  Each
+        direction's boxes form one run of the stack.
 
         Each box gets the bounds it would get alone, bit for bit.  A stack
         that holds a degenerate box, or whose certificates fail numerically,
         is bounded one box at a time, so only a failing box is flagged."""
         cfg = self.cfg
         n_box = len(lo)
-        if np.ndim(index) == 0:
-            index = np.arange(index, index + n_box)
-        parent_ub = np.asarray(parent_ub, dtype=float)
         center = (lo + hi) / 2.0
         r = (hi - lo) / 2.0            # half-edges; a box is center +- r
         eps = r.max(axis=1)
         if n_box > 1 and not (eps > 0.0).all():
             return self._one_by_one(lo, hi, index, parent_ub, dirs)
-        runs = _runs(dirs, n_box)
+        runs = _runs(dirs)
         value_c, grad_c = self._value_and_grad(center, runs)
         if eps[0] <= 0.0:
             v = float(value_c[0])
@@ -459,7 +415,7 @@ class _Bounder:
                             min(v, parent_ub.item()), center[0],
                             int(index[0]))]
         try:
-            consts = self._root_or_fresh(lo, hi, index, dirs)
+            consts = self._constants(lo, hi, dirs)
         except (taylor.DualBisectionError, np.linalg.LinAlgError,
                 FloatingPointError):
             if n_box > 1:
@@ -582,12 +538,10 @@ def _pass(bounder, slots, asks):
     """Bound the stacks ``asks`` of the searches of directions ``slots`` in
     one stacked pass; returns each stack's nodes."""
     if len(asks) == 1:
-        return [bounder.bound(*asks[0], slots[0])]
+        return [bounder.bound(*asks[0], np.full(len(asks[0][0]), slots[0]))]
     counts = [len(ask[0]) for ask in asks]
-    lo, hi, index, parent_ub = (np.concatenate(part) for part in zip(*(
-        (lo, hi, first + np.arange(n), np.broadcast_to(pub, n))
-        for (lo, hi, first, pub), n in zip(asks, counts))))
-    nodes = bounder.bound(lo, hi, index, parent_ub, np.repeat(slots, counts))
+    nodes = bounder.bound(*(np.concatenate(part) for part in zip(*asks)),
+                          np.repeat(slots, counts))
     cuts = np.cumsum([0] + counts).tolist()
     return [nodes[a:b] for a, b in zip(cuts, cuts[1:])]
 
@@ -595,7 +549,7 @@ def _pass(bounder, slots, asks):
 def _own_pass(bounder, slot, ask):
     """One search's stack bounded alone, or the exception that raised."""
     try:
-        return bounder.bound(*ask, slot)
+        return bounder.bound(*ask, np.full(len(ask[0]), slot))
     except Exception as exc:           # re-raised by the search's solve
         return exc
 
@@ -633,10 +587,10 @@ def _lockstep(bounder, slots, lo, hi, cfg, start):
 
 def _search(lo, hi, cfg, start):
     """The node loop of one solve over [lo, hi], as a generator.  It yields
-    each stack of boxes to bound as ``(lo, hi, index, parent_ub)``, with the
-    boxes numbered from ``index`` in stack order, is sent the stack's nodes,
-    and returns the ``BnBResult``."""
-    root, = yield lo[None], hi[None], 0, np.inf
+    each stack of boxes to bound as ``(lo, hi, index, parent_ub)``, with one
+    node number and one parent upper bound per box, is sent the stack's
+    nodes, and returns the ``BnBResult``."""
+    root, = yield lo[None], hi[None], np.arange(1), np.full(1, np.inf)
     best_lb = root.lb
     witness = root.witness
     heap = [(-root.ub, root.index, root)]
@@ -684,7 +638,8 @@ def _search(lo, hi, cfg, start):
                 parent_ubs += (node.ub, node.ub)
         # every child in one stacked pass, numbered in the order the one-node
         # loop gives them
-        children = (yield np.array(los), np.array(his), next_index,
+        children = (yield np.array(los), np.array(his),
+                    np.arange(next_index, next_index + len(los)),
                     np.array(parent_ubs)) if los else []
 
         # replay the one-node loop; children of unreplayed nodes are dropped

@@ -24,8 +24,7 @@ _VOLATILE = {"wall_time_s"}
 
 
 def _bnb_config(args):
-    return bnb.BnBConfig(eps_t=args.eps_t, max_branches=args.max_branches,
-                         recompute_local=not args.root_constants)
+    return bnb.BnBConfig(eps_t=args.eps_t, max_branches=args.max_branches)
 
 
 def _strip_volatile(data):
@@ -80,17 +79,19 @@ def _parse_template(text, n_f):
 
 
 def _input_set(args, dim):
-    if getattr(args, "zonotope", None):
-        zono = fileio.load_zonotope(args.zonotope)
-        if zono.dim != dim:
-            raise ValueError(f"zonotope has {zono.dim} dims, expected {dim}")
-        return zono
-    if getattr(args, "box", None):
+    if bool(args.box) == bool(args.zonotope):
+        raise ValueError("provide exactly one of --box and --zonotope")
+    if args.box:
         return fileio.parse_box(args.box, dim)
-    raise ValueError("provide --box or --zonotope")
+    zono = fileio.load_zonotope(args.zonotope)
+    if zono.dim != dim:
+        raise ValueError(f"zonotope has {zono.dim} dims, expected {dim}")
+    return zono
 
 
 def _cmd_lipschitz(args):
+    if args.sweeps < 0:
+        raise ValueError(f"--sweeps must be nonnegative, got {args.sweeps}")
     net = fileio.load_network(args.network)
     box = fileio.parse_box(args.box, net.input_dim)
     p = _parse_norm(args.norm)
@@ -283,9 +284,6 @@ def _add_solver(sub):
     sub.add_argument("--eps-t", dest="eps_t", type=float, default=1e-2)
     sub.add_argument("--max-branches", dest="max_branches", type=int,
                      default=1_000_000)
-    sub.add_argument("--root-constants", dest="root_constants",
-                     action="store_true",
-                     help="reuse root certificates instead of per-node ones")
 
 
 def build_parser():

@@ -95,8 +95,9 @@ def load_system(path, controller):
     except (KeyError, TypeError, ValueError):
         raise ValueError(f"{path}: system JSON needs numeric 'A', 'B', 'T' "
                          "(and 'c' if given)") from None
-    # a whole number >= 1; inf % 1 is NaN, which is truthy
-    if not isinstance(T, (int, float)) or T % 1 or T < 1:
+    # a whole number >= 1, where JSON true is a bool, not an int; inf % 1 is
+    # NaN, which is truthy
+    if type(T) not in (int, float) or T % 1 or T < 1:
         raise ValueError(f"{path}: system T must be a whole number of steps "
                          f">= 1, got {T!r}")
     return _from_file(path, LinearSystem, A, B, controller, int(T), drift)

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,15 @@ def make_net(dims, act=Activation.TANH, seed=0, scale=1.0, bias_scale=0.1):
         b = rng.standard_normal(dims[i + 1]) * bias_scale
         layers.append(Layer(w, b, act if i < len(dims) - 2 else None))
     return Network(tuple(layers))
+
+
+def assert_same_result(a, b):
+    """Every ``BnBResult`` field but the wall time, bit for bit."""
+    from curvreach.bnb import BnBResult
+    for f in fields(BnBResult):
+        if f.name != "wall_time_s":
+            assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), \
+                f.name
 
 
 def linear_net(W, b=None):

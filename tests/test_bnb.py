@@ -8,11 +8,21 @@ from curvreach import bnb, oracle
 from curvreach.bnb import (BnBConfig, Lockstep, as_objective, maxlen_axis,
                            solve, solve_zonotope, split_box, _Bounder)
 from curvreach.model import Activation, ScalarObjective, scalarize
-from conftest import linear_net, make_net
+from conftest import assert_same_result, linear_net, make_net
 
 
 def scalar_linear(w, b=0.0):
     return ScalarObjective(linear_net(np.atleast_2d(w), b=[b]))
+
+
+def _per_box(lo, first=0, parent_ub=np.inf):
+    """The per-box ``index``, ``parent_ub`` and ``dirs`` of ``_Bounder.bound``
+    for a stack ``lo`` of direction 0: its boxes numbered from ``first`` in
+    stack order, each capped by ``parent_ub`` (one value or one per box)."""
+    n = len(lo)
+    return (np.arange(first, first + n),
+            np.broadcast_to(np.asarray(parent_ub, dtype=float), n),
+            np.zeros(n, dtype=int))
 
 
 class TestNodeBounds:
@@ -177,15 +187,6 @@ class TestSolveContracts:
         assert small.size and large.size
         assert small.mean() >= large.mean()
 
-    def test_root_constant_reuse_still_sound(self):
-        net = make_net([2, 8, 1], seed=2300)
-        obj = ScalarObjective(net)
-        res = solve(obj, -np.ones(2), np.ones(2),
-                    cfg=BnBConfig(eps_t=1e-3, recompute_local=False))
-        gmax, _ = oracle.grid_max(obj.value, -np.ones(2), np.ones(2),
-                                  n_per_axis=120, n_random=10_000, seed=2)
-        assert res.lb - 1e-9 <= gmax <= res.ub + 1e-9
-
     def test_accepts_bare_network(self):
         net = make_net([2, 5, 1], seed=2500)
         res = solve(net, -np.ones(2), np.ones(2), eps_t=1e-2)
@@ -325,50 +326,25 @@ class TestFailureEnvelope:
         obj = ScalarObjective(net)
         cfg = BnBConfig(eps_t=1e-3)
         bounder = _Bounder(obj, cfg)
-        root, = bounder.bound(-np.ones((1, 2)), np.ones((1, 2)), 0)
+        lo = -np.ones((1, 2))
+        root, = bounder.bound(lo, np.ones((1, 2)), *_per_box(lo))
 
         def broken(lo, hi, dirs):
             raise np.linalg.LinAlgError("engine down")
 
         monkeypatch.setattr(bounder, "_constants", broken)
-        child, = bounder.bound(-np.ones((1, 2)), np.zeros((1, 2)), 1,
-                               parent_ub=root.ub)
+        child, = bounder.bound(lo, np.zeros((1, 2)),
+                               *_per_box(lo, 1, root.ub))
         assert child.flagged
         assert child.ub == root.ub
         assert child.lb == pytest.approx(obj.value(child.center))
 
-    def test_root_constants_come_from_the_root_only(self, monkeypatch):
-        # with the root's certificates failed, a child's certificates hold on
-        # its own box only, so no later node may reuse them
-        obj = ScalarObjective(make_net([2, 6, 1], seed=3100))
-        bounder = _Bounder(obj, BnBConfig(recompute_local=False))
-        real = bounder._constants
-        calls = []
-
-        def constants(lo, hi, dirs):
-            calls.append(len(lo))
-            if len(calls) == 1:
-                raise np.linalg.LinAlgError("root fails")
-            return real(lo, hi, dirs)
-
-        monkeypatch.setattr(bounder, "_constants", constants)
-        root, = bounder.bound(-np.ones((1, 2)), np.ones((1, 2)), 0)
-        assert root.flagged
-        lo, hi = _children(-np.ones(2), np.ones(2))
-        bounder.bound(lo, hi, 1, root.ub)
-        bounder.bound(lo[:1], hi[:1], 3, root.ub)
-        assert calls == [1, 2, 1]
-
-    def test_root_constants_on_a_linear_net(self):
-        # no hidden layer and no first-order bound: the root's Lipschitz
-        # constant is a scalar, reused on every later box
+    def test_zeroth_order_on_a_linear_net(self):
+        # no hidden layer and no first-order bound: each box's Lipschitz
+        # constant is a scalar, and no child is looser than the root
         obj = scalar_linear([1.0, -2.0])
-        cfg = BnBConfig(eps_t=1e-3, use_first_order=False,
-                        recompute_local=False, max_branches=21)
+        cfg = BnBConfig(eps_t=1e-3, use_first_order=False, max_branches=21)
         res = solve(obj, -np.ones(2), np.ones(2), cfg=cfg)
-        fresh = solve(obj, -np.ones(2), np.ones(2),
-                      cfg=replace(cfg, recompute_local=True))
-        _assert_same_results(res, fresh)
         assert res.branches_processed == 21 and res.ub == 3.0
 
     def test_overflowed_interval_hessian_keeps_the_lam_bound(self,
@@ -376,14 +352,15 @@ class TestFailureEnvelope:
         from curvreach import hessian as hs
         obj = ScalarObjective(make_net([2, 6, 5, 1], seed=4200))
         lo, hi = -np.ones((1, 2)), np.ones((1, 2))
-        l_inf, _, _, lam, _ = _Bounder(obj, BnBConfig())._constants(lo, hi)
+        l_inf, _, _, lam, _ = _Bounder(obj, BnBConfig())._constants(
+            lo, hi, _per_box(lo)[2])
 
         def overflowed(weights, jac_mid, jac_rad, local):
             nan = np.full(local.slope_hi[0].shape[:-1] + (2, 2), np.nan)
             return nan, nan
 
         monkeypatch.setattr(hs, "_interval_hessian_raw", overflowed)
-        node, = _Bounder(obj, BnBConfig()).bound(lo, hi, 0)
+        node, = _Bounder(obj, BnBConfig()).bound(lo, hi, *_per_box(lo))
         value, grad = obj.value_and_grad(np.zeros(2))
         # half-edges 1: the lam model peaks at J(0) + |g|_1 + lam
         lam_model = value + np.abs(grad).sum() + lam[0]
@@ -465,10 +442,10 @@ def _children(lo, hi):
 
 def _bound_stacked_and_alone(obj, lo, hi, parent_ub=np.inf):
     """``parent_ub`` is one value for all boxes or one per box."""
-    parent_ub = np.broadcast_to(parent_ub, len(lo))
-    stacked = _Bounder(obj, BnBConfig()).bound(lo, hi, 1, parent_ub)
-    alone = [_Bounder(obj, BnBConfig()).bound(lo[k:k + 1], hi[k:k + 1],
-                                              1 + k, parent_ub[k])[0]
+    args = _per_box(lo, 1, parent_ub)
+    stacked = _Bounder(obj, BnBConfig()).bound(lo, hi, *args)
+    alone = [_Bounder(obj, BnBConfig()).bound(
+                 lo[k:k + 1], hi[k:k + 1], *(a[k:k + 1] for a in args))[0]
              for k in range(len(lo))]
     return stacked, alone
 
@@ -546,7 +523,8 @@ class TestStackedBounds:
         value, grad = obj.value_and_grad((lo2 + hi2) / 2.0)
         model = value + (np.abs(grad) * r).sum(axis=1) \
             + 0.5 * np.einsum("bi,bij,bj->b", r, A, r)
-        l_inf, _, _, lam, _ = _Bounder(obj, BnBConfig())._constants(lo2, hi2)
+        l_inf, _, _, lam, _ = _Bounder(obj, BnBConfig())._constants(
+            lo2, hi2, _per_box(lo2)[2])
         assert (model < value + (np.abs(grad) * r).sum(axis=1)
                 + 0.5 * lam * (r * r).sum(axis=1)).all()
         assert (model < value + l_inf * r.max(axis=1)).all()
@@ -600,9 +578,11 @@ class TestStackedBounds:
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
             return real(a, *args, **kwargs)
 
-        alone_first = _Bounder(obj, BnBConfig()).bound(lo[:1], hi[:1], 1, 9.0)
+        alone_first = _Bounder(obj, BnBConfig()).bound(
+            lo[:1], hi[:1], *_per_box(lo[:1], 1, 9.0))
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-        first, second = _Bounder(obj, BnBConfig()).bound(lo, hi, 1, 9.0)
+        first, second = _Bounder(obj, BnBConfig()).bound(
+            lo, hi, *_per_box(lo, 1, 9.0))
         _assert_same_nodes([first], alone_first)
         assert not first.flagged
         assert second.flagged
@@ -630,16 +610,6 @@ def _solve_both_ways(monkeypatch, run):
     return results, sizes
 
 
-def _assert_same_results(batched, one):
-    assert batched.lb == one.lb and batched.ub == one.ub
-    assert np.array_equal(batched.witness, one.witness)
-    assert batched.branches_processed == one.branches_processed
-    assert batched.max_active == one.max_active
-    assert batched.status == one.status
-    assert batched.flagged_nodes == one.flagged_nodes
-    assert batched.stats == one.stats
-
-
 class TestSpeculativeBatching:
     """solve bounds the children of up to _BATCH top nodes in one pass and
     replays the one-node loop over them; every field of the result must be
@@ -648,7 +618,7 @@ class TestSpeculativeBatching:
     def compare(self, monkeypatch, obj, lo, hi, cfg):
         (batched, one), (sizes, one_sizes) = _solve_both_ways(
             monkeypatch, lambda: solve(obj, lo, hi, cfg=cfg))
-        _assert_same_results(batched, one)
+        assert_same_result(batched, one)
         assert max(one_sizes) <= 2
         # the batch grows from one node; children of nodes the replay did
         # not reach are bounded and dropped
@@ -673,13 +643,6 @@ class TestSpeculativeBatching:
         res, sizes = self.compare(monkeypatch, obj, -np.ones(3), np.ones(3),
                                   BnBConfig(eps_t=eps_t, collect_stats=True))
         assert res.status == "Converged"
-        assert max(sizes) > 2
-
-    def test_root_constants(self, monkeypatch):
-        obj = ScalarObjective(make_net([3, 10, 1], seed=5300, scale=2.0))
-        cfg = BnBConfig(eps_t=1e-6, max_branches=301, recompute_local=False)
-        _, sizes = self.compare(monkeypatch, obj, -np.ones(3), np.ones(3),
-                                  cfg)
         assert max(sizes) > 2
 
     def test_child_outranks_a_later_node_of_its_batch(self, monkeypatch):
@@ -712,7 +675,7 @@ class TestSpeculativeBatching:
 
         (batched, one), (sizes, _) = _solve_both_ways(monkeypatch, run)
         for b, o in zip(batched, one):
-            _assert_same_results(b, o)
+            assert_same_result(b, o)
         assert max(sizes) > 2 * len(directions)
 
 
@@ -794,8 +757,8 @@ class TestBoxCertificates:
                       lockstep=group)
         assert runs == [len(objs), 1]
         for obj, res in zip(objs, shared):
-            _assert_same_results(res, solve(obj, lo, hi, cfg=cfg))
-        _assert_same_results(other, solve(objs[1], lo, hi, eps_t=1e-2))
+            assert_same_result(res, solve(obj, lo, hi, cfg=cfg))
+        assert_same_result(other, solve(objs[1], lo, hi, eps_t=1e-2))
 
     @staticmethod
     def assert_third_refused(objs, lo, hi):
@@ -833,15 +796,12 @@ class TestBoxCertificates:
                                ([1.0, 0.0], [0.5, 1e-3]))]
         self.assert_third_refused(objs, -np.ones(3), np.ones(3))
 
-    @pytest.mark.parametrize("recompute", [True, False])
     @pytest.mark.parametrize("dims", [[2, 8, 2], [2, 6, 5, 2]])
-    def test_each_box_of_a_pass_certified_once(self, monkeypatch, dims,
-                                               recompute):
+    def test_each_box_of_a_pass_certified_once(self, monkeypatch, dims):
         net = make_net(dims, seed=3800, scale=2.0)
         objs = [ScalarObjective(scalarize(net, c)) for c in self.directions()]
         lo, hi = -np.ones(2), np.ones(2)
-        cfg = BnBConfig(eps_t=1e-3, max_branches=201,
-                        recompute_local=recompute)
+        cfg = BnBConfig(eps_t=1e-3, max_branches=201)
         real = _Bounder._fresh_certificate
         stacks = []
 
@@ -857,12 +817,9 @@ class TestBoxCertificates:
         shared = [solve(obj, lo, hi, cfg=cfg, lockstep=group) for obj in objs]
         # the first pass bounds every direction's root, the one box [lo, hi]
         assert len(stacks[0]) == 1
-        if not recompute:
-            # the root constants hold on every later box
-            assert len(stacks) == 1
         monkeypatch.setattr(_Bounder, "_fresh_certificate", real)
         for obj, res in zip(objs, shared):
-            _assert_same_results(res, solve(obj, lo, hi, cfg=cfg))
+            assert_same_result(res, solve(obj, lo, hi, cfg=cfg))
 
     @pytest.mark.parametrize("zero, rows", [(0.0, 1), (-0.0, 2)])
     def test_boxes_told_apart_by_their_bytes(self, monkeypatch, zero, rows):
@@ -881,6 +838,6 @@ class TestBoxCertificates:
 
         monkeypatch.setattr(_Bounder, "_fresh_certificate", fresh)
         lo = np.array([[0.0, -1.0], [zero, -1.0]])
-        cert = bounder._certificate(lo, np.ones((2, 2)), np.array([0, 1]))
+        cert = bounder._certificate(lo, np.ones((2, 2)))
         assert counts == [rows]
         assert len(cert.slope_hi[0]) == 2

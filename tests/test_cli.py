@@ -210,6 +210,42 @@ class TestExitCodes:
         assert main([*argv, "--lipschitz", "liplt"]) == 1
         assert "--lipschitz" in capsys.readouterr().err
 
+    def test_root_constants_flag_rejected(self, tanh_file, capsys):
+        # every node gets fresh certificates; root reuse is gone
+        code = main(["bnb", "--network", tanh_file, "--direction", "1,0",
+                     "--box=-1..1,-1..1", "--root-constants"])
+        assert code == 1
+        assert "--root-constants" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["bnb", "reach", "closedloop"])
+    def test_box_and_zonotope_exclusive(self, di_files, tmp_path, capsys,
+                                        command):
+        # neither input set may silently win over the other
+        system, ctrl, hexagon = di_files
+        out_dir = tmp_path / "cl"
+        argv = {
+            "bnb": ["bnb", "--network", ctrl, "--direction", "1"],
+            "reach": ["reach", "--network", ctrl],
+            "closedloop": ["closedloop", "--system", system, "--controller",
+                           ctrl, "--steps", "1", "--out-dir", str(out_dir)],
+        }[command]
+        code = main([*argv, "--box=2.3..2.7,-0.2..0.2", "--zonotope",
+                     hexagon])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "--box" in err and "--zonotope" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("sweeps, code", [("-5", 1), ("0", 0)])
+    def test_lipschitz_negative_sweeps_names_flag(self, tanh_file, capsys,
+                                                  sweeps, code):
+        # zero sweeps is the unrefined transform; fewer is malformed
+        assert main(["lipschitz", "--network", tanh_file, "--box=-1..1,-1..1",
+                     "--method", "liplt-refine", "--sweeps", sweeps]) == code
+        err = capsys.readouterr().err
+        assert ("--sweeps" in err) == (code == 1)
+
     def test_branch_limit_exit_2(self, tanh_file, capsys):
         code = main(["bnb", "--network", tanh_file, "--direction", "1,0",
                      "--box=-1..1,-1..1", "--eps-t", "1e-12",
@@ -406,10 +442,11 @@ class TestParsing:
         with pytest.raises(ValueError, match="system.json: system JSON"):
             load_system(system, di_controller)
 
-    @pytest.mark.parametrize("horizon", ["1e400", "2.7", "0"])
+    @pytest.mark.parametrize("horizon", ["1e400", "2.7", "0", "true"])
     def test_system_horizon_must_be_whole(self, di_controller, tmp_path,
                                           horizon):
-        # 1e400 parses as inf; 2.7 must not run 2 steps; 0 must name the file
+        # 1e400 parses as inf; 2.7 must not run 2 steps; 0 must name the file;
+        # true is a bool, not a 1-step horizon
         system = tmp_path / "system.json"
         system.write_text('{"A": [[1.0, 0.0], [0.0, 1.0]], "B": [[0.0], [1.0]],'
                           f' "T": {horizon}}}')

@@ -1,5 +1,3 @@
-from dataclasses import fields
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,7 @@ from curvreach.reach import (Box, DirectionTemplate, LinearSystem, Polytope,
                              sample_inputs, simulate, uniform_directions)
 from curvreach import bnb
 from curvreach.model import ScalarObjective, scalarize
-from conftest import linear_net, make_net
+from conftest import assert_same_result, linear_net, make_net
 
 
 class TestTemplates:
@@ -266,14 +264,6 @@ class TestSharedCertificates:
         assert 0 < calls["n"] < nodes
 
 
-def _assert_same_result(a, b):
-    """Every BnBResult field but the wall time, bit for bit."""
-    for f in fields(bnb.BnBResult):
-        if f.name != "wall_time_s":
-            assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), \
-                f.name
-
-
 class TestLockstepDirections:
     """reach runs the directions of one input set in lockstep, with one
     stacked bound pass per round over every live direction; each result
@@ -318,9 +308,8 @@ class TestLockstepDirections:
         bnb.BnBConfig(eps_t=1e-2),
         # directions stop in different rounds at this budget
         bnb.BnBConfig(eps_t=1e-3, max_branches=101),
-        bnb.BnBConfig(eps_t=1e-2, max_branches=201, recompute_local=False,
-                      collect_stats=True),
-    ], ids=["converged", "budget", "root-constants-stats"])
+        bnb.BnBConfig(eps_t=1e-2, max_branches=201, collect_stats=True),
+    ], ids=["converged", "budget", "budget-stats"])
     @pytest.mark.parametrize("kind", ["box", "zonotope"])
     @pytest.mark.parametrize("dims", DEPTHS, ids=["depth2", "depth3",
                                                   "depth4"])
@@ -338,7 +327,7 @@ class TestLockstepDirections:
         poly, results = reach_polytope(net, input_set, template, cfg.eps_t,
                                        cfg)
         for res, ref in zip(results, alone):
-            _assert_same_result(res, ref)
+            assert_same_result(res, ref)
         assert poly.offsets.tolist() == [r.ub for r in alone]
         # one pass per round, all directions in the first
         assert len(passes) == max(rounds)
@@ -376,7 +365,7 @@ class TestLockstepDirections:
                                           input_set, cfg)
         assert len(results) == len(alone) == 20
         for res, ref in zip(results, alone):
-            _assert_same_result(res, ref)
+            assert_same_result(res, ref)
         assert lockstep == max(rounds)
 
     @staticmethod
@@ -414,7 +403,7 @@ class TestLockstepDirections:
         assert results[bad] is None
         for k, (res, ref) in enumerate(zip(results, alone)):
             if k != bad:
-                _assert_same_result(res, ref)
+                assert_same_result(res, ref)
         # the second round raised stacked and was rerun one direction at a
         # time; the other five go on in lockstep
         assert passes[:3] == [6, 6, 5]
