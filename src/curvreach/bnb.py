@@ -22,43 +22,36 @@ tighter on small boxes, ``lam`` near the root of wide deep nets.  The
 interval rounds to nearest, as localization does.
 
 Nodes are expanded in order of largest upper bound, and the result is that of
-expanding them one at a time: pop the top node, halve its longest edge, bound
-both children, update the best lower bound over both and push them, first
-child first.  For speed, each step pops up to ``_BATCH`` top nodes, splits
-them all and bounds every child in one stacked pass (the box arrays of
-``_Bounder.bound`` carry a leading axis over the children, and its node
-numbers, parent bounds and directions one entry per child), then replays the
+expanding them one at a time: pop the top node, halve its longest edge (the
+smallest axis on ties), bound both children, update the best lower bound over
+both and push them, first child first; a box too small to split is finalized.
+Each node's split axis, or -1 for no split, is decided where the node is
+bounded, in one step over its stack in ``_Bounder.bound``.  For speed, each
+step pops up to ``_BATCH`` top nodes, builds all their halves at once
+(``_halves``), bounds every child in one stacked pass and replays the
 one-node loop over the results.  Before each later node of the batch the
-replay redoes that loop's checks: termination, the node budget, and whether a
-child pushed meanwhile now outranks the node.  At the first failed check the
-unreplayed nodes go back on the heap and their children are dropped, so node
-numbers, counts, bounds and witness are those of the one-node loop, bit for
-bit.  The batch grows from one node as a solve proceeds: it holds at most as
-many nodes as were expanded before it, as the budget leaves room for, and as
-stay above the termination gap, so short solves stay sequential.
+replay redoes that loop's checks: termination, the node budget, and whether
+a child pushed meanwhile now outranks the node.  At the first failed check
+the unreplayed nodes go back on the heap and their children are dropped, so
+node numbers, counts, bounds and witness are those of the one-node loop, bit
+for bit.  The batch grows from one node as a solve proceeds: it holds at most
+as many nodes as were expanded before it, as the budget leaves room for, and
+as stay above the termination gap, so short solves stay sequential.
 
-Each child gets the bounds it would get alone, bit for bit; only the dual
-solve runs per child, and a stack whose certificates fail numerically is
-bounded again one child at a time.  Children never report a looser upper
-bound than their parent.
-
-A node's certificates split into a box-level part (localization, the ell_inf
-internal Lipschitz memo, the ell_2 subnetwork constants and the Jacobian
-intervals of the interval Hessian), which depends on the box and the hidden
-layers only, and a per-direction finish that reads the output layer and the
-linear term.  Within one stacked pass, each distinct box gets its box-level
-part once, however many directions carry it.
+Each child gets the bounds it would get alone, bit for bit, and never a
+looser upper bound than its parent; only the dual solve runs per child.  A
+node's box-level certificates (localization, the ell_inf internal Lipschitz
+memo, the ell_2 subnetwork constants and the Jacobian intervals of the
+interval Hessian) read the box and the hidden layers only, so within one
+stacked pass each distinct box gets them once, however many directions carry
+it; the per-direction finish reads the output layer and the linear term.
 
 The directions registered with a ``Lockstep`` group run in lockstep.  The
 node loop is a generator, ``_search``, that yields each round's stack of
-children and is sent their nodes; a lone solve drives a list of one search.
-The first solve of a registered direction drives the searches of all of them:
-each round concatenates the stacks of the live searches into one
-``_Bounder.bound`` pass, whose per-direction parts (output row, linear term,
-node numbers) are gathered by direction for each box.  Each search still sees
-exactly the nodes it would bound alone.  If a stacked pass raises, the round
-is bounded again one search at a time, and a search whose own pass raises
-ends with that exception, which its solve re-raises.
+children and is sent their nodes; ``_lockstep`` concatenates the stacks of
+all live searches into one ``_Bounder.bound`` pass, whose per-direction parts
+are gathered by direction for each box, and a lone solve drives a list of one
+search.  Each search still sees exactly the nodes it would bound alone.
 """
 
 import heapq
@@ -109,6 +102,7 @@ class BnBNode:
     ub: float
     witness: np.ndarray
     index: int
+    axis: int                          # split axis, -1 if too small to split
     flagged: bool = False
     first_won: bool = False
 
@@ -233,23 +227,27 @@ def as_objective(obj_or_net):
     raise ValueError("expected a scalar Network or ScalarObjective")
 
 
-def maxlen_axis(lo, hi):
-    """Longest-edge axis, smallest index on ties."""
-    return int(np.argmax(hi - lo))
-
-
-def split_box(lo, hi, axis):
-    mid = (lo[axis] + hi[axis]) / 2.0
-    hi_l = hi.copy()
-    hi_l[axis] = mid
-    lo_r = lo.copy()
-    lo_r[axis] = mid
-    return (lo.copy(), hi_l), (lo_r, hi.copy())
+def _halves(nodes, first):
+    """The stack ``(lo, hi, index, parent_ub)`` of the two halves of each of
+    ``nodes`` along its split axis, the lower half first: numbered from
+    ``first`` in node order and capped by their node's upper bound."""
+    lo = np.array([node.lo for node in nodes]).repeat(2, axis=0)
+    hi = np.array([node.hi for node in nodes]).repeat(2, axis=0)
+    n = lo.shape[1]
+    # the flat index of node k's split axis in row 2k, its lower half
+    at = [2 * n * k + node.axis for k, node in enumerate(nodes)]
+    mid = [node.center[node.axis] for node in nodes]   # (lo + hi) / 2
+    hi.put(at, mid)
+    lo.put([a + n for a in at], mid)
+    return (lo, hi, np.arange(first, first + len(lo)),
+            np.array([node.ub for node in nodes]).repeat(2))
 
 
 def _runs(dirs):
     """``(direction, start, stop)`` of each run of boxes of one direction in
     a stack, given each box's direction."""
+    if dirs[0] == dirs[-1]:            # each direction's boxes form one run
+        return [(int(dirs[0]), 0, len(dirs))]
     cut = (np.flatnonzero(dirs[1:] != dirs[:-1]) + 1).tolist()
     return [(int(dirs[a]), a, b)
             for a, b in zip([0] + cut, cut + [len(dirs)])]
@@ -407,13 +405,17 @@ class _Bounder:
         eps = r.max(axis=1)
         if n_box > 1 and not (eps > 0.0).all():
             return self._one_by_one(lo, hi, index, parent_ub, dirs)
+        # split where the longest edge, 2 * eps, exceeds _DEGENERATE * scale
+        scale = np.max(np.abs(center), axis=1, initial=1.0)
+        axes = np.where(eps > _DEGENERATE / 2.0 * scale, r.argmax(axis=1),
+                        -1).tolist()
         runs = _runs(dirs)
         value_c, grad_c = self._value_and_grad(center, runs)
         if eps[0] <= 0.0:
             v = float(value_c[0])
             return [BnBNode(lo[0], hi[0], center[0], v,
                             min(v, parent_ub.item()), center[0],
-                            int(index[0]))]
+                            int(index[0]), -1)]
         try:
             consts = self._constants(lo, hi, dirs)
         except (taylor.DualBisectionError, np.linalg.LinAlgError,
@@ -424,7 +426,7 @@ class _Bounder:
             # center evaluation as the lower bound
             return [BnBNode(lo[0], hi[0], center[0], float(value_c[0]),
                             parent_ub.item(), center[0], int(index[0]),
-                            flagged=True)]
+                            axes[0], flagged=True)]
         l_inf, M, eig, lam, A = consts
         ub = value_c + l_inf * eps
         lb = value_c
@@ -498,9 +500,9 @@ class _Bounder:
                                             witness[sel])
         ub = np.maximum(np.minimum(ub, parent_ub), lb)
         return [BnBNode(lo[k], hi[k], center[k], lb_k, ub_k, witness[k],
-                        i_k, flagged=f_k, first_won=w_k)
-                for k, (lb_k, ub_k, i_k, f_k, w_k) in enumerate(zip(
-                    lb.tolist(), ub.tolist(), index.tolist(),
+                        i_k, a_k, flagged=f_k, first_won=w_k)
+                for k, (lb_k, ub_k, i_k, a_k, f_k, w_k) in enumerate(zip(
+                    lb.tolist(), ub.tolist(), index.tolist(), axes,
                     flagged.tolist(), first_won.tolist()))]
 
 
@@ -625,32 +627,20 @@ def _search(lo, hi, cfg, start):
         while (len(batch) < size and heap
                and heap[0][2].ub - best_lb > cfg.eps_t):
             batch.append(heapq.heappop(heap))
-        splits, los, his, parent_ubs = [], [], [], []
-        for _, _, node in batch:
-            scale = max(1.0, float(np.max(np.abs(node.center))))
-            splits.append(float(np.max(node.hi - node.lo))
-                          > _DEGENERATE * scale)
-            if splits[-1]:
-                (lo1, hi1), (lo2, hi2) = split_box(
-                    node.lo, node.hi, maxlen_axis(node.lo, node.hi))
-                los += (lo1, lo2)
-                his += (hi1, hi2)
-                parent_ubs += (node.ub, node.ub)
+        split = [node for _, _, node in batch if node.axis >= 0]
         # every child in one stacked pass, numbered in the order the one-node
         # loop gives them
-        children = (yield np.array(los), np.array(his),
-                    np.arange(next_index, next_index + len(los)),
-                    np.array(parent_ubs)) if los else []
+        children = (yield _halves(split, next_index)) if split else []
 
         # replay the one-node loop; children of unreplayed nodes are dropped
         k = 0
-        for j, (entry, is_split) in enumerate(zip(batch, splits)):
+        for j, entry in enumerate(batch):
             if j and (heap and heap[0] < entry or stop(entry)):
                 for rest in batch[j:]:
                     heapq.heappush(heap, rest)
                 break
             expanded += 1
-            if not is_split:
+            if entry[2].axis < 0:
                 finalized_ub = max(finalized_ub, entry[2].ub)
                 continue
             kids = children[k:k + 2]

@@ -13,7 +13,7 @@ Three forms:
   over the localized slope and curvature intervals.
 
 The interval form rounds to nearest, as ``localize`` does; outward rounding
-is an open item of the roadmap (item 6).
+is an open item of the roadmap (item 8).
 """
 
 from dataclasses import dataclass
@@ -26,7 +26,9 @@ from . import lipschitz as lip
 @dataclass(frozen=True)
 class MatrixHessianBound:
     """Symmetric M, N with N <= hess J(x) <= M on the certified region; a
-    stack of regions has one pair per entry of a leading axis."""
+    stack of regions has one pair per entry of a leading axis.  Public
+    construction checks that M - N is PSD; ``two_layer_matrix_bounds``
+    builds its pair through ``_dominating``, which skips the check."""
 
     M: np.ndarray
     N: np.ndarray
@@ -41,6 +43,13 @@ class MatrixHessianBound:
             raise ValueError("upper matrix does not dominate lower matrix")
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "N", N)
+
+    @classmethod
+    def _dominating(cls, M, N):
+        """(M, N), float arrays with M - N PSD by construction, unchecked."""
+        bound = object.__new__(cls)
+        bound.__dict__.update(M=M, N=N)
+        return bound
 
 
 @dataclass(frozen=True)
@@ -61,7 +70,9 @@ def two_layer_matrix_bounds(net, local):
     Each hidden unit j contributes w1_j w1_j^T scaled by the worst-case signed
     curvature of its activation times the output weight.  Curvature ranges
     stacked on a leading axis, one row per box, give stacked matrices; so
-    does a last weight stacked the same way, ``(B, 1, h)``.
+    does a last weight stacked the same way, ``(B, 1, h)``.  With curv_hi >=
+    curv_lo, ``M - N = W1^T diag((curv_hi - curv_lo) |w2|) W1`` is PSD by
+    construction, unchecked; an empty curvature range raises ValueError.
     """
     if net.depth != 2:
         raise ValueError("matrix Hessian bounds need exactly one hidden layer")
@@ -69,8 +80,9 @@ def two_layer_matrix_bounds(net, local):
         raise ValueError("matrix Hessian bounds need a scalar network")
     w2 = net.layers[1].weight[..., 0, :]
     ca, cb = local.curv_lo[0], local.curv_hi[0]
-    pos = np.maximum(w2, 0.0)
-    neg = np.minimum(w2, 0.0)
+    if (cb < ca).any():
+        raise ValueError("empty curvature range: curv_hi < curv_lo")
+    pos, neg = np.maximum(w2, 0.0), np.minimum(w2, 0.0)
     m_coeff = cb * pos + ca * neg
     n_coeff = ca * pos + cb * neg
     W1 = net.layers[0].weight
@@ -78,7 +90,7 @@ def two_layer_matrix_bounds(net, local):
     coeff = np.array((m_coeff, n_coeff))
     G = (W1 * coeff[..., :, None]).swapaxes(-1, -2) @ W1
     M, N = (G + G.swapaxes(-1, -2)) / 2.0
-    return MatrixHessianBound(M, N)
+    return MatrixHessianBound._dominating(M, N)
 
 
 def _weighted_suffix_liplt(weights, slope_his, l, h):

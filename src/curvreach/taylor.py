@@ -224,18 +224,16 @@ def vertex_upper(grad, M, lo, hi, center=None, return_witness=False,
     center = (lo + hi) / 2.0 if center is None \
         else np.asarray(center, dtype=float).reshape(-1, n)
     rows = np.arange(lo.shape[0])
-    total = 1 << n
-    chunk = 1 << min(n, 16)
+    total, chunk = 1 << n, 1 << min(n, 16)
     bits = np.arange(n)
-    up = (hi - center)[:, None, :]
-    down = (lo - center)[:, None, :]
+    up, down = (hi - center)[:, None, :], (lo - center)[:, None, :]
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total))
         upper = ((idx[:, None] >> bits) & 1) == 1   # vertex i takes hi_j
         delta = np.where(upper, up, down)
-        # one matrix-vector product per box, as for a single box
+        # one matrix product per box, as for a single box
         vals = (delta @ g[:, :, None])[..., 0] \
-            + 0.5 * np.einsum("bij,bjk,bik->bi", delta, M, delta)
+            + 0.5 * ((delta @ M) * delta).sum(axis=-1)
         k = np.argmax(vals, axis=1)
         top, top_v = vals[rows, k], np.where(upper[k], hi, lo)
         if start == 0:

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvreach import bnb, oracle
-from curvreach.bnb import (BnBConfig, Lockstep, as_objective, maxlen_axis,
-                           solve, solve_zonotope, split_box, _Bounder)
+from curvreach.bnb import (BnBConfig, Lockstep, as_objective, solve,
+                           solve_zonotope, _Bounder)
 from curvreach.model import Activation, ScalarObjective, scalarize
 from conftest import assert_same_result, linear_net, make_net
 
@@ -73,25 +73,51 @@ class TestSelect:
         assert max(diams) == diams[0]
 
 
+def _nodes(lo, hi):
+    """The nodes of the stacked boxes ``lo``, ``hi``, bounded in one pass."""
+    obj = scalar_linear(np.ones(lo.shape[1]))
+    return _Bounder(obj, BnBConfig()).bound(lo, hi, *_per_box(lo))
+
+
 class TestSplit:
+    """Each node carries its split axis from its bound pass, and ``_halves``
+    builds the children of a batch of nodes at once."""
+
     def test_maxlen_longest_axis(self):
-        lo = np.array([0.0, 0.0])
-        hi = np.array([4.0, 1.0])
-        assert maxlen_axis(lo, hi) == 0
-        (l1, h1), (l2, h2) = split_box(lo, hi, 0)
+        node, = _nodes(np.array([[0.0, 0.0]]), np.array([[4.0, 1.0]]))
+        assert node.axis == 0
+        (l1, l2), (h1, h2), index, parent_ub = bnb._halves([node], 7)
         assert h1[0] == 2.0 and l2[0] == 2.0
+        assert index.tolist() == [7, 8]
+        assert parent_ub.tolist() == [node.ub, node.ub]
 
     def test_tie_breaks_smallest_axis(self):
-        assert maxlen_axis(np.zeros(3), np.ones(3)) == 0
+        lo = np.zeros((4, 3))
+        hi = np.array([[1.0, 1.0, 1.0], [0.5, 2.0, 2.0], [0.5, 1.0, 2.0],
+                       [3.0, 1.0, 3.0]])
+        assert [node.axis for node in _nodes(lo, hi)] == [0, 1, 2, 0]
 
     def test_partition_exact(self):
-        lo = np.array([-1.0, 2.0, 0.5])
-        hi = np.array([1.0, 3.0, 2.5])
-        (l1, h1), (l2, h2) = split_box(lo, hi, 2)
-        assert np.array_equal(l1, lo) and np.array_equal(h2, hi)
-        assert h1[2] == l2[2] == (0.5 + 2.5) / 2
-        assert np.array_equal(h1[:2], hi[:2])
-        assert np.array_equal(l2[:2], lo[:2])
+        lo = np.array([[-1.0, 2.0, 0.5], [0.0, 0.0, 0.0], [0.3, -0.2, 1.0]])
+        hi = np.array([[1.0, 3.0, 2.75], [1.0, 3.0, 1.0], [0.7, 0.9, 1.1]])
+        nodes = _nodes(lo, hi)
+        assert [node.axis for node in nodes] == [2, 1, 1]
+        los, his, _, _ = bnb._halves(nodes, 1)
+        for k, node in enumerate(nodes):
+            a, other = node.axis, np.arange(3) != node.axis
+            (l1, l2), (h1, h2) = los[2 * k:2 * k + 2], his[2 * k:2 * k + 2]
+            assert np.array_equal(l1, lo[k]) and np.array_equal(h2, hi[k])
+            assert h1[a] == l2[a] == (lo[k, a] + hi[k, a]) / 2
+            assert np.array_equal(h1[other], hi[k, other])
+            assert np.array_equal(l2[other], lo[k, other])
+
+    def test_too_small_to_split(self):
+        # the longest edge must exceed 1e-13 times max(1, |center|_inf)
+        lo = np.array([[0.3, -0.2], [1e3, 0.0], [1e3, 0.0]])
+        hi = lo + np.array([[1e-15, 0.0], [5e-11, 0.0], [2e-10, 0.0]])
+        assert [node.axis for node in _nodes(lo, hi)] == [-1, -1, 0]
+        point = np.array([[0.0, 1.0]])
+        assert _nodes(point, point)[0].axis == -1
 
 
 class TestSolveContracts:
@@ -436,8 +462,8 @@ class TestModelBoundRouting:
 
 def _children(lo, hi):
     """The stacked children of the box [lo, hi], split as the solver does."""
-    (lo1, hi1), (lo2, hi2) = split_box(lo, hi, maxlen_axis(lo, hi))
-    return np.array((lo1, lo2)), np.array((hi1, hi2))
+    node, = _nodes(lo[None], hi[None])
+    return bnb._halves([node], 1)[:2]
 
 
 def _bound_stacked_and_alone(obj, lo, hi, parent_ub=np.inf):

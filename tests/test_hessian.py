@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,8 +65,36 @@ class TestTwoLayerMatrix:
             two_layer_matrix_bounds(net, local)
 
     def test_invalid_sandwich_rejected(self):
-        with pytest.raises(ValueError):
+        # public construction keeps the eigenvalue check of M - N
+        with pytest.raises(ValueError, match="does not dominate"):
             MatrixHessianBound(-np.eye(2), np.eye(2))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(act=st.sampled_from([Activation.TANH, Activation.SIGMOID,
+                                Activation.SOFTPLUS]),
+           seed=st.integers(0, 100_000), n=st.integers(1, 8),
+           h=st.integers(1, 64), scale=st.floats(0.1, 10.0),
+           boxes=st.integers(1, 4))
+    def test_pair_dominates_unchecked(self, act, seed, n, h, scale, boxes):
+        # the sandwich skips the check that M - N is PSD: it is
+        # W1^T diag((c_hi - c_lo) |w2|) W1, PSD by construction
+        rng = np.random.default_rng(seed)
+        net = make_net([n, h, 1], act=act, seed=seed, scale=scale,
+                       bias_scale=scale)
+        lo = rng.uniform(-2.0, 1.0, (boxes, n))
+        hi = lo + rng.uniform(0.0, 3.0, (boxes, n))
+        for mb in (two_layer_matrix_bounds(net, bounds_for_box(net, lo, hi)),
+                   two_layer_matrix_bounds(net, bounds_for_box(net, lo[0],
+                                                               hi[0]))):
+            assert np.linalg.eigvalsh(mb.M - mb.N).min() >= -1e-9
+
+    def test_empty_curvature_range_rejected(self):
+        net = make_net([2, 3, 1], seed=5)
+        local = bounds_for_box(net, -np.ones(2), np.ones(2))
+        assert (local.curv_hi[0] > local.curv_lo[0]).any()
+        swapped = SimpleNamespace(curv_lo=local.curv_hi, curv_hi=local.curv_lo)
+        with pytest.raises(ValueError, match="empty curvature range"):
+            two_layer_matrix_bounds(net, swapped)
 
 
 class TestScalarBound:

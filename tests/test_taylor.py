@@ -365,6 +365,28 @@ class TestVertexUpper:
                 assert stacked[0][k] == v
                 assert np.array_equal(stacked[1][k], w)
 
+    @pytest.mark.parametrize("n", list(range(1, 13)) + [17])
+    def test_stacked_matches_alone_and_every_vertex(self, n):
+        # every dimension up to the vertex cap of branch and bound, and 17:
+        # more than 2**16 vertices, two chunks.  Each box of a stack gets its
+        # result alone, bit for bit, and the value is the largest over all
+        # vertices of the model
+        rng = np.random.default_rng(1300 + n)
+        A = rng.standard_normal((2, n, n))
+        M = A @ np.swapaxes(A, 1, 2) / n
+        g = rng.standard_normal((2, n))
+        lo = rng.uniform(-1.5, -0.3, (2, n))
+        hi = rng.uniform(0.3, 1.5, (2, n))
+        stacked, where = vertex_upper(g, M, lo, hi, return_witness=True)
+        upper = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1) == 1
+        for k in range(2):
+            v, w = vertex_upper(g[k], M[k], lo[k], hi[k], return_witness=True)
+            assert stacked[k] == v and np.array_equal(where[k], w)
+            center = (lo[k] + hi[k]) / 2.0
+            brute = quad_model(g[k], M[k])(
+                np.where(upper, hi[k], lo[k]) - center).max()
+            assert abs(v - brute) <= 1e-12 * abs(brute)
+
     def test_precomputed_eigenvalues_still_checked(self):
         M = np.diag([1.0, -2e-9])
         assert np.linalg.eigvalsh(M)[0] < -1e-9
