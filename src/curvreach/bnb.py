@@ -45,6 +45,8 @@ memo, the ell_2 subnetwork constants and the Jacobian intervals of the
 interval Hessian) read the box and the hidden layers only, so within one
 stacked pass each distinct box gets them once, however many directions carry
 it; the per-direction finish reads the output layer and the linear term.
+The objective is evaluated once per pass, with the hidden layers run once and
+each box's output row and bias, linear term and offset gathered by direction.
 
 The directions registered with a ``Lockstep`` group run in lockstep.  The
 node loop is a generator, ``_search``, that yields each round's stack of
@@ -167,7 +169,7 @@ class Lockstep:
             objs += [q for q in self._queued if q is not obj]
             self._queued = []
         bounder = _Bounder(obj, cfg)
-        slots = [0] + [bounder.add(q) for q in objs[1:]]
+        slots = [0, *bounder.add(*objs[1:])]
         outcomes = _lockstep(bounder, slots, lo, hi, cfg, start)
         self._done += [(q, key, outcome)
                        for q, outcome in zip(objs[1:], outcomes[1:])]
@@ -208,17 +210,6 @@ def _select(mask):
     return np.flatnonzero(mask) if mask.any() else None
 
 
-def _within(sel, a, b, n_box):
-    """The boxes of the index ``sel`` of ``_select`` that lie in the run
-    ``[a, b)`` of a stack of ``n_box`` boxes, indexed the same way."""
-    if sel is None or (a == 0 and b == n_box):
-        return sel
-    if isinstance(sel, slice):
-        return slice(a, b)
-    sel = sel[(sel >= a) & (sel < b)]
-    return sel if sel.size else None
-
-
 def as_objective(obj_or_net):
     if isinstance(obj_or_net, ScalarObjective):
         return obj_or_net
@@ -243,23 +234,14 @@ def _halves(nodes, first):
             np.array([node.ub for node in nodes]).repeat(2))
 
 
-def _runs(dirs):
-    """``(direction, start, stop)`` of each run of boxes of one direction in
-    a stack, given each box's direction."""
-    if dirs[0] == dirs[-1]:            # each direction's boxes form one run
-        return [(int(dirs[0]), 0, len(dirs))]
-    cut = (np.flatnonzero(dirs[1:] != dirs[:-1]) + 1).tolist()
-    return [(int(dirs[a]), a, b)
-            for a, b in zip([0] + cut, cut + [len(dirs)])]
-
-
 class _Bounder:
     """Bound engine of one solve, or of the directions of one lockstep run.
     Every box gets fresh certificates of its own.  Box-level certificates
     read the hidden layers only, which the directions share; the
-    per-direction parts (the output row, ``lin_inf`` and ``head_inf``) are
-    kept per direction and gathered by direction for each box of a stack.
-    Direction 0 is ``obj``; ``add`` appends more."""
+    per-direction parts (the output row and bias, the linear term and
+    offset, ``lin_inf`` and ``head_inf``) are kept per direction and
+    gathered by direction for each box of a stack, in which one call
+    evaluates the objective.  Direction 0 is ``obj``; ``add`` appends more."""
 
     def __init__(self, obj, cfg):
         self.net = obj.net             # localization reads its hidden layers
@@ -272,24 +254,43 @@ class _Bounder:
         # depend on neither the box nor the direction
         self.heads2 = lip._head_norms(self.weights, 2) if self.deep else None
         self.objs = []
-        self.rows = np.empty((0, 1, self.weights[-1].shape[1]))
-        self.lin_inf = np.empty(0)
-        self.head_inf = np.empty(0)
         self.add(obj)
 
-    def add(self, obj):
-        """Add a direction over the same hidden layers; returns its number."""
-        if not _same_layers(self.net.layers[:-1], obj.net.layers[:-1]):
+    def add(self, *objs):
+        """Add directions sharing the hidden layers; returns their numbers."""
+        every = self.objs + list(objs)
+        if any(not _same_layers(self.net.layers[:-1], obj.net.layers[:-1])
+               or (obj.linear is None) != (every[0].linear is None)
+               for obj in objs):
             raise ValueError("directions solved in lockstep must share their "
-                             "hidden layers")
-        w = obj.net.layers[-1].weight
-        self.objs.append(obj)
-        self.rows = np.concatenate((self.rows, w[None]))
-        self.lin_inf = np.append(self.lin_inf, obj.linear_dual_norm(np.inf))
+                             "hidden layers, and all have a linear term or "
+                             "none")
+        self.objs = every
+        lasts = [obj.net.layers[-1] for obj in every]
+        self.rows = np.array([last.weight for last in lasts])
+        self.bias = np.array([last.bias[None] for last in lasts])
+        self.linear = None if every[0].linear is None \
+            else np.array([obj.linear for obj in every])
+        self.offset = np.array([[obj.offset] for obj in every])
+        self.lin_inf = np.array([obj.linear_dual_norm(np.inf)
+                                 for obj in every])
         # the ell_inf total stage opens with ||W_L||, which does not depend
         # on the box
-        self.head_inf = np.append(self.head_inf, lip._norm(w, np.inf))
-        return len(self.objs) - 1
+        self.head_inf = np.array([lip._norm(last.weight, np.inf)
+                                  for last in lasts])
+        return range(len(self.objs) - len(objs), len(self.objs))
+
+    def _stack(self, dirs):
+        """The objectives of a stack's boxes as one ``ScalarObjective``
+        stand-in, whose ``net`` the Hessian bounds read too: each box's output
+        row and bias, linear term and offset, gathered by its direction."""
+        last = SimpleNamespace(weight=self.rows[dirs], bias=self.bias[dirs],
+                               activation=None)
+        layers = self.net.layers[:-1] + (last,)
+        net = SimpleNamespace(layers=layers, depth=len(layers), is_scalar=True)
+        linear = None if self.linear is None else self.linear[dirs]
+        return SimpleNamespace(net=net, linear=linear,
+                               offset=self.offset[dirs])
 
     def _ds(self, slope_hi):
         return [b / 2.0 for b in slope_hi]
@@ -339,17 +340,13 @@ class _Bounder:
         direction."""
         cert = self._certificate(lo, hi)
         slope_hi = cert.slope_hi
-        rows = self.rows[dirs]
-        weights = self.weights[:-1] + [rows]
+        net = self._stack(dirs).net
+        weights = self.weights[:-1] + [net.layers[-1].weight]
         l_inf = lip._total_raw(weights, slope_hi, self._ds(slope_hi),
                                np.inf, (0.0,) + cert.memo,
                                self.head_inf[dirs]) + self.lin_inf[dirs]
         if not self.cfg.use_first_order:
             return l_inf, None, None, None, None
-        # what the Hessian bounds read of a network, with one output row
-        # per box: the last weight stacked as (B, 1, h)
-        layers = self.net.layers[:-1] + (SimpleNamespace(weight=rows),)
-        net = SimpleNamespace(layers=layers, depth=len(layers), is_scalar=True)
         if self.two_layer:
             M = hs.two_layer_matrix_bounds(net, cert).M
             # the one decomposition of M: lam, the PSD test and the vertex
@@ -361,7 +358,8 @@ class _Bounder:
             return l_inf, None, None, np.zeros(len(lo)), None
         # only the subnetwork constants of the report are read
         report = lip.LipschitzReport(0.0, cert.subnet2, 2)
-        jac = lip._jacobian_rows(self.abs_hidden + [np.abs(rows)], slope_hi)
+        jac = lip._jacobian_rows(self.abs_hidden + [np.abs(weights[-1])],
+                                 slope_hi)
         lam = hs.hessian_norm_bound(net, cert, report, jac).lam
         h_lo, h_hi = hs._interval_hessian_raw(weights, cert.jac_mid,
                                               cert.jac_rad, cert)
@@ -378,23 +376,13 @@ class _Bounder:
                                        index[k:k + 1], parent_ub[k:k + 1],
                                        dirs[k:k + 1])]
 
-    def _value_and_grad(self, x, runs):
-        """Each point's value and gradient, one call per direction on its
-        own run of points."""
-        if len(runs) == 1:
-            return self.objs[runs[0][0]].value_and_grad(x)
-        value, grad = np.empty(len(x)), np.empty(x.shape)
-        for d, a, b in runs:
-            value[a:b], grad[a:b] = self.objs[d].value_and_grad(x[a:b])
-        return value, grad
-
     def bound(self, lo, hi, index, parent_ub, dirs):
         """Bound each box of the stack ``lo``, ``hi`` (shape ``(B, n)``) and
         return its ``B`` nodes, with fresh certificates for every box.
         ``index``, ``parent_ub`` and ``dirs`` hold one entry per box: its
-        node number, the cap on its upper bound and its direction.  Each
-        direction's boxes form one run of the stack.
+        node number, the cap on its upper bound and its direction.
 
+        The objective is evaluated on the whole stack at once (``_stack``).
         Each box gets the bounds it would get alone, bit for bit.  A stack
         that holds a degenerate box, or whose certificates fail numerically,
         is bounded one box at a time, so only a failing box is flagged."""
@@ -409,8 +397,8 @@ class _Bounder:
         scale = np.max(np.abs(center), axis=1, initial=1.0)
         axes = np.where(eps > _DEGENERATE / 2.0 * scale, r.argmax(axis=1),
                         -1).tolist()
-        runs = _runs(dirs)
-        value_c, grad_c = self._value_and_grad(center, runs)
+        obj = self._stack(dirs)
+        value_c, grad_c = ScalarObjective.value_and_grad(obj, center)
         if eps[0] <= 0.0:
             v = float(value_c[0])
             return [BnBNode(lo[0], hi[0], center[0], v,
@@ -485,19 +473,18 @@ class _Bounder:
             np.clip(pts, lo[:, None, :], hi[:, None, :], out=pts)
             lb = lb.copy()
             witness = witness.copy()
-            for d, a, b in runs:
-                for sel, count in ((v_sel, 2), (i_sel, 1)):
-                    sel = _within(sel, a, b, n_box)
-                    if sel is None:
-                        continue
-                    cand = pts[sel, :count]
-                    vals = self.objs[d].value(cand)
-                    at = np.arange(len(vals))
-                    k = np.argmax(vals, axis=1)
-                    up = vals[at, k] > lb[sel]
-                    lb[sel] = np.where(up, vals[at, k], lb[sel])
-                    witness[sel] = np.where(up[:, None], cand[at, k],
-                                            witness[sel])
+            for sel, count in ((v_sel, 2), (i_sel, 1)):
+                if sel is None:
+                    continue
+                cand = pts[sel, :count]
+                sub = obj if isinstance(sel, slice) else self._stack(dirs[sel])
+                vals = ScalarObjective.value(sub, cand)
+                at = np.arange(len(vals))
+                k = np.argmax(vals, axis=1)
+                up = vals[at, k] > lb[sel]
+                lb[sel] = np.where(up, vals[at, k], lb[sel])
+                witness[sel] = np.where(up[:, None], cand[at, k],
+                                        witness[sel])
         ub = np.maximum(np.minimum(ub, parent_ub), lb)
         return [BnBNode(lo[k], hi[k], center[k], lb_k, ub_k, witness[k],
                         i_k, a_k, flagged=f_k, first_won=w_k)

@@ -45,11 +45,17 @@ class MatrixHessianBound:
         object.__setattr__(self, "N", N)
 
     @classmethod
-    def _dominating(cls, M, N):
-        """(M, N), float arrays with M - N PSD by construction, unchecked."""
+    def _dominating(cls, M, lower):
+        """(M, N), float arrays with M - N PSD by construction, unchecked;
+        N is ``lower()``, called when N is first read."""
         bound = object.__new__(cls)
-        bound.__dict__.update(M=M, N=N)
+        bound.__dict__.update(M=M, _lower=lower)
         return bound
+
+    def __getattr__(self, name):       # N of a ``_dominating`` pair, once
+        if name != "N" or "_lower" not in self.__dict__:
+            raise AttributeError(name)
+        return self.__dict__.setdefault("N", self.__dict__.pop("_lower")())
 
 
 @dataclass(frozen=True)
@@ -83,14 +89,14 @@ def two_layer_matrix_bounds(net, local):
     if (cb < ca).any():
         raise ValueError("empty curvature range: curv_hi < curv_lo")
     pos, neg = np.maximum(w2, 0.0), np.minimum(w2, 0.0)
-    m_coeff = cb * pos + ca * neg
-    n_coeff = ca * pos + cb * neg
     W1 = net.layers[0].weight
-    # W1^T diag(coeff) W1 for both coefficient vectors at once, symmetrized
-    coeff = np.array((m_coeff, n_coeff))
-    G = (W1 * coeff[..., :, None]).swapaxes(-1, -2) @ W1
-    M, N = (G + G.swapaxes(-1, -2)) / 2.0
-    return MatrixHessianBound._dominating(M, N)
+
+    def sandwich(coeff):
+        """W1^T diag(coeff) W1, symmetrized."""
+        G = (W1 * coeff[..., :, None]).swapaxes(-1, -2) @ W1
+        return (G + G.swapaxes(-1, -2)) / 2.0
+    return MatrixHessianBound._dominating(
+        sandwich(cb * pos + ca * neg), lambda: sandwich(ca * pos + cb * neg))
 
 
 def _weighted_suffix_liplt(weights, slope_his, l, h):

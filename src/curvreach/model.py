@@ -218,20 +218,23 @@ class Network:
         return self.preactivations(x)[-1]
 
     def preactivations(self, x):
-        """List of z^(l) for hidden layers, plus the final output, at x."""
+        """List of z^(l) for hidden layers, plus the final output, at x.  It
+        reads only ``layers``, whose last may be stacked per box: a ``(B, 1,
+        h)`` weight and a ``(B, 1, 1)`` bias give each box of points ``(B,
+        k, n)`` its own output."""
         zs = []
         a = np.asarray(x, dtype=float)
         for lay in self.layers:
-            z = a @ lay.weight.T + lay.bias
+            z = a @ lay.weight.swapaxes(-1, -2) + lay.bias
             zs.append(z)
             a = act_value(lay.activation, z) if lay.activation is not None else z
         return zs
 
 
-def _backward(net, zs):
+def _backward(net, zs, u):
     """Reverse-mode gradient of a scalar network of depth >= 2 from its
-    preactivations; batched ``zs`` broadcast against the output row."""
-    u = net.layers[-1].weight[0]
+    preactivations and its output row ``u``, against which batched ``zs``
+    broadcast."""
     for l in range(net.depth - 2, -1, -1):
         lay = net.layers[l]
         u = (u * act_deriv(lay.activation, zs[l])) @ lay.weight
@@ -248,7 +251,7 @@ def gradient(net, x):
             f"input dimension {x.shape[-1]} != network input {net.input_dim}")
     if net.depth == 1:
         return np.broadcast_to(net.layers[0].weight[0], x.shape).copy()
-    return _backward(net, net.preactivations(x))
+    return _backward(net, net.preactivations(x), net.layers[-1].weight[0])
 
 
 def scalarize(net, c):
@@ -305,9 +308,9 @@ class ScalarObjective:
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
-        v = self.net.forward(x)[..., 0] + self.offset
+        v = Network.preactivations(self.net, x)[-1][..., 0] + self.offset
         if self.linear is not None:
-            v = v + x @ self.linear
+            v = v + (x @ self.linear[..., None])[..., 0]
         return float(v) if v.ndim == 0 else v
 
     def grad(self, x):
@@ -320,20 +323,24 @@ class ScalarObjective:
         """Single forward pass for both; the branch-and-bound hot path.
 
         ``x`` is a point ``(n,)``, giving a float and a gradient, or a stack
-        of points ``(B, n)``, giving ``B`` values and ``B`` gradient rows."""
+        of points ``(B, n)``, giving ``B`` values and ``B`` gradient rows.
+        Like ``value`` it reads only ``net.layers``, ``net.depth``, ``linear``
+        and ``offset``, so a stand-in gives each point its own output layer
+        (see ``Network.preactivations``), linear term and offset ``(B, 1)``."""
         x = np.asarray(x, dtype=float)
         net = self.net
         # each point its own one-row matrix: one matrix-vector product per
         # point, so a stacked call rounds as single ones do
         rows = x[..., None, :]
-        zs = net.preactivations(rows)
-        v = zs[-1][..., 0, 0] + self.offset
+        zs = Network.preactivations(net, rows)
+        v = (zs[-1][..., 0] + self.offset)[..., 0]
+        w = net.layers[-1].weight
         if net.depth == 1:
-            g = np.broadcast_to(net.layers[0].weight[0], x.shape).copy()
+            g = np.broadcast_to(w[..., 0, :], x.shape).copy()
         else:
-            g = _backward(net, zs)[..., 0, :]
+            g = _backward(net, zs, w)[..., 0, :]
         if self.linear is not None:
-            v = v + (rows @ self.linear)[..., 0]
+            v = v + (rows @ self.linear[..., None])[..., 0, 0]
             g = g + self.linear
         return (float(v), g) if v.ndim == 0 else (v, g)
 

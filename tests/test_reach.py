@@ -368,16 +368,55 @@ class TestLockstepDirections:
             assert_same_result(res, ref)
         assert lockstep == max(rounds)
 
+    @pytest.mark.parametrize("cfg", [
+        bnb.BnBConfig(eps_t=1e-3),
+        bnb.BnBConfig(eps_t=1e-3, max_branches=101, use_first_order=False),
+    ], ids=["first-order", "zeroth-order"])
+    @pytest.mark.parametrize("kind", ["box", "zonotope"])
+    def test_closed_loop_step_with_drift_matches_alone(
+            self, monkeypatch, di_controller, kind, cfg):
+        # a drift gives each direction c its own offset c . drift, which a
+        # stacked pass gathers per box like the output bias and linear term
+        import curvreach.reach as reach_mod
+        sys_model = LinearSystem(np.array([[1.0, 1.0], [0.0, 1.0]]),
+                                 np.array([[0.5], [1.0]]), di_controller, 5,
+                                 drift=np.array([0.3, -0.2]))
+        input_set = hexagon() if kind == "zonotope" else \
+            Box(np.array([2.4, -0.1]), np.array([2.6, 0.1]))
+        real = reach_mod._solve_direction
+        results = []
+
+        def recording(objective, input_set, cfg, lockstep=None):
+            results.append(real(objective, input_set, cfg, lockstep))
+            return results[-1]
+
+        monkeypatch.setattr(reach_mod, "_solve_direction", recording)
+        passes = self.count_passes(monkeypatch)
+        poly, _ = closed_loop_step(sys_model, input_set,
+                                   uniform_directions(16), cfg.eps_t, cfg)
+        lockstep = len(passes)
+        objectives = [sys_model.step_objective(c) for c in poly.normals]
+        assert len({obj.offset for obj in objectives}) > 10
+        alone, rounds = self.rounds_alone(monkeypatch, objectives,
+                                          input_set, cfg)
+        assert len(results) == len(alone) == 20
+        for res, ref in zip(results, alone):
+            assert_same_result(res, ref)
+        assert lockstep == max(rounds) < sum(rounds)
+
     @staticmethod
     def fail_after_root(monkeypatch, net, c, error):
-        """Make the objective of direction ``c`` raise ``error`` whenever it
-        is evaluated away from the root's center, the origin."""
-        row = (c @ net.layers[-1].weight).tobytes()
+        """Make every evaluation that holds a point of direction ``c`` away
+        from the root's center, the origin, raise ``error``.  A stacked
+        evaluation carries one output row per point, so it raises when any
+        of its points is such a point."""
+        row = c @ net.layers[-1].weight
         real = ScalarObjective.value_and_grad
 
         def value_and_grad(self, x):
-            if self.net.layers[-1].weight.tobytes() == row \
-                    and np.any(x != 0.0):
+            # (1, h) for one direction, (B, 1, h) stacked per point
+            ours = (self.net.layers[-1].weight[..., 0, :] == row).all(axis=-1)
+            if np.any(ours & np.any(x != 0.0, axis=-1)):
                 raise error("injected")
             return real(self, x)
 
