@@ -8,9 +8,11 @@ first-order model bound over the box itself: the exact vertex maximum when
 the Hessian upper bound is a PSD matrix (one hidden layer, at most
 ``_VERTEX_CAP`` inputs), else the exact maximum of the isotropic model over
 the box, with a matrix bound also the dual bound over the ell_2 ball of
-radius ``||(hi - lo)/2||_2`` when smaller.  On the matrix path one
-eigendecomposition of the upper matrix ``M`` per node serves the isotropic
-curvature, the PSD test and the vertex bound's PSD tolerance.
+radius ``||(hi - lo)/2||_2`` when smaller.  On the matrix path the PSD test
+of the upper matrix ``M`` is a Cholesky factorization; only a node whose
+``M`` it does not factor, or a net with more than ``_VERTEX_CAP`` inputs,
+computes the eigenvalues of ``M`` for the isotropic curvature and the vertex
+bound's PSD tolerance.
 
 On nets of depth 3 or more the isotropic model's curvature is the spectral
 bound ``lam``, and a second model bound comes from the interval Hessian
@@ -330,17 +332,20 @@ class _Bounder:
             self.weights, local.slope_lo, slope_hi)
         return cert
 
-    def _constants(self, lo, hi, dirs):
-        """(L_inf, M, eig, lam, A) certified on each box of a stack: the
+    def _constants(self, lo, hi, dirs, net):
+        """(L_inf, M, tau, lam, A) certified on each box of a stack: the
         ell_inf Lipschitz constant; on the two-layer path the upper Hessian
-        matrix and its eigenvalues, else None; lam >= ||hess J||_2, which is
-        lambda_max(M)^+ on the two-layer path; and on nets of depth 3 or more
-        the matrix A with d^T hess J d <= |d|^T A |d|, else None.  The last
-        four are None without first-order bounds.  ``dirs`` names each box's
-        direction."""
+        matrix, else None; with at most ``_VERTEX_CAP`` inputs its vertex
+        bound slack (``taylor._psd_slack``: 0 where a Cholesky factorization
+        certifies M, else max(-lambda_min(M), 0)), else None; lam >= ||hess
+        J||_2, which is lambda_max(M)^+ on the two-layer path, where it is
+        None when every M is certified and no box reads it; and on nets of
+        depth 3 or more the matrix A with d^T hess J d <= |d|^T A |d|, else
+        None.  The last four are None without first-order bounds.  ``dirs``
+        names each box's direction, and ``net`` is the network of the
+        stack's stand-in (``_stack(dirs)``)."""
         cert = self._certificate(lo, hi)
         slope_hi = cert.slope_hi
-        net = self._stack(dirs).net
         weights = self.weights[:-1] + [net.layers[-1].weight]
         l_inf = lip._total_raw(weights, slope_hi, self._ds(slope_hi),
                                np.inf, (0.0,) + cert.memo,
@@ -349,10 +354,11 @@ class _Bounder:
             return l_inf, None, None, None, None
         if self.two_layer:
             M = hs.two_layer_matrix_bounds(net, cert).M
-            # the one decomposition of M: lam, the PSD test and the vertex
-            # bound's tolerance all read it
-            eig = np.linalg.eigvalsh(M)
-            return l_inf, M, eig, np.maximum(eig[:, -1], 0.0), None
+            tau, eig = (None, np.linalg.eigvalsh(M)) \
+                if lo.shape[1] > _VERTEX_CAP else taylor._psd_slack(M)
+            # only the boxes off the vertex route read lam
+            lam = None if eig is None else np.maximum(eig[:, -1], 0.0)
+            return l_inf, M, tau, lam, None
         if not self.deep:
             # no hidden layer: the objective is linear
             return l_inf, None, None, np.zeros(len(lo)), None
@@ -405,7 +411,7 @@ class _Bounder:
                             min(v, parent_ub.item()), center[0],
                             int(index[0]), -1)]
         try:
-            consts = self._constants(lo, hi, dirs)
+            consts = self._constants(lo, hi, dirs, obj.net)
         except (taylor.DualBisectionError, np.linalg.LinAlgError,
                 FloatingPointError):
             if n_box > 1:
@@ -415,21 +421,21 @@ class _Bounder:
             return [BnBNode(lo[0], hi[0], center[0], float(value_c[0]),
                             parent_ub.item(), center[0], int(index[0]),
                             axes[0], flagged=True)]
-        l_inf, M, eig, lam, A = consts
+        l_inf, M, tau, lam, A = consts
         ub = value_c + l_inf * eps
         lb = value_c
         witness = center
         first_won = np.zeros(n_box, dtype=bool)
         flagged = np.zeros(n_box, dtype=bool)
-        if lam is not None:
+        if cfg.use_first_order:
             # the isotropic model's maximizer over the box itself: the
             # segment from the center to any point of the box stays in the
-            # box, on which lam is certified
+            # box, on which lam is certified.  Expanded at the center, it is
+            # c + r * sign(g) whatever lam
             x_iso = taylor.optimal_perturbation(center, r, np.inf, grad_c,
-                                                lam, center)
-            vertex = np.zeros(n_box, dtype=bool)
-            if M is not None and center.shape[1] <= _VERTEX_CAP:
-                vertex = eig[:, 0] >= -1e-9
+                                                0.0, center)
+            vertex = np.zeros(n_box, dtype=bool) if tau is None \
+                else tau <= 1e-9
             v_sel, i_sel = _select(vertex), _select(~vertex)
             ub1 = np.empty(n_box)
             # lower-bound candidates: the isotropic maximizer, then the
@@ -440,7 +446,7 @@ class _Bounder:
                 # convex model: exact at a vertex, never above the others
                 v, vert = taylor.vertex_upper(
                     grad_c[v_sel], M[v_sel], lo[v_sel], hi[v_sel],
-                    center[v_sel], return_witness=True, eig=eig[v_sel])
+                    center[v_sel], return_witness=True, tau=tau[v_sel])
                 ub1[v_sel] = value_c[v_sel] + v
                 pts[v_sel, 1] = vert
             if i_sel is not None:

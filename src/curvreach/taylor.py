@@ -5,14 +5,18 @@ The first-order bound expands J around a point y, bounds the remainder with a
 Hessian certificate, and maximizes the resulting quadratic model exactly
 (closed form for the ell_2 ball, separable for the ell_inf ball and for a box
 given by per-coordinate radii).  With a matrix bound M, vertex enumeration is
-exact over a box when M is PSD; branch and bound runs the dual bisection only
-where it is not (indefinite M or too many inputs).
+exact over a box when M is PSD: all vertex values are one product of a fixed
+sign table with the model's coefficients, and a Cholesky factorization of M
+certifies it positive definite, with the eigenvalues read only where that
+fails.  Branch and bound runs the dual bisection only where M is not PSD
+(indefinite M or too many inputs).
 
 ``optimal_perturbation`` (for p=inf) and ``vertex_upper`` also take a stack
 of boxes, every argument with a leading batch axis, and return one result
 per box, each equal to what the box alone gives.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -192,19 +196,74 @@ def two_layer_dual_upper(grad, M, eps, p=2):
     return dual_value(hi)
 
 
-def vertex_upper(grad, M, lo, hi, center=None, return_witness=False,
-                 eig=None):
-    """Exact max of the quadratic model over box vertices; valid bound on the
-    whole box when M is positive semidefinite (convex model).  M is accepted
-    down to lambda_min(M) >= -1e-9; with tau = -lambda_min(M) > 0 the bound
-    adds tau/2 * sum_i max(hi_i - c_i, c_i - lo_i)^2, the most by which the
-    convex model with M + tau I lies above the one with M on the box.
+def _psd_slack(M):
+    """The vertex bound's PSD slack of each matrix of a stack ``M``, and the
+    eigenvalues it read (None when it read none).  A matrix whose Cholesky
+    factorization succeeds is certified positive definite and gets tau = 0;
+    any other gets tau = max(-lambda_min(M), 0) from ``eigvalsh``.  The stack
+    is factored once; only when that fails are its eigenvalues computed and
+    the matrices with lambda_min < 0 factored alone (with lambda_min >= 0 the
+    two rules agree), so each matrix gets the slack it gets alone.  Both
+    tests round to nearest, with the caveat of ``eigvalsh``'s lambda_min."""
+    try:
+        np.linalg.cholesky(M)
+        return np.zeros(len(M)), None
+    except np.linalg.LinAlgError:
+        pass
+    eig = np.linalg.eigvalsh(M)
+    tau = np.maximum(-eig[:, 0], 0.0)
+    for k in np.flatnonzero(tau > 0.0):
+        try:
+            np.linalg.cholesky(M[k])
+        except np.linalg.LinAlgError:
+            continue
+        tau[k] = 0.0
+    return tau, eig
 
-    ``eig``, when given, holds the eigenvalues of M (``eigvalsh(M)``), which
-    the caller has already computed; the PSD check reads them in place of a
-    fresh decomposition.  Stacked arguments, one box per entry of a leading
-    axis, give one value (and witness) per box; the check then covers every
-    M of the stack.
+
+_BLOCK = 1 << 12                       # most vertex rows per product
+
+
+def _sign_rows(n, start, stop):
+    """Rows ``start`` .. ``stop`` of the sign table ``[S | S (x) S]`` of the
+    vertices of an n-box: vertex i takes s_j = +1 (its upper bound) where bit
+    j of i is set, else -1, followed by every product s_j s_k."""
+    s = np.where((np.arange(start, stop)[:, None] >> np.arange(n)) & 1,
+                 1.0, -1.0)
+    return np.hstack([s, (s[:, :, None] * s[:, None, :]).reshape(len(s), -1)])
+
+
+@functools.lru_cache(maxsize=None)
+def _sign_table(n):
+    """The whole sign table of an n-box that fits one block, kept."""
+    table = _sign_rows(n, 0, 1 << n)
+    table.flags.writeable = False
+    return table
+
+
+def vertex_upper(grad, M, lo, hi, center=None, return_witness=False,
+                 tau=None):
+    """Exact max of the quadratic model over box vertices; valid bound on the
+    whole box when M is positive semidefinite (convex model).  A box whose M
+    a Cholesky factorization certifies takes the vertex maximum as it is;
+    any other is accepted down to lambda_min(M) >= -1e-9, and with tau =
+    -lambda_min(M) > 0 the bound adds tau/2 * sum_i max(hi_i - c_i, c_i -
+    lo_i)^2, the most by which the convex model with M + tau I lies above the
+    one with M on the box.
+
+    With delta = m + s * h over the vertices (m, h the mid-point and half-
+    width of the box around c, s in {-1, 1}^n), the model is g . m + m^T M m
+    / 2 + sum_j s_j L_j + sum_jk s_j s_k Q_jk, with L = h * (g + sym(M) m)
+    and Q = (h h^T) * M / 2, so all vertex values of a box are one product of
+    the fixed sign table ``[S | S (x) S]`` with ``[L, vec Q]``, in blocks of
+    at most 2**12 vertices.  Vertex i takes hi_j where bit j of i is set, and
+    ties go to the first vertex.
+
+    ``tau``, when given, holds each box's slack as ``_psd_slack(M)`` gives
+    it, which the caller has already computed.  Stacked arguments, one box
+    per entry of a leading axis, give one value (and witness) per box, each
+    equal to what the box alone gives; the check then covers every M of the
+    stack.
     """
     single = np.ndim(lo) == 1
     lo = np.asarray(lo, dtype=float)
@@ -216,32 +275,36 @@ def vertex_upper(grad, M, lo, hi, center=None, return_witness=False,
     hi = np.asarray(hi, dtype=float).reshape(-1, n)
     g = np.asarray(grad, dtype=float).reshape(-1, n)
     M = np.asarray(M, dtype=float).reshape(-1, n, n)
-    if eig is None:
-        eig = np.linalg.eigvalsh(M)
-    tau = -np.asarray(eig, dtype=float).reshape(-1, n).min(axis=1)
+    if tau is None:
+        tau, _ = _psd_slack(M)
+    tau = np.asarray(tau, dtype=float).reshape(-1)
     if (tau > 1e-9).any():
         raise ValueError("vertex bound needs a positive semidefinite matrix")
     center = (lo + hi) / 2.0 if center is None \
         else np.asarray(center, dtype=float).reshape(-1, n)
+    up, down = hi - center, lo - center
+    m, h = (up + down) / 2.0, (up - down) / 2.0
+    sym_m = ((M + M.swapaxes(1, 2)) / 2.0 @ m[:, :, None])[..., 0]
+    coef = np.concatenate(
+        [h * (g + sym_m),
+         (0.5 * (h[:, :, None] * h[:, None, :]) * M).reshape(-1, n * n)],
+        axis=1)[:, :, None]
     rows = np.arange(lo.shape[0])
-    total, chunk = 1 << n, 1 << min(n, 16)
-    bits = np.arange(n)
-    up, down = (hi - center)[:, None, :], (lo - center)[:, None, :]
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        upper = ((idx[:, None] >> bits) & 1) == 1   # vertex i takes hi_j
-        delta = np.where(upper, up, down)
-        # one matrix product per box, as for a single box
-        vals = (delta @ g[:, :, None])[..., 0] \
-            + 0.5 * ((delta @ M) * delta).sum(axis=-1)
+    total = 1 << n
+    for start in range(0, total, _BLOCK):
+        table = _sign_table(n) if total <= _BLOCK \
+            else _sign_rows(n, start, min(start + _BLOCK, total))
+        # one matrix-vector product per box, as for a single box
+        vals = (table @ coef)[..., 0]
         k = np.argmax(vals, axis=1)
-        top, top_v = vals[rows, k], np.where(upper[k], hi, lo)
+        top, top_v = vals[rows, k], np.where(table[k, :n] > 0.0, hi, lo)
         if start == 0:
             best, best_v = top, top_v
         else:
             better = top > best
             best = np.where(better, top, best)
             best_v = np.where(better[:, None], top_v, best_v)
+    best = best + (_dot(g, m) + 0.5 * _dot(m, sym_m))
     slack = tau > 0.0
     if slack.any():
         far = np.maximum(hi - center, center - lo)

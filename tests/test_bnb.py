@@ -25,6 +25,14 @@ def _per_box(lo, first=0, parent_ub=np.inf):
             np.zeros(n, dtype=int))
 
 
+def _constants(obj, lo, hi):
+    """``_Bounder._constants`` of a stack ``lo``, ``hi`` of direction 0, with
+    the stack's stand-in network as ``bound`` passes it."""
+    bounder = _Bounder(obj, BnBConfig())
+    dirs = _per_box(lo)[2]
+    return bounder._constants(lo, hi, dirs, bounder._stack(dirs).net)
+
+
 class TestNodeBounds:
     def test_linear_converges_at_root(self):
         obj = scalar_linear([2.0, -1.0], b=0.5)
@@ -355,7 +363,7 @@ class TestFailureEnvelope:
         lo = -np.ones((1, 2))
         root, = bounder.bound(lo, np.ones((1, 2)), *_per_box(lo))
 
-        def broken(lo, hi, dirs):
+        def broken(lo, hi, dirs, net):
             raise np.linalg.LinAlgError("engine down")
 
         monkeypatch.setattr(bounder, "_constants", broken)
@@ -378,8 +386,7 @@ class TestFailureEnvelope:
         from curvreach import hessian as hs
         obj = ScalarObjective(make_net([2, 6, 5, 1], seed=4200))
         lo, hi = -np.ones((1, 2)), np.ones((1, 2))
-        l_inf, _, _, lam, _ = _Bounder(obj, BnBConfig())._constants(
-            lo, hi, _per_box(lo)[2])
+        l_inf, _, _, lam, _ = _constants(obj, lo, hi)
 
         def overflowed(weights, jac_mid, jac_rad, local):
             nan = np.full(local.slope_hi[0].shape[:-1] + (2, 2), np.nan)
@@ -467,10 +474,18 @@ def _children(lo, hi):
 
 
 def _bound_stacked_and_alone(obj, lo, hi, parent_ub=np.inf):
-    """``parent_ub`` is one value for all boxes or one per box."""
+    """``parent_ub`` is one value for all boxes or one per box.  ``obj`` is
+    one objective for all boxes, or a list of one per box, directions that
+    share their hidden layers and are stacked as in a lockstep pass."""
     args = _per_box(lo, 1, parent_ub)
-    stacked = _Bounder(obj, BnBConfig()).bound(lo, hi, *args)
-    alone = [_Bounder(obj, BnBConfig()).bound(
+    if isinstance(obj, list):
+        bounder = _Bounder(obj[0], BnBConfig())
+        dirs = np.array([0, *bounder.add(*obj[1:])])
+        stacked = bounder.bound(lo, hi, *args[:2], dirs)
+    else:
+        stacked = _Bounder(obj, BnBConfig()).bound(lo, hi, *args)
+        obj = [obj] * len(lo)
+    alone = [_Bounder(obj[k], BnBConfig()).bound(
                  lo[k:k + 1], hi[k:k + 1], *(a[k:k + 1] for a in args))[0]
              for k in range(len(lo))]
     return stacked, alone
@@ -549,8 +564,7 @@ class TestStackedBounds:
         value, grad = obj.value_and_grad((lo2 + hi2) / 2.0)
         model = value + (np.abs(grad) * r).sum(axis=1) \
             + 0.5 * np.einsum("bi,bij,bj->b", r, A, r)
-        l_inf, _, _, lam, _ = _Bounder(obj, BnBConfig())._constants(
-            lo2, hi2, _per_box(lo2)[2])
+        l_inf, _, _, lam, _ = _constants(obj, lo2, hi2)
         assert (model < value + (np.abs(grad) * r).sum(axis=1)
                 + 0.5 * lam * (r * r).sum(axis=1)).all()
         assert (model < value + l_inf * r.max(axis=1)).all()
@@ -589,6 +603,38 @@ class TestStackedBounds:
         _assert_same_nodes(*_bound_stacked_and_alone(ScalarObjective(net),
                                                      lo, hi))
 
+    def test_psd_routes_mixed_in_one_stack(self):
+        # three directions over one softplus layer 6 -> 8, one box each: all
+        # output weights positive give a positive definite M, which Cholesky
+        # factors; weights on four units only give M of rank 4 < 6, which it
+        # does not factor, with lambda_min a rounding error below 0 (the
+        # vertex bound with its slack); a weight of -3 makes M indefinite
+        # (the isotropic and dual bounds).  The stack's factorization fails,
+        # and each box still gets its bits alone
+        from curvreach.hessian import two_layer_matrix_bounds
+        from curvreach.localize import bounds_for_box
+        from curvreach.model import Layer, Network
+        rng = np.random.default_rng(1)
+        hidden = Layer(rng.standard_normal((8, 6)),
+                       0.1 * rng.standard_normal(8), Activation.SOFTPLUS)
+        rows = [np.abs(rng.standard_normal(8)),
+                np.r_[np.abs(rng.standard_normal(4)), np.zeros(4)],
+                np.r_[np.abs(rng.standard_normal(4)), -3.0, np.zeros(3)]]
+        objs = [ScalarObjective(Network((hidden, Layer(w[None], np.zeros(1),
+                                                       None))))
+                for w in rows]
+        lo, hi = np.full((3, 6), -0.25), np.full((3, 6), 0.25)
+        M = [two_layer_matrix_bounds(o.net, bounds_for_box(o.net, lo[0],
+                                                           hi[0])).M
+             for o in objs]
+        np.linalg.cholesky(M[0])
+        for m in M[1:]:
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(m)
+        lam_min = [np.linalg.eigvalsh(m)[0] for m in M[1:]]
+        assert -1e-9 < lam_min[0] < 0.0 and lam_min[1] < -1e-9
+        _assert_same_nodes(*_bound_stacked_and_alone(objs, lo, hi))
+
     def test_failing_child_alone_is_flagged(self, monkeypatch):
         from curvreach.hessian import two_layer_matrix_bounds
         from curvreach.localize import bounds_for_box
@@ -596,17 +642,24 @@ class TestStackedBounds:
         obj = ScalarObjective(net)
         lo, hi = _children(-np.ones(3), np.array([1.0, 0.5, 0.5]))
         bad = two_layer_matrix_bounds(net, bounds_for_box(net, lo[1], hi[1])).M
-        real = np.linalg.eigvalsh
 
-        def eigvalsh(a, *args, **kwargs):
-            mats = np.reshape(a, (-1,) + np.shape(a)[-2:])
-            if any(np.array_equal(m, bad) for m in mats):
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return real(a, *args, **kwargs)
+        def failing(real, message):
+            # ``real``, raising on any stack that holds the bad box's M
+            def fn(a, *args, **kwargs):
+                mats = np.reshape(a, (-1,) + np.shape(a)[-2:])
+                if any(np.array_equal(m, bad) for m in mats):
+                    raise np.linalg.LinAlgError(message)
+                return real(a, *args, **kwargs)
+            return fn
 
         alone_first = _Bounder(obj, BnBConfig()).bound(
             lo[:1], hi[:1], *_per_box(lo[:1], 1, 9.0))
-        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        # a Cholesky factorization that fails sends the bad box's M to the
+        # eigenvalues, which then fail to converge
+        monkeypatch.setattr(np.linalg, "cholesky", failing(
+            np.linalg.cholesky, "Matrix is not positive definite"))
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing(
+            np.linalg.eigvalsh, "Eigenvalues did not converge"))
         first, second = _Bounder(obj, BnBConfig()).bound(
             lo, hi, *_per_box(lo, 1, 9.0))
         _assert_same_nodes([first], alone_first)

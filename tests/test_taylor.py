@@ -10,7 +10,7 @@ from curvreach.model import ScalarObjective
 from curvreach.taylor import (BallRegion, epsilon_crossover, first_upper,
                               first_upper_from, optimal_perturbation,
                               shifted_center, two_layer_dual_upper,
-                              vertex_upper)
+                              vertex_upper, _psd_slack)
 from conftest import ball_sup_oracle, linear_net, make_net, quad_model
 
 
@@ -344,23 +344,26 @@ class TestVertexUpper:
             vertex_upper(np.zeros(n), np.eye(n), -np.ones(n), np.ones(n))
 
     def test_precomputed_eigenvalues(self):
-        # eigenvalues handed in give the value and witness of those computed
-        # inside; a stack of boxes gives each box's own result
+        # a slack handed in gives the value and witness of the one computed
+        # inside; a stack of boxes gives each box's own result.  Rank-1
+        # matrices with n > 1 fail the Cholesky test, so their slack comes
+        # from their eigenvalues
         rng = np.random.default_rng(12)
         for n in (1, 3, 5):
-            A = rng.standard_normal((2, n, n))
+            A = rng.standard_normal((2, n, 1))
             M = A @ np.swapaxes(A, 1, 2)
             g = rng.standard_normal((2, n))
             lo = rng.uniform(-1.5, -0.3, (2, n))
             hi = rng.uniform(0.3, 1.5, (2, n))
             stacked = vertex_upper(g, M, lo, hi, return_witness=True,
-                                   eig=np.linalg.eigvalsh(M))
+                                   tau=_psd_slack(M)[0])
             for k in range(2):
                 v, w = vertex_upper(g[k], M[k], lo[k], hi[k],
                                     return_witness=True)
+                tau, eig = _psd_slack(M[k:k + 1])
+                assert (eig is None) == (n == 1)
                 v_eig, w_eig = vertex_upper(g[k], M[k], lo[k], hi[k],
-                                            return_witness=True,
-                                            eig=np.linalg.eigvalsh(M[k]))
+                                            return_witness=True, tau=tau)
                 assert v_eig == v and np.array_equal(w_eig, w)
                 assert stacked[0][k] == v
                 assert np.array_equal(stacked[1][k], w)
@@ -387,12 +390,54 @@ class TestVertexUpper:
                 np.where(upper, hi[k], lo[k]) - center).max()
             assert abs(v - brute) <= 1e-12 * abs(brute)
 
+    @pytest.mark.parametrize("n", [1, 4, 13])
+    def test_off_centre_expansion_matches_every_vertex(self, n):
+        # expanded at a point of the box other than its mid-point (m != 0 in
+        # the sign table's terms), the value is the model's largest over all
+        # vertices, and each box of a stack gets its result alone; n = 13
+        # takes two blocks of vertices, and the third box's M has rank 1
+        rng = np.random.default_rng(1400 + n)
+        A = rng.standard_normal((3, n, n))
+        A[2, :, 1:] = 0.0
+        M = A @ np.swapaxes(A, 1, 2) / n
+        g = rng.standard_normal((3, n))
+        lo = rng.uniform(-1.5, -0.3, (3, n))
+        hi = rng.uniform(0.3, 1.5, (3, n))
+        center = lo + rng.uniform(0.1, 0.9, (3, n)) * (hi - lo)
+        stacked, where = vertex_upper(g, M, lo, hi, center,
+                                      return_witness=True)
+        upper = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1) == 1
+        for k in range(3):
+            v, w = vertex_upper(g[k], M[k], lo[k], hi[k], center[k],
+                                return_witness=True)
+            assert stacked[k] == v and np.array_equal(where[k], w)
+            model = quad_model(g[k], M[k])
+            brute = model(np.where(upper, hi[k], lo[k]) - center[k]).max()
+            assert abs(v - brute) <= 1e-12 * abs(brute)
+            assert model(w - center[k])[0] == pytest.approx(v, rel=1e-12)
+
+    def test_psd_slack_of_a_matrix_is_its_own(self):
+        # Cholesky factors this rank-3 M (4 x 4), whose lambda_min from
+        # eigvalsh is a rounding error below 0; in a stack with an indefinite
+        # matrix, which it does not factor, it still gets slack 0
+        A = np.random.default_rng(14).standard_normal((4, 3))
+        certified = A @ A.T
+        np.linalg.cholesky(certified)
+        assert np.linalg.eigvalsh(certified)[0] < 0.0
+        M = np.stack([certified, np.diag([1.0, 1.0, 1.0, -1e-3]), np.eye(4)])
+        tau, eig = _psd_slack(M)
+        assert eig is not None
+        alone = [_psd_slack(M[k:k + 1])[0][0] for k in range(3)]
+        assert tau.tolist() == alone
+        assert alone[0] == alone[2] == 0.0
+        assert alone[1] == pytest.approx(1e-3)
+
     def test_precomputed_eigenvalues_still_checked(self):
         M = np.diag([1.0, -2e-9])
         assert np.linalg.eigvalsh(M)[0] < -1e-9
         with pytest.raises(ValueError, match="positive semidefinite"):
             vertex_upper(np.zeros(2), M, -np.ones(2), np.ones(2),
-                         eig=np.linalg.eigvalsh(M))
+                         tau=-np.linalg.eigvalsh(M)[:1])
 
     def test_psd_tolerance_is_accounted(self):
         # lambda_min = -5e-10 passes the PSD check; the model's maximum over
