@@ -50,11 +50,12 @@ it; the per-direction finish reads the output layer and the linear term.
 The objective is evaluated once per pass, with the hidden layers run once and
 each box's output row and bias, linear term and offset gathered by direction.
 
-The directions registered with a ``Lockstep`` group run in lockstep.  The
-node loop is a generator, ``_search``, that yields each round's stack of
-children and is sent their nodes; ``_lockstep`` concatenates the stacks of
-all live searches into one ``_Bounder.bound`` pass, whose per-direction parts
-are gathered by direction for each box, and a lone solve drives a list of one
+The directions of a ``Lockstep`` group, given when it is built, run in
+lockstep.  The node loop is a generator, ``_search``, that yields each
+round's stack of children and is sent their nodes; ``_lockstep`` runs one
+search per direction of a ``_Bounder`` and concatenates the stacks of all
+live searches into one ``_Bounder.bound`` pass, whose per-direction parts are
+gathered by direction for each box, and a lone solve drives a list of one
 search.  Each search still sees exactly the nodes it would bound alone.
 """
 
@@ -135,47 +136,39 @@ def _same_layers(a, b):
 
 
 class Lockstep:
-    """The directions of one input set, solved in lockstep.
+    """The directions ``objectives`` (``ScalarObjective``s sharing their
+    hidden layers) of one input set, solved in lockstep.
 
-    ``register`` queues a direction's objective.  The first ``solve`` of a
-    queued objective with the group runs the searches of every queued
-    direction together, over that solve's box and config: each round bounds
+    The first ``solve`` with the group runs the searches of all its
+    directions together, over that solve's box and config: each round bounds
     the stacks of all live searches in one stacked pass, in which a box that
-    several directions carry gets its box-level certificates once.  The
-    directions must share their hidden layers.  The group keeps the other
-    directions' results, and a later ``solve`` of one of them over the same
-    box with the same config returns it, or re-raises the exception that
-    ended its search.  Any other solve with the group runs alone.  Each
-    result is that of solving its direction alone, bit for bit.
+    several directions carry gets its box-level certificates once.  The group
+    keeps each direction's outcome by position, and every ``solve`` with it
+    returns its own direction's result, or re-raises the exception that
+    ended its search.  A solve of a direction outside the group, or over
+    another box or with another config, raises ``ValueError``.  Each result
+    is that of solving its direction alone, bit for bit.
     """
 
-    def __init__(self):
-        self._queued = []
-        self._done = []                # (objective, run key, outcome)
-
-    def register(self, obj):
-        """Queue the direction ``obj`` (a ``ScalarObjective``) for the next
-        lockstep run; its own ``solve`` then runs it or returns its result."""
-        self._queued.append(obj)
+    def __init__(self, objectives):
+        self.objs = list(objectives)
+        self._key = self._outcomes = None
 
     def _outcome(self, obj, lo, hi, cfg, start):
         """The result of solving ``obj`` over [lo, hi] with ``cfg``, or the
         exception that ended its search."""
+        k = next((k for k, q in enumerate(self.objs) if q is obj), None)
+        if k is None:
+            raise ValueError("the direction is not in its lockstep group")
         key = (lo.tobytes(), hi.tobytes(), cfg)
-        for k, (done, done_key, outcome) in enumerate(self._done):
-            if done is obj and done_key == key:
-                del self._done[k]
-                return outcome
-        objs = [obj]
-        if any(q is obj for q in self._queued):
-            objs += [q for q in self._queued if q is not obj]
-            self._queued = []
-        bounder = _Bounder(obj, cfg)
-        slots = [0, *bounder.add(*objs[1:])]
-        outcomes = _lockstep(bounder, slots, lo, hi, cfg, start)
-        self._done += [(q, key, outcome)
-                       for q, outcome in zip(objs[1:], outcomes[1:])]
-        return outcomes[0]
+        if self._outcomes is None:
+            self._outcomes = _lockstep(_Bounder(self.objs, cfg), lo, hi, cfg,
+                                       start)
+            self._key = key
+        elif key != self._key:
+            raise ValueError("a lockstep group is solved over one box with "
+                             "one config")
+        return self._outcomes[k]
 
 
 @dataclass(slots=True)
@@ -243,10 +236,17 @@ class _Bounder:
     per-direction parts (the output row and bias, the linear term and
     offset, ``lin_inf`` and ``head_inf``) are kept per direction and
     gathered by direction for each box of a stack, in which one call
-    evaluates the objective.  Direction 0 is ``obj``; ``add`` appends more."""
+    evaluates the objective.  Direction i is ``objs[i]``."""
 
-    def __init__(self, obj, cfg):
-        self.net = obj.net             # localization reads its hidden layers
+    def __init__(self, objs, cfg):
+        self.objs = objs
+        self.net = objs[0].net         # localization reads its hidden layers
+        if any(not _same_layers(self.net.layers[:-1], obj.net.layers[:-1])
+               or (obj.linear is None) != (objs[0].linear is None)
+               for obj in objs):
+            raise ValueError("directions solved in lockstep must share their "
+                             "hidden layers, and all have a linear term or "
+                             "none")
         self.cfg = cfg
         self.two_layer = self.net.depth == 2 and cfg.use_first_order
         self.deep = self.net.depth >= 3 and cfg.use_first_order
@@ -255,32 +255,18 @@ class _Bounder:
         # the ell_2 subnetwork stages open with ||W_1|| .. ||W_{L-1}||, which
         # depend on neither the box nor the direction
         self.heads2 = lip._head_norms(self.weights, 2) if self.deep else None
-        self.objs = []
-        self.add(obj)
-
-    def add(self, *objs):
-        """Add directions sharing the hidden layers; returns their numbers."""
-        every = self.objs + list(objs)
-        if any(not _same_layers(self.net.layers[:-1], obj.net.layers[:-1])
-               or (obj.linear is None) != (every[0].linear is None)
-               for obj in objs):
-            raise ValueError("directions solved in lockstep must share their "
-                             "hidden layers, and all have a linear term or "
-                             "none")
-        self.objs = every
-        lasts = [obj.net.layers[-1] for obj in every]
+        lasts = [obj.net.layers[-1] for obj in objs]
         self.rows = np.array([last.weight for last in lasts])
         self.bias = np.array([last.bias[None] for last in lasts])
-        self.linear = None if every[0].linear is None \
-            else np.array([obj.linear for obj in every])
-        self.offset = np.array([[obj.offset] for obj in every])
+        self.linear = None if objs[0].linear is None \
+            else np.array([obj.linear for obj in objs])
+        self.offset = np.array([[obj.offset] for obj in objs])
         self.lin_inf = np.array([obj.linear_dual_norm(np.inf)
-                                 for obj in every])
+                                 for obj in objs])
         # the ell_inf total stage opens with ||W_L||, which does not depend
         # on the box
         self.head_inf = np.array([lip._norm(last.weight, np.inf)
                                   for last in lasts])
-        return range(len(self.objs) - len(objs), len(self.objs))
 
     def _stack(self, dirs):
         """The objectives of a stack's boxes as one ``ScalarObjective``
@@ -502,10 +488,11 @@ class _Bounder:
 def solve(obj_or_net, lo, hi, eps_t=None, cfg=None, lockstep=None):
     """Branch and bound over the box [lo, hi] until ub - lb <= eps_t.
 
-    ``lockstep`` (internal) is a ``Lockstep`` group; it changes no result.  A
-    solve of a direction registered with it runs, or has run, in lockstep
-    with the group's other registered directions; its ``wall_time_s`` then
-    runs from the start of that lockstep run to the end of its own search."""
+    ``lockstep`` (internal) is a ``Lockstep`` group that holds the direction;
+    it changes no result.  The group's first solve runs all its directions in
+    lockstep, and each solve returns its own direction's result; its
+    ``wall_time_s`` runs from the start of that lockstep run to the end of its
+    own search."""
     obj = as_objective(obj_or_net)
     cfg = cfg or BnBConfig()
     if eps_t is not None:
@@ -521,7 +508,7 @@ def solve(obj_or_net, lo, hi, eps_t=None, cfg=None, lockstep=None):
 
     start = time.perf_counter()
     if lockstep is None:
-        outcome, = _lockstep(_Bounder(obj, cfg), [0], lo, hi, cfg, start)
+        outcome, = _lockstep(_Bounder([obj], cfg), lo, hi, cfg, start)
     else:
         outcome = lockstep._outcome(obj, lo, hi, cfg, start)
     if isinstance(outcome, Exception):
@@ -529,44 +516,43 @@ def solve(obj_or_net, lo, hi, eps_t=None, cfg=None, lockstep=None):
     return outcome
 
 
-def _pass(bounder, slots, asks):
-    """Bound the stacks ``asks`` of the searches of directions ``slots`` in
+def _pass(bounder, dirs, asks):
+    """Bound the stacks ``asks`` of the searches of directions ``dirs`` in
     one stacked pass; returns each stack's nodes."""
     if len(asks) == 1:
-        return [bounder.bound(*asks[0], np.full(len(asks[0][0]), slots[0]))]
+        return [bounder.bound(*asks[0], np.full(len(asks[0][0]), dirs[0]))]
     counts = [len(ask[0]) for ask in asks]
     nodes = bounder.bound(*(np.concatenate(part) for part in zip(*asks)),
-                          np.repeat(slots, counts))
+                          np.repeat(dirs, counts))
     cuts = np.cumsum([0] + counts).tolist()
     return [nodes[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
-def _own_pass(bounder, slot, ask):
+def _own_pass(bounder, direction, ask):
     """One search's stack bounded alone, or the exception that raised."""
     try:
-        return bounder.bound(*ask, np.full(len(ask[0]), slot))
+        return bounder.bound(*ask, np.full(len(ask[0]), direction))
     except Exception as exc:           # re-raised by the search's solve
         return exc
 
 
-def _lockstep(bounder, slots, lo, hi, cfg, start):
-    """One search over [lo, hi] per direction ``slots`` of ``bounder``, run
-    together: each round bounds the stacks of all live searches in one
-    stacked pass.  Returns each search's ``BnBResult``, or the exception
-    that ended it, for its solve to raise."""
-    searches = [_search(lo, hi, cfg, start) for _ in slots]
+def _lockstep(bounder, lo, hi, cfg, start):
+    """One search over [lo, hi] per direction of ``bounder``, run together:
+    each round bounds the stacks of all live searches in one stacked pass.
+    Returns each search's ``BnBResult``, or the exception that ended it, for
+    its solve to raise."""
+    searches = [_search(lo, hi, cfg, start) for _ in bounder.objs]
     asks = {i: next(search) for i, search in enumerate(searches)}
-    outcomes = [None] * len(slots)
+    outcomes = [None] * len(searches)
     while asks:
         live = list(asks)
         try:
-            replies = _pass(bounder, [slots[i] for i in live],
-                            [asks[i] for i in live])
+            replies = _pass(bounder, live, [asks[i] for i in live])
         except Exception as exc:       # re-raised by the search's solve
             # the round again, one search at a time, so that an exception
             # ends only the search whose own pass raises it
             replies = [exc] if len(live) == 1 else [
-                _own_pass(bounder, slots[i], asks[i]) for i in live]
+                _own_pass(bounder, i, asks[i]) for i in live]
         for i, reply in zip(live, replies):
             if isinstance(reply, Exception):
                 outcomes[i] = reply
@@ -675,10 +661,9 @@ def latent_objective(obj, G, x_c, net=None):
     return ScalarObjective(net, linear, offset)
 
 
-def solve_zonotope(obj_or_net, G, x_c, eps_t=None, cfg=None, lockstep=None):
+def solve_zonotope(obj_or_net, G, x_c, eps_t=None, cfg=None):
     """sup over the zonotope {G z + x_c : ||z||_inf <= 1} by solving the
     composed objective over the latent unit box."""
     m = np.shape(G)[1]
     return solve(latent_objective(as_objective(obj_or_net), G, x_c),
-                 -np.ones(m), np.ones(m), eps_t=eps_t, cfg=cfg,
-                 lockstep=lockstep)
+                 -np.ones(m), np.ones(m), eps_t=eps_t, cfg=cfg)

@@ -162,7 +162,11 @@ def _cmd_bnb(args):
     c = fileio.parse_vector(args.direction, net.output_dim)
     objective = ScalarObjective(scalarize(net, c))
     input_set = _input_set(args, net.input_dim)
-    res = reach._solve_direction(objective, input_set, cfg)
+    if isinstance(input_set, reach.Box):
+        res = bnb.solve(objective, input_set.lo, input_set.hi, cfg=cfg)
+    else:
+        res = bnb.solve_zonotope(objective, input_set.G, input_set.center,
+                                 cfg=cfg)
     _emit(_result_dict(res), args.out)
     print(f"bnb: status={res.status} lb={res.lb:.6g} ub={res.ub:.6g} "
           f"branches={res.branches_processed}", file=sys.stderr)

@@ -73,6 +73,9 @@ class Zonotope:
         c = np.asarray(self.center, dtype=float)
         if G.ndim != 2 or c.ndim != 1 or G.shape[0] != c.shape[0]:
             raise ValueError("generator matrix rows must match center length")
+        if G.shape[1] == 0:
+            raise ValueError(f"zonotope G of shape {G.shape} has no "
+                             "generator columns")
         require_finite(G, "zonotope G")
         require_finite(c, "zonotope center")
         object.__setattr__(self, "G", G)
@@ -204,20 +207,12 @@ class Polytope:
         return float(np.max(self.normals @ point - self.offsets))
 
 
-def _solve_direction(objective, input_set, cfg, lockstep=None):
-    if isinstance(input_set, Box):
-        return bnb.solve(objective, input_set.lo, input_set.hi, cfg=cfg,
-                         lockstep=lockstep)
-    return bnb.solve_zonotope(objective, input_set.G, input_set.center,
-                              cfg=cfg, lockstep=lockstep)
-
-
-def _zeroth_root_offset(objective, input_set):
+def _zeroth_root_offset(objective, box):
     """Sound fallback face offset: root-level zeroth-order bound only,
     solved alone, since its config is not the step's."""
     fallback = bnb.BnBConfig(eps_t=np.inf, use_first_order=False,
                              max_branches=1)
-    res = _solve_direction(objective, input_set, fallback)
+    res = bnb.solve(objective, box.lo, box.hi, cfg=fallback)
     return res.ub, res.lb
 
 
@@ -240,32 +235,32 @@ def _over_latent_box(objectives, zono):
 
 def _support_polytope(dirs, objective_for, input_set, cfg):
     """One face per row c of dirs, offset by the solve of sup objective_for(c)
-    over the input set.  Every direction is registered with one lockstep
-    group, so the first solve runs them all with one stacked bound pass per
-    round, in which a box that several directions carry gets its box-level
-    certificates, which do not depend on c, once.  Each result is that of
-    solving its direction alone.  A solve that fails numerically falls back to the
-    zeroth-order root face: its row goes into ``flagged`` and its result is
-    None."""
+    over the input set, a zonotope solved over its latent unit box.  All
+    directions form one lockstep group, so the first solve runs them all with
+    one stacked bound pass per round, in which a box that several directions
+    carry gets its box-level certificates, which do not depend on c, once.
+    Each result is that of solving its direction alone.  A solve that fails
+    numerically falls back to the zeroth-order root face: its row goes into
+    ``flagged`` and its result is None."""
     objectives = [objective_for(c) for c in dirs]
+    box = input_set
     if isinstance(input_set, Zonotope):
         objectives = _over_latent_box(objectives, input_set)
         m = input_set.G.shape[1]
-        input_set = Box(-np.ones(m), np.ones(m))
+        box = Box(-np.ones(m), np.ones(m))
     offsets = np.empty(dirs.shape[0])
     lbs = np.empty(dirs.shape[0])
     flagged = []
     results = []
-    lockstep = bnb.Lockstep()
-    for objective in objectives:
-        lockstep.register(objective)
+    lockstep = bnb.Lockstep(objectives)
     for i, objective in enumerate(objectives):
         try:
-            res = _solve_direction(objective, input_set, cfg, lockstep)
+            res = bnb.solve(objective, box.lo, box.hi, cfg=cfg,
+                            lockstep=lockstep)
             offsets[i], lbs[i] = res.ub, res.lb
         except (taylor.DualBisectionError, np.linalg.LinAlgError,
                 FloatingPointError):
-            offsets[i], lbs[i] = _zeroth_root_offset(objective, input_set)
+            offsets[i], lbs[i] = _zeroth_root_offset(objective, box)
             flagged.append(i)
             res = None
         results.append(res)
@@ -346,6 +341,10 @@ def closed_loop_step(sys, input_set, template, eps_t, cfg=None,
     propagated set (axis-aligned interval hull or PCA-rotated box)."""
     if input_set.dim != sys.dim:
         raise ValueError("input set dimension does not match the system")
+    if template is not None and template.directions.shape[1] != sys.dim:
+        raise ValueError(f"template {template.tag!r} has width "
+                         f"{template.directions.shape[1]}, but the state "
+                         f"dimension is {sys.dim}")
     cfg = replace(cfg or bnb.BnBConfig(), eps_t=eps_t)
     n = sys.dim
     if next_rep == "pca":

@@ -28,7 +28,7 @@ def _per_box(lo, first=0, parent_ub=np.inf):
 def _constants(obj, lo, hi):
     """``_Bounder._constants`` of a stack ``lo``, ``hi`` of direction 0, with
     the stack's stand-in network as ``bound`` passes it."""
-    bounder = _Bounder(obj, BnBConfig())
+    bounder = _Bounder([obj], BnBConfig())
     dirs = _per_box(lo)[2]
     return bounder._constants(lo, hi, dirs, bounder._stack(dirs).net)
 
@@ -84,7 +84,7 @@ class TestSelect:
 def _nodes(lo, hi):
     """The nodes of the stacked boxes ``lo``, ``hi``, bounded in one pass."""
     obj = scalar_linear(np.ones(lo.shape[1]))
-    return _Bounder(obj, BnBConfig()).bound(lo, hi, *_per_box(lo))
+    return _Bounder([obj], BnBConfig()).bound(lo, hi, *_per_box(lo))
 
 
 class TestSplit:
@@ -359,7 +359,7 @@ class TestFailureEnvelope:
         net = make_net([2, 6, 1], seed=3100)
         obj = ScalarObjective(net)
         cfg = BnBConfig(eps_t=1e-3)
-        bounder = _Bounder(obj, cfg)
+        bounder = _Bounder([obj], cfg)
         lo = -np.ones((1, 2))
         root, = bounder.bound(lo, np.ones((1, 2)), *_per_box(lo))
 
@@ -393,7 +393,7 @@ class TestFailureEnvelope:
             return nan, nan
 
         monkeypatch.setattr(hs, "_interval_hessian_raw", overflowed)
-        node, = _Bounder(obj, BnBConfig()).bound(lo, hi, *_per_box(lo))
+        node, = _Bounder([obj], BnBConfig()).bound(lo, hi, *_per_box(lo))
         value, grad = obj.value_and_grad(np.zeros(2))
         # half-edges 1: the lam model peaks at J(0) + |g|_1 + lam
         lam_model = value + np.abs(grad).sum() + lam[0]
@@ -479,13 +479,12 @@ def _bound_stacked_and_alone(obj, lo, hi, parent_ub=np.inf):
     share their hidden layers and are stacked as in a lockstep pass."""
     args = _per_box(lo, 1, parent_ub)
     if isinstance(obj, list):
-        bounder = _Bounder(obj[0], BnBConfig())
-        dirs = np.array([0, *bounder.add(*obj[1:])])
-        stacked = bounder.bound(lo, hi, *args[:2], dirs)
+        stacked = _Bounder(obj, BnBConfig()).bound(lo, hi, *args[:2],
+                                                   np.arange(len(obj)))
     else:
-        stacked = _Bounder(obj, BnBConfig()).bound(lo, hi, *args)
+        stacked = _Bounder([obj], BnBConfig()).bound(lo, hi, *args)
         obj = [obj] * len(lo)
-    alone = [_Bounder(obj[k], BnBConfig()).bound(
+    alone = [_Bounder([obj[k]], BnBConfig()).bound(
                  lo[k:k + 1], hi[k:k + 1], *(a[k:k + 1] for a in args))[0]
              for k in range(len(lo))]
     return stacked, alone
@@ -652,7 +651,7 @@ class TestStackedBounds:
                 return real(a, *args, **kwargs)
             return fn
 
-        alone_first = _Bounder(obj, BnBConfig()).bound(
+        alone_first = _Bounder([obj], BnBConfig()).bound(
             lo[:1], hi[:1], *_per_box(lo[:1], 1, 9.0))
         # a Cholesky factorization that fails sends the bad box's M to the
         # eigenvalues, which then fail to converge
@@ -660,7 +659,7 @@ class TestStackedBounds:
             np.linalg.cholesky, "Matrix is not positive definite"))
         monkeypatch.setattr(np.linalg, "eigvalsh", failing(
             np.linalg.eigvalsh, "Eigenvalues did not converge"))
-        first, second = _Bounder(obj, BnBConfig()).bound(
+        first, second = _Bounder([obj], BnBConfig()).bound(
             lo, hi, *_per_box(lo, 1, 9.0))
         _assert_same_nodes([first], alone_first)
         assert not first.flagged
@@ -746,9 +745,7 @@ class TestSpeculativeBatching:
 
         def run():
             objs = [ScalarObjective(scalarize(net, c)) for c in directions]
-            group = Lockstep()
-            for obj in objs:
-                group.register(obj)
+            group = Lockstep(objs)
             return [solve(obj, lo, hi, cfg=BnBConfig(eps_t=1e-4),
                           lockstep=group) for obj in objs]
 
@@ -813,9 +810,9 @@ class TestBoxCertificates:
         ang = 2.0 * np.pi * np.arange(6) / 6
         return np.stack([np.cos(ang), np.sin(ang)], axis=1)
 
-    def test_registered_directions_run_in_lockstep(self, monkeypatch):
-        # the first solve of a registered direction runs them all; a later
-        # solve returns its kept result, unless its box or config differs
+    def test_group_directions_run_in_lockstep(self, monkeypatch):
+        # the group's first solve runs all its directions; a later solve
+        # returns its kept result
         net = make_net([2, 6, 5, 2], seed=3900)
         objs = [ScalarObjective(scalarize(net, c)) for c in self.directions()]
         lo, hi = -np.ones(2), np.ones(2)
@@ -823,31 +820,46 @@ class TestBoxCertificates:
         runs = []
         real = bnb._lockstep
 
-        def counting(bounder, slots, *args):
-            runs.append(len(slots))
-            return real(bounder, slots, *args)
+        def counting(bounder, *args):
+            runs.append(len(bounder.objs))
+            return real(bounder, *args)
 
         monkeypatch.setattr(bnb, "_lockstep", counting)
-        group = Lockstep()
-        for obj in objs:
-            group.register(obj)
+        group = Lockstep(objs)
         shared = [solve(obj, lo, hi, cfg=cfg, lockstep=group) for obj in objs]
-        other = solve(objs[1], lo, hi, cfg=BnBConfig(eps_t=1e-2),
-                      lockstep=group)
-        assert runs == [len(objs), 1]
+        assert runs == [len(objs)]
         for obj, res in zip(objs, shared):
             assert_same_result(res, solve(obj, lo, hi, cfg=cfg))
-        assert_same_result(other, solve(objs[1], lo, hi, eps_t=1e-2))
+
+    def test_group_refuses_other_solves(self):
+        # a direction outside the group, another box or another config
+        # raises rather than running alone
+        net = make_net([2, 6, 5, 2], seed=3900)
+        objs = [ScalarObjective(scalarize(net, c)) for c in self.directions()]
+        lo, hi = -np.ones(2), np.ones(2)
+        cfg = BnBConfig(eps_t=1e-2)
+        group = Lockstep(objs[:3])
+        with pytest.raises(ValueError, match="not in its lockstep group"):
+            solve(objs[3], lo, hi, cfg=cfg, lockstep=group)
+        solve(objs[0], lo, hi, cfg=cfg, lockstep=group)
+        for args, kwargs in (((objs[1], lo, 0.5 * hi), {"cfg": cfg}),
+                             ((objs[1], lo, hi), {"eps_t": 1e-3}),
+                             ((objs[1], lo, hi),
+                              {"cfg": replace(cfg, max_branches=50)})):
+            with pytest.raises(ValueError, match="one box with one config"):
+                solve(*args, **kwargs, lockstep=group)
+        with pytest.raises(ValueError, match="not in its lockstep group"):
+            solve(objs[3], lo, hi, cfg=cfg, lockstep=group)
+        assert_same_result(solve(objs[1], lo, hi, cfg=cfg, lockstep=group),
+                           solve(objs[1], lo, hi, cfg=cfg))
 
     @staticmethod
     def assert_third_refused(objs, lo, hi):
         """The first two directions run in lockstep; with the third, whose
         hidden layers differ, the run is refused."""
         def run(objs):
-            group = Lockstep()
-            for obj in objs:
-                group.register(obj)
-            return solve(objs[0], lo, hi, eps_t=1e-2, lockstep=group)
+            return solve(objs[0], lo, hi, eps_t=1e-2,
+                         lockstep=Lockstep(objs))
 
         run(objs[:2])
         with pytest.raises(ValueError, match="hidden layers"):
@@ -890,9 +902,7 @@ class TestBoxCertificates:
             return real(self, lo, hi)
 
         monkeypatch.setattr(_Bounder, "_fresh_certificate", fresh)
-        group = Lockstep()
-        for obj in objs:
-            group.register(obj)
+        group = Lockstep(objs)
         shared = [solve(obj, lo, hi, cfg=cfg, lockstep=group) for obj in objs]
         # the first pass bounds every direction's root, the one box [lo, hi]
         assert len(stacks[0]) == 1
@@ -905,9 +915,8 @@ class TestBoxCertificates:
         # equal floats are not enough: a box is shared only when its bounds
         # are bit for bit the same, so 0.0 and -0.0 stay apart
         net = make_net([2, 6, 5, 2], seed=3800)
-        bounder = _Bounder(ScalarObjective(scalarize(net, [1.0, 0.0])),
-                           BnBConfig())
-        bounder.add(ScalarObjective(scalarize(net, [0.0, 1.0])))
+        bounder = _Bounder([ScalarObjective(scalarize(net, c))
+                            for c in ([1.0, 0.0], [0.0, 1.0])], BnBConfig())
         real = _Bounder._fresh_certificate
         counts = []
 

@@ -137,6 +137,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert field in err and "non-finite" in err
 
+    @pytest.mark.parametrize("command", ["bnb", "reach"])
+    def test_zonotope_without_generators_names_file(self, tanh_file, tmp_path,
+                                                    capsys, command):
+        zono = tmp_path / "zono.json"
+        zono.write_text('{"G": [[], []], "center": [2.5, 0.0]}')
+        extra = ["--direction", "1,0"] if command == "bnb" else []
+        assert main([command, "--network", tanh_file, *extra, "--zonotope",
+                     str(zono)]) == 1
+        err = capsys.readouterr().err
+        assert f"{zono}: zonotope G of shape (2, 0) has no generator" in err
+
     def test_closedloop_zero_steps_rejected(self, di_files, tmp_path, capsys):
         system, ctrl, hexagon = di_files
         out_dir = tmp_path / "cl"

@@ -158,16 +158,16 @@ class TestReachPolytope:
         # both callers of the shared per-direction loop: a direction whose
         # solve raises gets a sound zeroth-order root face and is flagged
         import curvreach.reach as reach_mod
-        real = reach_mod._solve_direction
+        real = reach_mod.bnb.solve
         calls = {"n": 0}
 
-        def flaky(objective, input_set, cfg, lockstep=None):
+        def flaky(objective, lo, hi, cfg, lockstep=None):
             calls["n"] += 1
             if calls["n"] == 1 and np.isfinite(cfg.eps_t):
                 raise np.linalg.LinAlgError("solver blew up")
-            return real(objective, input_set, cfg, lockstep)
+            return real(objective, lo, hi, cfg=cfg, lockstep=lockstep)
 
-        monkeypatch.setattr(reach_mod, "_solve_direction", flaky)
+        monkeypatch.setattr(reach_mod.bnb, "solve", flaky)
         net = make_net([2, 6, 2], seed=4300)
         box = Box(-np.ones(2), np.ones(2))
         poly, results = reach_polytope(net, box, axes_directions(2), 1e-3)
@@ -189,10 +189,10 @@ class TestReachPolytope:
         # only numerical failures become flagged faces; a bug surfaces
         import curvreach.reach as reach_mod
 
-        def broken(objective, input_set, cfg, lockstep=None):
+        def broken(objective, lo, hi, cfg, lockstep=None):
             raise ValueError("shape bug")
 
-        monkeypatch.setattr(reach_mod, "_solve_direction", broken)
+        monkeypatch.setattr(reach_mod.bnb, "solve", broken)
         net = make_net([2, 6, 2], seed=4300)
         with pytest.raises(ValueError, match="shape bug"):
             reach_polytope(net, Box(-np.ones(2), np.ones(2)),
@@ -227,19 +227,19 @@ class TestSharedCertificates:
     def test_closed_loop_step_zonotope(self, monkeypatch, di_controller):
         # record each direction's result, in lockstep and alone
         import curvreach.reach as reach_mod
-        real = reach_mod._solve_direction
+        real = reach_mod.bnb.solve
         sys_model = di_system(di_controller)
         runs = []
         for share in (True, False):
             results = []
 
-            def recording(objective, input_set, cfg, lockstep=None):
-                res = real(objective, input_set, cfg,
-                           lockstep if share else None)
+            def recording(objective, lo, hi, cfg, lockstep=None):
+                res = real(objective, lo, hi, cfg=cfg,
+                           lockstep=lockstep if share else None)
                 results.append(res)
                 return res
 
-            monkeypatch.setattr(reach_mod, "_solve_direction", recording)
+            monkeypatch.setattr(reach_mod.bnb, "solve", recording)
             poly, _ = closed_loop_step(sys_model, hexagon(),
                                        uniform_directions(16), 1e-3)
             runs.append((poly, results))
@@ -287,9 +287,9 @@ class TestLockstepDirections:
         real = bnb._pass
         passes = []
 
-        def counting(bounder, slots, asks):
-            passes.append(len(slots))
-            return real(bounder, slots, asks)
+        def counting(bounder, dirs, asks):
+            passes.append(len(dirs))
+            return real(bounder, dirs, asks)
 
         monkeypatch.setattr(bnb, "_pass", counting)
         return passes
@@ -348,17 +348,19 @@ class TestLockstepDirections:
         sys_model = di_system(di_controller)
         input_set = hexagon() if kind == "zonotope" else \
             Box(np.array([2.4, -0.1]), np.array([2.6, 0.1]))
-        real = reach_mod._solve_direction
+        real = reach_mod.bnb.solve
         results = []
 
-        def recording(objective, input_set, cfg, lockstep=None):
-            results.append(real(objective, input_set, cfg, lockstep))
+        def recording(objective, lo, hi, cfg, lockstep=None):
+            results.append(real(objective, lo, hi, cfg=cfg,
+                                lockstep=lockstep))
             return results[-1]
 
-        monkeypatch.setattr(reach_mod, "_solve_direction", recording)
+        monkeypatch.setattr(reach_mod.bnb, "solve", recording)
         passes = self.count_passes(monkeypatch)
         poly, _ = closed_loop_step(sys_model, input_set,
                                    uniform_directions(16), cfg.eps_t, cfg)
+        monkeypatch.setattr(reach_mod.bnb, "solve", real)
         lockstep = len(passes)
         objectives = [sys_model.step_objective(c) for c in poly.normals]
         alone, rounds = self.rounds_alone(monkeypatch, objectives,
@@ -383,17 +385,19 @@ class TestLockstepDirections:
                                  drift=np.array([0.3, -0.2]))
         input_set = hexagon() if kind == "zonotope" else \
             Box(np.array([2.4, -0.1]), np.array([2.6, 0.1]))
-        real = reach_mod._solve_direction
+        real = reach_mod.bnb.solve
         results = []
 
-        def recording(objective, input_set, cfg, lockstep=None):
-            results.append(real(objective, input_set, cfg, lockstep))
+        def recording(objective, lo, hi, cfg, lockstep=None):
+            results.append(real(objective, lo, hi, cfg=cfg,
+                                lockstep=lockstep))
             return results[-1]
 
-        monkeypatch.setattr(reach_mod, "_solve_direction", recording)
+        monkeypatch.setattr(reach_mod.bnb, "solve", recording)
         passes = self.count_passes(monkeypatch)
         poly, _ = closed_loop_step(sys_model, input_set,
                                    uniform_directions(16), cfg.eps_t, cfg)
+        monkeypatch.setattr(reach_mod.bnb, "solve", real)
         lockstep = len(passes)
         objectives = [sys_model.step_objective(c) for c in poly.normals]
         assert len({obj.offset for obj in objectives}) > 10
@@ -554,6 +558,13 @@ class TestClosedLoop:
         with pytest.raises(ValueError):
             closed_loop_step(sys_model, Box(-np.ones(3), np.ones(3)), None,
                              1e-3)
+
+    def test_template_width_mismatch(self, di_controller):
+        # rejected before sampling, naming both widths
+        sys_model = di_system(di_controller)
+        template = DirectionTemplate(np.array([[1.0, 0.0, 0.0]]), "wide")
+        with pytest.raises(ValueError, match="width 3.*dimension is 2"):
+            closed_loop_step(sys_model, hexagon(), template, 1e-3)
 
     def test_pca_step_needs_more_samples_than_dims(self, di_controller):
         sys_model = di_system(di_controller)
