@@ -29,16 +29,22 @@ smallest axis on ties), bound both children, update the best lower bound over
 both and push them, first child first; a box too small to split is finalized.
 Each node's split axis, or -1 for no split, is decided where the node is
 bounded, in one step over its stack in ``_Bounder.bound``.  For speed, each
-step pops up to ``_BATCH`` top nodes, builds all their halves at once
-(``_halves``), bounds every child in one stacked pass and replays the
-one-node loop over the results.  Before each later node of the batch the
-replay redoes that loop's checks: termination, the node budget, and whether
-a child pushed meanwhile now outranks the node.  At the first failed check
-the unreplayed nodes go back on the heap and their children are dropped, so
-node numbers, counts, bounds and witness are those of the one-node loop, bit
-for bit.  The batch grows from one node as a solve proceeds: it holds at most
-as many nodes as were expanded before it, as the budget leaves room for, and
-as stay above the termination gap, so short solves stay sequential.
+step pops up to ``_BATCH`` (64) top nodes, builds the halves of those not
+halved before at once (``_halves``), bounds them in one stacked pass and
+replays the one-node loop over the results.  Before each later node of the
+batch the replay redoes that loop's checks: termination, the node budget,
+and whether a child pushed meanwhile now outranks the node.  At the first
+failed check the unreplayed nodes go back on the heap and keep their bounded
+children for when they are popped again, so no box is bounded twice in a
+search.  A child's bounds read only its box, its direction and its parent's
+upper bound, and the replay numbers each child as the one-node loop does, so
+node numbers, counts, bounds and witness are those of that loop, bit for
+bit.  The batch grows from one node as a solve proceeds: it holds at most as
+many nodes as were expanded before it, as the budget leaves room for, and as
+stay above the termination gap, so short solves stay sequential; and it
+halves a node only while fewer than ``_BATCH`` nodes of the search hold
+children that no replay has reached, so the children bounded and never
+counted are those of at most ``_BATCH`` nodes.
 
 Each child gets the bounds it would get alone, bit for bit, and never a
 looser upper bound than its parent; only the dual solve runs per child.  A
@@ -76,7 +82,7 @@ from .model import Network, ScalarObjective, prepend_affine
 _PRUNE_SLACK = 1e-12
 _DEGENERATE = 1e-13
 _VERTEX_CAP = 12                       # vertex enumeration up to this dimension
-_BATCH = 32                            # most nodes whose children share a pass
+_BATCH = 64                            # most nodes whose children share a pass
 
 
 @dataclass
@@ -594,25 +600,35 @@ def _search(lo, hi, cfg, start):
             return "BranchLimit"
         return None
 
+    kept = {}                          # node index -> its bounded children
     while True:
         status = stop(heap[0] if heap else None)
         if status:
             break
 
-        # speculate: pop the top nodes the one-node loop may expand next
+        # speculate: pop the top nodes the one-node loop may expand next.  A
+        # node not halved before joins only while fewer than _BATCH nodes
+        # hold children that no replay has reached
         size = min(_BATCH, max(expanded, 1),
                    (cfg.max_branches - branches + 1) // 2)
-        batch = [heapq.heappop(heap)]
-        while (len(batch) < size and heap
-               and heap[0][2].ub - best_lb > cfg.eps_t):
+        batch, fresh = [], []
+        while heap and len(batch) < size:
+            node = heap[0][2]
+            if batch and node.ub - best_lb <= cfg.eps_t:
+                break
+            if node.axis >= 0 and node.index not in kept:
+                if batch and len(kept) + len(fresh) >= _BATCH:
+                    break
+                fresh.append(node)
             batch.append(heapq.heappop(heap))
-        split = [node for _, _, node in batch if node.axis >= 0]
-        # every child in one stacked pass, numbered in the order the one-node
-        # loop gives them
-        children = (yield _halves(split, next_index)) if split else []
+        if fresh:
+            # the children of every node not yet halved in one stacked pass,
+            # under provisional numbers that no bound reads
+            children = yield _halves(fresh, next_index)
+            for k, node in enumerate(fresh):
+                kept[node.index] = children[2 * k:2 * k + 2]
 
-        # replay the one-node loop; children of unreplayed nodes are dropped
-        k = 0
+        # replay the one-node loop; an unreplayed node keeps its children
         for j, entry in enumerate(batch):
             if j and (heap and heap[0] < entry or stop(entry)):
                 for rest in batch[j:]:
@@ -622,10 +638,11 @@ def _search(lo, hi, cfg, start):
             if entry[2].axis < 0:
                 finalized_ub = max(finalized_ub, entry[2].ub)
                 continue
-            kids = children[k:k + 2]
-            k += 2
-            next_index += 2
+            kids = kept.pop(entry[2].index)
             for child in kids:
+                # numbered in the order the one-node loop gives them
+                child.index = next_index
+                next_index += 1
                 branches += 1
                 if child.flagged:
                     flagged += 1

@@ -201,6 +201,10 @@ def _cmd_closedloop(args):
                          f"{args.sim_points}")
     input_set = _input_set(args, sys_model.dim)
     template, pca_n = _parse_template(args.dirs, sys_model.dim)
+    if args.hull and pca_n is not None:
+        raise ValueError(f"--dirs {args.dirs} sets the sample count of the "
+                         "PCA box, which --hull replaces by the interval "
+                         "hull; drop one of the two")
     next_rep = "hull" if args.hull else "pca"
     t0 = time.perf_counter()
     trace = reach.closed_loop_reach(

@@ -670,22 +670,31 @@ class TestStackedBounds:
 
 def _solve_both_ways(monkeypatch, run):
     """``run()`` with speculative batches and with one node per stacked pass
-    (``_BATCH = 1``, the one-node loop), and the stack sizes each bounded."""
+    (``_BATCH = 1``, the one-node loop), and the passes each bounded: every
+    pass's nodes, each with the node number it was bounded under."""
     real, full = _Bounder.bound, bnb._BATCH
-    results, sizes = [], []
+    results, passes = [], []
     for batch in (full, 1):
         monkeypatch.setattr(bnb, "_BATCH", batch)
-        sizes.append([])
+        passes.append([])
 
-        def bound(self, lo, hi, *args, sizes=sizes[-1]):
-            sizes.append(len(lo))
-            return real(self, lo, hi, *args)
+        def bound(self, *args, passes=passes[-1]):
+            nodes = real(self, *args)
+            passes.append([(node, node.index) for node in nodes])
+            return nodes
 
         monkeypatch.setattr(_Bounder, "bound", bound)
         results.append(run())
     monkeypatch.setattr(_Bounder, "bound", real)
     monkeypatch.setattr(bnb, "_BATCH", full)
-    return results, sizes
+    return results, passes
+
+
+def _renumbered(passes):
+    """Whether some node's number changed after it was bounded: the replay
+    numbered a child that its parent's earlier pass had kept."""
+    return any(node.index != index for nodes in passes
+               for node, index in nodes)
 
 
 class TestSpeculativeBatching:
@@ -694,23 +703,43 @@ class TestSpeculativeBatching:
     that of the one-node loop."""
 
     def compare(self, monkeypatch, obj, lo, hi, cfg):
-        (batched, one), (sizes, one_sizes) = _solve_both_ways(
+        (batched, one), (passes, one_passes) = _solve_both_ways(
             monkeypatch, lambda: solve(obj, lo, hi, cfg=cfg))
         assert_same_result(batched, one)
-        assert max(one_sizes) <= 2
-        # the batch grows from one node; children of nodes the replay did
-        # not reach are bounded and dropped
+        sizes = [len(nodes) for nodes in passes]
+        assert max(len(nodes) for nodes in one_passes) <= 2
+        # the batch grows from one node
         assert sizes[:3] == [1, 2, 2]
-        assert sum(sizes) >= one.branches_processed
-        return batched, sizes
+        # no box is bounded twice in a search: an unreplayed node keeps its
+        # children, so only those of nodes left on the heap at the end are
+        # bounded and never counted.  Fewer than _BATCH nodes hold children
+        # after a replay whose first node splits, as every node of these
+        # solves does
+        boxes = {node.lo.tobytes() + node.hi.tobytes()
+                 for nodes in passes for node, _ in nodes}
+        assert len(boxes) == sum(sizes)
+        assert 0 <= sum(sizes) - one.branches_processed <= 2 * bnb._BATCH - 2
+        return batched, passes
 
     def test_budget_stop(self, monkeypatch):
+        # a small cap, so that the batch reaches it before the budget stop
+        monkeypatch.setattr(bnb, "_BATCH", 8)
         obj = ScalarObjective(make_net([4, 16, 1], seed=5100, scale=2.5))
         cfg = BnBConfig(eps_t=1e-9, max_branches=401, collect_stats=True)
-        res, sizes = self.compare(monkeypatch, obj, -np.ones(4), np.ones(4),
-                                  cfg)
+        res, passes = self.compare(monkeypatch, obj, -np.ones(4), np.ones(4),
+                                   cfg)
         assert res.status == "BranchLimit"
-        assert max(sizes) == 2 * bnb._BATCH
+        assert max(len(nodes) for nodes in passes) == 2 * bnb._BATCH
+
+    def test_deep_budget_stop(self, monkeypatch):
+        # depth 3, where children seldom beat their parent's upper bound, so
+        # the replay often stops early and later batches take kept children
+        obj = ScalarObjective(make_net([6, 32, 32, 1], seed=5300, scale=2.0))
+        cfg = BnBConfig(eps_t=1e-9, max_branches=301, collect_stats=True)
+        res, passes = self.compare(monkeypatch, obj, -np.ones(6), np.ones(6),
+                                   cfg)
+        assert res.status == "BranchLimit"
+        assert _renumbered(passes)
 
     # at the coarse gap a child's lower bound ends the solve before the last
     # node of its batch
@@ -718,22 +747,20 @@ class TestSpeculativeBatching:
                                              ([3, 12, 1], 3e-3)])
     def test_converged(self, monkeypatch, dims, eps_t):
         obj = ScalarObjective(make_net(dims, seed=5200, scale=2.0))
-        res, sizes = self.compare(monkeypatch, obj, -np.ones(3), np.ones(3),
-                                  BnBConfig(eps_t=eps_t, collect_stats=True))
+        res, passes = self.compare(monkeypatch, obj, -np.ones(3), np.ones(3),
+                                   BnBConfig(eps_t=eps_t, collect_stats=True))
         assert res.status == "Converged"
-        assert max(sizes) > 2
+        assert max(len(nodes) for nodes in passes) > 2
 
     def test_child_outranks_a_later_node_of_its_batch(self, monkeypatch):
-        # a solve that converges within its budget drops children at a
-        # termination check in its last batch only, at most 2 * _BATCH - 2 of
-        # them; any more were dropped where a pushed child outranked a later
-        # node of its batch
+        # where a pushed child outranks a later node of its batch, that node
+        # goes back on the heap with its children, and the batch that pops
+        # it again numbers them afresh
         obj = ScalarObjective(make_net([3, 12, 1], seed=5200, scale=2.0))
-        res, sizes = self.compare(monkeypatch, obj, -np.ones(3), np.ones(3),
-                                  BnBConfig(eps_t=1e-4))
+        res, passes = self.compare(monkeypatch, obj, -np.ones(3), np.ones(3),
+                                   BnBConfig(eps_t=1e-4))
         assert res.status == "Converged"
-        dropped = sum(sizes) - res.branches_processed
-        assert dropped > 2 * bnb._BATCH - 2
+        assert _renumbered(passes)
 
     @pytest.mark.parametrize("dims", [[2, 8, 2], [2, 6, 5, 2]])
     def test_directions_sharing_a_store(self, monkeypatch, dims):
@@ -749,10 +776,10 @@ class TestSpeculativeBatching:
             return [solve(obj, lo, hi, cfg=BnBConfig(eps_t=1e-4),
                           lockstep=group) for obj in objs]
 
-        (batched, one), (sizes, _) = _solve_both_ways(monkeypatch, run)
+        (batched, one), (passes, _) = _solve_both_ways(monkeypatch, run)
         for b, o in zip(batched, one):
             assert_same_result(b, o)
-        assert max(sizes) > 2 * len(directions)
+        assert max(len(nodes) for nodes in passes) > 2 * len(directions)
 
 
 class TestZonotope:

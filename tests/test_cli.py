@@ -174,6 +174,20 @@ class TestExitCodes:
         assert capsys.readouterr().err == reach_err
         assert not out_dir.exists()
 
+    def test_closedloop_hull_with_pca_count_rejected(self, di_files,
+                                                     tmp_path, capsys):
+        # --hull builds no PCA box, so the pca:N sample count would be unread
+        system, ctrl, hexagon = di_files
+        out_dir = tmp_path / "cl"
+        code = main(["closedloop", "--system", system, "--controller", ctrl,
+                     "--zonotope", hexagon, "--steps", "1", "--hull",
+                     "--dirs", "pca:500", "--out-dir", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "--hull" in err and "--dirs pca:500" in err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("flag, value", [("--sim-points", "-1"),
                                              ("--dirs", "uniform:x"),
                                              ("--dirs", "pca:x")])
