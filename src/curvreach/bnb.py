@@ -21,7 +21,12 @@ bound ``lam``, and a second model bound comes from the interval Hessian
 |H_hi,ij|)`` off the diagonal and ``A_ii = max(H_hi,ii, 0)``.  Both models
 peak at ``c + r * sign(g)`` and the smaller bound wins: the interval is
 tighter on small boxes, ``lam`` near the root of wide deep nets.  The
-interval rounds to nearest, as localization does.
+interval rounds to nearest, as localization does.  ``lam = sum_l c_l^2 w_l``
+is summed in full only for the boxes where its first term, ``||W_1||_2^2
+w_1``, leaves the ``lam`` model below the interval model: the model grows
+with ``lam``, so elsewhere the interval model wins whatever the other terms,
+and their ell_2 subnetwork constants ``c_l`` are never computed.  On the
+shipped double-integrator and quadrotor runs no box needs them.
 
 Nodes are expanded in order of largest upper bound, and the result is that of
 expanding them one at a time: pop the top node, halve its longest edge (the
@@ -49,10 +54,11 @@ counted are those of at most ``_BATCH`` nodes.
 Each child gets the bounds it would get alone, bit for bit, and never a
 looser upper bound than its parent; only the dual solve runs per child.  A
 node's box-level certificates (localization, the ell_inf internal Lipschitz
-memo, the ell_2 subnetwork constants and the Jacobian intervals of the
-interval Hessian) read the box and the hidden layers only, so within one
-stacked pass each distinct box gets them once, however many directions carry
-it; the per-direction finish reads the output layer and the linear term.
+memo, the Jacobian intervals of the interval Hessian and, where a box needs
+the full ``lam``, the ell_2 subnetwork constants) read the box and the hidden
+layers only, so within one stacked pass each distinct box gets them once,
+however many directions carry it; the per-direction finish reads the output
+layer and the linear term.
 The objective is evaluated once per pass, with the hidden layers run once and
 each box's output row and bias, linear term and offset gathered by direction.
 
@@ -83,6 +89,9 @@ _PRUNE_SLACK = 1e-12
 _DEGENERATE = 1e-13
 _VERTEX_CAP = 12                       # vertex enumeration up to this dimension
 _BATCH = 64                            # most nodes whose children share a pass
+# numerical failures of a stack's certificates
+_FAILURES = (taylor.DualBisectionError, np.linalg.LinAlgError,
+             FloatingPointError)
 
 
 @dataclass
@@ -192,7 +201,6 @@ class _BoxCertificate:
     curv_lo: tuple = ()
     curv_hi: tuple = ()
     curv_abs: tuple = ()
-    subnet2: tuple = ()
     slope_lo: tuple = ()
     jac_mid: tuple = ()
     jac_rad: tuple = ()
@@ -289,18 +297,29 @@ class _Bounder:
     def _ds(self, slope_hi):
         return [b / 2.0 for b in slope_hi]
 
-    def _certificate(self, lo, hi):
-        """Box-level certificates of a stack of boxes, computed once for each
-        distinct box.  Boxes are told apart by the exact bytes of their
-        bounds; the boxes of one direction are distinct."""
+    def _distinct(self, lo, hi):
+        """``(first, inverse)`` for a stack of boxes that repeats a box: the
+        stack index of each distinct box's first row, and each row's entry
+        among the distinct boxes; None when the boxes are distinct.  Boxes
+        are told apart by the exact bytes of their bounds; the boxes of one
+        direction are distinct."""
         if len(self.objs) == 1:
-            return self._fresh_certificate(lo, hi)
+            return None
         ids = {}
         inverse = [ids.setdefault(a.tobytes() + b.tobytes(), len(ids))
                    for a, b in zip(lo, hi)]
         if len(ids) == len(lo):
-            return self._fresh_certificate(lo, hi)
+            return None
         _, first = np.unique(inverse, return_index=True)
+        return first, inverse
+
+    def _certificate(self, lo, hi):
+        """Box-level certificates of a stack of boxes, computed once for each
+        distinct box."""
+        distinct = self._distinct(lo, hi)
+        if distinct is None:
+            return self._fresh_certificate(lo, hi)
+        first, inverse = distinct
         return self._fresh_certificate(lo[first], hi[first]).rows(inverse)
 
     def _fresh_certificate(self, lo, hi):
@@ -315,27 +334,25 @@ class _Bounder:
         if not self.deep:
             return cert
         cert.curv_abs, cert.slope_lo = local.curv_abs, local.slope_lo
-        # the first subnetwork constant, ||W_1||, is one for all boxes
-        cert.subnet2 = tuple(
-            np.broadcast_to(c, lo.shape[:1])
-            for c in lip._report_raw(self.weights, slope_hi, ds, 2,
-                                     self.heads2))
         cert.jac_mid, cert.jac_rad = hs._jacobian_intervals(
             self.weights, local.slope_lo, slope_hi)
         return cert
 
     def _constants(self, lo, hi, dirs, net):
-        """(L_inf, M, tau, lam, A) certified on each box of a stack: the
+        """(L_inf, M, tau, lam, deep) certified on each box of a stack: the
         ell_inf Lipschitz constant; on the two-layer path the upper Hessian
         matrix, else None; with at most ``_VERTEX_CAP`` inputs its vertex
         bound slack (``taylor._psd_slack``: 0 where a Cholesky factorization
         certifies M, else max(-lambda_min(M), 0)), else None; lam >= ||hess
         J||_2, which is lambda_max(M)^+ on the two-layer path, where it is
         None when every M is certified and no box reads it; and on nets of
-        depth 3 or more the matrix A with d^T hess J d <= |d|^T A |d|, else
-        None.  The last four are None without first-order bounds.  ``dirs``
-        names each box's direction, and ``net`` is the network of the
-        stack's stand-in (``_stack(dirs)``)."""
+        depth 3 or more ``(A, slope_hi, terms)``, else None.  There lam is
+        only the first term ``c_1^2 w_1`` of the spectral bound, which is
+        at most the bound itself; A is the matrix with d^T hess J d <= |d|^T
+        A |d|, and ``slope_hi`` and ``terms`` are what ``_full_lam`` reads.
+        The last four are None without first-order bounds.  ``dirs`` names
+        each box's direction, and ``net`` is the network of the stack's
+        stand-in (``_stack(dirs)``)."""
         cert = self._certificate(lo, hi)
         slope_hi = cert.slope_hi
         weights = self.weights[:-1] + [net.layers[-1].weight]
@@ -354,18 +371,35 @@ class _Bounder:
         if not self.deep:
             # no hidden layer: the objective is linear
             return l_inf, None, None, np.zeros(len(lo)), None
-        # only the subnetwork constants of the report are read
-        report = lip.LipschitzReport(0.0, cert.subnet2, 2)
+        # only the subnetwork constants of the report are read: ||W_1||_2,
+        # one for all boxes, and zeros, which leave the first term of lam
+        report = lip.LipschitzReport(
+            0.0, (self.heads2[0],) + (0.0,) * (len(weights) - 2), 2)
         jac = lip._jacobian_rows(self.abs_hidden + [np.abs(weights[-1])],
                                  slope_hi)
-        lam = hs.hessian_norm_bound(net, cert, report, jac).lam
+        spectral = hs.hessian_norm_bound(net, cert, report, jac)
         h_lo, h_hi = hs._interval_hessian_raw(weights, cert.jac_mid,
                                               cert.jac_rad, cert)
         # |H_ij| <= A_ij off the diagonal, H_ii <= A_ii on it
         A = np.maximum(np.abs(h_lo), np.abs(h_hi))
         i = np.arange(A.shape[-1])
         A[:, i, i] = np.maximum(h_hi[:, i, i], 0.0)
-        return l_inf, None, None, lam, A
+        return l_inf, None, None, spectral.lam, (A, slope_hi, spectral.terms)
+
+    def _full_lam(self, lo, hi, slope_hi, terms):
+        """The spectral bound lam of a stack of boxes, from their slopes and
+        the per-layer factors ``terms`` of ``hessian_norm_bound``: the ell_2
+        subnetwork constants are computed once for each distinct box."""
+        distinct = self._distinct(lo, hi)
+        if distinct is not None:
+            slope_hi = [s[distinct[0]] for s in slope_hi]
+        subnet = lip._report_raw(self.weights, slope_hi, self._ds(slope_hi),
+                                 2, self.heads2)
+        if distinct is not None:
+            # the first constant, ||W_1||_2, is one float for all boxes
+            subnet = [np.broadcast_to(c, distinct[0].shape)[distinct[1]]
+                      for c in subnet]
+        return hs._spectral_sum(subnet, terms)
 
     def _one_by_one(self, lo, hi, index, parent_ub, dirs):
         """``bound`` on each box of a stack as a stack of one."""
@@ -402,10 +436,8 @@ class _Bounder:
             return [BnBNode(lo[0], hi[0], center[0], v,
                             min(v, parent_ub.item()), center[0],
                             int(index[0]), -1)]
-        try:
-            consts = self._constants(lo, hi, dirs, obj.net)
-        except (taylor.DualBisectionError, np.linalg.LinAlgError,
-                FloatingPointError):
+
+        def failed():
             if n_box > 1:
                 return self._one_by_one(lo, hi, index, parent_ub, dirs)
             # sound fallback: inherit the parent's upper bound, keep the
@@ -413,7 +445,11 @@ class _Bounder:
             return [BnBNode(lo[0], hi[0], center[0], float(value_c[0]),
                             parent_ub.item(), center[0], int(index[0]),
                             axes[0], flagged=True)]
-        l_inf, M, tau, lam, A = consts
+        try:
+            consts = self._constants(lo, hi, dirs, obj.net)
+        except _FAILURES:
+            return failed()
+        l_inf, M, tau, lam, deep = consts
         ub = value_c + l_inf * eps
         lb = value_c
         witness = center
@@ -445,15 +481,31 @@ class _Bounder:
                 ub1[i_sel] = taylor._model_value(value_c[i_sel], grad_c[i_sel],
                                                  lam[i_sel], x_iso[i_sel],
                                                  center[i_sel])
-            if A is not None:
+            if deep is not None:
                 # the interval Hessian's model, J(c) + sum |g_i| r_i +
                 # r^T A r / 2, peaks at x_iso too; the smaller bound wins,
                 # and an overflowed interval (NaN) leaves the lam bound
+                A, slope_hi, terms = deep
                 d = x_iso - center
                 ad = np.abs(d)
                 quad = taylor._dot(ad, (A @ ad[..., None])[..., 0])
-                ub1 = np.fmin(ub1, value_c + taylor._dot(grad_c, d)
-                              + 0.5 * quad)
+                ub2 = value_c + taylor._dot(grad_c, d) + 0.5 * quad
+                # the model grows with lam, and ub1 took the first term of
+                # lam alone: where that already reaches ub2, so does the
+                # full lam, and ub2 wins.  Elsewhere, NaN included, the full
+                # lam's model is taken
+                full = _select(~(ub1 >= ub2))
+                if full is not None:
+                    try:
+                        lam = self._full_lam(lo[full], hi[full],
+                                             [s[full] for s in slope_hi],
+                                             [w[full] for w in terms])
+                    except _FAILURES:
+                        return failed()
+                    ub1[full] = taylor._model_value(
+                        value_c[full], grad_c[full], lam, x_iso[full],
+                        center[full])
+                ub1 = np.fmin(ub1, ub2)
             if i_sel is not None and M is not None:
                 # the dual runs per box, on its own radius
                 for k in np.arange(n_box)[i_sel]:

@@ -16,7 +16,7 @@ The interval form rounds to nearest, as ``localize`` does; outward rounding
 is an open item of the roadmap (item 8).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,9 +61,12 @@ class MatrixHessianBound:
 @dataclass(frozen=True)
 class ScalarHessianBound:
     """lam >= 0 with ||hess J(x)||_2 <= lam, i.e. M = lam I, N = -lam I; a
-    stack of regions has an array with one entry per region."""
+    stack of regions has an array with one entry per region.  ``terms``, from
+    ``hessian_norm_bound``, holds its per-layer factors ``w_l``, so that
+    ``_spectral_sum(subnet, terms)`` gives lam for any subnetwork constants."""
 
     lam: float
+    terms: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
         if np.any(self.lam < 0.0):
@@ -109,11 +112,30 @@ def _weighted_suffix_liplt(weights, slope_his, l, h):
     return lip._total_raw(w_suffix, s_his, ds, 1)
 
 
+def _spectral_sum(subnet, terms):
+    """lam = max(sum_l c_l^2 w_l, 0), summed in layer order, from the ell_2
+    subnetwork constants ``c_l`` and the factors ``w_l`` of
+    ``ScalarHessianBound.terms``; stacked factors give an array."""
+    lam = 0.0
+    for c, w in zip(subnet, terms):
+        # c * c: a float's c ** 2 calls the C pow, which may round otherwise
+        lam = lam + c * c * w
+    return lip._unbox(np.maximum(lam, 0.0))
+
+
 def hessian_norm_bound(net, local, report, jac_bounds):
     """Spectral bound: sum over hidden layers of (ell_2 subnet constant)^2
     times the worst h-weighted entry of the output-side Jacobian bound.
     Inputs stacked over boxes, the last weight too (``(B, 1, h)``), give an
-    array ``lam``, each box's entry bit-identical to its float alone."""
+    array ``lam``, each box's entry bit-identical to its float alone.
+
+    The result keeps each layer's factor ``w_l`` in ``terms``.  Every term
+    is nonnegative, so a partial report, with ``c_1`` alone and zeros after
+    it, gives ``c_1^2 w_1``, which is at most the full lam in floating point
+    too.  Branch and bound takes that partial lam first, and sums the full
+    lam with ``_spectral_sum`` only for the boxes where the partial lam's
+    model stays below the interval Hessian's model; on the shipped
+    double-integrator and quadrotor runs no box needs it."""
     if not net.is_scalar:
         raise ValueError("Hessian norm bound needs a scalar network")
     if report.p != 2:
@@ -123,7 +145,7 @@ def hessian_norm_bound(net, local, report, jac_bounds):
         raise ValueError("missing subnetwork Lipschitz constants")
     habs = local.curv_abs
     weights = [lay.weight for lay in net.layers]
-    lam = 0.0
+    terms = []
     for l in range(1, hidden + 1):
         if l not in jac_bounds:
             raise ValueError(f"missing Jacobian bound for layer {l}")
@@ -133,10 +155,9 @@ def hessian_norm_bound(net, local, report, jac_bounds):
             # fmin keeps w where the suffix bound is NaN
             w = np.where(w > 0.0, np.fmin(w, _weighted_suffix_liplt(
                 weights, local.slope_hi, l, h)), w)
-        # c * c: a float's c ** 2 calls the C pow, which may round otherwise
-        c = report.subnet[l - 1]
-        lam = lam + c * c * w
-    return ScalarHessianBound(lip._unbox(np.maximum(lam, 0.0)))
+        terms.append(w)
+    terms = tuple(terms)
+    return ScalarHessianBound(_spectral_sum(report.subnet, terms), terms)
 
 
 def _jacobian_intervals(weights, slope_lo, slope_hi):

@@ -210,12 +210,21 @@ class Network:
         return self.output_dim == 1
 
     def forward(self, x):
-        """Network output; accepts a single input vector or a batch of rows."""
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.input_dim:
+        """Network output; accepts a single input vector or a batch of rows.
+        Each layer's product is a fresh array, which the bias and, where the
+        activation is a ufunc, the activation then overwrite; ``x`` is never
+        written.  The bits are those of ``preactivations(x)[-1]``."""
+        a = np.asarray(x, dtype=float)
+        if a.shape[-1] != self.input_dim:
             raise ValueError(
-                f"input dimension {x.shape[-1]} != network input {self.input_dim}")
-        return self.preactivations(x)[-1]
+                f"input dimension {a.shape[-1]} != network input {self.input_dim}")
+        for lay in self.layers:
+            a = a @ lay.weight.T
+            a += lay.bias
+            if lay.activation is not None:
+                act = ACTIVATIONS[lay.activation].value
+                a = act(a, out=a) if isinstance(act, np.ufunc) else act(a)
+        return a
 
     def preactivations(self, x):
         """List of z^(l) for hidden layers, plus the final output, at x.  It

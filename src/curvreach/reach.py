@@ -95,10 +95,14 @@ class Zonotope:
 
 def sample_inputs(input_set, n, rng):
     if isinstance(input_set, Box):
-        return input_set.lo + rng.random((n, input_set.dim)) \
-            * (input_set.hi - input_set.lo)
+        xs = rng.random((n, input_set.dim))
+        xs *= input_set.hi - input_set.lo
+        xs += input_set.lo
+        return xs
     z = rng.uniform(-1.0, 1.0, size=(n, input_set.G.shape[1]))
-    return z @ input_set.G.T + input_set.center
+    xs = z @ input_set.G.T
+    xs += input_set.center
+    return xs
 
 
 @dataclass(frozen=True)
@@ -314,8 +318,10 @@ class LinearSystem:
 
     def step_map(self, xs):
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        us = self.controller.forward(xs)
-        return xs @ self.A.T + us @ self.B.T + self.drift
+        out = xs @ self.A.T
+        out += self.controller.forward(xs) @ self.B.T
+        out += self.drift
+        return out
 
     def step_objective(self, c):
         """Scalar objective x -> c . (A x + B pi(x) + drift)."""

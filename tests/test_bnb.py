@@ -384,9 +384,18 @@ class TestFailureEnvelope:
     def test_overflowed_interval_hessian_keeps_the_lam_bound(self,
                                                              monkeypatch):
         from curvreach import hessian as hs
+        from curvreach import lipschitz as lip
+        from curvreach.localize import bounds_for_box
         obj = ScalarObjective(make_net([2, 6, 5, 1], seed=4200))
         lo, hi = -np.ones((1, 2)), np.ones((1, 2))
-        l_inf, _, _, lam, _ = _constants(obj, lo, hi)
+        l_inf = _constants(obj, lo, hi)[0]
+        # the full spectral bound, which _constants no longer sums
+        local = bounds_for_box(obj.net, lo[0], hi[0])
+        report = lip.lipschitz_report(obj.net, local,
+                                      lip.default_loop_transform(local), 2)
+        lam = hs.hessian_norm_bound(
+            obj.net, local, report,
+            lip.jacobian_elementwise_bounds(obj.net, local)).lam
 
         def overflowed(weights, jac_mid, jac_rad, local):
             nan = np.full(local.slope_hi[0].shape[:-1] + (2, 2), np.nan)
@@ -396,7 +405,7 @@ class TestFailureEnvelope:
         node, = _Bounder([obj], BnBConfig()).bound(lo, hi, *_per_box(lo))
         value, grad = obj.value_and_grad(np.zeros(2))
         # half-edges 1: the lam model peaks at J(0) + |g|_1 + lam
-        lam_model = value + np.abs(grad).sum() + lam[0]
+        lam_model = value + np.abs(grad).sum() + lam
         assert node.ub == pytest.approx(min(value + l_inf[0], lam_model),
                                         rel=1e-12)
 
@@ -780,6 +789,127 @@ class TestSpeculativeBatching:
         for b, o in zip(batched, one):
             assert_same_result(b, o)
         assert max(len(nodes) for nodes in passes) > 2 * len(directions)
+
+
+def _full_lam_rows(monkeypatch, force=False):
+    """Record each deep stacked pass as ``[boxes, boxes that summed the full
+    lam]``.  With ``force`` the first term of lam, which a pass takes first,
+    reads 0, so that the boxes sum the full lam."""
+    from curvreach import hessian as hs
+    real_norm, real_full = hs.hessian_norm_bound, _Bounder._full_lam
+    passes = []
+
+    def norm(*args):
+        bound = real_norm(*args)
+        passes.append([len(bound.lam), 0])
+        if force:
+            return hs.ScalarHessianBound(np.zeros_like(bound.lam),
+                                         bound.terms)
+        return bound
+
+    def full(self, lo, *args):
+        passes[-1][1] = len(lo)
+        return real_full(self, lo, *args)
+
+    monkeypatch.setattr(hs, "hessian_norm_bound", norm)
+    monkeypatch.setattr(_Bounder, "_full_lam", full)
+    return passes
+
+
+def _deep_net(gain, seed):
+    """A seeded 6-32-32-1 tanh net with first-layer gain ``gain``."""
+    from curvreach.model import Layer, Network
+    rng = np.random.default_rng(seed)
+    w1 = gain * rng.standard_normal((32, 6)) / np.sqrt(6.0)
+    b1 = 0.5 * gain * rng.standard_normal(32)
+    w2 = rng.standard_normal((32, 32)) / np.sqrt(32.0)
+    b2 = 0.5 * rng.standard_normal(32)
+    w3 = rng.standard_normal((1, 32)) / np.sqrt(32.0)
+    return ScalarObjective(Network((Layer(w1, b1, Activation.TANH),
+                                    Layer(w2, b2, Activation.TANH),
+                                    Layer(w3, np.zeros(1), None))))
+
+
+class TestLazySpectralBound:
+    """On nets of depth 3 or more a pass sums the full spectral bound lam
+    only for the boxes where its first term leaves the lam model below the
+    interval Hessian's model; every result must be that of summing it for
+    every box."""
+
+    @staticmethod
+    def both_ways(monkeypatch, run):
+        """``run()`` as it is and with every box summing the full lam, and
+        the passes of each (``_full_lam_rows``)."""
+        results, passes = [], []
+        for force in (False, True):
+            passes.append(_full_lam_rows(monkeypatch, force))
+            results.append(run())
+            monkeypatch.undo()
+        return results, passes
+
+    @staticmethod
+    def every_box_full(passes):
+        return all(k == n for n, k in passes)
+
+    def test_closed_loop_step(self, monkeypatch, di_controller):
+        # the shipped depth-4 controller in lockstep over the hexagon: no
+        # box needs the full lam
+        from curvreach.reach import (LinearSystem, Zonotope, closed_loop_step,
+                                     uniform_directions)
+        sys_model = LinearSystem(np.array([[1.0, 1.0], [0.0, 1.0]]),
+                                 np.array([[0.5], [1.0]]), di_controller, 5)
+        hexagon = Zonotope(np.array([[0.1, 0.1, 0.1], [-0.1, 0.0, 0.1]]),
+                           np.array([2.5, 0.0]))
+
+        def run():
+            real, results = bnb.solve, []
+
+            def recording(*args, **kwargs):
+                results.append(real(*args, **kwargs))
+                return results[-1]
+
+            bnb.solve = recording
+            try:
+                poly, _ = closed_loop_step(sys_model, hexagon,
+                                           uniform_directions(16), 1e-3)
+            finally:
+                bnb.solve = real
+            return poly, results
+
+        ((poly, lazy), (poly_full, full)), (passes, full_passes) = \
+            self.both_ways(monkeypatch, run)
+        assert len(lazy) == len(full) == 20
+        for a, b in zip(lazy, full):
+            assert_same_result(a, b)
+        assert poly.offsets.tolist() == poly_full.offsets.tolist()
+        assert passes and not any(k for _, k in passes)
+        assert self.every_box_full(full_passes)
+
+    def test_deep_net_with_mixed_passes(self, monkeypatch):
+        # at gain 0.3 some passes hold boxes of both kinds
+        obj = _deep_net(0.3, 3)
+        cfg = BnBConfig(eps_t=1e-6, max_branches=1000, collect_stats=True)
+        (lazy, full), (passes, full_passes) = self.both_ways(
+            monkeypatch, lambda: solve(obj, -np.ones(6), np.ones(6), cfg=cfg))
+        assert_same_result(lazy, full)
+        assert any(0 < k < n for n, k in passes)
+        assert self.every_box_full(full_passes)
+
+    def test_budget_capped_deep_net(self, monkeypatch):
+        # gain 2 at a node budget, also one node per stacked pass
+        obj = _deep_net(2.0, 1)
+        cfg = BnBConfig(eps_t=1e-9, max_branches=300, collect_stats=True)
+
+        def run():
+            return solve(obj, -np.ones(6), np.ones(6), cfg=cfg)
+
+        (lazy, full), (_, full_passes) = self.both_ways(monkeypatch, run)
+        assert lazy.status == "BranchLimit"
+        assert_same_result(lazy, full)
+        assert self.every_box_full(full_passes)
+        monkeypatch.setattr(bnb, "_BATCH", 1)
+        _full_lam_rows(monkeypatch, force=True)
+        assert_same_result(lazy, run())
 
 
 class TestZonotope:

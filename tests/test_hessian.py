@@ -149,6 +149,52 @@ class TestScalarBound:
         with pytest.raises(ValueError):
             hessian_norm_bound(net, local, wrong_norm, jac)
 
+    @staticmethod
+    def report_and_bound(net, lo, hi):
+        local = bounds_for_box(net, lo, hi)
+        report = lipschitz_report(net, local, default_loop_transform(local), 2)
+        jac = jacobian_elementwise_bounds(net, local)
+        return local, report, jac, hessian_norm_bound(net, local, report, jac)
+
+    @pytest.mark.parametrize("act", list(Activation))
+    @pytest.mark.parametrize("hidden", [[6], [6, 5], [5, 4, 3]])
+    def test_terms_sum_to_lam(self, act, hidden):
+        # branch and bound sums the full lam from the terms of a partial
+        # report: stacked and alone, the sum is lam bit for bit
+        from curvreach.hessian import _spectral_sum
+        rng = np.random.default_rng(31)
+        net = make_net([3, *hidden, 1], act=act, seed=31, scale=2.0)
+        lo = rng.uniform(-1.5, 1.0, (4, 3))
+        hi = lo + rng.uniform(0.05, 2.0, (4, 3))
+        for box in [(lo, hi)] + list(zip(lo, hi)):
+            _, report, _, bound = self.report_and_bound(net, *box)
+            assert len(bound.terms) == len(hidden)
+            lam = _spectral_sum(report.subnet, bound.terms)
+            assert type(lam) is type(bound.lam)
+            assert np.array_equal(lam, bound.lam)
+
+    @pytest.mark.parametrize("act", list(Activation))
+    @pytest.mark.parametrize("hidden", [[6], [6, 5], [5, 4, 3]])
+    def test_partial_report_gives_the_first_term(self, act, hidden):
+        # with c_1 alone and zeros after it, lam is c_1^2 w_1, at most the
+        # full lam; the terms do not depend on the report
+        from curvreach.lipschitz import LipschitzReport
+        rng = np.random.default_rng(32)
+        net = make_net([3, *hidden, 1], act=act, seed=32, scale=2.0)
+        lo = rng.uniform(-1.5, 1.0, (4, 3))
+        hi = lo + rng.uniform(0.05, 2.0, (4, 3))
+        local, report, jac, full = self.report_and_bound(net, lo, hi)
+        c1 = report.subnet[0]
+        partial = hessian_norm_bound(
+            net, local,
+            LipschitzReport(0.0, (c1,) + (0.0,) * (len(hidden) - 1), 2), jac)
+        assert np.array_equal(partial.lam, c1 * c1 * full.terms[0])
+        assert (partial.lam <= full.lam).all()
+        for a, b in zip(partial.terms, full.terms):
+            assert np.array_equal(a, b)
+        if len(hidden) > 1 and act is not Activation.IDENTITY:
+            assert (partial.lam < full.lam).any()
+
     def test_negative_scalar_rejected(self):
         with pytest.raises(ValueError):
             ScalarHessianBound(-1.0)

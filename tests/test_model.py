@@ -39,6 +39,20 @@ class TestForward:
         for i in range(10):
             assert np.allclose(batch[i], net.forward(xs[i]), atol=1e-12)
 
+    @pytest.mark.parametrize("act", list(Activation))
+    def test_matches_preactivations_bit_for_bit(self, act):
+        # forward overwrites each layer's fresh product in place and keeps
+        # no layer; read-only inputs show that it never writes x
+        net = make_net([3, 6, 5, 2], act=act, seed=17, scale=2.0)
+        xs = np.random.default_rng(17).standard_normal((9, 3))
+        xs.flags.writeable = False
+        for x in (xs[0], xs):
+            before = x.copy()
+            out = net.forward(x)
+            assert out.shape == x.shape[:-1] + (2,)
+            assert np.array_equal(out, net.preactivations(x)[-1])
+            assert np.array_equal(x, before)
+
     def test_dimension_mismatch(self):
         net = make_net([3, 4, 2], seed=1)
         with pytest.raises(ValueError):

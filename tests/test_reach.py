@@ -645,3 +645,27 @@ class TestSimulate:
         assert cloud.shape == (4, 2, 2)
         step1 = sys_model.step_map(x0)
         assert np.allclose(cloud[1], step1, atol=1e-12)
+
+    def test_step_map_bit_for_bit(self, di_controller):
+        # step_map accumulates in place: x A^T, then pi(x) B^T, then drift
+        A = np.array([[1.0, 1.0], [0.0, 1.0]])
+        B = np.array([[0.5], [1.0]])
+        drift = np.array([0.3, -0.2])
+        sys_model = LinearSystem(A, B, di_controller, 5, drift=drift)
+        cloud = sample_inputs(hexagon(), 50, np.random.default_rng(5))
+        for xs in (cloud, cloud[:1]):
+            expected = xs @ A.T + di_controller.preactivations(xs)[-1] @ B.T \
+                + drift
+            assert np.array_equal(sys_model.step_map(xs), expected)
+
+    def test_sample_inputs_bit_for_bit(self):
+        # sampling scales and shifts the draws in place
+        box = Box(np.array([2.4, -0.1]), np.array([2.6, 0.3]))
+        u = np.random.default_rng(6).random((50, 2))
+        assert np.array_equal(sample_inputs(box, 50, np.random.default_rng(6)),
+                              box.lo + u * (box.hi - box.lo))
+        zono = hexagon()
+        z = np.random.default_rng(6).uniform(-1.0, 1.0, size=(50, 3))
+        assert np.array_equal(
+            sample_inputs(zono, 50, np.random.default_rng(6)),
+            z @ zono.G.T + zono.center)
