@@ -28,6 +28,16 @@ with ``lam``, so elsewhere the interval model wins whatever the other terms,
 and their ell_2 subnetwork constants ``c_l`` are never computed.  On the
 shipped double-integrator and quadrotor runs no box needs them.
 
+The ell_inf recursion likewise runs only for the boxes where the
+zeroth-order bound can win.  Every box first gets a lower bound on L_inf
+from a lower internal memo (``_Bounder._lower_memo``), which holds in
+floating point, since every term of the recursion is >= 0 and rounded ``+``
+and ``*`` are monotone.  A box whose first-order bound lies below the
+zeroth-order bound with that lower bound keeps it, as it would with L_inf
+itself, bit for bit.  Only the other boxes, NaN included, compute the
+internal memo and L_inf.  No box of the shipped double-integrator and
+quadrotor runs needs them; without first-order bounds every box does.
+
 Nodes are expanded in order of largest upper bound, and the result is that of
 expanding them one at a time: pop the top node, halve its longest edge (the
 smallest axis on ties), bound both children, update the best lower bound over
@@ -53,12 +63,12 @@ counted are those of at most ``_BATCH`` nodes.
 
 Each child gets the bounds it would get alone, bit for bit, and never a
 looser upper bound than its parent; only the dual solve runs per child.  A
-node's box-level certificates (localization, the ell_inf internal Lipschitz
-memo, the Jacobian intervals of the interval Hessian and, where a box needs
-the full ``lam``, the ell_2 subnetwork constants) read the box and the hidden
-layers only, so within one stacked pass each distinct box gets them once,
-however many directions carry it; the per-direction finish reads the output
-layer and the linear term.
+node's box-level certificates (localization, the lower ell_inf internal
+Lipschitz memo, the Jacobian intervals of the interval Hessian and, where a
+box needs them, the ell_inf internal memo and the ell_2 subnetwork
+constants) read the box and the hidden layers only, so within one stacked
+pass each distinct box gets them once, however many directions carry it; the
+per-direction finish reads the output layer and the linear term.
 The objective is evaluated once per pass, with the hidden layers run once and
 each box's output row and bias, linear term and offset gathered by direction.
 
@@ -197,7 +207,10 @@ class _BoxCertificate:
     the boxes of the stack."""
 
     slope_hi: tuple
-    memo: tuple                        # ell_inf internal memo, l >= 1
+    # ell_inf internal memo, l >= 1: with first-order bounds a lower bound
+    # on it (_Bounder._lower_memo); a box that needs L_inf computes the memo
+    # itself in _full_l_inf
+    memo: tuple
     curv_lo: tuple = ()
     curv_hi: tuple = ()
     curv_abs: tuple = ()
@@ -281,6 +294,13 @@ class _Bounder:
         # on the box
         self.head_inf = np.array([lip._norm(last.weight, np.inf)
                                   for last in lasts])
+        # the two largest entries a1, a2 of each row of each hidden layer's
+        # |W_l|, for _lower_memo; a2 is 0 where a layer has one column
+        self.top2 = []
+        for a in self.abs_hidden:
+            s = np.sort(a, axis=1)
+            self.top2.append((s[:, -1], s[:, -2] if a.shape[1] > 1
+                              else np.zeros(len(a))))
 
     def _stack(self, dirs):
         """The objectives of a stack's boxes as one ``ScalarObjective``
@@ -322,15 +342,49 @@ class _Bounder:
         first, inverse = distinct
         return self._fresh_certificate(lo[first], hi[first]).rows(inverse)
 
+    def _once_per_box(self, lo, hi, slope_hi, fn):
+        """``fn(slope_hi)``, a sequence of per-box constants of a stack of
+        boxes, computed once for each distinct box.  A constant that ``fn``
+        gives as one float, the same for all boxes, is broadcast."""
+        distinct = self._distinct(lo, hi)
+        if distinct is None:
+            return tuple(fn(slope_hi))
+        first, inverse = distinct
+        return tuple(np.broadcast_to(c, first.shape)[inverse]
+                     for c in fn([s[first] for s in slope_hi]))
+
+    def _memo(self, slope_hi):
+        """The ell_inf internal memo, entries l >= 1."""
+        return lip._memo_raw(self.weights, slope_hi, self._ds(slope_hi),
+                             np.inf)[1:]
+
+    def _lower_memo(self, slope_hi):
+        """A lower bound on each entry of ``_memo(slope_hi)`` that holds in
+        floating point: with ``d' = slope_hi - slope_hi / 2`` and a layer's
+        top two entries a1, a2 of each row of |W_l|, ``n_l = max_i fl(d'_i
+        a1_i + d'_i a2_i)``, and the memo is bounded by ``m_1 = n_1`` and
+        ``m_l = fl(n_l m_{l-1})``.  The memo's row sum of |diag(d') W_l|
+        adds two leaves fl(d'_i a1_i), fl(d'_i a2_i) and others >= 0, in
+        whatever order, so it is at least ``fl(d'_i a1_i + d'_i a2_i)``
+        (with one column it is the one leaf, and a2 = 0 adds nothing); and
+        the memo's stage l opens with ``||diag(d') W_l|| memo[l-1]`` and adds
+        terms >= 0."""
+        memo, below = [], None
+        for b, (a1, a2) in zip(slope_hi, self.top2):
+            d = b - b / 2.0            # d' as _memo_raw forms it
+            n = (d * a1 + d * a2).max(axis=-1)
+            below = n if below is None else n * below
+            memo.append(below)
+        return tuple(memo)
+
     def _fresh_certificate(self, lo, hi):
         local = loc.bounds_for_box(self.net, lo, hi)
         slope_hi = local.slope_hi
-        ds = self._ds(slope_hi)
-        memo = lip._memo_raw(self.weights, slope_hi, ds, np.inf)
-        cert = _BoxCertificate(slope_hi, tuple(memo[1:]))
         if not self.cfg.use_first_order:
-            return cert
-        cert.curv_lo, cert.curv_hi = local.curv_lo, local.curv_hi
+            # the zeroth-order bound is the only one: every box needs L_inf
+            return _BoxCertificate(slope_hi, self._memo(slope_hi))
+        cert = _BoxCertificate(slope_hi, self._lower_memo(slope_hi),
+                               local.curv_lo, local.curv_hi)
         if not self.deep:
             return cert
         cert.curv_abs, cert.slope_lo = local.curv_abs, local.slope_lo
@@ -338,39 +392,49 @@ class _Bounder:
             self.weights, local.slope_lo, slope_hi)
         return cert
 
+    def _l_inf(self, dirs, slope_hi, memo):
+        """The ell_inf Lipschitz constant of each box of a stack from its
+        slopes and ell_inf internal memo (entries l >= 1): a lower bound on
+        it from a lower memo, since every term of the recursion is >= 0."""
+        weights = self.weights[:-1] + [self.rows[dirs]]
+        return lip._total_raw(weights, slope_hi, self._ds(slope_hi), np.inf,
+                              (0.0,) + tuple(memo),
+                              self.head_inf[dirs]) + self.lin_inf[dirs]
+
     def _constants(self, lo, hi, dirs, net):
-        """(L_inf, M, tau, lam, deep) certified on each box of a stack: the
-        ell_inf Lipschitz constant; on the two-layer path the upper Hessian
-        matrix, else None; with at most ``_VERTEX_CAP`` inputs its vertex
-        bound slack (``taylor._psd_slack``: 0 where a Cholesky factorization
-        certifies M, else max(-lambda_min(M), 0)), else None; lam >= ||hess
-        J||_2, which is lambda_max(M)^+ on the two-layer path, where it is
-        None when every M is certified and no box reads it; and on nets of
-        depth 3 or more ``(A, slope_hi, terms)``, else None.  There lam is
-        only the first term ``c_1^2 w_1`` of the spectral bound, which is
-        at most the bound itself; A is the matrix with d^T hess J d <= |d|^T
-        A |d|, and ``slope_hi`` and ``terms`` are what ``_full_lam`` reads.
-        The last four are None without first-order bounds.  ``dirs`` names
-        each box's direction, and ``net`` is the network of the stack's
-        stand-in (``_stack(dirs)``)."""
+        """(L, M, tau, lam, lazy) certified on each box of a stack: L <= L_inf,
+        the ell_inf Lipschitz constant, from the lower memo (``_lower_memo``),
+        and L = L_inf without first-order bounds; on the two-layer path the
+        upper Hessian matrix, else None; with at most ``_VERTEX_CAP`` inputs
+        its vertex bound slack (``taylor._psd_slack``: 0 where a Cholesky
+        factorization certifies M, else max(-lambda_min(M), 0)), else None;
+        lam >= ||hess J||_2, which is lambda_max(M)^+ on the two-layer path,
+        where it is None when every M is certified and no box reads it; and
+        ``(A, slope_hi, terms)``, what the bounds computed only where they
+        can win read.  On nets of depth 3 or more lam is only the first term
+        ``c_1^2 w_1`` of the spectral bound, which is at most the bound
+        itself; A is the matrix with d^T hess J d <= |d|^T A |d|, and
+        ``terms`` is what ``_full_lam`` reads; on other nets both are None.
+        ``slope_hi`` is what ``_full_l_inf`` reads.  The last four are None
+        without first-order bounds.  ``dirs`` names each box's direction, and
+        ``net`` is the network of the stack's stand-in (``_stack(dirs)``)."""
         cert = self._certificate(lo, hi)
         slope_hi = cert.slope_hi
-        weights = self.weights[:-1] + [net.layers[-1].weight]
-        l_inf = lip._total_raw(weights, slope_hi, self._ds(slope_hi),
-                               np.inf, (0.0,) + cert.memo,
-                               self.head_inf[dirs]) + self.lin_inf[dirs]
+        l_lo = self._l_inf(dirs, slope_hi, cert.memo)
         if not self.cfg.use_first_order:
-            return l_inf, None, None, None, None
+            return l_lo, None, None, None, None
+        lazy = (None, slope_hi, None)
         if self.two_layer:
             M = hs.two_layer_matrix_bounds(net, cert).M
             tau, eig = (None, np.linalg.eigvalsh(M)) \
                 if lo.shape[1] > _VERTEX_CAP else taylor._psd_slack(M)
             # only the boxes off the vertex route read lam
             lam = None if eig is None else np.maximum(eig[:, -1], 0.0)
-            return l_inf, M, tau, lam, None
+            return l_lo, M, tau, lam, lazy
         if not self.deep:
             # no hidden layer: the objective is linear
-            return l_inf, None, None, np.zeros(len(lo)), None
+            return l_lo, None, None, np.zeros(len(lo)), lazy
+        weights = self.weights[:-1] + [net.layers[-1].weight]
         # only the subnetwork constants of the report are read: ||W_1||_2,
         # one for all boxes, and zeros, which leave the first term of lam
         report = lip.LipschitzReport(
@@ -384,21 +448,22 @@ class _Bounder:
         A = np.maximum(np.abs(h_lo), np.abs(h_hi))
         i = np.arange(A.shape[-1])
         A[:, i, i] = np.maximum(h_hi[:, i, i], 0.0)
-        return l_inf, None, None, spectral.lam, (A, slope_hi, spectral.terms)
+        return l_lo, None, None, spectral.lam, (A, slope_hi, spectral.terms)
+
+    def _full_l_inf(self, lo, hi, dirs, slope_hi):
+        """The ell_inf Lipschitz constant L_inf of a stack of boxes: the
+        internal memo is computed once for each distinct box."""
+        return self._l_inf(dirs, slope_hi,
+                           self._once_per_box(lo, hi, slope_hi, self._memo))
 
     def _full_lam(self, lo, hi, slope_hi, terms):
         """The spectral bound lam of a stack of boxes, from their slopes and
         the per-layer factors ``terms`` of ``hessian_norm_bound``: the ell_2
         subnetwork constants are computed once for each distinct box."""
-        distinct = self._distinct(lo, hi)
-        if distinct is not None:
-            slope_hi = [s[distinct[0]] for s in slope_hi]
-        subnet = lip._report_raw(self.weights, slope_hi, self._ds(slope_hi),
-                                 2, self.heads2)
-        if distinct is not None:
-            # the first constant, ||W_1||_2, is one float for all boxes
-            subnet = [np.broadcast_to(c, distinct[0].shape)[distinct[1]]
-                      for c in subnet]
+        subnet = self._once_per_box(
+            lo, hi, slope_hi,
+            lambda s: lip._report_raw(self.weights, s, self._ds(s), 2,
+                                      self.heads2))
         return hs._spectral_sum(subnet, terms)
 
     def _one_by_one(self, lo, hi, index, parent_ub, dirs):
@@ -449,8 +514,10 @@ class _Bounder:
             consts = self._constants(lo, hi, dirs, obj.net)
         except _FAILURES:
             return failed()
-        l_inf, M, tau, lam, deep = consts
-        ub = value_c + l_inf * eps
+        # the zeroth-order bound; with first-order bounds l_lo is only a
+        # lower bound on L_inf, and ub below grows to L_inf's where needed
+        l_lo, M, tau, lam, lazy = consts
+        ub = value_c + l_lo * eps
         lb = value_c
         witness = center
         first_won = np.zeros(n_box, dtype=bool)
@@ -481,11 +548,11 @@ class _Bounder:
                 ub1[i_sel] = taylor._model_value(value_c[i_sel], grad_c[i_sel],
                                                  lam[i_sel], x_iso[i_sel],
                                                  center[i_sel])
-            if deep is not None:
+            A, slope_hi, terms = lazy
+            if A is not None:
                 # the interval Hessian's model, J(c) + sum |g_i| r_i +
                 # r^T A r / 2, peaks at x_iso too; the smaller bound wins,
                 # and an overflowed interval (NaN) leaves the lam bound
-                A, slope_hi, terms = deep
                 d = x_iso - center
                 ad = np.abs(d)
                 quad = taylor._dot(ad, (A @ ad[..., None])[..., 0])
@@ -515,6 +582,18 @@ class _Bounder:
                         ub1[k] = min(ub1[k], value_c[k] + dual)
                     except taylor.DualBisectionError:
                         flagged[k] = True
+            # the zeroth-order bound grows with L_inf, and ub took a lower
+            # bound on it: where ub1 is already below, it is below the bound
+            # with L_inf itself and wins.  Elsewhere, NaN included, L_inf is
+            # computed
+            full = _select(~(ub1 < ub))
+            if full is not None:
+                try:
+                    l_inf = self._full_l_inf(lo[full], hi[full], dirs[full],
+                                             [s[full] for s in slope_hi])
+                except _FAILURES:
+                    return failed()
+                ub[full] = value_c[full] + l_inf * eps[full]
             first_won = ub1 < ub
             ub = np.minimum(ub, ub1)
             # the candidates, clipped to their box, are evaluated exactly;

@@ -388,7 +388,11 @@ class TestFailureEnvelope:
         from curvreach.localize import bounds_for_box
         obj = ScalarObjective(make_net([2, 6, 5, 1], seed=4200))
         lo, hi = -np.ones((1, 2)), np.ones((1, 2))
-        l_inf = _constants(obj, lo, hi)[0]
+        # the ell_inf constant of the stack, which _constants only bounds
+        # from below
+        local = bounds_for_box(obj.net, lo, hi)
+        l_inf = lip.liplt(obj.net, local, lip.default_loop_transform(local),
+                          np.inf)
         # the full spectral bound, which _constants no longer sums
         local = bounds_for_box(obj.net, lo[0], hi[0])
         report = lip.lipschitz_report(obj.net, local,
@@ -910,6 +914,186 @@ class TestLazySpectralBound:
         monkeypatch.setattr(bnb, "_BATCH", 1)
         _full_lam_rows(monkeypatch, force=True)
         assert_same_result(lazy, run())
+
+
+def _l_inf_rows(monkeypatch, force=False):
+    """Record each stacked pass as ``[boxes, boxes that computed L_inf]``.
+    With ``force`` the lower bound on L_inf, which a pass with first-order
+    bounds takes first, reads -inf, so that every box computes L_inf."""
+    real_constants, real_full = _Bounder._constants, _Bounder._full_l_inf
+    passes = []
+
+    def constants(self, lo, *args):
+        consts = real_constants(self, lo, *args)
+        passes.append([len(lo), 0])
+        if force and self.cfg.use_first_order:
+            return (np.full(len(lo), -np.inf),) + consts[1:]
+        return consts
+
+    def full(self, lo, *args):
+        passes[-1][1] = len(lo)
+        return real_full(self, lo, *args)
+
+    monkeypatch.setattr(_Bounder, "_constants", constants)
+    monkeypatch.setattr(_Bounder, "_full_l_inf", full)
+    return passes
+
+
+def _two_layer_net(seed):
+    """A seeded 6-64-1 tanh net: the first net that the two-layer
+    benchmark draws at ``seed``."""
+    from curvreach.model import Layer, Network
+    rng = np.random.default_rng(seed)
+    w1 = 3.0 * rng.standard_normal((64, 6)) / np.sqrt(6.0)
+    b1 = 1.5 * rng.standard_normal(64)
+    w2 = rng.standard_normal((1, 64)) / 8.0
+    return ScalarObjective(Network((Layer(w1, b1, Activation.TANH),
+                                    Layer(w2, np.zeros(1), None))))
+
+
+class TestLazyZerothOrderBound:
+    """A pass computes the ell_inf Lipschitz constant L_inf only for the
+    boxes where the first-order bound is not below the zeroth-order bound
+    with a lower bound on L_inf; every result must be that of computing it
+    for every box."""
+
+    @staticmethod
+    def both_ways(monkeypatch, run):
+        """``run()`` as it is and with every box computing L_inf, and the
+        passes of each (``_l_inf_rows``)."""
+        results, passes = [], []
+        for force in (False, True):
+            passes.append(_l_inf_rows(monkeypatch, force))
+            results.append(run())
+            monkeypatch.undo()
+        return results, passes
+
+    @staticmethod
+    def every_box_full(passes):
+        return all(k == n for n, k in passes)
+
+    def test_budget_capped_two_layer_net(self, monkeypatch):
+        # few boxes compute L_inf, and some passes hold boxes of both kinds;
+        # also one node per stacked pass
+        obj = _two_layer_net(2)
+        cfg = BnBConfig(eps_t=1e-9, max_branches=1000, collect_stats=True)
+
+        def run():
+            return solve(obj, -np.ones(6), np.ones(6), cfg=cfg)
+
+        (lazy, full), (passes, full_passes) = self.both_ways(monkeypatch,
+                                                             run)
+        assert lazy.status == "BranchLimit"
+        assert_same_result(lazy, full)
+        assert self.every_box_full(full_passes)
+        rows = sum(n for n, _ in passes)
+        taken = sum(k for _, k in passes)
+        assert 0 < taken < 0.05 * rows
+        assert any(0 < k < n for n, k in passes)
+        monkeypatch.setattr(bnb, "_BATCH", 1)
+        _l_inf_rows(monkeypatch, force=True)
+        assert_same_result(lazy, run())
+
+    def test_closed_loop_step(self, monkeypatch, di_controller):
+        # the shipped depth-4 controller in lockstep over the hexagon: no
+        # box computes L_inf
+        from curvreach.reach import (LinearSystem, Zonotope, closed_loop_step,
+                                     uniform_directions)
+        sys_model = LinearSystem(np.array([[1.0, 1.0], [0.0, 1.0]]),
+                                 np.array([[0.5], [1.0]]), di_controller, 5)
+        hexagon = Zonotope(np.array([[0.1, 0.1, 0.1], [-0.1, 0.0, 0.1]]),
+                           np.array([2.5, 0.0]))
+
+        def run():
+            real, results = bnb.solve, []
+
+            def recording(*args, **kwargs):
+                results.append(real(*args, **kwargs))
+                return results[-1]
+
+            bnb.solve = recording
+            try:
+                poly, _ = closed_loop_step(sys_model, hexagon,
+                                           uniform_directions(16), 1e-3)
+            finally:
+                bnb.solve = real
+            return poly, results
+
+        ((poly, lazy), (poly_full, full)), (passes, full_passes) = \
+            self.both_ways(monkeypatch, run)
+        assert len(lazy) == len(full) == 20
+        for a, b in zip(lazy, full):
+            assert_same_result(a, b)
+        assert poly.offsets.tolist() == poly_full.offsets.tolist()
+        assert passes and not any(k for _, k in passes)
+        assert self.every_box_full(full_passes)
+
+    def test_budget_capped_deep_net(self, monkeypatch):
+        # gain 2 at a node budget
+        obj = _deep_net(2.0, 1)
+        cfg = BnBConfig(eps_t=1e-9, max_branches=300, collect_stats=True)
+        (lazy, full), (_, full_passes) = self.both_ways(
+            monkeypatch, lambda: solve(obj, -np.ones(6), np.ones(6), cfg=cfg))
+        assert lazy.status == "BranchLimit"
+        assert_same_result(lazy, full)
+        assert self.every_box_full(full_passes)
+
+
+class TestLowerMemo:
+    """The lower ell_inf memo of a pass (``_Bounder._lower_memo``) is at
+    most the memo itself entry by entry, and so the Lipschitz constant from
+    it is at most L_inf, in floating point."""
+
+    # widths 1, 6, 8 and 17: numpy sums rows of fewer than 8 entries in
+    # order, and longer ones in 8 unrolled partial sums plus a tail
+    @pytest.mark.parametrize("act", list(Activation))
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(widths=st.lists(st.sampled_from([1, 6, 8, 17]), min_size=2,
+                           max_size=4),
+           seed=st.integers(0, 2**16), scale=st.floats(0.5, 3.0),
+           special=st.sampled_from([0.0, 0.3, 1.0]))
+    def test_below_the_memo(self, act, widths, seed, scale, special):
+        # depth 2-4, three boxes; a share ``special`` of the slopes set to
+        # 0 or to subnormals
+        from curvreach import lipschitz as lip
+        from curvreach.localize import bounds_for_box
+        rng = np.random.default_rng(seed)
+        net = make_net([*widths, 1], act=act, seed=seed, scale=scale)
+        lo = rng.uniform(-1.5, 1.0, (3, widths[0]))
+        hi = lo + rng.uniform(0.05, 2.0, (3, widths[0]))
+        slope_hi = [b.copy() for b in bounds_for_box(net, lo, hi).slope_hi]
+        for b in slope_hi:
+            at = rng.random(b.shape) < special
+            b[at] = rng.choice([0.0, 5e-324, 1e-310, 2.2e-308], at.sum())
+        bounder = _Bounder([ScalarObjective(net)], BnBConfig())
+        lower = bounder._lower_memo(slope_hi)
+        memo = bounder._memo(slope_hi)
+        assert len(lower) == len(memo) == len(widths) - 1
+        for m_lo, m in zip(lower, memo):
+            assert m_lo.shape == m.shape == (3,)
+            assert (m_lo <= m).all()
+        if widths[0] == 1:
+            # one column: the row sum is the one entry, and the bound exact
+            assert np.array_equal(lower[0], memo[0])
+        ds = bounder._ds(slope_hi)
+        weights = bounder.weights
+        head = lip._norm(weights[-1], np.inf)
+        assert (lip._total_raw(weights, slope_hi, ds, np.inf,
+                               (0.0,) + lower, head)
+                <= lip._total_raw(weights, slope_hi, ds, np.inf,
+                                  (0.0,) + tuple(memo), head)).all()
+
+    def test_overflowing_net_raises(self):
+        # a 2-4-1 tanh net with weights of +-1e200: the chain W_2 D_1 W_1 of
+        # the Lipschitz recursion overflows, which the ell_inf norm rejects,
+        # whether or not the box computes L_inf itself
+        from curvreach.model import Layer, Network
+        signs = np.array([[1.0, -1.0], [-1.0, 1.0], [1.0, 1.0], [-1.0, -1.0]])
+        net = Network((Layer(1e200 * signs, np.zeros(4), Activation.TANH),
+                       Layer(1e200 * signs[:, :1].T, np.zeros(1), None)))
+        with np.errstate(all="ignore"), \
+                pytest.raises(ValueError, match="non-finite"):
+            solve(ScalarObjective(net), -np.ones(2), np.ones(2), eps_t=1e-3)
 
 
 class TestZonotope:
