@@ -72,6 +72,12 @@ per-direction finish reads the output layer and the linear term.
 The objective is evaluated once per pass, with the hidden layers run once and
 each box's output row and bias, linear term and offset gathered by direction.
 
+One failure rule holds: a numerical failure (``_FAILURES``) anywhere in a
+stack's certificate-and-model stage, the dual included, bounds the stack
+again one box at a time, and a box that fails alone is flagged, with its
+parent's upper bound and its center value as lower bound.  A dual bisection
+that finds no bracket only flags its box, which keeps its other bounds.
+
 The directions of a ``Lockstep`` group, given when it is built, run in
 lockstep.  The node loop is a generator, ``_search``, that yields each
 round's stack of children and is sent their nodes; ``_lockstep`` runs one
@@ -84,7 +90,7 @@ search.  Each search still sees exactly the nodes it would bound alone.
 import heapq
 import numbers
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -99,7 +105,7 @@ _PRUNE_SLACK = 1e-12
 _DEGENERATE = 1e-13
 _VERTEX_CAP = 12                       # vertex enumeration up to this dimension
 _BATCH = 64                            # most nodes whose children share a pass
-# numerical failures of a stack's certificates
+# numerical failures of a stack's certificate-and-model stage
 _FAILURES = (taylor.DualBisectionError, np.linalg.LinAlgError,
              FloatingPointError)
 
@@ -109,7 +115,6 @@ class BnBConfig:
     eps_t: float = 1e-2
     max_branches: int = 1_000_000
     use_first_order: bool = True
-    collect_stats: bool = False
 
     def __post_init__(self):
         # not > 0 also rejects NaN; inf is the zeroth-order fallback's gap
@@ -134,7 +139,6 @@ class BnBNode:
     index: int
     axis: int                          # split axis, -1 if too small to split
     flagged: bool = False
-    first_won: bool = False
 
 
 @dataclass
@@ -147,7 +151,6 @@ class BnBResult:
     wall_time_s: float                 # from the start of its (lockstep) run
     status: str                        # Converged | BranchLimit
     flagged_nodes: int = 0
-    stats: list = field(default_factory=list)
 
 
 def _same_layers(a, b):
@@ -401,46 +404,21 @@ class _Bounder:
                               (0.0,) + tuple(memo),
                               self.head_inf[dirs]) + self.lin_inf[dirs]
 
-    def _constants(self, lo, hi, dirs, net):
-        """(L, M, tau, lam, lazy) certified on each box of a stack: L <= L_inf,
-        the ell_inf Lipschitz constant, from the lower memo (``_lower_memo``),
-        and L = L_inf without first-order bounds; on the two-layer path the
-        upper Hessian matrix, else None; with at most ``_VERTEX_CAP`` inputs
-        its vertex bound slack (``taylor._psd_slack``: 0 where a Cholesky
-        factorization certifies M, else max(-lambda_min(M), 0)), else None;
-        lam >= ||hess J||_2, which is lambda_max(M)^+ on the two-layer path,
-        where it is None when every M is certified and no box reads it; and
-        ``(A, slope_hi, terms)``, what the bounds computed only where they
-        can win read.  On nets of depth 3 or more lam is only the first term
-        ``c_1^2 w_1`` of the spectral bound, which is at most the bound
-        itself; A is the matrix with d^T hess J d <= |d|^T A |d|, and
-        ``terms`` is what ``_full_lam`` reads; on other nets both are None.
-        ``slope_hi`` is what ``_full_l_inf`` reads.  The last four are None
-        without first-order bounds.  ``dirs`` names each box's direction, and
-        ``net`` is the network of the stack's stand-in (``_stack(dirs)``)."""
-        cert = self._certificate(lo, hi)
-        slope_hi = cert.slope_hi
-        l_lo = self._l_inf(dirs, slope_hi, cert.memo)
-        if not self.cfg.use_first_order:
-            return l_lo, None, None, None, None
-        lazy = (None, slope_hi, None)
-        if self.two_layer:
-            M = hs.two_layer_matrix_bounds(net, cert).M
-            tau, eig = (None, np.linalg.eigvalsh(M)) \
-                if lo.shape[1] > _VERTEX_CAP else taylor._psd_slack(M)
-            # only the boxes off the vertex route read lam
-            lam = None if eig is None else np.maximum(eig[:, -1], 0.0)
-            return l_lo, M, tau, lam, lazy
-        if not self.deep:
-            # no hidden layer: the objective is linear
-            return l_lo, None, None, np.zeros(len(lo)), lazy
+    def _deep_model(self, lo, hi, net, cert, value_c, grad_c, x_iso, center):
+        """The first-order bound of each box of a stack on a net of depth 3
+        or more: the smaller of the isotropic model with the spectral bound
+        ``lam >= ||hess J||_2`` and the interval Hessian's model, both at
+        their maximizer ``x_iso``.  ``lam`` is summed in full only for the
+        boxes where its first term ``c_1^2 w_1``, which is at most ``lam``,
+        leaves the ``lam`` model below the interval model.  ``net`` is the
+        network of the stack's stand-in (``_stack``)."""
         weights = self.weights[:-1] + [net.layers[-1].weight]
         # only the subnetwork constants of the report are read: ||W_1||_2,
         # one for all boxes, and zeros, which leave the first term of lam
         report = lip.LipschitzReport(
             0.0, (self.heads2[0],) + (0.0,) * (len(weights) - 2), 2)
         jac = lip._jacobian_rows(self.abs_hidden + [np.abs(weights[-1])],
-                                 slope_hi)
+                                 cert.slope_hi)
         spectral = hs.hessian_norm_bound(net, cert, report, jac)
         h_lo, h_hi = hs._interval_hessian_raw(weights, cert.jac_mid,
                                               cert.jac_rad, cert)
@@ -448,7 +426,24 @@ class _Bounder:
         A = np.maximum(np.abs(h_lo), np.abs(h_hi))
         i = np.arange(A.shape[-1])
         A[:, i, i] = np.maximum(h_hi[:, i, i], 0.0)
-        return l_lo, None, None, spectral.lam, (A, slope_hi, spectral.terms)
+        # the interval Hessian's model, J(c) + sum |g_i| r_i + r^T A r / 2
+        d = x_iso - center
+        ad = np.abs(d)
+        quad = taylor._dot(ad, (A @ ad[..., None])[..., 0])
+        ub2 = value_c + taylor._dot(grad_c, d) + 0.5 * quad
+        ub1 = taylor._model_value(value_c, grad_c, spectral.lam, x_iso, center)
+        # the model grows with lam: where its first term already reaches
+        # ub2, so does the full lam, and ub2 wins.  Elsewhere, NaN included,
+        # the full lam's model is taken
+        full = _select(~(ub1 >= ub2))
+        if full is not None:
+            lam = self._full_lam(lo[full], hi[full],
+                                 [s[full] for s in cert.slope_hi],
+                                 [w[full] for w in spectral.terms])
+            ub1[full] = taylor._model_value(value_c[full], grad_c[full], lam,
+                                            x_iso[full], center[full])
+        # an overflowed interval (NaN) leaves the lam bound
+        return np.fmin(ub1, ub2)
 
     def _full_l_inf(self, lo, hi, dirs, slope_hi):
         """The ell_inf Lipschitz constant L_inf of a stack of boxes: the
@@ -481,9 +476,9 @@ class _Bounder:
 
         The objective is evaluated on the whole stack at once (``_stack``).
         Each box gets the bounds it would get alone, bit for bit.  A stack
-        that holds a degenerate box, or whose certificates fail numerically,
-        is bounded one box at a time, so only a failing box is flagged."""
-        cfg = self.cfg
+        that holds a degenerate box, or whose certificates or model bounds
+        fail numerically, is bounded one box at a time, so only a failing
+        box is flagged."""
         n_box = len(lo)
         center = (lo + hi) / 2.0
         r = (hi - lo) / 2.0            # half-edges; a box is center +- r
@@ -502,7 +497,73 @@ class _Bounder:
                             min(v, parent_ub.item()), center[0],
                             int(index[0]), -1)]
 
-        def failed():
+        first_order = self.cfg.use_first_order
+        flagged = np.zeros(n_box, dtype=bool)
+        # the boxes with a vertex maximizer among their lower-bound
+        # candidates, and the others
+        v_sel, i_sel = None, slice(None)
+        try:
+            cert = self._certificate(lo, hi)
+            # the zeroth-order bound; with first-order bounds the memo is a
+            # lower one, and ub grows to L_inf's bound below where needed
+            ub = value_c + self._l_inf(dirs, cert.slope_hi, cert.memo) * eps
+            if first_order:
+                # the isotropic model's maximizer over the box itself: the
+                # segment from the center to any point of the box stays in
+                # the box, on which lam is certified.  Expanded at the
+                # center, it is c + r * sign(g) whatever lam
+                x_iso = taylor.optimal_perturbation(center, r, np.inf, grad_c,
+                                                    0.0, center)
+                if self.two_layer:
+                    M = hs.two_layer_matrix_bounds(obj.net, cert).M
+                    if lo.shape[1] > _VERTEX_CAP:
+                        eig = np.linalg.eigvalsh(M)
+                    else:
+                        tau, eig = taylor._psd_slack(M)
+                        vertex = tau <= 1e-9
+                        v_sel, i_sel = _select(vertex), _select(~vertex)
+                    ub1 = np.empty(n_box)
+                    if v_sel is not None:
+                        # convex model: exact at a vertex, never above the
+                        # others
+                        v, vert = taylor.vertex_upper(
+                            grad_c[v_sel], M[v_sel], lo[v_sel], hi[v_sel],
+                            center[v_sel], return_witness=True,
+                            tau=tau[v_sel])
+                        ub1[v_sel] = value_c[v_sel] + v
+                    if i_sel is not None:
+                        # lam = lambda_max(M)^+, which only these boxes read
+                        ub1[i_sel] = taylor._model_value(
+                            value_c[i_sel], grad_c[i_sel],
+                            np.maximum(eig[i_sel, -1], 0.0), x_iso[i_sel],
+                            center[i_sel])
+                        # the dual runs per box, on its own radius
+                        for k in np.arange(n_box)[i_sel]:
+                            try:
+                                dual = taylor.two_layer_dual_upper(
+                                    grad_c[k], M[k],
+                                    float(np.linalg.norm(r[k])), p=2)
+                                ub1[k] = min(ub1[k], value_c[k] + dual)
+                            except taylor.DualBisectionError:
+                                flagged[k] = True
+                elif self.deep:
+                    ub1 = self._deep_model(lo, hi, obj.net, cert, value_c,
+                                           grad_c, x_iso, center)
+                else:
+                    # no hidden layer: the objective is linear, lam = 0
+                    ub1 = taylor._model_value(value_c, grad_c, 0.0, x_iso,
+                                              center)
+                # the zeroth-order bound grows with L_inf, and ub took a
+                # lower bound on it: where ub1 is already below, it is below
+                # the bound with L_inf itself and wins.  Elsewhere, NaN
+                # included, L_inf is computed
+                full = _select(~(ub1 < ub))
+                if full is not None:
+                    l_inf = self._full_l_inf(lo[full], hi[full], dirs[full],
+                                             [s[full] for s in cert.slope_hi])
+                    ub[full] = value_c[full] + l_inf * eps[full]
+                ub = np.minimum(ub, ub1)
+        except _FAILURES:
             if n_box > 1:
                 return self._one_by_one(lo, hi, index, parent_ub, dirs)
             # sound fallback: inherit the parent's upper bound, keep the
@@ -510,98 +571,18 @@ class _Bounder:
             return [BnBNode(lo[0], hi[0], center[0], float(value_c[0]),
                             parent_ub.item(), center[0], int(index[0]),
                             axes[0], flagged=True)]
-        try:
-            consts = self._constants(lo, hi, dirs, obj.net)
-        except _FAILURES:
-            return failed()
-        # the zeroth-order bound; with first-order bounds l_lo is only a
-        # lower bound on L_inf, and ub below grows to L_inf's where needed
-        l_lo, M, tau, lam, lazy = consts
-        ub = value_c + l_lo * eps
-        lb = value_c
-        witness = center
-        first_won = np.zeros(n_box, dtype=bool)
-        flagged = np.zeros(n_box, dtype=bool)
-        if cfg.use_first_order:
-            # the isotropic model's maximizer over the box itself: the
-            # segment from the center to any point of the box stays in the
-            # box, on which lam is certified.  Expanded at the center, it is
-            # c + r * sign(g) whatever lam
-            x_iso = taylor.optimal_perturbation(center, r, np.inf, grad_c,
-                                                0.0, center)
-            vertex = np.zeros(n_box, dtype=bool) if tau is None \
-                else tau <= 1e-9
-            v_sel, i_sel = _select(vertex), _select(~vertex)
-            ub1 = np.empty(n_box)
+        lb, witness = value_c, center
+        if first_order:
             # lower-bound candidates: the isotropic maximizer, then the
-            # vertex maximizer where there is one
-            pts = np.empty((n_box, 2, center.shape[1]))
-            pts[:] = x_iso[:, None, :]
+            # vertex maximizer where there is one.  Clipped to their box,
+            # they are evaluated exactly; boxes with one and with two
+            # candidates are evaluated apart, since a one-row and a two-row
+            # product round differently
+            pts = np.repeat(x_iso[:, None, :], 2, axis=1)
             if v_sel is not None:
-                # convex model: exact at a vertex, never above the others
-                v, vert = taylor.vertex_upper(
-                    grad_c[v_sel], M[v_sel], lo[v_sel], hi[v_sel],
-                    center[v_sel], return_witness=True, tau=tau[v_sel])
-                ub1[v_sel] = value_c[v_sel] + v
                 pts[v_sel, 1] = vert
-            if i_sel is not None:
-                ub1[i_sel] = taylor._model_value(value_c[i_sel], grad_c[i_sel],
-                                                 lam[i_sel], x_iso[i_sel],
-                                                 center[i_sel])
-            A, slope_hi, terms = lazy
-            if A is not None:
-                # the interval Hessian's model, J(c) + sum |g_i| r_i +
-                # r^T A r / 2, peaks at x_iso too; the smaller bound wins,
-                # and an overflowed interval (NaN) leaves the lam bound
-                d = x_iso - center
-                ad = np.abs(d)
-                quad = taylor._dot(ad, (A @ ad[..., None])[..., 0])
-                ub2 = value_c + taylor._dot(grad_c, d) + 0.5 * quad
-                # the model grows with lam, and ub1 took the first term of
-                # lam alone: where that already reaches ub2, so does the
-                # full lam, and ub2 wins.  Elsewhere, NaN included, the full
-                # lam's model is taken
-                full = _select(~(ub1 >= ub2))
-                if full is not None:
-                    try:
-                        lam = self._full_lam(lo[full], hi[full],
-                                             [s[full] for s in slope_hi],
-                                             [w[full] for w in terms])
-                    except _FAILURES:
-                        return failed()
-                    ub1[full] = taylor._model_value(
-                        value_c[full], grad_c[full], lam, x_iso[full],
-                        center[full])
-                ub1 = np.fmin(ub1, ub2)
-            if i_sel is not None and M is not None:
-                # the dual runs per box, on its own radius
-                for k in np.arange(n_box)[i_sel]:
-                    try:
-                        dual = taylor.two_layer_dual_upper(
-                            grad_c[k], M[k], float(np.linalg.norm(r[k])), p=2)
-                        ub1[k] = min(ub1[k], value_c[k] + dual)
-                    except taylor.DualBisectionError:
-                        flagged[k] = True
-            # the zeroth-order bound grows with L_inf, and ub took a lower
-            # bound on it: where ub1 is already below, it is below the bound
-            # with L_inf itself and wins.  Elsewhere, NaN included, L_inf is
-            # computed
-            full = _select(~(ub1 < ub))
-            if full is not None:
-                try:
-                    l_inf = self._full_l_inf(lo[full], hi[full], dirs[full],
-                                             [s[full] for s in slope_hi])
-                except _FAILURES:
-                    return failed()
-                ub[full] = value_c[full] + l_inf * eps[full]
-            first_won = ub1 < ub
-            ub = np.minimum(ub, ub1)
-            # the candidates, clipped to their box, are evaluated exactly;
-            # boxes with one and with two candidates are evaluated apart,
-            # since a one-row and a two-row product round differently
             np.clip(pts, lo[:, None, :], hi[:, None, :], out=pts)
-            lb = lb.copy()
-            witness = witness.copy()
+            lb, witness = lb.copy(), witness.copy()
             for sel, count in ((v_sel, 2), (i_sel, 1)):
                 if sel is None:
                     continue
@@ -616,10 +597,10 @@ class _Bounder:
                                         witness[sel])
         ub = np.maximum(np.minimum(ub, parent_ub), lb)
         return [BnBNode(lo[k], hi[k], center[k], lb_k, ub_k, witness[k],
-                        i_k, a_k, flagged=f_k, first_won=w_k)
-                for k, (lb_k, ub_k, i_k, a_k, f_k, w_k) in enumerate(zip(
+                        i_k, a_k, flagged=f_k)
+                for k, (lb_k, ub_k, i_k, a_k, f_k) in enumerate(zip(
                     lb.tolist(), ub.tolist(), index.tolist(), axes,
-                    flagged.tolist(), first_won.tolist()))]
+                    flagged.tolist()))]
 
 
 def solve(obj_or_net, lo, hi, eps_t=None, cfg=None, lockstep=None):
@@ -656,8 +637,6 @@ def solve(obj_or_net, lo, hi, eps_t=None, cfg=None, lockstep=None):
 def _pass(bounder, dirs, asks):
     """Bound the stacks ``asks`` of the searches of directions ``dirs`` in
     one stacked pass; returns each stack's nodes."""
-    if len(asks) == 1:
-        return [bounder.bound(*asks[0], np.full(len(asks[0][0]), dirs[0]))]
     counts = [len(ask[0]) for ask in asks]
     nodes = bounder.bound(*(np.concatenate(part) for part in zip(*asks)),
                           np.repeat(dirs, counts))
@@ -718,8 +697,6 @@ def _search(lo, hi, cfg, start):
     next_index = 1
     expanded = 0
     flagged = 1 if root.flagged else 0
-    stats = [(float(np.max(root.hi - root.lo)), root.first_won)] \
-        if cfg.collect_stats else []
 
     def stop(top):
         """The one-node loop's status before it pops the heap entry ``top``
@@ -777,9 +754,6 @@ def _search(lo, hi, cfg, start):
                 branches += 1
                 if child.flagged:
                     flagged += 1
-                if cfg.collect_stats:
-                    stats.append((float(np.max(child.hi - child.lo)),
-                                  child.first_won))
                 if child.lb > best_lb:
                     best_lb = child.lb
                     witness = child.witness
@@ -791,7 +765,7 @@ def _search(lo, hi, cfg, start):
 
     cur_ub = max(heap[0][2].ub if heap else -np.inf, finalized_ub, best_lb)
     return BnBResult(best_lb, cur_ub, witness, branches, max_active,
-                     time.perf_counter() - start, status, flagged, stats)
+                     time.perf_counter() - start, status, flagged)
 
 
 def latent_objective(obj, G, x_c, net=None):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import bnb, taylor
+from . import bnb
 from .model import (Network, ScalarObjective, prepend_affine,
                     require_finite, scalarize)
 
@@ -262,8 +262,7 @@ def _support_polytope(dirs, objective_for, input_set, cfg):
             res = bnb.solve(objective, box.lo, box.hi, cfg=cfg,
                             lockstep=lockstep)
             offsets[i], lbs[i] = res.ub, res.lb
-        except (taylor.DualBisectionError, np.linalg.LinAlgError,
-                FloatingPointError):
+        except bnb._FAILURES:
             offsets[i], lbs[i] = _zeroth_root_offset(objective, box)
             flagged.append(i)
             res = None

@@ -1,3 +1,4 @@
+from collections import defaultdict
 from dataclasses import fields
 
 import numpy as np
@@ -62,6 +63,32 @@ def assert_same_result(a, b):
         if f.name != "wall_time_s":
             assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), \
                 f.name
+
+
+def node_streams(monkeypatch):
+    """The nodes bounded for each search of the runs that follow, in the
+    order bounded, by the search's position in its run (0 for a lone
+    solve): ``streams[i]`` lists the nodes of ``bnb._pass`` replies."""
+    from curvreach import bnb
+    real = bnb._pass
+    streams = defaultdict(list)
+
+    def recording(bounder, dirs, asks):
+        replies = real(bounder, dirs, asks)
+        for i, nodes in zip(dirs, replies):
+            streams[i].extend(nodes)
+        return replies
+
+    monkeypatch.setattr(bnb, "_pass", recording)
+    return streams
+
+
+def node_rows(nodes):
+    """``(index, lb, ub, witness, flagged)`` of each node, to compare bit
+    for bit; read when the search is over, since the replay numbers a
+    child after it is bounded."""
+    return [(n.index, n.lb, n.ub, n.witness.tolist(), n.flagged)
+            for n in nodes]
 
 
 def linear_net(W, b=None):

@@ -8,7 +8,8 @@ from curvreach import bnb, oracle
 from curvreach.bnb import (BnBConfig, Lockstep, as_objective, solve,
                            solve_zonotope, _Bounder)
 from curvreach.model import Activation, ScalarObjective, scalarize
-from conftest import assert_same_result, linear_net, make_net
+from conftest import (assert_same_result, linear_net, make_net, node_rows,
+                      node_streams)
 
 
 def scalar_linear(w, b=0.0):
@@ -25,12 +26,19 @@ def _per_box(lo, first=0, parent_ub=np.inf):
             np.zeros(n, dtype=int))
 
 
-def _constants(obj, lo, hi):
-    """``_Bounder._constants`` of a stack ``lo``, ``hi`` of direction 0, with
-    the stack's stand-in network as ``bound`` passes it."""
-    bounder = _Bounder([obj], BnBConfig())
-    dirs = _per_box(lo)[2]
-    return bounder._constants(lo, hi, dirs, bounder._stack(dirs).net)
+def _bound_passes(monkeypatch):
+    """Record each ``_Bounder.bound`` pass as a list of ``(node, index)``:
+    its nodes, each with the node number it was bounded under."""
+    real = _Bounder.bound
+    passes = []
+
+    def bound(self, *args):
+        nodes = real(self, *args)
+        passes.append([(node, node.index) for node in nodes])
+        return nodes
+
+    monkeypatch.setattr(_Bounder, "bound", bound)
+    return passes
 
 
 class TestNodeBounds:
@@ -68,15 +76,16 @@ class TestNodeBounds:
 
 
 class TestSelect:
-    def test_largest_child_selected_next(self):
+    def test_largest_child_selected_next(self, monkeypatch):
         # after a split, solve always expands the pool-max node: verified by
         # the heap invariant through a short deterministic run
         net = make_net([2, 6, 1], seed=1400)
         obj = ScalarObjective(net)
-        res = solve(obj, -np.ones(2), np.ones(2), eps_t=1e-4,
-                    cfg=BnBConfig(collect_stats=True))
+        passes = _bound_passes(monkeypatch)
+        res = solve(obj, -np.ones(2), np.ones(2), eps_t=1e-4)
         assert res.status == "Converged"
-        diams = [d for d, _ in res.stats]
+        diams = [float(np.max(node.hi - node.lo))
+                 for nodes in passes for node, _ in nodes]
         # maxlen bisection only ever halves the current longest edge
         assert max(diams) == diams[0]
 
@@ -206,15 +215,23 @@ class TestSolveContracts:
         assert both.status == zeroth.status == "Converged"
         assert both.branches_processed <= zeroth.branches_processed
 
-    def test_crossover_fraction_grows_as_nodes_shrink(self):
+    def test_crossover_fraction_grows_as_nodes_shrink(self, monkeypatch):
         net = make_net([2, 8, 8, 1], seed=2100)
         obj = ScalarObjective(net)
-        cfg = BnBConfig(eps_t=5e-4, collect_stats=True)
-        res = solve(obj, -np.ones(2), np.ones(2), cfg=cfg)
-        stats = res.stats
-        assert len(stats) > 20
-        diams = np.array([d for d, _ in stats])
-        wins = np.array([w for _, w in stats])
+        passes = _bound_passes(monkeypatch)
+        solve(obj, -np.ones(2), np.ones(2), cfg=BnBConfig(eps_t=5e-4))
+        monkeypatch.undo()
+        lo = np.array([node.lo for nodes in passes for node, _ in nodes])
+        hi = np.array([node.hi for nodes in passes for node, _ in nodes])
+        assert len(lo) > 20
+        # the first-order bound won where the box's upper bound lies below
+        # that of the zeroth-order bound alone
+        ub = [np.array([node.ub for node in _Bounder(
+                  [obj], BnBConfig(use_first_order=first)).bound(
+                      lo, hi, *_per_box(lo))])
+              for first in (True, False)]
+        wins = ub[0] < ub[1]
+        diams = np.max(hi - lo, axis=1)
         cut = np.median(diams)
         small = wins[diams < cut]
         large = wins[diams >= cut]
@@ -363,10 +380,10 @@ class TestFailureEnvelope:
         lo = -np.ones((1, 2))
         root, = bounder.bound(lo, np.ones((1, 2)), *_per_box(lo))
 
-        def broken(lo, hi, dirs, net):
+        def broken(lo, hi):
             raise np.linalg.LinAlgError("engine down")
 
-        monkeypatch.setattr(bounder, "_constants", broken)
+        monkeypatch.setattr(bounder, "_certificate", broken)
         child, = bounder.bound(lo, np.zeros((1, 2)),
                                *_per_box(lo, 1, root.ub))
         assert child.flagged
@@ -388,12 +405,13 @@ class TestFailureEnvelope:
         from curvreach.localize import bounds_for_box
         obj = ScalarObjective(make_net([2, 6, 5, 1], seed=4200))
         lo, hi = -np.ones((1, 2)), np.ones((1, 2))
-        # the ell_inf constant of the stack, which _constants only bounds
-        # from below
+        # the ell_inf constant of the stack, which a pass first bounds from
+        # below
         local = bounds_for_box(obj.net, lo, hi)
         l_inf = lip.liplt(obj.net, local, lip.default_loop_transform(local),
                           np.inf)
-        # the full spectral bound, which _constants no longer sums
+        # the full spectral bound, of which a pass first takes the first
+        # term
         local = bounds_for_box(obj.net, lo[0], hi[0])
         report = lip.lipschitz_report(obj.net, local,
                                       lip.default_loop_transform(local), 2)
@@ -512,7 +530,6 @@ def _assert_same_nodes(stacked, alone):
         assert s.lb == a.lb and s.ub == a.ub
         assert np.array_equal(s.witness, a.witness)
         assert s.flagged == a.flagged
-        assert s.first_won == a.first_won
         assert np.all((s.lo <= s.witness) & (s.witness <= s.hi))
 
 
@@ -559,7 +576,8 @@ class TestStackedBounds:
         # depth 3: each child's ub is the interval model J(c) + |g|.r +
         # r^T A r / 2, with A built from the public interval Hessian, and is
         # bit-identical to bounding the child alone
-        from curvreach.hessian import interval_hessian
+        from curvreach import lipschitz as lip
+        from curvreach.hessian import hessian_norm_bound, interval_hessian
         from curvreach.localize import bounds_for_box
         rng = np.random.default_rng(17)
         obj = ScalarObjective(make_net([3, 6, 5, 1], seed=4102, scale=2.0))
@@ -576,7 +594,17 @@ class TestStackedBounds:
         value, grad = obj.value_and_grad((lo2 + hi2) / 2.0)
         model = value + (np.abs(grad) * r).sum(axis=1) \
             + 0.5 * np.einsum("bi,bij,bj->b", r, A, r)
-        l_inf, _, _, lam, _ = _constants(obj, lo2, hi2)
+        local = bounds_for_box(obj.net, lo2, hi2)
+        l_inf = lip.liplt(obj.net, local, lip.default_loop_transform(local),
+                          np.inf)
+        lam = np.empty(2)
+        for k in range(2):
+            local = bounds_for_box(obj.net, lo2[k], hi2[k])
+            report = lip.lipschitz_report(obj.net, local,
+                                          lip.default_loop_transform(local), 2)
+            lam[k] = hessian_norm_bound(
+                obj.net, local, report,
+                lip.jacobian_elementwise_bounds(obj.net, local)).lam
         assert (model < value + (np.abs(grad) * r).sum(axis=1)
                 + 0.5 * lam * (r * r).sum(axis=1)).all()
         assert (model < value + l_inf * r.max(axis=1)).all()
@@ -680,25 +708,50 @@ class TestStackedBounds:
         assert second.ub == 9.0
         assert second.lb == obj.value(second.center)
 
+    def test_failing_dual_flags_its_child(self, monkeypatch):
+        # 13 inputs: every box takes the dual, whose eigendecomposition
+        # fails on the second child's M; that child alone is flagged
+        from curvreach import taylor as ty
+        from curvreach.hessian import two_layer_matrix_bounds
+        from curvreach.localize import bounds_for_box
+        rng = np.random.default_rng(13)
+        net = make_net([13, 8, 1], seed=3900)
+        obj = ScalarObjective(net)
+        lo = rng.uniform(-1.0, 0.0, 13)
+        lo, hi = _children(lo, lo + rng.uniform(0.2, 1.0, 13))
+        bad = two_layer_matrix_bounds(net, bounds_for_box(net, lo[1], hi[1])).M
+        real, calls = ty.two_layer_dual_upper, []
+
+        def failing(grad, M, *args, **kwargs):
+            calls.append(np.array_equal(M, bad))
+            if calls[-1]:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real(grad, M, *args, **kwargs)
+
+        alone_first = _Bounder([obj], BnBConfig()).bound(
+            lo[:1], hi[:1], *_per_box(lo[:1], 1, 9.0))
+        monkeypatch.setattr(ty, "two_layer_dual_upper", failing)
+        first, second = _Bounder([obj], BnBConfig()).bound(
+            lo, hi, *_per_box(lo, 1, 9.0))
+        assert any(calls) and not all(calls)
+        _assert_same_nodes([first], alone_first)
+        assert not first.flagged
+        assert second.flagged
+        assert second.ub == 9.0
+        assert second.lb == obj.value(second.center)
+
 
 def _solve_both_ways(monkeypatch, run):
     """``run()`` with speculative batches and with one node per stacked pass
-    (``_BATCH = 1``, the one-node loop), and the passes each bounded: every
-    pass's nodes, each with the node number it was bounded under."""
+    (``_BATCH = 1``, the one-node loop), and the passes each bounded
+    (``_bound_passes``)."""
     real, full = _Bounder.bound, bnb._BATCH
     results, passes = [], []
     for batch in (full, 1):
         monkeypatch.setattr(bnb, "_BATCH", batch)
-        passes.append([])
-
-        def bound(self, *args, passes=passes[-1]):
-            nodes = real(self, *args)
-            passes.append([(node, node.index) for node in nodes])
-            return nodes
-
-        monkeypatch.setattr(_Bounder, "bound", bound)
+        passes.append(_bound_passes(monkeypatch))
         results.append(run())
-    monkeypatch.setattr(_Bounder, "bound", real)
+        monkeypatch.setattr(_Bounder, "bound", real)
     monkeypatch.setattr(bnb, "_BATCH", full)
     return results, passes
 
@@ -728,17 +781,24 @@ class TestSpeculativeBatching:
         # bounded and never counted.  Fewer than _BATCH nodes hold children
         # after a replay whose first node splits, as every node of these
         # solves does
-        boxes = {node.lo.tobytes() + node.hi.tobytes()
+        boxes = {node.lo.tobytes() + node.hi.tobytes(): node
                  for nodes in passes for node, _ in nodes}
         assert len(boxes) == sum(sizes)
         assert 0 <= sum(sizes) - one.branches_processed <= 2 * bnb._BATCH - 2
+        # the one-node loop counts every node it bounds, and the batches
+        # bound each of them alike, under the same number
+        counted = [node for nodes in one_passes for node, _ in nodes]
+        assert [node.index for node in counted] == list(
+            range(one.branches_processed))
+        assert node_rows(counted) == node_rows(
+            boxes[node.lo.tobytes() + node.hi.tobytes()] for node in counted)
         return batched, passes
 
     def test_budget_stop(self, monkeypatch):
         # a small cap, so that the batch reaches it before the budget stop
         monkeypatch.setattr(bnb, "_BATCH", 8)
         obj = ScalarObjective(make_net([4, 16, 1], seed=5100, scale=2.5))
-        cfg = BnBConfig(eps_t=1e-9, max_branches=401, collect_stats=True)
+        cfg = BnBConfig(eps_t=1e-9, max_branches=401)
         res, passes = self.compare(monkeypatch, obj, -np.ones(4), np.ones(4),
                                    cfg)
         assert res.status == "BranchLimit"
@@ -748,7 +808,7 @@ class TestSpeculativeBatching:
         # depth 3, where children seldom beat their parent's upper bound, so
         # the replay often stops early and later batches take kept children
         obj = ScalarObjective(make_net([6, 32, 32, 1], seed=5300, scale=2.0))
-        cfg = BnBConfig(eps_t=1e-9, max_branches=301, collect_stats=True)
+        cfg = BnBConfig(eps_t=1e-9, max_branches=301)
         res, passes = self.compare(monkeypatch, obj, -np.ones(6), np.ones(6),
                                    cfg)
         assert res.status == "BranchLimit"
@@ -761,7 +821,7 @@ class TestSpeculativeBatching:
     def test_converged(self, monkeypatch, dims, eps_t):
         obj = ScalarObjective(make_net(dims, seed=5200, scale=2.0))
         res, passes = self.compare(monkeypatch, obj, -np.ones(3), np.ones(3),
-                                   BnBConfig(eps_t=eps_t, collect_stats=True))
+                                   BnBConfig(eps_t=eps_t))
         assert res.status == "Converged"
         assert max(len(nodes) for nodes in passes) > 2
 
@@ -793,6 +853,22 @@ class TestSpeculativeBatching:
         for b, o in zip(batched, one):
             assert_same_result(b, o)
         assert max(len(nodes) for nodes in passes) > 2 * len(directions)
+
+
+def _both_ways(monkeypatch, run, rows):
+    """``run()`` as it is and forced, with the passes of each recorded by
+    ``rows(monkeypatch, force)``; every search of both runs must bound the
+    same nodes, bit for bit."""
+    results, passes, streams = [], [], []
+    for force in (False, True):
+        passes.append(rows(monkeypatch, force))
+        streams.append(node_streams(monkeypatch))
+        results.append(run())
+        monkeypatch.undo()
+    lazy, full = ({i: node_rows(nodes) for i, nodes in s.items()}
+                  for s in streams)
+    assert lazy == full
+    return results, passes
 
 
 def _full_lam_rows(monkeypatch, force=False):
@@ -843,13 +919,9 @@ class TestLazySpectralBound:
     @staticmethod
     def both_ways(monkeypatch, run):
         """``run()`` as it is and with every box summing the full lam, and
-        the passes of each (``_full_lam_rows``)."""
-        results, passes = [], []
-        for force in (False, True):
-            passes.append(_full_lam_rows(monkeypatch, force))
-            results.append(run())
-            monkeypatch.undo()
-        return results, passes
+        the passes of each (``_full_lam_rows``); both bound every node
+        alike."""
+        return _both_ways(monkeypatch, run, _full_lam_rows)
 
     @staticmethod
     def every_box_full(passes):
@@ -892,7 +964,7 @@ class TestLazySpectralBound:
     def test_deep_net_with_mixed_passes(self, monkeypatch):
         # at gain 0.3 some passes hold boxes of both kinds
         obj = _deep_net(0.3, 3)
-        cfg = BnBConfig(eps_t=1e-6, max_branches=1000, collect_stats=True)
+        cfg = BnBConfig(eps_t=1e-6, max_branches=1000)
         (lazy, full), (passes, full_passes) = self.both_ways(
             monkeypatch, lambda: solve(obj, -np.ones(6), np.ones(6), cfg=cfg))
         assert_same_result(lazy, full)
@@ -902,7 +974,7 @@ class TestLazySpectralBound:
     def test_budget_capped_deep_net(self, monkeypatch):
         # gain 2 at a node budget, also one node per stacked pass
         obj = _deep_net(2.0, 1)
-        cfg = BnBConfig(eps_t=1e-9, max_branches=300, collect_stats=True)
+        cfg = BnBConfig(eps_t=1e-9, max_branches=300)
 
         def run():
             return solve(obj, -np.ones(6), np.ones(6), cfg=cfg)
@@ -918,24 +990,27 @@ class TestLazySpectralBound:
 
 def _l_inf_rows(monkeypatch, force=False):
     """Record each stacked pass as ``[boxes, boxes that computed L_inf]``.
-    With ``force`` the lower bound on L_inf, which a pass with first-order
-    bounds takes first, reads -inf, so that every box computes L_inf."""
-    real_constants, real_full = _Bounder._constants, _Bounder._full_l_inf
+    With ``force`` the lower ell_inf memo, which only a pass with
+    first-order bounds computes, reads -inf, so that the lower bound on
+    L_inf is -inf or NaN and every box computes L_inf."""
+    real_cert, real_full = _Bounder._certificate, _Bounder._full_l_inf
     passes = []
 
-    def constants(self, lo, *args):
-        consts = real_constants(self, lo, *args)
+    def certificate(self, lo, hi):
         passes.append([len(lo), 0])
-        if force and self.cfg.use_first_order:
-            return (np.full(len(lo), -np.inf),) + consts[1:]
-        return consts
+        return real_cert(self, lo, hi)
 
     def full(self, lo, *args):
         passes[-1][1] = len(lo)
         return real_full(self, lo, *args)
 
-    monkeypatch.setattr(_Bounder, "_constants", constants)
+    def minus_inf(self, slope_hi):
+        return tuple(np.full(len(b), -np.inf) for b in slope_hi)
+
+    monkeypatch.setattr(_Bounder, "_certificate", certificate)
     monkeypatch.setattr(_Bounder, "_full_l_inf", full)
+    if force:
+        monkeypatch.setattr(_Bounder, "_lower_memo", minus_inf)
     return passes
 
 
@@ -960,13 +1035,8 @@ class TestLazyZerothOrderBound:
     @staticmethod
     def both_ways(monkeypatch, run):
         """``run()`` as it is and with every box computing L_inf, and the
-        passes of each (``_l_inf_rows``)."""
-        results, passes = [], []
-        for force in (False, True):
-            passes.append(_l_inf_rows(monkeypatch, force))
-            results.append(run())
-            monkeypatch.undo()
-        return results, passes
+        passes of each (``_l_inf_rows``); both bound every node alike."""
+        return _both_ways(monkeypatch, run, _l_inf_rows)
 
     @staticmethod
     def every_box_full(passes):
@@ -976,7 +1046,7 @@ class TestLazyZerothOrderBound:
         # few boxes compute L_inf, and some passes hold boxes of both kinds;
         # also one node per stacked pass
         obj = _two_layer_net(2)
-        cfg = BnBConfig(eps_t=1e-9, max_branches=1000, collect_stats=True)
+        cfg = BnBConfig(eps_t=1e-9, max_branches=1000)
 
         def run():
             return solve(obj, -np.ones(6), np.ones(6), cfg=cfg)
@@ -1031,7 +1101,7 @@ class TestLazyZerothOrderBound:
     def test_budget_capped_deep_net(self, monkeypatch):
         # gain 2 at a node budget
         obj = _deep_net(2.0, 1)
-        cfg = BnBConfig(eps_t=1e-9, max_branches=300, collect_stats=True)
+        cfg = BnBConfig(eps_t=1e-9, max_branches=300)
         (lazy, full), (_, full_passes) = self.both_ways(
             monkeypatch, lambda: solve(obj, -np.ones(6), np.ones(6), cfg=cfg))
         assert lazy.status == "BranchLimit"

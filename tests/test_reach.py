@@ -8,7 +8,8 @@ from curvreach.reach import (Box, DirectionTemplate, LinearSystem, Polytope,
                              sample_inputs, simulate, uniform_directions)
 from curvreach import bnb
 from curvreach.model import ScalarObjective, scalarize
-from conftest import assert_same_result, linear_net, make_net
+from conftest import (assert_same_result, linear_net, make_net, node_rows,
+                      node_streams)
 
 
 class TestTemplates:
@@ -308,7 +309,8 @@ class TestLockstepDirections:
         bnb.BnBConfig(eps_t=1e-2),
         # directions stop in different rounds at this budget
         bnb.BnBConfig(eps_t=1e-3, max_branches=101),
-        bnb.BnBConfig(eps_t=1e-2, max_branches=201, collect_stats=True),
+        # a larger budget at the coarser gap
+        bnb.BnBConfig(eps_t=1e-2, max_branches=201),
     ], ids=["converged", "budget", "budget-stats"])
     @pytest.mark.parametrize("kind", ["box", "zonotope"])
     @pytest.mark.parametrize("dims", DEPTHS, ids=["depth2", "depth3",
@@ -321,13 +323,21 @@ class TestLockstepDirections:
         template = uniform_directions(6)
         objectives = [ScalarObjective(scalarize(net, c))
                       for c in template.directions]
+        streams = node_streams(monkeypatch)
         alone, rounds = self.rounds_alone(monkeypatch, objectives,
                                           input_set, cfg)
+        # the directions solved alone, one after another
+        alone_rows = node_rows(streams[0])
         passes = self.count_passes(monkeypatch)
+        streams = node_streams(monkeypatch)
         poly, results = reach_polytope(net, input_set, template, cfg.eps_t,
                                        cfg)
         for res, ref in zip(results, alone):
             assert_same_result(res, ref)
+        # each direction bounds the nodes it bounds alone, bit for bit
+        assert sorted(streams) == list(range(len(objectives)))
+        assert node_rows(node for i in sorted(streams)
+                         for node in streams[i]) == alone_rows
         assert poly.offsets.tolist() == [r.ub for r in alone]
         # one pass per round, all directions in the first
         assert len(passes) == max(rounds)
