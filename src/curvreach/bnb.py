@@ -4,28 +4,29 @@ Each node computes fresh localized Lipschitz and Hessian certificates for its
 own sub-rectangle, reusing none from the root or its parent, and takes the
 better of the zeroth-order bound (the ell_inf loop-transformed Lipschitz
 constant, with ``d = slope_hi / 2``, times half the longest edge) and one
-first-order model bound over the box itself: the exact vertex maximum when
-the Hessian upper bound is a PSD matrix (one hidden layer, at most
-``_VERTEX_CAP`` inputs), else the exact maximum of the isotropic model over
-the box, with a matrix bound also the dual bound over the ell_2 ball of
-radius ``||(hi - lo)/2||_2`` when smaller.  On the matrix path the PSD test
-of the upper matrix ``M`` is a Cholesky factorization; only a node whose
-``M`` it does not factor, or a net with more than ``_VERTEX_CAP`` inputs,
-computes the eigenvalues of ``M`` for the isotropic curvature and the vertex
-bound's PSD tolerance.
+first-order bound over the box itself, the same at every depth.  It is the
+smallest of three bounds:
 
-On nets of depth 3 or more the isotropic model's curvature is the spectral
-bound ``lam``, and a second model bound comes from the interval Hessian
-``[H_lo, H_hi]`` over the box (``hessian.interval_hessian``): with half-edges
-``r``, ``J(c) + sum |g_i| r_i + r^T A r / 2``, where ``A_ij = max(|H_lo,ij|,
-|H_hi,ij|)`` off the diagonal and ``A_ii = max(H_hi,ii, 0)``.  Both models
-peak at ``c + r * sign(g)`` and the smaller bound wins: the interval is
-tighter on small boxes, ``lam`` near the root of wide deep nets.  The
-interval rounds to nearest, as localization does.  ``lam = sum_l c_l^2 w_l``
-is summed in full only for the boxes where its first term, ``||W_1||_2^2
-w_1``, leaves the ``lam`` model below the interval model: the model grows
-with ``lam``, so elsewhere the interval model wins whatever the other terms,
-and their ell_2 subnetwork constants ``c_l`` are never computed.  On the
+- the isotropic model with the spectral bound ``lam >= ||hess J||_2``;
+- the interval Hessian's model: with the interval ``[H_lo, H_hi]`` over the
+  box (``hessian.interval_hessian``) and half-edges ``r``, ``J(c) + sum |g_i|
+  r_i + r^T A r / 2``, where ``A_ij = max(|H_lo,ij|, |H_hi,ij|)`` off the
+  diagonal and ``A_ii = max(H_hi,ii, 0)``;
+- the linear-relaxation bound (CROWN; Zhang et al., 2018), which needs no
+  expansion point: each hidden unit's activation lies between two parallel
+  lines over its IBP interval, and a backward pass from the output row
+  carries a linear upper bound on the objective down to the input.
+
+Both models peak at ``c + r * sign(g)``.  The interval is tighter on small
+boxes, ``lam`` near the root of wide deep nets, and the linear bound on wide
+boxes, where the models' quadratic terms grow; a net without a hidden layer
+is linear, and the linear bound is exact there and taken alone.  The
+interval rounds to nearest, as localization does.  ``lam = sum_l c_l^2
+w_l`` is summed in full only for the boxes where its first term,
+``||W_1||_2^2 w_1``, leaves the ``lam`` model below the interval model: the
+model grows with ``lam``, so elsewhere the interval model wins whatever the
+other terms, and their ell_2 subnetwork constants ``c_l`` are never
+computed.  At one hidden layer the first term is all of ``lam``.  On the
 shipped double-integrator and quadrotor runs no box needs them.
 
 The ell_inf recursion likewise runs only for the boxes where the
@@ -36,7 +37,9 @@ and ``*`` are monotone.  A box whose first-order bound lies below the
 zeroth-order bound with that lower bound keeps it, as it would with L_inf
 itself, bit for bit.  Only the other boxes, NaN included, compute the
 internal memo and L_inf.  No box of the shipped double-integrator and
-quadrotor runs needs them; without first-order bounds every box does.
+quadrotor runs needs them; without first-order bounds every box does.  A
+net whose layer norms multiply to an inf overflows the recursion, and its
+solve is refused before any box is bounded.
 
 Nodes are expanded in order of largest upper bound, and the result is that of
 expanding them one at a time: pop the top node, halve its longest edge (the
@@ -62,21 +65,20 @@ children that no replay has reached, so the children bounded and never
 counted are those of at most ``_BATCH`` nodes.
 
 Each child gets the bounds it would get alone, bit for bit, and never a
-looser upper bound than its parent; only the dual solve runs per child.  A
-node's box-level certificates (localization, the lower ell_inf internal
-Lipschitz memo, the Jacobian intervals of the interval Hessian and, where a
-box needs them, the ell_inf internal memo and the ell_2 subnetwork
-constants) read the box and the hidden layers only, so within one stacked
-pass each distinct box gets them once, however many directions carry it; the
-per-direction finish reads the output layer and the linear term.
+looser upper bound than its parent.  A node's box-level certificates
+(localization, the lower ell_inf internal Lipschitz memo, the Jacobian
+intervals of the interval Hessian, the intercepts of the relaxation lines
+and, where a box needs them, the ell_inf internal memo and the ell_2
+subnetwork constants) read the box and the hidden layers only, so within one
+stacked pass each distinct box gets them once, however many directions carry
+it; the per-direction finish reads the output layer and the linear term.
 The objective is evaluated once per pass, with the hidden layers run once and
 each box's output row and bias, linear term and offset gathered by direction.
 
 One failure rule holds: a numerical failure (``_FAILURES``) anywhere in a
-stack's certificate-and-model stage, the dual included, bounds the stack
-again one box at a time, and a box that fails alone is flagged, with its
-parent's upper bound and its center value as lower bound.  A dual bisection
-that finds no bracket only flags its box, which keeps its other bounds.
+stack's certificate-and-model stage bounds the stack again one box at a
+time, and a box that fails alone is flagged, with its parent's upper bound
+and its center value as lower bound.
 
 The directions of a ``Lockstep`` group, given when it is built, run in
 lockstep.  The node loop is a generator, ``_search``, that yields each
@@ -99,15 +101,13 @@ from . import hessian as hs
 from . import lipschitz as lip
 from . import localize as loc
 from . import taylor
-from .model import Network, ScalarObjective, prepend_affine
+from .model import Network, ScalarObjective, act_value, prepend_affine
 
 _PRUNE_SLACK = 1e-12
 _DEGENERATE = 1e-13
-_VERTEX_CAP = 12                       # vertex enumeration up to this dimension
 _BATCH = 64                            # most nodes whose children share a pass
 # numerical failures of a stack's certificate-and-model stage
-_FAILURES = (taylor.DualBisectionError, np.linalg.LinAlgError,
-             FloatingPointError)
+_FAILURES = (np.linalg.LinAlgError, FloatingPointError)
 
 
 @dataclass
@@ -203,11 +203,12 @@ class Lockstep:
 class _BoxCertificate:
     """What the per-direction finish reads of a box's certificates.  It
     stands in for ``LocalBounds`` in the Hessian calls: the scalar bound reads
-    ``slope_hi`` and ``curv_abs``, the two-layer matrices ``curv_lo`` and
-    ``curv_hi``, the interval Hessian the slope and curvature ranges and the
-    Jacobian intervals ``jac_mid``, ``jac_rad`` of layers ``l >= 2``.  Each
-    field holds one entry per layer, and every entry has a leading axis over
-    the boxes of the stack."""
+    ``slope_hi`` and ``curv_abs``, the interval Hessian the slope and
+    curvature ranges and the Jacobian intervals ``jac_mid``, ``jac_rad`` of
+    layers ``l >= 2``.  The linear-relaxation bound reads ``slope_lo``, the
+    lines' slope, and the intercepts ``line_lo``, ``line_hi`` of the lines
+    below and above each unit's activation.  Each field holds one entry per
+    layer, and every entry has a leading axis over the boxes of the stack."""
 
     slope_hi: tuple
     # ell_inf internal memo, l >= 1: with first-order bounds a lower bound
@@ -220,6 +221,8 @@ class _BoxCertificate:
     slope_lo: tuple = ()
     jac_mid: tuple = ()
     jac_rad: tuple = ()
+    line_lo: tuple = ()
+    line_hi: tuple = ()
 
     def rows(self, sel):
         """The certificate of the boxes that the index ``sel`` picks."""
@@ -278,14 +281,25 @@ class _Bounder:
                              "hidden layers, and all have a linear term or "
                              "none")
         self.cfg = cfg
-        self.two_layer = self.net.depth == 2 and cfg.use_first_order
-        self.deep = self.net.depth >= 3 and cfg.use_first_order
+        # the Hessian models need a hidden layer
+        self.curved = self.net.depth >= 2 and cfg.use_first_order
         self.weights = [lay.weight for lay in self.net.layers]
         self.abs_hidden = [np.abs(w) for w in self.weights[:-1]]
+        lasts = [obj.net.layers[-1] for obj in objs]
+        with np.errstate(over="ignore"):
+            # the ell_inf total stage opens with ||W_L||, which does not
+            # depend on the box
+            self.head_inf = np.array([lip._norm(last.weight, np.inf)
+                                      for last in lasts])
+            chain = self.head_inf * np.prod([lip._norm(w, np.inf)
+                                             for w in self.weights[:-1]])
+        if not np.isfinite(chain).all():
+            raise ValueError("the weights overflow the Lipschitz chain: the "
+                             "product of the layer norms is non-finite")
         # the ell_2 subnetwork stages open with ||W_1|| .. ||W_{L-1}||, which
         # depend on neither the box nor the direction
-        self.heads2 = lip._head_norms(self.weights, 2) if self.deep else None
-        lasts = [obj.net.layers[-1] for obj in objs]
+        self.heads2 = lip._head_norms(self.weights, 2) if self.curved \
+            else None
         self.rows = np.array([last.weight for last in lasts])
         self.bias = np.array([last.bias[None] for last in lasts])
         self.linear = None if objs[0].linear is None \
@@ -293,10 +307,6 @@ class _Bounder:
         self.offset = np.array([[obj.offset] for obj in objs])
         self.lin_inf = np.array([obj.linear_dual_norm(np.inf)
                                  for obj in objs])
-        # the ell_inf total stage opens with ||W_L||, which does not depend
-        # on the box
-        self.head_inf = np.array([lip._norm(last.weight, np.inf)
-                                  for last in lasts])
         # the two largest entries a1, a2 of each row of each hidden layer's
         # |W_l|, for _lower_memo; a2 is 0 where a layer has one column
         self.top2 = []
@@ -386,14 +396,21 @@ class _Bounder:
         if not self.cfg.use_first_order:
             # the zeroth-order bound is the only one: every box needs L_inf
             return _BoxCertificate(slope_hi, self._memo(slope_hi))
-        cert = _BoxCertificate(slope_hi, self._lower_memo(slope_hi),
-                               local.curv_lo, local.curv_hi)
-        if not self.deep:
-            return cert
-        cert.curv_abs, cert.slope_lo = local.curv_abs, local.slope_lo
-        cert.jac_mid, cert.jac_rad = hs._jacobian_intervals(
-            self.weights, local.slope_lo, slope_hi)
-        return cert
+        # sigma(z) - k z is nondecreasing on [l, u] for k = slope_lo, which
+        # sigma' never falls below there, so sigma lies between the lines of
+        # slope k through the interval's ends: below k z + sigma(u) - k u,
+        # above k z + sigma(l) - k l
+        line_lo, line_hi = [], []
+        for lay, k, l, u in zip(self.net.layers, local.slope_lo, local.z_lo,
+                                local.z_hi):
+            at_l, at_u = act_value(lay.activation, np.array((l, u)))
+            line_lo.append(at_l - k * l)
+            line_hi.append(at_u - k * u)
+        return _BoxCertificate(
+            slope_hi, self._lower_memo(slope_hi), local.curv_lo,
+            local.curv_hi, local.curv_abs, local.slope_lo,
+            *hs._jacobian_intervals(self.weights, local.slope_lo, slope_hi),
+            tuple(line_lo), tuple(line_hi))
 
     def _l_inf(self, dirs, slope_hi, memo):
         """The ell_inf Lipschitz constant of each box of a stack from its
@@ -404,14 +421,36 @@ class _Bounder:
                               (0.0,) + tuple(memo),
                               self.head_inf[dirs]) + self.lin_inf[dirs]
 
-    def _deep_model(self, lo, hi, net, cert, value_c, grad_c, x_iso, center):
-        """The first-order bound of each box of a stack on a net of depth 3
-        or more: the smaller of the isotropic model with the spectral bound
-        ``lam >= ||hess J||_2`` and the interval Hessian's model, both at
-        their maximizer ``x_iso``.  ``lam`` is summed in full only for the
+    def _linear_bound(self, obj, cert, center, r):
+        """The linear-relaxation bound of each box of a stack: from the
+        output row, a backward pass bounds each hidden unit's activation by
+        its line above where the unit's coefficient is positive, else by its
+        line below, and carries the lines' slopes through the layer, so
+        that ``J(x) <= a . x + const`` on the box; the bound is then
+        ``const + a . c + |a| . r``.  ``obj`` is the stack's stand-in
+        (``_stack``); every product is one per box."""
+        net = obj.net
+        a = net.layers[-1].weight[:, 0, :]
+        const = net.layers[-1].bias[:, 0, 0] + obj.offset[:, 0]
+        for l in range(len(self.weights) - 2, -1, -1):
+            const = const + taylor._dot(
+                a, np.where(a > 0.0, cert.line_hi[l], cert.line_lo[l]))
+            a = a * cert.slope_lo[l]
+            const = const + taylor._dot(a, net.layers[l].bias)
+            a = lip._rows_times(a, self.weights[l])
+        if obj.linear is not None:
+            a = a + obj.linear
+        return const + taylor._dot(a, center) + taylor._dot(np.abs(a), r)
+
+    def _taylor_model(self, lo, hi, net, cert, value_c, grad_c, x_iso, center):
+        """The Taylor-model bound of each box of a stack on a net with a
+        hidden layer: the smaller of the isotropic model with the spectral
+        bound ``lam >= ||hess J||_2`` and the interval Hessian's model, both
+        at their maximizer ``x_iso``.  ``lam`` is summed in full only for the
         boxes where its first term ``c_1^2 w_1``, which is at most ``lam``,
-        leaves the ``lam`` model below the interval model.  ``net`` is the
-        network of the stack's stand-in (``_stack``)."""
+        leaves the ``lam`` model below the interval model; at one hidden
+        layer the first term is all of ``lam``.  ``net`` is the network of
+        the stack's stand-in (``_stack``)."""
         weights = self.weights[:-1] + [net.layers[-1].weight]
         # only the subnetwork constants of the report are read: ||W_1||_2,
         # one for all boxes, and zeros, which leave the first term of lam
@@ -435,7 +474,7 @@ class _Bounder:
         # the model grows with lam: where its first term already reaches
         # ub2, so does the full lam, and ub2 wins.  Elsewhere, NaN included,
         # the full lam's model is taken
-        full = _select(~(ub1 >= ub2))
+        full = _select(~(ub1 >= ub2)) if len(weights) > 2 else None
         if full is not None:
             lam = self._full_lam(lo[full], hi[full],
                                  [s[full] for s in cert.slope_hi],
@@ -498,10 +537,6 @@ class _Bounder:
                             int(index[0]), -1)]
 
         first_order = self.cfg.use_first_order
-        flagged = np.zeros(n_box, dtype=bool)
-        # the boxes with a vertex maximizer among their lower-bound
-        # candidates, and the others
-        v_sel, i_sel = None, slice(None)
         try:
             cert = self._certificate(lo, hi)
             # the zeroth-order bound; with first-order bounds the memo is a
@@ -514,45 +549,12 @@ class _Bounder:
                 # center, it is c + r * sign(g) whatever lam
                 x_iso = taylor.optimal_perturbation(center, r, np.inf, grad_c,
                                                     0.0, center)
-                if self.two_layer:
-                    M = hs.two_layer_matrix_bounds(obj.net, cert).M
-                    if lo.shape[1] > _VERTEX_CAP:
-                        eig = np.linalg.eigvalsh(M)
-                    else:
-                        tau, eig = taylor._psd_slack(M)
-                        vertex = tau <= 1e-9
-                        v_sel, i_sel = _select(vertex), _select(~vertex)
-                    ub1 = np.empty(n_box)
-                    if v_sel is not None:
-                        # convex model: exact at a vertex, never above the
-                        # others
-                        v, vert = taylor.vertex_upper(
-                            grad_c[v_sel], M[v_sel], lo[v_sel], hi[v_sel],
-                            center[v_sel], return_witness=True,
-                            tau=tau[v_sel])
-                        ub1[v_sel] = value_c[v_sel] + v
-                    if i_sel is not None:
-                        # lam = lambda_max(M)^+, which only these boxes read
-                        ub1[i_sel] = taylor._model_value(
-                            value_c[i_sel], grad_c[i_sel],
-                            np.maximum(eig[i_sel, -1], 0.0), x_iso[i_sel],
-                            center[i_sel])
-                        # the dual runs per box, on its own radius
-                        for k in np.arange(n_box)[i_sel]:
-                            try:
-                                dual = taylor.two_layer_dual_upper(
-                                    grad_c[k], M[k],
-                                    float(np.linalg.norm(r[k])), p=2)
-                                ub1[k] = min(ub1[k], value_c[k] + dual)
-                            except taylor.DualBisectionError:
-                                flagged[k] = True
-                elif self.deep:
-                    ub1 = self._deep_model(lo, hi, obj.net, cert, value_c,
-                                           grad_c, x_iso, center)
-                else:
-                    # no hidden layer: the objective is linear, lam = 0
-                    ub1 = taylor._model_value(value_c, grad_c, 0.0, x_iso,
-                                              center)
+                ub1 = self._linear_bound(obj, cert, center, r)
+                if self.curved:
+                    # an overflowed bound (NaN) leaves the others
+                    ub1 = np.fmin(ub1, self._taylor_model(
+                        lo, hi, obj.net, cert, value_c, grad_c, x_iso,
+                        center))
                 # the zeroth-order bound grows with L_inf, and ub took a
                 # lower bound on it: where ub1 is already below, it is below
                 # the bound with L_inf itself and wins.  Elsewhere, NaN
@@ -573,34 +575,18 @@ class _Bounder:
                             axes[0], flagged=True)]
         lb, witness = value_c, center
         if first_order:
-            # lower-bound candidates: the isotropic maximizer, then the
-            # vertex maximizer where there is one.  Clipped to their box,
-            # they are evaluated exactly; boxes with one and with two
-            # candidates are evaluated apart, since a one-row and a two-row
-            # product round differently
-            pts = np.repeat(x_iso[:, None, :], 2, axis=1)
-            if v_sel is not None:
-                pts[v_sel, 1] = vert
-            np.clip(pts, lo[:, None, :], hi[:, None, :], out=pts)
-            lb, witness = lb.copy(), witness.copy()
-            for sel, count in ((v_sel, 2), (i_sel, 1)):
-                if sel is None:
-                    continue
-                cand = pts[sel, :count]
-                sub = obj if isinstance(sel, slice) else self._stack(dirs[sel])
-                vals = ScalarObjective.value(sub, cand)
-                at = np.arange(len(vals))
-                k = np.argmax(vals, axis=1)
-                up = vals[at, k] > lb[sel]
-                lb[sel] = np.where(up, vals[at, k], lb[sel])
-                witness[sel] = np.where(up[:, None], cand[at, k],
-                                        witness[sel])
+            # the lower-bound candidate: the isotropic maximizer, clipped to
+            # its box and evaluated exactly, one row per box
+            cand = np.clip(x_iso, lo, hi)[:, None, :]
+            vals = ScalarObjective.value(obj, cand)[:, 0]
+            up = vals > lb
+            lb = np.where(up, vals, lb)
+            witness = np.where(up[:, None], cand[:, 0], witness)
         ub = np.maximum(np.minimum(ub, parent_ub), lb)
-        return [BnBNode(lo[k], hi[k], center[k], lb_k, ub_k, witness[k],
-                        i_k, a_k, flagged=f_k)
-                for k, (lb_k, ub_k, i_k, a_k, f_k) in enumerate(zip(
-                    lb.tolist(), ub.tolist(), index.tolist(), axes,
-                    flagged.tolist()))]
+        return [BnBNode(lo[k], hi[k], center[k], lb_k, ub_k, witness[k], i_k,
+                        a_k)
+                for k, (lb_k, ub_k, i_k, a_k) in enumerate(zip(
+                    lb.tolist(), ub.tolist(), index.tolist(), axes))]
 
 
 def solve(obj_or_net, lo, hi, eps_t=None, cfg=None, lockstep=None):

@@ -12,8 +12,10 @@ Three forms:
   dJ/da^(l)`` runs backward from the output row, and sigma' and sigma'' range
   over the localized slope and curvature intervals.
 
-The interval form rounds to nearest, as ``localize`` does; outward rounding
-is an open item of the roadmap (item 8).
+Branch and bound reads the last two at every depth, the sandwich nowhere;
+the ``hessian`` command reports it for one-hidden-layer networks.  The
+interval form rounds to nearest, as ``localize`` does; outward rounding is
+an open item of the roadmap (item 8).
 """
 
 from dataclasses import dataclass, field
@@ -45,17 +47,11 @@ class MatrixHessianBound:
         object.__setattr__(self, "N", N)
 
     @classmethod
-    def _dominating(cls, M, lower):
-        """(M, N), float arrays with M - N PSD by construction, unchecked;
-        N is ``lower()``, called when N is first read."""
+    def _dominating(cls, M, N):
+        """(M, N), float arrays with M - N PSD by construction, unchecked."""
         bound = object.__new__(cls)
-        bound.__dict__.update(M=M, _lower=lower)
+        bound.__dict__.update(M=M, N=N)
         return bound
-
-    def __getattr__(self, name):       # N of a ``_dominating`` pair, once
-        if name != "N" or "_lower" not in self.__dict__:
-            raise AttributeError(name)
-        return self.__dict__.setdefault("N", self.__dict__.pop("_lower")())
 
 
 @dataclass(frozen=True)
@@ -98,8 +94,8 @@ def two_layer_matrix_bounds(net, local):
         """W1^T diag(coeff) W1, symmetrized."""
         G = (W1 * coeff[..., :, None]).swapaxes(-1, -2) @ W1
         return (G + G.swapaxes(-1, -2)) / 2.0
-    return MatrixHessianBound._dominating(
-        sandwich(cb * pos + ca * neg), lambda: sandwich(ca * pos + cb * neg))
+    return MatrixHessianBound._dominating(sandwich(cb * pos + ca * neg),
+                                          sandwich(ca * pos + cb * neg))
 
 
 def _weighted_suffix_liplt(weights, slope_his, l, h):
@@ -132,10 +128,11 @@ def hessian_norm_bound(net, local, report, jac_bounds):
     The result keeps each layer's factor ``w_l`` in ``terms``.  Every term
     is nonnegative, so a partial report, with ``c_1`` alone and zeros after
     it, gives ``c_1^2 w_1``, which is at most the full lam in floating point
-    too.  Branch and bound takes that partial lam first, and sums the full
-    lam with ``_spectral_sum`` only for the boxes where the partial lam's
-    model stays below the interval Hessian's model; on the shipped
-    double-integrator and quadrotor runs no box needs it."""
+    too, and is all of it at one hidden layer.  Branch and bound takes that
+    partial lam first, and sums the full lam with ``_spectral_sum`` only for
+    the boxes where the partial lam's model stays below the interval
+    Hessian's model; on the shipped double-integrator and quadrotor runs no
+    box needs it."""
     if not net.is_scalar:
         raise ValueError("Hessian norm bound needs a scalar network")
     if report.p != 2:
@@ -206,9 +203,15 @@ def _interval_hessian_raw(weights, jac_mid, jac_rad, local):
         if dr is not None:
             tr = tr + dr * (np.abs(cm) + cr)
         if l == 1:
-            jm, jr = weights[0], None
-        else:
-            jm, jr = jac_mid[l - 2], jac_rad[l - 2]
+            # J_1 = W_1 is exact: sum_k t_k w_k w_k^T over the rows w_k of
+            # W_1, one product per box with their outer products, which no
+            # box changes
+            w = weights[0]
+            outer = (w[:, :, None] * w[:, None, :]).reshape(len(w), n * n)
+            mid = mid + lip._rows_times(tm, outer).reshape(mid.shape)
+            rad = rad + lip._rows_times(tr, np.abs(outer)).reshape(mid.shape)
+            break
+        jm, jr = jac_mid[l - 2], jac_rad[l - 2]
         a = np.abs(jm)
         mid = mid + (jm * tm[..., :, None]).swapaxes(-1, -2) @ jm
         rad = rad + (a * tr[..., :, None]).swapaxes(-1, -2) @ a
@@ -216,14 +219,13 @@ def _interval_hessian_raw(weights, jac_mid, jac_rad, local):
             y = (jr * (np.abs(tm) + tr)[..., :, None]).swapaxes(-1, -2) \
                 @ (2.0 * a + jr)
             rad = rad + (y + y.swapaxes(-1, -2)) / 2.0
-        if l > 1:
-            # delta_{l-1} = (delta_l * sigma'(z_l)) W_l; slopes are nonnegative
-            s_lo, s_hi = local.slope_lo[l - 1], local.slope_hi[l - 1]
-            qr = np.abs(dm) * ((s_hi - s_lo) / 2.0)
-            if dr is not None:
-                qr = qr + dr * s_hi
-            dm = lip._rows_times(dm * ((s_lo + s_hi) / 2.0), weights[l - 1])
-            dr = lip._rows_times(qr, np.abs(weights[l - 1]))
+        # delta_{l-1} = (delta_l * sigma'(z_l)) W_l; slopes are nonnegative
+        s_lo, s_hi = local.slope_lo[l - 1], local.slope_hi[l - 1]
+        qr = np.abs(dm) * ((s_hi - s_lo) / 2.0)
+        if dr is not None:
+            qr = qr + dr * s_hi
+        dm = lip._rows_times(dm * ((s_lo + s_hi) / 2.0), weights[l - 1])
+        dr = lip._rows_times(qr, np.abs(weights[l - 1]))
     mid = (mid + mid.swapaxes(-1, -2)) / 2.0
     rad = np.maximum(rad, rad.swapaxes(-1, -2))
     return mid - rad, mid + rad

@@ -30,12 +30,16 @@ class LayerIntervals:
 @dataclass(frozen=True)
 class LocalBounds:
     """Per-hidden-layer slope range [slope_lo, slope_hi] of sigma' and
-    curvature range [curv_lo, curv_hi] of sigma''; curv_abs = max(|lo|, |hi|)."""
+    curvature range [curv_lo, curv_hi] of sigma''; curv_abs = max(|lo|, |hi|).
+    ``bounds_for_box`` also keeps the preactivation intervals [z_lo, z_hi]
+    that the ranges are taken over; ranges built otherwise have none."""
 
     slope_lo: tuple
     slope_hi: tuple
     curv_lo: tuple
     curv_hi: tuple
+    z_lo: tuple = ()
+    z_hi: tuple = ()
 
     @property
     def curv_abs(self):
@@ -103,7 +107,8 @@ def curvature_range(kind, lo, hi):
 
 
 def local_bounds(net, intervals):
-    """LocalBounds for every hidden layer from its preactivation intervals.
+    """LocalBounds for every hidden layer from its preactivation intervals,
+    which it keeps.
 
     The intervals are taken as ``ibp_intervals`` builds them, ``c -+ r`` with
     ``r >= 0`` from a checked box, so ``lo <= hi`` is not checked again."""
@@ -116,7 +121,8 @@ def local_bounds(net, intervals):
         s_hi.append(b)
         c_lo.append(ca)
         c_hi.append(cb)
-    return LocalBounds(tuple(s_lo), tuple(s_hi), tuple(c_lo), tuple(c_hi))
+    return LocalBounds(tuple(s_lo), tuple(s_hi), tuple(c_lo), tuple(c_hi),
+                       intervals.lower, intervals.upper)
 
 
 def global_bounds(net):
@@ -134,6 +140,6 @@ def global_bounds(net):
 
 
 def bounds_for_box(net, lo, hi):
-    """Convenience: IBP then localized bounds."""
+    """IBP then localized bounds, with the IBP intervals kept."""
     intervals = ibp_intervals(net, lo, hi)
     return local_bounds(net, intervals)

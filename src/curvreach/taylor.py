@@ -8,8 +8,9 @@ given by per-coordinate radii).  With a matrix bound M, vertex enumeration is
 exact over a box when M is PSD: all vertex values are one product of a fixed
 sign table with the model's coefficients, and a Cholesky factorization of M
 certifies it positive definite, with the eigenvalues read only where that
-fails.  Branch and bound runs the dual bisection only where M is not PSD
-(indefinite M or too many inputs).
+fails; the dual bisection bounds the model over an ell_2 ball for any M.
+Branch and bound uses neither: its nodes take the isotropic maximizer of
+``optimal_perturbation`` and the model values of ``_model_value``.
 
 ``optimal_perturbation`` (for p=inf) and ``vertex_upper`` also take a stack
 of boxes, every argument with a leading batch axis, and return one result
@@ -197,17 +198,17 @@ def two_layer_dual_upper(grad, M, eps, p=2):
 
 
 def _psd_slack(M):
-    """The vertex bound's PSD slack of each matrix of a stack ``M``, and the
-    eigenvalues it read (None when it read none).  A matrix whose Cholesky
-    factorization succeeds is certified positive definite and gets tau = 0;
-    any other gets tau = max(-lambda_min(M), 0) from ``eigvalsh``.  The stack
-    is factored once; only when that fails are its eigenvalues computed and
-    the matrices with lambda_min < 0 factored alone (with lambda_min >= 0 the
-    two rules agree), so each matrix gets the slack it gets alone.  Both
-    tests round to nearest, with the caveat of ``eigvalsh``'s lambda_min."""
+    """The vertex bound's PSD slack of each matrix of a stack ``M``.  A
+    matrix whose Cholesky factorization succeeds is certified positive
+    definite and gets tau = 0; any other gets tau = max(-lambda_min(M), 0)
+    from ``eigvalsh``.  The stack is factored once; only when that fails
+    are its eigenvalues computed and the matrices with lambda_min < 0
+    factored alone (with lambda_min >= 0 the two rules agree), so each
+    matrix gets the slack it gets alone.  Both tests round to nearest, with
+    the caveat of ``eigvalsh``'s lambda_min."""
     try:
         np.linalg.cholesky(M)
-        return np.zeros(len(M)), None
+        return np.zeros(len(M))
     except np.linalg.LinAlgError:
         pass
     eig = np.linalg.eigvalsh(M)
@@ -218,7 +219,7 @@ def _psd_slack(M):
         except np.linalg.LinAlgError:
             continue
         tau[k] = 0.0
-    return tau, eig
+    return tau
 
 
 _BLOCK = 1 << 12                       # most vertex rows per product
@@ -241,8 +242,7 @@ def _sign_table(n):
     return table
 
 
-def vertex_upper(grad, M, lo, hi, center=None, return_witness=False,
-                 tau=None):
+def vertex_upper(grad, M, lo, hi, center=None, return_witness=False):
     """Exact max of the quadratic model over box vertices; valid bound on the
     whole box when M is positive semidefinite (convex model).  A box whose M
     a Cholesky factorization certifies takes the vertex maximum as it is;
@@ -259,11 +259,9 @@ def vertex_upper(grad, M, lo, hi, center=None, return_witness=False,
     at most 2**12 vertices.  Vertex i takes hi_j where bit j of i is set, and
     ties go to the first vertex.
 
-    ``tau``, when given, holds each box's slack as ``_psd_slack(M)`` gives
-    it, which the caller has already computed.  Stacked arguments, one box
-    per entry of a leading axis, give one value (and witness) per box, each
-    equal to what the box alone gives; the check then covers every M of the
-    stack.
+    Stacked arguments, one box per entry of a leading axis, give one value
+    (and witness) per box, each equal to what the box alone gives; the check
+    then covers every M of the stack.
     """
     single = np.ndim(lo) == 1
     lo = np.asarray(lo, dtype=float)
@@ -275,9 +273,7 @@ def vertex_upper(grad, M, lo, hi, center=None, return_witness=False,
     hi = np.asarray(hi, dtype=float).reshape(-1, n)
     g = np.asarray(grad, dtype=float).reshape(-1, n)
     M = np.asarray(M, dtype=float).reshape(-1, n, n)
-    if tau is None:
-        tau, _ = _psd_slack(M)
-    tau = np.asarray(tau, dtype=float).reshape(-1)
+    tau = _psd_slack(M)
     if (tau > 1e-9).any():
         raise ValueError("vertex bound needs a positive semidefinite matrix")
     center = (lo + hi) / 2.0 if center is None \

@@ -41,6 +41,29 @@ def _bound_passes(monkeypatch):
     return passes
 
 
+def _linear_relaxation(obj, lo, hi):
+    """The linear-relaxation bound of ``obj`` over the box [lo, hi], summed
+    plainly: each hidden unit's activation lies between the lines of slope
+    ``k = slope_lo`` through the ends of its IBP interval [l, u], and a
+    backward pass keeps ``J(x) <= a . x + const`` on the box."""
+    from curvreach.localize import bounds_for_box
+    from curvreach.model import act_value
+    local = bounds_for_box(obj.net, lo, hi)
+    layers = obj.net.layers
+    a, const = layers[-1].weight[0], layers[-1].bias[0] + obj.offset
+    for lay, k, l, u in reversed(list(zip(layers, local.slope_lo,
+                                          local.z_lo, local.z_hi))):
+        above = act_value(lay.activation, u) - k * u
+        below = act_value(lay.activation, l) - k * l
+        const += np.where(a > 0.0, a * above, a * below).sum()
+        a = a * k
+        const += a @ lay.bias
+        a = a @ lay.weight
+    if obj.linear is not None:
+        a = a + obj.linear
+    return const + a @ ((lo + hi) / 2.0) + np.abs(a) @ ((hi - lo) / 2.0)
+
+
 class TestNodeBounds:
     def test_linear_converges_at_root(self):
         obj = scalar_linear([2.0, -1.0], b=0.5)
@@ -254,13 +277,15 @@ GOLDEN = [
     #  witness) recorded from the solver's serial loop; floats are float.hex
     #  so any change to node order or arithmetic shows.  The depth-3 row was
     #  re-recorded when its nodes gained the interval Hessian bound, which
-    #  converges where the spectral bound alone stopped at the budget
+    #  converges where the spectral bound alone stopped at the budget; the
+    #  depth-2 row when the two-layer matrix route gave way to the path of
+    #  every depth, with the linear-relaxation bound
     ([3, 6, 5, 1], 3701, "Converged", 275, 24, 0,
      "0x1.8209edfcce047p+0", "0x1.824709f340a19p+0",
      ["-0x1.a000000000000p-3", "0x1.0000000000000p-1",
       "-0x1.0000000000000p-1"]),
-    ([3, 6, 1], 3800, "Converged", 57, 7, 0,
-     "0x1.44119d8456922p+1", "0x1.4421fdca78217p+1",
+    ([3, 6, 1], 3800, "Converged", 49, 4, 0,
+     "0x1.44119d8456922p+1", "0x1.443239692c026p+1",
      ["0x1.0000000000000p-1", "0x1.0000000000000p-1",
       "-0x1.0000000000000p-1"]),
 ]
@@ -268,11 +293,11 @@ GOLDEN = [
 
 @pytest.mark.parametrize("dims,seed,status,branches,max_active,flagged,lb,"
                          "ub,witness", GOLDEN,
-                         ids=["depth3-interval-path", "depth2-matrix-path"])
+                         ids=["depth3-interval-path", "depth2-one-path"])
 def test_golden_solve(dims, seed, status, branches, max_active, flagged, lb,
                       ub, witness):
-    # depth 3 takes the smaller of the spectral and the interval Hessian
-    # bounds, depth 2 the matrix path
+    # both depths take the smallest of the spectral, the interval Hessian
+    # and the linear-relaxation bounds
     net = make_net(dims, seed=seed, scale=2.0)
     res = solve(ScalarObjective(net), -0.5 * np.ones(3), 0.5 * np.ones(3),
                 cfg=BnBConfig(eps_t=1e-3, max_branches=300))
@@ -355,16 +380,22 @@ class TestActivationsEndToEnd:
 
 
 class TestFailureEnvelope:
-    def test_dual_bisection_failure_flags_node(self, monkeypatch):
-        from curvreach import taylor as ty
+    def test_model_failure_flags_node(self, monkeypatch):
+        # the Taylor models fail numerically on every box in x_0 <= -0.5,
+        # where the maximum lies: each is flagged and keeps its parent's
+        # upper bound
         net = make_net([2, 6, 1], seed=3600)
         obj = ScalarObjective(net)
+        real = _Bounder._taylor_model
 
-        def broken(*a, **kw):
-            raise ty.DualBisectionError("no bracket")
+        def broken(self, lo, hi, *args):
+            if (hi[:, 0] <= -0.5).any():
+                raise FloatingPointError("overflow")
+            return real(self, lo, hi, *args)
 
-        monkeypatch.setattr(ty, "two_layer_dual_upper", broken)
-        res = solve(obj, -np.ones(2), np.ones(2), eps_t=1e-3)
+        monkeypatch.setattr(_Bounder, "_taylor_model", broken)
+        res = solve(obj, -np.ones(2), np.ones(2),
+                    cfg=BnBConfig(eps_t=1e-3, max_branches=200))
         assert res.flagged_nodes > 0
         # remaining routes keep the bracket valid
         from curvreach import oracle as orc
@@ -400,6 +431,7 @@ class TestFailureEnvelope:
 
     def test_overflowed_interval_hessian_keeps_the_lam_bound(self,
                                                              monkeypatch):
+        # the linear-relaxation bound overflows too, or it would win
         from curvreach import hessian as hs
         from curvreach import lipschitz as lip
         from curvreach.localize import bounds_for_box
@@ -424,6 +456,9 @@ class TestFailureEnvelope:
             return nan, nan
 
         monkeypatch.setattr(hs, "_interval_hessian_raw", overflowed)
+        monkeypatch.setattr(_Bounder, "_linear_bound",
+                            lambda self, obj, cert, center, r:
+                            np.full(len(center), np.nan))
         node, = _Bounder([obj], BnBConfig()).bound(lo, hi, *_per_box(lo))
         value, grad = obj.value_and_grad(np.zeros(2))
         # half-edges 1: the lam model peaks at J(0) + |g|_1 + lam
@@ -451,20 +486,23 @@ class TestFailureEnvelope:
 
 
 class TestModelBoundRouting:
-    """A two-layer node runs the dual only where the vertex bound does not
-    apply: an indefinite M, or more inputs than the vertex cap."""
+    """A two-layer node takes the first-order path of every depth: it runs
+    neither the sandwich matrices, the vertex enumeration nor the dual
+    bisection, whatever its matrix or its number of inputs."""
 
     @staticmethod
-    def _count_dual_calls(monkeypatch):
+    def _count_matrix_model_calls(monkeypatch):
+        from curvreach import hessian as hs
         from curvreach import taylor as ty
         calls = []
-        real = ty.two_layer_dual_upper
+        for owner, name in ((ty, "two_layer_dual_upper"),
+                            (ty, "vertex_upper"),
+                            (hs, "two_layer_matrix_bounds")):
+            def counted(*args, real=getattr(owner, name), **kwargs):
+                calls.append(1)
+                return real(*args, **kwargs)
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(ty, "two_layer_dual_upper", counted)
+            monkeypatch.setattr(owner, name, counted)
         return calls
 
     @staticmethod
@@ -481,20 +519,20 @@ class TestModelBoundRouting:
                                seed=3500).layers
         net = Network((hidden, Layer(np.abs(out.weight), out.bias, None)))
         obj = ScalarObjective(net)
-        calls = self._count_dual_calls(monkeypatch)
+        calls = self._count_matrix_model_calls(monkeypatch)
         lo, hi = -np.ones(2), np.ones(2)
         res = solve(obj, lo, hi, eps_t=1e-4)
         assert res.status == "Converged" and res.branches_processed > 1
         assert not calls
         self._assert_bracket(obj, res, lo, hi)
 
-    def test_above_the_vertex_cap_runs_the_dual(self, monkeypatch):
-        n = bnb._VERTEX_CAP + 1
+    def test_thirteen_inputs_run_no_matrix_model(self, monkeypatch):
+        n = 13
         obj = ScalarObjective(make_net([n, 8, 1], seed=3700))
-        calls = self._count_dual_calls(monkeypatch)
+        calls = self._count_matrix_model_calls(monkeypatch)
         lo, hi = -0.5 * np.ones(n), 0.5 * np.ones(n)
         res = solve(obj, lo, hi, eps_t=1e-3, cfg=BnBConfig(max_branches=41))
-        assert calls
+        assert res.branches_processed > 1 and not calls
         self._assert_bracket(obj, res, lo, hi)
 
 
@@ -542,7 +580,7 @@ class TestStackedBounds:
     @given(hidden=st.lists(st.integers(2, 7), min_size=1, max_size=3),
            seed=st.integers(0, 2**16), scale=st.floats(0.5, 3.0))
     def test_stacked_matches_alone(self, act, hidden, seed, scale):
-        # depth 2-4 on non-cubic boxes; depth 2 takes the matrix routes
+        # depth 2-4 on non-cubic boxes
         rng = np.random.default_rng(seed)
         obj = ScalarObjective(make_net([3, *hidden, 1], act=act, seed=seed,
                                        scale=scale))
@@ -574,7 +612,8 @@ class TestStackedBounds:
 
     def test_deep_net_takes_the_interval_bound(self):
         # depth 3: each child's ub is the interval model J(c) + |g|.r +
-        # r^T A r / 2, with A built from the public interval Hessian, and is
+        # r^T A r / 2, with A built from the public interval Hessian, below
+        # the spectral, zeroth-order and linear-relaxation bounds, and is
         # bit-identical to bounding the child alone
         from curvreach import lipschitz as lip
         from curvreach.hessian import hessian_norm_bound, interval_hessian
@@ -582,7 +621,7 @@ class TestStackedBounds:
         rng = np.random.default_rng(17)
         obj = ScalarObjective(make_net([3, 6, 5, 1], seed=4102, scale=2.0))
         lo = rng.uniform(-1.0, 0.0, 3)
-        hi = lo + rng.uniform(0.05, 0.3, 3)
+        hi = lo + rng.uniform(0.025, 0.15, 3)
         lo2, hi2 = _children(lo, hi)
         h_lo, h_hi = interval_hessian(obj.net, bounds_for_box(obj.net, lo2,
                                                               hi2))
@@ -608,6 +647,8 @@ class TestStackedBounds:
         assert (model < value + (np.abs(grad) * r).sum(axis=1)
                 + 0.5 * lam * (r * r).sum(axis=1)).all()
         assert (model < value + l_inf * r.max(axis=1)).all()
+        assert all(model[k] < _linear_relaxation(obj, lo2[k], hi2[k])
+                   for k in range(2))
         stacked, alone = _bound_stacked_and_alone(obj, lo2, hi2)
         _assert_same_nodes(stacked, alone)
         for k, s in enumerate(stacked):
@@ -623,8 +664,9 @@ class TestStackedBounds:
     @staticmethod
     def _mixed_route_net():
         # softplus curvature lies in [0, 1/4]; unit 2 has a negative output
-        # weight, so M = diag(-100 c, m) with c its least curvature, which is
-        # 0 (to the guard) far from the origin and positive near it
+        # weight, so the sandwich M = diag(-100 c, m) with c its least
+        # curvature, which is 0 (to the guard) far from the origin and
+        # positive near it
         from curvreach.model import Layer, Network
         W1 = np.array([[0.0, 1.0], [10.0, 0.0]])
         return Network((Layer(W1, np.zeros(2), Activation.SOFTPLUS),
@@ -637,20 +679,17 @@ class TestStackedBounds:
         lo, hi = _children(np.array([-4.0, -1.0]), np.array([0.5, 1.0]))
         lam_min = [np.linalg.eigvalsh(two_layer_matrix_bounds(
             net, bounds_for_box(net, lo[k], hi[k])).M)[0] for k in range(2)]
-        # the first child takes the vertex bound, the second the isotropic
-        # and dual bounds
+        # a PSD sandwich on the first child, an indefinite one on the second
         assert lam_min[0] >= -1e-9 > lam_min[1]
         _assert_same_nodes(*_bound_stacked_and_alone(ScalarObjective(net),
                                                      lo, hi))
 
     def test_psd_routes_mixed_in_one_stack(self):
         # three directions over one softplus layer 6 -> 8, one box each: all
-        # output weights positive give a positive definite M, which Cholesky
-        # factors; weights on four units only give M of rank 4 < 6, which it
-        # does not factor, with lambda_min a rounding error below 0 (the
-        # vertex bound with its slack); a weight of -3 makes M indefinite
-        # (the isotropic and dual bounds).  The stack's factorization fails,
-        # and each box still gets its bits alone
+        # output weights positive give a positive definite sandwich M;
+        # weights on four units only give M of rank 4 < 6, with lambda_min a
+        # rounding error below 0; a weight of -3 makes M indefinite.  Each
+        # box still gets its bits alone
         from curvreach.hessian import two_layer_matrix_bounds
         from curvreach.localize import bounds_for_box
         from curvreach.model import Layer, Network
@@ -676,64 +715,58 @@ class TestStackedBounds:
         _assert_same_nodes(*_bound_stacked_and_alone(objs, lo, hi))
 
     def test_failing_child_alone_is_flagged(self, monkeypatch):
-        from curvreach.hessian import two_layer_matrix_bounds
-        from curvreach.localize import bounds_for_box
+        # the box-level certificates fail on any stack that holds the second
+        # child: the stack is bounded again one box at a time, and only that
+        # child is flagged
         net = make_net([3, 6, 1], seed=4000)
         obj = ScalarObjective(net)
         lo, hi = _children(-np.ones(3), np.array([1.0, 0.5, 0.5]))
-        bad = two_layer_matrix_bounds(net, bounds_for_box(net, lo[1], hi[1])).M
-
-        def failing(real, message):
-            # ``real``, raising on any stack that holds the bad box's M
-            def fn(a, *args, **kwargs):
-                mats = np.reshape(a, (-1,) + np.shape(a)[-2:])
-                if any(np.array_equal(m, bad) for m in mats):
-                    raise np.linalg.LinAlgError(message)
-                return real(a, *args, **kwargs)
-            return fn
-
         alone_first = _Bounder([obj], BnBConfig()).bound(
             lo[:1], hi[:1], *_per_box(lo[:1], 1, 9.0))
-        # a Cholesky factorization that fails sends the bad box's M to the
-        # eigenvalues, which then fail to converge
-        monkeypatch.setattr(np.linalg, "cholesky", failing(
-            np.linalg.cholesky, "Matrix is not positive definite"))
-        monkeypatch.setattr(np.linalg, "eigvalsh", failing(
-            np.linalg.eigvalsh, "Eigenvalues did not converge"))
+        real, calls = _Bounder._certificate, []
+
+        def failing(self, a, b):
+            calls.append(len(a))
+            if any(np.array_equal(row, hi[1]) for row in b):
+                raise np.linalg.LinAlgError("engine down")
+            return real(self, a, b)
+
+        monkeypatch.setattr(_Bounder, "_certificate", failing)
         first, second = _Bounder([obj], BnBConfig()).bound(
             lo, hi, *_per_box(lo, 1, 9.0))
+        assert calls == [2, 1, 1]
         _assert_same_nodes([first], alone_first)
         assert not first.flagged
         assert second.flagged
         assert second.ub == 9.0
         assert second.lb == obj.value(second.center)
 
-    def test_failing_dual_flags_its_child(self, monkeypatch):
-        # 13 inputs: every box takes the dual, whose eigendecomposition
-        # fails on the second child's M; that child alone is flagged
-        from curvreach import taylor as ty
-        from curvreach.hessian import two_layer_matrix_bounds
+    def test_failing_model_flags_its_child(self, monkeypatch):
+        # 13 inputs: the interval Hessian fails on any stack that holds the
+        # second child's curvature ranges; that child alone is flagged
+        from curvreach import hessian as hs
         from curvreach.localize import bounds_for_box
         rng = np.random.default_rng(13)
         net = make_net([13, 8, 1], seed=3900)
         obj = ScalarObjective(net)
         lo = rng.uniform(-1.0, 0.0, 13)
         lo, hi = _children(lo, lo + rng.uniform(0.2, 1.0, 13))
-        bad = two_layer_matrix_bounds(net, bounds_for_box(net, lo[1], hi[1])).M
-        real, calls = ty.two_layer_dual_upper, []
+        bad = bounds_for_box(net, lo[1], hi[1]).curv_lo[0]
+        real, calls = hs._interval_hessian_raw, []
 
-        def failing(grad, M, *args, **kwargs):
-            calls.append(np.array_equal(M, bad))
+        def failing(weights, jac_mid, jac_rad, local):
+            rows = np.reshape(local.curv_lo[0], (-1, len(bad)))
+            calls.append(any(np.array_equal(row, bad) for row in rows))
             if calls[-1]:
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return real(grad, M, *args, **kwargs)
+            return real(weights, jac_mid, jac_rad, local)
 
         alone_first = _Bounder([obj], BnBConfig()).bound(
             lo[:1], hi[:1], *_per_box(lo[:1], 1, 9.0))
-        monkeypatch.setattr(ty, "two_layer_dual_upper", failing)
+        monkeypatch.setattr(hs, "_interval_hessian_raw", failing)
         first, second = _Bounder([obj], BnBConfig()).bound(
             lo, hi, *_per_box(lo, 1, 9.0))
-        assert any(calls) and not all(calls)
+        assert calls == [True, False, True]
         _assert_same_nodes([first], alone_first)
         assert not first.flagged
         assert second.flagged
@@ -1043,8 +1076,9 @@ class TestLazyZerothOrderBound:
         return all(k == n for n, k in passes)
 
     def test_budget_capped_two_layer_net(self, monkeypatch):
-        # few boxes compute L_inf, and some passes hold boxes of both kinds;
-        # also one node per stacked pass
+        # the linear-relaxation bound lies below the zeroth-order bound with
+        # the lower memo on every box, so no box computes L_inf; also one
+        # node per stacked pass
         obj = _two_layer_net(2)
         cfg = BnBConfig(eps_t=1e-9, max_branches=1000)
 
@@ -1056,10 +1090,7 @@ class TestLazyZerothOrderBound:
         assert lazy.status == "BranchLimit"
         assert_same_result(lazy, full)
         assert self.every_box_full(full_passes)
-        rows = sum(n for n, _ in passes)
-        taken = sum(k for _, k in passes)
-        assert 0 < taken < 0.05 * rows
-        assert any(0 < k < n for n, k in passes)
+        assert passes and not any(k for _, k in passes)
         monkeypatch.setattr(bnb, "_BATCH", 1)
         _l_inf_rows(monkeypatch, force=True)
         assert_same_result(lazy, run())
@@ -1099,14 +1130,94 @@ class TestLazyZerothOrderBound:
         assert self.every_box_full(full_passes)
 
     def test_budget_capped_deep_net(self, monkeypatch):
-        # gain 2 at a node budget
-        obj = _deep_net(2.0, 1)
+        # gain 1 at a node budget: most boxes compute L_inf, and some passes
+        # hold boxes of both kinds
+        obj = _deep_net(1.0, 1)
         cfg = BnBConfig(eps_t=1e-9, max_branches=300)
-        (lazy, full), (_, full_passes) = self.both_ways(
+        (lazy, full), (passes, full_passes) = self.both_ways(
             monkeypatch, lambda: solve(obj, -np.ones(6), np.ones(6), cfg=cfg))
         assert lazy.status == "BranchLimit"
         assert_same_result(lazy, full)
         assert self.every_box_full(full_passes)
+        assert any(0 < k < n for n, k in passes)
+
+
+class TestLinearBound:
+    @pytest.mark.parametrize("act", list(Activation))
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(hidden=st.lists(st.integers(2, 7), min_size=0, max_size=3),
+           seed=st.integers(0, 2**16), scale=st.floats(0.5, 3.0))
+    def test_holds_over_the_box(self, act, hidden, seed, scale):
+        # depth 1-4, with a linear term and an offset, on non-cubic boxes:
+        # the bound is the plain reference's and lies above the polished
+        # sampled maximum
+        rng = np.random.default_rng(seed)
+        net = make_net([3, *hidden, 1], act=act, seed=seed, scale=scale)
+        obj = ScalarObjective(net, rng.standard_normal(3), 0.3)
+        lo = rng.uniform(-1.5, 1.0, 3)
+        hi = lo + rng.uniform(0.05, 2.0, 3)
+        bounder = _Bounder([obj], BnBConfig())
+        cert = bounder._certificate(lo[None], hi[None])
+        got, = bounder._linear_bound(bounder._stack(np.zeros(1, dtype=int)),
+                                     cert, (lo + hi)[None] / 2.0,
+                                     (hi - lo)[None] / 2.0)
+        assert got == pytest.approx(_linear_relaxation(obj, lo, hi),
+                                    rel=1e-12, abs=1e-12)
+        best, _ = oracle.polished_max(obj.value, lo, hi, n_per_axis=12,
+                                      n_random=500, seed=seed)
+        assert best <= got + 1e-9
+
+
+class TestSmallSetClaim:
+    """The paper's claim about small input sets, at the root node: on small
+    boxes the Taylor models (``_Bounder._taylor_model``) are far tighter than
+    the linear-relaxation bound, on wide ones the linear bound is, and a
+    node takes the smaller.  Three two-layer and three deep gain-1 nets,
+    each over a box ``c +- eps`` with its own center ``c`` in
+    ``[-0.5, 0.5]^6``; the excess is the bound's mean over the nets less
+    the polished sampled maximum's.  Acceptance criterion 4 checks the
+    crossover of the first- and zeroth-order formulas; this checks the
+    crossover of the two first-order bounds on nets."""
+
+    @staticmethod
+    def root_bounds(obj, lo, hi):
+        """The Taylor-model, linear-relaxation and node upper bounds of the
+        root box [lo, hi]."""
+        from curvreach import taylor
+        bounder = _Bounder([obj], BnBConfig())
+        lo, hi = lo[None], hi[None]
+        center, r = (lo + hi) / 2.0, (hi - lo) / 2.0
+        stand = bounder._stack(np.zeros(1, dtype=int))
+        value, grad = ScalarObjective.value_and_grad(stand, center)
+        cert = bounder._certificate(lo, hi)
+        x_iso = taylor.optimal_perturbation(center, r, np.inf, grad, 0.0,
+                                            center)
+        model = bounder._taylor_model(lo, hi, stand.net, cert, value, grad,
+                                      x_iso, center)
+        linear = bounder._linear_bound(stand, cert, center, r)
+        node, = bounder.bound(lo, hi, *_per_box(lo))
+        return model[0], linear[0], node.ub
+
+    def test_taylor_wins_small_boxes_and_linear_wide_ones(self):
+        objs = [_two_layer_net(s) for s in (1, 2, 3)] \
+            + [_deep_net(1.0, s) for s in (1, 2, 3)]
+        rng = np.random.default_rng(0)
+        centers = [rng.uniform(-0.5, 0.5, 6) for _ in objs]
+        excess = {}
+        for eps in (1e-2, 0.1, 1.0):
+            rows = []
+            for obj, c in zip(objs, centers):
+                lo, hi = c - eps, c + eps
+                best, _ = oracle.polished_max(obj.value, lo, hi, n_random=500,
+                                              seed=1)
+                model, linear, ub = self.root_bounds(obj, lo, hi)
+                assert ub == min(model, linear)
+                rows.append((model - best, linear - best))
+            excess[eps] = np.mean(rows, axis=0)
+        model, linear = excess[1e-2]
+        assert 0.0 <= 8.0 * model <= linear
+        model, linear = excess[1.0]
+        assert 0.0 <= linear < model
 
 
 class TestLowerMemo:
@@ -1153,17 +1264,34 @@ class TestLowerMemo:
                 <= lip._total_raw(weights, slope_hi, ds, np.inf,
                                   (0.0,) + tuple(memo), head)).all()
 
-    def test_overflowing_net_raises(self):
+    @staticmethod
+    def _overflowing_net():
         # a 2-4-1 tanh net with weights of +-1e200: the chain W_2 D_1 W_1 of
-        # the Lipschitz recursion overflows, which the ell_inf norm rejects,
-        # whether or not the box computes L_inf itself
+        # the Lipschitz recursion overflows
         from curvreach.model import Layer, Network
         signs = np.array([[1.0, -1.0], [-1.0, 1.0], [1.0, 1.0], [-1.0, -1.0]])
-        net = Network((Layer(1e200 * signs, np.zeros(4), Activation.TANH),
-                       Layer(1e200 * signs[:, :1].T, np.zeros(1), None)))
+        return Network((Layer(1e200 * signs, np.zeros(4), Activation.TANH),
+                        Layer(1e200 * signs[:, :1].T, np.zeros(1), None)))
+
+    def test_overflowing_net_raises(self):
+        # the solve is refused whether or not a box would compute L_inf
         with np.errstate(all="ignore"), \
                 pytest.raises(ValueError, match="non-finite"):
-            solve(ScalarObjective(net), -np.ones(2), np.ones(2), eps_t=1e-3)
+            solve(ScalarObjective(self._overflowing_net()), -np.ones(2),
+                  np.ones(2), eps_t=1e-3)
+
+    @pytest.mark.parametrize("first_order", [True, False])
+    def test_overflowing_net_fails_early(self, first_order):
+        # before any box is bounded, and with no numpy warning on the way,
+        # so that warnings raised as errors see the same ValueError
+        import warnings
+        cfg = BnBConfig(eps_t=1e-3, use_first_order=first_order)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="overflow the Lipschitz "
+                                                 "chain"):
+                solve(ScalarObjective(self._overflowing_net()), -np.ones(2),
+                      np.ones(2), cfg=cfg)
 
 
 class TestZonotope:

@@ -271,6 +271,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert ("--sweeps" in err) == (code == 1)
 
+    def test_overflowing_weights_name_the_cause(self, tmp_path, capsys):
+        # weights of 1e200 in a 2-4-1 tanh net overflow the Lipschitz chain
+        from curvreach.model import Activation, Layer, Network
+        signs = np.array([[1.0, -1.0], [-1.0, 1.0], [1.0, 1.0], [-1.0, -1.0]])
+        path = tmp_path / "huge.json"
+        save_network(Network((
+            Layer(1e200 * signs, np.zeros(4), Activation.TANH),
+            Layer(1e200 * signs[:, :1].T, np.zeros(1), None))), path)
+        code = main(["bnb", "--network", str(path), "--direction", "1",
+                     "--box=-1..1,-1..1", "--eps-t", "1e-3"])
+        assert code == 1
+        assert "overflow the Lipschitz chain" in capsys.readouterr().err
+
     def test_branch_limit_exit_2(self, tanh_file, capsys):
         code = main(["bnb", "--network", tanh_file, "--direction", "1,0",
                      "--box=-1..1,-1..1", "--eps-t", "1e-12",

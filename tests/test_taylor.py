@@ -343,11 +343,10 @@ class TestVertexUpper:
         with pytest.raises(ValueError):
             vertex_upper(np.zeros(n), np.eye(n), -np.ones(n), np.ones(n))
 
-    def test_precomputed_eigenvalues(self):
-        # a slack handed in gives the value and witness of the one computed
-        # inside; a stack of boxes gives each box's own result.  Rank-1
-        # matrices with n > 1 fail the Cholesky test, so their slack comes
-        # from their eigenvalues
+    def test_rank_one_matrices_take_the_eigenvalue_slack(self):
+        # rank-1 matrices with n > 1 fail the Cholesky test, so their slack
+        # comes from their eigenvalues; a stack of boxes gives each box's own
+        # value and witness
         rng = np.random.default_rng(12)
         for n in (1, 3, 5):
             A = rng.standard_normal((2, n, 1))
@@ -355,16 +354,13 @@ class TestVertexUpper:
             g = rng.standard_normal((2, n))
             lo = rng.uniform(-1.5, -0.3, (2, n))
             hi = rng.uniform(0.3, 1.5, (2, n))
-            stacked = vertex_upper(g, M, lo, hi, return_witness=True,
-                                   tau=_psd_slack(M)[0])
+            stacked = vertex_upper(g, M, lo, hi, return_witness=True)
             for k in range(2):
+                if n > 1:
+                    with pytest.raises(np.linalg.LinAlgError):
+                        np.linalg.cholesky(M[k])
                 v, w = vertex_upper(g[k], M[k], lo[k], hi[k],
                                     return_witness=True)
-                tau, eig = _psd_slack(M[k:k + 1])
-                assert (eig is None) == (n == 1)
-                v_eig, w_eig = vertex_upper(g[k], M[k], lo[k], hi[k],
-                                            return_witness=True, tau=tau)
-                assert v_eig == v and np.array_equal(w_eig, w)
                 assert stacked[0][k] == v
                 assert np.array_equal(stacked[1][k], w)
 
@@ -425,19 +421,19 @@ class TestVertexUpper:
         np.linalg.cholesky(certified)
         assert np.linalg.eigvalsh(certified)[0] < 0.0
         M = np.stack([certified, np.diag([1.0, 1.0, 1.0, -1e-3]), np.eye(4)])
-        tau, eig = _psd_slack(M)
-        assert eig is not None
-        alone = [_psd_slack(M[k:k + 1])[0][0] for k in range(3)]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(M)
+        tau = _psd_slack(M)
+        alone = [_psd_slack(M[k:k + 1])[0] for k in range(3)]
         assert tau.tolist() == alone
         assert alone[0] == alone[2] == 0.0
         assert alone[1] == pytest.approx(1e-3)
 
-    def test_precomputed_eigenvalues_still_checked(self):
+    def test_just_beyond_the_psd_tolerance_rejected(self):
         M = np.diag([1.0, -2e-9])
         assert np.linalg.eigvalsh(M)[0] < -1e-9
         with pytest.raises(ValueError, match="positive semidefinite"):
-            vertex_upper(np.zeros(2), M, -np.ones(2), np.ones(2),
-                         tau=-np.linalg.eigvalsh(M)[:1])
+            vertex_upper(np.zeros(2), M, -np.ones(2), np.ones(2))
 
     def test_psd_tolerance_is_accounted(self):
         # lambda_min = -5e-10 passes the PSD check; the model's maximum over
