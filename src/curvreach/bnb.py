@@ -27,7 +27,9 @@ w_l`` is summed in full only for the boxes where its first term,
 model grows with ``lam``, so elsewhere the interval model wins whatever the
 other terms, and their ell_2 subnetwork constants ``c_l`` are never
 computed.  At one hidden layer the first term is all of ``lam``.  On the
-shipped double-integrator and quadrotor runs no box needs them.
+shipped double-integrator and quadrotor runs no box needs them, and the
+heads ``||W_2||_2 .. ||W_{L-1}||_2`` of those constants are computed only
+by the first ``_full_lam`` of a solve or lockstep run.
 
 The ell_inf recursion likewise runs only for the boxes where the
 zeroth-order bound can win.  Every box first gets a lower bound on L_inf
@@ -74,6 +76,9 @@ stacked pass each distinct box gets them once, however many directions carry
 it; the per-direction finish reads the output layer and the linear term.
 The objective is evaluated once per pass, with the hidden layers run once and
 each box's output row and bias, linear term and offset gathered by direction.
+These per-direction parts are kept as stacks with one row per direction, and
+the constants read from them, ``||W_L||_inf`` and the linear term's dual
+norm, are each computed by one call over the stack.
 
 One failure rule holds: a numerical failure (``_FAILURES``) anywhere in a
 stack's certificate-and-model stage bounds the stack again one box at a
@@ -267,9 +272,12 @@ class _Bounder:
     Every box gets fresh certificates of its own.  Box-level certificates
     read the hidden layers only, which the directions share; the
     per-direction parts (the output row and bias, the linear term and
-    offset, ``lin_inf`` and ``head_inf``) are kept per direction and
-    gathered by direction for each box of a stack, in which one call
-    evaluates the objective.  Direction i is ``objs[i]``."""
+    offset, ``lin_inf`` and ``head_inf``) are kept as stacks with one row
+    per direction, ``head_inf`` and ``lin_inf`` each computed by one call
+    over the stack, and gathered by direction for each box of a stack, in
+    which one call evaluates the objective.  Of the ell_2 heads, ``heads2``
+    holds ``||W_1||_2`` until the first ``_full_lam``, which adds the
+    others.  Direction i is ``objs[i]``."""
 
     def __init__(self, objs, cfg):
         self.objs = objs
@@ -286,27 +294,28 @@ class _Bounder:
         self.weights = [lay.weight for lay in self.net.layers]
         self.abs_hidden = [np.abs(w) for w in self.weights[:-1]]
         lasts = [obj.net.layers[-1] for obj in objs]
+        self.rows = np.array([last.weight for last in lasts])
+        self.bias = np.array([last.bias[None] for last in lasts])
+        self.linear = None if objs[0].linear is None \
+            else np.array([obj.linear for obj in objs])
+        self.offset = np.array([[obj.offset] for obj in objs])
+        self.lin_inf = np.zeros(len(objs)) if self.linear is None \
+            else np.abs(self.linear).sum(axis=1)
         with np.errstate(over="ignore"):
             # the ell_inf total stage opens with ||W_L||, which does not
             # depend on the box
-            self.head_inf = np.array([lip._norm(last.weight, np.inf)
-                                      for last in lasts])
+            self.head_inf = lip.op_norm_inf(self.rows)
             chain = self.head_inf * np.prod([lip._norm(w, np.inf)
                                              for w in self.weights[:-1]])
         if not np.isfinite(chain).all():
             raise ValueError("the weights overflow the Lipschitz chain: the "
                              "product of the layer norms is non-finite")
         # the ell_2 subnetwork stages open with ||W_1|| .. ||W_{L-1}||, which
-        # depend on neither the box nor the direction
-        self.heads2 = lip._head_norms(self.weights, 2) if self.curved \
+        # depend on neither the box nor the direction.  The first term of
+        # lam reads ||W_1|| only; the others are computed by the first
+        # _full_lam, the one reader of the rest
+        self.heads2 = [lip._norm(self.weights[0], 2)] if self.curved \
             else None
-        self.rows = np.array([last.weight for last in lasts])
-        self.bias = np.array([last.bias[None] for last in lasts])
-        self.linear = None if objs[0].linear is None \
-            else np.array([obj.linear for obj in objs])
-        self.offset = np.array([[obj.offset] for obj in objs])
-        self.lin_inf = np.array([obj.linear_dual_norm(np.inf)
-                                 for obj in objs])
         # the two largest entries a1, a2 of each row of each hidden layer's
         # |W_l|, for _lower_memo; a2 is 0 where a layer has one column
         self.top2 = []
@@ -494,6 +503,8 @@ class _Bounder:
         """The spectral bound lam of a stack of boxes, from their slopes and
         the per-layer factors ``terms`` of ``hessian_norm_bound``: the ell_2
         subnetwork constants are computed once for each distinct box."""
+        if len(self.heads2) == 1:
+            self.heads2 += lip._head_norms(self.weights[1:], 2)
         subnet = self._once_per_box(
             lo, hi, slope_hi,
             lambda s: lip._report_raw(self.weights, s, self._ds(s), 2,
@@ -754,13 +765,12 @@ def _search(lo, hi, cfg, start):
                      time.perf_counter() - start, status, flagged)
 
 
-def latent_objective(obj, G, x_c, net=None):
+def latent_objective(obj, G, x_c):
     """``obj`` composed with z -> G z + x_c, an objective over the latent
-    unit box; ``net``, when given, is ``prepend_affine(obj.net, G, x_c)``."""
+    unit box."""
     G = np.asarray(G, dtype=float)
     x_c = np.asarray(x_c, dtype=float)
-    if net is None:
-        net = prepend_affine(obj.net, G, x_c)
+    net = prepend_affine(obj.net, G, x_c)
     linear = None
     offset = obj.offset
     if obj.linear is not None:

@@ -152,6 +152,15 @@ def require_finite(a, name):
         raise ValueError(f"{name} has non-finite entries (NaN or inf)")
 
 
+def _unchecked(cls, **values):
+    """An instance of the frozen dataclass ``cls`` holding ``values``, which
+    its caller has already checked as ``cls.__post_init__`` would: made
+    without running those checks again."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(values)
+    return obj
+
+
 @dataclass(frozen=True)
 class Layer:
     weight: np.ndarray
@@ -275,17 +284,32 @@ def scalarize(net, c):
 
 def prepend_affine(net, G, x_c):
     """Compose with z -> Gz + x_c by merging into the first layer."""
-    G = np.asarray(G, dtype=float)
-    x_c = np.asarray(x_c, dtype=float)
-    if G.ndim != 2 or G.shape[0] != net.input_dim:
-        raise ValueError(f"generator shape {G.shape} incompatible with input "
-                         f"dimension {net.input_dim}")
-    if x_c.shape != (net.input_dim,):
-        raise ValueError(f"center shape {x_c.shape} != ({net.input_dim},)")
+    G, x_c = _affine_map(G, x_c, net.input_dim)
     first = net.layers[0]
-    merged = Layer(first.weight @ G, first.weight @ x_c + first.bias,
+    merged = Layer(*_compose_affine(first.weight, first.bias, G, x_c),
                    first.activation)
     return Network((merged,) + net.layers[1:])
+
+
+def _affine_map(G, x_c, n):
+    """``G`` and ``x_c`` as float arrays, checked as the map z -> G z + x_c
+    into R^n."""
+    G = np.asarray(G, dtype=float)
+    x_c = np.asarray(x_c, dtype=float)
+    if G.ndim != 2 or G.shape[0] != n:
+        raise ValueError(f"generator shape {G.shape} incompatible with input "
+                         f"dimension {n}")
+    if x_c.shape != (n,):
+        raise ValueError(f"center shape {x_c.shape} != ({n},)")
+    return G, x_c
+
+
+def _compose_affine(weight, bias, G, x_c):
+    """The weight and bias of z -> weight (G z + x_c) + bias.  A stack of
+    one-row layers, weights ``(k, 1, h)`` and biases ``(k, 1)``, gives one
+    vector-matrix product per row, so each row gets the bits it gets
+    alone."""
+    return weight @ G, weight @ x_c + bias
 
 
 @dataclass(frozen=True)
@@ -309,7 +333,10 @@ class ScalarObjective:
             if q.shape != (self.net.input_dim,):
                 raise ValueError(
                     f"linear term shape {q.shape} != ({self.net.input_dim},)")
+            require_finite(q, "linear term")
             object.__setattr__(self, "linear", q)
+        # a NaN or an inf in the affine part leaves no sound bound
+        require_finite(self.offset, "offset")
 
     @property
     def input_dim(self):

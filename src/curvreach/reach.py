@@ -7,6 +7,12 @@ over-approximates the image set.  Closed-loop steps keep the linear part
 c . A x of the step map analytic: it shifts the objective's value and
 gradient and adds its dual norm to the Lipschitz constant, with no effect on
 curvature.
+
+The objectives of all directions of a step are built as one stack
+(``_face_objectives``): each direction's output row and bias, linear term
+and offset are per-row products over the direction stack, checked once per
+stack, and bit for bit those of the direction built alone.
+``LinearSystem.step_objective`` is the stack of one row.
 """
 
 import numbers
@@ -15,8 +21,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import bnb
-from .model import (Network, ScalarObjective, prepend_affine,
-                    require_finite, scalarize)
+from . import lipschitz as lip
+from .model import (Layer, Network, ScalarObjective, _affine_map,
+                    _compose_affine, _unchecked, require_finite)
 
 
 def _support_separation(center, generators, point):
@@ -220,38 +227,88 @@ def _zeroth_root_offset(objective, box):
     return res.ub, res.lb
 
 
-def _over_latent_box(objectives, zono):
-    """The objectives composed with z -> G z + center, over the latent unit
-    box.  Directions that share their first layer, a hidden layer, share its
-    composition with G, which is computed once."""
-    out = []
-    first = merged = None
-    for objective in objectives:
-        layers = objective.net.layers
-        if layers[0] is first:
-            net = Network((merged,) + layers[1:])
+def _checked_stack(a, name):
+    """``a``, frozen, after the finiteness check that names it ``name``."""
+    require_finite(a, name)
+    a.flags.writeable = False
+    return a
+
+
+# an overflow or a NaN in a product fails the finiteness check that follows
+@np.errstate(over="ignore", invalid="ignore")
+def _face_objectives(dirs, f, zono=None):
+    """The objective x -> c . f(x) of each row c of the direction stack
+    ``dirs``, where ``f`` is a network or the step map x -> A x + B pi(x) +
+    drift of a ``LinearSystem``; with a zonotope ``zono``, composed with
+    z -> G z + center, over the latent unit box.
+
+    Each direction's output row and bias, linear term and offset is one
+    vector-matrix product per row of a stack, as in ``lip._rows_times``,
+    so each gets the bits it gets alone.  The directions share the hidden
+    layers and, on a zonotope, the first hidden layer composed with G, which
+    is computed once.  Each stack passes the checks of the objects made of
+    it once, with their messages; the ``Layer``, ``Network`` and
+    ``ScalarObjective`` of each direction are then made unchecked."""
+    system = f if isinstance(f, LinearSystem) else None
+    net, width = (f, f.output_dim) if system is None \
+        else (system.controller, system.dim)
+    if dirs.shape[1:] != (width,):
+        raise ValueError(f"direction shape {dirs.shape[1:]} != ({width},)")
+    out = dirs if system is None else lip._rows_times(dirs, system.B)
+    last = net.layers[-1]
+    # one-row output layers: weights (k, 1, h) and biases (k, 1)
+    weight = _checked_stack(out[:, None, :] @ last.weight, "weight")
+    bias = _checked_stack(out[:, None, :] @ last.bias, "bias")
+    linear, offset = None, np.zeros(len(dirs))
+    if system is not None:
+        linear = _checked_stack(lip._rows_times(dirs, system.A),
+                                "linear term")
+        offset = _checked_stack(
+            lip._rows_times(dirs, system.drift[:, None])[:, 0], "offset")
+    hidden = net.layers[:-1]
+    if zono is not None:
+        G, x_c = _affine_map(zono.G, zono.center, net.input_dim)
+        if hidden:
+            first = hidden[0]
+            hidden = (Layer(*_compose_affine(first.weight, first.bias, G,
+                                             x_c), first.activation),) \
+                + hidden[1:]
         else:
-            net = prepend_affine(objective.net, zono.G, zono.center)
-            first, merged = layers[0], net.layers[0]
-        out.append(bnb.latent_objective(objective, zono.G, zono.center, net))
-    return out
+            weight, bias = _compose_affine(weight, bias, G, x_c)
+            weight = _checked_stack(weight, "weight")
+            bias = _checked_stack(bias, "bias")
+        if linear is not None:
+            shifted = offset + lip._rows_times(linear, x_c[:, None])[:, 0]
+            linear = _checked_stack(lip._rows_times(linear, G),
+                                    "linear term")
+            offset = _checked_stack(shifted, "offset")
+    return [_unchecked(ScalarObjective,
+                       net=_unchecked(Network, layers=hidden + (_unchecked(
+                           Layer, weight=weight[i], bias=bias[i],
+                           activation=None),)),
+                       linear=None if linear is None else linear[i],
+                       offset=c)
+            for i, c in enumerate(offset.tolist())]
 
 
-def _support_polytope(dirs, objective_for, input_set, cfg):
-    """One face per row c of dirs, offset by the solve of sup objective_for(c)
-    over the input set, a zonotope solved over its latent unit box.  All
-    directions form one lockstep group, so the first solve runs them all with
-    one stacked bound pass per round, in which a box that several directions
-    carry gets its box-level certificates, which do not depend on c, once.
-    Each result is that of solving its direction alone.  A solve that fails
-    numerically falls back to the zeroth-order root face: its row goes into
-    ``flagged`` and its result is None."""
-    objectives = [objective_for(c) for c in dirs]
+def _support_polytope(dirs, input_set, cfg, f):
+    """One face per row c of dirs, offset by the solve of sup c . f over the
+    input set, a zonotope solved over its latent unit box, where ``f`` is a
+    network or the step map of a ``LinearSystem``.  All directions'
+    objectives come from one ``_face_objectives`` stack and form one
+    lockstep group, so the first solve runs them all with one stacked bound
+    pass per round, in which a box that several directions carry gets its
+    box-level certificates, which do not depend on c, once.  Each result is
+    that of solving its direction alone.  A solve that fails numerically
+    falls back to the zeroth-order root face: its row goes into ``flagged``
+    and its result is None."""
     box = input_set
+    zono = None
     if isinstance(input_set, Zonotope):
-        objectives = _over_latent_box(objectives, input_set)
+        zono = input_set
         m = input_set.G.shape[1]
         box = Box(-np.ones(m), np.ones(m))
+    objectives = _face_objectives(dirs, f, zono)
     offsets = np.empty(dirs.shape[0])
     lbs = np.empty(dirs.shape[0])
     flagged = []
@@ -275,9 +332,7 @@ def reach_polytope(net, input_set, template, eps_t, cfg=None):
     if template.count == 0:
         raise ValueError("direction template is empty")
     cfg = replace(cfg or bnb.BnBConfig(), eps_t=eps_t)
-    return _support_polytope(template.directions,
-                             lambda c: ScalarObjective(scalarize(net, c)),
-                             input_set, cfg)
+    return _support_polytope(template.directions, input_set, cfg, net)
 
 
 @dataclass(frozen=True)
@@ -323,11 +378,11 @@ class LinearSystem:
         return out
 
     def step_objective(self, c):
-        """Scalar objective x -> c . (A x + B pi(x) + drift)."""
+        """Scalar objective x -> c . (A x + B pi(x) + drift): the one-row
+        case of the faces that ``closed_loop_step`` builds."""
         c = np.asarray(c, dtype=float)
-        return ScalarObjective(scalarize(self.controller, self.B.T @ c),
-                               linear=self.A.T @ c,
-                               offset=float(c @ self.drift))
+        objective, = _face_objectives(c[None], self)
+        return objective
 
 
 def simulate(sys, x0s, steps):
@@ -369,7 +424,7 @@ def closed_loop_step(sys, input_set, template, eps_t, cfg=None,
                  if np.abs(rep_dirs - c).max(axis=1).min() > 1e-12]
         dirs = np.concatenate([np.asarray(fresh).reshape(-1, n), rep_dirs],
                               axis=0)
-    poly, _ = _support_polytope(dirs, sys.step_objective, input_set, cfg)
+    poly, _ = _support_polytope(dirs, input_set, cfg, sys)
 
     # slab extents along the rotation's columns give the propagated box
     offsets = poly.offsets

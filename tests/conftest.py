@@ -1,5 +1,6 @@
 from collections import defaultdict
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,3 +105,23 @@ def di_controller():
     path = Path(__file__).resolve().parents[1] / "src" / "curvreach" / "data" \
         / "di_controller.json"
     return load_network(path)
+
+
+DATA = Path(__file__).resolve().parents[1] / "src" / "curvreach" / "data"
+
+
+def shipped_system(name):
+    """The shipped ``di`` or ``quad6`` system with its controller."""
+    from curvreach.fileio import load_network, load_system
+    controller = load_network(DATA / f"{name}_controller.json")
+    return load_system(DATA / f"{name}_system.json", controller)
+
+
+def shipped_initial_set(name):
+    """The DI hexagon, or the quadrotor box of the benchmark."""
+    from curvreach.fileio import load_zonotope
+    from curvreach.reach import Box
+    if name == "di":
+        return load_zonotope(DATA / "di_hexagon.json")
+    return Box(np.array([4.69, 4.69, 2.99, 0.945, -0.005, -0.005]),
+               np.array([4.71, 4.71, 3.01, 0.955, 0.005, 0.005]))

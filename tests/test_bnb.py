@@ -9,7 +9,7 @@ from curvreach.bnb import (BnBConfig, Lockstep, as_objective, solve,
                            solve_zonotope, _Bounder)
 from curvreach.model import Activation, ScalarObjective, scalarize
 from conftest import (assert_same_result, linear_net, make_net, node_rows,
-                      node_streams)
+                      node_streams, shipped_initial_set, shipped_system)
 
 
 def scalar_linear(w, b=0.0):
@@ -511,9 +511,9 @@ class TestModelBoundRouting:
                                       seed=1)
         assert res.lb - 1e-9 <= gmax <= res.ub + 1e-9
 
-    def test_psd_bound_skips_the_dual(self, monkeypatch):
+    def test_psd_sandwich_runs_no_matrix_model(self, monkeypatch):
         # softplus curvature lies in [0, 1/4]; with positive output weights
-        # every unit adds a PSD term to M, so every node takes the vertex bound
+        # every unit adds a PSD term to the sandwich M on every box
         from curvreach.model import Layer, Network
         hidden, out = make_net([2, 6, 1], act=Activation.SOFTPLUS,
                                seed=3500).layers
@@ -654,7 +654,7 @@ class TestStackedBounds:
         for k, s in enumerate(stacked):
             assert s.ub == pytest.approx(model[k], rel=1e-12)
 
-    def test_dual_route_above_the_vertex_cap(self):
+    def test_thirteen_inputs_match_alone(self):
         rng = np.random.default_rng(13)
         obj = ScalarObjective(make_net([13, 8, 1], seed=3900))
         lo = rng.uniform(-1.0, 0.0, 13)
@@ -662,7 +662,7 @@ class TestStackedBounds:
         _assert_same_nodes(*_bound_stacked_and_alone(obj, *_children(lo, hi)))
 
     @staticmethod
-    def _mixed_route_net():
+    def _mixed_sandwich_net():
         # softplus curvature lies in [0, 1/4]; unit 2 has a negative output
         # weight, so the sandwich M = diag(-100 c, m) with c its least
         # curvature, which is 0 (to the guard) far from the origin and
@@ -672,10 +672,10 @@ class TestStackedBounds:
         return Network((Layer(W1, np.zeros(2), Activation.SOFTPLUS),
                         Layer(np.array([[1.0, -1.0]]), np.zeros(1), None)))
 
-    def test_children_on_different_routes(self):
+    def test_children_with_psd_and_indefinite_sandwiches(self):
         from curvreach.hessian import two_layer_matrix_bounds
         from curvreach.localize import bounds_for_box
-        net = self._mixed_route_net()
+        net = self._mixed_sandwich_net()
         lo, hi = _children(np.array([-4.0, -1.0]), np.array([0.5, 1.0]))
         lam_min = [np.linalg.eigvalsh(two_layer_matrix_bounds(
             net, bounds_for_box(net, lo[k], hi[k])).M)[0] for k in range(2)]
@@ -684,7 +684,7 @@ class TestStackedBounds:
         _assert_same_nodes(*_bound_stacked_and_alone(ScalarObjective(net),
                                                      lo, hi))
 
-    def test_psd_routes_mixed_in_one_stack(self):
+    def test_psd_and_indefinite_sandwiches_in_one_stack(self):
         # three directions over one softplus layer 6 -> 8, one box each: all
         # output weights positive give a positive definite sandwich M;
         # weights on four units only give M of rank 4 < 6, with lambda_min a
@@ -993,6 +993,29 @@ class TestLazySpectralBound:
         assert poly.offsets.tolist() == poly_full.offsets.tolist()
         assert passes and not any(k for _, k in passes)
         assert self.every_box_full(full_passes)
+
+    @pytest.mark.parametrize("name", ["di", "quad6"])
+    def test_closed_loop_step_takes_one_l2_head_norm(self, monkeypatch,
+                                                     name):
+        # no box of a shipped step sums the full lam, so the step's lockstep
+        # group computes ||W_1||_2, the first term's head, and no other
+        # spectral norm
+        from curvreach import lipschitz as lip
+        from curvreach.reach import closed_loop_step, uniform_directions
+        sys_model = shipped_system(name)
+        template = uniform_directions(16) if name == "di" else None
+        real, shapes = lip.operator_norm, []
+
+        def counting(A, p):
+            if p == 2:
+                shapes.append(np.shape(A))
+            return real(A, p)
+
+        monkeypatch.setattr(lip, "operator_norm", counting)
+        closed_loop_step(sys_model, shipped_initial_set(name), template,
+                         1e-3, pca_samples=2000)
+        first = sys_model.controller.layers[0].weight.shape[0]
+        assert [s[0] for s in shapes] == [first]
 
     def test_deep_net_with_mixed_passes(self, monkeypatch):
         # at gain 0.3 some passes hold boxes of both kinds

@@ -214,6 +214,19 @@ class TestObjective:
         assert np.isclose(obj.linear_dual_norm(2), 5.0)
         assert np.isclose(obj.linear_dual_norm(np.inf), 7.0)
 
+    @pytest.mark.parametrize("field, kwargs", [
+        ("linear term", {"linear": [np.inf, 0.0]}),
+        ("linear term", {"linear": [0.0, np.nan]}),
+        ("offset", {"offset": np.nan}),
+        ("offset", {"offset": -np.inf}),
+    ])
+    def test_non_finite_affine_part_rejected(self, di_controller, field,
+                                             kwargs):
+        # accepted, such a part made branch and bound report ub = -inf
+        with pytest.raises(ValueError, match=f"^{field} has non-finite "
+                                             r"entries \(NaN or inf\)$"):
+            ScalarObjective(di_controller, **kwargs)
+
 
 class TestJsonSchema:
     def test_round_trip(self):

@@ -6,10 +6,11 @@ from curvreach.reach import (Box, DirectionTemplate, LinearSystem, Polytope,
                              Zonotope, axes_directions, closed_loop_reach,
                              closed_loop_step, pca_directions, reach_polytope,
                              sample_inputs, simulate, uniform_directions)
-from curvreach import bnb
+from curvreach import bnb, reach
+from curvreach import lipschitz as lip
 from curvreach.model import ScalarObjective, scalarize
 from conftest import (assert_same_result, linear_net, make_net, node_rows,
-                      node_streams)
+                      node_streams, shipped_initial_set, shipped_system)
 
 
 class TestTemplates:
@@ -679,3 +680,170 @@ class TestSimulate:
         assert np.array_equal(
             sample_inputs(zono, 50, np.random.default_rng(6)),
             z @ zono.G.T + zono.center)
+
+
+def step_reference(sys_model, c):
+    """c . (A x + B pi(x) + drift) built for one direction, as products of
+    that direction alone."""
+    return ScalarObjective(scalarize(sys_model.controller, sys_model.B.T @ c),
+                           linear=sys_model.A.T @ c,
+                           offset=float(c @ sys_model.drift))
+
+
+def direction_stacks(n):
+    """axes, uniform:16 on the plane, and a seeded random stack."""
+    stacks = [axes_directions(n).directions,
+              np.random.default_rng(26).standard_normal((12, n))]
+    if n == 2:
+        stacks.append(uniform_directions(16).directions)
+    return stacks
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_objective(got, ref):
+    """Every layer, the linear term and the offset, bit for bit."""
+    assert len(got.net.layers) == len(ref.net.layers)
+    for a, b in zip(got.net.layers, ref.net.layers):
+        assert a.activation is b.activation
+        assert_same_bits(a.weight, b.weight)
+        assert_same_bits(a.bias, b.bias)
+    assert (got.linear is None) == (ref.linear is None)
+    if ref.linear is not None:
+        assert_same_bits(got.linear, ref.linear)
+    assert_same_bits(got.offset, ref.offset)
+
+
+class TestFaceObjectives:
+    """The objectives of a step's directions are built as one stack; each
+    must be that direction's objective built alone, bit for bit."""
+
+    SYSTEMS = ["di", "quad6"]
+
+    @pytest.mark.parametrize("name", SYSTEMS)
+    def test_closed_loop_faces(self, name):
+        sys_model = shipped_system(name)
+        for dirs in direction_stacks(sys_model.dim):
+            faces = reach._face_objectives(dirs, sys_model)
+            assert len(faces) == len(dirs)
+            for c, face in zip(dirs, faces):
+                assert_same_objective(face, step_reference(sys_model, c))
+                assert_same_objective(face, sys_model.step_objective(c))
+                # the hidden layers are the controller's own
+                assert all(a is b for a, b in zip(
+                    face.net.layers[:-1], sys_model.controller.layers[:-1]))
+
+    @pytest.mark.parametrize("name", SYSTEMS)
+    def test_open_loop_faces(self, name):
+        net = shipped_system(name).controller
+        for dirs in direction_stacks(net.output_dim):
+            faces = reach._face_objectives(dirs, net)
+            for c, face in zip(dirs, faces):
+                assert_same_objective(face, ScalarObjective(scalarize(net,
+                                                                      c)))
+
+    @pytest.mark.parametrize("name", SYSTEMS)
+    def test_latent_faces_over_three_steps(self, name):
+        # the zonotopes that three closed-loop steps propagate
+        sys_model = shipped_system(name)
+        trace = closed_loop_reach(sys_model, shipped_initial_set(name), None,
+                                  1e-2, steps=3, pca_samples=2000)
+        for _, zono in trace:
+            for dirs in direction_stacks(sys_model.dim):
+                faces = reach._face_objectives(dirs, sys_model, zono)
+                for c, face in zip(dirs, faces):
+                    assert_same_objective(face, bnb.latent_objective(
+                        step_reference(sys_model, c), zono.G, zono.center))
+                # the first layer is composed with G once for all of them
+                assert len({id(face.net.layers[0]) for face in faces}) == 1
+
+    @pytest.mark.parametrize("closed", [False, True], ids=["net", "system"])
+    def test_latent_faces_without_a_hidden_layer(self, closed):
+        # each direction's own output row takes the generators
+        net = linear_net(np.array([[1.0, 2.0], [-0.5, 0.25]]),
+                         b=np.array([0.1, -0.3]))
+        sys_model = LinearSystem(np.array([[1.0, 0.1], [-0.2, 0.9]]),
+                                 np.eye(2), net, 1, drift=np.array([0.3, 0.7]))
+        zono = hexagon()
+        dirs = np.random.default_rng(3).standard_normal((12, 2))
+        faces = reach._face_objectives(dirs, sys_model if closed else net,
+                                       zono)
+        for c, face in zip(dirs, faces):
+            ref = step_reference(sys_model, c) if closed \
+                else ScalarObjective(scalarize(net, c))
+            assert_same_objective(face, bnb.latent_objective(ref, zono.G,
+                                                             zono.center))
+
+    @pytest.mark.parametrize("name", SYSTEMS)
+    def test_bounder_constants(self, name):
+        sys_model = shipped_system(name)
+        for dirs in direction_stacks(sys_model.dim):
+            for faces in (reach._face_objectives(dirs, sys_model),
+                          reach._face_objectives(dirs @ sys_model.B,
+                                                 sys_model.controller)):
+                bounder = bnb._Bounder(faces, bnb.BnBConfig())
+                assert_same_bits(bounder.head_inf, [
+                    lip._norm(face.net.layers[-1].weight, np.inf)
+                    for face in faces])
+                assert_same_bits(bounder.lin_inf, [
+                    face.linear_dual_norm(np.inf) for face in faces])
+
+    OVERFLOWS = {
+        # (system or net, zonotope or None, directions, the bad one's field)
+        "weight": (linear_net(np.ones((2, 2))), None,
+                   [[1.0, 0.0], [1e308, 1e308], [0.0, -1.0]]),
+        "bias": (linear_net(np.array([[1.0, 0.0], [-1.0, 0.0]]),
+                            b=np.full(2, 1e308)), None,
+                 [[1.0, 0.0], [1.0, 1.0], [0.0, -1.0]]),
+        "linear term": ("A", None, [[1.0, 0.0], [1.0, 1.0], [-1.0, 0.0]]),
+        "offset": ("drift", None, [[1.0, 0.0], [1.0, 1.0], [-1.0, 0.0]]),
+        "latent linear term": ("A-latent",
+                               Zonotope(np.array([[1e200, 0.1], [0.0, 0.1]]),
+                                        np.zeros(2)),
+                               [[0.0, 1.0], [1.0, 0.0], [0.0, -1.0]]),
+        "latent offset": ("A-latent", Zonotope(0.1 * np.eye(2),
+                                               np.array([1e300, 0.0])),
+                          [[0.0, 1.0], [1.0, 0.0], [0.0, -1.0]]),
+    }
+
+    @pytest.mark.parametrize("case", list(OVERFLOWS))
+    def test_one_overflowing_direction(self, di_controller, case):
+        # the second direction overflows: the stack raises the message that
+        # building that direction alone raises
+        what, zono, dirs = self.OVERFLOWS[case]
+        dirs = np.array(dirs)
+        B = np.array([[0.5], [1.0]])
+        systems = {
+            "A": LinearSystem(np.array([[1e308, 0.0], [1e308, 0.0]]), B,
+                              di_controller, 1),
+            "drift": LinearSystem(np.eye(2), B, di_controller, 1,
+                                  drift=np.full(2, 1e308)),
+            "A-latent": LinearSystem(np.array([[1e200, 0.0], [0.0, 1.0]]), B,
+                                     di_controller, 1),
+        }
+        sys_model = systems.get(what) if isinstance(what, str) else None
+        net = di_controller if sys_model else what
+
+        def alone(c):
+            ref = step_reference(sys_model, c) if sys_model \
+                else ScalarObjective(scalarize(net, c))
+            if zono is not None:
+                ref = bnb.latent_objective(ref, zono.G, zono.center)
+            return ref
+
+        for c in dirs[[0, 2]]:
+            alone(c)
+        with np.errstate(over="ignore"), pytest.raises(ValueError) as one:
+            alone(dirs[1])
+        field = case.removeprefix("latent ")
+        assert str(one.value) == f"{field} has non-finite entries (NaN or inf)"
+        with pytest.raises(ValueError) as stacked:
+            reach._face_objectives(dirs, sys_model or net, zono)
+        assert str(stacked.value) == str(one.value)
+        if sys_model and zono is None:
+            with pytest.raises(ValueError) as step:
+                sys_model.step_objective(dirs[1])
+            assert str(step.value) == str(one.value)
