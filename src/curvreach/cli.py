@@ -78,6 +78,23 @@ def _parse_template(text, n_f):
     raise ValueError(f"unknown template {text!r}; use axes|uniform:K|pca:N")
 
 
+def _closedloop_template(args, n):
+    """The template of ``closedloop --dirs``: ``pca`` gives none, so the
+    faces are the PCA box's own."""
+    if args.dirs.startswith("pca:"):
+        raise ValueError(f"--dirs {args.dirs}: closedloop takes the PCA box's "
+                         "axes from the linearized step map and draws no "
+                         "samples, so pca takes no count; give --dirs pca "
+                         "for the box's faces alone")
+    if args.dirs != "pca":
+        return _parse_template(args.dirs, n)[0]
+    if args.hull:
+        raise ValueError("--dirs pca asks for the PCA box's faces alone, "
+                         "and --hull replaces that box by the interval hull; "
+                         "drop one of the two")
+    return None
+
+
 def _input_set(args, dim):
     if bool(args.box) == bool(args.zonotope):
         raise ValueError("provide exactly one of --box and --zonotope")
@@ -200,17 +217,12 @@ def _cmd_closedloop(args):
         raise ValueError("--sim-points must be nonnegative, got "
                          f"{args.sim_points}")
     input_set = _input_set(args, sys_model.dim)
-    template, pca_n = _parse_template(args.dirs, sys_model.dim)
-    if args.hull and pca_n is not None:
-        raise ValueError(f"--dirs {args.dirs} sets the sample count of the "
-                         "PCA box, which --hull replaces by the interval "
-                         "hull; drop one of the two")
+    template = _closedloop_template(args, sys_model.dim)
     next_rep = "hull" if args.hull else "pca"
     t0 = time.perf_counter()
-    trace = reach.closed_loop_reach(
-        sys_model, input_set, template, args.eps_t, steps=steps, cfg=cfg,
-        next_rep=next_rep,
-        pca_samples=10_000 if pca_n is None else pca_n, seed=args.seed)
+    trace = reach.closed_loop_reach(sys_model, input_set, template,
+                                    args.eps_t, steps=steps, cfg=cfg,
+                                    next_rep=next_rep)
     polys = [poly for poly, _ in trace]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -334,13 +346,16 @@ def build_parser():
     p.add_argument("--controller", required=True)
     p.add_argument("--box")
     p.add_argument("--zonotope")
-    p.add_argument("--dirs", default="axes")
+    p.add_argument("--dirs", default="axes",
+                   help="axes | uniform:K, joined by the PCA box's faces; "
+                        "pca for those faces alone")
     p.add_argument("--steps", type=int)
     p.add_argument("--hull", action="store_true",
                    help="axis-aligned interval hull instead of a PCA box")
     p.add_argument("--sim-points", dest="sim_points", type=int, default=1000)
     p.add_argument("--out-dir", dest="out_dir", default="closedloop-out")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seeds the simulated trajectories")
     p.add_argument("--out")
     _add_solver(p)
     p.set_defaults(fn=_cmd_closedloop)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bnb
 from . import lipschitz as lip
-from .model import (Layer, Network, ScalarObjective, _affine_map,
+from .model import (Layer, Network, ScalarObjective, _affine_map, _backward,
                     _compose_affine, _unchecked, require_finite)
 
 
@@ -155,10 +155,9 @@ def _rotation_from_pca(fwd, input_set, n_samples, seed):
     rotation whose columns run by decreasing variance, and those variances."""
     if (not isinstance(n_samples, numbers.Integral)
             or isinstance(n_samples, bool)):
-        raise ValueError("pca_samples (n_samples) must be an integer, "
-                         f"got {n_samples!r}")
-    too_few = (f"pca_samples (n_samples) = {n_samples}: need more samples "
-               "than output dimensions")
+        raise ValueError(f"n_samples must be an integer, got {n_samples!r}")
+    too_few = (f"n_samples = {n_samples}: need more samples than output "
+               "dimensions")
     # every output has a dimension, so fewer than 2 never do; rejected
     # before sampling, which fails on a negative count
     if n_samples < 2:
@@ -395,10 +394,45 @@ def simulate(sys, x0s, steps):
     return np.stack(out)
 
 
+# a NaN or an inf in the Jacobian or in J G fails the check that follows
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _rotation_from_linearization(sys, input_set):
+    """Principal axes of the first-order image of the input set under the
+    step map: the left singular vectors of J G, by decreasing singular value.
+    G holds the set's generators (a box's are its half-widths on the
+    diagonal), and J = A + B dpi/dx(c) is the step map's Jacobian at the
+    set's center c, from one forward and one backward pass of the
+    controller.  The basis is complete, so a G with fewer columns than
+    states, or a rank-deficient J G, still gives an orthonormal rotation."""
+    if isinstance(input_set, Box):
+        center = (input_set.lo + input_set.hi) / 2.0
+        G = np.diag((input_set.hi - input_set.lo) / 2.0)
+    else:
+        center, G = input_set.center, input_set.G
+    net = sys.controller
+    jac = net.layers[-1].weight
+    if net.depth > 1:
+        jac = _backward(net, net.preactivations(center), jac)
+    JG = (sys.A + sys.B @ jac) @ G
+    if not np.isfinite(JG).all():
+        raise ValueError("the linearized step map J G of the input set has "
+                         "non-finite entries (NaN or inf), so it gives no "
+                         "axes for the PCA box")
+    return np.linalg.svd(JG)[0]
+
+
 def closed_loop_step(sys, input_set, template, eps_t, cfg=None,
                      next_rep="pca", pca_samples=10_000, seed=0):
     """One reachability step: polytope for the image of the step map, plus the
-    propagated set (axis-aligned interval hull or PCA-rotated box)."""
+    propagated set.  With ``next_rep="hull"`` that set is the axis-aligned
+    interval hull of the faces; with ``"pca"`` it is the box whose axes are
+    the principal axes of the step map's first-order image of the input set
+    (``_rotation_from_linearization``; no sampling), which cuts the wrapping
+    effect of re-enclosing a rotated image in a box.  Any orthonormal axes
+    are sound, since each face offset is a certified solve.  The box's faces,
+    +/- each axis, join the template's rows.
+
+    ``pca_samples`` and ``seed`` are ignored: no step draws samples."""
     if input_set.dim != sys.dim:
         raise ValueError("input set dimension does not match the system")
     if template is not None and template.directions.shape[1] != sys.dim:
@@ -408,10 +442,9 @@ def closed_loop_step(sys, input_set, template, eps_t, cfg=None,
     cfg = replace(cfg or bnb.BnBConfig(), eps_t=eps_t)
     n = sys.dim
     if next_rep == "pca":
-        R, _ = _rotation_from_pca(sys.step_map, input_set, pca_samples, seed)
+        R = _rotation_from_linearization(sys, input_set)
         rep_dirs = np.concatenate([R.T, -R.T], axis=0)
     elif next_rep == "hull":
-        R = np.eye(n)
         rep_dirs = axes_directions(n).directions
     else:
         raise ValueError(f"unknown set representation {next_rep!r}")
@@ -443,7 +476,8 @@ def closed_loop_step(sys, input_set, template, eps_t, cfg=None,
 
 def closed_loop_reach(sys, initial_set, template, eps_t, steps=None, cfg=None,
                       next_rep="pca", pca_samples=10_000, seed=0):
-    """Iterate closed_loop_step, feeding the propagated set forward."""
+    """Iterate closed_loop_step, feeding the propagated set forward.
+    ``pca_samples`` and ``seed`` are ignored, as in ``closed_loop_step``."""
     steps = sys.horizon if steps is None else steps
     # a whole number >= 1; inf % 1 is NaN, which is truthy
     if (not isinstance(steps, numbers.Real) or isinstance(steps, bool)
@@ -453,9 +487,8 @@ def closed_loop_reach(sys, initial_set, template, eps_t, steps=None, cfg=None,
     steps = int(steps)
     current = initial_set
     out = []
-    for t in range(steps):
-        poly, current = closed_loop_step(
-            sys, current, template, eps_t, cfg=cfg, next_rep=next_rep,
-            pca_samples=pca_samples, seed=seed + t)
+    for _ in range(steps):
+        poly, current = closed_loop_step(sys, current, template, eps_t,
+                                         cfg=cfg, next_rep=next_rep)
         out.append((poly, current))
     return out

@@ -75,6 +75,22 @@ class TestQuadrotor6D:
             for obstacle in self.OBSTACLES:
                 assert pos_set.distance_lower_bound(obstacle) > 1.0
 
+    def test_full_horizon_contains_and_stays_narrow(self, quad6_setup):
+        # the box axes follow the linearized step map, so the boxes do not
+        # wrap: the sampled PCA box reached a width of 0.0667 at step 10
+        sys_model, init = quad6_setup
+        trace = reach.closed_loop_reach(sys_model, init, None, 1e-2)
+        assert len(trace) == sys_model.horizon == 10
+        rng = np.random.default_rng(3)
+        cloud = reach.simulate(sys_model,
+                               reach.sample_inputs(init, 2_000, rng), 10)
+        for t, (poly, _) in enumerate(trace, start=1):
+            assert poly.margins(cloud[t]).max() <= 1e-9
+        poly = trace[-1][0]
+        k = poly.normals.shape[0] // 2
+        assert np.abs(poly.normals[:k] + poly.normals[k:]).max() == 0.0
+        assert float(np.mean(poly.offsets[:k] + poly.offsets[k:])) < 0.05
+
     def test_drift_is_active(self, quad6_setup):
         sys_model, _ = quad6_setup
         assert sys_model.drift[5] == pytest.approx(-0.981)

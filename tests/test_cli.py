@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from curvreach import reach
 from curvreach.cli import main
 from curvreach.fileio import (dumps17, load_network, load_system, load_zonotope,
-                              parse_box, save_network)
+                              parse_box, polytope_to_dict, save_network)
 from curvreach.model import network_to_dict
 from conftest import linear_net, make_net
 
@@ -161,32 +162,52 @@ class TestExitCodes:
     def test_closedloop_pca_zero_rejected_like_reach(self, tanh_file,
                                                      di_files, tmp_path,
                                                      capsys):
-        # pca:0 asks for no samples; it must not fall back to the default
+        # reach draws pca:N samples, so pca:0 is too few; closedloop draws
+        # none, so any count is refused, with the reason
         system, ctrl, hexagon = di_files
         assert main(["reach", "--network", tanh_file, "--box=-1..1,-1..1",
                      "--dirs", "pca:0"]) == 1
-        reach_err = capsys.readouterr().err
-        assert "need more samples" in reach_err
+        assert "need more samples" in capsys.readouterr().err
         out_dir = tmp_path / "cl"
-        assert main(["closedloop", "--system", system, "--controller", ctrl,
-                     "--zonotope", hexagon, "--steps", "1", "--dirs", "pca:0",
-                     "--out-dir", str(out_dir)]) == 1
-        assert capsys.readouterr().err == reach_err
-        assert not out_dir.exists()
+        for dirs in ("pca:0", "pca:5"):
+            assert main(["closedloop", "--system", system, "--controller",
+                         ctrl, "--zonotope", hexagon, "--steps", "1",
+                         "--dirs", dirs, "--out-dir", str(out_dir)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: --dirs {dirs}: ")
+            assert "draws no samples" in err and "--dirs pca " in err
+            assert not out_dir.exists()
 
     def test_closedloop_hull_with_pca_count_rejected(self, di_files,
                                                      tmp_path, capsys):
-        # --hull builds no PCA box, so the pca:N sample count would be unread
+        # --dirs pca asks for the PCA box's faces alone, and --hull builds no
+        # PCA box
         system, ctrl, hexagon = di_files
         out_dir = tmp_path / "cl"
         code = main(["closedloop", "--system", system, "--controller", ctrl,
                      "--zonotope", hexagon, "--steps", "1", "--hull",
-                     "--dirs", "pca:500", "--out-dir", str(out_dir)])
+                     "--dirs", "pca", "--out-dir", str(out_dir)])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ")
-        assert "--hull" in err and "--dirs pca:500" in err
+        assert "--hull" in err and "--dirs pca" in err
         assert not out_dir.exists()
+
+    def test_closedloop_pca_gives_the_box_faces_alone(self, di_files,
+                                                      di_controller,
+                                                      tmp_path):
+        system, ctrl, hexagon = di_files
+        out_dir = tmp_path / "cl"
+        assert main(["closedloop", "--system", system, "--controller", ctrl,
+                     "--zonotope", hexagon, "--steps", "2", "--eps-t", "1e-2",
+                     "--dirs", "pca", "--out-dir", str(out_dir)]) == 0
+        sys_model = load_system(system, di_controller)
+        trace = reach.closed_loop_reach(sys_model, load_zonotope(hexagon),
+                                        None, 1e-2, steps=2)
+        for t, (poly, _) in enumerate(trace, start=1):
+            written = (out_dir / f"step{t:03d}.json").read_text()
+            assert written == dumps17(polytope_to_dict(poly)) + "\n"
+            assert len(json.loads(written)["faces"]) == 4
 
     @pytest.mark.parametrize("flag, value", [("--sim-points", "-1"),
                                              ("--dirs", "uniform:x"),

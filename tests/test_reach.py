@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from curvreach.reach import (Box, DirectionTemplate, LinearSystem, Polytope,
                              closed_loop_step, pca_directions, reach_polytope,
                              sample_inputs, simulate, uniform_directions)
 from curvreach import bnb, reach
+from curvreach.fileio import dumps17, polytope_to_dict
 from curvreach import lipschitz as lip
 from curvreach.model import ScalarObjective, scalarize
 from conftest import (assert_same_result, linear_net, make_net, node_rows,
@@ -578,10 +581,10 @@ class TestClosedLoop:
             closed_loop_step(sys_model, hexagon(), template, 1e-3)
 
     def test_pca_step_needs_more_samples_than_dims(self, di_controller):
+        # pca_directions samples the step map; a closed-loop step draws none
         sys_model = di_system(di_controller)
         with pytest.raises(ValueError, match="more samples"):
-            closed_loop_step(sys_model, hexagon(), None, 1e-3,
-                             pca_samples=2)
+            pca_directions(sys_model.step_map, hexagon(), n_samples=2)
 
     @pytest.mark.parametrize("count, cause", [
         (-5, "more samples"), (0, "more samples"), (2, "more samples"),
@@ -590,11 +593,21 @@ class TestClosedLoop:
     def test_bad_pca_sample_count_names_it(self, di_controller, count,
                                            cause):
         sys_model = di_system(di_controller)
-        with pytest.raises(ValueError, match=f"pca_samples.*{cause}"):
-            closed_loop_step(sys_model, hexagon(), None, 1e-3,
-                             pca_samples=count)
         with pytest.raises(ValueError, match=f"n_samples.*{cause}"):
             pca_directions(sys_model.step_map, hexagon(), n_samples=count)
+
+    def test_sample_knobs_are_ignored(self, di_controller):
+        # no step draws samples, so neither knob moves a bit of the output
+        sys_model = di_system(di_controller)
+        runs = [closed_loop_reach(sys_model, hexagon(), None, 1e-2, steps=3,
+                                  pca_samples=samples, seed=seed)
+                for samples, seed in ((10_000, 0), (3, 7))]
+        dumped = [[dumps17(polytope_to_dict(poly)) for poly, _ in trace]
+                  for trace in runs]
+        assert dumped[0] == dumped[1]
+        for (_, a), (_, b) in zip(*runs):
+            assert a.G.tobytes() == b.G.tobytes()
+            assert a.center.tobytes() == b.center.tobytes()
 
     def test_bad_step_count(self, di_controller):
         sys_model = di_system(di_controller)
@@ -617,6 +630,83 @@ class TestClosedLoop:
         trace = closed_loop_reach(sys_model, Box(-np.ones(2), np.ones(2)),
                                   None, 1e-3, steps=steps, next_rep="hull")
         assert len(trace) == 2
+
+
+def fd_jacobian(sys_model, x, h=1e-6):
+    """Central-difference Jacobian of the step map at x."""
+    cols = [(sys_model.step_map(x + h * e) - sys_model.step_map(x - h * e))[0]
+            / (2.0 * h) for e in np.eye(len(x))]
+    return np.stack(cols, axis=1)
+
+
+def linearized_cases(controller):
+    """(system, input set, its center, its generators) for each case."""
+    di = di_system(controller)
+    box = Box(np.array([2.4, -0.1]), np.array([2.6, 0.1]))
+    thin = Zonotope(np.array([[0.1], [0.05]]), np.array([2.5, 0.0]))
+    # B = 0 and a singular A: J G has rank 1
+    singular = LinearSystem(np.array([[1.0, 2.0], [0.5, 1.0]]),
+                            np.zeros((2, 1)), controller, 1)
+    return {
+        "box": (di, box, np.array([2.5, 0.0]), np.diag([0.1, 0.1])),
+        "zonotope": (di, hexagon(), hexagon().center, hexagon().G),
+        "fewer-generators": (di, thin, thin.center, thin.G),
+        "rank-deficient": (singular, box, np.array([2.5, 0.0]),
+                           np.diag([0.1, 0.1])),
+    }
+
+
+class TestLinearizedAxes:
+    CASES = ("box", "zonotope", "fewer-generators", "rank-deficient")
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_left_singular_vectors_of_the_linearization(self, di_controller,
+                                                        case):
+        sys_model, input_set, center, G = linearized_cases(di_controller)[case]
+        R = reach._rotation_from_linearization(sys_model, input_set)
+        assert R.shape == (2, 2)
+        assert np.abs(R.T @ R - np.eye(2)).max() <= 1e-12
+        JG = fd_jacobian(sys_model, center) @ G
+        U, sv, _ = np.linalg.svd(JG)
+        rank = int((sv > 1e-8 * sv[0]).sum())
+        assert rank == (1 if case in ("fewer-generators", "rank-deficient")
+                        else 2)
+        for k in range(rank):
+            assert min(np.abs(R[:, k] - U[:, k]).max(),
+                       np.abs(R[:, k] + U[:, k]).max()) <= 1e-6
+        # the rest of the basis spans the complement of J G's range
+        assert np.abs(JG.T @ R[:, rank:]).max(initial=0.0) <= 1e-8 * sv[0]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_step_holds_a_sampled_cloud(self, di_controller, case):
+        sys_model, input_set, _, _ = linearized_cases(di_controller)[case]
+        poly, nxt = closed_loop_step(sys_model, input_set, None, 1e-3)
+        rng = np.random.default_rng(14)
+        ys = sys_model.step_map(sample_inputs(input_set, 10_000, rng))
+        assert poly.margins(ys).max() <= 1e-9
+        # the propagated box, R diag(rad) z + R mid, holds it too
+        R = reach._rotation_from_linearization(sys_model, input_set)
+        rad = np.linalg.norm(nxt.G, axis=0)
+        assert np.abs(nxt.G - R * rad).max() <= 1e-12
+        assert (np.abs((ys - nxt.center) @ R) <= rad + 1e-9).all()
+
+    @pytest.mark.parametrize("input_set", [
+        Box(np.full(2, -1e300), np.full(2, 1e300)),
+        Zonotope(np.full((2, 2), 1e300), np.zeros(2)),
+    ], ids=["box", "zonotope"])
+    def test_non_finite_linearization_is_refused(self, monkeypatch,
+                                                 di_controller, input_set):
+        # refused before any solve, and with no numpy warning on the way
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before checking the linearization")
+
+        monkeypatch.setattr(bnb, "solve", no_solve)
+        sys_model = LinearSystem(1e10 * np.array([[1.0, 1.0], [0.0, 1.0]]),
+                                 np.array([[0.5], [1.0]]), di_controller, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="linearized step map"):
+                closed_loop_step(sys_model, input_set, None, 1e-3)
 
 
 class TestSetOperations:
