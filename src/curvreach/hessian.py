@@ -27,10 +27,10 @@ from . import lipschitz as lip
 
 @dataclass(frozen=True)
 class MatrixHessianBound:
-    """Symmetric M, N with N <= hess J(x) <= M on the certified region; a
-    stack of regions has one pair per entry of a leading axis.  Public
-    construction checks that M - N is PSD; ``two_layer_matrix_bounds``
-    builds its pair through ``_dominating``, which skips the check."""
+    """Symmetric M, N with N <= hess J(x) <= M on the certified region.
+    Public construction checks that M and N are finite square matrices of
+    one shape with M - N PSD; ``two_layer_matrix_bounds`` builds its pair
+    through ``_dominating``, which skips the check."""
 
     M: np.ndarray
     N: np.ndarray
@@ -38,9 +38,10 @@ class MatrixHessianBound:
     def __post_init__(self):
         M = np.asarray(self.M, dtype=float)
         N = np.asarray(self.N, dtype=float)
-        if M.shape != N.shape or M.ndim not in (2, 3) \
-                or M.shape[-1] != M.shape[-2]:
+        if M.shape != N.shape or M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError("M and N must be square matrices of equal shape")
+        if not (np.isfinite(M).all() and np.isfinite(N).all()):
+            raise ValueError("M and N must be finite")
         if np.linalg.eigvalsh(M - N).min() < -1e-9:
             raise ValueError("upper matrix does not dominate lower matrix")
         object.__setattr__(self, "M", M)
@@ -70,30 +71,32 @@ class ScalarHessianBound:
 
 
 def two_layer_matrix_bounds(net, local):
-    """Sandwich matrices for a one-hidden-layer scalar network.
+    """Sandwich matrices for a one-hidden-layer scalar network over the one
+    box that ``local`` localizes.
 
     Each hidden unit j contributes w1_j w1_j^T scaled by the worst-case signed
-    curvature of its activation times the output weight.  Curvature ranges
-    stacked on a leading axis, one row per box, give stacked matrices; so
-    does a last weight stacked the same way, ``(B, 1, h)``.  With curv_hi >=
+    curvature of its activation times the output weight.  With curv_hi >=
     curv_lo, ``M - N = W1^T diag((curv_hi - curv_lo) |w2|) W1`` is PSD by
-    construction, unchecked; an empty curvature range raises ValueError.
+    construction, unchecked; an empty curvature range, or curvature ranges
+    stacked over several boxes, raise ValueError.
     """
     if net.depth != 2:
         raise ValueError("matrix Hessian bounds need exactly one hidden layer")
     if not net.is_scalar:
         raise ValueError("matrix Hessian bounds need a scalar network")
-    w2 = net.layers[1].weight[..., 0, :]
     ca, cb = local.curv_lo[0], local.curv_hi[0]
+    if np.ndim(ca) != 1:
+        raise ValueError("matrix Hessian bounds take the ranges of one box")
     if (cb < ca).any():
         raise ValueError("empty curvature range: curv_hi < curv_lo")
+    w2 = net.layers[1].weight[0]
     pos, neg = np.maximum(w2, 0.0), np.minimum(w2, 0.0)
     W1 = net.layers[0].weight
 
     def sandwich(coeff):
         """W1^T diag(coeff) W1, symmetrized."""
-        G = (W1 * coeff[..., :, None]).swapaxes(-1, -2) @ W1
-        return (G + G.swapaxes(-1, -2)) / 2.0
+        G = (W1 * coeff[:, None]).T @ W1
+        return (G + G.T) / 2.0
     return MatrixHessianBound._dominating(sandwich(cb * pos + ca * neg),
                                           sandwich(ca * pos + cb * neg))
 

@@ -4,17 +4,17 @@ certificates.
 The first-order bound expands J around a point y, bounds the remainder with a
 Hessian certificate, and maximizes the resulting quadratic model exactly
 (closed form for the ell_2 ball, separable for the ell_inf ball and for a box
-given by per-coordinate radii).  With a matrix bound M, vertex enumeration is
-exact over a box when M is PSD: all vertex values are one product of a fixed
-sign table with the model's coefficients, and a Cholesky factorization of M
-certifies it positive definite, with the eigenvalues read only where that
-fails; the dual bisection bounds the model over an ell_2 ball for any M.
-Branch and bound uses neither: its nodes take the isotropic maximizer of
+given by per-coordinate radii).  With a matrix bound M, ``vertex_upper``
+enumerates the vertices of one box, exact whenever M's diagonal is
+nonnegative (the model is then convex along each axis): all vertex values
+are one product of a fixed sign table with the model's coefficients.  The
+dual bisection bounds the model over an ell_2 ball for any M.  Branch and
+bound uses neither: its nodes take the isotropic maximizer of
 ``optimal_perturbation`` and the model values of ``_model_value``.
 
-``optimal_perturbation`` (for p=inf) and ``vertex_upper`` also take a stack
-of boxes, every argument with a leading batch axis, and return one result
-per box, each equal to what the box alone gives.
+``optimal_perturbation`` (for p=inf) also takes a stack of boxes, every
+argument with a leading batch axis, and returns one result per box, each
+equal to what the box alone gives.
 """
 
 import functools
@@ -142,22 +142,35 @@ def epsilon_crossover(L, grad_dual, lam, p, n0):
     return max(0.0, (2.0 / lam) * scale * (L - grad_dual))
 
 
+def _checked(name, a, shape):
+    """``a`` as a float array, refused unless it has ``shape`` and is finite."""
+    a = np.asarray(a, dtype=float)
+    if a.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
+    return a
+
+
 def two_layer_dual_upper(grad, M, eps, p=2):
     """Exact sup of grad . delta + 1/2 delta^T M delta over the ell_2 ball
     (strong duality; bisection on the single dual variable).  For p != 2 the
     ball is relaxed to its enclosing ell_2 ball first.
 
-    Returns the quadratic part only; the caller adds J at the center.
-    Raises ValueError unless the radius ``eps`` is positive.
+    Returns the quadratic part only; the caller adds J at the center.  Only
+    sym(M) = (M + M^T) / 2 enters the model, so an asymmetric M is read
+    through it.  Raises ValueError unless the radius ``eps`` is positive and
+    ``grad`` and ``M`` are a finite vector and a finite matrix of one size.
     """
     if not eps > 0.0:
         raise ValueError(f"dual bound needs a positive radius eps, got {eps}")
-    g = np.asarray(grad, dtype=float)
-    M = np.asarray(M, dtype=float)
-    n = g.shape[0]
+    n = np.shape(grad)[0]
+    g = _checked("grad", grad, (n,))
+    M = _checked("M", M, (n, n))
     if p != 2:
         eps = eps * n ** max(0.0, 0.5 - 1.0 / p)
-    mu, Q = np.linalg.eigh(M)
+    # eigh reads one triangle only: decompose sym(M), equal to M if symmetric
+    mu, Q = np.linalg.eigh((M + M.T) / 2.0)
     gt = Q.T @ g
     lam_lo = max(0.0, mu[-1] / 2.0)
     cut = 1e-12 * max(1.0, float(np.linalg.norm(gt)))
@@ -197,31 +210,6 @@ def two_layer_dual_upper(grad, M, eps, p=2):
     return dual_value(hi)
 
 
-def _psd_slack(M):
-    """The vertex bound's PSD slack of each matrix of a stack ``M``.  A
-    matrix whose Cholesky factorization succeeds is certified positive
-    definite and gets tau = 0; any other gets tau = max(-lambda_min(M), 0)
-    from ``eigvalsh``.  The stack is factored once; only when that fails
-    are its eigenvalues computed and the matrices with lambda_min < 0
-    factored alone (with lambda_min >= 0 the two rules agree), so each
-    matrix gets the slack it gets alone.  Both tests round to nearest, with
-    the caveat of ``eigvalsh``'s lambda_min."""
-    try:
-        np.linalg.cholesky(M)
-        return np.zeros(len(M))
-    except np.linalg.LinAlgError:
-        pass
-    eig = np.linalg.eigvalsh(M)
-    tau = np.maximum(-eig[:, 0], 0.0)
-    for k in np.flatnonzero(tau > 0.0):
-        try:
-            np.linalg.cholesky(M[k])
-        except np.linalg.LinAlgError:
-            continue
-        tau[k] = 0.0
-    return tau
-
-
 _BLOCK = 1 << 12                       # most vertex rows per product
 
 
@@ -243,70 +231,60 @@ def _sign_table(n):
 
 
 def vertex_upper(grad, M, lo, hi, center=None, return_witness=False):
-    """Exact max of the quadratic model over box vertices; valid bound on the
-    whole box when M is positive semidefinite (convex model).  A box whose M
-    a Cholesky factorization certifies takes the vertex maximum as it is;
-    any other is accepted down to lambda_min(M) >= -1e-9, and with tau =
-    -lambda_min(M) > 0 the bound adds tau/2 * sum_i max(hi_i - c_i, c_i -
-    lo_i)^2, the most by which the convex model with M + tau I lies above the
-    one with M on the box.
+    """Exact max of the quadratic model g . d + d^T M d / 2, d = x - center,
+    over the box [lo, hi] when every M_ii >= 0 (center defaults to the box
+    mid-point).
+
+    Why the vertices suffice: along axis i, with the other coordinates held,
+    the model is a quadratic in x_i with leading coefficient M_ii / 2 >= 0,
+    so it is convex there and peaks at an endpoint.  Starting from a
+    maximizer and moving one coordinate at a time to its better endpoint
+    never lowers the model, so some vertex attains the box maximum; M need
+    not be PSD.  A diagonal entry in [-1e-9, 0) is accepted, and the bound
+    adds 1/2 sum_i max(-M_ii, 0) * max(hi_i - c_i, c_i - lo_i)^2, the most by
+    which the model with those entries raised to 0 lies above it on the box;
+    an entry below -1e-9 raises ValueError.
 
     With delta = m + s * h over the vertices (m, h the mid-point and half-
     width of the box around c, s in {-1, 1}^n), the model is g . m + m^T M m
     / 2 + sum_j s_j L_j + sum_jk s_j s_k Q_jk, with L = h * (g + sym(M) m)
-    and Q = (h h^T) * M / 2, so all vertex values of a box are one product of
-    the fixed sign table ``[S | S (x) S]`` with ``[L, vec Q]``, in blocks of
-    at most 2**12 vertices.  Vertex i takes hi_j where bit j of i is set, and
-    ties go to the first vertex.
-
-    Stacked arguments, one box per entry of a leading axis, give one value
-    (and witness) per box, each equal to what the box alone gives; the check
-    then covers every M of the stack.
+    and Q = (h h^T) * M / 2, so all vertex values are one product of the
+    fixed sign table ``[S | S (x) S]`` with ``[L, vec Q]``, in blocks of at
+    most 2**12 vertices.  Vertex i takes hi_j where bit j of i is set, and
+    ties go to the first vertex.  Arguments that are not finite, not of one
+    box's shapes, or with lo > hi raise ValueError.
     """
-    single = np.ndim(lo) == 1
     lo = np.asarray(lo, dtype=float)
-    n = lo.shape[-1]
+    if lo.ndim != 1:
+        raise ValueError(f"lo must be a vector, got shape {lo.shape}")
+    n = lo.shape[0]
     if n > 20:
         raise ValueError(f"vertex enumeration unsupported beyond 20 dims (got {n})")
-    # one row per box from here on
-    lo = lo.reshape(-1, n)
-    hi = np.asarray(hi, dtype=float).reshape(-1, n)
-    g = np.asarray(grad, dtype=float).reshape(-1, n)
-    M = np.asarray(M, dtype=float).reshape(-1, n, n)
-    tau = _psd_slack(M)
-    if (tau > 1e-9).any():
-        raise ValueError("vertex bound needs a positive semidefinite matrix")
+    lo = _checked("lo", lo, (n,))
+    hi = _checked("hi", hi, (n,))
+    g = _checked("grad", grad, (n,))
+    M = _checked("M", M, (n, n))
+    if (lo > hi).any():
+        raise ValueError("lo must not exceed hi")
     center = (lo + hi) / 2.0 if center is None \
-        else np.asarray(center, dtype=float).reshape(-1, n)
+        else _checked("center", center, (n,))
+    tau = np.maximum(-np.diag(M), 0.0)
+    if (tau > 1e-9).any():
+        raise ValueError("vertex bound needs M_ii >= -1e-9 on M's diagonal")
     up, down = hi - center, lo - center
     m, h = (up + down) / 2.0, (up - down) / 2.0
-    sym_m = ((M + M.swapaxes(1, 2)) / 2.0 @ m[:, :, None])[..., 0]
-    coef = np.concatenate(
-        [h * (g + sym_m),
-         (0.5 * (h[:, :, None] * h[:, None, :]) * M).reshape(-1, n * n)],
-        axis=1)[:, :, None]
-    rows = np.arange(lo.shape[0])
+    sym_m = (M + M.T) / 2.0 @ m
+    coef = np.concatenate([h * (g + sym_m), (0.5 * np.outer(h, h) * M).ravel()])
     total = 1 << n
     for start in range(0, total, _BLOCK):
         table = _sign_table(n) if total <= _BLOCK \
             else _sign_rows(n, start, min(start + _BLOCK, total))
-        # one matrix-vector product per box, as for a single box
-        vals = (table @ coef)[..., 0]
-        k = np.argmax(vals, axis=1)
-        top, top_v = vals[rows, k], np.where(table[k, :n] > 0.0, hi, lo)
-        if start == 0:
-            best, best_v = top, top_v
-        else:
-            better = top > best
-            best = np.where(better, top, best)
-            best_v = np.where(better[:, None], top_v, best_v)
-    best = best + (_dot(g, m) + 0.5 * _dot(m, sym_m))
-    slack = tau > 0.0
-    if slack.any():
-        far = np.maximum(hi - center, center - lo)
-        best = np.where(slack, best + 0.5 * tau * _dot(far, far), best)
-    if single:
-        best, best_v = float(best[0]), best_v[0]
+        vals = table @ coef
+        k = int(np.argmax(vals))
+        if start == 0 or vals[k] > best:
+            best, best_v = vals[k], np.where(table[k, :n] > 0.0, hi, lo)
+    far = np.maximum(up, -down)
+    best = float(best + (g @ m + 0.5 * (m @ sym_m)) + 0.5 * (tau @ (far * far)))
     if return_witness:
         return best, best_v
     return best

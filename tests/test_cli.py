@@ -348,6 +348,23 @@ class TestHessianCommand:
         M = np.array(data["M"])
         N = np.array(data["N"])
         assert np.linalg.eigvalsh(M - N).min() >= -1e-9
+        # N <= fd_hessian(x) <= M in the Loewner order at points of the box
+        from curvreach import oracle
+        from curvreach.model import ScalarObjective, scalarize
+        obj = ScalarObjective(scalarize(load_network(tanh_file),
+                                        np.array([1.0, -1.0])))
+        for x in ([0.0, 0.0], [0.9, -0.9], [-0.5, 0.7], [0.95, 0.95]):
+            H = oracle.fd_hessian(obj.value, np.array(x))
+            assert np.linalg.eigvalsh(M - H).min() >= -1e-6
+            assert np.linalg.eigvalsh(H - N).min() >= -1e-6
+        # the bits of this seeded net's pair, so that a refactor that moves
+        # them fails here
+        assert [[v.hex() for v in row] for row in data["M"]] == [
+            ["0x1.4916f32ea5588p-1", "-0x1.fd3bbd6a60ee3p-2"],
+            ["-0x1.fd3bbd6a60ee3p-2", "0x1.ae2d825b179ebp-1"]]
+        assert [[v.hex() for v in row] for row in data["N"]] == [
+            ["-0x1.4970b27326045p-1", "0x1.fe74a20527eb9p-2"],
+            ["0x1.fe74a20527eb9p-2", "-0x1.b09b3b46c3a31p-1"]]
 
     def test_scalar_kind(self, tanh_file, tmp_path):
         out = tmp_path / "h.json"

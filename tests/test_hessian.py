@@ -73,20 +73,38 @@ class TestTwoLayerMatrix:
     @given(act=st.sampled_from([Activation.TANH, Activation.SIGMOID,
                                 Activation.SOFTPLUS]),
            seed=st.integers(0, 100_000), n=st.integers(1, 8),
-           h=st.integers(1, 64), scale=st.floats(0.1, 10.0),
-           boxes=st.integers(1, 4))
-    def test_pair_dominates_unchecked(self, act, seed, n, h, scale, boxes):
+           h=st.integers(1, 64), scale=st.floats(0.1, 10.0))
+    def test_pair_dominates_unchecked(self, act, seed, n, h, scale):
         # the sandwich skips the check that M - N is PSD: it is
         # W1^T diag((c_hi - c_lo) |w2|) W1, PSD by construction
         rng = np.random.default_rng(seed)
         net = make_net([n, h, 1], act=act, seed=seed, scale=scale,
                        bias_scale=scale)
-        lo = rng.uniform(-2.0, 1.0, (boxes, n))
-        hi = lo + rng.uniform(0.0, 3.0, (boxes, n))
-        for mb in (two_layer_matrix_bounds(net, bounds_for_box(net, lo, hi)),
-                   two_layer_matrix_bounds(net, bounds_for_box(net, lo[0],
-                                                               hi[0]))):
-            assert np.linalg.eigvalsh(mb.M - mb.N).min() >= -1e-9
+        lo = rng.uniform(-2.0, 1.0, n)
+        hi = lo + rng.uniform(0.0, 3.0, n)
+        mb = two_layer_matrix_bounds(net, bounds_for_box(net, lo, hi))
+        assert np.linalg.eigvalsh(mb.M - mb.N).min() >= -1e-9
+
+    def test_stacked_boxes_rejected(self):
+        net = make_net([2, 3, 1], seed=5)
+        lo, hi = -np.ones((2, 2)), np.ones((2, 2))
+        with pytest.raises(ValueError, match="one box"):
+            two_layer_matrix_bounds(net, bounds_for_box(net, lo, hi))
+
+    @pytest.mark.parametrize("which", ["M", "N"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_pair_rejected(self, which, bad):
+        # an all-NaN M - N has NaN eigenvalues, which the PSD test alone
+        # would let through
+        pair = {"M": np.eye(2), "N": -np.eye(2)}
+        pair[which] = np.full((2, 2), bad)
+        with pytest.raises(ValueError, match="must be finite"):
+            MatrixHessianBound(**pair)
+
+    def test_stacked_pair_rejected(self):
+        with pytest.raises(ValueError, match="square matrices"):
+            MatrixHessianBound(np.stack([np.eye(2)] * 2),
+                               np.zeros((2, 2, 2)))
 
     def test_empty_curvature_range_rejected(self):
         net = make_net([2, 3, 1], seed=5)

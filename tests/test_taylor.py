@@ -10,7 +10,7 @@ from curvreach.model import ScalarObjective
 from curvreach.taylor import (BallRegion, epsilon_crossover, first_upper,
                               first_upper_from, optimal_perturbation,
                               shifted_center, two_layer_dual_upper,
-                              vertex_upper, _psd_slack)
+                              vertex_upper)
 from conftest import ball_sup_oracle, linear_net, make_net, quad_model
 
 
@@ -307,6 +307,49 @@ class TestDualUpper:
         with pytest.raises(ValueError, match="radius"):
             two_layer_dual_upper(np.ones(2), np.eye(2), eps)
 
+    def test_asymmetric_matrix_read_through_its_symmetric_part(self):
+        # the model reads sym(M) = [[1, 2.5], [2.5, 1]]; d = (1, 1) eps/sqrt 2
+        # lies on the ball and attains 1.1446..., above what M's lower
+        # triangle alone gives (0.8321...)
+        g, M, eps = np.ones(2), np.array([[1.0, 5.0], [0.0, 1.0]]), 0.5
+        d = np.full(2, eps / np.sqrt(2.0))
+        attained = g @ d + 0.5 * d @ M @ d
+        got = two_layer_dual_upper(g, M, eps)
+        assert attained == pytest.approx(1.1446, abs=1e-4)
+        assert got >= attained - 1e-12
+        assert got == pytest.approx(ball_sup_oracle(g, M, eps), abs=1e-6)
+        assert got == two_layer_dual_upper(g, (M + M.T) / 2.0, eps)
+
+    @pytest.mark.parametrize("arg", ["grad", "M"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_input_rejected(self, arg, bad):
+        g, M = np.ones(2), np.eye(2)
+        (g if arg == "grad" else M)[0] = bad
+        with pytest.raises(ValueError, match=f"{arg} must be finite"):
+            two_layer_dual_upper(g, M, 0.5)
+
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ValueError, match="M must have shape"):
+            two_layer_dual_upper(np.ones(3), np.eye(2), 0.5)
+
+
+def _every_vertex(lo, hi):
+    """All 2**n vertices of the box, vertex i taking hi_j where bit j of i
+    is set."""
+    n = len(lo)
+    upper = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1) == 1
+    return np.where(upper, hi, lo)
+
+
+def _nonnegative_diagonal(rng, n, psd):
+    """A PSD M, or an asymmetric M with a nonnegative diagonal whose
+    symmetric part is indefinite for n >= 2."""
+    A = rng.standard_normal((n, n))
+    if psd:
+        return A @ A.T / n
+    np.fill_diagonal(A, rng.uniform(0.0, 0.5, n))
+    return A
+
 
 class TestVertexUpper:
     def test_linear_over_box(self):
@@ -334,6 +377,7 @@ class TestVertexUpper:
             assert got == pytest.approx(fn(mesh - center).max(), abs=1e-9)
 
     def test_indefinite_rejected(self):
+        # indefinite with a negative diagonal entry: concave along axis 2
         with pytest.raises(ValueError):
             vertex_upper(np.zeros(2), np.diag([1.0, -1.0]), -np.ones(2),
                          np.ones(2))
@@ -343,55 +387,34 @@ class TestVertexUpper:
         with pytest.raises(ValueError):
             vertex_upper(np.zeros(n), np.eye(n), -np.ones(n), np.ones(n))
 
-    def test_rank_one_matrices_take_the_eigenvalue_slack(self):
-        # rank-1 matrices with n > 1 fail the Cholesky test, so their slack
-        # comes from their eigenvalues; a stack of boxes gives each box's own
-        # value and witness
-        rng = np.random.default_rng(12)
-        for n in (1, 3, 5):
-            A = rng.standard_normal((2, n, 1))
-            M = A @ np.swapaxes(A, 1, 2)
-            g = rng.standard_normal((2, n))
-            lo = rng.uniform(-1.5, -0.3, (2, n))
-            hi = rng.uniform(0.3, 1.5, (2, n))
-            stacked = vertex_upper(g, M, lo, hi, return_witness=True)
-            for k in range(2):
-                if n > 1:
-                    with pytest.raises(np.linalg.LinAlgError):
-                        np.linalg.cholesky(M[k])
-                v, w = vertex_upper(g[k], M[k], lo[k], hi[k],
-                                    return_witness=True)
-                assert stacked[0][k] == v
-                assert np.array_equal(stacked[1][k], w)
-
     @pytest.mark.parametrize("n", list(range(1, 13)) + [17])
     def test_stacked_matches_alone_and_every_vertex(self, n):
-        # every dimension up to the vertex cap of branch and bound, and 17:
-        # more than 2**16 vertices, two chunks.  Each box of a stack gets its
-        # result alone, bit for bit, and the value is the largest over all
-        # vertices of the model
+        # every dimension up to 12, and 17: more than 2**16 vertices, 32
+        # blocks.  Boxes stacked on a leading axis are refused, naming the
+        # argument; each box alone gets the model's largest value over all
+        # vertices, at the witness it returns
         rng = np.random.default_rng(1300 + n)
         A = rng.standard_normal((2, n, n))
         M = A @ np.swapaxes(A, 1, 2) / n
         g = rng.standard_normal((2, n))
         lo = rng.uniform(-1.5, -0.3, (2, n))
         hi = rng.uniform(0.3, 1.5, (2, n))
-        stacked, where = vertex_upper(g, M, lo, hi, return_witness=True)
-        upper = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1) == 1
+        with pytest.raises(ValueError, match="lo must be a vector"):
+            vertex_upper(g, M, lo, hi)
         for k in range(2):
             v, w = vertex_upper(g[k], M[k], lo[k], hi[k], return_witness=True)
-            assert stacked[k] == v and np.array_equal(where[k], w)
             center = (lo[k] + hi[k]) / 2.0
-            brute = quad_model(g[k], M[k])(
-                np.where(upper, hi[k], lo[k]) - center).max()
+            model = quad_model(g[k], M[k])
+            brute = model(_every_vertex(lo[k], hi[k]) - center).max()
             assert abs(v - brute) <= 1e-12 * abs(brute)
+            assert model(w - center)[0] == pytest.approx(v, rel=1e-12)
 
     @pytest.mark.parametrize("n", [1, 4, 13])
     def test_off_centre_expansion_matches_every_vertex(self, n):
         # expanded at a point of the box other than its mid-point (m != 0 in
         # the sign table's terms), the value is the model's largest over all
-        # vertices, and each box of a stack gets its result alone; n = 13
-        # takes two blocks of vertices, and the third box's M has rank 1
+        # vertices; n = 13 takes two blocks of vertices, and the third box's
+        # M has rank 1
         rng = np.random.default_rng(1400 + n)
         A = rng.standard_normal((3, n, n))
         A[2, :, 1:] = 0.0
@@ -400,46 +423,87 @@ class TestVertexUpper:
         lo = rng.uniform(-1.5, -0.3, (3, n))
         hi = rng.uniform(0.3, 1.5, (3, n))
         center = lo + rng.uniform(0.1, 0.9, (3, n)) * (hi - lo)
-        stacked, where = vertex_upper(g, M, lo, hi, center,
-                                      return_witness=True)
-        upper = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1) == 1
         for k in range(3):
             v, w = vertex_upper(g[k], M[k], lo[k], hi[k], center[k],
                                 return_witness=True)
-            assert stacked[k] == v and np.array_equal(where[k], w)
             model = quad_model(g[k], M[k])
-            brute = model(np.where(upper, hi[k], lo[k]) - center[k]).max()
+            brute = model(_every_vertex(lo[k], hi[k]) - center[k]).max()
             assert abs(v - brute) <= 1e-12 * abs(brute)
             assert model(w - center[k])[0] == pytest.approx(v, rel=1e-12)
 
-    def test_psd_slack_of_a_matrix_is_its_own(self):
-        # Cholesky factors this rank-3 M (4 x 4), whose lambda_min from
-        # eigvalsh is a rounding error below 0; in a stack with an indefinite
-        # matrix, which it does not factor, it still gets slack 0
-        A = np.random.default_rng(14).standard_normal((4, 3))
-        certified = A @ A.T
-        np.linalg.cholesky(certified)
-        assert np.linalg.eigvalsh(certified)[0] < 0.0
-        M = np.stack([certified, np.diag([1.0, 1.0, 1.0, -1e-3]), np.eye(4)])
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(M)
-        tau = _psd_slack(M)
-        alone = [_psd_slack(M[k:k + 1])[0] for k in range(3)]
-        assert tau.tolist() == alone
-        assert alone[0] == alone[2] == 0.0
-        assert alone[1] == pytest.approx(1e-3)
+    @pytest.mark.parametrize("psd", [True, False])
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_nonnegative_diagonal_is_exact_over_the_box(self, n, psd):
+        # PSD M, and asymmetric indefinite M with a nonnegative diagonal,
+        # expanded off the box centre: the value is the brute-force maximum over every
+        # vertex (n = 13 spans two blocks), and no point of a dense grid (n
+        # <= 3) or of a random sample of the box lies above it
+        rng = np.random.default_rng(1500 + 2 * n + psd)
+        M = _nonnegative_diagonal(rng, n, psd)
+        assert psd or n == 1 or np.linalg.eigvalsh(M + M.T)[0] < 0.0
+        g = rng.standard_normal(n)
+        lo = rng.uniform(-1.5, 0.0, n)
+        hi = lo + rng.uniform(0.1, 2.0, n)
+        center = lo + rng.uniform(0.0, 1.0, n) * (hi - lo)
+        v, w = vertex_upper(g, M, lo, hi, center, return_witness=True)
+        model = quad_model(g, M)
+        brute = model(_every_vertex(lo, hi) - center).max()
+        assert abs(v - brute) <= 1e-12 * max(1.0, abs(brute))
+        assert model(w - center)[0] == pytest.approx(v, rel=1e-12, abs=1e-12)
+        if n <= 3:
+            axes = [np.linspace(lo[i], hi[i], 41) for i in range(n)]
+            pts = np.stack([m.ravel() for m in np.meshgrid(*axes)], axis=1)
+        else:
+            pts = rng.uniform(lo, hi, (20_000, n))
+        assert model(pts - center).max() <= v + 1e-12 * max(1.0, abs(v))
 
     def test_just_beyond_the_psd_tolerance_rejected(self):
         M = np.diag([1.0, -2e-9])
-        assert np.linalg.eigvalsh(M)[0] < -1e-9
-        with pytest.raises(ValueError, match="positive semidefinite"):
+        with pytest.raises(ValueError, match="diagonal"):
             vertex_upper(np.zeros(2), M, -np.ones(2), np.ones(2))
 
     def test_psd_tolerance_is_accounted(self):
-        # lambda_min = -5e-10 passes the PSD check; the model's maximum over
+        # M_11 = -5e-10 passes the diagonal check; the model's maximum over
         # the box is 0, at the centre, which no vertex attains
         got = vertex_upper(np.zeros(1), [[-5e-10]], [-1.0], [1.0])
         assert got >= 0.0
+
+    def test_negative_diagonal_slack_is_per_axis(self):
+        # only axis 2 has M_ii < 0: the vertex maximum 0.5 - 2.5e-10 (at
+        # x_2 = -1) gets 1/2 * 5e-10 * far_2^2 added, with far_2 = 2 the
+        # larger distance from the expansion point to an end of axis 2
+        M = np.diag([1.0, -5e-10])
+        lo, hi, c = np.array([-1.0, -1.0]), np.array([1.0, 2.0]), np.zeros(2)
+        plain = vertex_upper(np.zeros(2), np.diag([1.0, 0.0]), lo, hi, c)
+        got = vertex_upper(np.zeros(2), M, lo, hi, c)
+        assert plain == 0.5
+        assert got == pytest.approx(0.5 - 0.5 * 5e-10 + 0.5 * 5e-10 * 4.0,
+                                    rel=1e-15)
+
+    @pytest.mark.parametrize("arg", ["grad", "M", "lo", "hi", "center"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_input_rejected(self, arg, bad):
+        args = dict(grad=np.ones(2), M=np.eye(2), lo=-np.ones(2),
+                    hi=np.ones(2), center=np.zeros(2))
+        args[arg].flat[0] = bad
+        with pytest.raises(ValueError, match=f"{arg} must be finite"):
+            vertex_upper(**args)
+
+    def test_reversed_box_rejected(self):
+        with pytest.raises(ValueError, match="lo must not exceed hi"):
+            vertex_upper(np.ones(2), np.zeros((2, 2)), np.ones(2),
+                         -np.ones(2))
+
+    @pytest.mark.parametrize("arg, value", [("grad", np.ones(3)),
+                                            ("M", np.eye(3)),
+                                            ("hi", np.ones(3)),
+                                            ("center", np.zeros(3))])
+    def test_mismatched_shapes_rejected(self, arg, value):
+        args = dict(grad=np.ones(2), M=np.eye(2), lo=-np.ones(2),
+                    hi=np.ones(2), center=np.zeros(2))
+        args[arg] = value
+        with pytest.raises(ValueError, match=f"{arg} must have shape"):
+            vertex_upper(**args)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
