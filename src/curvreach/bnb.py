@@ -1,11 +1,11 @@
 """Best-first branch and bound for sup of a scalar objective over a box.
 
 Each node computes fresh localized Lipschitz and Hessian certificates for its
-own sub-rectangle, reusing none from the root or its parent, and takes the
-better of the zeroth-order bound (the ell_inf loop-transformed Lipschitz
-constant, with ``d = slope_hi / 2``, times half the longest edge) and one
-first-order bound over the box itself, the same at every depth.  It is the
-smallest of three bounds:
+own sub-rectangle, reusing none from the root or its parent, and takes one
+first-order bound over the box itself, the same at every depth, with the
+zeroth-order bound (the ell_inf loop-transformed Lipschitz constant, with
+``d = slope_hi / 2``, times half the longest edge) as its fallback.  The
+first-order bound is the smallest of three bounds:
 
 - the isotropic model with the spectral bound ``lam >= ||hess J||_2``;
 - the interval Hessian's model: with the interval ``[H_lo, H_hi]`` over the
@@ -31,17 +31,16 @@ shipped double-integrator and quadrotor runs no box needs them, and the
 heads ``||W_2||_2 .. ||W_{L-1}||_2`` of those constants are computed only
 by the first ``_full_lam`` of a solve or lockstep run.
 
-The ell_inf recursion likewise runs only for the boxes where the
-zeroth-order bound can win.  Every box first gets a lower bound on L_inf
-from a lower internal memo (``_Bounder._lower_memo``), which holds in
-floating point, since every term of the recursion is >= 0 and rounded ``+``
-and ``*`` are monotone.  A box whose first-order bound lies below the
-zeroth-order bound with that lower bound keeps it, as it would with L_inf
-itself, bit for bit.  Only the other boxes, NaN included, compute the
-internal memo and L_inf.  No box of the shipped double-integrator and
-quadrotor runs needs them; without first-order bounds every box does.  A
-net whose layer norms multiply to an inf overflows the recursion, and its
-solve is refused before any box is bounded.
+The zeroth-order bound is the fallback of a failed first-order
+certificate.  A box keeps its first-order bound unless the linear bound, the
+``lam`` model or the interval model is NaN or inf; only those boxes run the
+ell_inf recursion, once for each distinct box, and take the smaller of the
+first-order bound and ``J(c) + L_inf * eps``.  No box of the shipped
+double-integrator and quadrotor runs, nor of the seeded two-layer budget
+runs, needs it; without first-order bounds (``use_first_order=False``)
+every box takes the zeroth-order bound alone.  A net whose layer norms
+multiply to an inf overflows the recursion, and its solve is refused before
+any box is bounded.
 
 Nodes are expanded in order of largest upper bound, and the result is that of
 expanding them one at a time: pop the top node, halve its longest edge (the
@@ -68,12 +67,12 @@ counted are those of at most ``_BATCH`` nodes.
 
 Each child gets the bounds it would get alone, bit for bit, and never a
 looser upper bound than its parent.  A node's box-level certificates
-(localization, the lower ell_inf internal Lipschitz memo, the Jacobian
-intervals of the interval Hessian, the intercepts of the relaxation lines
-and, where a box needs them, the ell_inf internal memo and the ell_2
-subnetwork constants) read the box and the hidden layers only, so within one
-stacked pass each distinct box gets them once, however many directions carry
-it; the per-direction finish reads the output layer and the linear term.
+(localization, the Jacobian intervals of the interval Hessian, the
+intercepts of the relaxation lines and, where a box needs them, the ell_inf
+internal memo and the ell_2 subnetwork constants) read the box and the
+hidden layers only, so within one stacked pass each distinct box gets them
+once, however many directions carry it; the per-direction finish reads the
+output layer and the linear term.
 The objective is evaluated once per pass, with the hidden layers run once and
 each box's output row and bias, linear term and offset gathered by direction.
 These per-direction parts are kept as stacks with one row per direction, and
@@ -133,7 +132,7 @@ class BnBConfig:
                              f"{self.max_branches!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class BnBNode:
     lo: np.ndarray
     hi: np.ndarray
@@ -213,13 +212,12 @@ class _BoxCertificate:
     layers ``l >= 2``.  The linear-relaxation bound reads ``slope_lo``, the
     lines' slope, and the intercepts ``line_lo``, ``line_hi`` of the lines
     below and above each unit's activation.  Each field holds one entry per
-    layer, and every entry has a leading axis over the boxes of the stack."""
+    layer, and every entry has a leading axis over the boxes of the stack.
+    The ell_inf internal memo is no part of it: only a box that takes the
+    zeroth-order bound computes it, in ``_full_l_inf``, and without
+    first-order bounds the certificate is ``slope_hi`` alone."""
 
     slope_hi: tuple
-    # ell_inf internal memo, l >= 1: with first-order bounds a lower bound
-    # on it (_Bounder._lower_memo); a box that needs L_inf computes the memo
-    # itself in _full_l_inf
-    memo: tuple
     curv_lo: tuple = ()
     curv_hi: tuple = ()
     curv_abs: tuple = ()
@@ -241,6 +239,13 @@ def _select(mask):
     if mask.all():
         return slice(None)
     return np.flatnonzero(mask) if mask.any() else None
+
+
+def _failed(bounds):
+    """The boxes of a stack whose first-order bounds ``bounds``, one array
+    per bound, are not all finite: those whose certificate failed
+    numerically, which take the zeroth-order bound as fallback."""
+    return ~np.isfinite(bounds).all(axis=0)
 
 
 def as_objective(obj_or_net):
@@ -316,13 +321,6 @@ class _Bounder:
         # _full_lam, the one reader of the rest
         self.heads2 = [lip._norm(self.weights[0], 2)] if self.curved \
             else None
-        # the two largest entries a1, a2 of each row of each hidden layer's
-        # |W_l|, for _lower_memo; a2 is 0 where a layer has one column
-        self.top2 = []
-        for a in self.abs_hidden:
-            s = np.sort(a, axis=1)
-            self.top2.append((s[:, -1], s[:, -2] if a.shape[1] > 1
-                              else np.zeros(len(a))))
 
     def _stack(self, dirs):
         """The objectives of a stack's boxes as one ``ScalarObjective``
@@ -380,31 +378,12 @@ class _Bounder:
         return lip._memo_raw(self.weights, slope_hi, self._ds(slope_hi),
                              np.inf)[1:]
 
-    def _lower_memo(self, slope_hi):
-        """A lower bound on each entry of ``_memo(slope_hi)`` that holds in
-        floating point: with ``d' = slope_hi - slope_hi / 2`` and a layer's
-        top two entries a1, a2 of each row of |W_l|, ``n_l = max_i fl(d'_i
-        a1_i + d'_i a2_i)``, and the memo is bounded by ``m_1 = n_1`` and
-        ``m_l = fl(n_l m_{l-1})``.  The memo's row sum of |diag(d') W_l|
-        adds two leaves fl(d'_i a1_i), fl(d'_i a2_i) and others >= 0, in
-        whatever order, so it is at least ``fl(d'_i a1_i + d'_i a2_i)``
-        (with one column it is the one leaf, and a2 = 0 adds nothing); and
-        the memo's stage l opens with ``||diag(d') W_l|| memo[l-1]`` and adds
-        terms >= 0."""
-        memo, below = [], None
-        for b, (a1, a2) in zip(slope_hi, self.top2):
-            d = b - b / 2.0            # d' as _memo_raw forms it
-            n = (d * a1 + d * a2).max(axis=-1)
-            below = n if below is None else n * below
-            memo.append(below)
-        return tuple(memo)
-
     def _fresh_certificate(self, lo, hi):
         local = loc.bounds_for_box(self.net, lo, hi)
         slope_hi = local.slope_hi
         if not self.cfg.use_first_order:
-            # the zeroth-order bound is the only one: every box needs L_inf
-            return _BoxCertificate(slope_hi, self._memo(slope_hi))
+            # the zeroth-order bound is the only one
+            return _BoxCertificate(slope_hi)
         # sigma(z) - k z is nondecreasing on [l, u] for k = slope_lo, which
         # sigma' never falls below there, so sigma lies between the lines of
         # slope k through the interval's ends: below k z + sigma(u) - k u,
@@ -416,19 +395,10 @@ class _Bounder:
             line_lo.append(at_l - k * l)
             line_hi.append(at_u - k * u)
         return _BoxCertificate(
-            slope_hi, self._lower_memo(slope_hi), local.curv_lo,
-            local.curv_hi, local.curv_abs, local.slope_lo,
+            slope_hi, local.curv_lo, local.curv_hi, local.curv_abs,
+            local.slope_lo,
             *hs._jacobian_intervals(self.weights, local.slope_lo, slope_hi),
             tuple(line_lo), tuple(line_hi))
-
-    def _l_inf(self, dirs, slope_hi, memo):
-        """The ell_inf Lipschitz constant of each box of a stack from its
-        slopes and ell_inf internal memo (entries l >= 1): a lower bound on
-        it from a lower memo, since every term of the recursion is >= 0."""
-        weights = self.weights[:-1] + [self.rows[dirs]]
-        return lip._total_raw(weights, slope_hi, self._ds(slope_hi), np.inf,
-                              (0.0,) + tuple(memo),
-                              self.head_inf[dirs]) + self.lin_inf[dirs]
 
     def _linear_bound(self, obj, cert, center, r):
         """The linear-relaxation bound of each box of a stack: from the
@@ -452,14 +422,15 @@ class _Bounder:
         return const + taylor._dot(a, center) + taylor._dot(np.abs(a), r)
 
     def _taylor_model(self, lo, hi, net, cert, value_c, grad_c, x_iso, center):
-        """The Taylor-model bound of each box of a stack on a net with a
-        hidden layer: the smaller of the isotropic model with the spectral
-        bound ``lam >= ||hess J||_2`` and the interval Hessian's model, both
-        at their maximizer ``x_iso``.  ``lam`` is summed in full only for the
-        boxes where its first term ``c_1^2 w_1``, which is at most ``lam``,
-        leaves the ``lam`` model below the interval model; at one hidden
-        layer the first term is all of ``lam``.  ``net`` is the network of
-        the stack's stand-in (``_stack``)."""
+        """The Taylor-model bounds ``(lam model, interval model)`` of each
+        box of a stack on a net with a hidden layer: the isotropic model with
+        the spectral bound ``lam >= ||hess J||_2`` and the interval Hessian's
+        model, both at their maximizer ``x_iso``.  ``lam`` is summed in full
+        only for the boxes where its first term ``c_1^2 w_1``, which is at
+        most ``lam``, leaves the ``lam`` model below the interval model, and
+        elsewhere the ``lam`` model is its first term's; at one hidden layer
+        the first term is all of ``lam``.  ``net`` is the network of the
+        stack's stand-in (``_stack``)."""
         weights = self.weights[:-1] + [net.layers[-1].weight]
         # only the subnetwork constants of the report are read: ||W_1||_2,
         # one for all boxes, and zeros, which leave the first term of lam
@@ -490,14 +461,17 @@ class _Bounder:
                                  [w[full] for w in spectral.terms])
             ub1[full] = taylor._model_value(value_c[full], grad_c[full], lam,
                                             x_iso[full], center[full])
-        # an overflowed interval (NaN) leaves the lam bound
-        return np.fmin(ub1, ub2)
+        return ub1, ub2
 
     def _full_l_inf(self, lo, hi, dirs, slope_hi):
-        """The ell_inf Lipschitz constant L_inf of a stack of boxes: the
-        internal memo is computed once for each distinct box."""
-        return self._l_inf(dirs, slope_hi,
-                           self._once_per_box(lo, hi, slope_hi, self._memo))
+        """The ell_inf Lipschitz constant L_inf of each box of a stack from
+        its slopes: the internal memo (entries l >= 1) is computed once for
+        each distinct box."""
+        memo = self._once_per_box(lo, hi, slope_hi, self._memo)
+        weights = self.weights[:-1] + [self.rows[dirs]]
+        return lip._total_raw(weights, slope_hi, self._ds(slope_hi), np.inf,
+                              (0.0,) + memo,
+                              self.head_inf[dirs]) + self.lin_inf[dirs]
 
     def _full_lam(self, lo, hi, slope_hi, terms):
         """The spectral bound lam of a stack of boxes, from their slopes and
@@ -550,9 +524,14 @@ class _Bounder:
         first_order = self.cfg.use_first_order
         try:
             cert = self._certificate(lo, hi)
-            # the zeroth-order bound; with first-order bounds the memo is a
-            # lower one, and ub grows to L_inf's bound below where needed
-            ub = value_c + self._l_inf(dirs, cert.slope_hi, cert.memo) * eps
+
+            def zeroth(sel):
+                """The zeroth-order bound J(c) + L_inf * eps of the boxes
+                that the index ``sel`` picks."""
+                l_inf = self._full_l_inf(lo[sel], hi[sel], dirs[sel],
+                                         [s[sel] for s in cert.slope_hi])
+                return value_c[sel] + l_inf * eps[sel]
+
             if first_order:
                 # the isotropic model's maximizer over the box itself: the
                 # segment from the center to any point of the box stays in
@@ -560,22 +539,21 @@ class _Bounder:
                 # center, it is c + r * sign(g) whatever lam
                 x_iso = taylor.optimal_perturbation(center, r, np.inf, grad_c,
                                                     0.0, center)
-                ub1 = self._linear_bound(obj, cert, center, r)
+                bounds = [self._linear_bound(obj, cert, center, r)]
+                ub = bounds[0]
                 if self.curved:
+                    bounds += self._taylor_model(lo, hi, obj.net, cert,
+                                                 value_c, grad_c, x_iso,
+                                                 center)
                     # an overflowed bound (NaN) leaves the others
-                    ub1 = np.fmin(ub1, self._taylor_model(
-                        lo, hi, obj.net, cert, value_c, grad_c, x_iso,
-                        center))
-                # the zeroth-order bound grows with L_inf, and ub took a
-                # lower bound on it: where ub1 is already below, it is below
-                # the bound with L_inf itself and wins.  Elsewhere, NaN
-                # included, L_inf is computed
-                full = _select(~(ub1 < ub))
-                if full is not None:
-                    l_inf = self._full_l_inf(lo[full], hi[full], dirs[full],
-                                             [s[full] for s in cert.slope_hi])
-                    ub[full] = value_c[full] + l_inf * eps[full]
-                ub = np.minimum(ub, ub1)
+                    ub = np.fmin(ub, np.fmin(bounds[1], bounds[2]))
+                # the zeroth-order bound is the fallback of the boxes whose
+                # first-order certificate failed numerically
+                failed = _select(_failed(bounds))
+                if failed is not None:
+                    ub[failed] = np.fmin(ub[failed], zeroth(failed))
+            else:
+                ub = zeroth(slice(None))
         except _FAILURES:
             if n_box > 1:
                 return self._one_by_one(lo, hi, index, parent_ub, dirs)
@@ -594,10 +572,9 @@ class _Bounder:
             lb = np.where(up, vals, lb)
             witness = np.where(up[:, None], cand[:, 0], witness)
         ub = np.maximum(np.minimum(ub, parent_ub), lb)
-        return [BnBNode(lo[k], hi[k], center[k], lb_k, ub_k, witness[k], i_k,
-                        a_k)
-                for k, (lb_k, ub_k, i_k, a_k) in enumerate(zip(
-                    lb.tolist(), ub.tolist(), index.tolist(), axes))]
+        return [BnBNode(*row) for row in zip(
+            list(lo), list(hi), list(center), lb.tolist(), ub.tolist(),
+            list(witness), index.tolist(), axes)]
 
 
 def solve(obj_or_net, lo, hi, eps_t=None, cfg=None, lockstep=None):

@@ -437,8 +437,8 @@ class TestFailureEnvelope:
         from curvreach.localize import bounds_for_box
         obj = ScalarObjective(make_net([2, 6, 5, 1], seed=4200))
         lo, hi = -np.ones((1, 2)), np.ones((1, 2))
-        # the ell_inf constant of the stack, which a pass first bounds from
-        # below
+        # the ell_inf constant of the stack, which a pass computes for a box
+        # whose first-order certificate failed
         local = bounds_for_box(obj.net, lo, hi)
         l_inf = lip.liplt(obj.net, local, lip.default_loop_transform(local),
                           np.inf)
@@ -1046,9 +1046,9 @@ class TestLazySpectralBound:
 
 def _l_inf_rows(monkeypatch, force=False):
     """Record each stacked pass as ``[boxes, boxes that computed L_inf]``.
-    With ``force`` the lower ell_inf memo, which only a pass with
-    first-order bounds computes, reads -inf, so that the lower bound on
-    L_inf is -inf or NaN and every box computes L_inf."""
+    With ``force`` every box reads as one whose first-order certificate
+    failed (``bnb._failed``), so that every box computes L_inf and takes the
+    smaller of its first-order and zeroth-order bounds."""
     real_cert, real_full = _Bounder._certificate, _Bounder._full_l_inf
     passes = []
 
@@ -1060,13 +1060,11 @@ def _l_inf_rows(monkeypatch, force=False):
         passes[-1][1] = len(lo)
         return real_full(self, lo, *args)
 
-    def minus_inf(self, slope_hi):
-        return tuple(np.full(len(b), -np.inf) for b in slope_hi)
-
     monkeypatch.setattr(_Bounder, "_certificate", certificate)
     monkeypatch.setattr(_Bounder, "_full_l_inf", full)
     if force:
-        monkeypatch.setattr(_Bounder, "_lower_memo", minus_inf)
+        monkeypatch.setattr(bnb, "_failed", lambda bounds:
+                            np.ones(len(bounds[0]), dtype=bool))
     return passes
 
 
@@ -1084,9 +1082,10 @@ def _two_layer_net(seed):
 
 class TestLazyZerothOrderBound:
     """A pass computes the ell_inf Lipschitz constant L_inf only for the
-    boxes where the first-order bound is not below the zeroth-order bound
-    with a lower bound on L_inf; every result must be that of computing it
-    for every box."""
+    boxes whose first-order certificate failed numerically.  On these runs
+    no certificate fails and the zeroth-order bound would win no node, so
+    every result must be that of computing L_inf for every box and taking
+    the smaller bound."""
 
     @staticmethod
     def both_ways(monkeypatch, run):
@@ -1099,9 +1098,7 @@ class TestLazyZerothOrderBound:
         return all(k == n for n, k in passes)
 
     def test_budget_capped_two_layer_net(self, monkeypatch):
-        # the linear-relaxation bound lies below the zeroth-order bound with
-        # the lower memo on every box, so no box computes L_inf; also one
-        # node per stacked pass
+        # no box computes L_inf; also one node per stacked pass
         obj = _two_layer_net(2)
         cfg = BnBConfig(eps_t=1e-9, max_branches=1000)
 
@@ -1153,8 +1150,7 @@ class TestLazyZerothOrderBound:
         assert self.every_box_full(full_passes)
 
     def test_budget_capped_deep_net(self, monkeypatch):
-        # gain 1 at a node budget: most boxes compute L_inf, and some passes
-        # hold boxes of both kinds
+        # gain 1 at a node budget: no box computes L_inf
         obj = _deep_net(1.0, 1)
         cfg = BnBConfig(eps_t=1e-9, max_branches=300)
         (lazy, full), (passes, full_passes) = self.both_ways(
@@ -1162,7 +1158,59 @@ class TestLazyZerothOrderBound:
         assert lazy.status == "BranchLimit"
         assert_same_result(lazy, full)
         assert self.every_box_full(full_passes)
-        assert any(0 < k < n for n, k in passes)
+        assert passes and not any(k for _, k in passes)
+
+
+class TestZerothOrderFallback:
+    """A box whose linear bound, lam model or interval model is NaN computes
+    L_inf and takes the smaller of its first-order bound and ``J(c) + L_inf
+    * eps``; the other boxes of its pass compute no L_inf."""
+
+    @pytest.mark.parametrize("nan", [("linear",), ("lam",), ("interval",),
+                                     ("linear", "lam", "interval")],
+                             ids=["linear", "lam", "interval", "all"])
+    def test_failed_box_takes_the_smaller_bound(self, monkeypatch, nan):
+        from curvreach import lipschitz as lip
+        from curvreach import taylor
+        from curvreach.localize import bounds_for_box
+        obj = ScalarObjective(make_net([2, 6, 5, 1], seed=4200))
+        bounder = _Bounder([obj], BnBConfig())
+        # one pass of two boxes, of which the first fails
+        lo = np.array([[-1.0, -1.0], [0.0, -1.0]])
+        hi = np.array([[0.0, 1.0], [1.0, 1.0]])
+        center, r = (lo + hi) / 2.0, (hi - lo) / 2.0
+        stand = bounder._stack(np.zeros(2, dtype=int))
+        value, grad = ScalarObjective.value_and_grad(stand, center)
+        cert = bounder._certificate(lo, hi)
+        x_iso = taylor.optimal_perturbation(center, r, np.inf, grad, 0.0,
+                                            center)
+        bounds = {"linear": bounder._linear_bound(stand, cert, center, r)}
+        bounds["lam"], bounds["interval"] = bounder._taylor_model(
+            lo, hi, stand.net, cert, value, grad, x_iso, center)
+        local = bounds_for_box(obj.net, lo, hi)
+        l_inf = lip.liplt(obj.net, local, lip.default_loop_transform(local),
+                          np.inf)
+        zeroth = value + l_inf * r.max(axis=1)
+
+        def first_nan(b):
+            b = b.copy()
+            b[0] = np.nan
+            return b
+
+        linear, models = _Bounder._linear_bound, _Bounder._taylor_model
+        if "linear" in nan:
+            monkeypatch.setattr(_Bounder, "_linear_bound", lambda *args:
+                                first_nan(linear(*args)))
+        monkeypatch.setattr(_Bounder, "_taylor_model", lambda *args: tuple(
+            first_nan(b) if name in nan else b
+            for name, b in zip(("lam", "interval"), models(*args))))
+        passes = _l_inf_rows(monkeypatch)
+        failed, kept = bounder.bound(lo, hi, *_per_box(lo))
+        assert passes == [[2, 1]]
+        rest = [b[0] for name, b in bounds.items() if name not in nan]
+        assert failed.ub == pytest.approx(max(min(rest + [zeroth[0]]),
+                                              failed.lb), rel=1e-12)
+        assert kept.ub == max(min(b[1] for b in bounds.values()), kept.lb)
 
 
 class TestLinearBound:
@@ -1215,8 +1263,8 @@ class TestSmallSetClaim:
         cert = bounder._certificate(lo, hi)
         x_iso = taylor.optimal_perturbation(center, r, np.inf, grad, 0.0,
                                             center)
-        model = bounder._taylor_model(lo, hi, stand.net, cert, value, grad,
-                                      x_iso, center)
+        model = np.fmin(*bounder._taylor_model(lo, hi, stand.net, cert,
+                                               value, grad, x_iso, center))
         linear = bounder._linear_bound(stand, cert, center, r)
         node, = bounder.bound(lo, hi, *_per_box(lo))
         return model[0], linear[0], node.ub
@@ -1243,49 +1291,9 @@ class TestSmallSetClaim:
         assert 0.0 <= linear < model
 
 
-class TestLowerMemo:
-    """The lower ell_inf memo of a pass (``_Bounder._lower_memo``) is at
-    most the memo itself entry by entry, and so the Lipschitz constant from
-    it is at most L_inf, in floating point."""
-
-    # widths 1, 6, 8 and 17: numpy sums rows of fewer than 8 entries in
-    # order, and longer ones in 8 unrolled partial sums plus a tail
-    @pytest.mark.parametrize("act", list(Activation))
-    @settings(max_examples=25, deadline=None, derandomize=True)
-    @given(widths=st.lists(st.sampled_from([1, 6, 8, 17]), min_size=2,
-                           max_size=4),
-           seed=st.integers(0, 2**16), scale=st.floats(0.5, 3.0),
-           special=st.sampled_from([0.0, 0.3, 1.0]))
-    def test_below_the_memo(self, act, widths, seed, scale, special):
-        # depth 2-4, three boxes; a share ``special`` of the slopes set to
-        # 0 or to subnormals
-        from curvreach import lipschitz as lip
-        from curvreach.localize import bounds_for_box
-        rng = np.random.default_rng(seed)
-        net = make_net([*widths, 1], act=act, seed=seed, scale=scale)
-        lo = rng.uniform(-1.5, 1.0, (3, widths[0]))
-        hi = lo + rng.uniform(0.05, 2.0, (3, widths[0]))
-        slope_hi = [b.copy() for b in bounds_for_box(net, lo, hi).slope_hi]
-        for b in slope_hi:
-            at = rng.random(b.shape) < special
-            b[at] = rng.choice([0.0, 5e-324, 1e-310, 2.2e-308], at.sum())
-        bounder = _Bounder([ScalarObjective(net)], BnBConfig())
-        lower = bounder._lower_memo(slope_hi)
-        memo = bounder._memo(slope_hi)
-        assert len(lower) == len(memo) == len(widths) - 1
-        for m_lo, m in zip(lower, memo):
-            assert m_lo.shape == m.shape == (3,)
-            assert (m_lo <= m).all()
-        if widths[0] == 1:
-            # one column: the row sum is the one entry, and the bound exact
-            assert np.array_equal(lower[0], memo[0])
-        ds = bounder._ds(slope_hi)
-        weights = bounder.weights
-        head = lip._norm(weights[-1], np.inf)
-        assert (lip._total_raw(weights, slope_hi, ds, np.inf,
-                               (0.0,) + lower, head)
-                <= lip._total_raw(weights, slope_hi, ds, np.inf,
-                                  (0.0,) + tuple(memo), head)).all()
+class TestOverflowingChain:
+    """A net whose layer norms multiply to an inf would overflow the ell_inf
+    recursion; its solve is refused before any box is bounded."""
 
     @staticmethod
     def _overflowing_net():
