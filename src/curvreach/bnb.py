@@ -31,6 +31,16 @@ shipped double-integrator and quadrotor runs no box needs them, and the
 heads ``||W_2||_2 .. ||W_{L-1}||_2`` of those constants are computed only
 by the first ``_full_lam`` of a solve or lockstep run.
 
+On a net with one hidden layer a box assembles the ``n x n`` interval
+Hessian only where a floor of the interval model (``_interval_floor``: its
+radius terms and its midpoint's diagonal, two vector-matrix products per
+box), less a rounding slack, does not beat the box's linear bound; every
+other box takes the floor, which then never wins, so every bound is the
+assembled model's.  No box of the seeded two-layer budget runs assembles
+it.  Deeper nets assemble it for every box: there a floor would read every
+layer's Jacobian intervals, and every box of the shipped closed loops takes
+the interval model, so the floor would be spent for nothing.
+
 The zeroth-order bound is the fallback of a failed first-order
 certificate.  A box keeps its first-order bound unless the linear bound, the
 ``lam`` model or the interval model is NaN or inf; only those boxes run the
@@ -248,6 +258,44 @@ def _failed(bounds):
     return ~np.isfinite(bounds).all(axis=0)
 
 
+def _interval_quad(weights, cert, ad):
+    """``|d|^T A |d|`` of each box of a stack, from its interval Hessian
+    ``[H_lo, H_hi]`` and ``ad = |d|``, where ``A_ij = max(|H_lo,ij|,
+    |H_hi,ij|)`` off the diagonal and ``A_ii = max(H_hi,ii, 0)``: ``A``
+    bounds ``|H_ij|`` off the diagonal and ``H_ii`` on it."""
+    h_lo, h_hi = hs._interval_hessian_raw(weights, cert.jac_mid, cert.jac_rad,
+                                          cert)
+    A = np.maximum(np.abs(h_lo), np.abs(h_hi))
+    i = np.arange(A.shape[-1])
+    A[:, i, i] = np.maximum(h_hi[:, i, i], 0.0)
+    return taylor._dot(ad, (A @ ad[..., None])[..., 0])
+
+
+def _interval_floor(abs_w1, sq_w1, v, cert, ad):
+    """``(floor, scale)`` of ``_interval_quad`` on a net with one hidden
+    layer, for each box of a stack with output row ``v`` and ``ad = |d|``,
+    from ``abs_w1 = |W_1|^T`` and ``sq_w1 = (W_1 o W_1)^T``.
+
+    There the interval Hessian is ``sum_k t_k w_k w_k^T`` over the rows
+    ``w_k`` of ``W_1``, with ``t_k`` in ``v_k [curv_lo_k, curv_hi_k]``; with
+    that range's midpoint ``cm`` and radius ``cr``, its midpoint-radius form
+    gives ``A_ij >= rad_ij`` off the diagonal and ``A_ii >= mid_ii + rad_ii``
+    on it.  So ``|d|^T A |d| >= sum_k |v_k| cr_k p_k^2 + sum_k v_k cm_k q_k``
+    with ``p = |W_1| |d|`` and ``q = (W_1 o W_1)(d o d)``, the floor, which
+    costs two vector-matrix products per box in place of the ``n x n``
+    assembly.  ``scale = sum_k (|v_k cm_k| + |v_k| cr_k) p_k^2`` is at least
+    the sum of the magnitudes of the terms that the floor and the assembled
+    form round (``q_k <= p_k^2``); every product is one per box."""
+    c_lo, c_hi = cert.curv_lo[0], cert.curv_hi[0]
+    tm = v * ((c_lo + c_hi) / 2.0)
+    tr = np.abs(v) * ((c_hi - c_lo) / 2.0)
+    p = lip._rows_times(ad, abs_w1)
+    pp = p * p
+    rad = taylor._dot(tr, pp)
+    return (rad + taylor._dot(tm, lip._rows_times(ad * ad, sq_w1)),
+            rad + taylor._dot(np.abs(tm), pp))
+
+
 def as_objective(obj_or_net):
     if isinstance(obj_or_net, ScalarObjective):
         return obj_or_net
@@ -306,21 +354,22 @@ class _Bounder:
         self.offset = np.array([[obj.offset] for obj in objs])
         self.lin_inf = np.zeros(len(objs)) if self.linear is None \
             else np.abs(self.linear).sum(axis=1)
-        with np.errstate(over="ignore"):
-            # the ell_inf total stage opens with ||W_L||, which does not
-            # depend on the box
-            self.head_inf = lip.op_norm_inf(self.rows)
-            chain = self.head_inf * np.prod([lip._norm(w, np.inf)
-                                             for w in self.weights[:-1]])
-        if not np.isfinite(chain).all():
-            raise ValueError("the weights overflow the Lipschitz chain: the "
-                             "product of the layer norms is non-finite")
+        lip.check_chain(self.weights[:-1] + [self.rows])
+        # the ell_inf total stage opens with ||W_L||, which does not depend
+        # on the box
+        self.head_inf = lip.op_norm_inf(self.rows)
         # the ell_2 subnetwork stages open with ||W_1|| .. ||W_{L-1}||, which
         # depend on neither the box nor the direction.  The first term of
         # lam reads ||W_1|| only; the others are computed by the first
         # _full_lam, the one reader of the rest
         self.heads2 = [lip._norm(self.weights[0], 2)] if self.curved \
             else None
+        # with one hidden layer, |W_1|^T and (W_1 o W_1)^T, which the floor
+        # of the interval model reads (_interval_floor)
+        w = self.weights[0]
+        self.floor_w = (np.ascontiguousarray(np.abs(w).T),
+                        np.ascontiguousarray((w * w).T)) \
+            if self.curved and self.net.depth == 2 else None
 
     def _stack(self, dirs):
         """The objectives of a stack's boxes as one ``ScalarObjective``
@@ -421,7 +470,8 @@ class _Bounder:
             a = a + obj.linear
         return const + taylor._dot(a, center) + taylor._dot(np.abs(a), r)
 
-    def _taylor_model(self, lo, hi, net, cert, value_c, grad_c, x_iso, center):
+    def _taylor_model(self, lo, hi, net, cert, value_c, grad_c, x_iso, center,
+                      linear=None):
         """The Taylor-model bounds ``(lam model, interval model)`` of each
         box of a stack on a net with a hidden layer: the isotropic model with
         the spectral bound ``lam >= ||hess J||_2`` and the interval Hessian's
@@ -430,7 +480,16 @@ class _Bounder:
         most ``lam``, leaves the ``lam`` model below the interval model, and
         elsewhere the ``lam`` model is its first term's; at one hidden layer
         the first term is all of ``lam``.  ``net`` is the network of the
-        stack's stand-in (``_stack``)."""
+        stack's stand-in (``_stack``).
+
+        ``linear``, when given, holds the stack's linear-relaxation bounds.
+        On a net with one hidden layer the interval Hessian is then
+        assembled only for the boxes where the model's floor
+        (``_interval_floor``), less a rounding slack, does not beat
+        ``linear``, NaN included; every other box gets its floor, which the
+        model is at least, so the node's ``fmin`` takes what it takes with
+        the model assembled.  Deeper nets, and calls without ``linear``,
+        assemble it for every box."""
         weights = self.weights[:-1] + [net.layers[-1].weight]
         # only the subnetwork constants of the report are read: ||W_1||_2,
         # one for all boxes, and zeros, which leave the first term of lam
@@ -439,17 +498,23 @@ class _Bounder:
         jac = lip._jacobian_rows(self.abs_hidden + [np.abs(weights[-1])],
                                  cert.slope_hi)
         spectral = hs.hessian_norm_bound(net, cert, report, jac)
-        h_lo, h_hi = hs._interval_hessian_raw(weights, cert.jac_mid,
-                                              cert.jac_rad, cert)
-        # |H_ij| <= A_ij off the diagonal, H_ii <= A_ii on it
-        A = np.maximum(np.abs(h_lo), np.abs(h_hi))
-        i = np.arange(A.shape[-1])
-        A[:, i, i] = np.maximum(h_hi[:, i, i], 0.0)
-        # the interval Hessian's model, J(c) + sum |g_i| r_i + r^T A r / 2
+        # the interval Hessian's model, J(c) + g.d + |d|^T A |d| / 2 with
+        # d = x_iso - c, which is J(c) + sum |g_i| r_i + r^T A r / 2
         d = x_iso - center
         ad = np.abs(d)
-        quad = taylor._dot(ad, (A @ ad[..., None])[..., 0])
-        ub2 = value_c + taylor._dot(grad_c, d) + 0.5 * quad
+        base = value_c + taylor._dot(grad_c, d)
+        if linear is None or self.floor_w is None:
+            ub2 = base + 0.5 * _interval_quad(weights, cert, ad)
+        else:
+            quad, scale = _interval_floor(*self.floor_w, weights[-1][:, 0, :],
+                                          cert, ad)
+            ub2 = base + 0.5 * quad
+            # covers the rounding of the floor and of the assembled model
+            slack = 1e-9 * (np.abs(base) + 0.5 * scale + np.abs(linear))
+            sel = _select(~(ub2 - slack >= linear))
+            if sel is not None:
+                ub2[sel] = base[sel] + 0.5 * _interval_quad(
+                    [weights[0], weights[-1][sel]], cert.rows(sel), ad[sel])
         ub1 = taylor._model_value(value_c, grad_c, spectral.lam, x_iso, center)
         # the model grows with lam: where its first term already reaches
         # ub2, so does the full lam, and ub2 wins.  Elsewhere, NaN included,
@@ -544,7 +609,7 @@ class _Bounder:
                 if self.curved:
                     bounds += self._taylor_model(lo, hi, obj.net, cert,
                                                  value_c, grad_c, x_iso,
-                                                 center)
+                                                 center, ub)
                     # an overflowed bound (NaN) leaves the others
                     ub = np.fmin(ub, np.fmin(bounds[1], bounds[2]))
                 # the zeroth-order bound is the fallback of the boxes whose

@@ -112,6 +112,7 @@ def _cmd_lipschitz(args):
     net = fileio.load_network(args.network)
     box = fileio.parse_box(args.box, net.input_dim)
     p = _parse_norm(args.norm)
+    lip.check_chain([lay.weight for lay in net.layers])
     t0 = time.perf_counter()
     local = loc.bounds_for_box(net, box.lo, box.hi)
     if args.method == "naive":
@@ -140,6 +141,7 @@ def _cmd_hessian(args):
     box = fileio.parse_box(args.box, net.input_dim)
     c = fileio.parse_vector(args.direction, net.output_dim)
     scalar = scalarize(net, c)
+    lip.check_chain([lay.weight for lay in scalar.layers])
     t0 = time.perf_counter()
     local = loc.bounds_for_box(scalar, box.lo, box.hi)
     if scalar.depth == 2 and not args.scalar_only:

@@ -52,6 +52,19 @@ def op_norm_inf(A):
     return float(norm) if norm.ndim == 0 else norm
 
 
+def check_chain(weights):
+    """Refuse weights that overflow the Lipschitz chain: raise ValueError
+    when the ell_inf norms of ``weights`` multiply to a non-finite number,
+    with no numpy warning on the way.  The last weight may be a stack of
+    output rows ``(B, 1, h)``, each of whose chains must be finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        chain = op_norm_inf(weights[-1]) * np.prod(
+            [op_norm_inf(w) for w in weights[:-1]])
+    if not np.isfinite(chain).all():
+        raise ValueError("the weights overflow the Lipschitz chain: the "
+                         "product of the layer norms is non-finite")
+
+
 def operator_norm(A, p):
     """Certified upper bound on the operator p->p norm; p in {2, inf}.
 

@@ -743,9 +743,13 @@ class TestStackedBounds:
 
     def test_failing_model_flags_its_child(self, monkeypatch):
         # 13 inputs: the interval Hessian fails on any stack that holds the
-        # second child's curvature ranges; that child alone is flagged
+        # second child's curvature ranges; that child alone is flagged.  On
+        # these wide boxes the floor of the interval model beats the linear
+        # bound, so the floor reads -inf here and every box assembles it
         from curvreach import hessian as hs
         from curvreach.localize import bounds_for_box
+        monkeypatch.setattr(bnb, "_interval_floor",
+                            lambda *args: (-np.inf, 0.0))
         rng = np.random.default_rng(13)
         net = make_net([13, 8, 1], seed=3900)
         obj = ScalarObjective(net)
@@ -904,6 +908,35 @@ def _both_ways(monkeypatch, run, rows):
     return results, passes
 
 
+def _di_hexagon_step(di_controller):
+    """A ``run()`` of the shipped DI controller's closed-loop step over the
+    hexagon, its 20 faces solved in lockstep: it returns the step's
+    polytope and the results of its solves."""
+    from curvreach.reach import (LinearSystem, Zonotope, closed_loop_step,
+                                 uniform_directions)
+    sys_model = LinearSystem(np.array([[1.0, 1.0], [0.0, 1.0]]),
+                             np.array([[0.5], [1.0]]), di_controller, 5)
+    hexagon = Zonotope(np.array([[0.1, 0.1, 0.1], [-0.1, 0.0, 0.1]]),
+                       np.array([2.5, 0.0]))
+
+    def run():
+        real, results = bnb.solve, []
+
+        def recording(*args, **kwargs):
+            results.append(real(*args, **kwargs))
+            return results[-1]
+
+        bnb.solve = recording
+        try:
+            poly, _ = closed_loop_step(sys_model, hexagon,
+                                       uniform_directions(16), 1e-3)
+        finally:
+            bnb.solve = real
+        return poly, results
+
+    return run
+
+
 def _full_lam_rows(monkeypatch, force=False):
     """Record each deep stacked pass as ``[boxes, boxes that summed the full
     lam]``.  With ``force`` the first term of lam, which a pass takes first,
@@ -963,30 +996,8 @@ class TestLazySpectralBound:
     def test_closed_loop_step(self, monkeypatch, di_controller):
         # the shipped depth-4 controller in lockstep over the hexagon: no
         # box needs the full lam
-        from curvreach.reach import (LinearSystem, Zonotope, closed_loop_step,
-                                     uniform_directions)
-        sys_model = LinearSystem(np.array([[1.0, 1.0], [0.0, 1.0]]),
-                                 np.array([[0.5], [1.0]]), di_controller, 5)
-        hexagon = Zonotope(np.array([[0.1, 0.1, 0.1], [-0.1, 0.0, 0.1]]),
-                           np.array([2.5, 0.0]))
-
-        def run():
-            real, results = bnb.solve, []
-
-            def recording(*args, **kwargs):
-                results.append(real(*args, **kwargs))
-                return results[-1]
-
-            bnb.solve = recording
-            try:
-                poly, _ = closed_loop_step(sys_model, hexagon,
-                                           uniform_directions(16), 1e-3)
-            finally:
-                bnb.solve = real
-            return poly, results
-
         ((poly, lazy), (poly_full, full)), (passes, full_passes) = \
-            self.both_ways(monkeypatch, run)
+            self.both_ways(monkeypatch, _di_hexagon_step(di_controller))
         assert len(lazy) == len(full) == 20
         for a, b in zip(lazy, full):
             assert_same_result(a, b)
@@ -1118,30 +1129,8 @@ class TestLazyZerothOrderBound:
     def test_closed_loop_step(self, monkeypatch, di_controller):
         # the shipped depth-4 controller in lockstep over the hexagon: no
         # box computes L_inf
-        from curvreach.reach import (LinearSystem, Zonotope, closed_loop_step,
-                                     uniform_directions)
-        sys_model = LinearSystem(np.array([[1.0, 1.0], [0.0, 1.0]]),
-                                 np.array([[0.5], [1.0]]), di_controller, 5)
-        hexagon = Zonotope(np.array([[0.1, 0.1, 0.1], [-0.1, 0.0, 0.1]]),
-                           np.array([2.5, 0.0]))
-
-        def run():
-            real, results = bnb.solve, []
-
-            def recording(*args, **kwargs):
-                results.append(real(*args, **kwargs))
-                return results[-1]
-
-            bnb.solve = recording
-            try:
-                poly, _ = closed_loop_step(sys_model, hexagon,
-                                           uniform_directions(16), 1e-3)
-            finally:
-                bnb.solve = real
-            return poly, results
-
         ((poly, lazy), (poly_full, full)), (passes, full_passes) = \
-            self.both_ways(monkeypatch, run)
+            self.both_ways(monkeypatch, _di_hexagon_step(di_controller))
         assert len(lazy) == len(full) == 20
         for a, b in zip(lazy, full):
             assert_same_result(a, b)
@@ -1211,6 +1200,202 @@ class TestZerothOrderFallback:
         assert failed.ub == pytest.approx(max(min(rest + [zeroth[0]]),
                                               failed.lb), rel=1e-12)
         assert kept.ub == max(min(b[1] for b in bounds.values()), kept.lb)
+
+
+def _assemblies(monkeypatch):
+    """The curvature ranges ``curv_lo[0]`` of the stack of each call that
+    assembles the interval Hessian, one row per box."""
+    from curvreach import hessian as hs
+    real, calls = hs._interval_hessian_raw, []
+
+    def raw(weights, jac_mid, jac_rad, local):
+        calls.append(local.curv_lo[0].copy())
+        return real(weights, jac_mid, jac_rad, local)
+
+    monkeypatch.setattr(hs, "_interval_hessian_raw", raw)
+    return calls
+
+
+def _interval_rows(monkeypatch, force=False):
+    """Record each stacked pass as ``[boxes, boxes that assembled the
+    interval Hessian]``.  With ``force`` the floor of the interval model
+    reads -inf (``bnb._interval_floor``), so that every box assembles it."""
+    from curvreach import hessian as hs
+    real_cert, real_raw = _Bounder._certificate, hs._interval_hessian_raw
+    passes = []
+
+    def certificate(self, lo, hi):
+        passes.append([len(lo), 0])
+        return real_cert(self, lo, hi)
+
+    def raw(weights, jac_mid, jac_rad, local):
+        passes[-1][1] += len(local.curv_lo[0])
+        return real_raw(weights, jac_mid, jac_rad, local)
+
+    monkeypatch.setattr(_Bounder, "_certificate", certificate)
+    monkeypatch.setattr(hs, "_interval_hessian_raw", raw)
+    if force:
+        monkeypatch.setattr(bnb, "_interval_floor",
+                            lambda *args: (-np.inf, 0.0))
+    return passes
+
+
+class TestLazyIntervalHessian:
+    """On a net with one hidden layer a pass assembles the interval Hessian
+    only for the boxes where the floor of the interval model does not beat
+    the linear bound; every result must be that of assembling it for every
+    box.  Deeper nets assemble it for every box."""
+
+    @staticmethod
+    def both_ways(monkeypatch, run):
+        """``run()`` as it is and with every box assembling the interval
+        Hessian, and the passes of each (``_interval_rows``); both bound
+        every node alike."""
+        return _both_ways(monkeypatch, run, _interval_rows)
+
+    @staticmethod
+    def every_box_full(passes):
+        return all(k == n for n, k in passes)
+
+    def test_budget_capped_two_layer_net(self, monkeypatch):
+        # on these wide boxes every floor beats the linear bound, so no box
+        # assembles; also one node per stacked pass
+        obj = _two_layer_net(1)
+        cfg = BnBConfig(eps_t=1e-9, max_branches=1000)
+
+        def run():
+            return solve(obj, -np.ones(6), np.ones(6), cfg=cfg)
+
+        (lazy, full), (passes, full_passes) = self.both_ways(monkeypatch,
+                                                             run)
+        assert lazy.status == "BranchLimit"
+        assert lazy.branches_processed >= 300
+        assert_same_result(lazy, full)
+        assert self.every_box_full(full_passes)
+        assert passes and not any(k for _, k in passes)
+        monkeypatch.setattr(bnb, "_BATCH", 1)
+        _interval_rows(monkeypatch, force=True)
+        assert_same_result(lazy, run())
+
+    def test_closed_loop_step(self, monkeypatch, di_controller):
+        # the shipped depth-4 controller: every box assembles
+        ((poly, lazy), (poly_full, full)), (passes, _) = \
+            self.both_ways(monkeypatch, _di_hexagon_step(di_controller))
+        assert len(lazy) == len(full) == 20
+        for a, b in zip(lazy, full):
+            assert_same_result(a, b)
+        assert poly.offsets.tolist() == poly_full.offsets.tolist()
+        assert passes and self.every_box_full(passes)
+
+    def test_budget_capped_deep_net(self, monkeypatch):
+        # depth 3: every box assembles
+        obj = _deep_net(1.0, 1)
+        cfg = BnBConfig(eps_t=1e-9, max_branches=300)
+        passes = _interval_rows(monkeypatch)
+        res = solve(obj, -np.ones(6), np.ones(6), cfg=cfg)
+        assert res.status == "BranchLimit"
+        assert passes and self.every_box_full(passes)
+
+
+class TestIntervalFloor:
+    """The floor of the interval model on a net with one hidden layer
+    (``bnb._interval_floor``): it never exceeds the assembled model by more
+    than the rounding slack, and a box whose floor does not beat its linear
+    bound by that slack, or whose floor is NaN, assembles the model."""
+
+    @staticmethod
+    def parts(objs, lo, hi, dirs):
+        """The floor of each box of a stack, its slack without the linear
+        term, the assembled interval model and the linear bound, and a
+        ``model(linear)`` that runs ``_taylor_model`` against ``linear``."""
+        from types import SimpleNamespace
+        from curvreach import taylor
+        bounder = _Bounder(objs, BnBConfig())
+        center, r = (lo + hi) / 2.0, (hi - lo) / 2.0
+        stand = bounder._stack(np.asarray(dirs))
+        value, grad = ScalarObjective.value_and_grad(stand, center)
+        cert = bounder._certificate(lo, hi)
+        x_iso = taylor.optimal_perturbation(center, r, np.inf, grad, 0.0,
+                                            center)
+        d = x_iso - center
+        base = value + taylor._dot(grad, d)
+        quad, scale = bnb._interval_floor(
+            *bounder.floor_w, stand.net.layers[-1].weight[:, 0, :], cert,
+            np.abs(d))
+
+        def model(linear=None):
+            return bounder._taylor_model(lo, hi, stand.net, cert, value, grad,
+                                         x_iso, center, linear)[1]
+
+        return SimpleNamespace(
+            floor=base + 0.5 * quad, slack=1e-9 * (np.abs(base) + 0.5 * scale),
+            assembled=model(), linear=bounder._linear_bound(stand, cert,
+                                                            center, r),
+            model=model)
+
+    @pytest.mark.parametrize("act", [Activation.TANH, Activation.SIGMOID,
+                                     Activation.SOFTPLUS])
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 6), hidden=st.integers(1, 12),
+           seed=st.integers(0, 2**16), scale=st.floats(0.5, 4.0),
+           log_width=st.floats(-3.0, np.log10(2.0)), linear=st.booleans())
+    def test_never_exceeds_the_model(self, act, n, hidden, seed, scale,
+                                     log_width, linear):
+        # three boxes 1e-3 to 2 wide, in two directions with or without a
+        # linear term, stacked and each alone: each floor is at most its
+        # model plus the slack, and bit-identical stacked and alone
+        rng = np.random.default_rng(seed)
+        net = make_net([n, hidden, 2], act=act, seed=seed, scale=scale)
+        objs = [ScalarObjective(scalarize(net, c),
+                                rng.standard_normal(n) if linear else None,
+                                0.3)
+                for c in (np.array([1.0, 0.0]), rng.standard_normal(2))]
+        lo = rng.uniform(-1.5, 1.0, (3, n))
+        hi = lo + np.clip(10.0 ** log_width * rng.uniform(0.5, 2.0, (3, n)),
+                          1e-3, 2.0)
+        dirs = [0, 1, 0]
+        stacked = self.parts(objs, lo, hi, dirs)
+        assert (stacked.floor <= stacked.assembled + stacked.slack).all()
+        for k, i in enumerate(dirs):
+            alone = self.parts([objs[i]], lo[k:k + 1], hi[k:k + 1], [0])
+            assert alone.floor[0] == stacked.floor[k]
+            assert alone.floor[0] <= alone.assembled[0] + alone.slack[0]
+
+    def test_box_within_the_slack_assembles(self, monkeypatch):
+        # four boxes against linear bounds 4 slacks and half a slack below
+        # the floor, at it and above it: all but the first assemble
+        obj = _two_layer_net(1)
+        lo = np.array([[-1.0] * 6, [0.0] * 6, [-0.5] * 6, [-1.0, 0.0] * 3])
+        parts = self.parts([obj], lo, lo + 1.0, [0] * 4)
+        slack = parts.slack + 1e-9 * np.abs(parts.floor)
+        linear = parts.floor - np.array([4.0, 0.5, 0.0, -1e6]) * slack
+        calls = _assemblies(monkeypatch)
+        got = parts.model(linear)
+        assert [len(c) for c in calls] == [3]
+        assert got[0] == parts.floor[0]
+        assert got[1:].tolist() == parts.assembled[1:].tolist()
+
+    def test_nan_curvature_assembles_and_falls_back(self, monkeypatch):
+        # a NaN in the first box's curvature range makes its floor NaN: the
+        # box assembles the interval Hessian, whose model is NaN too, and
+        # takes the zeroth-order fallback, the only box of its pass to do so
+        obj = _two_layer_net(1)
+        lo = np.array([[-1.0] * 6, [0.0] * 6])
+        real = _Bounder._certificate
+
+        def nan_first(self, lo, hi):
+            cert = real(self, lo, hi)
+            cert.curv_lo[0][0, 0] = np.nan
+            return cert
+
+        monkeypatch.setattr(_Bounder, "_certificate", nan_first)
+        calls = _assemblies(monkeypatch)
+        passes = _l_inf_rows(monkeypatch)
+        failed, kept = _Bounder([obj], BnBConfig()).bound(
+            lo, lo + 1.0, *_per_box(lo))
+        assert len(calls) == 1 and np.isnan(calls[0][0]).any()
+        assert passes == [[2, 1]]
+        assert np.isfinite(failed.ub) and np.isfinite(kept.ub)
 
 
 class TestLinearBound:

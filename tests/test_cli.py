@@ -100,6 +100,32 @@ class TestExitCodes:
         assert code == 1
         assert "--seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("strict", [False, True],
+                             ids=["warnings-recorded", "warnings-as-errors"])
+    @pytest.mark.parametrize("command", ["lipschitz", "hessian", "bnb"])
+    def test_overflowing_net_names_the_cause(self, tmp_path, capsys, command,
+                                             strict):
+        # a 2-4-3-1 tanh net with weights scaled by 1e160: the product of
+        # its layer norms overflows, and each command refuses it by name
+        # before any numpy warning, with warnings raised as errors or not
+        import warnings
+        from curvreach.model import Layer, Network
+        path = tmp_path / "big.json"
+        save_network(Network(tuple(
+            Layer(1e160 * lay.weight, lay.bias, lay.activation)
+            for lay in make_net([2, 4, 3, 1], seed=6100).layers)), path)
+        extra = [] if command == "lipschitz" else ["--direction", "1"]
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("error" if strict else "always",
+                                  RuntimeWarning)
+            code = main([command, "--network", str(path), "--box=-1..1,-1..1",
+                         *extra])
+        assert code == 1
+        assert not seen
+        err = capsys.readouterr().err
+        assert err.startswith("error: the weights overflow the Lipschitz "
+                              "chain")
+
     @pytest.mark.parametrize("case", ["inf-box", "nan-box", "nan-weight",
                                       "inf-generator", "nan-direction",
                                       "nan-drift"])
