@@ -32,14 +32,8 @@ heads ``||W_2||_2 .. ||W_{L-1}||_2`` of those constants are computed only
 by the first ``_full_lam`` of a solve or lockstep run.
 
 On a net with one hidden layer a box assembles the ``n x n`` interval
-Hessian only where a floor of the interval model (``_interval_floor``: its
-radius terms and its midpoint's diagonal, two vector-matrix products per
-box), less a rounding slack, does not beat the box's linear bound; every
-other box takes the floor, which then never wins, so every bound is the
-assembled model's.  No box of the seeded two-layer budget runs assembles
-it.  Deeper nets assemble it for every box: there a floor would read every
-layer's Jacobian intervals, and every box of the shipped closed loops takes
-the interval model, so the floor would be spent for nothing.
+Hessian only where a floor of its model can beat the linear bound
+(``_interval_floor``).
 
 The zeroth-order bound is the fallback of a failed first-order
 certificate.  A box keeps its first-order bound unless the linear bound, the
@@ -271,9 +265,10 @@ def _interval_quad(weights, cert, ad):
     return taylor._dot(ad, (A @ ad[..., None])[..., 0])
 
 
-def _interval_floor(abs_w1, sq_w1, v, cert, ad):
-    """``(floor, scale)`` of ``_interval_quad`` on a net with one hidden
-    layer, for each box of a stack with output row ``v`` and ``ad = |d|``,
+def _interval_floor(abs_w1, sq_w1, v, cert, ad, base):
+    """``(floor, slack)`` of the interval model ``base + |d|^T A |d| / 2``
+    (``_interval_quad``) on a net with one hidden layer, for each box of a
+    stack with output row ``v``, ``ad = |d|`` and ``base = J(c) + g.d``,
     from ``abs_w1 = |W_1|^T`` and ``sq_w1 = (W_1 o W_1)^T``.
 
     There the interval Hessian is ``sum_k t_k w_k w_k^T`` over the rows
@@ -281,19 +276,29 @@ def _interval_floor(abs_w1, sq_w1, v, cert, ad):
     that range's midpoint ``cm`` and radius ``cr``, its midpoint-radius form
     gives ``A_ij >= rad_ij`` off the diagonal and ``A_ii >= mid_ii + rad_ii``
     on it.  So ``|d|^T A |d| >= sum_k |v_k| cr_k p_k^2 + sum_k v_k cm_k q_k``
-    with ``p = |W_1| |d|`` and ``q = (W_1 o W_1)(d o d)``, the floor, which
-    costs two vector-matrix products per box in place of the ``n x n``
-    assembly.  ``scale = sum_k (|v_k cm_k| + |v_k| cr_k) p_k^2`` is at least
-    the sum of the magnitudes of the terms that the floor and the assembled
-    form round (``q_k <= p_k^2``); every product is one per box."""
+    with ``p = |W_1| |d|`` and ``q = (W_1 o W_1)(d o d)``, which costs two
+    vector-matrix products per box in place of the ``n x n`` assembly.
+    ``slack`` covers the rounding of the floor and of the assembled model,
+    not that of the bound they are compared with: ``sum_k (|v_k cm_k| +
+    |v_k| cr_k) p_k^2`` is at least the sum of the magnitudes that both
+    round (``q_k <= p_k^2``).
+
+    ``_Bounder._taylor_model`` assembles the model only for the boxes whose
+    floor, less ``slack`` and the linear bound's rounding, does not beat the
+    linear bound, NaN included; every other box takes its floor, which the
+    node's ``fmin`` then never picks, so every bound is the assembled
+    model's.  Deeper nets assemble every box: a floor there would read every
+    layer's Jacobian intervals, and every box of the shipped closed loops
+    takes the interval model, so it would be spent for nothing."""
     c_lo, c_hi = cert.curv_lo[0], cert.curv_hi[0]
     tm = v * ((c_lo + c_hi) / 2.0)
     tr = np.abs(v) * ((c_hi - c_lo) / 2.0)
     p = lip._rows_times(ad, abs_w1)
     pp = p * p
     rad = taylor._dot(tr, pp)
-    return (rad + taylor._dot(tm, lip._rows_times(ad * ad, sq_w1)),
-            rad + taylor._dot(np.abs(tm), pp))
+    quad = rad + taylor._dot(tm, lip._rows_times(ad * ad, sq_w1))
+    scale = rad + taylor._dot(np.abs(tm), pp)
+    return base + 0.5 * quad, 1e-9 * (np.abs(base) + 0.5 * scale)
 
 
 def as_objective(obj_or_net):
@@ -471,7 +476,7 @@ class _Bounder:
         return const + taylor._dot(a, center) + taylor._dot(np.abs(a), r)
 
     def _taylor_model(self, lo, hi, net, cert, value_c, grad_c, x_iso, center,
-                      linear=None):
+                      linear):
         """The Taylor-model bounds ``(lam model, interval model)`` of each
         box of a stack on a net with a hidden layer: the isotropic model with
         the spectral bound ``lam >= ||hess J||_2`` and the interval Hessian's
@@ -482,14 +487,9 @@ class _Bounder:
         the first term is all of ``lam``.  ``net`` is the network of the
         stack's stand-in (``_stack``).
 
-        ``linear``, when given, holds the stack's linear-relaxation bounds.
-        On a net with one hidden layer the interval Hessian is then
-        assembled only for the boxes where the model's floor
-        (``_interval_floor``), less a rounding slack, does not beat
-        ``linear``, NaN included; every other box gets its floor, which the
-        model is at least, so the node's ``fmin`` takes what it takes with
-        the model assembled.  Deeper nets, and calls without ``linear``,
-        assemble it for every box."""
+        ``linear`` holds the stack's linear-relaxation bounds; at one hidden
+        layer only the boxes whose interval model can beat them assemble it
+        (``_interval_floor``)."""
         weights = self.weights[:-1] + [net.layers[-1].weight]
         # only the subnetwork constants of the report are read: ||W_1||_2,
         # one for all boxes, and zeros, which leave the first term of lam
@@ -503,15 +503,12 @@ class _Bounder:
         d = x_iso - center
         ad = np.abs(d)
         base = value_c + taylor._dot(grad_c, d)
-        if linear is None or self.floor_w is None:
+        if self.floor_w is None:
             ub2 = base + 0.5 * _interval_quad(weights, cert, ad)
         else:
-            quad, scale = _interval_floor(*self.floor_w, weights[-1][:, 0, :],
-                                          cert, ad)
-            ub2 = base + 0.5 * quad
-            # covers the rounding of the floor and of the assembled model
-            slack = 1e-9 * (np.abs(base) + 0.5 * scale + np.abs(linear))
-            sel = _select(~(ub2 - slack >= linear))
+            ub2, slack = _interval_floor(*self.floor_w, weights[-1][:, 0, :],
+                                         cert, ad, base)
+            sel = _select(~(ub2 - (slack + 1e-9 * np.abs(linear)) >= linear))
             if sel is not None:
                 ub2[sel] = base[sel] + 0.5 * _interval_quad(
                     [weights[0], weights[-1][sel]], cert.rows(sel), ad[sel])

@@ -13,11 +13,9 @@ Three forms:
   over the localized slope and curvature intervals.
 
 Branch and bound reads the last two at every depth, the sandwich nowhere;
-at one hidden layer it assembles the interval only for the boxes where a
-floor of its model does not beat the linear bound (``bnb._interval_floor``).
-The ``hessian`` command reports the sandwich for one-hidden-layer networks.
-The interval form rounds to nearest, as ``localize`` does; outward rounding
-is an open item of the roadmap (item 8).
+the ``hessian`` command reports it for one-hidden-layer networks.  The
+interval form rounds to nearest, as ``localize`` does; outward rounding is
+an open item of the roadmap (item 8).
 """
 
 from dataclasses import dataclass, field

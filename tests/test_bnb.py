@@ -748,8 +748,7 @@ class TestStackedBounds:
         # bound, so the floor reads -inf here and every box assembles it
         from curvreach import hessian as hs
         from curvreach.localize import bounds_for_box
-        monkeypatch.setattr(bnb, "_interval_floor",
-                            lambda *args: (-np.inf, 0.0))
+        monkeypatch.setattr(bnb, "_interval_floor", _no_floor)
         rng = np.random.default_rng(13)
         net = make_net([13, 8, 1], seed=3900)
         obj = ScalarObjective(net)
@@ -1175,7 +1174,8 @@ class TestZerothOrderFallback:
                                             center)
         bounds = {"linear": bounder._linear_bound(stand, cert, center, r)}
         bounds["lam"], bounds["interval"] = bounder._taylor_model(
-            lo, hi, stand.net, cert, value, grad, x_iso, center)
+            lo, hi, stand.net, cert, value, grad, x_iso, center,
+            bounds["linear"])
         local = bounds_for_box(obj.net, lo, hi)
         l_inf = lip.liplt(obj.net, local, lip.default_loop_transform(local),
                           np.inf)
@@ -1216,6 +1216,13 @@ def _assemblies(monkeypatch):
     return calls
 
 
+def _no_floor(*args):
+    """``bnb._interval_floor`` with every floor -inf, so that every box of a
+    net with one hidden layer assembles the interval Hessian."""
+    base = args[-1]
+    return np.full_like(base, -np.inf), np.zeros_like(base)
+
+
 def _interval_rows(monkeypatch, force=False):
     """Record each stacked pass as ``[boxes, boxes that assembled the
     interval Hessian]``.  With ``force`` the floor of the interval model
@@ -1235,8 +1242,7 @@ def _interval_rows(monkeypatch, force=False):
     monkeypatch.setattr(_Bounder, "_certificate", certificate)
     monkeypatch.setattr(hs, "_interval_hessian_raw", raw)
     if force:
-        monkeypatch.setattr(bnb, "_interval_floor",
-                            lambda *args: (-np.inf, 0.0))
+        monkeypatch.setattr(bnb, "_interval_floor", _no_floor)
     return passes
 
 
@@ -1305,9 +1311,10 @@ class TestIntervalFloor:
 
     @staticmethod
     def parts(objs, lo, hi, dirs):
-        """The floor of each box of a stack, its slack without the linear
-        term, the assembled interval model and the linear bound, and a
-        ``model(linear)`` that runs ``_taylor_model`` against ``linear``."""
+        """The floor of each box of a stack and its slack without the
+        linear bound's term (``bnb._interval_floor``), the assembled interval
+        model, and a ``model(linear)`` that runs ``_taylor_model`` against
+        ``linear``."""
         from types import SimpleNamespace
         from curvreach import taylor
         bounder = _Bounder(objs, BnBConfig())
@@ -1318,20 +1325,17 @@ class TestIntervalFloor:
         x_iso = taylor.optimal_perturbation(center, r, np.inf, grad, 0.0,
                                             center)
         d = x_iso - center
-        base = value + taylor._dot(grad, d)
-        quad, scale = bnb._interval_floor(
+        floor, slack = bnb._interval_floor(
             *bounder.floor_w, stand.net.layers[-1].weight[:, 0, :], cert,
-            np.abs(d))
+            np.abs(d), value + taylor._dot(grad, d))
 
-        def model(linear=None):
+        def model(linear):
             return bounder._taylor_model(lo, hi, stand.net, cert, value, grad,
                                          x_iso, center, linear)[1]
 
-        return SimpleNamespace(
-            floor=base + 0.5 * quad, slack=1e-9 * (np.abs(base) + 0.5 * scale),
-            assembled=model(), linear=bounder._linear_bound(stand, cert,
-                                                            center, r),
-            model=model)
+        # no floor beats an infinite linear bound: every box assembles
+        return SimpleNamespace(floor=floor, slack=slack, model=model,
+                               assembled=model(np.full(len(lo), np.inf)))
 
     @pytest.mark.parametrize("act", [Activation.TANH, Activation.SIGMOID,
                                      Activation.SOFTPLUS])
@@ -1367,6 +1371,8 @@ class TestIntervalFloor:
         obj = _two_layer_net(1)
         lo = np.array([[-1.0] * 6, [0.0] * 6, [-0.5] * 6, [-1.0, 0.0] * 3])
         parts = self.parts([obj], lo, lo + 1.0, [0] * 4)
+        assert (parts.slack >= 1e-10 * np.abs(parts.floor)).all()
+        # the linear bound's own term, 1e-9 |linear|, is about 1e-9 |floor|
         slack = parts.slack + 1e-9 * np.abs(parts.floor)
         linear = parts.floor - np.array([4.0, 0.5, 0.0, -1e6]) * slack
         calls = _assemblies(monkeypatch)
@@ -1448,8 +1454,11 @@ class TestSmallSetClaim:
         cert = bounder._certificate(lo, hi)
         x_iso = taylor.optimal_perturbation(center, r, np.inf, grad, 0.0,
                                             center)
+        # against an infinite linear bound every box assembles the interval
+        # Hessian, whose model is the one compared
         model = np.fmin(*bounder._taylor_model(lo, hi, stand.net, cert,
-                                               value, grad, x_iso, center))
+                                               value, grad, x_iso, center,
+                                               np.full(1, np.inf)))
         linear = bounder._linear_bound(stand, cert, center, r)
         node, = bounder.bound(lo, hi, *_per_box(lo))
         return model[0], linear[0], node.ub
