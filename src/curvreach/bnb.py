@@ -38,13 +38,14 @@ Hessian only where a floor of its model can beat the linear bound
 The zeroth-order bound is the fallback of a failed first-order
 certificate.  A box keeps its first-order bound unless the linear bound, the
 ``lam`` model or the interval model is NaN or inf; only those boxes run the
-ell_inf recursion, once for each distinct box, and take the smaller of the
-first-order bound and ``J(c) + L_inf * eps``.  No box of the shipped
-double-integrator and quadrotor runs, nor of the seeded two-layer budget
-runs, needs it; without first-order bounds (``use_first_order=False``)
-every box takes the zeroth-order bound alone.  A net whose layer norms
-multiply to an inf overflows the recursion, and its solve is refused before
-any box is bounded.
+ell_inf recursion, and take the smaller of the first-order bound and
+``J(c) + L_inf * eps``.  No box of the shipped double-integrator and
+quadrotor runs, nor of the seeded two-layer budget runs, needs it; without
+first-order bounds (``use_first_order=False``) every box takes the
+zeroth-order bound alone.  A net whose layer norms multiply to an inf
+overflows the recursion, and one whose squared layer norms do overflows the
+Hessian bounds (``lipschitz.check_curvature_chain``); either solve is
+refused before any box is bounded.
 
 Nodes are expanded in order of largest upper bound, and the result is that of
 expanding them one at a time: pop the top node, halve its longest edge (the
@@ -71,17 +72,16 @@ counted are those of at most ``_BATCH`` nodes.
 
 Each child gets the bounds it would get alone, bit for bit, and never a
 looser upper bound than its parent.  A node's box-level certificates
-(localization, the Jacobian intervals of the interval Hessian, the
-intercepts of the relaxation lines and, where a box needs them, the ell_inf
-internal memo and the ell_2 subnetwork constants) read the box and the
-hidden layers only, so within one stacked pass each distinct box gets them
-once, however many directions carry it; the per-direction finish reads the
-output layer and the linear term.
-The objective is evaluated once per pass, with the hidden layers run once and
-each box's output row and bias, linear term and offset gathered by direction.
-These per-direction parts are kept as stacks with one row per direction, and
-the constants read from them, ``||W_L||_inf`` and the linear term's dual
-norm, are each computed by one call over the stack.
+(localization, the Jacobian intervals of the interval Hessian and the
+intercepts of the relaxation lines) read the box and the hidden layers only,
+so within one stacked pass each distinct box gets them once, however many
+directions carry it; the per-direction finish reads the output layer and the
+linear term.  The few boxes that need the ell_inf Lipschitz constant or the
+ell_2 subnetwork constants compute them row by row of the stack, with
+nothing shared.  The objective is evaluated once per pass, with the hidden
+layers run once and each box's output row and bias, linear term and offset
+gathered by direction.  A point box, with no edge to split, is bounded in the
+same pass and takes its center value as its upper bound.
 
 One failure rule holds: a numerical failure (``_FAILURES``) anywhere in a
 stack's certificate-and-model stage bounds the stack again one box at a
@@ -217,9 +217,8 @@ class _BoxCertificate:
     lines' slope, and the intercepts ``line_lo``, ``line_hi`` of the lines
     below and above each unit's activation.  Each field holds one entry per
     layer, and every entry has a leading axis over the boxes of the stack.
-    The ell_inf internal memo is no part of it: only a box that takes the
-    zeroth-order bound computes it, in ``_full_l_inf``, and without
-    first-order bounds the certificate is ``slope_hi`` alone."""
+    Without first-order bounds the certificate is ``slope_hi`` alone, which
+    the zeroth-order bound reads (``_full_l_inf``)."""
 
     slope_hi: tuple
     curv_lo: tuple = ()
@@ -330,12 +329,11 @@ class _Bounder:
     Every box gets fresh certificates of its own.  Box-level certificates
     read the hidden layers only, which the directions share; the
     per-direction parts (the output row and bias, the linear term and
-    offset, ``lin_inf`` and ``head_inf``) are kept as stacks with one row
-    per direction, ``head_inf`` and ``lin_inf`` each computed by one call
-    over the stack, and gathered by direction for each box of a stack, in
-    which one call evaluates the objective.  Of the ell_2 heads, ``heads2``
-    holds ``||W_1||_2`` until the first ``_full_lam``, which adds the
-    others.  Direction i is ``objs[i]``."""
+    offset) are kept as stacks with one row per direction and gathered by
+    direction for each box of a stack, in which one call evaluates the
+    objective.  Of the ell_2 heads, ``heads2`` holds ``||W_1||_2`` until the
+    first ``_full_lam``, which adds the others.  Direction i is
+    ``objs[i]``."""
 
     def __init__(self, objs, cfg):
         self.objs = objs
@@ -357,12 +355,9 @@ class _Bounder:
         self.linear = None if objs[0].linear is None \
             else np.array([obj.linear for obj in objs])
         self.offset = np.array([[obj.offset] for obj in objs])
-        self.lin_inf = np.zeros(len(objs)) if self.linear is None \
-            else np.abs(self.linear).sum(axis=1)
         lip.check_chain(self.weights[:-1] + [self.rows])
-        # the ell_inf total stage opens with ||W_L||, which does not depend
-        # on the box
-        self.head_inf = lip.op_norm_inf(self.rows)
+        if self.curved:
+            lip.check_curvature_chain(self.weights[:-1] + [self.rows])
         # the ell_2 subnetwork stages open with ||W_1|| .. ||W_{L-1}||, which
         # depend on neither the box nor the direction.  The first term of
         # lam reads ||W_1|| only; the others are computed by the first
@@ -391,46 +386,19 @@ class _Bounder:
     def _ds(self, slope_hi):
         return [b / 2.0 for b in slope_hi]
 
-    def _distinct(self, lo, hi):
-        """``(first, inverse)`` for a stack of boxes that repeats a box: the
-        stack index of each distinct box's first row, and each row's entry
-        among the distinct boxes; None when the boxes are distinct.  Boxes
-        are told apart by the exact bytes of their bounds; the boxes of one
-        direction are distinct."""
-        if len(self.objs) == 1:
-            return None
-        ids = {}
-        inverse = [ids.setdefault(a.tobytes() + b.tobytes(), len(ids))
-                   for a, b in zip(lo, hi)]
-        if len(ids) == len(lo):
-            return None
-        _, first = np.unique(inverse, return_index=True)
-        return first, inverse
-
     def _certificate(self, lo, hi):
         """Box-level certificates of a stack of boxes, computed once for each
-        distinct box."""
-        distinct = self._distinct(lo, hi)
-        if distinct is None:
-            return self._fresh_certificate(lo, hi)
-        first, inverse = distinct
-        return self._fresh_certificate(lo[first], hi[first]).rows(inverse)
-
-    def _once_per_box(self, lo, hi, slope_hi, fn):
-        """``fn(slope_hi)``, a sequence of per-box constants of a stack of
-        boxes, computed once for each distinct box.  A constant that ``fn``
-        gives as one float, the same for all boxes, is broadcast."""
-        distinct = self._distinct(lo, hi)
-        if distinct is None:
-            return tuple(fn(slope_hi))
-        first, inverse = distinct
-        return tuple(np.broadcast_to(c, first.shape)[inverse]
-                     for c in fn([s[first] for s in slope_hi]))
-
-    def _memo(self, slope_hi):
-        """The ell_inf internal memo, entries l >= 1."""
-        return lip._memo_raw(self.weights, slope_hi, self._ds(slope_hi),
-                             np.inf)[1:]
+        distinct box.  Boxes are told apart by the exact bytes of their
+        bounds; the boxes of one direction are distinct."""
+        if len(self.objs) > 1:
+            ids = {}
+            inverse = [ids.setdefault(a.tobytes() + b.tobytes(), len(ids))
+                       for a, b in zip(lo, hi)]
+            if len(ids) < len(lo):
+                _, first = np.unique(inverse, return_index=True)
+                return self._fresh_certificate(lo[first],
+                                               hi[first]).rows(inverse)
+        return self._fresh_certificate(lo, hi)
 
     def _fresh_certificate(self, lo, hi):
         local = loc.bounds_for_box(self.net, lo, hi)
@@ -475,8 +443,7 @@ class _Bounder:
             a = a + obj.linear
         return const + taylor._dot(a, center) + taylor._dot(np.abs(a), r)
 
-    def _taylor_model(self, lo, hi, net, cert, value_c, grad_c, x_iso, center,
-                      linear):
+    def _taylor_model(self, net, cert, value_c, grad_c, x_iso, center, linear):
         """The Taylor-model bounds ``(lam model, interval model)`` of each
         box of a stack on a net with a hidden layer: the isotropic model with
         the spectral bound ``lam >= ||hess J||_2`` and the interval Hessian's
@@ -518,34 +485,30 @@ class _Bounder:
         # the full lam's model is taken
         full = _select(~(ub1 >= ub2)) if len(weights) > 2 else None
         if full is not None:
-            lam = self._full_lam(lo[full], hi[full],
-                                 [s[full] for s in cert.slope_hi],
+            lam = self._full_lam([s[full] for s in cert.slope_hi],
                                  [w[full] for w in spectral.terms])
             ub1[full] = taylor._model_value(value_c[full], grad_c[full], lam,
                                             x_iso[full], center[full])
         return ub1, ub2
 
-    def _full_l_inf(self, lo, hi, dirs, slope_hi):
+    def _full_l_inf(self, slope_hi, obj):
         """The ell_inf Lipschitz constant L_inf of each box of a stack from
-        its slopes: the internal memo (entries l >= 1) is computed once for
-        each distinct box."""
-        memo = self._once_per_box(lo, hi, slope_hi, self._memo)
-        weights = self.weights[:-1] + [self.rows[dirs]]
-        return lip._total_raw(weights, slope_hi, self._ds(slope_hi), np.inf,
-                              (0.0,) + memo,
-                              self.head_inf[dirs]) + self.lin_inf[dirs]
+        its slopes, with the linear term's dual norm; ``obj`` is the stack's
+        stand-in (``_stack``)."""
+        weights = self.weights[:-1] + [obj.net.layers[-1].weight]
+        l_inf = lip._total_raw(weights, slope_hi, self._ds(slope_hi), np.inf)
+        if obj.linear is None:
+            return l_inf
+        return l_inf + np.abs(obj.linear).sum(axis=1)
 
-    def _full_lam(self, lo, hi, slope_hi, terms):
+    def _full_lam(self, slope_hi, terms):
         """The spectral bound lam of a stack of boxes, from their slopes and
-        the per-layer factors ``terms`` of ``hessian_norm_bound``: the ell_2
-        subnetwork constants are computed once for each distinct box."""
+        the per-layer factors ``terms`` of ``hessian_norm_bound``."""
         if len(self.heads2) == 1:
             self.heads2 += lip._head_norms(self.weights[1:], 2)
-        subnet = self._once_per_box(
-            lo, hi, slope_hi,
-            lambda s: lip._report_raw(self.weights, s, self._ds(s), 2,
-                                      self.heads2))
-        return hs._spectral_sum(subnet, terms)
+        return hs._spectral_sum(
+            lip._report_raw(self.weights, slope_hi, self._ds(slope_hi), 2,
+                            self.heads2), terms)
 
     def _one_by_one(self, lo, hi, index, parent_ub, dirs):
         """``bound`` on each box of a stack as a stack of one."""
@@ -561,28 +524,19 @@ class _Bounder:
         node number, the cap on its upper bound and its direction.
 
         The objective is evaluated on the whole stack at once (``_stack``).
-        Each box gets the bounds it would get alone, bit for bit.  A stack
-        that holds a degenerate box, or whose certificates or model bounds
-        fail numerically, is bounded one box at a time, so only a failing
-        box is flagged."""
-        n_box = len(lo)
+        Each box gets the bounds it would get alone, bit for bit; a point
+        box's upper bound is its center value.  A stack whose certificates
+        or model bounds fail numerically is bounded one box at a time, so
+        only a failing box is flagged."""
         center = (lo + hi) / 2.0
         r = (hi - lo) / 2.0            # half-edges; a box is center +- r
         eps = r.max(axis=1)
-        if n_box > 1 and not (eps > 0.0).all():
-            return self._one_by_one(lo, hi, index, parent_ub, dirs)
         # split where the longest edge, 2 * eps, exceeds _DEGENERATE * scale
         scale = np.max(np.abs(center), axis=1, initial=1.0)
         axes = np.where(eps > _DEGENERATE / 2.0 * scale, r.argmax(axis=1),
                         -1).tolist()
         obj = self._stack(dirs)
         value_c, grad_c = ScalarObjective.value_and_grad(obj, center)
-        if eps[0] <= 0.0:
-            v = float(value_c[0])
-            return [BnBNode(lo[0], hi[0], center[0], v,
-                            min(v, parent_ub.item()), center[0],
-                            int(index[0]), -1)]
-
         first_order = self.cfg.use_first_order
         try:
             cert = self._certificate(lo, hi)
@@ -590,8 +544,8 @@ class _Bounder:
             def zeroth(sel):
                 """The zeroth-order bound J(c) + L_inf * eps of the boxes
                 that the index ``sel`` picks."""
-                l_inf = self._full_l_inf(lo[sel], hi[sel], dirs[sel],
-                                         [s[sel] for s in cert.slope_hi])
+                l_inf = self._full_l_inf([s[sel] for s in cert.slope_hi],
+                                         self._stack(dirs[sel]))
                 return value_c[sel] + l_inf * eps[sel]
 
             if first_order:
@@ -604,9 +558,8 @@ class _Bounder:
                 bounds = [self._linear_bound(obj, cert, center, r)]
                 ub = bounds[0]
                 if self.curved:
-                    bounds += self._taylor_model(lo, hi, obj.net, cert,
-                                                 value_c, grad_c, x_iso,
-                                                 center, ub)
+                    bounds += self._taylor_model(obj.net, cert, value_c,
+                                                 grad_c, x_iso, center, ub)
                     # an overflowed bound (NaN) leaves the others
                     ub = np.fmin(ub, np.fmin(bounds[1], bounds[2]))
                 # the zeroth-order bound is the fallback of the boxes whose
@@ -617,13 +570,15 @@ class _Bounder:
             else:
                 ub = zeroth(slice(None))
         except _FAILURES:
-            if n_box > 1:
+            if len(lo) > 1:
                 return self._one_by_one(lo, hi, index, parent_ub, dirs)
             # sound fallback: inherit the parent's upper bound, keep the
             # center evaluation as the lower bound
             return [BnBNode(lo[0], hi[0], center[0], float(value_c[0]),
                             parent_ub.item(), center[0], int(index[0]),
                             axes[0], flagged=True)]
+        # a point box holds its center alone, where J is known exactly
+        ub = np.where(eps > 0.0, ub, value_c)
         lb, witness = value_c, center
         if first_order:
             # the lower-bound candidate: the isotropic maximizer, clipped to

@@ -141,7 +141,9 @@ def _cmd_hessian(args):
     box = fileio.parse_box(args.box, net.input_dim)
     c = fileio.parse_vector(args.direction, net.output_dim)
     scalar = scalarize(net, c)
-    lip.check_chain([lay.weight for lay in scalar.layers])
+    weights = [lay.weight for lay in scalar.layers]
+    lip.check_chain(weights)
+    lip.check_curvature_chain(weights)
     t0 = time.perf_counter()
     local = loc.bounds_for_box(scalar, box.lo, box.hi)
     if scalar.depth == 2 and not args.scalar_only:

@@ -65,6 +65,29 @@ def check_chain(weights):
                          "product of the layer norms is non-finite")
 
 
+def check_curvature_chain(weights):
+    """Refuse weights that overflow the Hessian bounds: raise ValueError
+    when, at some hidden layer l, ``4 L`` times the squared chain of layers
+    1 .. l times the chain of the layers above it is non-finite, with no
+    numpy warning on the way.  A layer enters by the sum of its absolute
+    entries, which bounds its ell_1, ell_2 and ell_inf norms; slopes and
+    curvatures are at most 1, and ``4 L`` covers the sums over layers and
+    the midpoint-radius forms.  The last weight may be a stack of output
+    rows ``(B, 1, h)``, each of whose chains must be finite."""
+    sums = [np.abs(w).sum(axis=(-2, -1)) for w in weights]
+    with np.errstate(over="ignore", invalid="ignore"):
+        head = 1.0
+        for l in range(1, len(weights)):
+            head = head * sums[l - 1]
+            chain = 4.0 * len(weights) * head * head \
+                * np.prod(sums[l:-1]) * sums[-1]
+            if not np.isfinite(chain).all():
+                raise ValueError("the weights overflow the curvature chain: "
+                                 "the squared layer norms up to hidden layer "
+                                 f"{l} times the norms above it are "
+                                 "non-finite")
+
+
 def operator_norm(A, p):
     """Certified upper bound on the operator p->p norm; p in {2, inf}.
 
@@ -163,11 +186,11 @@ def _memo_raw(weights, slope_his, ds, p):
     return memo
 
 
-def _total_raw(weights, slope_his, ds, p, memo=None, head=None):
-    """Whole-network constant; ``head``, when given, is the norm of W_L."""
+def _total_raw(weights, slope_his, ds, p, memo=None):
+    """Whole-network constant."""
     if memo is None:
         memo = _memo_raw(weights, slope_his, ds, p)
-    total = _stage(weights[-1], len(weights) - 1, memo, weights, ds, p, head)
+    total = _stage(weights[-1], len(weights) - 1, memo, weights, ds, p)
     return _unbox(total)
 
 

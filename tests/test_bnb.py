@@ -388,10 +388,13 @@ class TestFailureEnvelope:
         obj = ScalarObjective(net)
         real = _Bounder._taylor_model
 
-        def broken(self, lo, hi, *args):
+        def broken(self, net, cert, value_c, grad_c, x_iso, center, linear):
+            # the box's upper end, from its maximizer c + r * sign(g)
+            hi = center + np.abs(x_iso - center)
             if (hi[:, 0] <= -0.5).any():
                 raise FloatingPointError("overflow")
-            return real(self, lo, hi, *args)
+            return real(self, net, cert, value_c, grad_c, x_iso, center,
+                        linear)
 
         monkeypatch.setattr(_Bounder, "_taylor_model", broken)
         res = solve(obj, -np.ones(2), np.ones(2),
@@ -952,9 +955,9 @@ def _full_lam_rows(monkeypatch, force=False):
                                          bound.terms)
         return bound
 
-    def full(self, lo, *args):
-        passes[-1][1] = len(lo)
-        return real_full(self, lo, *args)
+    def full(self, slope_hi, terms):
+        passes[-1][1] = len(slope_hi[0])
+        return real_full(self, slope_hi, terms)
 
     monkeypatch.setattr(hs, "hessian_norm_bound", norm)
     monkeypatch.setattr(_Bounder, "_full_lam", full)
@@ -1066,9 +1069,9 @@ def _l_inf_rows(monkeypatch, force=False):
         passes.append([len(lo), 0])
         return real_cert(self, lo, hi)
 
-    def full(self, lo, *args):
-        passes[-1][1] = len(lo)
-        return real_full(self, lo, *args)
+    def full(self, slope_hi, obj):
+        passes[-1][1] = len(slope_hi[0])
+        return real_full(self, slope_hi, obj)
 
     monkeypatch.setattr(_Bounder, "_certificate", certificate)
     monkeypatch.setattr(_Bounder, "_full_l_inf", full)
@@ -1174,8 +1177,7 @@ class TestZerothOrderFallback:
                                             center)
         bounds = {"linear": bounder._linear_bound(stand, cert, center, r)}
         bounds["lam"], bounds["interval"] = bounder._taylor_model(
-            lo, hi, stand.net, cert, value, grad, x_iso, center,
-            bounds["linear"])
+            stand.net, cert, value, grad, x_iso, center, bounds["linear"])
         local = bounds_for_box(obj.net, lo, hi)
         l_inf = lip.liplt(obj.net, local, lip.default_loop_transform(local),
                           np.inf)
@@ -1330,8 +1332,8 @@ class TestIntervalFloor:
             np.abs(d), value + taylor._dot(grad, d))
 
         def model(linear):
-            return bounder._taylor_model(lo, hi, stand.net, cert, value, grad,
-                                         x_iso, center, linear)[1]
+            return bounder._taylor_model(stand.net, cert, value, grad, x_iso,
+                                         center, linear)[1]
 
         # no floor beats an infinite linear bound: every box assembles
         return SimpleNamespace(floor=floor, slack=slack, model=model,
@@ -1456,8 +1458,8 @@ class TestSmallSetClaim:
                                             center)
         # against an infinite linear bound every box assembles the interval
         # Hessian, whose model is the one compared
-        model = np.fmin(*bounder._taylor_model(lo, hi, stand.net, cert,
-                                               value, grad, x_iso, center,
+        model = np.fmin(*bounder._taylor_model(stand.net, cert, value, grad,
+                                               x_iso, center,
                                                np.full(1, np.inf)))
         linear = bounder._linear_bound(stand, cert, center, r)
         node, = bounder.bound(lo, hi, *_per_box(lo))
@@ -1487,7 +1489,8 @@ class TestSmallSetClaim:
 
 class TestOverflowingChain:
     """A net whose layer norms multiply to an inf would overflow the ell_inf
-    recursion; its solve is refused before any box is bounded."""
+    recursion, and one whose squared layer norms do would overflow the
+    Hessian bounds; its solve is refused before any box is bounded."""
 
     @staticmethod
     def _overflowing_net():
@@ -1517,6 +1520,32 @@ class TestOverflowingChain:
                                                  "chain"):
                 solve(ScalarObjective(self._overflowing_net()), -np.ones(2),
                       np.ones(2), cfg=cfg)
+
+    @pytest.mark.parametrize("first_order", [True, False])
+    def test_overflowing_curvature_chain(self, first_order):
+        # a 2-4-3-1 tanh net with weights scaled by 1e100: its layer norms
+        # multiply to about 1e300, but the Hessian bounds square the first
+        # ones.  With first-order bounds the solve is refused by name before
+        # any numpy warning; the zeroth-order bound alone needs no second
+        # order, and the solve runs with no warning
+        import warnings
+        from curvreach.model import Layer, Network
+        net = Network(tuple(Layer(1e100 * lay.weight, lay.bias, lay.activation)
+                            for lay in make_net([2, 4, 3, 1],
+                                                seed=6100).layers))
+        cfg = BnBConfig(eps_t=1e-3, max_branches=20,
+                        use_first_order=first_order)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            if first_order:
+                with pytest.raises(ValueError, match="overflow the curvature "
+                                                     "chain"):
+                    solve(ScalarObjective(net), -np.ones(2), np.ones(2),
+                          cfg=cfg)
+            else:
+                res = solve(ScalarObjective(net), -np.ones(2), np.ones(2),
+                            cfg=cfg)
+                assert np.isfinite(res.ub) and res.lb <= res.ub
 
 
 class TestZonotope:

@@ -126,6 +126,40 @@ class TestExitCodes:
         assert err.startswith("error: the weights overflow the Lipschitz "
                               "chain")
 
+    @pytest.mark.parametrize("strict", [False, True],
+                             ids=["warnings-recorded", "warnings-as-errors"])
+    @pytest.mark.parametrize("command", ["lipschitz", "hessian", "bnb"])
+    def test_overflowing_curvature_chain_names_the_cause(self, tmp_path,
+                                                         capsys, command,
+                                                         strict):
+        # the same net with weights scaled by 1e100: its layer norms multiply
+        # to about 1e300, but the Hessian bounds square the first ones.
+        # hessian and bnb refuse it by name before any numpy warning, with
+        # warnings raised as errors or not; lipschitz needs no second order
+        # and reports finite constants
+        import warnings
+        from curvreach.model import Layer, Network
+        path, out = tmp_path / "big.json", tmp_path / "out.json"
+        save_network(Network(tuple(
+            Layer(1e100 * lay.weight, lay.bias, lay.activation)
+            for lay in make_net([2, 4, 3, 1], seed=6100).layers)), path)
+        extra = [] if command == "lipschitz" else ["--direction", "1"]
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("error" if strict else "always",
+                                  RuntimeWarning)
+            code = main([command, "--network", str(path), "--box=-1..1,-1..1",
+                         *extra, "--out", str(out)])
+        assert not seen
+        if command == "lipschitz":
+            assert code == 0
+            data = json.loads(out.read_text())
+            assert np.isfinite([data["L_total"], *data["L_subnet"]]).all()
+        else:
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: the weights overflow the curvature "
+                                  "chain")
+
     @pytest.mark.parametrize("case", ["inf-box", "nan-box", "nan-weight",
                                       "inf-generator", "nan-direction",
                                       "nan-drift"])

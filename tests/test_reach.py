@@ -349,6 +349,58 @@ class TestLockstepDirections:
         if cfg.max_branches == 101:
             assert len(set(rounds)) > 1
 
+    @pytest.mark.parametrize("kind", ["box", "zonotope"])
+    @pytest.mark.parametrize("dims", DEPTHS, ids=["depth2", "depth3",
+                                                  "depth4"])
+    def test_zeroth_order_reach_matches_alone(self, monkeypatch, dims, kind):
+        # without first-order bounds every box of a pass computes L_inf, row
+        # by row, whichever directions carry it
+        cfg = bnb.BnBConfig(eps_t=1e-2, max_branches=101,
+                            use_first_order=False)
+        net = make_net(dims, seed=4600, scale=2.0)
+        input_set = Box(-np.ones(2), np.ones(2)) if kind == "box" \
+            else self.ZONO
+        template = uniform_directions(6)
+        objectives = [ScalarObjective(scalarize(net, c))
+                      for c in template.directions]
+        alone, rounds = self.rounds_alone(monkeypatch, objectives,
+                                          input_set, cfg)
+        passes = self.count_passes(monkeypatch)
+        poly, results = reach_polytope(net, input_set, template, cfg.eps_t,
+                                       cfg)
+        for res, ref in zip(results, alone):
+            assert_same_result(res, ref)
+        assert poly.offsets.tolist() == [r.ub for r in alone]
+        assert len(passes) == max(rounds) < sum(rounds)
+        assert passes[0] == len(objectives)
+
+    @pytest.mark.parametrize("cfg", [
+        bnb.BnBConfig(eps_t=1e-3),
+        bnb.BnBConfig(eps_t=1e-3, use_first_order=False),
+    ], ids=["first-order", "zeroth-order"])
+    @pytest.mark.parametrize("dims", DEPTHS, ids=["depth2", "depth3",
+                                                  "depth4"])
+    def test_point_box_reach_matches_alone(self, monkeypatch, dims, cfg):
+        # a point box is bounded in the one stacked pass of all directions,
+        # and each direction takes its value at the point as both bounds
+        net = make_net(dims, seed=4600, scale=2.0)
+        point = np.array([0.3, -0.2])
+        template = uniform_directions(6)
+        objectives = [ScalarObjective(scalarize(net, c))
+                      for c in template.directions]
+        alone, rounds = self.rounds_alone(monkeypatch, objectives,
+                                          Box(point, point), cfg)
+        passes = self.count_passes(monkeypatch)
+        poly, results = reach_polytope(net, Box(point, point), template,
+                                       cfg.eps_t, cfg)
+        for res, ref, obj in zip(results, alone, objectives):
+            assert_same_result(res, ref)
+            assert res.status == "Converged" and res.branches_processed == 1
+            assert res.lb == res.ub == pytest.approx(obj.value(point),
+                                                     rel=1e-12, abs=1e-12)
+        assert rounds == [1] * len(objectives)
+        assert passes == [len(objectives)]
+
     @pytest.mark.parametrize("cfg", [
         bnb.BnBConfig(eps_t=1e-3),
         # the zeroth-order bound alone reads each direction's linear part
@@ -869,17 +921,29 @@ class TestFaceObjectives:
 
     @pytest.mark.parametrize("name", SYSTEMS)
     def test_bounder_constants(self, name):
+        # L_inf of a stack that holds every face over one box: each row is
+        # the face's own loop-transformed ell_inf constant plus its linear
+        # term's dual norm, bit for bit
+        from curvreach.localize import bounds_for_box
         sys_model = shipped_system(name)
+        init = shipped_initial_set(name)
+        lo, hi = (init.lo, init.hi) if isinstance(init, Box) \
+            else (init.center - 0.1, init.center + 0.1)
         for dirs in direction_stacks(sys_model.dim):
             for faces in (reach._face_objectives(dirs, sys_model),
                           reach._face_objectives(dirs @ sys_model.B,
                                                  sys_model.controller)):
                 bounder = bnb._Bounder(faces, bnb.BnBConfig())
-                assert_same_bits(bounder.head_inf, [
-                    lip._norm(face.net.layers[-1].weight, np.inf)
-                    for face in faces])
-                assert_same_bits(bounder.lin_inf, [
-                    face.linear_dual_norm(np.inf) for face in faces])
+                k = len(faces)
+                cert = bounder._certificate(np.tile(lo, (k, 1)),
+                                            np.tile(hi, (k, 1)))
+                local = bounds_for_box(faces[0].net, lo, hi)
+                lt = lip.default_loop_transform(local)
+                assert_same_bits(
+                    bounder._full_l_inf(cert.slope_hi,
+                                        bounder._stack(np.arange(k))),
+                    [lip.liplt(face.net, local, lt, np.inf)
+                     + face.linear_dual_norm(np.inf) for face in faces])
 
     OVERFLOWS = {
         # (system or net, zonotope or None, directions, the bad one's field)
