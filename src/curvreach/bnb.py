@@ -86,7 +86,10 @@ same pass and takes its center value as its upper bound.
 One failure rule holds: a numerical failure (``_FAILURES``) anywhere in a
 stack's certificate-and-model stage bounds the stack again one box at a
 time, and a box that fails alone is flagged, with its parent's upper bound
-and its center value as lower bound.
+and its center value as lower bound.  Every other exception propagates to
+the caller with its own type, and so does any failed evaluation of the
+objective at a point of a box, which leaves no finite bound to fall back
+to; in a lockstep run it ends the run of every direction.
 
 The directions of a ``Lockstep`` group, given when it is built, run in
 lockstep.  The node loop is a generator, ``_search``, that yields each
@@ -125,7 +128,7 @@ class BnBConfig:
     use_first_order: bool = True
 
     def __post_init__(self):
-        # not > 0 also rejects NaN; inf is the zeroth-order fallback's gap
+        # not > 0 also rejects NaN; inf stops at the root
         if not self.eps_t > 0.0:
             raise ValueError("termination gap eps_t must be positive, got "
                              f"{self.eps_t!r}")
@@ -179,32 +182,32 @@ class Lockstep:
     directions together, over that solve's box and config: each round bounds
     the stacks of all live searches in one stacked pass, in which a box that
     several directions carry gets its box-level certificates once.  The group
-    keeps each direction's outcome by position, and every ``solve`` with it
-    returns its own direction's result, or re-raises the exception that
-    ended its search.  A solve of a direction outside the group, or over
-    another box or with another config, raises ``ValueError``.  Each result
-    is that of solving its direction alone, bit for bit.
+    keeps each direction's result by position, and every ``solve`` with it
+    returns its own direction's result; an exception that ends the run
+    propagates out of the solve that runs it.  A solve of a direction
+    outside the group, or over another box or with another config, raises
+    ``ValueError``.  Each result is that of solving its direction alone, bit
+    for bit.
     """
 
     def __init__(self, objectives):
         self.objs = list(objectives)
-        self._key = self._outcomes = None
+        self._key = self._results = None
 
-    def _outcome(self, obj, lo, hi, cfg, start):
-        """The result of solving ``obj`` over [lo, hi] with ``cfg``, or the
-        exception that ended its search."""
+    def _result(self, obj, lo, hi, cfg, start):
+        """The result of solving ``obj`` over [lo, hi] with ``cfg``."""
         k = next((k for k, q in enumerate(self.objs) if q is obj), None)
         if k is None:
             raise ValueError("the direction is not in its lockstep group")
         key = (lo.tobytes(), hi.tobytes(), cfg)
-        if self._outcomes is None:
-            self._outcomes = _lockstep(_Bounder(self.objs, cfg), lo, hi, cfg,
-                                       start)
+        if self._results is None:
+            self._results = _lockstep(_Bounder(self.objs, cfg), lo, hi, cfg,
+                                      start)
             self._key = key
         elif key != self._key:
             raise ValueError("a lockstep group is solved over one box with "
                              "one config")
-        return self._outcomes[k]
+        return self._results[k]
 
 
 @dataclass(slots=True)
@@ -601,7 +604,9 @@ def solve(obj_or_net, lo, hi, eps_t=None, cfg=None, lockstep=None):
     it changes no result.  The group's first solve runs all its directions in
     lockstep, and each solve returns its own direction's result; its
     ``wall_time_s`` runs from the start of that lockstep run to the end of its
-    own search."""
+    own search.  A numerical failure of a box's certificates or model bounds
+    flags that box (``BnBResult.flagged_nodes``); every other exception
+    propagates."""
     obj = as_objective(obj_or_net)
     cfg = cfg or BnBConfig()
     if eps_t is not None:
@@ -617,12 +622,9 @@ def solve(obj_or_net, lo, hi, eps_t=None, cfg=None, lockstep=None):
 
     start = time.perf_counter()
     if lockstep is None:
-        outcome, = _lockstep(_Bounder([obj], cfg), lo, hi, cfg, start)
-    else:
-        outcome = lockstep._outcome(obj, lo, hi, cfg, start)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+        result, = _lockstep(_Bounder([obj], cfg), lo, hi, cfg, start)
+        return result
+    return lockstep._result(obj, lo, hi, cfg, start)
 
 
 def _pass(bounder, dirs, asks):
@@ -635,42 +637,23 @@ def _pass(bounder, dirs, asks):
     return [nodes[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
-def _own_pass(bounder, direction, ask):
-    """One search's stack bounded alone, or the exception that raised."""
-    try:
-        return bounder.bound(*ask, np.full(len(ask[0]), direction))
-    except Exception as exc:           # re-raised by the search's solve
-        return exc
-
-
 def _lockstep(bounder, lo, hi, cfg, start):
     """One search over [lo, hi] per direction of ``bounder``, run together:
     each round bounds the stacks of all live searches in one stacked pass.
-    Returns each search's ``BnBResult``, or the exception that ended it, for
-    its solve to raise."""
+    Returns each search's ``BnBResult``."""
     searches = [_search(lo, hi, cfg, start) for _ in bounder.objs]
     asks = {i: next(search) for i, search in enumerate(searches)}
-    outcomes = [None] * len(searches)
+    results = [None] * len(searches)
     while asks:
         live = list(asks)
-        try:
-            replies = _pass(bounder, live, [asks[i] for i in live])
-        except Exception as exc:       # re-raised by the search's solve
-            # the round again, one search at a time, so that an exception
-            # ends only the search whose own pass raises it
-            replies = [exc] if len(live) == 1 else [
-                _own_pass(bounder, i, asks[i]) for i in live]
-        for i, reply in zip(live, replies):
-            if isinstance(reply, Exception):
-                outcomes[i] = reply
-            else:
-                try:
-                    asks[i] = searches[i].send(reply)
-                    continue
-                except StopIteration as stop:
-                    outcomes[i] = stop.value
-            del asks[i]
-    return outcomes
+        replies = _pass(bounder, live, [asks[i] for i in live])
+        for i, nodes in zip(live, replies):
+            try:
+                asks[i] = searches[i].send(nodes)
+            except StopIteration as stop:
+                results[i] = stop.value
+                del asks[i]
+    return results
 
 
 def _search(lo, hi, cfg, start):

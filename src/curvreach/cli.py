@@ -5,8 +5,9 @@ Results print to stdout as JSON (including wall time); ``--out`` additionally
 writes the same JSON minus volatile timing fields, so identical configs and
 seeds produce byte-identical files.
 
-Exit codes: 0 success, 1 input error, 2 resource-limit termination (the
-written bracket is still valid).
+Exit codes: 0 success, 1 input error, 2 resource-limit termination or,
+for ``reach``, a face whose solve flagged a node (the written bracket is
+still valid).
 """
 
 import argparse
@@ -208,7 +209,7 @@ def _cmd_reach(args):
     data["flagged_faces"] = list(poly.flagged)
     data["wall_time_s"] = time.perf_counter() - t0
     _emit(data, args.out)
-    limited = any(r is not None and r.status != "Converged" for r in results)
+    limited = any(r.status != "Converged" for r in results)
     return 2 if (limited or poly.flagged) else 0
 
 

@@ -268,11 +268,10 @@ def _golden_min(f, lo, hi, iters=60):
     return mid, f(mid)
 
 
-def refine_loop_transform(net, local, p, sweeps=50, start=None):
+def refine_loop_transform(net, local, p, sweeps=50):
     """Coordinate descent on the loop transformation, projected onto the
     admissible box [0, (slope_lo + slope_hi)/2].  Starts at d = slope_hi/2."""
-    lt = default_loop_transform(local) if start is None else start
-    ds = [d.copy() for d in lt.d]
+    ds = [d.copy() for d in default_loop_transform(local).d]
     caps = [(a + b) / 2.0 for a, b in zip(local.slope_lo, local.slope_hi)]
     best = liplt(net, local, LoopTransform(tuple(ds)), p)
     for _ in range(sweeps):

@@ -187,7 +187,9 @@ def pca_directions(map_or_net, input_set, n_samples=10_000, seed=0):
 
 @dataclass(frozen=True)
 class Polytope:
-    """Intersection of half-spaces normals[i] . y <= offsets[i]."""
+    """Intersection of half-spaces normals[i] . y <= offsets[i].  ``flagged``
+    holds the faces whose solve flagged a node: each offset is still sound,
+    but a flagged node kept its parent's upper bound."""
 
     normals: np.ndarray
     offsets: np.ndarray
@@ -215,15 +217,6 @@ class Polytope:
         (positive only when some face separates it); needs unit normals."""
         point = np.asarray(point, dtype=float)
         return float(np.max(self.normals @ point - self.offsets))
-
-
-def _zeroth_root_offset(objective, box):
-    """Sound fallback face offset: root-level zeroth-order bound only,
-    solved alone, since its config is not the step's."""
-    fallback = bnb.BnBConfig(eps_t=np.inf, use_first_order=False,
-                             max_branches=1)
-    res = bnb.solve(objective, box.lo, box.hi, cfg=fallback)
-    return res.ub, res.lb
 
 
 def _checked_stack(a, name):
@@ -298,9 +291,8 @@ def _support_polytope(dirs, input_set, cfg, f):
     lockstep group, so the first solve runs them all with one stacked bound
     pass per round, in which a box that several directions carry gets its
     box-level certificates, which do not depend on c, once.  Each result is
-    that of solving its direction alone.  A solve that fails numerically
-    falls back to the zeroth-order root face: its row goes into ``flagged``
-    and its result is None."""
+    that of solving its direction alone.  A face whose solve flagged a node
+    goes into ``flagged``; an exception of a solve propagates."""
     box = input_set
     zono = None
     if isinstance(input_set, Zonotope):
@@ -308,22 +300,13 @@ def _support_polytope(dirs, input_set, cfg, f):
         m = input_set.G.shape[1]
         box = Box(-np.ones(m), np.ones(m))
     objectives = _face_objectives(dirs, f, zono)
-    offsets = np.empty(dirs.shape[0])
-    lbs = np.empty(dirs.shape[0])
-    flagged = []
-    results = []
     lockstep = bnb.Lockstep(objectives)
-    for i, objective in enumerate(objectives):
-        try:
-            res = bnb.solve(objective, box.lo, box.hi, cfg=cfg,
-                            lockstep=lockstep)
-            offsets[i], lbs[i] = res.ub, res.lb
-        except bnb._FAILURES:
-            offsets[i], lbs[i] = _zeroth_root_offset(objective, box)
-            flagged.append(i)
-            res = None
-        results.append(res)
-    return Polytope(dirs.copy(), offsets, lbs, tuple(flagged)), results
+    results = [bnb.solve(objective, box.lo, box.hi, cfg=cfg,
+                         lockstep=lockstep) for objective in objectives]
+    offsets = np.array([res.ub for res in results])
+    lbs = np.array([res.lb for res in results])
+    flagged = tuple(i for i, res in enumerate(results) if res.flagged_nodes)
+    return Polytope(dirs.copy(), offsets, lbs, flagged), results
 
 
 def reach_polytope(net, input_set, template, eps_t, cfg=None):
@@ -422,7 +405,7 @@ def _rotation_from_linearization(sys, input_set):
 
 
 def closed_loop_step(sys, input_set, template, eps_t, cfg=None,
-                     next_rep="pca", pca_samples=10_000, seed=0):
+                     next_rep="pca"):
     """One reachability step: polytope for the image of the step map, plus the
     propagated set.  With ``next_rep="hull"`` that set is the axis-aligned
     interval hull of the faces; with ``"pca"`` it is the box whose axes are
@@ -430,9 +413,7 @@ def closed_loop_step(sys, input_set, template, eps_t, cfg=None,
     (``_rotation_from_linearization``; no sampling), which cuts the wrapping
     effect of re-enclosing a rotated image in a box.  Any orthonormal axes
     are sound, since each face offset is a certified solve.  The box's faces,
-    +/- each axis, join the template's rows.
-
-    ``pca_samples`` and ``seed`` are ignored: no step draws samples."""
+    +/- each axis, join the template's rows."""
     if input_set.dim != sys.dim:
         raise ValueError("input set dimension does not match the system")
     if template is not None and template.directions.shape[1] != sys.dim:
@@ -477,7 +458,7 @@ def closed_loop_step(sys, input_set, template, eps_t, cfg=None,
 def closed_loop_reach(sys, initial_set, template, eps_t, steps=None, cfg=None,
                       next_rep="pca", pca_samples=10_000, seed=0):
     """Iterate closed_loop_step, feeding the propagated set forward.
-    ``pca_samples`` and ``seed`` are ignored, as in ``closed_loop_step``."""
+    ``pca_samples`` and ``seed`` are ignored: no step draws samples."""
     steps = sys.horizon if steps is None else steps
     # a whole number >= 1; inf % 1 is NaN, which is truthy
     if (not isinstance(steps, numbers.Real) or isinstance(steps, bool)

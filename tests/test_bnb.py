@@ -478,14 +478,19 @@ class TestFailureEnvelope:
         assert res.lb == res.ub == pytest.approx(obj.value(x))
 
     def test_near_degenerate_finalizes(self):
-        net = make_net([2, 5, 1], seed=3300)
-        obj = ScalarObjective(net)
+        # the root's edges, 9e-14, are below the split threshold, and its
+        # gap is above eps_t: the search pops it, finalizes it unsplit with
+        # its own bounds and stops with an empty heap
+        obj = ScalarObjective(make_net([2, 16, 16, 1], seed=1, scale=3.0))
         lo = np.array([0.3, -0.2])
-        hi = lo + 1e-15
-        res = solve(obj, lo, hi, eps_t=1e-15, cfg=BnBConfig(eps_t=1e-15,
-                                                            max_branches=50))
-        # unsplittable node finalized with its own bounds; bracket stays tiny
-        assert res.ub - res.lb <= 1e-9
+        hi = lo + 9e-14
+        res = solve(obj, lo, hi, cfg=BnBConfig(eps_t=1e-300))
+        assert res.branches_processed == 1
+        assert res.status != "Converged"
+        assert 0.0 < res.ub - res.lb <= 1e-15
+        xs = lo + (hi - lo) * np.random.default_rng(0).random((1000, 2))
+        assert obj.value(xs).max() <= res.ub
+        assert obj.value(res.witness) == pytest.approx(res.lb, rel=1e-15)
 
 
 class TestModelBoundRouting:
@@ -1026,7 +1031,7 @@ class TestLazySpectralBound:
 
         monkeypatch.setattr(lip, "operator_norm", counting)
         closed_loop_step(sys_model, shipped_initial_set(name), template,
-                         1e-3, pca_samples=2000)
+                         1e-3)
         first = sys_model.controller.layers[0].weight.shape[0]
         assert [s[0] for s in shapes] == [first]
 

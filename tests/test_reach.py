@@ -158,37 +158,24 @@ class TestReachPolytope:
             reach_polytope(net, Box(-np.ones(2), np.ones(2)),
                            DirectionTemplate(np.zeros((0, 2)), "none"), 1e-2)
 
-    def test_solver_failure_falls_back_to_root_bound(self, monkeypatch,
-                                                     di_controller):
-        # both callers of the shared per-direction loop: a direction whose
-        # solve raises gets a sound zeroth-order root face and is flagged
+    def test_numerical_solver_failure_propagates(self, monkeypatch,
+                                                 di_controller):
+        # both callers of the shared per-direction loop: a numerical error
+        # that ends a solve is no face, and surfaces with its message
         import curvreach.reach as reach_mod
-        real = reach_mod.bnb.solve
-        calls = {"n": 0}
 
-        def flaky(objective, lo, hi, cfg, lockstep=None):
-            calls["n"] += 1
-            if calls["n"] == 1 and np.isfinite(cfg.eps_t):
-                raise np.linalg.LinAlgError("solver blew up")
-            return real(objective, lo, hi, cfg=cfg, lockstep=lockstep)
+        def failing(objective, lo, hi, cfg, lockstep=None):
+            raise np.linalg.LinAlgError("solver blew up")
 
-        monkeypatch.setattr(reach_mod.bnb, "solve", flaky)
+        monkeypatch.setattr(reach_mod.bnb, "solve", failing)
         net = make_net([2, 6, 2], seed=4300)
-        box = Box(-np.ones(2), np.ones(2))
-        poly, results = reach_polytope(net, box, axes_directions(2), 1e-3)
-        assert results[0] is None
+        with pytest.raises(np.linalg.LinAlgError, match="solver blew up"):
+            reach_polytope(net, Box(-np.ones(2), np.ones(2)),
+                           axes_directions(2), 1e-3)
         step_box = Box(np.array([2.4, -0.1]), np.array([2.6, 0.1]))
-        sys_model = di_system(di_controller)
-        calls["n"] = 0
-        step_poly, _ = closed_loop_step(sys_model, step_box, None, 1e-3,
-                                        next_rep="hull")
-        rng = np.random.default_rng(12)
-        for p, b, fwd in ((poly, box, net.forward),
-                          (step_poly, step_box, sys_model.step_map)):
-            assert p.flagged == (0,)
-            # the fallback face is sound: all outputs still satisfy it
-            ys = fwd(sample_inputs(b, 20_000, rng))
-            assert p.margins(ys).max() <= 1e-9
+        with pytest.raises(np.linalg.LinAlgError, match="solver blew up"):
+            closed_loop_step(di_system(di_controller), step_box, None, 1e-3,
+                             next_rep="hull")
 
     def test_non_numerical_failure_propagates(self, monkeypatch):
         # only numerical failures become flagged faces; a bug surfaces
@@ -494,29 +481,50 @@ class TestLockstepDirections:
                             value_and_grad)
 
     @pytest.mark.parametrize("dims", DEPTHS[:2], ids=["depth2", "depth3"])
+    def test_one_direction_failing_evaluation_propagates(self, monkeypatch,
+                                                         dims):
+        # an evaluation of the objective leaves no finite bound to fall
+        # back to: its error ends the lockstep run in the second round
+        net = make_net(dims, seed=4600, scale=2.0)
+        template = uniform_directions(6)
+        self.fail_after_root(monkeypatch, net, template.directions[2],
+                             FloatingPointError)
+        passes = self.count_passes(monkeypatch)
+        with pytest.raises(FloatingPointError, match="injected"):
+            reach_polytope(net, Box(-np.ones(2), np.ones(2)), template,
+                           1e-2)
+        assert passes == [6, 6]
+
+    @pytest.mark.parametrize("dims", DEPTHS[:2], ids=["depth2", "depth3"])
     def test_one_direction_failing_numerically(self, monkeypatch, dims):
-        # its pass raises in the second round, which is then rerun one
-        # direction at a time: only its face falls back and is flagged
+        # every model stage that holds a box of direction bad away from the
+        # root raises, so the stack is bounded one box at a time and only
+        # that direction's boxes are flagged; every node of it is split
+        # again, so the budget ends its search
         net = make_net(dims, seed=4600, scale=2.0)
         box = Box(-np.ones(2), np.ones(2))
         template = uniform_directions(6)
-        cfg = bnb.BnBConfig(eps_t=1e-2)
+        cfg = bnb.BnBConfig(eps_t=1e-2, max_branches=200)
         alone = [bnb.solve(ScalarObjective(scalarize(net, c)), box.lo,
                            box.hi, cfg=cfg) for c in template.directions]
         bad = 2
-        self.fail_after_root(monkeypatch, net, template.directions[bad],
-                             FloatingPointError)
-        passes = self.count_passes(monkeypatch)
+        row = template.directions[bad] @ net.layers[-1].weight
+        real = bnb._Bounder._linear_bound
+
+        def failing(self, obj, cert, center, r):
+            ours = (obj.net.layers[-1].weight[:, 0, :] == row).all(axis=-1)
+            if np.any(ours & np.any(center != 0.0, axis=-1)):
+                raise FloatingPointError("injected")
+            return real(self, obj, cert, center, r)
+
+        monkeypatch.setattr(bnb._Bounder, "_linear_bound", failing)
         poly, results = reach_polytope(net, box, template, cfg.eps_t, cfg)
         assert poly.flagged == (bad,)
-        assert results[bad] is None
+        assert results[bad].flagged_nodes > 0
         for k, (res, ref) in enumerate(zip(results, alone)):
             if k != bad:
                 assert_same_result(res, ref)
-        # the second round raised stacked and was rerun one direction at a
-        # time; the other five go on in lockstep
-        assert passes[:3] == [6, 6, 5]
-        # the fallback face is sound
+        # the flagged face is sound
         rng = np.random.default_rng(13)
         ys = net.forward(sample_inputs(box, 20_000, rng))
         assert poly.margins(ys).max() <= 1e-9
@@ -569,7 +577,7 @@ class TestClosedLoop:
     def test_di_single_step_containment(self, di_controller):
         sys_model = di_system(di_controller)
         poly, nxt = closed_loop_step(sys_model, hexagon(), None, 1e-3,
-                                     next_rep="pca", seed=0)
+                                     next_rep="pca")
         rng = np.random.default_rng(9)
         xs = sample_inputs(hexagon(), 10_000, rng)
         ys = sys_model.step_map(xs)
