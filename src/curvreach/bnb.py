@@ -27,9 +27,8 @@ w_l`` is summed in full only for the boxes where its first term,
 model grows with ``lam``, so elsewhere the interval model wins whatever the
 other terms, and their ell_2 subnetwork constants ``c_l`` are never
 computed.  At one hidden layer the first term is all of ``lam``.  On the
-shipped double-integrator and quadrotor runs no box needs them, and the
-heads ``||W_2||_2 .. ||W_{L-1}||_2`` of those constants are computed only
-by the first ``_full_lam`` of a solve or lockstep run.
+shipped double-integrator and quadrotor runs no box needs them; the first
+term reads ``||W_1||_2``, taken once per solve or lockstep run.
 
 On a net with one hidden layer a box assembles the ``n x n`` interval
 Hessian only where a floor of its model can beat the linear bound
@@ -160,7 +159,10 @@ class BnBResult:
     branches_processed: int
     max_active: int
     wall_time_s: float                 # from the start of its (lockstep) run
-    status: str                        # Converged | BranchLimit
+    # Converged; BranchLimit, the budget spent with nodes left; or
+    # Exhausted, the heap emptied with the gap above eps_t, as when the
+    # nodes left were all too small to split
+    status: str
     flagged_nodes: int = 0
 
 
@@ -334,9 +336,8 @@ class _Bounder:
     per-direction parts (the output row and bias, the linear term and
     offset) are kept as stacks with one row per direction and gathered by
     direction for each box of a stack, in which one call evaluates the
-    objective.  Of the ell_2 heads, ``heads2`` holds ``||W_1||_2`` until the
-    first ``_full_lam``, which adds the others.  Direction i is
-    ``objs[i]``."""
+    objective.  ``head2`` holds ``||W_1||_2``, which the first term of
+    ``lam`` reads.  Direction i is ``objs[i]``."""
 
     def __init__(self, objs, cfg):
         self.objs = objs
@@ -361,12 +362,9 @@ class _Bounder:
         lip.check_chain(self.weights[:-1] + [self.rows])
         if self.curved:
             lip.check_curvature_chain(self.weights[:-1] + [self.rows])
-        # the ell_2 subnetwork stages open with ||W_1|| .. ||W_{L-1}||, which
-        # depend on neither the box nor the direction.  The first term of
-        # lam reads ||W_1|| only; the others are computed by the first
-        # _full_lam, the one reader of the rest
-        self.heads2 = [lip._norm(self.weights[0], 2)] if self.curved \
-            else None
+        # the first term of lam reads ||W_1||_2, which depends on neither
+        # the box nor the direction
+        self.head2 = lip._norm(self.weights[0], 2) if self.curved else None
         # with one hidden layer, |W_1|^T and (W_1 o W_1)^T, which the floor
         # of the interval model reads (_interval_floor)
         w = self.weights[0]
@@ -464,7 +462,7 @@ class _Bounder:
         # only the subnetwork constants of the report are read: ||W_1||_2,
         # one for all boxes, and zeros, which leave the first term of lam
         report = lip.LipschitzReport(
-            0.0, (self.heads2[0],) + (0.0,) * (len(weights) - 2), 2)
+            0.0, (self.head2,) + (0.0,) * (len(weights) - 2), 2)
         jac = lip._jacobian_rows(self.abs_hidden + [np.abs(weights[-1])],
                                  cert.slope_hi)
         spectral = hs.hessian_norm_bound(net, cert, report, jac)
@@ -507,11 +505,9 @@ class _Bounder:
     def _full_lam(self, slope_hi, terms):
         """The spectral bound lam of a stack of boxes, from their slopes and
         the per-layer factors ``terms`` of ``hessian_norm_bound``."""
-        if len(self.heads2) == 1:
-            self.heads2 += lip._head_norms(self.weights[1:], 2)
         return hs._spectral_sum(
-            lip._report_raw(self.weights, slope_hi, self._ds(slope_hi), 2,
-                            self.heads2), terms)
+            lip._report_raw(self.weights, slope_hi, self._ds(slope_hi), 2),
+            terms)
 
     def _one_by_one(self, lo, hi, index, parent_ub, dirs):
         """``bound`` on each box of a stack as a stack of one."""
@@ -678,7 +674,9 @@ def _search(lo, hi, cfg, start):
         top_ub = top[2].ub if top else -np.inf
         if max(top_ub, finalized_ub, best_lb) - best_lb <= cfg.eps_t:
             return "Converged"
-        if branches >= cfg.max_branches or top is None:
+        if top is None:
+            return "Exhausted"
+        if branches >= cfg.max_branches:
             return "BranchLimit"
         return None
 

@@ -5,9 +5,10 @@ Results print to stdout as JSON (including wall time); ``--out`` additionally
 writes the same JSON minus volatile timing fields, so identical configs and
 seeds produce byte-identical files.
 
-Exit codes: 0 success, 1 input error, 2 resource-limit termination or,
-for ``reach``, a face whose solve flagged a node (the written bracket is
-still valid).
+Exit codes: 0 success, 1 input error, 2 an incomplete run whose written
+bracket is still valid, in three cases: a budget stop (``BranchLimit``), a
+heap that emptied because every node left was too small to split
+(``Exhausted``), or, for ``reach``, a face whose solve flagged a node.
 """
 
 import argparse

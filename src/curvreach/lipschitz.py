@@ -156,11 +156,9 @@ def _check_transform(net, local, lt):
                 f"loop transform at layer {l} violates 0 <= d <= (slope_lo+slope_hi)/2")
 
 
-def _stage(P0, top, memo, weights, ds, p, head=None):
-    """One recursion stage: norm of the x-chain plus the memoized tail terms.
-
-    ``head``, when given, is the already known norm of ``P0``."""
-    norm = _norm(P0, p) if head is None else head
+def _stage(P0, top, memo, weights, ds, p):
+    """One recursion stage: norm of the x-chain plus the memoized tail terms."""
+    norm = _norm(P0, p)
     total = 0.0
     P = P0
     for j in range(top, 0, -1):
@@ -194,21 +192,13 @@ def _total_raw(weights, slope_his, ds, p, memo=None):
     return _unbox(total)
 
 
-def _report_raw(weights, slope_his, ds, p, heads, memo=None):
-    """Subnetwork constants; entry l-1 bounds x -> z^(l).
-
-    Stage l opens with the norm of the unscaled weight W_l, which does not
-    depend on the box, so callers pass these in as ``heads[l-1]``."""
+def _report_raw(weights, slope_his, ds, p, memo=None):
+    """Subnetwork constants; entry l-1 bounds x -> z^(l)."""
     if memo is None:
         memo = _memo_raw(weights, slope_his, ds, p)
-    subnet = (_stage(weights[l - 1], l - 1, memo, weights, ds, p, heads[l - 1])
+    subnet = (_stage(weights[l - 1], l - 1, memo, weights, ds, p)
               for l in range(1, len(weights)))
     return tuple(_unbox(c) for c in subnet)
-
-
-def _head_norms(weights, p):
-    """The ``heads`` of ``_report_raw``: norms of W_1 .. W_{L-1}."""
-    return [_norm(W, p) for W in weights[:-1]]
 
 
 def naive_lipschitz(net, local, p):
@@ -244,8 +234,7 @@ def lipschitz_report(net, local, lt, p):
     ds = list(lt.d)
     memo = _memo_raw(weights, local.slope_hi, ds, p)
     total = _total_raw(weights, local.slope_hi, ds, p, memo)
-    subnet = _report_raw(weights, local.slope_hi, ds, p,
-                         _head_norms(weights, p), memo)
+    subnet = _report_raw(weights, local.slope_hi, ds, p, memo)
     return LipschitzReport(total, subnet, p)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ACTIVATIONS, GLOBAL_CURVATURE, GLOBAL_SLOPE, act_value
+from .model import ACTIVATIONS, act_value
 
 
 @dataclass(frozen=True)
@@ -31,8 +31,9 @@ class LayerIntervals:
 class LocalBounds:
     """Per-hidden-layer slope range [slope_lo, slope_hi] of sigma' and
     curvature range [curv_lo, curv_hi] of sigma''; curv_abs = max(|lo|, |hi|).
-    ``bounds_for_box`` also keeps the preactivation intervals [z_lo, z_hi]
-    that the ranges are taken over; ranges built otherwise have none."""
+    [z_lo, z_hi] are the preactivation intervals that the ranges are taken
+    over: IBP's for ``bounds_for_box``, and arrays of -inf and inf for
+    ``global_bounds``; ranges built directly have none."""
 
     slope_lo: tuple
     slope_hi: tuple
@@ -88,30 +89,13 @@ def ibp_intervals(net, lo, hi):
     return LayerIntervals(tuple(lowers), tuple(uppers))
 
 
-def _interval(lo, hi):
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if np.any(lo > hi):
-        raise ValueError("interval lower bound exceeds upper bound")
-    return lo, hi
-
-
-def slope_range(kind, lo, hi):
-    """Vector of (min, max) of sigma' over the per-unit intervals [lo, hi]."""
-    return ACTIVATIONS[kind].slope_range(*_interval(lo, hi))
-
-
-def curvature_range(kind, lo, hi):
-    """Vector of (min, max) of sigma'' over the per-unit intervals [lo, hi]."""
-    return ACTIVATIONS[kind].curv_range(*_interval(lo, hi))
-
-
 def local_bounds(net, intervals):
     """LocalBounds for every hidden layer from its preactivation intervals,
     which it keeps.
 
     The intervals are taken as ``ibp_intervals`` builds them, ``c -+ r`` with
-    ``r >= 0`` from a checked box, so ``lo <= hi`` is not checked again."""
+    ``r >= 0`` from a checked box, or as the whole line, so ``lo <= hi`` is
+    not checked again."""
     s_lo, s_hi, c_lo, c_hi = [], [], [], []
     for lay, zl, zu in zip(net.layers[:-1], intervals.lower, intervals.upper):
         act = ACTIVATIONS[lay.activation]
@@ -126,17 +110,11 @@ def local_bounds(net, intervals):
 
 
 def global_bounds(net):
-    """LocalBounds filled with the activations' global constants."""
-    s_lo, s_hi, c_lo, c_hi = [], [], [], []
-    for lay in net.layers[:-1]:
-        n = lay.weight.shape[0]
-        ga, gb = GLOBAL_SLOPE[lay.activation]
-        ca, cb = GLOBAL_CURVATURE[lay.activation]
-        s_lo.append(np.full(n, ga))
-        s_hi.append(np.full(n, gb))
-        c_lo.append(np.full(n, ca))
-        c_hi.append(np.full(n, cb))
-    return LocalBounds(tuple(s_lo), tuple(s_hi), tuple(c_lo), tuple(c_hi))
+    """LocalBounds over the whole real line: ``local_bounds`` over the
+    intervals ``(-inf, inf)`` of every hidden unit."""
+    lower = tuple(np.full(lay.weight.shape[0], -np.inf)
+                  for lay in net.layers[:-1])
+    return local_bounds(net, LayerIntervals(lower, tuple(-z for z in lower)))
 
 
 def bounds_for_box(net, lo, hi):

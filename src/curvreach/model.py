@@ -7,7 +7,7 @@ evaluation accepts ``(n,)`` vectors or ``(N, n)`` row stacks.
 Each activation is defined once, as a row of ``ACTIVATIONS``: sigma, sigma'
 and sigma'', and the guarded ranges of sigma' (slope) and sigma'' (curvature)
 over per-unit intervals ``[lo, hi]``.  The global ranges are those interval
-ranges over the whole real line.
+ranges over the whole real line, which ``localize.global_bounds`` takes.
 """
 
 import math
@@ -119,15 +119,6 @@ ACTIVATIONS = {
 }
 
 
-def _whole_line(range_fn):
-    return tuple(float(v) for v in range_fn(-np.inf, np.inf))
-
-
-# Global ranges of sigma' (slope) and sigma'' (curvature) per activation.
-GLOBAL_SLOPE = {k: _whole_line(a.slope_range) for k, a in ACTIVATIONS.items()}
-GLOBAL_CURVATURE = {k: _whole_line(a.curv_range) for k, a in ACTIVATIONS.items()}
-
-
 def act_value(kind, x):
     return ACTIVATIONS[kind].value(np.asarray(x, dtype=float))
 
@@ -219,21 +210,12 @@ class Network:
         return self.output_dim == 1
 
     def forward(self, x):
-        """Network output; accepts a single input vector or a batch of rows.
-        Each layer's product is a fresh array, which the bias and, where the
-        activation is a ufunc, the activation then overwrite; ``x`` is never
-        written.  The bits are those of ``preactivations(x)[-1]``."""
+        """Network output; accepts a single input vector or a batch of rows."""
         a = np.asarray(x, dtype=float)
         if a.shape[-1] != self.input_dim:
             raise ValueError(
                 f"input dimension {a.shape[-1]} != network input {self.input_dim}")
-        for lay in self.layers:
-            a = a @ lay.weight.T
-            a += lay.bias
-            if lay.activation is not None:
-                act = ACTIVATIONS[lay.activation].value
-                a = act(a, out=a) if isinstance(act, np.ufunc) else act(a)
-        return a
+        return self.preactivations(a)[-1]
 
     def preactivations(self, x):
         """List of z^(l) for hidden layers, plus the final output, at x.  It

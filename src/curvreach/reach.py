@@ -212,12 +212,6 @@ class Polytope:
     def contains(self, points, tol=1e-9):
         return bool(np.all(self.margins(points) <= tol))
 
-    def separation_from(self, point):
-        """Certified lower bound on the distance from a point to the polytope
-        (positive only when some face separates it); needs unit normals."""
-        point = np.asarray(point, dtype=float)
-        return float(np.max(self.normals @ point - self.offsets))
-
 
 def _checked_stack(a, name):
     """``a``, frozen, after the finiteness check that names it ``name``."""

@@ -6,18 +6,18 @@ Hessian certificate, and maximizes the resulting quadratic model exactly
 (closed form for the ell_2 ball, separable for the ell_inf ball and for a box
 given by per-coordinate radii).  With a matrix bound M, ``vertex_upper``
 enumerates the vertices of one box, exact whenever M's diagonal is
-nonnegative (the model is then convex along each axis): all vertex values
-are one product of a fixed sign table with the model's coefficients.  The
-dual bisection bounds the model over an ell_2 ball for any M.  Branch and
-bound uses neither: its nodes take the isotropic maximizer of
-``optimal_perturbation`` and the model values of ``_model_value``.
+nonnegative (the model is then convex along each axis): the vertex values
+are products of a sign table, built per block of vertices on each call,
+with the model's coefficients.  The dual bisection bounds the model over an
+ell_2 ball for any M.  Branch and bound uses neither: its nodes take the
+isotropic maximizer of ``optimal_perturbation`` and the model values of
+``_model_value``.
 
 ``optimal_perturbation`` (for p=inf) also takes a stack of boxes, every
 argument with a leading batch axis, and returns one result per box, each
 equal to what the box alone gives.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -222,14 +222,6 @@ def _sign_rows(n, start, stop):
     return np.hstack([s, (s[:, :, None] * s[:, None, :]).reshape(len(s), -1)])
 
 
-@functools.lru_cache(maxsize=None)
-def _sign_table(n):
-    """The whole sign table of an n-box that fits one block, kept."""
-    table = _sign_rows(n, 0, 1 << n)
-    table.flags.writeable = False
-    return table
-
-
 def vertex_upper(grad, M, lo, hi, center=None, return_witness=False):
     """Exact max of the quadratic model g . d + d^T M d / 2, d = x - center,
     over the box [lo, hi] when every M_ii >= 0 (center defaults to the box
@@ -248,9 +240,10 @@ def vertex_upper(grad, M, lo, hi, center=None, return_witness=False):
     With delta = m + s * h over the vertices (m, h the mid-point and half-
     width of the box around c, s in {-1, 1}^n), the model is g . m + m^T M m
     / 2 + sum_j s_j L_j + sum_jk s_j s_k Q_jk, with L = h * (g + sym(M) m)
-    and Q = (h h^T) * M / 2, so all vertex values are one product of the
-    fixed sign table ``[S | S (x) S]`` with ``[L, vec Q]``, in blocks of at
-    most 2**12 vertices.  Vertex i takes hi_j where bit j of i is set, and
+    and Q = (h h^T) * M / 2, so the vertex values are products of the sign
+    table ``[S | S (x) S]`` with ``[L, vec Q]``, in blocks of at most 2**12
+    vertices, each block's rows built when it is reached
+    (``_sign_rows``).  Vertex i takes hi_j where bit j of i is set, and
     ties go to the first vertex.  Arguments that are not finite, not of one
     box's shapes, or with lo > hi raise ValueError.
     """
@@ -277,8 +270,7 @@ def vertex_upper(grad, M, lo, hi, center=None, return_witness=False):
     coef = np.concatenate([h * (g + sym_m), (0.5 * np.outer(h, h) * M).ravel()])
     total = 1 << n
     for start in range(0, total, _BLOCK):
-        table = _sign_table(n) if total <= _BLOCK \
-            else _sign_rows(n, start, min(start + _BLOCK, total))
+        table = _sign_rows(n, start, min(start + _BLOCK, total))
         vals = table @ coef
         k = int(np.argmax(vals))
         if start == 0 or vals[k] > best:

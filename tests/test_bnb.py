@@ -480,13 +480,13 @@ class TestFailureEnvelope:
     def test_near_degenerate_finalizes(self):
         # the root's edges, 9e-14, are below the split threshold, and its
         # gap is above eps_t: the search pops it, finalizes it unsplit with
-        # its own bounds and stops with an empty heap
+        # its own bounds and stops with an empty heap, its budget unspent
         obj = ScalarObjective(make_net([2, 16, 16, 1], seed=1, scale=3.0))
         lo = np.array([0.3, -0.2])
         hi = lo + 9e-14
         res = solve(obj, lo, hi, cfg=BnBConfig(eps_t=1e-300))
         assert res.branches_processed == 1
-        assert res.status != "Converged"
+        assert res.status == "Exhausted"
         assert 0.0 < res.ub - res.lb <= 1e-15
         xs = lo + (hi - lo) * np.random.default_rng(0).random((1000, 2))
         assert obj.value(xs).max() <= res.ub

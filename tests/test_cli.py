@@ -371,6 +371,23 @@ class TestExitCodes:
                      "--max-branches", "9"])
         assert code == 2
 
+    def test_exhausted_heap_exit_2(self, tmp_path, capsys):
+        # the root's edges, 9e-14, are below the split threshold and its gap
+        # is above eps_t: the heap empties after one node, well within the
+        # budget, and the run stops with status Exhausted, not BranchLimit
+        net = tmp_path / "deep.json"
+        save_network(make_net([2, 16, 16, 1], seed=1, scale=3.0), net)
+        lo = [0.3, -0.2]
+        hi = (np.array(lo) + 9e-14).tolist()
+        box = ",".join(f"{a!r}..{b!r}" for a, b in zip(lo, hi))
+        out = tmp_path / "bnb.json"
+        code = main(["bnb", "--network", str(net), "--direction", "1",
+                     f"--box={box}", "--eps-t", "1e-300", "--out", str(out)])
+        assert code == 2
+        data = json.loads(out.read_text())
+        assert data["status"] == "Exhausted"
+        assert data["branches_processed"] == 1
+
 
 class TestLipschitzCommand:
     def test_json_fields(self, tanh_file, tmp_path, capsys):

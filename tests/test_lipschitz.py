@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from curvreach import oracle
+from curvreach import lipschitz as lip, oracle
 from curvreach.lipschitz import (LoopTransform, default_loop_transform,
                                  jacobian_elementwise_bounds, liplt,
                                  lipschitz_report, naive_lipschitz,
@@ -250,6 +250,31 @@ class TestSubnet:
         lt = default_loop_transform(local)
         rep = lipschitz_report(net, local, lt, 2)
         assert rep.total == pytest.approx(liplt(net, local, lt, 2), abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("dims", [[3, 8, 1], [3, 8, 6, 2],
+                                      [2, 10, 5, 5, 1], [6, 32, 32, 1]])
+    def test_stacked_raw_report_per_box(self, dims, seed):
+        # the raw recursion over a stack of boxes gives each box the
+        # constants of its own report, bit for bit
+        net = make_net(dims, seed=seed, scale=2.0)
+        rng = np.random.default_rng(seed)
+        c = rng.uniform(-1.0, 1.0, (7, dims[0]))
+        r = rng.uniform(0.0, 0.5, (7, dims[0]))
+        local = bounds_for_box(net, c - r, c + r)
+        ds = list(default_loop_transform(local).d)
+        weights = [lay.weight for lay in net.layers]
+        for p in (2, np.inf):
+            total = lip._total_raw(weights, local.slope_hi, ds, p)
+            # the first constant is ||W_1||, one float for every box
+            subnet = [np.broadcast_to(s, (7,))
+                      for s in lip._report_raw(weights, local.slope_hi, ds, p)]
+            for k in range(7):
+                alone = bounds_for_box(net, c[k] - r[k], c[k] + r[k])
+                rep = lipschitz_report(net, alone,
+                                       default_loop_transform(alone), p)
+                assert total[k] == rep.total
+                assert [s[k] for s in subnet] == list(rep.subnet)
 
 
 class TestJacobianElementwise:

@@ -41,8 +41,8 @@ class TestForward:
 
     @pytest.mark.parametrize("act", list(Activation))
     def test_matches_preactivations_bit_for_bit(self, act):
-        # forward overwrites each layer's fresh product in place and keeps
-        # no layer; read-only inputs show that it never writes x
+        # forward returns the last of the preactivations; read-only inputs
+        # show that it never writes x
         net = make_net([3, 6, 5, 2], act=act, seed=17, scale=2.0)
         xs = np.random.default_rng(17).standard_normal((9, 3))
         xs.flags.writeable = False

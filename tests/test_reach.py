@@ -92,9 +92,11 @@ class TestPolytope:
         assert not poly.contains(pts)
 
     def test_separation_certificate(self):
+        # with unit normals, a positive margin bounds the distance from the
+        # point to the polytope from below
         poly = Polytope(axes_directions(2).directions, np.ones(4))
-        assert poly.separation_from(np.array([3.0, 0.0])) == pytest.approx(2.0)
-        assert poly.separation_from(np.array([0.0, 0.0])) < 0
+        assert poly.margins(np.array([3.0, 0.0]))[0] == pytest.approx(2.0)
+        assert poly.margins(np.array([0.0, 0.0]))[0] < 0
 
 
 class TestReachPolytope:
