@@ -8,7 +8,8 @@ seeds produce byte-identical files.
 Exit codes: 0 success, 1 input error, 2 an incomplete run whose written
 bracket is still valid, in three cases: a budget stop (``BranchLimit``), a
 heap that emptied because every node left was too small to split
-(``Exhausted``), or, for ``reach``, a face whose solve flagged a node.
+(``Exhausted``), or, for ``reach`` and ``closedloop``, a face whose solve
+flagged a node or did not converge (``flagged_faces``, ``unconverged_faces``).
 """
 
 import argparse
@@ -196,6 +197,11 @@ def _cmd_bnb(args):
     return 0 if res.status == "Converged" else 2
 
 
+def _polytopes_exit(polys):
+    """2 when a face of any polytope is flagged or unconverged, else 0."""
+    return 2 if any(p.flagged or p.unconverged for p in polys) else 0
+
+
 def _cmd_reach(args):
     cfg = _bnb_config(args)
     net = fileio.load_network(args.network)
@@ -204,14 +210,13 @@ def _cmd_reach(args):
     if template is None:
         template = reach.pca_directions(net, input_set, pca_n, seed=args.seed)
     t0 = time.perf_counter()
-    poly, results = reach.reach_polytope(net, input_set, template, args.eps_t,
-                                         cfg)
+    poly, _ = reach.reach_polytope(net, input_set, template, args.eps_t, cfg)
     data = fileio.polytope_to_dict(poly)
     data["flagged_faces"] = list(poly.flagged)
+    data["unconverged_faces"] = list(poly.unconverged)
     data["wall_time_s"] = time.perf_counter() - t0
     _emit(data, args.out)
-    limited = any(r.status != "Converged" for r in results)
-    return 2 if (limited or poly.flagged) else 0
+    return _polytopes_exit([poly])
 
 
 def _cmd_closedloop(args):
@@ -246,10 +251,14 @@ def _cmd_closedloop(args):
         "steps": steps,
         "faces_per_step": int(polys[0].normals.shape[0]),
         "out_dir": str(out_dir),
+        "flagged_faces": [[t, i] for t, poly in enumerate(polys, start=1)
+                          for i in poly.flagged],
+        "unconverged_faces": [[t, i] for t, poly in enumerate(polys, start=1)
+                              for i in poly.unconverged],
         "wall_time_s": time.perf_counter() - t0,
     }
     _emit(summary, args.out)
-    return 0
+    return _polytopes_exit(polys)
 
 
 def _cmd_audit(args):

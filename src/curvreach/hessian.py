@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lipschitz as lip
+from .model import _unchecked
 
 
 @dataclass(frozen=True)
@@ -30,7 +31,7 @@ class MatrixHessianBound:
     """Symmetric M, N with N <= hess J(x) <= M on the certified region.
     Public construction checks that M and N are finite square matrices of
     one shape with M - N PSD; ``two_layer_matrix_bounds`` builds its pair
-    through ``_dominating``, which skips the check."""
+    with ``model._unchecked``, which skips the check."""
 
     M: np.ndarray
     N: np.ndarray
@@ -46,13 +47,6 @@ class MatrixHessianBound:
             raise ValueError("upper matrix does not dominate lower matrix")
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "N", N)
-
-    @classmethod
-    def _dominating(cls, M, N):
-        """(M, N), float arrays with M - N PSD by construction, unchecked."""
-        bound = object.__new__(cls)
-        bound.__dict__.update(M=M, N=N)
-        return bound
 
 
 @dataclass(frozen=True)
@@ -97,8 +91,8 @@ def two_layer_matrix_bounds(net, local):
         """W1^T diag(coeff) W1, symmetrized."""
         G = (W1 * coeff[:, None]).T @ W1
         return (G + G.T) / 2.0
-    return MatrixHessianBound._dominating(sandwich(cb * pos + ca * neg),
-                                          sandwich(ca * pos + cb * neg))
+    return _unchecked(MatrixHessianBound, M=sandwich(cb * pos + ca * neg),
+                      N=sandwich(ca * pos + cb * neg))
 
 
 def _weighted_suffix_liplt(weights, slope_his, l, h):

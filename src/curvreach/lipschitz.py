@@ -238,13 +238,15 @@ def lipschitz_report(net, local, lt, p):
     return LipschitzReport(total, subnet, p)
 
 
-def _golden_min(f, lo, hi, iters=60):
+def _golden_min(f, lo, hi):
+    """60 golden-section steps for a minimum of f on [lo, hi]; (t, f(t)) at
+    the last bracket's midpoint t."""
     gr = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - gr * (b - a)
     d = a + gr * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(60):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - gr * (b - a)

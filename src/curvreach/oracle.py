@@ -11,6 +11,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .lipschitz import _golden_min
 from .model import act_deriv, act_second
 
 
@@ -75,35 +76,20 @@ def polished_max(fn, lo, hi, n_per_axis=0, n_random=0, seed=0, starts=5,
     order = np.argsort(vals)[::-1]
     best_val = float(vals[order[0]])
     best_arg = pts[order[0]]
-    gr = (np.sqrt(5.0) - 1.0) / 2.0
     for k in order[:starts]:
         x = pts[k].copy()
         fx = float(fn(x[None, :])[0])
         for _ in range(sweeps):
             for i in range(n):
-                a, b = lo[i], hi[i]
-                c = b - gr * (b - a)
-                d = a + gr * (b - a)
-                xc, xd = x.copy(), x.copy()
-                xc[i], xd[i] = c, d
-                fc = float(fn(xc[None, :])[0])
-                fd = float(fn(xd[None, :])[0])
-                for _ in range(60):
-                    if fc > fd:
-                        b, d, fd = d, c, fc
-                        c = b - gr * (b - a)
-                        xc[i] = c
-                        fc = float(fn(xc[None, :])[0])
-                    else:
-                        a, c, fc = c, d, fd
-                        d = a + gr * (b - a)
-                        xd[i] = d
-                        fd = float(fn(xd[None, :])[0])
-                cand = x.copy()
-                cand[i] = (a + b) / 2.0
-                f_cand = float(fn(cand[None, :])[0])
-                if f_cand > fx:  # never regress on non-unimodal slices
-                    x, fx = cand, f_cand
+                def neg_slice(t, x=x, i=i):
+                    y = x.copy()
+                    y[i] = t
+                    return -float(fn(y[None, :])[0])
+
+                t, neg = _golden_min(neg_slice, lo[i], hi[i])
+                if -neg > fx:  # never regress on non-unimodal slices
+                    x, fx = x.copy(), -neg
+                    x[i] = t
         if fx > best_val:
             best_val = fx
             best_arg = x

@@ -188,13 +188,15 @@ def pca_directions(map_or_net, input_set, n_samples=10_000, seed=0):
 @dataclass(frozen=True)
 class Polytope:
     """Intersection of half-spaces normals[i] . y <= offsets[i].  ``flagged``
-    holds the faces whose solve flagged a node: each offset is still sound,
-    but a flagged node kept its parent's upper bound."""
+    holds the faces whose solve flagged a node, which kept its parent's upper
+    bound, and ``unconverged`` those whose solve ended with a status other
+    than ``Converged``; each offset is still sound."""
 
     normals: np.ndarray
     offsets: np.ndarray
     lbs: np.ndarray | None = None
     flagged: tuple = ()
+    unconverged: tuple = ()
 
     def __post_init__(self):
         nr = np.asarray(self.normals, dtype=float)
@@ -285,8 +287,8 @@ def _support_polytope(dirs, input_set, cfg, f):
     lockstep group, so the first solve runs them all with one stacked bound
     pass per round, in which a box that several directions carry gets its
     box-level certificates, which do not depend on c, once.  Each result is
-    that of solving its direction alone.  A face whose solve flagged a node
-    goes into ``flagged``; an exception of a solve propagates."""
+    that of solving its direction alone, and fills the polytope's ``flagged``
+    and ``unconverged``; an exception of a solve propagates."""
     box = input_set
     zono = None
     if isinstance(input_set, Zonotope):
@@ -300,7 +302,9 @@ def _support_polytope(dirs, input_set, cfg, f):
     offsets = np.array([res.ub for res in results])
     lbs = np.array([res.lb for res in results])
     flagged = tuple(i for i, res in enumerate(results) if res.flagged_nodes)
-    return Polytope(dirs.copy(), offsets, lbs, flagged), results
+    unconverged = tuple(i for i, res in enumerate(results)
+                        if res.status != "Converged")
+    return Polytope(dirs.copy(), offsets, lbs, flagged, unconverged), results
 
 
 def reach_polytope(net, input_set, template, eps_t, cfg=None):
@@ -406,8 +410,8 @@ def closed_loop_step(sys, input_set, template, eps_t, cfg=None,
     the principal axes of the step map's first-order image of the input set
     (``_rotation_from_linearization``; no sampling), which cuts the wrapping
     effect of re-enclosing a rotated image in a box.  Any orthonormal axes
-    are sound, since each face offset is a certified solve.  The box's faces,
-    +/- each axis, join the template's rows."""
+    are sound, since each face offset is a certified solve.  The faces +/- each
+    column of the axes R (R = I for the hull) join the template's rows."""
     if input_set.dim != sys.dim:
         raise ValueError("input set dimension does not match the system")
     if template is not None and template.directions.shape[1] != sys.dim:
@@ -416,13 +420,11 @@ def closed_loop_step(sys, input_set, template, eps_t, cfg=None,
                          f"dimension is {sys.dim}")
     cfg = replace(cfg or bnb.BnBConfig(), eps_t=eps_t)
     n = sys.dim
-    if next_rep == "pca":
-        R = _rotation_from_linearization(sys, input_set)
-        rep_dirs = np.concatenate([R.T, -R.T], axis=0)
-    elif next_rep == "hull":
-        rep_dirs = axes_directions(n).directions
-    else:
+    if next_rep not in ("pca", "hull"):
         raise ValueError(f"unknown set representation {next_rep!r}")
+    R = np.eye(n) if next_rep == "hull" \
+        else _rotation_from_linearization(sys, input_set)
+    rep_dirs = np.concatenate([R.T, -R.T], axis=0)
 
     if template is None:
         dirs = rep_dirs
@@ -443,10 +445,8 @@ def closed_loop_step(sys, input_set, template, eps_t, cfg=None,
     mid = (lo_t + hi_t) / 2.0
     rad = (hi_t - lo_t) / 2.0
     if next_rep == "hull":
-        next_set = Box(mid - rad, mid + rad)
-    else:
-        next_set = Zonotope(R * rad[None, :], R @ mid)
-    return poly, next_set
+        return poly, Box(mid - rad, mid + rad)
+    return poly, Zonotope(R * rad[None, :], R @ mid)
 
 
 def closed_loop_reach(sys, initial_set, template, eps_t, steps=None, cfg=None,

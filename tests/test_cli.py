@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curvreach import reach
+from curvreach import bnb, reach
 from curvreach.cli import main
 from curvreach.fileio import (dumps17, load_network, load_system, load_zonotope,
                               parse_box, polytope_to_dict, save_network)
 from curvreach.model import network_to_dict
-from conftest import linear_net, make_net
+from conftest import DATA, linear_net, make_net
 
 
 @pytest.fixture
@@ -387,6 +387,74 @@ class TestExitCodes:
         data = json.loads(out.read_text())
         assert data["status"] == "Exhausted"
         assert data["branches_processed"] == 1
+
+    def test_closedloop_budget_stop_exit_2(self, tmp_path, capsys):
+        # all 8 faces of the step, the hexagon's 4 axes and the PCA box's 4,
+        # stop at a budget of one branch: like reach, the run exits 2, and
+        # its summary lists every face as unconverged
+        out = tmp_path / "summary.json"
+        code = main(["closedloop", "--system", str(DATA / "di_system.json"),
+                     "--controller", str(DATA / "di_controller.json"),
+                     "--zonotope", str(DATA / "di_hexagon.json"),
+                     "--steps", "1", "--eps-t", "1e-12", "--max-branches",
+                     "1", "--out-dir", str(tmp_path / "run"),
+                     "--out", str(out)])
+        assert code == 2
+        data = json.loads(out.read_text())
+        assert data["flagged_faces"] == []
+        assert data["unconverged_faces"] == [[1, i] for i in range(8)]
+
+    @staticmethod
+    def fail_numerically(monkeypatch, row):
+        """Every linear bound of a stack that holds a box away from the root
+        of the direction whose output row is ``row`` raises."""
+        real = bnb._Bounder._linear_bound
+
+        def failing(self, obj, cert, center, r):
+            ours = (obj.net.layers[-1].weight[:, 0, :] == row).all(axis=-1)
+            if np.any(ours & np.any(center != 0.0, axis=-1)):
+                raise FloatingPointError("injected")
+            return real(self, obj, cert, center, r)
+
+        monkeypatch.setattr(bnb._Bounder, "_linear_bound", failing)
+
+    def test_reach_flagged_face_listed_exit_2(self, monkeypatch, tmp_path,
+                                              capsys):
+        # only the failing direction's boxes are flagged; each of its nodes
+        # is split again, so its solve also ends at the budget
+        net = make_net([2, 6, 2], seed=4600, scale=2.0)
+        path = tmp_path / "net.json"
+        save_network(net, path)
+        bad = 2
+        self.fail_numerically(monkeypatch, reach.uniform_directions(6)
+                              .directions[bad] @ net.layers[-1].weight)
+        out = tmp_path / "poly.json"
+        code = main(["reach", "--network", str(path), "--box=-1..1,-1..1",
+                     "--dirs", "uniform:6", "--eps-t", "1e-2",
+                     "--max-branches", "200", "--out", str(out)])
+        assert code == 2
+        data = json.loads(out.read_text())
+        assert data["flagged_faces"] == [bad]
+        assert bad in data["unconverged_faces"]
+
+    def test_closedloop_flagged_face_listed_exit_2(self, monkeypatch,
+                                                   tmp_path, capsys):
+        # face 1 is the axis direction e2, whose output row is (e2 B) W_L
+        system = load_system(DATA / "di_system.json",
+                             load_network(DATA / "di_controller.json"))
+        self.fail_numerically(monkeypatch, np.array([0.0, 1.0]) @ system.B
+                              @ system.controller.layers[-1].weight)
+        out = tmp_path / "summary.json"
+        code = main(["closedloop", "--system", str(DATA / "di_system.json"),
+                     "--controller", str(DATA / "di_controller.json"),
+                     "--zonotope", str(DATA / "di_hexagon.json"),
+                     "--steps", "1", "--eps-t", "1e-3", "--max-branches",
+                     "200", "--out-dir", str(tmp_path / "run"),
+                     "--out", str(out)])
+        assert code == 2
+        data = json.loads(out.read_text())
+        assert data["flagged_faces"] == [[1, 1]]
+        assert [1, 1] in data["unconverged_faces"]
 
 
 class TestLipschitzCommand:

@@ -154,6 +154,19 @@ class TestReachPolytope:
         inside_few = few.margins(probe) <= 0
         assert np.all(~inside_more | inside_few)
 
+    def test_budget_stopped_faces_unconverged(self):
+        net = make_net([2, 6, 2], seed=4300, scale=2.0)
+        box = Box(-np.ones(2), np.ones(2))
+        cfg = bnb.BnBConfig(max_branches=1)
+        poly, results = reach_polytope(net, box, uniform_directions(6), 1e-12,
+                                       cfg)
+        assert [res.status for res in results] == ["BranchLimit"] * 6
+        assert poly.unconverged == tuple(range(6))
+        assert poly.flagged == ()
+        poly, _ = reach_polytope(linear_net(np.eye(2)), box,
+                                 axes_directions(2), 1e-6)
+        assert poly.unconverged == ()
+
     def test_empty_template_rejected(self):
         net = make_net([2, 4, 2], seed=1)
         with pytest.raises(ValueError):
@@ -628,6 +641,27 @@ class TestClosedLoop:
         poly, nxt = closed_loop_step(sys_model, box, None, 1e-6,
                                      next_rep="hull")
         assert np.allclose((nxt.lo + nxt.hi) / 2, drift, atol=1e-5)
+
+    def test_unknown_next_rep_rejected_before_any_solve(self, monkeypatch,
+                                                         di_controller):
+        solves = []
+        monkeypatch.setattr(reach.bnb, "solve",
+                            lambda *args, **kw: solves.append(args))
+        with pytest.raises(ValueError, match="'zonotope'"):
+            closed_loop_step(di_system(di_controller), hexagon(), None, 1e-3,
+                             next_rep="zonotope")
+        assert solves == []
+
+    @pytest.mark.parametrize("template", [None, uniform_directions(8)],
+                             ids=["alone", "u8"])
+    def test_hull_faces_are_the_axes(self, di_controller, template):
+        # the template's own copies of the axes are dropped, and the hull's
+        # faces close the stack, bit for bit those of the axes template
+        poly, _ = closed_loop_step(di_system(di_controller), hexagon(),
+                                   template, 1e-2, next_rep="hull")
+        assert poly.normals.shape[0] == (4 if template is None else 8)
+        assert (poly.normals[-4:].tobytes()
+                == axes_directions(2).directions.tobytes())
 
     def test_dimension_mismatch(self, di_controller):
         sys_model = di_system(di_controller)
