@@ -34,6 +34,21 @@ On a net with one hidden layer a box assembles the ``n x n`` interval
 Hessian only where a floor of its model can beat the linear bound
 (``_interval_floor``).
 
+Once a stack is bounded, the monotonicity test of interval branch and bound
+(Hansen and Walster, 2004; ``_Bounder._collapse``) examines each box that
+assembled the interval Hessian and whose own gap ``ub - lb`` exceeds
+``eps_t``, so a solve that converges at its root is never touched.  With
+``g = grad J(c)``, half-edges ``r`` and ``|H| = max(|H_lo|, |H_hi|)``, the
+derivative ``dJ/dx_i`` keeps the sign of ``g_i`` over the box where ``|g_i|
+> (|H| r)_i`` (``_monotone``), and then the supremum lies on the face
+``x_i = hi_i`` if ``g_i > 0``, else ``x_i = lo_i``.  The node moves onto the
+face of each such axis: it takes the face's center and split axis, and the
+better of J at the face's center and at ``x_iso`` clipped to the face as its
+lower bound and witness, while its upper bound stays the full box's.  A face
+that is a point is a point node, with ``lb = ub = J(point)``.  Later splits
+never spend nodes on a collapsed axis.  Nothing is bounded again in the same
+pass, and the zeroth-order ablation tests no box.
+
 The zeroth-order bound is the fallback of a failed first-order
 certificate.  A box keeps its first-order bound unless the linear bound, the
 ``lam`` model or the interval model is NaN or inf; only those boxes run the
@@ -257,16 +272,40 @@ def _failed(bounds):
 
 
 def _interval_quad(weights, cert, ad):
-    """``|d|^T A |d|`` of each box of a stack, from its interval Hessian
-    ``[H_lo, H_hi]`` and ``ad = |d|``, where ``A_ij = max(|H_lo,ij|,
+    """``(|d|^T A |d|, A, diag)`` of each box of a stack, from its interval
+    Hessian ``[H_lo, H_hi]`` and ``ad = |d|``, where ``A_ij = max(|H_lo,ij|,
     |H_hi,ij|)`` off the diagonal and ``A_ii = max(H_hi,ii, 0)``: ``A``
-    bounds ``|H_ij|`` off the diagonal and ``H_ii`` on it."""
+    bounds ``|H_ij|`` off the diagonal and ``H_ii`` on it.  ``diag`` holds
+    the ``max(|H_lo,ii|, |H_hi,ii|)`` that ``A_ii`` replaced, which the
+    monotonicity test reads (``_Bounder._collapse``)."""
     h_lo, h_hi = hs._interval_hessian_raw(weights, cert.jac_mid, cert.jac_rad,
                                           cert)
     A = np.maximum(np.abs(h_lo), np.abs(h_hi))
     i = np.arange(A.shape[-1])
+    diag = A[:, i, i]
     A[:, i, i] = np.maximum(h_hi[:, i, i], 0.0)
-    return taylor._dot(ad, (A @ ad[..., None])[..., 0])
+    return taylor._dot(ad, (A @ ad[..., None])[..., 0]), A, diag
+
+
+def _monotone(g, s, r):
+    """The monotone axes of each box ``center +- r`` of a stack, from its
+    gradient ``g`` at the center and ``s = |H| r``, which bounds ``|dJ/dx_i
+    - g_i|`` over the box: ``r_i > 0`` and ``|g_i|`` above ``s_i`` by a
+    relative margin of 1e-12, so that ``dJ/dx_i`` keeps the sign of ``g_i``
+    on the whole box."""
+    ag = np.abs(g)
+    return (r > 0.0) & (ag - s > 1e-12 * (ag + s))
+
+
+def _split_axes(center, r):
+    """``(eps, axes)`` of each box ``center +- r`` of a stack: its longest
+    half-edge, and the axis to halve (the longest edge, the smallest axis on
+    ties), or -1 where the longest edge, ``2 * eps``, does not exceed
+    ``_DEGENERATE`` times the box's scale."""
+    eps = r.max(axis=1)
+    scale = np.max(np.abs(center), axis=1, initial=1.0)
+    return eps, np.where(eps > _DEGENERATE / 2.0 * scale, r.argmax(axis=1),
+                         -1)
 
 
 def _interval_floor(abs_w1, sq_w1, v, cert, ad, base):
@@ -457,7 +496,9 @@ class _Bounder:
 
         ``linear`` holds the stack's linear-relaxation bounds; at one hidden
         layer only the boxes whose interval model can beat them assemble it
-        (``_interval_floor``)."""
+        (``_interval_floor``).  The third entry returned is ``(rows, A,
+        diag)`` of ``_interval_quad`` for the boxes that assembled it, which
+        the index ``rows`` picks, or None where none did."""
         weights = self.weights[:-1] + [net.layers[-1].weight]
         # only the subnetwork constants of the report are read: ||W_1||_2,
         # one for all boxes, and zeros, which leave the first term of lam
@@ -472,14 +513,19 @@ class _Bounder:
         ad = np.abs(d)
         base = value_c + taylor._dot(grad_c, d)
         if self.floor_w is None:
-            ub2 = base + 0.5 * _interval_quad(weights, cert, ad)
+            quad, *hess = _interval_quad(weights, cert, ad)
+            ub2 = base + 0.5 * quad
+            hess = (slice(None), *hess)
         else:
             ub2, slack = _interval_floor(*self.floor_w, weights[-1][:, 0, :],
                                          cert, ad, base)
             sel = _select(~(ub2 - (slack + 1e-9 * np.abs(linear)) >= linear))
+            hess = None
             if sel is not None:
-                ub2[sel] = base[sel] + 0.5 * _interval_quad(
-                    [weights[0], weights[-1][sel]], cert.rows(sel), ad[sel])
+                quad, *hess = _interval_quad([weights[0], weights[-1][sel]],
+                                             cert.rows(sel), ad[sel])
+                ub2[sel] = base[sel] + 0.5 * quad
+                hess = (sel, *hess)
         ub1 = taylor._model_value(value_c, grad_c, spectral.lam, x_iso, center)
         # the model grows with lam: where its first term already reaches
         # ub2, so does the full lam, and ub2 wins.  Elsewhere, NaN included,
@@ -490,7 +536,7 @@ class _Bounder:
                                  [w[full] for w in spectral.terms])
             ub1[full] = taylor._model_value(value_c[full], grad_c[full], lam,
                                             x_iso[full], center[full])
-        return ub1, ub2
+        return ub1, ub2, hess
 
     def _full_l_inf(self, slope_hi, obj):
         """The ell_inf Lipschitz constant L_inf of each box of a stack from
@@ -529,14 +575,11 @@ class _Bounder:
         only a failing box is flagged."""
         center = (lo + hi) / 2.0
         r = (hi - lo) / 2.0            # half-edges; a box is center +- r
-        eps = r.max(axis=1)
-        # split where the longest edge, 2 * eps, exceeds _DEGENERATE * scale
-        scale = np.max(np.abs(center), axis=1, initial=1.0)
-        axes = np.where(eps > _DEGENERATE / 2.0 * scale, r.argmax(axis=1),
-                        -1).tolist()
+        eps, axes = _split_axes(center, r)
         obj = self._stack(dirs)
         value_c, grad_c = ScalarObjective.value_and_grad(obj, center)
         first_order = self.cfg.use_first_order
+        hess = None
         try:
             cert = self._certificate(lo, hi)
 
@@ -557,8 +600,10 @@ class _Bounder:
                 bounds = [self._linear_bound(obj, cert, center, r)]
                 ub = bounds[0]
                 if self.curved:
-                    bounds += self._taylor_model(obj.net, cert, value_c,
-                                                 grad_c, x_iso, center, ub)
+                    *models, hess = self._taylor_model(obj.net, cert, value_c,
+                                                       grad_c, x_iso, center,
+                                                       ub)
+                    bounds += models
                     # an overflowed bound (NaN) leaves the others
                     ub = np.fmin(ub, np.fmin(bounds[1], bounds[2]))
                 # the zeroth-order bound is the fallback of the boxes whose
@@ -575,7 +620,7 @@ class _Bounder:
             # center evaluation as the lower bound
             return [BnBNode(lo[0], hi[0], center[0], float(value_c[0]),
                             parent_ub.item(), center[0], int(index[0]),
-                            axes[0], flagged=True)]
+                            int(axes[0]), flagged=True)]
         # a point box holds its center alone, where J is known exactly
         ub = np.where(eps > 0.0, ub, value_c)
         lb, witness = value_c, center
@@ -588,9 +633,63 @@ class _Bounder:
             lb = np.where(up, vals, lb)
             witness = np.where(up[:, None], cand[:, 0], witness)
         ub = np.maximum(np.minimum(ub, parent_ub), lb)
+        if hess is not None:
+            lo, hi, center, lb, ub, witness = self._collapse(
+                hess, dirs, lo, hi, center, r, grad_c, x_iso, lb, ub,
+                witness, axes)
         return [BnBNode(*row) for row in zip(
             list(lo), list(hi), list(center), lb.tolist(), ub.tolist(),
-            list(witness), index.tolist(), axes)]
+            list(witness), index.tolist(), axes.tolist())]
+
+    def _collapse(self, hess, dirs, lo, hi, center, r, grad_c, x_iso, lb, ub,
+                  witness, axes):
+        """The monotonicity test, and the faces it moves boxes onto.  Only
+        the boxes that assembled the interval Hessian (``hess``, from
+        ``_taylor_model``) and whose own gap ``ub - lb`` exceeds ``eps_t``
+        are tested.  On such a box ``|dJ/dx_i(x) - g_i| <= s_i`` with ``g =
+        grad J(c)`` and ``s = |H| r``, ``|H| = max(|H_lo|, |H_hi|)`` diagonal
+        included, so axis ``i`` is monotone where ``r_i > 0`` and ``|g_i| -
+        s_i > 1e-12 (|g_i| + s_i)``: the supremum over the box lies on its
+        face ``x_i = hi_i`` where ``g_i > 0``, else ``x_i = lo_i``.
+
+        A box with monotone axes becomes that face, with the face's center
+        and split axis (``axes`` is updated in place).  Its lower bound and
+        witness are the better of J at the face's center and J at ``x_iso``
+        clipped to the face; its upper bound stays the full box's, and a face
+        that is a point takes ``lb = ub = J(point)``.  Returns ``(lo, hi,
+        center, lb, ub, witness)``, with every other box's rows unchanged."""
+        rows, A, diag = hess
+        pos = np.flatnonzero(ub[rows] - lb[rows] > self.cfg.eps_t)
+        if not len(pos):
+            return lo, hi, center, lb, ub, witness
+        q = np.arange(len(lb))[rows][pos]
+        H = A[pos]
+        i = np.arange(H.shape[-1])
+        H[:, i, i] = diag[pos]
+        g = grad_c[q]
+        mono = _monotone(g, (H @ r[q][..., None])[..., 0], r[q])
+        hit = mono.any(axis=1)
+        if not hit.any():
+            return lo, hi, center, lb, ub, witness
+        q, mono, g = q[hit], mono[hit], g[hit]
+        lo_f = np.where(mono & (g > 0.0), hi[q], lo[q])
+        hi_f = np.where(mono & (g < 0.0), lo[q], hi[q])
+        c_f = (lo_f + hi_f) / 2.0
+        eps_f, axes[q] = _split_axes(c_f, (hi_f - lo_f) / 2.0)
+        # J at the face's centers, then at its clipped candidates, each
+        # point a row of its own
+        cand = np.clip(x_iso[q], lo_f, hi_f)
+        vals = ScalarObjective.value(self._stack(np.tile(dirs[q], 2)),
+                                     np.concatenate((c_f, cand))[:, None, :])
+        v_c, v_x = vals[:len(q), 0], vals[len(q):, 0]
+        up = v_x > v_c
+        lb_f = np.where(up, v_x, v_c)
+        lo, hi = lo.copy(), hi.copy()
+        lo[q], hi[q], center[q] = lo_f, hi_f, c_f
+        witness[q] = np.where(up[:, None], cand, c_f)
+        ub[q] = np.where(eps_f > 0.0, np.maximum(ub[q], lb_f), lb_f)
+        lb[q] = lb_f
+        return lo, hi, center, lb, ub, witness
 
 
 def solve(obj_or_net, lo, hi, eps_t=None, cfg=None, lockstep=None):

@@ -147,16 +147,20 @@ def polytope_to_dict(poly):
 
 
 def write_faces_csv(path, polytopes):
-    """One row per face: step index, normal components, then the offset."""
+    """One row per face: step number, normal components, then the offset.
+    Steps count from 1, as the step file names do (``step001.json`` holds
+    the faces of step 1), and the step-t faces bound the step-t points of
+    ``write_trajectories_csv``."""
     with open(path, "w") as fh:
-        for t, poly in enumerate(polytopes):
+        for t, poly in enumerate(polytopes, start=1):
             for i in range(poly.normals.shape[0]):
                 comps = ",".join(format_float(v) for v in poly.normals[i])
                 fh.write(f"{t},{comps},{format_float(poly.offsets[i])}\n")
 
 
 def write_trajectories_csv(path, cloud):
-    """Point cloud rows: step index then state components."""
+    """Point cloud rows: step index then state components; step 0 holds
+    the points of the initial set."""
     with open(path, "w") as fh:
         for t in range(cloud.shape[0]):
             for row in cloud[t]:

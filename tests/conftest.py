@@ -57,6 +57,15 @@ def make_net(dims, act=Activation.TANH, seed=0, scale=1.0, bias_scale=0.1):
     return Network(tuple(layers))
 
 
+def blind_to_input(net, i):
+    """``net`` with input ``i`` cut from its first layer: J does not depend
+    on x_i, so dJ/dx_i = 0 and no box is monotone along axis ``i``."""
+    first = net.layers[0]
+    w = first.weight.copy()
+    w[:, i] = 0.0
+    return Network((Layer(w, first.bias, first.activation),) + net.layers[1:])
+
+
 def assert_same_result(a, b):
     """Every ``BnBResult`` field but the wall time, bit for bit."""
     from curvreach.bnb import BnBResult
@@ -90,6 +99,27 @@ def node_rows(nodes):
     child after it is bounded."""
     return [(n.index, n.lb, n.ub, n.witness.tolist(), n.flagged)
             for n in nodes]
+
+
+def collapsed(nodes):
+    """The nodes that the monotonicity test moved onto a face of their box:
+    under a root box with no edge of zero width, those with one."""
+    return [n for n in nodes if (n.hi == n.lo).any()]
+
+
+def monotone_calls(monkeypatch):
+    """Record ``(g, monotone axes)`` of each box that the monotonicity test
+    (``bnb._monotone``) examines in the runs that follow, one per box."""
+    from curvreach import bnb
+    real, calls = bnb._monotone, []
+
+    def recording(g, s, r):
+        mono = real(g, s, r)
+        calls.extend(zip(g.copy(), mono.copy()))
+        return mono
+
+    monkeypatch.setattr(bnb, "_monotone", recording)
+    return calls
 
 
 def linear_net(W, b=None):

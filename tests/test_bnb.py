@@ -8,7 +8,8 @@ from curvreach import bnb, oracle
 from curvreach.bnb import (BnBConfig, Lockstep, as_objective, solve,
                            solve_zonotope, _Bounder)
 from curvreach.model import Activation, ScalarObjective, scalarize
-from conftest import (assert_same_result, linear_net, make_net, node_rows,
+from conftest import (assert_same_result, blind_to_input, collapsed,
+                      linear_net, make_net, monotone_calls, node_rows,
                       node_streams, shipped_initial_set, shipped_system)
 
 
@@ -239,10 +240,14 @@ class TestSolveContracts:
         assert both.branches_processed <= zeroth.branches_processed
 
     def test_crossover_fraction_grows_as_nodes_shrink(self, monkeypatch):
+        # over [-1, 1]^2 the monotonicity test moves many nodes onto vertices,
+        # where no bound wins; over [-2, 2]^2 none of the smaller half's
+        # boxes is a point
         net = make_net([2, 8, 8, 1], seed=2100)
         obj = ScalarObjective(net)
         passes = _bound_passes(monkeypatch)
-        solve(obj, -np.ones(2), np.ones(2), cfg=BnBConfig(eps_t=5e-4))
+        solve(obj, -2.0 * np.ones(2), 2.0 * np.ones(2),
+              cfg=BnBConfig(eps_t=5e-4))
         monkeypatch.undo()
         lo = np.array([node.lo for nodes in passes for node, _ in nodes])
         hi = np.array([node.hi for nodes in passes for node, _ in nodes])
@@ -279,13 +284,17 @@ GOLDEN = [
     #  re-recorded when its nodes gained the interval Hessian bound, which
     #  converges where the spectral bound alone stopped at the budget; the
     #  depth-2 row when the two-layer matrix route gave way to the path of
-    #  every depth, with the linear-relaxation bound
-    ([3, 6, 5, 1], 3701, "Converged", 275, 24, 0,
-     "0x1.8209edfcce047p+0", "0x1.824709f340a19p+0",
+    #  every depth, with the linear-relaxation bound.  Both rows were
+    #  re-recorded when the monotonicity test began to move boxes onto
+    #  their faces (depth 3: 275 branches, max_active 24, ub
+    #  0x1.824709f340a19p+0 before; depth 2: 49 branches, ub
+    #  0x1.443239692c026p+1 before; lb and witness unchanged)
+    ([3, 6, 5, 1], 3701, "Converged", 139, 20, 0,
+     "0x1.8209edfcce047p+0", "0x1.8245fad81e439p+0",
      ["-0x1.a000000000000p-3", "0x1.0000000000000p-1",
       "-0x1.0000000000000p-1"]),
-    ([3, 6, 1], 3800, "Converged", 49, 4, 0,
-     "0x1.44119d8456922p+1", "0x1.443239692c026p+1",
+    ([3, 6, 1], 3800, "Converged", 31, 4, 0,
+     "0x1.44119d8456922p+1", "0x1.44236c8d75bd7p+1",
      ["0x1.0000000000000p-1", "0x1.0000000000000p-1",
       "-0x1.0000000000000p-1"]),
 ]
@@ -480,8 +489,11 @@ class TestFailureEnvelope:
     def test_near_degenerate_finalizes(self):
         # the root's edges, 9e-14, are below the split threshold, and its
         # gap is above eps_t: the search pops it, finalizes it unsplit with
-        # its own bounds and stops with an empty heap, its budget unspent
-        obj = ScalarObjective(make_net([2, 16, 16, 1], seed=1, scale=3.0))
+        # its own bounds and stops with an empty heap, its budget unspent.
+        # J ignores x_1, so the monotonicity test can move the root onto a
+        # face of axis 0 at most, which is still too small to split
+        obj = ScalarObjective(blind_to_input(
+            make_net([2, 16, 16, 1], seed=11, scale=3.0), 1))
         lo = np.array([0.3, -0.2])
         hi = lo + 9e-14
         res = solve(obj, lo, hi, cfg=BnBConfig(eps_t=1e-300))
@@ -521,14 +533,16 @@ class TestModelBoundRouting:
 
     def test_psd_sandwich_runs_no_matrix_model(self, monkeypatch):
         # softplus curvature lies in [0, 1/4]; with positive output weights
-        # every unit adds a PSD term to the sandwich M on every box
+        # every unit adds a PSD term to the sandwich M on every box.  Over
+        # [-1, 1]^2 the root collapses onto a vertex and converges; over
+        # [-3, 3]^2 the solve branches
         from curvreach.model import Layer, Network
         hidden, out = make_net([2, 6, 1], act=Activation.SOFTPLUS,
                                seed=3500).layers
         net = Network((hidden, Layer(np.abs(out.weight), out.bias, None)))
         obj = ScalarObjective(net)
         calls = self._count_matrix_model_calls(monkeypatch)
-        lo, hi = -np.ones(2), np.ones(2)
+        lo, hi = -3.0 * np.ones(2), 3.0 * np.ones(2)
         res = solve(obj, lo, hi, eps_t=1e-4)
         assert res.status == "Converged" and res.branches_processed > 1
         assert not calls
@@ -573,6 +587,9 @@ def _assert_same_nodes(stacked, alone):
     assert len(stacked) == len(alone)
     for s, a in zip(stacked, alone):
         assert s.index == a.index
+        # the box, which the monotonicity test may move onto a face
+        assert np.array_equal(s.lo, a.lo) and np.array_equal(s.hi, a.hi)
+        assert np.array_equal(s.center, a.center) and s.axis == a.axis
         assert s.lb == a.lb and s.ub == a.ub
         assert np.array_equal(s.witness, a.witness)
         assert s.flagged == a.flagged
@@ -616,6 +633,24 @@ class TestStackedBounds:
                               + rng.uniform(0.0, 2.0, bnb._BATCH), 2)
         stacked, alone = _bound_stacked_and_alone(obj, lo2, hi2, parent_ub)
         assert len(stacked) == 2 * bnb._BATCH
+        _assert_same_nodes(stacked, alone)
+
+    @pytest.mark.parametrize("dims", [[3, 6, 1], [3, 6, 5, 1],
+                                      [3, 5, 4, 3, 1]],
+                             ids=["depth2", "depth3", "depth4"])
+    def test_collapsed_children_match_alone(self, dims):
+        # the children of _BATCH small boxes, on some of which the
+        # monotonicity test finds monotone axes: the faces they move onto,
+        # their lower bounds and witnesses are those they get alone
+        rng = np.random.default_rng(7)
+        obj = ScalarObjective(make_net(dims, seed=5500, scale=2.0))
+        lo = rng.uniform(-1.0, 1.0, (bnb._BATCH, 3))
+        hi = lo + rng.uniform(0.02, 1.0, (bnb._BATCH, 3))
+        pairs = [_children(a, b) for a, b in zip(lo, hi)]
+        stacked, alone = _bound_stacked_and_alone(
+            obj, np.concatenate([a for a, _ in pairs]),
+            np.concatenate([b for _, b in pairs]))
+        assert collapsed(stacked)
         _assert_same_nodes(stacked, alone)
 
     def test_deep_net_takes_the_interval_bound(self):
@@ -878,6 +913,17 @@ class TestSpeculativeBatching:
                                    BnBConfig(eps_t=1e-4))
         assert res.status == "Converged"
         assert _renumbered(passes)
+
+    def test_collapsed_nodes(self, monkeypatch):
+        # nodes that the monotonicity test moves onto faces, points
+        # included, are split and numbered as in the one-node loop
+        obj = ScalarObjective(make_net([3, 6, 5, 1], seed=3701, scale=2.0))
+        res, passes = self.compare(monkeypatch, obj, -np.ones(3), np.ones(3),
+                                   BnBConfig(eps_t=1e-4))
+        assert res.status == "Converged"
+        nodes = [node for nodes in passes for node, _ in nodes]
+        assert collapsed(nodes)
+        assert any((node.hi == node.lo).all() for node in nodes)
 
     @pytest.mark.parametrize("dims", [[2, 8, 2], [2, 6, 5, 2]])
     def test_directions_sharing_a_store(self, monkeypatch, dims):
@@ -1181,7 +1227,7 @@ class TestZerothOrderFallback:
         x_iso = taylor.optimal_perturbation(center, r, np.inf, grad, 0.0,
                                             center)
         bounds = {"linear": bounder._linear_bound(stand, cert, center, r)}
-        bounds["lam"], bounds["interval"] = bounder._taylor_model(
+        bounds["lam"], bounds["interval"], _ = bounder._taylor_model(
             stand.net, cert, value, grad, x_iso, center, bounds["linear"])
         local = bounds_for_box(obj.net, lo, hi)
         l_inf = lip.liplt(obj.net, local, lip.default_loop_transform(local),
@@ -1199,7 +1245,7 @@ class TestZerothOrderFallback:
                                 first_nan(linear(*args)))
         monkeypatch.setattr(_Bounder, "_taylor_model", lambda *args: tuple(
             first_nan(b) if name in nan else b
-            for name, b in zip(("lam", "interval"), models(*args))))
+            for name, b in zip(("lam", "interval", "hess"), models(*args))))
         passes = _l_inf_rows(monkeypatch)
         failed, kept = bounder.bound(lo, hi, *_per_box(lo))
         assert passes == [[2, 1]]
@@ -1465,7 +1511,7 @@ class TestSmallSetClaim:
         # Hessian, whose model is the one compared
         model = np.fmin(*bounder._taylor_model(stand.net, cert, value, grad,
                                                x_iso, center,
-                                               np.full(1, np.inf)))
+                                               np.full(1, np.inf))[:2])
         linear = bounder._linear_bound(stand, cert, center, r)
         node, = bounder.bound(lo, hi, *_per_box(lo))
         return model[0], linear[0], node.ub
@@ -1490,6 +1536,117 @@ class TestSmallSetClaim:
         assert 0.0 <= 8.0 * model <= linear
         model, linear = excess[1.0]
         assert 0.0 <= linear < model
+
+
+def _no_monotone_axis(g, s, r):
+    """``bnb._monotone`` that finds no axis: no box is moved onto a face."""
+    return np.zeros(g.shape, dtype=bool)
+
+
+class TestMonotonicityTest:
+    """The monotonicity test (``_Bounder._collapse``): where the interval
+    Hessian proves that dJ/dx_i keeps the sign of g_i = dJ/dx_i(c) over a
+    box, the supremum lies on one face, and the node moves onto it."""
+
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    @pytest.mark.parametrize("act", [Activation.TANH, Activation.SIGMOID,
+                                     Activation.SOFTPLUS])
+    def test_declared_axes_are_monotone(self, monkeypatch, act, depth):
+        # each box bounded alone, so that the test's rows are its own; on
+        # every axis declared monotone, the gradient has the declared sign at
+        # the corners and at 256 random points, and a collapsed node's ub,
+        # that of its full box, is not below the sampled maximum over it
+        import itertools
+        from curvreach.model import gradient
+        seed = 10 * depth + list(Activation).index(act)
+        rng = np.random.default_rng(seed)
+        net = make_net([3] + [8] * (depth - 1) + [1], act=act, seed=seed,
+                       scale=2.0)
+        obj = ScalarObjective(net)
+        bounder = _Bounder([obj], BnBConfig(eps_t=1e-9))
+        calls = monotone_calls(monkeypatch)
+        declared = 0
+        for _ in range(16):
+            c = rng.uniform(-1.0, 1.0, 3)
+            r = np.exp(rng.uniform(np.log(1e-3), 0.0, 3))
+            lo, hi = c - r, c + r
+            calls.clear()
+            node, = bounder.bound(lo[None], hi[None], *_per_box(lo[None]))
+            if not calls or not calls[0][1].any():
+                assert np.array_equal(node.lo, lo)
+                assert np.array_equal(node.hi, hi)
+                continue
+            (g, mono), = calls
+            declared += int(mono.sum())
+            pts = np.concatenate([
+                np.array(list(itertools.product(*zip(lo, hi)))),
+                lo + (hi - lo) * rng.random((256, 3))])
+            grads = gradient(net, pts)
+            for i in np.flatnonzero(mono):
+                assert (np.sign(g[i]) * grads[:, i] > 0.0).all(), i
+            # the face the node moved onto
+            face = np.where(mono, np.where(g > 0.0, hi, lo), np.nan)
+            assert np.array_equal(node.lo[mono], face[mono])
+            assert np.array_equal(node.hi[mono], face[mono])
+            # a point node's ub is J at its vertex, evaluated once; the
+            # oracle's batched evaluation of that vertex may round
+            # differently, by an ulp
+            best, _ = oracle.grid_max(obj.value, lo, hi, n_per_axis=9,
+                                      n_random=2_000, seed=0)
+            assert node.ub >= best - 1e-12 * (1.0 + abs(best))
+        assert declared > 0
+
+    def test_root_converged_solves_untouched(self, monkeypatch):
+        # a quadrotor closed-loop step whose 12 faces all converge at their
+        # root: under the own-gap rule no root is tested, so finding no
+        # axis changes no bit of the step
+        from curvreach.reach import closed_loop_step
+        system = shipped_system("quad6")
+        init = shipped_initial_set("quad6")
+        runs = []
+        for patch in (False, True):
+            if patch:
+                monkeypatch.setattr(bnb, "_monotone", _no_monotone_axis)
+            streams = node_streams(monkeypatch)
+            poly, nxt = closed_loop_step(system, init, None, 1e-2)
+            runs.append(([node_rows(streams[i]) for i in sorted(streams)],
+                         poly, nxt))
+            monkeypatch.undo()
+        (rows, poly, nxt), (rows_off, poly_off, nxt_off) = runs
+        assert [len(r) for r in rows] == [1] * 12
+        assert rows == rows_off
+        assert poly.offsets.tobytes() == poly_off.offsets.tobytes()
+        assert poly.lbs.tobytes() == poly_off.lbs.tobytes()
+        assert nxt.G.tobytes() == nxt_off.G.tobytes()
+        assert nxt.center.tobytes() == nxt_off.center.tobytes()
+
+    def test_lone_root_converged_solve_untouched(self, monkeypatch):
+        # a lone solve that converges at its root, whose axes are all
+        # monotone: the own-gap rule leaves the root untested, and finding
+        # no axis changes no bit of the result
+        obj = ScalarObjective(make_net([3, 6, 5, 1], seed=3701, scale=2.0))
+        lo, hi = np.full(3, 0.2), np.full(3, 0.21)
+        calls = monotone_calls(monkeypatch)
+        res = solve(obj, lo, hi, cfg=BnBConfig(eps_t=1e-2))
+        assert res.branches_processed == 1 and res.status == "Converged"
+        assert not calls
+        # at a gap the root does not meet, it is tested
+        solve(obj, lo, hi, cfg=BnBConfig(eps_t=1e-9))
+        assert calls[0][1].all()
+        monkeypatch.setattr(bnb, "_monotone", _no_monotone_axis)
+        assert_same_result(res, solve(obj, lo, hi, cfg=BnBConfig(eps_t=1e-2)))
+
+    def test_zeroth_order_ablation_never_collapses(self, monkeypatch):
+        # without first-order bounds no interval Hessian is assembled, and
+        # no box is tested
+        obj = ScalarObjective(make_net([3, 6, 5, 1], seed=3701, scale=2.0))
+        calls = monotone_calls(monkeypatch)
+        passes = _bound_passes(monkeypatch)
+        res = solve(obj, -0.5 * np.ones(3), 0.5 * np.ones(3),
+                    cfg=BnBConfig(eps_t=1e-3, max_branches=300,
+                                  use_first_order=False))
+        assert res.branches_processed > 1 and not calls
+        assert not collapsed(node for nodes in passes for node, _ in nodes)
 
 
 class TestOverflowingChain:

@@ -10,7 +10,8 @@ from curvreach.cli import main
 from curvreach.fileio import (dumps17, load_network, load_system, load_zonotope,
                               parse_box, polytope_to_dict, save_network)
 from curvreach.model import network_to_dict
-from conftest import DATA, linear_net, make_net
+from conftest import (DATA, blind_to_input, linear_net, make_net,
+                      monotone_calls)
 
 
 @pytest.fixture
@@ -374,9 +375,11 @@ class TestExitCodes:
     def test_exhausted_heap_exit_2(self, tmp_path, capsys):
         # the root's edges, 9e-14, are below the split threshold and its gap
         # is above eps_t: the heap empties after one node, well within the
-        # budget, and the run stops with status Exhausted, not BranchLimit
+        # budget, and the run stops with status Exhausted, not BranchLimit.
+        # The net ignores x_1, so the root cannot collapse to a point
         net = tmp_path / "deep.json"
-        save_network(make_net([2, 16, 16, 1], seed=1, scale=3.0), net)
+        save_network(blind_to_input(
+            make_net([2, 16, 16, 1], seed=11, scale=3.0), 1), net)
         lo = [0.3, -0.2]
         hi = (np.array(lo) + 9e-14).tolist()
         box = ",".join(f"{a!r}..{b!r}" for a, b in zip(lo, hi))
@@ -388,14 +391,18 @@ class TestExitCodes:
         assert data["status"] == "Exhausted"
         assert data["branches_processed"] == 1
 
-    def test_closedloop_budget_stop_exit_2(self, tmp_path, capsys):
-        # all 8 faces of the step, the hexagon's 4 axes and the PCA box's 4,
+    def test_closedloop_budget_stop_exit_2(self, monkeypatch, tmp_path,
+                                          capsys):
+        # all 8 faces of the step, the template's 4 axes and the PCA box's 4,
         # stop at a budget of one branch: like reach, the run exits 2, and
-        # its summary lists every face as unconverged
+        # its summary lists every face as unconverged.  The box is wide
+        # enough that no root has a monotone axis, so none collapses to a
+        # point that converges at once
+        calls = monotone_calls(monkeypatch)
         out = tmp_path / "summary.json"
         code = main(["closedloop", "--system", str(DATA / "di_system.json"),
                      "--controller", str(DATA / "di_controller.json"),
-                     "--zonotope", str(DATA / "di_hexagon.json"),
+                     "--box=1..4,-1.5..1.5",
                      "--steps", "1", "--eps-t", "1e-12", "--max-branches",
                      "1", "--out-dir", str(tmp_path / "run"),
                      "--out", str(out)])
@@ -403,6 +410,7 @@ class TestExitCodes:
         data = json.loads(out.read_text())
         assert data["flagged_faces"] == []
         assert data["unconverged_faces"] == [[1, i] for i in range(8)]
+        assert calls and not any(mono.any() for _, mono in calls)
 
     @staticmethod
     def fail_numerically(monkeypatch, row):
@@ -439,15 +447,21 @@ class TestExitCodes:
 
     def test_closedloop_flagged_face_listed_exit_2(self, monkeypatch,
                                                    tmp_path, capsys):
-        # face 1 is the axis direction e2, whose output row is (e2 B) W_L
+        # face 1 is the axis direction e2, whose output row is (e2 B) W_L.
+        # Over the shipped hexagon its root collapses onto a vertex and
+        # converges; over the hexagon scaled by 10 it branches
         system = load_system(DATA / "di_system.json",
                              load_network(DATA / "di_controller.json"))
         self.fail_numerically(monkeypatch, np.array([0.0, 1.0]) @ system.B
                               @ system.controller.layers[-1].weight)
+        hexagon = load_zonotope(DATA / "di_hexagon.json")
+        wide = tmp_path / "hex10.json"
+        wide.write_text(json.dumps({"G": (10.0 * hexagon.G).tolist(),
+                                    "center": hexagon.center.tolist()}))
         out = tmp_path / "summary.json"
         code = main(["closedloop", "--system", str(DATA / "di_system.json"),
                      "--controller", str(DATA / "di_controller.json"),
-                     "--zonotope", str(DATA / "di_hexagon.json"),
+                     "--zonotope", str(wide),
                      "--steps", "1", "--eps-t", "1e-3", "--max-branches",
                      "200", "--out-dir", str(tmp_path / "run"),
                      "--out", str(out)])
@@ -576,6 +590,14 @@ class TestClosedLoopCommand:
         faces = (out_dir / "faces.csv").read_text().strip().splitlines()
         assert len(faces) == sum(
             len(json.loads(p.read_text())["faces"]) for p in step_files)
+        # the step-t rows of faces.csv are the faces of step{t:03d}.json
+        rows = np.array([[float(v) for v in line.split(",")]
+                         for line in faces])
+        for t in range(1, 6):
+            data = json.loads((out_dir / f"step{t:03d}.json").read_text())
+            expected = [f["c"] + [f["d"]] for f in data["faces"]]
+            assert rows[rows[:, 0] == t][:, 1:].tolist() == expected, t
+        assert set(rows[:, 0]) == set(range(1, 6))
         traj = (out_dir / "trajectories.csv").read_text().strip().splitlines()
         assert len(traj) == 6 * 200  # steps+1 rows of 200 points
         # simulated next states always live inside the emitted polytopes

@@ -12,8 +12,9 @@ from curvreach import bnb, reach
 from curvreach.fileio import dumps17, polytope_to_dict
 from curvreach import lipschitz as lip
 from curvreach.model import ScalarObjective, scalarize
-from conftest import (assert_same_result, linear_net, make_net, node_rows,
-                      node_streams, shipped_initial_set, shipped_system)
+from conftest import (assert_same_result, collapsed, linear_net, make_net,
+                      node_rows, node_streams, shipped_initial_set,
+                      shipped_system)
 
 
 class TestTemplates:
@@ -350,6 +351,32 @@ class TestLockstepDirections:
         assert passes[0] == len(objectives)
         if cfg.max_branches == 101:
             assert len(set(rounds)) > 1
+
+    @pytest.mark.parametrize("kind", ["box", "zonotope"])
+    def test_collapsed_nodes_match_alone(self, monkeypatch, kind):
+        # depth 3 at a fine gap, where the monotonicity test moves nodes of
+        # the directions onto faces of their boxes: each direction still
+        # bounds the nodes, faces included, that it bounds alone
+        cfg = bnb.BnBConfig(eps_t=1e-4)
+        net = make_net([2, 6, 5, 2], seed=4600, scale=2.0)
+        input_set = Box(-np.ones(2), np.ones(2)) if kind == "box" \
+            else self.ZONO
+        template = uniform_directions(6)
+        objectives = [ScalarObjective(scalarize(net, c))
+                      for c in template.directions]
+        streams = node_streams(monkeypatch)
+        alone, _ = self.rounds_alone(monkeypatch, objectives, input_set, cfg)
+        alone_nodes = list(streams[0])
+        streams = node_streams(monkeypatch)
+        poly, results = reach_polytope(net, input_set, template, cfg.eps_t,
+                                       cfg)
+        for res, ref in zip(results, alone):
+            assert_same_result(res, ref)
+        nodes = [node for i in sorted(streams) for node in streams[i]]
+        assert node_rows(nodes) == node_rows(alone_nodes)
+        assert [(n.lo.tolist(), n.hi.tolist(), n.axis) for n in nodes] == \
+            [(n.lo.tolist(), n.hi.tolist(), n.axis) for n in alone_nodes]
+        assert collapsed(nodes)
 
     @pytest.mark.parametrize("kind", ["box", "zonotope"])
     @pytest.mark.parametrize("dims", DEPTHS, ids=["depth2", "depth3",
