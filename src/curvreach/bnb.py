@@ -61,28 +61,21 @@ overflows the recursion, and one whose squared layer norms do overflows the
 Hessian bounds (``lipschitz.check_curvature_chain``); either solve is
 refused before any box is bounded.
 
-Nodes are expanded in order of largest upper bound, and the result is that of
-expanding them one at a time: pop the top node, halve its longest edge (the
-smallest axis on ties), bound both children, update the best lower bound over
-both and push them, first child first; a box too small to split is finalized.
-Each node's split axis, or -1 for no split, is decided where the node is
-bounded, in one step over its stack in ``_Bounder.bound``.  For speed, each
-step pops up to ``_BATCH`` (64) top nodes, builds the halves of those not
-halved before at once (``_halves``), bounds them in one stacked pass and
-replays the one-node loop over the results.  Before each later node of the
-batch the replay redoes that loop's checks: termination, the node budget,
-and whether a child pushed meanwhile now outranks the node.  At the first
-failed check the unreplayed nodes go back on the heap and keep their bounded
-children for when they are popped again, so no box is bounded twice in a
-search.  A child's bounds read only its box, its direction and its parent's
-upper bound, and the replay numbers each child as the one-node loop does, so
-node numbers, counts, bounds and witness are those of that loop, bit for
-bit.  The batch grows from one node as a solve proceeds: it holds at most as
-many nodes as were expanded before it, as the budget leaves room for, and as
-stay above the termination gap, so short solves stay sequential; and it
-halves a node only while fewer than ``_BATCH`` nodes of the search hold
-children that no replay has reached, so the children bounded and never
-counted are those of at most ``_BATCH`` nodes.
+Nodes are expanded best first, in order of largest upper bound: a node is
+popped, its longest edge halved (the smallest axis on ties), both children
+bounded, the best lower bound updated over them and those above it pushed; a
+box too small to split is finalized.  Each node's split axis, or -1 for no
+split, is decided where the node is bounded, in one step over its stack in
+``_Bounder.bound``.  Each round pops up to ``_BATCH`` top nodes, as parallel
+best-first search does (Gendron and Crainic, 1994), bounds the children of
+those it splits in one stacked pass (``_halves``), and counts and numbers
+every child in pass order, so ``branches_processed`` is the number of boxes
+bounded.  A round holds at most as many nodes as were expanded before it, as
+the budget leaves room for, and as stay above the termination gap, so short
+solves stay sequential and a solve bounds at most ``max_branches + 1`` boxes.
+The result is that of this batched loop: it can expand a node that the
+one-node loop (``_BATCH = 1``) would have pruned or never reached, so its
+bracket may differ from that loop's, and every bracket is sound.
 
 Each child gets the bounds it would get alone, bit for bit, and never a
 looser upper bound than its parent.  A node's box-level certificates
@@ -130,7 +123,12 @@ from .model import Network, ScalarObjective, act_value, prepend_affine
 
 _PRUNE_SLACK = 1e-12
 _DEGENERATE = 1e-13
-_BATCH = 64                            # most nodes whose children share a pass
+# most nodes whose children share a pass.  At 32 the gaps of the seeded
+# two-layer budget runs stay within 0.03% of the one-node loop's, where 64
+# loosens them, and a pass's (2, B, h) endpoint stacks stay below glibc's
+# default 128 KiB heap-trim threshold, which 64 reaches; 16 takes 68% more
+# passes
+_BATCH = 32
 # numerical failures of a stack's certificate-and-model stage
 _FAILURES = (np.linalg.LinAlgError, FloatingPointError)
 
@@ -171,8 +169,8 @@ class BnBResult:
     lb: float
     ub: float
     witness: np.ndarray
-    branches_processed: int
-    max_active: int
+    branches_processed: int            # boxes bounded, the root included
+    max_active: int                    # most nodes on the heap after a round
     wall_time_s: float                 # from the start of its (lockstep) run
     # Converged; BranchLimit, the budget spent with nodes left; or
     # Exhausted, the heap emptied with the gap above eps_t, as when the
@@ -355,7 +353,8 @@ def as_objective(obj_or_net):
 def _halves(nodes, first):
     """The stack ``(lo, hi, index, parent_ub)`` of the two halves of each of
     ``nodes`` along its split axis, the lower half first: numbered from
-    ``first`` in node order and capped by their node's upper bound."""
+    ``first`` in node order, the numbers they keep, and capped by their
+    node's upper bound."""
     lo = np.array([node.lo for node in nodes]).repeat(2, axis=0)
     hi = np.array([node.hi for node in nodes]).repeat(2, axis=0)
     n = lo.shape[1]
@@ -761,78 +760,50 @@ def _search(lo, hi, cfg, start):
     witness = root.witness
     heap = [(-root.ub, root.index, root)]
     finalized_ub = -np.inf
-    branches = 1
+    branches = 1                       # nodes bounded, and the next number
     max_active = 1
-    next_index = 1
     expanded = 0
     flagged = 1 if root.flagged else 0
-
-    def stop(top):
-        """The one-node loop's status before it pops the heap entry ``top``
-        (None for an empty heap), or None while it goes on."""
-        top_ub = top[2].ub if top else -np.inf
-        if max(top_ub, finalized_ub, best_lb) - best_lb <= cfg.eps_t:
-            return "Converged"
-        if top is None:
-            return "Exhausted"
-        if branches >= cfg.max_branches:
-            return "BranchLimit"
-        return None
-
-    kept = {}                          # node index -> its bounded children
     while True:
-        status = stop(heap[0] if heap else None)
-        if status:
+        top_ub = heap[0][2].ub if heap else -np.inf
+        if max(top_ub, finalized_ub, best_lb) - best_lb <= cfg.eps_t:
+            status = "Converged"
             break
-
-        # speculate: pop the top nodes the one-node loop may expand next.  A
-        # node not halved before joins only while fewer than _BATCH nodes
-        # hold children that no replay has reached
+        if not heap:
+            status = "Exhausted"
+            break
+        if branches >= cfg.max_branches:
+            status = "BranchLimit"
+            break
+        # pop the top nodes, at most as many as were expanded before and as
+        # the budget leaves room for, stopping at one the gap already meets
         size = min(_BATCH, max(expanded, 1),
                    (cfg.max_branches - branches + 1) // 2)
-        batch, fresh = [], []
+        batch = []
         while heap and len(batch) < size:
-            node = heap[0][2]
-            if batch and node.ub - best_lb <= cfg.eps_t:
+            if batch and heap[0][2].ub - best_lb <= cfg.eps_t:
                 break
-            if node.axis >= 0 and node.index not in kept:
-                if batch and len(kept) + len(fresh) >= _BATCH:
-                    break
-                fresh.append(node)
-            batch.append(heapq.heappop(heap))
-        if fresh:
-            # the children of every node not yet halved in one stacked pass,
-            # under provisional numbers that no bound reads
-            children = yield _halves(fresh, next_index)
-            for k, node in enumerate(fresh):
-                kept[node.index] = children[2 * k:2 * k + 2]
-
-        # replay the one-node loop; an unreplayed node keeps its children
-        for j, entry in enumerate(batch):
-            if j and (heap and heap[0] < entry or stop(entry)):
-                for rest in batch[j:]:
-                    heapq.heappush(heap, rest)
-                break
-            expanded += 1
-            if entry[2].axis < 0:
-                finalized_ub = max(finalized_ub, entry[2].ub)
-                continue
-            kids = kept.pop(entry[2].index)
-            for child in kids:
-                # numbered in the order the one-node loop gives them
-                child.index = next_index
-                next_index += 1
-                branches += 1
-                if child.flagged:
-                    flagged += 1
-                if child.lb > best_lb:
-                    best_lb = child.lb
-                    witness = child.witness
-            for child in kids:
-                if child.ub > best_lb - _PRUNE_SLACK:
-                    heapq.heappush(heap, (-child.ub, child.index, child))
-            # the unreplayed nodes of the batch still count as on the heap
-            max_active = max(max_active, len(heap) + len(batch) - j - 1)
+            batch.append(heapq.heappop(heap)[2])
+        expanded += len(batch)
+        split = []
+        for node in batch:
+            if node.axis < 0:
+                finalized_ub = max(finalized_ub, node.ub)
+            else:
+                split.append(node)
+        if not split:
+            continue
+        children = yield _halves(split, branches)
+        branches += len(children)
+        for child in children:
+            flagged += child.flagged
+            if child.lb > best_lb:
+                best_lb = child.lb
+                witness = child.witness
+        for child in children:
+            if child.ub > best_lb - _PRUNE_SLACK:
+                heapq.heappush(heap, (-child.ub, child.index, child))
+        max_active = max(max_active, len(heap))
 
     cur_ub = max(heap[0][2].ub if heap else -np.inf, finalized_ub, best_lb)
     return BnBResult(best_lb, cur_ub, witness, branches, max_active,

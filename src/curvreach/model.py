@@ -283,6 +283,8 @@ def _affine_map(G, x_c, n):
                          f"dimension {n}")
     if x_c.shape != (n,):
         raise ValueError(f"center shape {x_c.shape} != ({n},)")
+    require_finite(G, "generator matrix G")
+    require_finite(x_c, "center x_c")
     return G, x_c
 
 

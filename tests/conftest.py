@@ -95,8 +95,7 @@ def node_streams(monkeypatch):
 
 def node_rows(nodes):
     """``(index, lb, ub, witness, flagged)`` of each node, to compare bit
-    for bit; read when the search is over, since the replay numbers a
-    child after it is bounded."""
+    for bit; a node keeps the number it is bounded under."""
     return [(n.index, n.lb, n.ub, n.witness.tolist(), n.flagged)
             for n in nodes]
 

@@ -28,14 +28,13 @@ def _per_box(lo, first=0, parent_ub=np.inf):
 
 
 def _bound_passes(monkeypatch):
-    """Record each ``_Bounder.bound`` pass as a list of ``(node, index)``:
-    its nodes, each with the node number it was bounded under."""
+    """Record the nodes of each ``_Bounder.bound`` pass."""
     real = _Bounder.bound
     passes = []
 
     def bound(self, *args):
         nodes = real(self, *args)
-        passes.append([(node, node.index) for node in nodes])
+        passes.append(nodes)
         return nodes
 
     monkeypatch.setattr(_Bounder, "bound", bound)
@@ -109,7 +108,7 @@ class TestSelect:
         res = solve(obj, -np.ones(2), np.ones(2), eps_t=1e-4)
         assert res.status == "Converged"
         diams = [float(np.max(node.hi - node.lo))
-                 for nodes in passes for node, _ in nodes]
+                 for nodes in passes for node in nodes]
         # maxlen bisection only ever halves the current longest edge
         assert max(diams) == diams[0]
 
@@ -249,8 +248,8 @@ class TestSolveContracts:
         solve(obj, -2.0 * np.ones(2), 2.0 * np.ones(2),
               cfg=BnBConfig(eps_t=5e-4))
         monkeypatch.undo()
-        lo = np.array([node.lo for nodes in passes for node, _ in nodes])
-        hi = np.array([node.hi for nodes in passes for node, _ in nodes])
+        lo = np.array([node.lo for nodes in passes for node in nodes])
+        hi = np.array([node.hi for nodes in passes for node in nodes])
         assert len(lo) > 20
         # the first-order bound won where the box's upper bound lies below
         # that of the zeroth-order bound alone
@@ -279,7 +278,7 @@ class TestSolveContracts:
 
 GOLDEN = [
     # (dims, net seed, status, branches, max_active, flagged, lb, ub,
-    #  witness) recorded from the solver's serial loop; floats are float.hex
+    #  witness) recorded from the solver's batched loop; floats are float.hex
     #  so any change to node order or arithmetic shows.  The depth-3 row was
     #  re-recorded when its nodes gained the interval Hessian bound, which
     #  converges where the spectral bound alone stopped at the budget; the
@@ -288,12 +287,15 @@ GOLDEN = [
     #  re-recorded when the monotonicity test began to move boxes onto
     #  their faces (depth 3: 275 branches, max_active 24, ub
     #  0x1.824709f340a19p+0 before; depth 2: 49 branches, ub
-    #  0x1.443239692c026p+1 before; lb and witness unchanged)
-    ([3, 6, 5, 1], 3701, "Converged", 139, 20, 0,
-     "0x1.8209edfcce047p+0", "0x1.8245fad81e439p+0",
+    #  0x1.443239692c026p+1 before; lb and witness unchanged), and again
+    #  when the batched search stopped replaying the one-node loop (depth
+    #  3: 139 branches, max_active 20, ub 0x1.8245fad81e439p+0 before;
+    #  depth 2: max_active 4 before)
+    ([3, 6, 5, 1], 3701, "Converged", 143, 13, 0,
+     "0x1.8209edfcce047p+0", "0x1.821ffec7814acp+0",
      ["-0x1.a000000000000p-3", "0x1.0000000000000p-1",
       "-0x1.0000000000000p-1"]),
-    ([3, 6, 1], 3800, "Converged", 31, 4, 0,
+    ([3, 6, 1], 3800, "Converged", 31, 3, 0,
      "0x1.44119d8456922p+1", "0x1.44236c8d75bd7p+1",
      ["0x1.0000000000000p-1", "0x1.0000000000000p-1",
       "-0x1.0000000000000p-1"]),
@@ -582,8 +584,8 @@ def _bound_stacked_and_alone(obj, lo, hi, parent_ub=np.inf):
 
 
 def _assert_same_nodes(stacked, alone):
-    # bit for bit: solve bounds the children of many nodes in one pass and
-    # must expand the nodes the one-node loop expands
+    # bit for bit: solve bounds the children of many nodes in one pass, and
+    # each must get the bounds it gets alone
     assert len(stacked) == len(alone)
     for s, a in zip(stacked, alone):
         assert s.index == a.index
@@ -820,129 +822,124 @@ class TestStackedBounds:
         assert second.lb == obj.value(second.center)
 
 
-def _solve_both_ways(monkeypatch, run):
-    """``run()`` with speculative batches and with one node per stacked pass
-    (``_BATCH = 1``, the one-node loop), and the passes each bounded
-    (``_bound_passes``)."""
-    real, full = _Bounder.bound, bnb._BATCH
-    results, passes = [], []
-    for batch in (full, 1):
-        monkeypatch.setattr(bnb, "_BATCH", batch)
-        passes.append(_bound_passes(monkeypatch))
-        results.append(run())
-        monkeypatch.setattr(_Bounder, "bound", real)
-    monkeypatch.setattr(bnb, "_BATCH", full)
-    return results, passes
-
-
-def _renumbered(passes):
-    """Whether some node's number changed after it was bounded: the replay
-    numbered a child that its parent's earlier pass had kept."""
-    return any(node.index != index for nodes in passes
-               for node, index in nodes)
-
-
 class TestSpeculativeBatching:
-    """solve bounds the children of up to _BATCH top nodes in one pass and
-    replays the one-node loop over them; every field of the result must be
-    that of the one-node loop."""
+    """solve pops up to _BATCH top nodes per round and bounds the children
+    of those it splits in one pass.  The result is that of this batched
+    loop, not of the one-node loop: every box it bounds is counted, the
+    budget holds to one box, and the bracket is valid."""
 
-    def compare(self, monkeypatch, obj, lo, hi, cfg):
-        (batched, one), (passes, one_passes) = _solve_both_ways(
-            monkeypatch, lambda: solve(obj, lo, hi, cfg=cfg))
-        assert_same_result(batched, one)
+    def check(self, monkeypatch, obj, lo, hi, cfg):
+        """Solve with the passes recorded, check the search's invariants
+        and return the result and the passes."""
+        passes = _bound_passes(monkeypatch)
+        res = solve(obj, lo, hi, cfg=cfg)
         sizes = [len(nodes) for nodes in passes]
-        assert max(len(nodes) for nodes in one_passes) <= 2
-        # the batch grows from one node
-        assert sizes[:3] == [1, 2, 2]
-        # no box is bounded twice in a search: an unreplayed node keeps its
-        # children, so only those of nodes left on the heap at the end are
-        # bounded and never counted.  Fewer than _BATCH nodes hold children
-        # after a replay whose first node splits, as every node of these
-        # solves does
-        boxes = {node.lo.tobytes() + node.hi.tobytes(): node
-                 for nodes in passes for node, _ in nodes}
-        assert len(boxes) == sum(sizes)
-        assert 0 <= sum(sizes) - one.branches_processed <= 2 * bnb._BATCH - 2
-        # the one-node loop counts every node it bounds, and the batches
-        # bound each of them alike, under the same number
-        counted = [node for nodes in one_passes for node, _ in nodes]
-        assert [node.index for node in counted] == list(
-            range(one.branches_processed))
-        assert node_rows(counted) == node_rows(
-            boxes[node.lo.tobytes() + node.hi.tobytes()] for node in counted)
-        return batched, passes
+        # the batch grows from one node, and no pass is wider than the
+        # children of _BATCH nodes
+        assert sizes[:3] == [1, 2, 2][:len(sizes)]
+        assert max(sizes) <= 2 * bnb._BATCH
+        # every box bounded is counted, numbered in the order bounded
+        indices = [node.index for nodes in passes for node in nodes]
+        assert indices == list(range(res.branches_processed))
+        assert res.branches_processed <= cfg.max_branches + 1
+        assert obj.value(res.witness) == pytest.approx(res.lb, abs=1e-12)
+        assert np.all((lo <= res.witness) & (res.witness <= hi))
+        best, _ = oracle.polished_max(obj.value, lo, hi, n_random=2_000,
+                                      seed=0)
+        assert res.lb - 1e-9 <= best <= res.ub + 1e-9
+        return res, passes
 
     def test_budget_stop(self, monkeypatch):
         # a small cap, so that the batch reaches it before the budget stop
         monkeypatch.setattr(bnb, "_BATCH", 8)
         obj = ScalarObjective(make_net([4, 16, 1], seed=5100, scale=2.5))
         cfg = BnBConfig(eps_t=1e-9, max_branches=401)
-        res, passes = self.compare(monkeypatch, obj, -np.ones(4), np.ones(4),
-                                   cfg)
+        res, passes = self.check(monkeypatch, obj, -np.ones(4), np.ones(4),
+                                 cfg)
         assert res.status == "BranchLimit"
+        assert res.branches_processed == 401
         assert max(len(nodes) for nodes in passes) == 2 * bnb._BATCH
 
+    @pytest.mark.parametrize("budget", [2, 3, 40, 41])
+    def test_budget_holds_to_one_box(self, monkeypatch, budget):
+        # a split adds two boxes, so an even budget ends one box past it
+        obj = ScalarObjective(make_net([4, 16, 1], seed=5100, scale=2.5))
+        cfg = BnBConfig(eps_t=1e-9, max_branches=budget)
+        res, _ = self.check(monkeypatch, obj, -np.ones(4), np.ones(4), cfg)
+        assert res.status == "BranchLimit"
+        assert res.branches_processed == budget + 1 - budget % 2
+
     def test_deep_budget_stop(self, monkeypatch):
-        # depth 3, where children seldom beat their parent's upper bound, so
-        # the replay often stops early and later batches take kept children
+        # depth 3, where children seldom beat their parent's upper bound:
+        # the replay of the one-node loop left 122 of the 423 boxes it
+        # bounded here uncounted, and this search counts every box
         obj = ScalarObjective(make_net([6, 32, 32, 1], seed=5300, scale=2.0))
         cfg = BnBConfig(eps_t=1e-9, max_branches=301)
-        res, passes = self.compare(monkeypatch, obj, -np.ones(6), np.ones(6),
-                                   cfg)
+        res, passes = self.check(monkeypatch, obj, -np.ones(6), np.ones(6),
+                                 cfg)
         assert res.status == "BranchLimit"
-        assert _renumbered(passes)
+        assert res.branches_processed == 301
 
-    # at the coarse gap a child's lower bound ends the solve before the last
-    # node of its batch
+    # at the coarse gap a child's lower bound meets the gap before the last
+    # node of its batch is expanded
     @pytest.mark.parametrize("dims, eps_t", [([3, 6, 5, 1], 1e-4),
                                              ([3, 12, 1], 3e-3)])
     def test_converged(self, monkeypatch, dims, eps_t):
         obj = ScalarObjective(make_net(dims, seed=5200, scale=2.0))
-        res, passes = self.compare(monkeypatch, obj, -np.ones(3), np.ones(3),
-                                   BnBConfig(eps_t=eps_t))
+        res, passes = self.check(monkeypatch, obj, -np.ones(3), np.ones(3),
+                                 BnBConfig(eps_t=eps_t))
         assert res.status == "Converged"
+        assert res.ub - res.lb <= eps_t
         assert max(len(nodes) for nodes in passes) > 2
 
     def test_child_outranks_a_later_node_of_its_batch(self, monkeypatch):
-        # where a pushed child outranks a later node of its batch, that node
-        # goes back on the heap with its children, and the batch that pops
-        # it again numbers them afresh
+        # where a child outranks a later node of its batch, that node is
+        # still expanded in the same pass, as the one-node loop would not
         obj = ScalarObjective(make_net([3, 12, 1], seed=5200, scale=2.0))
-        res, passes = self.compare(monkeypatch, obj, -np.ones(3), np.ones(3),
-                                   BnBConfig(eps_t=1e-4))
+        real, caps = _Bounder.bound, []
+
+        def bound(self, lo, hi, index, parent_ub, dirs):
+            caps.append(parent_ub.copy())
+            return real(self, lo, hi, index, parent_ub, dirs)
+
+        monkeypatch.setattr(_Bounder, "bound", bound)
+        res, passes = self.check(monkeypatch, obj, -np.ones(3), np.ones(3),
+                                 BnBConfig(eps_t=1e-4))
         assert res.status == "Converged"
-        assert _renumbered(passes)
+        # a pass's rows 2k and 2k + 1 are the children of its k-th node,
+        # whose upper bound caps both
+        assert any(nodes[i].ub > cap[j] for nodes, cap in zip(passes, caps)
+                   for i in range(len(nodes))
+                   for j in range(2 * (i // 2 + 1), len(nodes), 2))
 
     def test_collapsed_nodes(self, monkeypatch):
         # nodes that the monotonicity test moves onto faces, points
-        # included, are split and numbered as in the one-node loop
+        # included, are split and counted like any other
         obj = ScalarObjective(make_net([3, 6, 5, 1], seed=3701, scale=2.0))
-        res, passes = self.compare(monkeypatch, obj, -np.ones(3), np.ones(3),
-                                   BnBConfig(eps_t=1e-4))
+        res, passes = self.check(monkeypatch, obj, -np.ones(3), np.ones(3),
+                                 BnBConfig(eps_t=1e-4))
         assert res.status == "Converged"
-        nodes = [node for nodes in passes for node, _ in nodes]
+        nodes = [node for nodes in passes for node in nodes]
         assert collapsed(nodes)
         assert any((node.hi == node.lo).all() for node in nodes)
 
     @pytest.mark.parametrize("dims", [[2, 8, 2], [2, 6, 5, 2]])
     def test_directions_sharing_a_store(self, monkeypatch, dims):
-        # the directions run in lockstep, every stack of theirs in one pass
+        # the directions run in lockstep, every stack of theirs in one pass;
+        # each search reads only its own nodes, so each result is that of
+        # its direction solved alone
         net = make_net(dims, seed=5400, scale=2.0)
         ang = 2.0 * np.pi * np.arange(6) / 6
         directions = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        objs = [ScalarObjective(scalarize(net, c)) for c in directions]
         lo, hi = -np.ones(2), np.ones(2)
-
-        def run():
-            objs = [ScalarObjective(scalarize(net, c)) for c in directions]
-            group = Lockstep(objs)
-            return [solve(obj, lo, hi, cfg=BnBConfig(eps_t=1e-4),
-                          lockstep=group) for obj in objs]
-
-        (batched, one), (passes, _) = _solve_both_ways(monkeypatch, run)
-        for b, o in zip(batched, one):
-            assert_same_result(b, o)
+        cfg = BnBConfig(eps_t=1e-4)
+        passes = _bound_passes(monkeypatch)
+        group = Lockstep(objs)
+        shared = [solve(obj, lo, hi, cfg=cfg, lockstep=group) for obj in objs]
         assert max(len(nodes) for nodes in passes) > 2 * len(directions)
+        for obj, res in zip(objs, shared):
+            assert_same_result(res, solve(obj, lo, hi, cfg=cfg))
 
 
 def _both_ways(monkeypatch, run, rows):
@@ -1104,8 +1101,9 @@ class TestLazySpectralBound:
         assert_same_result(lazy, full)
         assert self.every_box_full(full_passes)
         monkeypatch.setattr(bnb, "_BATCH", 1)
+        one = run()
         _full_lam_rows(monkeypatch, force=True)
-        assert_same_result(lazy, run())
+        assert_same_result(one, run())
 
 
 def _l_inf_rows(monkeypatch, force=False):
@@ -1176,8 +1174,9 @@ class TestLazyZerothOrderBound:
         assert self.every_box_full(full_passes)
         assert passes and not any(k for _, k in passes)
         monkeypatch.setattr(bnb, "_BATCH", 1)
+        one = run()
         _l_inf_rows(monkeypatch, force=True)
-        assert_same_result(lazy, run())
+        assert_same_result(one, run())
 
     def test_closed_loop_step(self, monkeypatch, di_controller):
         # the shipped depth-4 controller in lockstep over the hexagon: no
@@ -1333,8 +1332,9 @@ class TestLazyIntervalHessian:
         assert self.every_box_full(full_passes)
         assert passes and not any(k for _, k in passes)
         monkeypatch.setattr(bnb, "_BATCH", 1)
+        one = run()
         _interval_rows(monkeypatch, force=True)
-        assert_same_result(lazy, run())
+        assert_same_result(one, run())
 
     def test_closed_loop_step(self, monkeypatch, di_controller):
         # the shipped depth-4 controller: every box assembles
@@ -1646,7 +1646,7 @@ class TestMonotonicityTest:
                     cfg=BnBConfig(eps_t=1e-3, max_branches=300,
                                   use_first_order=False))
         assert res.branches_processed > 1 and not calls
-        assert not collapsed(node for nodes in passes for node, _ in nodes)
+        assert not collapsed(node for nodes in passes for node in nodes)
 
 
 class TestOverflowingChain:
@@ -1755,6 +1755,28 @@ class TestZonotope:
                                   -np.ones(3), np.ones(3), n_per_axis=41,
                                   n_random=20_000, seed=2)
         assert res.lb - 1e-9 <= gmax <= res.ub + 1e-9
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("entry", ["generator", "center"])
+    @pytest.mark.parametrize("build", [
+        lambda obj, G, x_c: bnb.latent_objective(obj, G, x_c),
+        lambda obj, G, x_c: solve_zonotope(obj, G, x_c, eps_t=1e-3)],
+        ids=["latent_objective", "solve_zonotope"])
+    def test_non_finite_map_named(self, build, entry, bad):
+        # the generator matrix or the center is named, not the merged
+        # first layer's weight or bias; the linear term is composed after
+        # the check
+        obj = ScalarObjective(make_net([2, 6, 1], seed=3000),
+                              linear=np.array([0.7, -0.3]))
+        G = np.array([[0.3, 0.0, 0.1], [0.0, 0.3, -0.1]])
+        x_c = np.array([1.0, -1.0])
+        if entry == "generator":
+            G[1, 2] = bad
+        else:
+            x_c[0] = bad
+        name = "generator matrix G" if entry == "generator" else "center x_c"
+        with pytest.raises(ValueError, match=f"^{name} has non-finite"):
+            build(obj, G, x_c)
 
 
 class TestBoxCertificates:
