@@ -422,9 +422,6 @@ class _Bounder:
         return SimpleNamespace(net=net, linear=linear,
                                offset=self.offset[dirs])
 
-    def _ds(self, slope_hi):
-        return [b / 2.0 for b in slope_hi]
-
     def _certificate(self, lo, hi):
         """Box-level certificates of a stack of boxes, computed once for each
         distinct box.  Boxes are told apart by the exact bytes of their
@@ -542,7 +539,8 @@ class _Bounder:
         its slopes, with the linear term's dual norm; ``obj`` is the stack's
         stand-in (``_stack``)."""
         weights = self.weights[:-1] + [obj.net.layers[-1].weight]
-        l_inf = lip._total_raw(weights, slope_hi, self._ds(slope_hi), np.inf)
+        l_inf = lip._total_raw(weights, slope_hi, lip.half_slopes(slope_hi),
+                               np.inf)
         if obj.linear is None:
             return l_inf
         return l_inf + np.abs(obj.linear).sum(axis=1)
@@ -550,9 +548,8 @@ class _Bounder:
     def _full_lam(self, slope_hi, terms):
         """The spectral bound lam of a stack of boxes, from their slopes and
         the per-layer factors ``terms`` of ``hessian_norm_bound``."""
-        return hs._spectral_sum(
-            lip._report_raw(self.weights, slope_hi, self._ds(slope_hi), 2),
-            terms)
+        return hs._spectral_sum(lip._report_raw(
+            self.weights, slope_hi, lip.half_slopes(slope_hi), 2), terms)
 
     def _one_by_one(self, lo, hi, index, parent_ub, dirs):
         """``bound`` on each box of a stack as a stack of one."""

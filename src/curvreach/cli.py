@@ -124,8 +124,6 @@ def _cmd_lipschitz(args):
         lt = lip.default_loop_transform(local)
     elif args.method == "liplt-refine":
         lt = lip.refine_loop_transform(net, local, p, sweeps=args.sweeps)
-    else:
-        raise ValueError(f"unknown method {args.method!r}")
     report = lip.lipschitz_report(net, local, lt, p)
     total = lip.naive_lipschitz(net, local, p) if args.method == "naive" \
         else report.total
@@ -270,10 +268,11 @@ def _cmd_audit(args):
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
     objective = ScalarObjective(scalarize(net, c))
     res = bnb.solve(objective, box.lo, box.hi, cfg=cfg)
-    per_axis = max(2, int(round(args.samples ** (1.0 / box.dim))))
-    sampled_max, _ = oracle.grid_max(objective.value, box.lo, box.hi,
-                                     n_per_axis=min(per_axis, 64),
-                                     n_random=args.samples, seed=args.seed)
+    # the widest lattice of k**n <= samples points, k <= 64; none for k < 2
+    per_axis = next((k for k in range(64, 1, -1)
+                     if k ** box.dim <= args.samples), 0)
+    sampled_max, _ = oracle.grid_max(objective.value, box.lo, box.hi, per_axis,
+                                     args.samples, seed=args.seed)
     local = loc.bounds_for_box(objective.net, box.lo, box.hi)
     lt = lip.default_loop_transform(local)
     l_inf = lip.liplt(objective.net, local, lt, np.inf)

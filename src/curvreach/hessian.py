@@ -101,8 +101,7 @@ def _weighted_suffix_liplt(weights, slope_his, l, h):
     its first weight scaled column-wise by h, per box when h is stacked."""
     w_suffix = [weights[l] * h[..., None, :]] + list(weights[l + 1:])
     s_his = list(slope_his[l:])
-    ds = [b / 2.0 for b in s_his]
-    return lip._total_raw(w_suffix, s_his, ds, 1)
+    return lip._total_raw(w_suffix, s_his, lip.half_slopes(s_his), 1)
 
 
 def _spectral_sum(subnet, terms):

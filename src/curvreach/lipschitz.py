@@ -133,12 +133,16 @@ class LoopTransform:
         return len(self.d)
 
 
+def half_slopes(slope_his):
+    """d = slope_hi / 2 per hidden layer: branch and bound's loop transform."""
+    return [b / 2.0 for b in slope_his]
+
+
 def default_loop_transform(local):
     """d = slope_hi / 2, clamped into [0, (slope_lo + slope_hi)/2]."""
-    ds = []
-    for a, b in zip(local.slope_lo, local.slope_hi):
-        ds.append(np.minimum(b / 2.0, (a + b) / 2.0))
-    return LoopTransform(tuple(ds))
+    return LoopTransform(tuple(
+        np.minimum(d, (a + b) / 2.0) for d, a, b in
+        zip(half_slopes(local.slope_hi), local.slope_lo, local.slope_hi)))
 
 
 def zero_loop_transform(local):

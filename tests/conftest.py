@@ -57,6 +57,18 @@ def make_net(dims, act=Activation.TANH, seed=0, scale=1.0, bias_scale=0.1):
     return Network(tuple(layers))
 
 
+def two_layer_net(seed, inputs=6):
+    """A seeded 6-64-1 tanh net: the first net that the two-layer
+    benchmark draws at ``seed``; the same kind of net over ``inputs``
+    inputs."""
+    rng = np.random.default_rng(seed)
+    w1 = 3.0 * rng.standard_normal((64, inputs)) / np.sqrt(inputs)
+    b1 = 1.5 * rng.standard_normal(64)
+    w2 = rng.standard_normal((1, 64)) / 8.0
+    return Network((Layer(w1, b1, Activation.TANH),
+                    Layer(w2, np.zeros(1), None)))
+
+
 def blind_to_input(net, i):
     """``net`` with input ``i`` cut from its first layer: J does not depend
     on x_i, so dJ/dx_i = 0 and no box is monotone along axis ``i``."""

@@ -10,7 +10,8 @@ from curvreach.bnb import (BnBConfig, Lockstep, as_objective, solve,
 from curvreach.model import Activation, ScalarObjective, scalarize
 from conftest import (assert_same_result, blind_to_input, collapsed,
                       linear_net, make_net, monotone_calls, node_rows,
-                      node_streams, shipped_initial_set, shipped_system)
+                      node_streams, shipped_initial_set, shipped_system,
+                      two_layer_net)
 
 
 def scalar_linear(w, b=0.0):
@@ -880,6 +881,15 @@ class TestSpeculativeBatching:
         assert res.status == "BranchLimit"
         assert res.branches_processed == 301
 
+    def test_thirteen_input_budget_stop(self, monkeypatch):
+        # the two-layer benchmark's kind of net over 13 inputs, where a box
+        # takes no matrix model
+        obj = ScalarObjective(two_layer_net(1, inputs=13))
+        cfg = BnBConfig(eps_t=1e-9, max_branches=300)
+        res, _ = self.check(monkeypatch, obj, -np.ones(13), np.ones(13), cfg)
+        assert res.status == "BranchLimit"
+        assert res.branches_processed == 301
+
     # at the coarse gap a child's lower bound meets the gap before the last
     # node of its batch is expanded
     @pytest.mark.parametrize("dims, eps_t", [([3, 6, 5, 1], 1e-4),
@@ -1130,18 +1140,6 @@ def _l_inf_rows(monkeypatch, force=False):
     return passes
 
 
-def _two_layer_net(seed):
-    """A seeded 6-64-1 tanh net: the first net that the two-layer
-    benchmark draws at ``seed``."""
-    from curvreach.model import Layer, Network
-    rng = np.random.default_rng(seed)
-    w1 = 3.0 * rng.standard_normal((64, 6)) / np.sqrt(6.0)
-    b1 = 1.5 * rng.standard_normal(64)
-    w2 = rng.standard_normal((1, 64)) / 8.0
-    return ScalarObjective(Network((Layer(w1, b1, Activation.TANH),
-                                    Layer(w2, np.zeros(1), None))))
-
-
 class TestLazyZerothOrderBound:
     """A pass computes the ell_inf Lipschitz constant L_inf only for the
     boxes whose first-order certificate failed numerically.  On these runs
@@ -1161,7 +1159,7 @@ class TestLazyZerothOrderBound:
 
     def test_budget_capped_two_layer_net(self, monkeypatch):
         # no box computes L_inf; also one node per stacked pass
-        obj = _two_layer_net(2)
+        obj = ScalarObjective(two_layer_net(2))
         cfg = BnBConfig(eps_t=1e-9, max_branches=1000)
 
         def run():
@@ -1318,7 +1316,7 @@ class TestLazyIntervalHessian:
     def test_budget_capped_two_layer_net(self, monkeypatch):
         # on these wide boxes every floor beats the linear bound, so no box
         # assembles; also one node per stacked pass
-        obj = _two_layer_net(1)
+        obj = ScalarObjective(two_layer_net(1))
         cfg = BnBConfig(eps_t=1e-9, max_branches=1000)
 
         def run():
@@ -1421,7 +1419,7 @@ class TestIntervalFloor:
     def test_box_within_the_slack_assembles(self, monkeypatch):
         # four boxes against linear bounds 4 slacks and half a slack below
         # the floor, at it and above it: all but the first assemble
-        obj = _two_layer_net(1)
+        obj = ScalarObjective(two_layer_net(1))
         lo = np.array([[-1.0] * 6, [0.0] * 6, [-0.5] * 6, [-1.0, 0.0] * 3])
         parts = self.parts([obj], lo, lo + 1.0, [0] * 4)
         assert (parts.slack >= 1e-10 * np.abs(parts.floor)).all()
@@ -1438,7 +1436,7 @@ class TestIntervalFloor:
         # a NaN in the first box's curvature range makes its floor NaN: the
         # box assembles the interval Hessian, whose model is NaN too, and
         # takes the zeroth-order fallback, the only box of its pass to do so
-        obj = _two_layer_net(1)
+        obj = ScalarObjective(two_layer_net(1))
         lo = np.array([[-1.0] * 6, [0.0] * 6])
         real = _Bounder._certificate
 
@@ -1517,7 +1515,7 @@ class TestSmallSetClaim:
         return model[0], linear[0], node.ub
 
     def test_taylor_wins_small_boxes_and_linear_wide_ones(self):
-        objs = [_two_layer_net(s) for s in (1, 2, 3)] \
+        objs = [ScalarObjective(two_layer_net(s)) for s in (1, 2, 3)] \
             + [_deep_net(1.0, s) for s in (1, 2, 3)]
         rng = np.random.default_rng(0)
         centers = [rng.uniform(-0.5, 0.5, 6) for _ in objs]
@@ -1597,10 +1595,10 @@ class TestMonotonicityTest:
         assert declared > 0
 
     def test_root_converged_solves_untouched(self, monkeypatch):
-        # a quadrotor closed-loop step whose 12 faces all converge at their
-        # root: under the own-gap rule no root is tested, so finding no
-        # axis changes no bit of the step
-        from curvreach.reach import closed_loop_step
+        # the benchmark's four quadrotor closed-loop steps, each of whose 12
+        # faces converges at its root: under the own-gap rule no root is
+        # tested, so finding no axis changes no bit of any step
+        from curvreach.reach import closed_loop_reach
         system = shipped_system("quad6")
         init = shipped_initial_set("quad6")
         runs = []
@@ -1608,17 +1606,17 @@ class TestMonotonicityTest:
             if patch:
                 monkeypatch.setattr(bnb, "_monotone", _no_monotone_axis)
             streams = node_streams(monkeypatch)
-            poly, nxt = closed_loop_step(system, init, None, 1e-2)
+            trace = closed_loop_reach(system, init, None, 1e-2, steps=4)
             runs.append(([node_rows(streams[i]) for i in sorted(streams)],
-                         poly, nxt))
+                         [(poly.offsets.tobytes(), poly.lbs.tobytes(),
+                           nxt.G.tobytes(), nxt.center.tobytes())
+                          for poly, nxt in trace]))
             monkeypatch.undo()
-        (rows, poly, nxt), (rows_off, poly_off, nxt_off) = runs
-        assert [len(r) for r in rows] == [1] * 12
+        (rows, steps), (rows_off, steps_off) = runs
+        # one root per face and step
+        assert [len(r) for r in rows] == [4] * 12
         assert rows == rows_off
-        assert poly.offsets.tobytes() == poly_off.offsets.tobytes()
-        assert poly.lbs.tobytes() == poly_off.lbs.tobytes()
-        assert nxt.G.tobytes() == nxt_off.G.tobytes()
-        assert nxt.center.tobytes() == nxt_off.center.tobytes()
+        assert len(steps) == 4 and steps == steps_off
 
     def test_lone_root_converged_solve_untouched(self, monkeypatch):
         # a lone solve that converges at its root, whose axes are all

@@ -1,17 +1,22 @@
+import ast
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curvreach import bnb, reach
+import curvreach
+from curvreach import bnb, oracle, reach
 from curvreach.cli import main
 from curvreach.fileio import (dumps17, load_network, load_system, load_zonotope,
                               parse_box, polytope_to_dict, save_network)
-from curvreach.model import network_to_dict
+from curvreach.model import ScalarObjective, network_to_dict, scalarize
 from conftest import (DATA, blind_to_input, linear_net, make_net,
-                      monotone_calls)
+                      monotone_calls, two_layer_net)
 
 
 @pytest.fixture
@@ -366,6 +371,64 @@ class TestExitCodes:
         assert code == 1
         assert "overflow the Lipschitz chain" in capsys.readouterr().err
 
+    def test_bnb_over_a_zonotope(self, tanh_file, di_files, tmp_path):
+        # the bracket of bnb.solve_zonotope, bit for bit
+        _, _, hexagon = di_files
+        out = tmp_path / "bnb.json"
+        code = main(["bnb", "--network", tanh_file, "--direction", "1,-1",
+                     "--zonotope", hexagon, "--eps-t", "1e-3",
+                     "--out", str(out)])
+        assert code == 0
+        data = json.loads(out.read_text())
+        zono = load_zonotope(hexagon)
+        ref = bnb.solve_zonotope(
+            ScalarObjective(scalarize(load_network(tanh_file),
+                                      np.array([1.0, -1.0]))),
+            zono.G, zono.center, cfg=bnb.BnBConfig(eps_t=1e-3))
+        assert ref.status == data["status"] == "Converged"
+        assert (data["lb"], data["ub"]) == (ref.lb, ref.ub)
+        assert data["witness"] == ref.witness.tolist()
+        assert data["branches_processed"] == ref.branches_processed
+
+    @pytest.mark.parametrize("box, direction, cause", [
+        ("--box=a..1,-1..1", "1,0", "bad box range 'a..1'"),
+        ("--box=-1..1", "1,0", "box has 1 dims, expected 2"),
+        ("--box=-1..1,-1..1", "1,x",
+         "bad vector '1,x'; expected comma-separated floats"),
+        ("--box=-1..1,-1..1", "1", "vector has 1 entries, expected 2"),
+    ], ids=["box-not-numeric", "box-dims", "direction-not-numeric",
+            "direction-length"])
+    def test_bad_box_or_direction_names_it(self, tanh_file, capsys, box,
+                                           direction, cause):
+        code = main(["bnb", "--network", tanh_file, "--direction", direction,
+                     box])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {cause}\n"
+
+    def test_zonotope_of_wrong_dimension(self, tanh_file, tmp_path, capsys):
+        zono = tmp_path / "zono3.json"
+        zono.write_text(json.dumps({"G": np.eye(3).tolist(),
+                                    "center": [0.0, 0.0, 0.0]}))
+        code = main(["bnb", "--network", tanh_file, "--direction", "1,0",
+                     "--zonotope", str(zono)])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "error: zonotope has 3 dims, expected 2\n"
+
+    @pytest.mark.parametrize("dirs, outputs, cause", [
+        ("uniform:-1", 2, "uniform needs a nonnegative count"),
+        ("uniform:8", 3, "uniform templates need a 2-D output space"),
+        ("spiral", 2, "unknown template 'spiral'"),
+    ], ids=["negative-count", "not-2d", "unknown"])
+    def test_bad_template_names_the_cause(self, tmp_path, capsys, dirs,
+                                          outputs, cause):
+        net = tmp_path / "net.json"
+        save_network(make_net([2, 6, outputs], seed=6000), net)
+        code = main(["reach", "--network", str(net), "--box=-1..1,-1..1",
+                     "--dirs", dirs])
+        assert code == 1
+        assert cause in capsys.readouterr().err
+
     def test_branch_limit_exit_2(self, tanh_file, capsys):
         code = main(["bnb", "--network", tanh_file, "--direction", "1,0",
                      "--box=-1..1,-1..1", "--eps-t", "1e-12",
@@ -471,6 +534,24 @@ class TestExitCodes:
         assert [1, 1] in data["unconverged_faces"]
 
 
+def test_no_handler_catches_every_exception():
+    # a failure raises a typed error or falls back in a documented, sound
+    # way: no handler of the package catches Exception, BaseException or
+    # everything
+    broad = {"Exception", "BaseException"}
+    found = []
+    for path in sorted(Path(curvreach.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) \
+                else [node.type]
+            if any(t is None or getattr(t, "id", None) in broad
+                   for t in caught):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 class TestLipschitzCommand:
     def test_json_fields(self, tanh_file, tmp_path, capsys):
         out = tmp_path / "lip.json"
@@ -483,6 +564,21 @@ class TestLipschitzCommand:
         assert data["L_total"] > 0
         printed = json.loads(capsys.readouterr().out)
         assert "wall_time_s" in printed
+
+    def test_inf_norm(self, tanh_file, tmp_path):
+        out = tmp_path / "lip.json"
+        code = main(["lipschitz", "--network", tanh_file,
+                     "--box=-1..1,-1..1", "--norm", "inf", "--out", str(out)])
+        assert code == 0
+        data = json.loads(out.read_text())
+        assert data["p"] == "inf" and data["L_total"] > 0
+
+    def test_unsupported_norm_named(self, tanh_file, capsys):
+        code = main(["lipschitz", "--network", tanh_file,
+                     "--box=-1..1,-1..1", "--norm", "3"])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "error: unsupported norm '3'; use 2 or inf\n"
 
     def test_methods_ordered(self, tanh_file, tmp_path):
         vals = {}
@@ -624,6 +720,27 @@ class TestAuditCommand:
         assert quantities == {"grid_max", "sampled_lipschitz"}
 
 
+    @pytest.mark.parametrize("n, lattice", [(6, 64), (12, 0), (16, 0),
+                                            (24, 0)])
+    def test_lattice_within_samples(self, monkeypatch, tmp_path, n,
+                                    lattice):
+        # the widest lattice of k**n <= --samples points; none where k < 2.
+        # The stub builds no lattice, since one of 2**24 points takes 3 GiB
+        net = tmp_path / "linear.json"
+        save_network(linear_net(np.ones((1, n))), net)
+        sizes = []
+
+        def grid_max(fn, lo, hi, n_per_axis=0, n_random=0, seed=0):
+            sizes.append(n_per_axis ** n if n_per_axis >= 2 else 0)
+            center = (lo + hi) / 2.0
+            return float(fn(center[None])[0]), center
+
+        monkeypatch.setattr(oracle, "grid_max", grid_max)
+        code = main(["audit", "--network", str(net), "--direction", "1",
+                     "--box=" + ",".join(["-1..1"] * n), "--samples", "100"])
+        assert code == 0
+        assert sizes == [lattice]
+
     def test_box_required_and_no_zonotope_offered(self, tanh_file, capsys):
         assert main(["audit", "--help"]) == 0
         help_text = capsys.readouterr().out
@@ -644,6 +761,33 @@ class TestDeterminism:
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_fresh_processes_and_one_blas_thread(self, tmp_path):
+        # a seeded 6-64-1 tanh net solved to a node budget: which nodes a
+        # capped solve expands depends on the last bits of every bound, so
+        # its --out file must not depend on the process it runs in, nor on
+        # the BLAS thread count of the matmuls; exit code 2 is the budget
+        # stop
+        net = tmp_path / "tl.json"
+        save_network(two_layer_net(1), net)
+        args = ["bnb", "--network", str(net), "--direction", "1",
+                "--box=" + ",".join(["-1..1"] * 6), "--eps-t", "1e-9",
+                "--max-branches", "500", "--out"]
+        outs = [tmp_path / f"bnb-{run}.json" for run in ("main", "a", "b")]
+        assert main(args + [str(outs[0])]) == 2
+        # the fresh processes import the package imported here
+        env = dict(os.environ)
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        root = str(Path(curvreach.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [root, env.get("PYTHONPATH")]))
+        for out, extra in zip(outs[1:], ({}, {"OPENBLAS_NUM_THREADS": "1"})):
+            proc = subprocess.run(
+                [sys.executable, "-m", "curvreach.cli"] + args + [str(out)],
+                env={**env, **extra}, capture_output=True, text=True)
+            assert proc.returncode == 2, proc.stderr
+        assert outs[0].read_bytes() == outs[1].read_bytes() \
+            == outs[2].read_bytes()
 
     def test_float_round_trip(self):
         vals = {"a": 1.0 / 3.0, "b": [np.pi, 2.0 ** -52, 1e308]}
