@@ -9,7 +9,7 @@ import json
 import numpy as np
 
 from .model import network_from_dict, network_to_dict, require_finite
-from .reach import Box, LinearSystem, Zonotope
+from .reach import Box, LinearSystem, Zonotope, whole_steps
 
 
 def format_float(x):
@@ -45,10 +45,12 @@ def dumps17(obj, indent=0):
 
 def _load_json(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ValueError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -95,12 +97,8 @@ def load_system(path, controller):
     except (KeyError, TypeError, ValueError):
         raise ValueError(f"{path}: system JSON needs numeric 'A', 'B', 'T' "
                          "(and 'c' if given)") from None
-    # a whole number >= 1, where JSON true is a bool, not an int; inf % 1 is
-    # NaN, which is truthy
-    if type(T) not in (int, float) or T % 1 or T < 1:
-        raise ValueError(f"{path}: system T must be a whole number of steps "
-                         f">= 1, got {T!r}")
-    return _from_file(path, LinearSystem, A, B, controller, int(T), drift)
+    T = _from_file(path, whole_steps, T, "system T")
+    return _from_file(path, LinearSystem, A, B, controller, T, drift)
 
 
 def parse_box(text, dim=None):

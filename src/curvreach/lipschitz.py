@@ -139,10 +139,9 @@ def half_slopes(slope_his):
 
 
 def default_loop_transform(local):
-    """d = slope_hi / 2, clamped into [0, (slope_lo + slope_hi)/2]."""
-    return LoopTransform(tuple(
-        np.minimum(d, (a + b) / 2.0) for d, a, b in
-        zip(half_slopes(local.slope_hi), local.slope_lo, local.slope_hi)))
+    """d = slope_hi / 2, which lies in [0, (slope_lo + slope_hi)/2] because
+    every activation's slope range starts at 0 or above."""
+    return LoopTransform(tuple(half_slopes(local.slope_hi)))
 
 
 def zero_loop_transform(local):

@@ -379,10 +379,9 @@ class ScalarObjective:
 #               "activation": "tanh"|"sigmoid"|"softplus"|null}]}
 
 def network_from_dict(data):
-    try:
-        raw_layers = data["layers"]
-    except (KeyError, TypeError):
-        raise ValueError("network JSON must contain a 'layers' list") from None
+    raw_layers = data.get("layers") if isinstance(data, dict) else None
+    if not isinstance(raw_layers, list):
+        raise ValueError("network JSON must contain a 'layers' list")
     layers = []
     for i, entry in enumerate(raw_layers):
         try:

@@ -328,11 +328,13 @@ class LinearSystem:
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
         B = np.asarray(self.B, dtype=float)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise ValueError(f"state matrix must be square, got shape {A.shape}")
         n = A.shape[0]
-        if A.shape != (n, n):
-            raise ValueError("state matrix must be square")
-        if B.shape[0] != n or B.shape[1] != self.controller.output_dim:
-            raise ValueError("input matrix incompatible with controller outputs")
+        if B.shape != (n, self.controller.output_dim):
+            raise ValueError("input matrix incompatible with controller "
+                             f"outputs: shape {B.shape}, expected "
+                             f"{(n, self.controller.output_dim)}")
         if self.controller.input_dim != n:
             raise ValueError("controller input must match state dimension")
         drift = np.zeros(n) if self.drift is None else \
@@ -449,17 +451,22 @@ def closed_loop_step(sys, input_set, template, eps_t, cfg=None,
     return poly, Zonotope(R * rad[None, :], R @ mid)
 
 
+def whole_steps(steps, name):
+    """``steps`` as an int if it is a whole number >= 1, else ValueError
+    naming it ``name``.  A bool is refused, and so are inf and NaN, for
+    which ``steps % 1`` is NaN, which is truthy."""
+    if (not isinstance(steps, numbers.Real) or isinstance(steps, bool)
+            or steps % 1 or steps < 1):
+        raise ValueError(f"{name} must be a whole number >= 1 (at least one "
+                         f"step), got {steps!r}")
+    return int(steps)
+
+
 def closed_loop_reach(sys, initial_set, template, eps_t, steps=None, cfg=None,
                       next_rep="pca", pca_samples=10_000, seed=0):
     """Iterate closed_loop_step, feeding the propagated set forward.
     ``pca_samples`` and ``seed`` are ignored: no step draws samples."""
-    steps = sys.horizon if steps is None else steps
-    # a whole number >= 1; inf % 1 is NaN, which is truthy
-    if (not isinstance(steps, numbers.Real) or isinstance(steps, bool)
-            or steps % 1 or steps < 1):
-        raise ValueError("need at least one step: steps must be a whole "
-                         f"number >= 1, got {steps!r}")
-    steps = int(steps)
+    steps = whole_steps(sys.horizon if steps is None else steps, "steps")
     current = initial_set
     out = []
     for _ in range(steps):

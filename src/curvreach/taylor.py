@@ -6,16 +6,15 @@ Hessian certificate, and maximizes the resulting quadratic model exactly
 (closed form for the ell_2 ball, separable for the ell_inf ball and for a box
 given by per-coordinate radii).  With a matrix bound M, ``vertex_upper``
 enumerates the vertices of one box, exact whenever M's diagonal is
-nonnegative (the model is then convex along each axis): the vertex values
-are products of a sign table, built per block of vertices on each call,
-with the model's coefficients.  The dual bisection bounds the model over an
+nonnegative (the model is then convex along each axis), and evaluates the
+model at each of them directly.  The dual bisection bounds the model over an
 ell_2 ball for any M.  Branch and bound uses neither: its nodes take the
 isotropic maximizer of ``optimal_perturbation`` and the model values of
 ``_model_value``.
 
 ``optimal_perturbation`` (for p=inf) also takes a stack of boxes, every
-argument with a leading batch axis, and returns one result per box, each
-equal to what the box alone gives.
+vector argument with a leading batch axis, and returns one result per box,
+each equal to what the box alone gives.
 """
 
 import math
@@ -68,11 +67,11 @@ def optimal_perturbation(center, eps, p, grad_y, lam, y):
     per-coordinate endpoint choice.  For p=inf, ``eps`` may be an array of
     per-coordinate radii r: the maximizer over the box center +- r, where
     the model at y = center peaks at sum(|g_i| r_i + lam/2 r_i^2).  For p=inf
-    the vectors may also be stacks of rows, with one ``lam`` per row."""
+    the vectors may also be stacks of rows, which share the scalar ``lam``."""
     center = np.asarray(center, dtype=float)
     grad_y = np.asarray(grad_y, dtype=float)
     y = np.asarray(y, dtype=float)
-    u = grad_y - np.asarray(lam)[..., None] * (y - center)
+    u = grad_y - lam * (y - center)
     if np.isinf(p):
         return center + eps * _sign_pos(u)
     if u.ndim != 1:
@@ -152,10 +151,9 @@ def _checked(name, a, shape):
     return a
 
 
-def two_layer_dual_upper(grad, M, eps, p=2):
-    """Exact sup of grad . delta + 1/2 delta^T M delta over the ell_2 ball
-    (strong duality; bisection on the single dual variable).  For p != 2 the
-    ball is relaxed to its enclosing ell_2 ball first.
+def two_layer_dual_upper(grad, M, eps):
+    """Exact sup of grad . delta + 1/2 delta^T M delta over the ell_2 ball of
+    radius ``eps`` (strong duality; bisection on the single dual variable).
 
     Returns the quadratic part only; the caller adds J at the center.  Only
     sym(M) = (M + M^T) / 2 enters the model, so an asymmetric M is read
@@ -167,8 +165,6 @@ def two_layer_dual_upper(grad, M, eps, p=2):
     n = np.shape(grad)[0]
     g = _checked("grad", grad, (n,))
     M = _checked("M", M, (n, n))
-    if p != 2:
-        eps = eps * n ** max(0.0, 0.5 - 1.0 / p)
     # eigh reads one triangle only: decompose sym(M), equal to M if symmetric
     mu, Q = np.linalg.eigh((M + M.T) / 2.0)
     gt = Q.T @ g
@@ -213,15 +209,6 @@ def two_layer_dual_upper(grad, M, eps, p=2):
 _BLOCK = 1 << 12                       # most vertex rows per product
 
 
-def _sign_rows(n, start, stop):
-    """Rows ``start`` .. ``stop`` of the sign table ``[S | S (x) S]`` of the
-    vertices of an n-box: vertex i takes s_j = +1 (its upper bound) where bit
-    j of i is set, else -1, followed by every product s_j s_k."""
-    s = np.where((np.arange(start, stop)[:, None] >> np.arange(n)) & 1,
-                 1.0, -1.0)
-    return np.hstack([s, (s[:, :, None] * s[:, None, :]).reshape(len(s), -1)])
-
-
 def vertex_upper(grad, M, lo, hi, center=None, return_witness=False):
     """Exact max of the quadratic model g . d + d^T M d / 2, d = x - center,
     over the box [lo, hi] when every M_ii >= 0 (center defaults to the box
@@ -237,15 +224,10 @@ def vertex_upper(grad, M, lo, hi, center=None, return_witness=False):
     which the model with those entries raised to 0 lies above it on the box;
     an entry below -1e-9 raises ValueError.
 
-    With delta = m + s * h over the vertices (m, h the mid-point and half-
-    width of the box around c, s in {-1, 1}^n), the model is g . m + m^T M m
-    / 2 + sum_j s_j L_j + sum_jk s_j s_k Q_jk, with L = h * (g + sym(M) m)
-    and Q = (h h^T) * M / 2, so the vertex values are products of the sign
-    table ``[S | S (x) S]`` with ``[L, vec Q]``, in blocks of at most 2**12
-    vertices, each block's rows built when it is reached
-    (``_sign_rows``).  Vertex i takes hi_j where bit j of i is set, and
-    ties go to the first vertex.  Arguments that are not finite, not of one
-    box's shapes, or with lo > hi raise ValueError.
+    The model is evaluated at the vertices in blocks of at most 2**12, each
+    block's offsets d built when it is reached.  Vertex i takes hi_j where
+    bit j of i is set, and ties go to the first vertex.  Arguments that are
+    not finite, not of one box's shapes, or with lo > hi raise ValueError.
     """
     lo = np.asarray(lo, dtype=float)
     if lo.ndim != 1:
@@ -265,18 +247,17 @@ def vertex_upper(grad, M, lo, hi, center=None, return_witness=False):
     if (tau > 1e-9).any():
         raise ValueError("vertex bound needs M_ii >= -1e-9 on M's diagonal")
     up, down = hi - center, lo - center
-    m, h = (up + down) / 2.0, (up - down) / 2.0
-    sym_m = (M + M.T) / 2.0 @ m
-    coef = np.concatenate([h * (g + sym_m), (0.5 * np.outer(h, h) * M).ravel()])
     total = 1 << n
     for start in range(0, total, _BLOCK):
-        table = _sign_rows(n, start, min(start + _BLOCK, total))
-        vals = table @ coef
+        bits = (np.arange(start, min(start + _BLOCK, total))[:, None]
+                >> np.arange(n)) & 1
+        d = np.where(bits, up, down)
+        vals = d @ g + 0.5 * ((d @ M) * d).sum(axis=1)
         k = int(np.argmax(vals))
         if start == 0 or vals[k] > best:
-            best, best_v = vals[k], np.where(table[k, :n] > 0.0, hi, lo)
+            best, best_v = vals[k], np.where(bits[k], hi, lo)
     far = np.maximum(up, -down)
-    best = float(best + (g @ m + 0.5 * (m @ sym_m)) + 0.5 * (tau @ (far * far)))
+    best = float(best + 0.5 * (tau @ (far * far)))
     if return_witness:
         return best, best_v
     return best

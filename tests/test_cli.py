@@ -215,6 +215,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{zono}: zonotope G of shape (2, 0) has no generator" in err
 
+    @pytest.mark.parametrize("which, text", [
+        ("system", b'{"A": 5, "B": [[0.5], [1.0]], "T": 5}'),
+        ("system", b'{"A": [[1.0, 1.0], [0.0, 1.0]], "B": 5, "T": 5}'),
+        ("system", b'{"A": [[1.0, 1.0], [0.0, 1.0]], "B": [0.5, 1.0], '
+                   b'"T": 5}'),
+        ("controller", b'{"layers": 5}'),
+        ("controller", b'{"layers": null}'),
+        ("system", b'{"A": [[1.0, 1.0], [0.0, 1.0]], "B": [[0.5], [1.0]], '
+                   b'"T": 5, "note": "\xff"}'),
+    ], ids=["A-scalar", "B-scalar", "B-vector", "layers-int", "layers-null",
+            "not-utf8"])
+    def test_malformed_file_named_without_traceback(self, di_files, tmp_path,
+                                                    capsys, which, text):
+        system, ctrl, hexagon = di_files
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text)
+        files = {"system": system, "controller": ctrl, which: str(bad)}
+        code = main(["closedloop", "--system", files["system"],
+                     "--controller", files["controller"], "--zonotope",
+                     hexagon, "--out-dir", str(tmp_path / "cl")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {bad}:")
+        assert "Traceback" not in err
+
     def test_closedloop_zero_steps_rejected(self, di_files, tmp_path, capsys):
         system, ctrl, hexagon = di_files
         out_dir = tmp_path / "cl"

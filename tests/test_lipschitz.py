@@ -10,7 +10,7 @@ from curvreach.lipschitz import (LoopTransform, default_loop_transform,
                                  lipschitz_report, naive_lipschitz,
                                  operator_norm, refine_loop_transform,
                                  zero_loop_transform)
-from curvreach.localize import LocalBounds, bounds_for_box
+from curvreach.localize import LocalBounds, bounds_for_box, global_bounds
 from curvreach.model import Activation, Layer, Network, ScalarObjective
 from conftest import make_net
 
@@ -171,8 +171,22 @@ class TestRecursionProperties:
         with pytest.raises(ValueError):
             liplt(net, local, LoopTransform((-0.1 * np.ones(2),)), 2)
 
+    @pytest.mark.parametrize("act", list(Activation))
+    def test_default_transform_is_half_slopes_inside_the_cap(self, act):
+        # d = slope_hi / 2 bit for bit, over a stack of boxes and over the
+        # whole line, and the cap (slope_lo + slope_hi) / 2 never lowers it
+        net = make_net([3, 7, 5, 1], act=act, seed=12)
+        rng = np.random.default_rng(12)
+        c = rng.uniform(-2.0, 2.0, (6, 3))
+        r = rng.uniform(0.0, 3.0, (6, 3))
+        for local in (bounds_for_box(net, c - r, c + r), global_bounds(net)):
+            ds = default_loop_transform(local).d
+            for d, half, a, b in zip(ds, lip.half_slopes(local.slope_hi),
+                                     local.slope_lo, local.slope_hi):
+                assert np.array_equal(d, half)
+                assert np.array_equal(np.minimum(d, (a + b) / 2.0), d)
+
     def test_monotone_localization(self):
-        from curvreach.localize import global_bounds
         net = make_net([2, 8, 8, 1], seed=77)
         tight = bounds_for_box(net, -0.5 * np.ones(2), 0.5 * np.ones(2))
         loose = global_bounds(net)

@@ -287,21 +287,6 @@ class TestDualUpper:
         expect = 0.5 * g @ np.linalg.solve(-M, g)
         assert two_layer_dual_upper(g, M, eps) == pytest.approx(expect, abs=1e-8)
 
-    def test_inf_ball_relaxation_encloses_box(self):
-        rng = np.random.default_rng(10)
-        for _ in range(10):
-            A = rng.standard_normal((2, 2))
-            M = (A + A.T)
-            g = rng.standard_normal(2)
-            eps = 0.5
-            val = two_layer_dual_upper(g, M, eps, p=np.inf)
-            # the relaxed value must dominate the box max
-            fn = quad_model(g, M)
-            xs = rng.uniform(-eps, eps, size=(50_000, 2))
-            corners = eps * np.array([[sx, sy] for sx in (-1, 1)
-                                      for sy in (-1, 1)])
-            assert val >= fn(np.concatenate([xs, corners])).max() - 1e-9
-
     @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan")])
     def test_nonpositive_radius_rejected(self, eps):
         with pytest.raises(ValueError, match="radius"):
@@ -411,10 +396,9 @@ class TestVertexUpper:
 
     @pytest.mark.parametrize("n", [1, 4, 13])
     def test_off_centre_expansion_matches_every_vertex(self, n):
-        # expanded at a point of the box other than its mid-point (m != 0 in
-        # the sign table's terms), the value is the model's largest over all
-        # vertices; n = 13 takes two blocks of vertices, and the third box's
-        # M has rank 1
+        # expanded at a point of the box other than its mid-point, the value
+        # is the model's largest over all vertices; n = 13 takes two blocks
+        # of vertices, and the third box's M has rank 1
         rng = np.random.default_rng(1400 + n)
         A = rng.standard_normal((3, n, n))
         A[2, :, 1:] = 0.0
@@ -545,7 +529,7 @@ def test_vertex_bound_never_above_the_ball_bounds(seed):
     eps = float(np.max(hi - lo)) / 2.0
     lam = max(float(np.linalg.eigvalsh(M)[-1]), 0.0)
     v = vertex_upper(g, M, lo, hi, center)
-    dual = two_layer_dual_upper(g, M, eps * np.sqrt(n), p=2)
+    dual = two_layer_dual_upper(g, M, eps * np.sqrt(n))
     iso = first_upper_from(0.0, g, BallRegion(center, eps, np.inf), lam,
                            center)
     slack = 1e-12 * max(1.0, abs(v))
